@@ -53,12 +53,12 @@ from .simulate import (
     run_experiment,
 )
 from .torus import (
+    DEFAULT_MODULUS,
     Direction,
-    ExactOrbitState,
     MetricKind,
     TorusPoint,
+    advance_arrays,
     build_automorphism,
-    step_exact,
 )
 
 CAT = (2, 1, 1, 1)
@@ -116,10 +116,6 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> RunManifest:
         return cls.from_dict(json.loads(text))
-
-
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol
 
 
 def criterion_1_formula_identities(theta_bias: float = 0.0) -> CriterionResult:
@@ -279,11 +275,37 @@ def criterion_3_separation(scale: float = 1.0, seed: int = _SEED) -> CriterionRe
     )
 
 
-def _dichotomy_config(scale: float, metric: MetricKind, zeta, tau: float = 1.0, n: int = 100_000):
-    trials = max(int(10_000 * scale), 100)
-    return ExperimentConfig(
-        matrix=CAT, zeta=zeta, metric=metric, tau=tau, n=n, trials=trials, seed=_SEED
+def _dichotomy_run(scale: float, metric: MetricKind, zeta, workers: int | None):
+    """Run one dichotomy experiment through block maxima, declustering and theta-hat.
+
+    Returns the config, the cluster summaries and the measured values
+    every dichotomy criterion reports.
+    """
+    cfg = ExperimentConfig(
+        matrix=CAT,
+        zeta=zeta,
+        metric=metric,
+        tau=1.0,
+        n=100_000,
+        trials=max(int(10_000 * scale), 100),
+        seed=_SEED,
     )
+    records = run_experiment(cfg, workers)
+    p_hat, se = estimate_block_maxima_cdf(cfg, records)
+    summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
+    measured = {
+        "trials": cfg.trials,
+        "p_hat": p_hat,
+        "p_se": se,
+        "theta_hat_clusters": empirical_extremal_index(summaries),
+    }
+    return cfg, summaries, measured
+
+
+def _size_chi_square(summaries, pmf) -> dict:
+    sizes = [s for summ in summaries for s in summ.cluster_sizes]
+    chi, chi_p, dof = chi_square_vs_pmf(sizes, pmf, 1, 5)
+    return {"chi2": chi, "chi2_p_value": chi_p, "chi2_dof": dof}
 
 
 def criterion_4_nonperiodic(
@@ -292,27 +314,18 @@ def criterion_4_nonperiodic(
     """Dichotomy at a non-periodic centre: unit extremal index statistics."""
     start = time.perf_counter()
     zeta = (Fraction(math.sqrt(2.0) - 1.0), Fraction(math.sqrt(3.0) - 1.0))
-    cfg = _dichotomy_config(scale, MetricKind.EUCLIDEAN, zeta)
-    records = run_experiment(cfg, workers)
-    p_hat, se = estimate_block_maxima_cdf(cfg, records)
-    summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
-    theta_hat = empirical_extremal_index(summaries)
+    cfg, summaries, measured = _dichotomy_run(scale, MetricKind.EUCLIDEAN, zeta, workers)
     hist = empirical_multiplicity(summaries)
     ks, ks_p = gap_ks_statistic(summaries, 1.0, window_span=cfg.tau)
-
-    measured = {
-        "trials": cfg.trials,
-        "p_hat": p_hat,
-        "p_se": se,
-        "p_target": math.exp(-1.0),
-        "theta_hat_clusters": theta_hat,
-        "ks_stat": ks,
-        "ks_p_value": ks_p,
-        "multiplicity_mass_at_1": hist.get(1, 0.0),
-    }
+    measured.update(
+        p_target=math.exp(-1.0),
+        ks_stat=ks,
+        ks_p_value=ks_p,
+        multiplicity_mass_at_1=hist.get(1, 0.0),
+    )
     ok = (
-        abs(p_hat - math.exp(-1.0)) <= 0.03
-        and 0.93 <= theta_hat <= 1.0
+        abs(measured["p_hat"] - math.exp(-1.0)) <= 0.03
+        and 0.93 <= measured["theta_hat_clusters"] <= 1.0
         and ks_p > 0.01
         and hist.get(1, 0.0) >= 0.95
     )
@@ -333,37 +346,25 @@ def criterion_5_periodic_euclidean(
 ) -> CriterionResult:
     """Dichotomy at the fixed point, Euclidean metric."""
     start = time.perf_counter()
-    cfg = _dichotomy_config(scale, MetricKind.EUCLIDEAN, (Fraction(0), Fraction(0)))
-    T = cfg.automorphism
-    theta = extremal_index(T.lam_abs, cfg.q, MetricKind.EUCLIDEAN) + theta_bias
-    records = run_experiment(cfg, workers)
-    p_hat, se = estimate_block_maxima_cdf(cfg, records)
-    summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
-    theta_clusters = empirical_extremal_index(summaries)
+    origin = (Fraction(0), Fraction(0))
+    cfg, summaries, measured = _dichotomy_run(scale, MetricKind.EUCLIDEAN, origin, workers)
+    lam = cfg.automorphism.lam_abs
+    theta = extremal_index(lam, cfg.q, MetricKind.EUCLIDEAN) + theta_bias
     ratio_samples = max(int(1_000_000 * scale), 1000)
     theta_ratio = ei_measure_ratio(cfg, ratio_samples, _SEED + 17)
-    sizes = [s for summ in summaries for s in summ.cluster_sizes]
-    model = extremal_model(T.lam_abs, cfg.q, MetricKind.EUCLIDEAN)
-    chi, chi_p, dof = chi_square_vs_pmf(sizes, model.multiplicity, 1, 5)
-
-    measured = {
-        "trials": cfg.trials,
-        "q": cfg.q,
-        "theta_formula": theta,
-        "p_hat": p_hat,
-        "p_se": se,
-        "p_target": math.exp(-theta * cfg.tau),
-        "theta_hat_clusters": theta_clusters,
-        "theta_hat_ratio": theta_ratio,
-        "chi2": chi,
-        "chi2_p_value": chi_p,
-        "chi2_dof": dof,
-    }
+    model = extremal_model(lam, cfg.q, MetricKind.EUCLIDEAN)
+    measured.update(
+        q=cfg.q,
+        theta_formula=theta,
+        p_target=math.exp(-theta * cfg.tau),
+        theta_hat_ratio=theta_ratio,
+        **_size_chi_square(summaries, model.multiplicity),
+    )
     ok = (
-        abs(p_hat - math.exp(-theta * cfg.tau)) <= 0.03
-        and abs(theta_clusters - theta) <= 0.04
+        abs(measured["p_hat"] - math.exp(-theta * cfg.tau)) <= 0.03
+        and abs(measured["theta_hat_clusters"] - theta) <= 0.04
         and abs(theta_ratio - theta) <= 0.04
-        and chi_p >= 0.01
+        and measured["chi2_p_value"] >= 0.01
     )
     return CriterionResult(
         5,
@@ -380,31 +381,19 @@ def criterion_6_periodic_adapted(
 ) -> CriterionResult:
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
     start = time.perf_counter()
-    cfg = _dichotomy_config(scale, MetricKind.ADAPTED, (Fraction(0), Fraction(0)))
-    T = cfg.automorphism
-    theta = extremal_index(T.lam_abs, cfg.q, MetricKind.ADAPTED)
-    records = run_experiment(cfg, workers)
-    p_hat, se = estimate_block_maxima_cdf(cfg, records)
-    summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
-    theta_clusters = empirical_extremal_index(summaries)
-    sizes = [s for summ in summaries for s in summ.cluster_sizes]
-    chi, chi_p, dof = chi_square_vs_pmf(
-        sizes, lambda k: theta * (1.0 - theta) ** (k - 1), 1, 5
+    origin = (Fraction(0), Fraction(0))
+    cfg, summaries, measured = _dichotomy_run(scale, MetricKind.ADAPTED, origin, workers)
+    theta = extremal_index(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    measured.update(
+        q=cfg.q,
+        theta_formula=theta,
+        p_target=math.exp(-theta * cfg.tau),
+        **_size_chi_square(summaries, lambda k: theta * (1.0 - theta) ** (k - 1)),
     )
-
-    measured = {
-        "trials": cfg.trials,
-        "q": cfg.q,
-        "theta_formula": theta,
-        "p_hat": p_hat,
-        "p_se": se,
-        "p_target": math.exp(-theta * cfg.tau),
-        "theta_hat_clusters": theta_clusters,
-        "chi2": chi,
-        "chi2_p_value": chi_p,
-        "chi2_dof": dof,
-    }
-    ok = abs(theta_clusters - theta) <= 0.04 and chi_p >= 0.01
+    ok = (
+        abs(measured["theta_hat_clusters"] - theta) <= 0.04
+        and measured["chi2_p_value"] >= 0.01
+    )
     return CriterionResult(
         6,
         "dichotomy-periodic-adapted",
@@ -479,16 +468,13 @@ def criterion_8_engineering(
     parallel = run_experiment(cfg, workers=max(2, resolve_workers(workers)))
     workers_ok = serial == parallel
 
-    T = build_automorphism(*CAT)
+    T = cfg.automorphism
     rng = np.random.default_rng(_SEED)
-    inverse_ok = True
-    for _ in range(10_000):
-        st = ExactOrbitState(
-            int(rng.integers(0, 1 << 61)), int(rng.integers(0, 1 << 61)), 1 << 61
-        )
-        if step_exact(step_exact(st, T, Direction.FORWARD), T, Direction.BACKWARD) != st:
-            inverse_ok = False
-            break
+    px = rng.integers(0, DEFAULT_MODULUS, 10_000)
+    py = rng.integers(0, DEFAULT_MODULUS, 10_000)
+    fx, fy = advance_arrays(px, py, T, DEFAULT_MODULUS, Direction.FORWARD)
+    bx, by = advance_arrays(fx, fy, T, DEFAULT_MODULUS, Direction.BACKWARD)
+    inverse_ok = np.array_equal(bx, px) and np.array_equal(by, py)
 
     runtime = time.perf_counter() - start
     total = elapsed_so_far + runtime

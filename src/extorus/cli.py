@@ -34,7 +34,7 @@ from .simulate import (
     resolve_workers,
     run_experiment,
 )
-from .torus import MetricKind, build_automorphism
+from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind, build_automorphism
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -250,38 +250,51 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+def _csv_rows(path: Path, header: str, parse):
+    """(line number, parse(*fields)) of each data row; parse puts the float value last."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}:1: expected header {header!r}")
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            row = parse(*line.split(","))
+        except (TypeError, ValueError):  # TypeError: wrong field count
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+        if not math.isfinite(row[-1]):
+            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+        yield lineno, row
+
+
 def _read_records(indir: Path) -> tuple[ExperimentConfig, list[TrialRecord]]:
     manifest = RunManifest.from_json((indir / "manifest.json").read_text(encoding="utf-8"))
     cfg = _config_from_echo(manifest.config)
 
     maxima: dict[int, float] = {}
     path = indir / "block_maxima.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != BLOCK_MAX_HEADER:
-        raise ValueError(f"{path}:1: expected header {BLOCK_MAX_HEADER!r}")
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            trial_s, max_s = line.split(",")
-            maxima[int(trial_s)] = float(max_s)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+    rows = _csv_rows(path, BLOCK_MAX_HEADER, lambda trial, m: (int(trial), float(m)))
+    for lineno, (trial, maximum) in rows:
+        if trial in maxima:
+            raise ValueError(f"{path}:{lineno}: duplicate trial {trial}")
+        if len(maxima) == cfg.trials:
+            raise ValueError(f"{path}:{lineno}: more trials than the manifest's {cfg.trials}")
+        maxima[trial] = maximum
+    if len(maxima) != cfg.trials:
+        # the first missing row would sit right after the last one read
+        raise ValueError(
+            f"{path}:{len(maxima) + 2}: {len(maxima)} trials, the manifest says {cfg.trials}"
+        )
 
     times: dict[int, list[tuple[int, float]]] = {t: [] for t in maxima}
     path = indir / "exceedances.csv"
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != EXCEEDANCE_HEADER:
-        raise ValueError(f"{path}:1: expected header {EXCEEDANCE_HEADER!r}")
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            trial_s, t_s, v_s = line.split(",")
-            trial, t, v = int(trial_s), int(t_s), float(v_s)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-        times.setdefault(trial, []).append((t, v))
+    rows = _csv_rows(path, EXCEEDANCE_HEADER, lambda trial, t, v: (int(trial), int(t), float(v)))
+    for lineno, (trial, t, v) in rows:
+        if trial not in times:
+            raise ValueError(f"{path}:{lineno}: trial {trial} has no block maximum")
+        times[trial].append((t, v))
 
     records = []
     for trial in sorted(maxima):
-        pairs = sorted(times.get(trial, []))
+        pairs = sorted(times[trial])
         records.append(
             TrialRecord(
                 trial,
@@ -377,7 +390,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=None, help="limit mean exceedance count")
     p.add_argument("--n", type=int, default=None, help="orbit length")
     p.add_argument("--trials", type=int, default=None, help="number of trials")
-    p.add_argument("--modulus-bits", dest="modulus_bits", type=int, default=None)
+    p.add_argument("--modulus-bits", dest="modulus_bits", type=int, default=None,
+                   help=f"exact grid 2^k, k in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] (default 61)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--run-gap", dest="run_gap", type=int, default=None)
     p.add_argument("--config", default=None, help="key=value config file")

@@ -13,16 +13,6 @@ class NotHyperbolic(ExtorusError):
     """The integer matrix has an eigenvalue on the unit circle (|trace| <= 2)."""
 
 
-class ShiftSetInsufficient(ExtorusError):
-    """The lattice-shift search window cannot certify the torus distance.
-
-    Raised when the minimising shift lies on the boundary of the
-    {-1,0,1}^2 window and the resulting distance exceeds 0.25, so a wider
-    window might produce a smaller value (sheared eigenbasis metrics only;
-    every distance below 0.25 is certified exact).
-    """
-
-
 class RadiusTooLarge(ExtorusError):
     """The threshold radius is >= 0.25, so the ball is not locally planar."""
 

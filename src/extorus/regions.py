@@ -7,10 +7,10 @@ Regions are subsets of a small metric ball around a centre zeta:
 * U_KAPPA  - nested set: images at times 0, q, 2q, ..., kappa*q all inside;
 * Q_KAPPA  - strip: in U_KAPPA but not in U_(KAPPA+1).
 
-Membership iterates orbits in exact modular arithmetic (points are
-snapped to the 2**61 grid, after which there is no drift) and compares
-folded float coordinates against the radius, so decisions are exact up
-to a boundary fuzz of one part in 1e16 of the radius.
+Membership iterates orbits with the exact residue kernel of the torus
+module (points are snapped to the 2**61 grid, after which there is no
+drift) and tests each image with its ball test, so decisions are exact
+up to a boundary fuzz of one part in 1e16 of the radius.
 
 The measure oracle samples uniformly from the bounding ball rather than
 the whole torus, a variance reduction of about 1/(pi r^2), and scales
@@ -23,6 +23,7 @@ assigned to workers.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -40,14 +41,15 @@ from .torus import (
     ToralAutomorphism,
     TorusPoint,
     advance_arrays,
-    folded_offsets,
-    int64_safe,
-    metric_values,
-    wrap_unit,
+    ball_distance,
+    compute_period,
+    keyed_rng,
+    radius_key,
+    rational_point,
+    rational_residues,
 )
 
 _CHUNK = 1 << 18
-_MASK64 = (1 << 64) - 1
 
 
 class RegionKind(Enum):
@@ -77,12 +79,32 @@ class RegionSpec:
             raise ValueError("kappa must be >= 0")
 
 
-def _safe_modulus(T: ToralAutomorphism) -> int:
-    """Largest power-of-two modulus keeping int64 row sums overflow-free."""
-    bits = 61
-    while bits > 32 and not int64_safe(T, 1 << bits):
-        bits -= 1
-    return 1 << bits
+def _ball_masks(
+    region: RegionSpec,
+    T: ToralAutomorphism,
+    px: np.ndarray,
+    py: np.ndarray,
+    modulus: int,
+    count: int,
+    direction: Direction = Direction.FORWARD,
+    stride: int = 1,
+) -> list[np.ndarray]:
+    """Ball masks of the orbit at times 0, s, 2s, .., count*s, with s = +-stride by direction."""
+    key = radius_key(region.radius, region.metric)
+    masks = []
+    for step in range(count + 1):
+        if step:
+            px, py = advance_arrays(px, py, T, modulus, direction, stride)
+        masks.append(ball_distance(px, py, modulus, region.zeta, T, region.metric) < key)
+    return masks
+
+
+def _escape_mask(balls: list[np.ndarray], t: int, q: int) -> np.ndarray:
+    """A_q membership at time t from the ball masks at times t .. t+q."""
+    out = balls[t].copy()
+    for k in range(1, q + 1):
+        out &= ~balls[t + k]
+    return out
 
 
 def membership_mask(
@@ -93,41 +115,25 @@ def membership_mask(
     modulus: int,
 ) -> np.ndarray:
     """Vectorised membership of residue-array points in the region."""
-    zx, zy = region.zeta.x, region.zeta.y
-    r = region.radius
-
-    def in_ball(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        dx, dy = folded_offsets(ax, ay, modulus, zx, zy)
-        return metric_values(dx, dy, T, region.metric) < r
-
-    mask = in_ball(px, py)
     if region.kind is RegionKind.BALL:
-        return mask
+        return _ball_masks(region, T, px, py, modulus, 0)[0]
     if region.kind is RegionKind.A_Q:
-        for _ in range(region.q):
-            px, py = advance_arrays(px, py, T, modulus)
-            mask &= ~in_ball(px, py)
-        return mask
+        return _escape_mask(_ball_masks(region, T, px, py, modulus, region.q), 0, region.q)
     # U_KAPPA and Q_KAPPA walk the q-fold map
-    for _ in range(region.kappa):
-        px, py = advance_arrays(px, py, T, modulus, steps=region.q)
-        mask &= in_ball(px, py)
-    if region.kind is RegionKind.Q_KAPPA:
-        px, py = advance_arrays(px, py, T, modulus, steps=region.q)
-        mask &= ~in_ball(px, py)
+    strip = region.kind is RegionKind.Q_KAPPA
+    balls = _ball_masks(region, T, px, py, modulus, region.kappa + strip, stride=region.q)
+    mask = np.logical_and.reduce(balls[: region.kappa + 1])
+    if strip:
+        mask &= ~balls[-1]
     return mask
 
 
 def contains(region: RegionSpec, z: TorusPoint, T: ToralAutomorphism) -> bool:
     """Membership of a single point (snapped to the default exact grid)."""
-    modulus = min(DEFAULT_MODULUS, _safe_modulus(T))
+    modulus = DEFAULT_MODULUS
     px = np.array([round(z.x * modulus) % modulus], dtype=np.int64)
     py = np.array([round(z.y * modulus) % modulus], dtype=np.int64)
     return bool(membership_mask(region, T, px, py, modulus)[0])
-
-
-def _chunk_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, index)))
 
 
 def sample_ball(
@@ -178,7 +184,7 @@ def _local_range_guard(region: RegionSpec, T: ToralAutomorphism) -> None:
 
 def _measure_chunk(args: tuple) -> int:
     region, T, seed, index, size, modulus = args
-    rng = _chunk_rng(seed, index)
+    rng = keyed_rng(seed, index)
     px, py = sample_ball(region, T, size, rng, modulus)
     return int(np.count_nonzero(membership_mask(region, T, px, py, modulus)))
 
@@ -194,17 +200,19 @@ def monte_carlo_measure(
 
     Uniform importance sampling over the bounding metric ball scaled by
     the ball area; the standard error is binomial. Deterministic given
-    the seed, for any worker count.
+    the seed, for any worker count. The pool never has more workers than
+    chunks or cores.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _local_range_guard(region, T)
-    modulus = min(DEFAULT_MODULUS, _safe_modulus(T))
+    modulus = DEFAULT_MODULUS
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     jobs = [(region, T, seed, i, size, modulus) for i, size in enumerate(sizes)]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(_measure_chunk, jobs, chunksize=1))
     else:
@@ -215,20 +223,10 @@ def monte_carlo_measure(
 
 
 def _verify_periodic(zeta: tuple[Fraction, Fraction], q: int, T: ToralAutomorphism) -> None:
-    den = math.lcm(zeta[0].denominator, zeta[1].denominator)
-    nx = int(zeta[0] * den) % den
-    ny = int(zeta[1] * den) % den
-    a, b, c, d = T.entries
-    x, y = nx, ny
-    for _ in range(q):
-        x, y = (a * x + b * y) % den, (c * x + d * y) % den
-    if (x, y) != (nx, ny):
+    nums, den = rational_residues(zeta)
+    period = compute_period(nums, den, T, q)
+    if period is None or q % period:
         raise ValueError(f"zeta is not periodic with period {q}")
-
-
-def _zeta_point(zeta: tuple[Fraction, Fraction]) -> TorusPoint:
-    # wrap: float() of a fraction just below 1 can round up to 1.0
-    return TorusPoint(wrap_unit(float(zeta[0] % 1)), wrap_unit(float(zeta[1] % 1)))
 
 
 def separation_check(
@@ -254,11 +252,10 @@ def separation_check(
         raise ValueError("samples must be >= 1000")
     _verify_periodic(zeta, q, T)
     radius = radius_s_n(n, tau) * radius_scale
-    region = RegionSpec(_zeta_point(zeta), radius, metric, RegionKind.A_Q, q=q)
+    region = RegionSpec(rational_point(zeta), radius, metric, RegionKind.A_Q, q=q)
     window = q * wrap_time_g(n, T.lam_abs, q, tau)
-    modulus = min(DEFAULT_MODULUS, _safe_modulus(T))
-    rng = _chunk_rng(seed, 0)
-    px, py = sample_ball(region, T, samples, rng, modulus)
+    modulus = DEFAULT_MODULUS
+    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0), modulus)
     keep = membership_mask(region, T, px, py, modulus)
     px, py = px[keep], py[keep]
     if px.size == 0 or window == 0:
@@ -275,29 +272,12 @@ def _separation_scan(
     window: int,
 ) -> bool:
     """Exhaustive check: escape membership of each backward preimage."""
-    zx, zy = region.zeta.x, region.zeta.y
     q = region.q
-
-    def in_ball(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        dx, dy = folded_offsets(ax, ay, modulus, zx, zy)
-        return metric_values(dx, dy, T, region.metric) < region.radius
-
-    # ball masks at times -window .. q relative to the sampled points
-    times: dict[int, np.ndarray] = {}
-    bx, by = px, py
-    times[0] = in_ball(bx, by)
-    fx, fy = px, py
-    for j in range(1, q + 1):
-        fx, fy = advance_arrays(fx, fy, T, modulus)
-        times[j] = in_ball(fx, fy)
+    # ball masks at times -window .. q; index i holds time i - window
+    backward = _ball_masks(region, T, px, py, modulus, window, Direction.BACKWARD)
+    balls = backward[::-1] + _ball_masks(region, T, px, py, modulus, q)[1:]
     for j in range(1, window + 1):
-        bx, by = advance_arrays(bx, by, T, modulus, direction=Direction.BACKWARD)
-        times[-j] = in_ball(bx, by)
-    for j in range(1, window + 1):
-        member = times[-j].copy()
-        for k in range(1, q + 1):
-            member &= ~times[-j + k]
-        if bool(np.any(member)):
+        if bool(np.any(_escape_mask(balls, window - j, q))):
             return False
     return True
 
@@ -327,35 +307,15 @@ def dprime_sum_diagnostic(
         raise ValueError("j_max exceeds the (log n)^5 analysis window")
     radius = radius_s_n(n, tau)
     kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
-    region = RegionSpec(_zeta_point(zeta), radius, metric, kind, q=q)
-    modulus = min(DEFAULT_MODULUS, _safe_modulus(T))
-    rng = _chunk_rng(seed, 0)
-    px, py = sample_ball(region, T, samples, rng, modulus)
-
-    zx, zy = region.zeta.x, region.zeta.y
-
-    def in_ball(ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-        dx, dy = folded_offsets(ax, ay, modulus, zx, zy)
-        return metric_values(dx, dy, T, metric) < radius
-
-    # Rolling ball masks: membership of A at forward time j needs the
-    # ball masks at times j .. j+q.
-    balls = [in_ball(px, py)]
-    fx, fy = px, py
-    for _ in range(j_max + q):
-        fx, fy = advance_arrays(fx, fy, T, modulus)
-        balls.append(in_ball(fx, fy))
-
-    def a_mask(t: int) -> np.ndarray:
-        out = balls[t].copy()
-        for k in range(1, q + 1):
-            out &= ~balls[t + k]
-        return out
-
-    base = a_mask(0)
+    region = RegionSpec(rational_point(zeta), radius, metric, kind, q=q)
+    modulus = DEFAULT_MODULUS
+    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0), modulus)
+    # membership of A at forward time j needs the ball masks at times j .. j+q
+    balls = _ball_masks(region, T, px, py, modulus, j_max + q)
+    base = _escape_mask(balls, 0, q)
     area = ball_measure(radius, metric, T.basis_det)
     total = 0.0
     for j in range(1, j_max + 1):
-        hits = int(np.count_nonzero(base & a_mask(j)))
+        hits = int(np.count_nonzero(base & _escape_mask(balls, j, q)))
         total += area * hits / samples
     return n * total

@@ -30,34 +30,45 @@ from .errors import NoExceedances, TooFewGaps
 from .formulas import ThresholdSchedule, kac_rescale, threshold_u_n, wrap_time_g
 from .regions import RegionKind, RegionSpec, monte_carlo_measure
 from .torus import (
+    MAX_MODULUS_BITS,
+    MIN_MODULUS_BITS,
     MetricKind,
     ToralAutomorphism,
-    TorusPoint,
+    advance_arrays,
+    ball_distance,
     build_automorphism,
     compute_period,
     draw_residue,
-    int64_safe,
-    wrap_unit,
+    keyed_rng,
+    radius_key,
+    rational_point,
+    rational_residues,
 )
 
 # Observable value reported for an exact hit of the centre; -log of the
 # smallest positive double, so records stay free of infinities.
 OBSERVABLE_CAP = 745.0
 
-_MASK64 = (1 << 64) - 1
 _TRIAL_CHUNK = 1024
 _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else EXTORUS_THREADS, else cores."""
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("EXTORUS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(os.cpu_count() or 1, 8)
+    """Worker count: explicit argument, else EXTORUS_THREADS, else cores.
+
+    Explicit and environment values are capped at the number of cores;
+    values below 1 are rejected.
+    """
+    cores = os.cpu_count() or 1
+    if explicit is None:
+        env = os.environ.get("EXTORUS_THREADS")
+        if not env:
+            return min(cores, 8)
+        explicit = int(env)
+    if explicit < 1:
+        raise ValueError(f"worker count must be >= 1, got {explicit}")
+    return min(explicit, cores)
 
 
 @dataclass(frozen=True)
@@ -85,8 +96,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (32 <= self.modulus_bits <= 128):
-            raise ValueError("modulus_bits must lie in [32, 128]")
+        if not (MIN_MODULUS_BITS <= self.modulus_bits <= MAX_MODULUS_BITS):
+            raise ValueError(f"modulus_bits must lie in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}]")
         if self.run_gap is not None and self.run_gap < 1:
             raise ValueError("run_gap must be positive")
         object.__setattr__(self, "zeta", (Fraction(self.zeta[0]) % 1, Fraction(self.zeta[1]) % 1))
@@ -119,10 +130,9 @@ class ExperimentConfig:
     @cached_property
     def q(self) -> int:
         """Detected period of zeta (0 when none found within the cap)."""
-        den = math.lcm(self.zeta[0].denominator, self.zeta[1].denominator)
+        nums, den = rational_residues(self.zeta)
         if den > _PERIOD_DEN_LIMIT:
             return 0
-        nums = (int(self.zeta[0] * den) % den, int(self.zeta[1] * den) % den)
         cap = min(den * den, _PERIOD_SEARCH_LIMIT)
         return compute_period(nums, den, self.automorphism, cap) or 0
 
@@ -137,11 +147,6 @@ class ExperimentConfig:
             return self.run_gap
         gap = self.q * self.g_n if self.q >= 1 else self.g_n
         return max(gap, 1)
-
-    @property
-    def zeta_floats(self) -> tuple[float, float]:
-        # wrap: float() of a fraction just below 1 can round up to 1.0
-        return (wrap_unit(float(self.zeta[0])), wrap_unit(float(self.zeta[1])))
 
 
 @dataclass(frozen=True)
@@ -163,13 +168,12 @@ class ClusterSummary:
     cluster_times: tuple[float, ...]
 
 
-def _initial_states(cfg: ExperimentConfig, trial_ids) -> tuple[list[int], list[int]]:
-    pxs, pys = [], []
+def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
+    states = []
     for tid in trial_ids:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed & _MASK64, int(tid))))
-        pxs.append(draw_residue(rng, cfg.modulus))
-        pys.append(draw_residue(rng, cfg.modulus))
-    return pxs, pys
+        rng = keyed_rng(cfg.seed, int(tid))
+        states.append((draw_residue(rng, cfg.modulus), draw_residue(rng, cfg.modulus)))
+    return states
 
 
 def _simulate_chunk(
@@ -180,65 +184,40 @@ def _simulate_chunk(
     """Lockstep-vectorised orbits for a batch of trials."""
     T = cfg.automorphism
     modulus = cfg.modulus
-    euclid = cfg.metric is MetricKind.EUCLIDEAN
-    zx, zy = cfg.zeta_floats
-    r = cfg.radius
-    r2 = r * r
-    inv = 1.0 / modulus
-    a, b, c, d = T.entries
-    dtype = np.int64 if int64_safe(T, modulus) else object
+    metric = cfg.metric
+    zeta = rational_point(cfg.zeta)
+    key_radius = radius_key(cfg.radius, metric)
+    # the Euclidean key is the squared distance: -log d = -0.5 log key
+    log_scale = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
+
+    def observable(key: float) -> float:
+        return OBSERVABLE_CAP if key == 0.0 else log_scale * math.log(key)
 
     if initial_states is None:
-        pxs, pys = _initial_states(cfg, trial_ids)
-    else:
-        pxs = [s[0] for s in initial_states]
-        pys = [s[1] for s in initial_states]
-    px = np.array(pxs, dtype=dtype)
-    py = np.array(pys, dtype=dtype)
+        initial_states = _initial_states(cfg, trial_ids)
+    px = np.array([s[0] for s in initial_states], dtype=np.int64)
+    py = np.array([s[1] for s in initial_states], dtype=np.int64)
 
     width = len(trial_ids)
     times: list[list[int]] = [[] for _ in range(width)]
     values: list[list[float]] = [[] for _ in range(width)]
     best = np.full(width, np.inf)
 
-    if not euclid:
-        (b00, b01), (b10, b11) = T.eigen_inverse
-
     for step in range(cfg.n):
-        dx = px.astype(np.float64) * inv - zx
-        dy = py.astype(np.float64) * inv - zy
-        dx -= np.round(dx)
-        dy -= np.round(dy)
-        if euclid:
-            dist = dx * dx + dy * dy  # squared
-            hits = dist < r2
-        else:
-            xu = b00 * dx + b01 * dy
-            xs = b10 * dx + b11 * dy
-            dist = np.maximum(np.abs(xu), np.abs(xs))
-            hits = dist < r
+        dist = ball_distance(px, py, modulus, zeta, T, metric)
+        hits = dist < key_radius
         np.minimum(best, dist, out=best)
         if hits.any():
             for i in np.nonzero(hits)[0]:
-                dv = float(dist[i])
-                if dv == 0.0:
-                    val = OBSERVABLE_CAP
-                else:
-                    val = -0.5 * math.log(dv) if euclid else -math.log(dv)
                 times[i].append(step)
-                values[i].append(val)
+                values[i].append(observable(float(dist[i])))
         if step + 1 < cfg.n:
-            px, py = (a * px + b * py) % modulus, (c * px + d * py) % modulus
+            px, py = advance_arrays(px, py, T, modulus)
 
-    records = []
-    for i, tid in enumerate(trial_ids):
-        m = float(best[i])
-        if m == 0.0:
-            block_max = OBSERVABLE_CAP
-        else:
-            block_max = -0.5 * math.log(m) if euclid else -math.log(m)
-        records.append(TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), block_max))
-    return records
+    return [
+        TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), observable(float(best[i])))
+        for i, tid in enumerate(trial_ids)
+    ]
 
 
 def run_trial(
@@ -446,7 +425,7 @@ def ei_measure_ratio(
     if cfg.q == 0:
         return 1.0
     T = cfg.automorphism
-    zeta = TorusPoint(*cfg.zeta_floats)
+    zeta = rational_point(cfg.zeta)
     ball = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.BALL)
     escape = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
     num = monte_carlo_measure(escape, T, samples, seed, workers)

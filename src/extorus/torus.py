@@ -1,21 +1,27 @@
-"""Hyperbolic integer torus maps: eigen-structure, metrics, exact orbits.
+"""Hyperbolic integer torus maps: eigen-structure, the exact residue kernel, the ball test.
 
 A 2x2 integer matrix with determinant 1 and |trace| > 2 induces an
 invertible, area-preserving map of the unit torus R^2/Z^2. This module
 validates such matrices, exposes their eigen data (dominant eigenvalue,
-unit expanding/contracting eigenvectors), the two torus metrics used
-throughout the package (plane Euclidean, and the sup metric in the
-eigenbasis whose balls are squares aligned with the invariant
-directions), exact modular orbit iteration, and period detection for
-rational points.
+unit expanding/contracting eigenvectors) and detects the period of
+rational points. It is also the one home of the two array routines that
+the trial engine, the region oracle, the separation scan and the d''
+diagnostic are built from:
+
+* advance_arrays, the exact orbit step on residue arrays;
+* ball_distance, the folded offset from a centre measured in one of the
+  two torus metrics (plane Euclidean, or the sup metric in the
+  eigenbasis, whose balls are squares aligned with the invariant
+  directions), returned as the key that is compared with a radius.
 
 Why exact orbits: floating-point iteration of an expanding linear map
 burns through mantissa bits at a rate of log2|lam| per step, so a double
 carries usable information for only ~53/log2|lam| iterations. Points
 whose coordinates are rationals with a common denominator iterate
 exactly in modular integer arithmetic, with no drift at any orbit
-length. The default denominator is 2**61; residue orbits at that size
-have periods astronomically longer than any simulated orbit.
+length. The denominator is a power of two, 2**k with 32 <= k <= 62
+(default 2**61); residue orbits at that size have periods astronomically
+longer than any simulated orbit.
 """
 
 from __future__ import annotations
@@ -23,17 +29,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DeterminantNotOne, NotHyperbolic, ShiftSetInsufficient
+from .errors import DeterminantNotOne, NotHyperbolic
 
 DEFAULT_MODULUS_BITS = 61
 DEFAULT_MODULUS = 1 << DEFAULT_MODULUS_BITS
+MIN_MODULUS_BITS = 32
+MAX_MODULUS_BITS = 62  # residues, the modulus and its mask all fit in int64
 
-# Shifts probed when projecting a plane metric to the torus; the zero
-# shift comes first so exact ties keep the interior representative.
-_SHIFTS = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+_MASK64 = (1 << 64) - 1
 
 
 class MetricKind(Enum):
@@ -81,7 +89,7 @@ class ToralAutomorphism:
     def lam_abs(self) -> float:
         return abs(self.lam)
 
-    @property
+    @cached_property
     def eigen_inverse(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """Rows of the inverse eigenbasis matrix.
 
@@ -91,9 +99,6 @@ class ToralAutomorphism:
         eu, es = self.e_unstable, self.e_stable
         det = eu[0] * es[1] - eu[1] * es[0]
         return ((es[1] / det, -es[0] / det), (-eu[1] / det, eu[0] / det))
-
-    def max_row_sum(self) -> int:
-        return max(abs(self.a) + abs(self.b), abs(self.c) + abs(self.d))
 
 
 @dataclass(frozen=True)
@@ -108,37 +113,22 @@ class TorusPoint:
             raise ValueError(f"torus coordinates must lie in [0,1): ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
-class ExactOrbitState:
-    """A rational torus point (px/modulus, py/modulus) as residues."""
-
-    px: int
-    py: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        if not (0 <= self.px < self.modulus and 0 <= self.py < self.modulus):
-            raise ValueError("residues must lie in [0, modulus)")
-
-    def to_point(self) -> TorusPoint:
-        return TorusPoint(self.px / self.modulus, self.py / self.modulus)
-
-
 def wrap_unit(x: float) -> float:
     """Reduce a real number to [0, 1)."""
     x = x % 1.0
     return x if x < 1.0 else 0.0  # x % 1.0 can round up to 1.0
 
 
-def point(x: float, y: float) -> TorusPoint:
-    return TorusPoint(wrap_unit(x), wrap_unit(y))
+def rational_point(zeta: tuple[Fraction, Fraction]) -> TorusPoint:
+    """The torus point nearest to an exact rational centre."""
+    # wrap: float() of a fraction just below 1 can round up to 1.0
+    return TorusPoint(wrap_unit(float(zeta[0] % 1)), wrap_unit(float(zeta[1] % 1)))
 
 
-def exact_state_from_point(z: TorusPoint, modulus: int = DEFAULT_MODULUS) -> ExactOrbitState:
-    """Snap a point to the nearest lattice point of the modular grid."""
-    return ExactOrbitState(round(z.x * modulus) % modulus, round(z.y * modulus) % modulus, modulus)
+def rational_residues(zeta: tuple[Fraction, Fraction]) -> tuple[tuple[int, int], int]:
+    """Numerators and common denominator of a rational centre, reduced mod 1."""
+    den = math.lcm(zeta[0].denominator, zeta[1].denominator)
+    return (int(zeta[0] * den) % den, int(zeta[1] * den) % den), den
 
 
 def build_automorphism(a: int, b: int, c: int, d: int) -> ToralAutomorphism:
@@ -170,63 +160,6 @@ def build_automorphism(a: int, b: int, c: int, d: int) -> ToralAutomorphism:
     return ToralAutomorphism(a, b, c, d, lam, e_u, e_s, basis_det)
 
 
-def step_exact(
-    state: ExactOrbitState, T: ToralAutomorphism, direction: Direction = Direction.FORWARD
-) -> ExactOrbitState:
-    """One exact orbit step in modular integer arithmetic (no rounding)."""
-    if direction is Direction.FORWARD:
-        a, b, c, d = T.entries
-    else:
-        a, b, c, d = T.inverse_entries
-    m = state.modulus
-    return ExactOrbitState((a * state.px + b * state.py) % m, (c * state.px + d * state.py) % m, m)
-
-
-def _plane_distance(dx: float, dy: float, T: ToralAutomorphism, metric: MetricKind) -> float:
-    if metric is MetricKind.EUCLIDEAN:
-        return math.hypot(dx, dy)
-    (b00, b01), (b10, b11) = T.eigen_inverse
-    xu = b00 * dx + b01 * dy
-    xs = b10 * dx + b11 * dy
-    return max(abs(xu), abs(xs))
-
-
-def torus_distance(
-    z: TorusPoint, w: TorusPoint, T: ToralAutomorphism, metric: MetricKind
-) -> float:
-    """Distance on the torus: minimum of the plane metric over lattice shifts.
-
-    The search window {-1,0,1}^2 certifies any distance below 0.25 in
-    both metrics. If the minimising shift lands on the window boundary
-    while the distance exceeds 0.25, a shift outside the window could in
-    principle do better for the sheared adapted metric, so
-    ShiftSetInsufficient is raised rather than returning a possibly
-    non-minimal value.
-    """
-    dx0 = z.x - w.x
-    dy0 = z.y - w.y
-    best = math.inf
-    best_shift = (0, 0)
-    for kx, ky in _SHIFTS:
-        dist = _plane_distance(dx0 + kx, dy0 + ky, T, metric)
-        if dist < best:
-            best = dist
-            best_shift = (kx, ky)
-    if best > 0.25 and best_shift != (0, 0):
-        raise ShiftSetInsufficient(
-            f"minimising shift {best_shift} is on the window boundary at distance {best}"
-        )
-    return best
-
-
-def observable_value(
-    z: TorusPoint, zeta: TorusPoint, T: ToralAutomorphism, metric: MetricKind
-) -> float:
-    """-log distance to the centre; +inf at the centre itself."""
-    dist = torus_distance(z, zeta, T, metric)
-    return math.inf if dist == 0.0 else -math.log(dist)
-
-
 def compute_period(
     zeta_num: tuple[int, int], zeta_den: int, T: ToralAutomorphism, max_period: int
 ) -> int | None:
@@ -249,19 +182,12 @@ def compute_period(
 
 
 # ---------------------------------------------------------------------------
-# Vectorised helpers shared by the Monte Carlo oracle and the trial engine.
-# Residue arrays are int64 when every row sum of |entries| times the modulus
-# fits below 2**63; otherwise Python-integer (object dtype) arrays keep the
-# arithmetic exact at reduced speed.
+# Vectorised kernel shared by the trial engine and the region oracle.
+# Residues are int64 arrays. The modulus is 2**k with k <= 62, which
+# divides 2**64, and int64 array arithmetic wraps modulo 2**64; so masking
+# the low k bits of a*x + b*y gives the exact residue for any integer
+# entries, however large the products grow.
 # ---------------------------------------------------------------------------
-
-
-def int64_safe(T: ToralAutomorphism, modulus: int) -> bool:
-    return T.max_row_sum() * (modulus - 1) <= np.iinfo(np.int64).max
-
-
-def residue_dtype(T: ToralAutomorphism, modulus: int) -> object:
-    return np.int64 if int64_safe(T, modulus) else object
 
 
 def advance_arrays(
@@ -273,39 +199,49 @@ def advance_arrays(
     steps: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the matrix `steps` times to residue arrays, exactly."""
-    a, b, c, d = T.entries if direction is Direction.FORWARD else T.inverse_entries
+    mask = modulus - 1
+    entries = T.entries if direction is Direction.FORWARD else T.inverse_entries
+    a, b, c, d = (e & mask for e in entries)
     for _ in range(steps):
-        px, py = (a * px + b * py) % modulus, (c * px + d * py) % modulus
+        px, py = (a * px + b * py) & mask, (c * px + d * py) & mask
     return px, py
 
 
-def folded_offsets(
-    px: np.ndarray, py: np.ndarray, modulus: int, zx: float, zy: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate offsets from (zx, zy), folded to the nearest image.
+def ball_distance(
+    px: np.ndarray,
+    py: np.ndarray,
+    modulus: int,
+    zeta: TorusPoint,
+    T: ToralAutomorphism,
+    metric: MetricKind,
+) -> np.ndarray:
+    """Distance key from residue-array points to zeta: compare it with radius_key.
 
-    Per-coordinate folding to [-1/2, 1/2] gives the exact Euclidean torus
-    distance; for the adapted metric it is exact whenever the resulting
-    value is below 0.25 (any representative that small is the folded one).
+    The key is the squared distance for the Euclidean metric and the
+    eigenbasis sup for the adapted one. Offsets are folded per coordinate
+    to [-1/2, 1/2], which gives the exact Euclidean torus distance; for the
+    adapted metric it is exact whenever the value is below 0.25 (any
+    representative that small is the folded one).
     """
     inv = 1.0 / modulus
-    dx = px.astype(np.float64) * inv - zx
-    dy = py.astype(np.float64) * inv - zy
-    dx -= np.round(dx)
-    dy -= np.round(dy)
-    return dx, dy
-
-
-def metric_values(
-    dx: np.ndarray, dy: np.ndarray, T: ToralAutomorphism, metric: MetricKind
-) -> np.ndarray:
-    """Plane metric of folded offsets (see folded_offsets for validity)."""
+    dx = px * inv - zeta.x
+    dy = py * inv - zeta.y
+    dx -= np.rint(dx)
+    dy -= np.rint(dy)
     if metric is MetricKind.EUCLIDEAN:
-        return np.sqrt(dx * dx + dy * dy)
+        return dx * dx + dy * dy
     (b00, b01), (b10, b11) = T.eigen_inverse
-    xu = b00 * dx + b01 * dy
-    xs = b10 * dx + b11 * dy
-    return np.maximum(np.abs(xu), np.abs(xs))
+    return np.maximum(np.abs(b00 * dx + b01 * dy), np.abs(b10 * dx + b11 * dy))
+
+
+def radius_key(radius: float, metric: MetricKind) -> float:
+    """The radius on the scale of ball_distance: points are inside iff key < radius_key."""
+    return radius * radius if metric is MetricKind.EUCLIDEAN else radius
+
+
+def keyed_rng(seed: int, key: int) -> np.random.Generator:
+    """Random stream keyed by (seed, key), independent of every other key."""
+    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, key)))
 
 
 def draw_residue(rng: np.random.Generator, modulus: int) -> int:

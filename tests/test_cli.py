@@ -75,6 +75,12 @@ class TestSimulate:
         for name in ("exceedances.csv", "block_maxima.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, command):
+        code, _, err = run_cli(capsys, command, "--workers", "0", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "worker count" in err
+
     def test_radius_too_large_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--tau", "99", "--n", "100", "--out", str(tmp_path / "x")
@@ -156,6 +162,61 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--in", str(sim_dir))
         assert code == 2
         assert ":3:" in err  # first offending line is named
+
+
+class TestEstimateRejectsBadRecords:
+    """Every inconsistent CSV fails loudly with a line number (exit 2)."""
+
+    TRIALS = 20
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--zeta", "0/1,0/1", "--n", "2000", "--trials", str(self.TRIALS),
+            "--seed", "3", "--out", str(out_dir),
+        )
+        assert code == 0
+        return out_dir
+
+    @staticmethod
+    def edit(path, change):
+        lines = path.read_text().splitlines()
+        change(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return len(lines)
+
+    def estimate_error(self, run_dir, capsys):
+        code, _, err = run_cli(capsys, "estimate", "--in", str(run_dir), "--mc-samples", "0")
+        assert code == 2
+        return err
+
+    def test_exceedance_without_block_maximum(self, run_dir, capsys):
+        n = self.edit(run_dir / "exceedances.csv", lambda lines: lines.append("999,5,9.5"))
+        err = self.estimate_error(run_dir, capsys)
+        assert f"exceedances.csv:{n}:" in err and "no block maximum" in err
+
+    def test_non_finite_value(self, run_dir, capsys):
+        def to_nan(lines):
+            trial, t, _ = lines[1].split(",")
+            lines[1] = f"{trial},{t},nan"
+
+        self.edit(run_dir / "exceedances.csv", to_nan)
+        err = self.estimate_error(run_dir, capsys)
+        assert "exceedances.csv:2:" in err and "non-finite" in err
+
+    def test_duplicate_trial(self, run_dir, capsys):
+        n = self.edit(run_dir / "block_maxima.csv", lambda lines: lines.append("0,3.5"))
+        err = self.estimate_error(run_dir, capsys)
+        assert f"block_maxima.csv:{n}:" in err and "duplicate trial 0" in err
+
+    def test_trial_count_differs_from_manifest(self, run_dir, capsys):
+        self.edit(run_dir / "block_maxima.csv", lambda lines: lines.pop())
+        err = self.estimate_error(run_dir, capsys)
+        assert f"block_maxima.csv:{self.TRIALS + 1}:" in err and "manifest" in err
+        self.edit(run_dir / "block_maxima.csv", lambda lines: lines.extend(["19,1.5", "20,1.5"]))
+        err = self.estimate_error(run_dir, capsys)
+        assert f"block_maxima.csv:{self.TRIALS + 2}:" in err and "manifest" in err
 
 
 class TestValidate:

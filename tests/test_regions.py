@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +25,8 @@ from extorus import (
     strip_area_Q,
     wrap_time_g,
 )
-from extorus.regions import _safe_modulus, membership_mask, sample_ball
-from extorus.torus import advance_arrays
+from extorus.regions import membership_mask, sample_ball
+from extorus.torus import DEFAULT_MODULUS, advance_arrays
 
 CAT = build_automorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
@@ -58,7 +59,7 @@ class TestContains:
 
     def test_nested_level_zero_is_ball(self):
         # membership of U at kappa=0 agrees with the plain ball on 1e5 points
-        modulus = _safe_modulus(CAT)
+        modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(2)
         ball = ball_region()
         u0 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=0)
@@ -72,7 +73,7 @@ class TestContains:
 
     def test_strip_partition_is_exact(self):
         # every sampled ball point lies in exactly one strip, kappa <= 60
-        modulus = _safe_modulus(CAT)
+        modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(3)
         ball = ball_region()
         px, py = sample_ball(ball, CAT, 30_000, rng, modulus)
@@ -88,7 +89,7 @@ class TestContains:
 
     def test_strip_dynamics(self):
         # the q-fold map sends strip kappa+1 onto strip kappa
-        modulus = _safe_modulus(CAT)
+        modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(4)
         ball = ball_region()
         px, py = sample_ball(ball, CAT, 200_000, rng, modulus)
@@ -173,6 +174,34 @@ class TestMonteCarloMeasure:
         again = monte_carlo_measure(region, CAT, 600_000, 7, workers=1)
         multi = monte_carlo_measure(region, CAT, 600_000, 7, workers=2)
         assert one == again == multi
+
+    def test_pool_capped_at_jobs_and_cores(self, monkeypatch):
+        # a stand-in pool records its size and runs the jobs in-process
+        import extorus.regions as regions
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
+        samples = 2 * (1 << 18) + 1000  # three chunks
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        many = monte_carlo_measure(ball_region(), CAT, samples, 5, workers=100_000)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        few = monte_carlo_measure(ball_region(), CAT, samples, 5, workers=100_000)
+        assert sizes == [3, 2]
+        assert many == few == monte_carlo_measure(ball_region(), CAT, samples, 5)
 
     def test_error_shrinks_like_sqrt_samples(self):
         small = monte_carlo_measure(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,8 @@ class TestConfig:
             ExperimentConfig(trials=0)
         with pytest.raises(ValueError):
             ExperimentConfig(modulus_bits=31)
+        with pytest.raises(ValueError):
+            ExperimentConfig(modulus_bits=63)
         with pytest.raises(ValueError):
             ExperimentConfig(run_gap=0)
 
@@ -105,11 +108,31 @@ class TestRunTrial:
     def test_worker_cap_from_environment(self, monkeypatch):
         from extorus.simulate import resolve_workers
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("EXTORUS_THREADS", "3")
         assert resolve_workers() == 3
         assert resolve_workers(5) == 5  # explicit argument wins
         monkeypatch.delenv("EXTORUS_THREADS")
         assert resolve_workers() >= 1
+
+    def test_worker_counts_capped_at_cores(self, monkeypatch):
+        # only the computed count is checked; no pool is started
+        from extorus.simulate import resolve_workers
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("EXTORUS_THREADS", "100000")
+        assert resolve_workers() == 4
+        assert resolve_workers(100_000) == 4
+        assert resolve_workers(3) == 3
+
+    def test_worker_counts_below_one_rejected(self, monkeypatch):
+        from extorus.simulate import resolve_workers
+
+        with pytest.raises(ValueError):
+            resolve_workers(0)
+        monkeypatch.setenv("EXTORUS_THREADS", "0")
+        with pytest.raises(ValueError):
+            resolve_workers()
 
 
 class TestBlockMaxima:

@@ -1,4 +1,8 @@
-"""Torus core: eigen-structure, metrics, exact orbits, periods."""
+"""Torus core: eigen-structure, metrics, exact orbits, periods.
+
+The array kernels (advance_arrays, ball_distance) are checked against the
+scalar Python-int and Python-float references in _reference.
+"""
 
 from __future__ import annotations
 
@@ -6,25 +10,27 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from extorus import (
-    DeterminantNotOne,
-    Direction,
+from _reference import (
     ExactOrbitState,
-    MetricKind,
-    NotHyperbolic,
     ShiftSetInsufficient,
-    ToralAutomorphism,
-    TorusPoint,
-    build_automorphism,
-    compute_period,
     observable_value,
     step_exact,
     torus_distance,
 )
-from extorus.torus import DEFAULT_MODULUS, advance_arrays
+from extorus import (
+    DeterminantNotOne,
+    Direction,
+    MetricKind,
+    NotHyperbolic,
+    ToralAutomorphism,
+    TorusPoint,
+    build_automorphism,
+    compute_period,
+)
+from extorus.torus import DEFAULT_MODULUS, advance_arrays, ball_distance, wrap_unit
 
 CAT = build_automorphism(2, 1, 1, 1)
 OTHER = build_automorphism(1, 1, 1, 2)
@@ -100,6 +106,73 @@ class TestStepExact:
             ExactOrbitState(5, 0, 5)
         with pytest.raises(ValueError):
             ExactOrbitState(0, 0, 1)
+
+
+@st.composite
+def hyperbolic_matrices(draw):
+    """Determinant-1 integer matrices with |trace| up to 1e6 and entries of either sign."""
+    a = draw(st.integers(-500_000, 500_000))
+    d = draw(st.integers(-500_000, 500_000))
+    assume(abs(a + d) > 2)
+    # b divides a*d - 1, so c = (a*d - 1) / b is an integer and det = 1
+    b = draw(st.sampled_from((1, -1))) * math.gcd(a * d - 1, draw(st.integers(1, 60)))
+    return build_automorphism(a, b, (a * d - 1) // b, d)
+
+
+class TestAdvanceArrays:
+    @given(
+        T=hyperbolic_matrices(),
+        modulus=st.sampled_from((1 << 32, 1 << 61, 1 << 62)),
+        steps=st.integers(2, 6),
+        points=st.lists(
+            st.tuples(st.integers(0, (1 << 62) - 1), st.integers(0, (1 << 62) - 1)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python_int_reference(self, T, modulus, steps, points):
+        states = [ExactOrbitState(x % modulus, y % modulus, modulus) for x, y in points]
+        px = np.array([s.px for s in states], dtype=np.int64)
+        py = np.array([s.py for s in states], dtype=np.int64)
+        for direction in Direction:
+            fx, fy = advance_arrays(px, py, T, modulus, direction, steps)
+            for i, state in enumerate(states):
+                for _ in range(steps):
+                    state = step_exact(state, T, direction)
+                assert (int(fx[i]), int(fy[i])) == (state.px, state.py)
+        fx, fy = advance_arrays(px, py, T, modulus, Direction.FORWARD, steps)
+        bx, by = advance_arrays(fx, fy, T, modulus, Direction.BACKWARD, steps)
+        assert np.array_equal(bx, px) and np.array_equal(by, py)
+
+
+class TestBallDistance:
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_matches_scalar_reference(self, metric):
+        # points within 0.25 of zeta, where folding is exact in both metrics
+        rng = np.random.default_rng(41)
+        for T in (CAT, OTHER, build_automorphism(5, 2, 2, 1)):
+            zeta = TorusPoint(rng.random(), rng.random())
+            rho = 0.25 * np.sqrt(rng.random(2000))
+            ang = 2.0 * math.pi * rng.random(2000)
+            px = np.round(((zeta.x + rho * np.cos(ang)) % 1.0) * DEFAULT_MODULUS).astype(np.int64)
+            py = np.round(((zeta.y + rho * np.sin(ang)) % 1.0) * DEFAULT_MODULUS).astype(np.int64)
+            px %= DEFAULT_MODULUS
+            py %= DEFAULT_MODULUS
+            keys = ball_distance(px, py, DEFAULT_MODULUS, zeta, T, metric)
+            checked = 0
+            for x, y, key in zip(px, py, keys):
+                z = TorusPoint(wrap_unit(int(x) / DEFAULT_MODULUS), wrap_unit(int(y) / DEFAULT_MODULUS))
+                try:
+                    ref = torus_distance(z, zeta, T, metric)
+                except ShiftSetInsufficient:
+                    continue
+                if ref >= 0.25:
+                    continue
+                expected = ref * ref if metric is MetricKind.EUCLIDEAN else ref
+                assert key == pytest.approx(expected, abs=1e-12)
+                checked += 1
+            assert checked >= 1000
 
 
 class TestTorusDistance:
