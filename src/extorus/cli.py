@@ -285,11 +285,14 @@ def _read_records(indir: Path) -> tuple[ExperimentConfig, list[TrialRecord]]:
         )
 
     times: dict[int, list[tuple[int, float]]] = {t: [] for t in maxima}
+    u_n = cfg.u_n
     path = indir / "exceedances.csv"
     rows = _csv_rows(path, EXCEEDANCE_HEADER, lambda trial, t, v: (int(trial), int(t), float(v)))
     for lineno, (trial, t, v) in rows:
         if trial not in times:
             raise ValueError(f"{path}:{lineno}: trial {trial} has no block maximum")
+        if v <= u_n:
+            raise ValueError(f"{path}:{lineno}: value {_fmt(v)} is not above u_n = {_fmt(u_n)}")
         times[trial].append((t, v))
 
     records = []

@@ -4,11 +4,14 @@ A 2x2 integer matrix with determinant 1 and |trace| > 2 induces an
 invertible, area-preserving map of the unit torus R^2/Z^2. This module
 validates such matrices, exposes their eigen data (dominant eigenvalue,
 unit expanding/contracting eigenvectors) and detects the period of
-rational points. It is also the one home of the two array routines that
+rational points. It is also the one home of the array routines that
 the trial engine, the region oracle, the separation scan and the d''
 diagnostic are built from:
 
-* advance_arrays, the exact orbit step on residue arrays;
+* advance_arrays, the exact orbit step (or k steps at once) on residue
+  arrays, and its time-blocked form power_table + orbit_block, which
+  gives the residues of every orbit at all times of a block in one
+  broadcast;
 * ball_distance, the folded offset from a centre measured in one of the
   two torus metrics (plane Euclidean, or the sup metric in the
   eigenbasis, whose balls are squares aligned with the invariant
@@ -22,6 +25,14 @@ exactly in modular integer arithmetic, with no drift at any orbit
 length. The denominator is a power of two, 2**k with 32 <= k <= 62
 (default 2**61); residue orbits at that size have periods astronomically
 longer than any simulated orbit.
+
+Why jump-ahead: iterating one matrix product per time step costs one
+Python iteration per step. The entries of A^k reduced mod the modulus
+are exact integers that fit in int64, so the residues at time k are
+(A^k)00*x + (A^k)01*y and (A^k)10*x + (A^k)11*y, masked. With a table
+of A^0 .. A^B, the residues of every orbit at all B times of a block are
+one broadcast product, as in the matrix-power jump-ahead of linear
+random-number substreams.
 """
 
 from __future__ import annotations
@@ -186,8 +197,34 @@ def compute_period(
 # Residues are int64 arrays. The modulus is 2**k with k <= 62, which
 # divides 2**64, and int64 array arithmetic wraps modulo 2**64; so masking
 # the low k bits of a*x + b*y gives the exact residue for any integer
-# entries, however large the products grow.
+# entries, however large the products grow. Matrix powers are reduced
+# with the same mask, so their entries fit in int64 and the same argument
+# covers k steps in one product.
 # ---------------------------------------------------------------------------
+
+
+def _matmul(m: tuple[int, ...], n: tuple[int, ...], mask: int) -> tuple[int, int, int, int]:
+    """The 2x2 product m @ n of row-major entry tuples, reduced mod mask + 1."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (
+        (a * e + b * g) & mask,
+        (a * f + b * h) & mask,
+        (c * e + d * g) & mask,
+        (c * f + d * h) & mask,
+    )
+
+
+def _power(entries: tuple[int, ...], k: int, mask: int) -> tuple[int, int, int, int]:
+    """Entries of the k-th matrix power, reduced mod mask + 1, by repeated squaring."""
+    out = (1, 0, 0, 1)
+    base = tuple(e & mask for e in entries)
+    while k:
+        if k & 1:
+            out = _matmul(out, base, mask)
+        base = _matmul(base, base, mask)
+        k >>= 1
+    return out
 
 
 def advance_arrays(
@@ -198,13 +235,53 @@ def advance_arrays(
     direction: Direction = Direction.FORWARD,
     steps: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the matrix `steps` times to residue arrays, exactly."""
+    """Apply the matrix `steps` times to residue arrays, exactly, in one multiply by A^steps."""
     mask = modulus - 1
     entries = T.entries if direction is Direction.FORWARD else T.inverse_entries
-    a, b, c, d = (e & mask for e in entries)
-    for _ in range(steps):
-        px, py = (a * px + b * py) & mask, (c * px + d * py) & mask
-    return px, py
+    a, b, c, d = _power(entries, steps, mask)
+    return (a * px + b * py) & mask, (c * px + d * py) & mask
+
+
+def power_table(
+    T: ToralAutomorphism, modulus: int, count: int, direction: Direction = Direction.FORWARD
+) -> np.ndarray:
+    """Entries of A^k mod modulus for k = 0..count: an int64 array of shape (4, count + 1).
+
+    Row r holds entry r of the row-major (a, b, c, d) of each power.
+    """
+    table = np.empty((4, count + 1), dtype=np.int64)
+    table[:, 0] = (1, 0, 0, 1)
+    filled = 1
+    while filled <= count:
+        size = min(filled, count + 1 - filled)
+        a, b, c, d = table[:, :size]
+        new = table[:, filled : filled + size]
+        # A^filled moves the columns of A^j to those of A^(filled + j)
+        new[0], new[2] = advance_arrays(a, c, T, modulus, direction, filled)
+        new[1], new[3] = advance_arrays(b, d, T, modulus, direction, filled)
+        filled += size
+    return table
+
+
+def orbit_block(
+    px: np.ndarray, py: np.ndarray, table: np.ndarray, modulus: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Residues of the orbits from (px, py) at every time of a block, exactly.
+
+    With table = power_table(T, modulus, B) (or its first B + 1 columns),
+    returns the (B, width) arrays X, Y with X[k] = (A^k)00*px + (A^k)01*py
+    and Y[k] = (A^k)10*px + (A^k)11*py, masked, for k = 0..B-1, and the
+    carry (X[B], Y[B]): the starting residues of the next block.
+    """
+    mask = modulus - 1
+    a, b, c, d = table[:, :, None]
+    x = a * px
+    x += b * py
+    x &= mask
+    y = c * px
+    y += d * py
+    y &= mask
+    return x[:-1], y[:-1], x[-1], y[-1]
 
 
 def ball_distance(

@@ -3,7 +3,8 @@
 These are the independent oracles the tests compare the vectorised
 routines of extorus.torus against: exact orbit steps on Python integers,
 and the torus distance as a minimum of the plane metric over lattice
-shifts.
+shifts. The step-at-a-time trial engine is the reference for the
+time-blocked one in extorus.simulate.
 """
 
 from __future__ import annotations
@@ -11,8 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from extorus.errors import ExtorusError
-from extorus.torus import Direction, MetricKind, ToralAutomorphism, TorusPoint
+from extorus.simulate import OBSERVABLE_CAP, ExperimentConfig, TrialRecord, _initial_states
+from extorus.torus import (
+    Direction,
+    MetricKind,
+    ToralAutomorphism,
+    TorusPoint,
+    advance_arrays,
+    ball_distance,
+    radius_key,
+    rational_point,
+)
 
 # Shifts probed when projecting a plane metric to the torus; the zero
 # shift comes first so exact ties keep the interior representative.
@@ -102,3 +115,47 @@ def observable_value(
     """-log distance to the centre; +inf at the centre itself."""
     dist = torus_distance(z, zeta, T, metric)
     return math.inf if dist == 0.0 else -math.log(dist)
+
+
+def simulate_chunk_stepwise(
+    cfg: ExperimentConfig,
+    trial_ids: list[int],
+    initial_states: list[tuple[int, int]] | None = None,
+) -> list[TrialRecord]:
+    """Lockstep-vectorised orbits for a batch of trials, one time step per iteration."""
+    T = cfg.automorphism
+    modulus = cfg.modulus
+    metric = cfg.metric
+    zeta = rational_point(cfg.zeta)
+    key_radius = radius_key(cfg.radius, metric)
+    # the Euclidean key is the squared distance: -log d = -0.5 log key
+    log_scale = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
+
+    def observable(key: float) -> float:
+        return OBSERVABLE_CAP if key == 0.0 else log_scale * math.log(key)
+
+    if initial_states is None:
+        initial_states = _initial_states(cfg, trial_ids)
+    px = np.array([s[0] for s in initial_states], dtype=np.int64)
+    py = np.array([s[1] for s in initial_states], dtype=np.int64)
+
+    width = len(trial_ids)
+    times: list[list[int]] = [[] for _ in range(width)]
+    values: list[list[float]] = [[] for _ in range(width)]
+    best = np.full(width, np.inf)
+
+    for step in range(cfg.n):
+        dist = ball_distance(px, py, modulus, zeta, T, metric)
+        hits = dist < key_radius
+        np.minimum(best, dist, out=best)
+        if hits.any():
+            for i in np.nonzero(hits)[0]:
+                times[i].append(step)
+                values[i].append(observable(float(dist[i])))
+        if step + 1 < cfg.n:
+            px, py = advance_arrays(px, py, T, modulus)
+
+    return [
+        TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), observable(float(best[i])))
+        for i, tid in enumerate(trial_ids)
+    ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -204,6 +205,32 @@ class TestEstimateRejectsBadRecords:
         self.edit(run_dir / "exceedances.csv", to_nan)
         err = self.estimate_error(run_dir, capsys)
         assert "exceedances.csv:2:" in err and "non-finite" in err
+
+    @staticmethod
+    def u_n(run_dir):
+        return json.loads((run_dir / "manifest.json").read_text())["config"]["derived"]["u_n"]
+
+    def set_first_value(self, run_dir, value):
+        def change(lines):
+            trial, t, _ = lines[1].split(",")
+            lines[1] = f"{trial},{t},{value!r}"
+
+        self.edit(run_dir / "exceedances.csv", change)
+
+    def test_value_not_above_threshold(self, run_dir, capsys):
+        self.set_first_value(run_dir, self.u_n(run_dir))
+        err = self.estimate_error(run_dir, capsys)
+        assert "exceedances.csv:2:" in err and "not above u_n" in err
+
+    def test_value_just_above_threshold_prints_same_bytes(self, run_dir, capsys):
+        # estimate reads exceedance times, not values, so a valid value
+        # at the boundary leaves every printed byte unchanged
+        argv = ("estimate", "--in", str(run_dir), "--mc-samples", "0")
+        code, before, _ = run_cli(capsys, *argv)
+        assert code == 0
+        self.set_first_value(run_dir, math.nextafter(self.u_n(run_dir), math.inf))
+        code, after, _ = run_cli(capsys, *argv)
+        assert code == 0 and after == before
 
     def test_duplicate_trial(self, run_dir, capsys):
         n = self.edit(run_dir / "block_maxima.csv", lambda lines: lines.append("0,3.5"))

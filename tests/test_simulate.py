@@ -30,7 +30,15 @@ from extorus import (
     run_experiment,
     run_trial,
 )
-from extorus.simulate import OBSERVABLE_CAP, pooled_gaps
+from _reference import simulate_chunk_stepwise
+from extorus.simulate import (
+    _BLOCK_ELEMENTS,
+    OBSERVABLE_CAP,
+    _initial_states,
+    _simulate_chunk,
+    chi_square_vs_pmf,
+    pooled_gaps,
+)
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -135,6 +143,61 @@ class TestRunTrial:
             resolve_workers()
 
 
+CENTRES = {
+    0: (Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1)),
+    1: ORIGIN,
+    3: (Fraction(1, 2), Fraction(1, 2)),
+}
+
+
+class TestBlockedEngine:
+    """The time-blocked engine reproduces the step-at-a-time reference exactly."""
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("q", sorted(CENTRES))
+    @pytest.mark.parametrize(
+        "width, n",
+        [
+            (1, 1),  # a single step
+            (3, 1),
+            (1, 300),  # n below the block length: the block is clipped to n
+            (1, _BLOCK_ELEMENTS + 1234),  # two blocks, the last one short
+            (3, 12_000),  # blocks of _BLOCK_ELEMENTS // 3 steps, n not a multiple
+            (1024, 50),  # blocks of 16 steps, n not a multiple
+        ],
+    )
+    def test_records_equal_stepwise_reference(self, metric, q, width, n):
+        cfg = ExperimentConfig(
+            zeta=CENTRES[q], metric=metric, n=n, trials=width, tau=min(40.0, 0.1 * n), seed=9
+        )
+        assert cfg.q == q
+        ids = list(range(width))
+        states = _initial_states(cfg, ids)
+        # trial 0 starts exactly at the centre: a capped hit at time 0 and,
+        # for a periodic centre, again at every multiple of q, across blocks
+        states[0] = (int(cfg.zeta[0] * cfg.modulus), int(cfg.zeta[1] * cfg.modulus))
+        blocked = _simulate_chunk(cfg, ids, states)
+        assert blocked == simulate_chunk_stepwise(cfg, ids, states)
+        first = blocked[0]
+        assert first.exceedance_values[0] == OBSERVABLE_CAP
+        assert first.block_maximum == OBSERVABLE_CAP
+        if q:
+            assert first.exceedance_times == tuple(range(0, n, q))
+            assert set(first.exceedance_values) == {OBSERVABLE_CAP}
+
+    @pytest.mark.parametrize("matrix", [(1000, 999, 1, 1), (-1000, -999, -1, -1)])
+    @pytest.mark.parametrize("modulus_bits", [32, 62])
+    def test_other_matrices_and_moduli(self, matrix, modulus_bits):
+        cfg = ExperimentConfig(
+            matrix=matrix, zeta=CENTRES[0], n=7000, trials=5, tau=40.0,
+            modulus_bits=modulus_bits, seed=4,
+        )
+        ids = list(range(cfg.trials))
+        records = _simulate_chunk(cfg, ids)
+        assert sum(len(r.exceedance_times) for r in records) > 0
+        assert records == simulate_chunk_stepwise(cfg, ids)
+
+
 class TestBlockMaxima:
     def test_tiny_tau_rarely_exceeds(self):
         cfg = small_cfg(tau=0.01, n=10_000, trials=200, zeta=(Fraction(0.21), Fraction(0.83)))
@@ -205,6 +268,24 @@ class TestEstimators:
         ]
         gaps = pooled_gaps(summaries, window_span=1.0)
         assert gaps == pytest.approx([0.5])
+
+
+class TestChiSquare:
+    def test_p_value_equals_scipy_stats_chi2_sf(self):
+        """chdtrc(dof, x) is the chi-square survival function, bit for bit."""
+        from scipy import special, stats
+
+        rng = np.random.default_rng(17)
+        x = rng.exponential(20.0, 20_000) * rng.random(20_000)
+        dof = rng.integers(1, 60, 20_000)
+        assert np.array_equal(special.chdtrc(dof, x), stats.chi2.sf(x, dof))
+        values = rng.poisson(2.0, 500)
+
+        def poisson_pmf(k):
+            return math.exp(-2.0) * 2.0**k / math.factorial(k)
+
+        stat, p, dof = chi_square_vs_pmf(values, poisson_pmf, 0, 6)
+        assert p == float(stats.chi2.sf(stat, dof))
 
 
 class TestGapKS:

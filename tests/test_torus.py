@@ -30,7 +30,14 @@ from extorus import (
     build_automorphism,
     compute_period,
 )
-from extorus.torus import DEFAULT_MODULUS, advance_arrays, ball_distance, wrap_unit
+from extorus.torus import (
+    DEFAULT_MODULUS,
+    advance_arrays,
+    ball_distance,
+    orbit_block,
+    power_table,
+    wrap_unit,
+)
 
 CAT = build_automorphism(2, 1, 1, 1)
 OTHER = build_automorphism(1, 1, 1, 2)
@@ -119,22 +126,26 @@ def hyperbolic_matrices(draw):
     return build_automorphism(a, b, (a * d - 1) // b, d)
 
 
+MODULI = st.sampled_from((1 << 32, 1 << 61, 1 << 62))
+RESIDUE_PAIRS = st.lists(
+    st.tuples(st.integers(0, (1 << 62) - 1), st.integers(0, (1 << 62) - 1)),
+    min_size=1,
+    max_size=8,
+)
+
+
+def residue_arrays(points, modulus):
+    states = [ExactOrbitState(x % modulus, y % modulus, modulus) for x, y in points]
+    px = np.array([s.px for s in states], dtype=np.int64)
+    py = np.array([s.py for s in states], dtype=np.int64)
+    return states, px, py
+
+
 class TestAdvanceArrays:
-    @given(
-        T=hyperbolic_matrices(),
-        modulus=st.sampled_from((1 << 32, 1 << 61, 1 << 62)),
-        steps=st.integers(2, 6),
-        points=st.lists(
-            st.tuples(st.integers(0, (1 << 62) - 1), st.integers(0, (1 << 62) - 1)),
-            min_size=1,
-            max_size=8,
-        ),
-    )
+    @given(T=hyperbolic_matrices(), modulus=MODULI, steps=st.integers(2, 40), points=RESIDUE_PAIRS)
     @settings(max_examples=300, deadline=None)
     def test_matches_python_int_reference(self, T, modulus, steps, points):
-        states = [ExactOrbitState(x % modulus, y % modulus, modulus) for x, y in points]
-        px = np.array([s.px for s in states], dtype=np.int64)
-        py = np.array([s.py for s in states], dtype=np.int64)
+        states, px, py = residue_arrays(points, modulus)
         for direction in Direction:
             fx, fy = advance_arrays(px, py, T, modulus, direction, steps)
             for i, state in enumerate(states):
@@ -144,6 +155,39 @@ class TestAdvanceArrays:
         fx, fy = advance_arrays(px, py, T, modulus, Direction.FORWARD, steps)
         bx, by = advance_arrays(fx, fy, T, modulus, Direction.BACKWARD, steps)
         assert np.array_equal(bx, px) and np.array_equal(by, py)
+
+    @given(
+        T=hyperbolic_matrices(),
+        modulus=MODULI,
+        block=st.integers(1, 40),
+        points=RESIDUE_PAIRS,
+        direction=st.sampled_from(Direction),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_python_int_reference(self, T, modulus, block, points, direction):
+        """Row k of a block is the orbit after k single steps; the carry is after `block`."""
+        states, px, py = residue_arrays(points, modulus)
+        xs, ys, cx, cy = orbit_block(px, py, power_table(T, modulus, block, direction), modulus)
+        assert xs.shape == ys.shape == (block, len(states))
+        for i, state in enumerate(states):
+            for k in range(block):
+                assert (int(xs[k, i]), int(ys[k, i])) == (state.px, state.py)
+                state = step_exact(state, T, direction)
+            assert (int(cx[i]), int(cy[i])) == (state.px, state.py)
+
+    def test_long_jump_composes(self):
+        """A^(j+k) in one product equals A^j after A^k, far beyond any block length."""
+        rng = np.random.default_rng(8)
+        T = build_automorphism(-1000, -999, -1, -1)
+        px = rng.integers(0, DEFAULT_MODULUS, 64)
+        py = rng.integers(0, DEFAULT_MODULUS, 64)
+        j, k = 123_457, 1_000_003
+        once = advance_arrays(px, py, T, DEFAULT_MODULUS, steps=j + k)
+        first = advance_arrays(px, py, T, DEFAULT_MODULUS, steps=k)
+        twice = advance_arrays(*first, T, DEFAULT_MODULUS, steps=j)
+        assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
+        back = advance_arrays(*once, T, DEFAULT_MODULUS, Direction.BACKWARD, j + k)
+        assert np.array_equal(back[0], px) and np.array_equal(back[1], py)
 
 
 class TestBallDistance:
