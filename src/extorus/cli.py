@@ -30,11 +30,12 @@ from .simulate import (
     ei_measure_ratio,
     empirical_extremal_index,
     empirical_multiplicity,
+    estimate_block_maxima_cdf,
     gap_ks_statistic,
     resolve_workers,
     run_experiment,
 )
-from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind, build_automorphism
+from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -73,6 +74,20 @@ def parse_metric(text: str) -> MetricKind:
         raise ValueError(f"metric must be 'euclidean' or 'adapted', got {text!r}") from None
 
 
+# Config keys: the ExperimentConfig fields, which are also the flag names.
+_CONFIG_KEYS = {
+    "matrix": parse_matrix,
+    "zeta": parse_zeta,
+    "metric": parse_metric,
+    "tau": float,
+    "n": int,
+    "trials": int,
+    "modulus_bits": int,
+    "seed": int,
+    "run_gap": int,
+}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -81,37 +96,25 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge flags over config-file values over defaults."""
-    file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(flag_value, key: str, convert):
-        if flag_value is not None:
-            return convert(flag_value) if isinstance(flag_value, str) else flag_value
-        if key in file_values:
-            return convert(file_values[key])
-        return None
-
+    file_values = _read_config_file(args.config) if args.config else {}
     kwargs = {}
-    for key, flag, convert in (
-        ("matrix", args.matrix, parse_matrix),
-        ("zeta", args.zeta, parse_zeta),
-        ("metric", args.metric, parse_metric),
-        ("tau", args.tau, float),
-        ("n", args.n, int),
-        ("trials", args.trials, int),
-        ("modulus_bits", args.modulus_bits, int),
-        ("seed", args.seed, int),
-        ("run_gap", args.run_gap, int),
-    ):
-        value = pick(flag, key, convert)
-        if value is not None:
-            kwargs[key] = value
+    for key, convert in _CONFIG_KEYS.items():
+        flag = getattr(args, key)
+        if flag is not None:
+            kwargs[key] = convert(flag) if isinstance(flag, str) else flag
+        elif key in file_values:
+            kwargs[key] = convert(file_values[key])
     return ExperimentConfig(**kwargs)
 
 
@@ -138,18 +141,24 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _config_from_echo(echo: dict) -> ExperimentConfig:
-    return ExperimentConfig(
-        matrix=tuple(echo["matrix"]),
-        zeta=parse_zeta(echo["zeta"]),
-        metric=MetricKind(echo["metric"]),
-        tau=echo["tau"],
-        n=echo["n"],
-        trials=echo["trials"],
-        modulus_bits=echo["modulus_bits"],
-        seed=echo["seed"],
-        run_gap=echo["run_gap"],
-    )
+def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
+    missing = [key for key in _CONFIG_KEYS if key not in echo]
+    if missing:
+        raise ValueError(f"{path}: config lacks {', '.join(missing)}")
+    try:
+        return ExperimentConfig(
+            matrix=tuple(echo["matrix"]),
+            zeta=parse_zeta(str(echo["zeta"])),
+            metric=MetricKind(echo["metric"]),
+            tau=echo["tau"],
+            n=echo["n"],
+            trials=echo["trials"],
+            modulus_bits=echo["modulus_bits"],
+            seed=echo["seed"],
+            run_gap=echo["run_gap"],
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad config: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -158,20 +167,15 @@ def _config_from_echo(echo: dict) -> ExperimentConfig:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    T = build_automorphism(*parse_matrix(args.matrix))
     metric = parse_metric(args.metric)
-    if args.q is not None:
-        q = args.q
-        if q < 0:
-            raise ValueError("q must be >= 0")
-    else:
-        probe = ExperimentConfig(
-            matrix=T.entries, zeta=parse_zeta(args.zeta), metric=metric, tau=args.tau, n=args.n
-        )
-        q = probe.q
     cfg = ExperimentConfig(
-        matrix=T.entries, metric=metric, tau=args.tau, n=args.n, trials=1, seed=0
+        matrix=parse_matrix(args.matrix), zeta=parse_zeta(args.zeta), metric=metric,
+        tau=args.tau, n=args.n,
     )
+    T = cfg.automorphism
+    q = cfg.q if args.q is None else args.q
+    if q < 0:
+        raise ValueError("q must be >= 0")
     theta = extremal_index(T.lam_abs, q, metric)
     model = extremal_model(T.lam_abs, q, metric)
     pis = model.multiplicity_table(args.kmax)
@@ -266,8 +270,9 @@ def _csv_rows(path: Path, header: str, parse):
 
 
 def _read_records(indir: Path) -> tuple[ExperimentConfig, list[TrialRecord]]:
-    manifest = RunManifest.from_json((indir / "manifest.json").read_text(encoding="utf-8"))
-    cfg = _config_from_echo(manifest.config)
+    path = indir / "manifest.json"
+    manifest = RunManifest.from_json(path.read_text(encoding="utf-8"))
+    cfg = _config_from_echo(manifest.config, path)
 
     maxima: dict[int, float] = {}
     path = indir / "block_maxima.csv"
@@ -322,8 +327,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     hist = empirical_multiplicity(summaries)
     model = extremal_model(cfg.automorphism.lam_abs, cfg.q, cfg.metric)
 
-    u = cfg.u_n
-    p_hat = sum(1 for r in records if r.block_maximum <= u) / len(records)
+    p_hat, _ = estimate_block_maxima_cdf(cfg, records)
 
     print(f"trials                {len(records)}")
     print(f"exceedances           {total_exceedances}")

@@ -40,10 +40,10 @@ from .torus import (
     MetricKind,
     ToralAutomorphism,
     TorusPoint,
-    advance_arrays,
     ball_distance,
     compute_period,
     keyed_rng,
+    orbit_blocks,
     radius_key,
     rational_point,
     rational_residues,
@@ -84,45 +84,38 @@ def _ball_masks(
     T: ToralAutomorphism,
     px: np.ndarray,
     py: np.ndarray,
-    modulus: int,
     count: int,
     direction: Direction = Direction.FORWARD,
     stride: int = 1,
-) -> list[np.ndarray]:
-    """Ball masks of the orbit at times 0, s, 2s, .., count*s, with s = +-stride by direction."""
+) -> np.ndarray:
+    """Ball masks of the orbit at times 0, s, 2s, .., count*s (s = +-stride by direction).
+
+    A (count + 1, width) bool array; row t is the mask at time t*s.
+    """
     key = radius_key(region.radius, region.metric)
-    masks = []
-    for step in range(count + 1):
-        if step:
-            px, py = advance_arrays(px, py, T, modulus, direction, stride)
-        masks.append(ball_distance(px, py, modulus, region.zeta, T, region.metric) < key)
-    return masks
+    return np.concatenate([
+        ball_distance(xs, ys, DEFAULT_MODULUS, region.zeta, T, region.metric) < key
+        for xs, ys in orbit_blocks(px, py, T, DEFAULT_MODULUS, count, direction, stride)
+    ])
 
 
-def _escape_mask(balls: list[np.ndarray], t: int, q: int) -> np.ndarray:
+def _escape_mask(balls: np.ndarray, t: int, q: int) -> np.ndarray:
     """A_q membership at time t from the ball masks at times t .. t+q."""
-    out = balls[t].copy()
-    for k in range(1, q + 1):
-        out &= ~balls[t + k]
-    return out
+    return balls[t] & ~balls[t + 1 : t + q + 1].any(axis=0)
 
 
 def membership_mask(
-    region: RegionSpec,
-    T: ToralAutomorphism,
-    px: np.ndarray,
-    py: np.ndarray,
-    modulus: int,
+    region: RegionSpec, T: ToralAutomorphism, px: np.ndarray, py: np.ndarray
 ) -> np.ndarray:
-    """Vectorised membership of residue-array points in the region."""
+    """Vectorised membership of residue-array points (on the default grid) in the region."""
     if region.kind is RegionKind.BALL:
-        return _ball_masks(region, T, px, py, modulus, 0)[0]
+        return _ball_masks(region, T, px, py, 0)[0]
     if region.kind is RegionKind.A_Q:
-        return _escape_mask(_ball_masks(region, T, px, py, modulus, region.q), 0, region.q)
+        return _escape_mask(_ball_masks(region, T, px, py, region.q), 0, region.q)
     # U_KAPPA and Q_KAPPA walk the q-fold map
     strip = region.kind is RegionKind.Q_KAPPA
-    balls = _ball_masks(region, T, px, py, modulus, region.kappa + strip, stride=region.q)
-    mask = np.logical_and.reduce(balls[: region.kappa + 1])
+    balls = _ball_masks(region, T, px, py, region.kappa + strip, stride=region.q)
+    mask = balls[: region.kappa + 1].all(axis=0)
     if strip:
         mask &= ~balls[-1]
     return mask
@@ -133,17 +126,14 @@ def contains(region: RegionSpec, z: TorusPoint, T: ToralAutomorphism) -> bool:
     modulus = DEFAULT_MODULUS
     px = np.array([round(z.x * modulus) % modulus], dtype=np.int64)
     py = np.array([round(z.y * modulus) % modulus], dtype=np.int64)
-    return bool(membership_mask(region, T, px, py, modulus)[0])
+    return bool(membership_mask(region, T, px, py)[0])
 
 
 def sample_ball(
-    region: RegionSpec,
-    T: ToralAutomorphism,
-    count: int,
-    rng: np.random.Generator,
-    modulus: int,
+    region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform sample of `count` grid points from the bounding ball."""
+    """Uniform sample of `count` points of the default grid from the bounding ball."""
+    modulus = DEFAULT_MODULUS
     r = region.radius
     if region.metric is MetricKind.EUCLIDEAN:
         rho = r * np.sqrt(rng.random(count))
@@ -183,10 +173,9 @@ def _local_range_guard(region: RegionSpec, T: ToralAutomorphism) -> None:
 
 
 def _measure_chunk(args: tuple) -> int:
-    region, T, seed, index, size, modulus = args
-    rng = keyed_rng(seed, index)
-    px, py = sample_ball(region, T, size, rng, modulus)
-    return int(np.count_nonzero(membership_mask(region, T, px, py, modulus)))
+    region, T, seed, index, size = args
+    px, py = sample_ball(region, T, size, keyed_rng(seed, index))
+    return int(np.count_nonzero(membership_mask(region, T, px, py)))
 
 
 def monte_carlo_measure(
@@ -206,11 +195,10 @@ def monte_carlo_measure(
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _local_range_guard(region, T)
-    modulus = DEFAULT_MODULUS
     sizes = [_CHUNK] * (samples // _CHUNK)
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
-    jobs = [(region, T, seed, i, size, modulus) for i, size in enumerate(sizes)]
+    jobs = [(region, T, seed, i, size) for i, size in enumerate(sizes)]
     workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -254,28 +242,22 @@ def separation_check(
     radius = radius_s_n(n, tau) * radius_scale
     region = RegionSpec(rational_point(zeta), radius, metric, RegionKind.A_Q, q=q)
     window = q * wrap_time_g(n, T.lam_abs, q, tau)
-    modulus = DEFAULT_MODULUS
-    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0), modulus)
-    keep = membership_mask(region, T, px, py, modulus)
+    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
+    keep = membership_mask(region, T, px, py)
     px, py = px[keep], py[keep]
     if px.size == 0 or window == 0:
         return True
-    return _separation_scan(region, T, px, py, modulus, window)
+    return _separation_scan(region, T, px, py, window)
 
 
 def _separation_scan(
-    region: RegionSpec,
-    T: ToralAutomorphism,
-    px: np.ndarray,
-    py: np.ndarray,
-    modulus: int,
-    window: int,
+    region: RegionSpec, T: ToralAutomorphism, px: np.ndarray, py: np.ndarray, window: int
 ) -> bool:
     """Exhaustive check: escape membership of each backward preimage."""
     q = region.q
-    # ball masks at times -window .. q; index i holds time i - window
-    backward = _ball_masks(region, T, px, py, modulus, window, Direction.BACKWARD)
-    balls = backward[::-1] + _ball_masks(region, T, px, py, modulus, q)[1:]
+    # ball masks at times -window .. q; row i holds time i - window
+    backward = _ball_masks(region, T, px, py, window, Direction.BACKWARD)
+    balls = np.concatenate([backward[::-1], _ball_masks(region, T, px, py, q)[1:]])
     for j in range(1, window + 1):
         if bool(np.any(_escape_mask(balls, window - j, q))):
             return False
@@ -308,10 +290,9 @@ def dprime_sum_diagnostic(
     radius = radius_s_n(n, tau)
     kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
     region = RegionSpec(rational_point(zeta), radius, metric, kind, q=q)
-    modulus = DEFAULT_MODULUS
-    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0), modulus)
+    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
     # membership of A at forward time j needs the ball masks at times j .. j+q
-    balls = _ball_masks(region, T, px, py, modulus, j_max + q)
+    balls = _ball_masks(region, T, px, py, j_max + q)
     base = _escape_mask(balls, 0, q)
     area = ball_measure(radius, metric, T.basis_det)
     total = 0.0

@@ -39,8 +39,7 @@ from .torus import (
     compute_period,
     draw_residue,
     keyed_rng,
-    orbit_block,
-    power_table,
+    orbit_blocks,
     radius_key,
     rational_point,
     rational_residues,
@@ -51,11 +50,6 @@ from .torus import (
 OBSERVABLE_CAP = 745.0
 
 _TRIAL_CHUNK = 1024
-# Residues computed per broadcast in the trial engine: a block spans
-# _BLOCK_ELEMENTS // width time steps. Of 2^12..2^16, 2^14 was fastest
-# at widths 1, 8 and 1024: large enough to amortise the per-block Python
-# cost, small enough that a block's arrays stay in cache.
-_BLOCK_ELEMENTS = 1 << 14
 _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
 
@@ -209,11 +203,8 @@ def _simulate_chunk(
     values: list[list[float]] = [[] for _ in range(width)]
     best = np.full(width, np.inf)
 
-    block = max(1, min(cfg.n, _BLOCK_ELEMENTS // width))
-    table = power_table(T, modulus, block)
-    for start in range(0, cfg.n, block):
-        length = min(block, cfg.n - start)
-        xs, ys, px, py = orbit_block(px, py, table[:, : length + 1], modulus)
+    start = 0
+    for xs, ys in orbit_blocks(px, py, T, modulus, cfg.n - 1):
         dist = ball_distance(xs, ys, modulus, zeta, T, metric)
         np.minimum(best, dist.min(axis=0), out=best)
         # flat positions are time-major, so each trial's hit times increase
@@ -222,6 +213,7 @@ def _simulate_chunk(
             k, i = divmod(pos, width)
             times[i].append(start + k)
             values[i].append(observable(key))
+        start += len(xs)
 
     return [
         TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), observable(float(best[i])))
@@ -266,10 +258,13 @@ def estimate_block_maxima_cdf(
     records: list[TrialRecord] | None = None,
     workers: int | None = None,
 ) -> tuple[float, float]:
-    """Fraction of trials whose block maximum stays at or below u_n."""
-    if cfg.trials < 100:
-        raise ValueError("need at least 100 trials")
+    """Fraction of trials whose block maximum stays at or below u_n, and its standard error.
+
+    Without records it runs the experiment, which then needs at least 100 trials.
+    """
     if records is None:
+        if cfg.trials < 100:
+            raise ValueError("need at least 100 trials")
         records = run_experiment(cfg, workers)
     u = cfg.u_n
     p = sum(1 for rec in records if rec.block_maximum <= u) / len(records)

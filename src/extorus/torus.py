@@ -8,10 +8,9 @@ rational points. It is also the one home of the array routines that
 the trial engine, the region oracle, the separation scan and the d''
 diagnostic are built from:
 
-* advance_arrays, the exact orbit step (or k steps at once) on residue
-  arrays, and its time-blocked form power_table + orbit_block, which
-  gives the residues of every orbit at all times of a block in one
-  broadcast;
+* orbit_blocks, the one exact orbit walker: the residues of every orbit
+  at times 0, s, 2s, .. (forward or backward, s steps apart), a block of
+  times per broadcast;
 * ball_distance, the folded offset from a centre measured in one of the
   two torus metrics (plane Euclidean, or the sup metric in the
   eigenbasis, whose balls are squares aligned with the invariant
@@ -30,14 +29,15 @@ Why jump-ahead: iterating one matrix product per time step costs one
 Python iteration per step. The entries of A^k reduced mod the modulus
 are exact integers that fit in int64, so the residues at time k are
 (A^k)00*x + (A^k)01*y and (A^k)10*x + (A^k)11*y, masked. With a table
-of A^0 .. A^B, the residues of every orbit at all B times of a block are
-one broadcast product, as in the matrix-power jump-ahead of linear
-random-number substreams.
+of A^s .. A^(sB), the residues of every orbit at the next B times are one
+broadcast product against the last row of the block before, as in the
+matrix-power jump-ahead of linear random-number substreams.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,6 +53,11 @@ MIN_MODULUS_BITS = 32
 MAX_MODULUS_BITS = 62  # residues, the modulus and its mask all fit in int64
 
 _MASK64 = (1 << 64) - 1
+# Residues computed per broadcast by orbit_blocks: a block spans
+# _BLOCK_ELEMENTS // width times. Of 2^12..2^16, 2^14 was fastest for the
+# trial engine at widths 1, 8 and 1024: large enough to amortise the
+# per-block Python cost, small enough that a block's arrays stay in cache.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 class MetricKind(Enum):
@@ -193,13 +198,13 @@ def compute_period(
 
 
 # ---------------------------------------------------------------------------
-# Vectorised kernel shared by the trial engine and the region oracle.
+# Vectorised walker shared by the trial engine and the region oracle.
 # Residues are int64 arrays. The modulus is 2**k with k <= 62, which
 # divides 2**64, and int64 array arithmetic wraps modulo 2**64; so masking
 # the low k bits of a*x + b*y gives the exact residue for any integer
 # entries, however large the products grow. Matrix powers are reduced
 # with the same mask, so their entries fit in int64 and the same argument
-# covers k steps in one product.
+# covers A^k for any k in one product.
 # ---------------------------------------------------------------------------
 
 
@@ -227,61 +232,43 @@ def _power(entries: tuple[int, ...], k: int, mask: int) -> tuple[int, int, int, 
     return out
 
 
-def advance_arrays(
+def orbit_blocks(
     px: np.ndarray,
     py: np.ndarray,
     T: ToralAutomorphism,
     modulus: int,
+    steps: int,
     direction: Direction = Direction.FORWARD,
-    steps: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the matrix `steps` times to residue arrays, exactly, in one multiply by A^steps."""
+    stride: int = 1,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact residues of the orbits from (px, py) at times 0, s, 2s, .., steps*s.
+
+    s is `stride` applications of the matrix (of its inverse when walking
+    backward). Yields (X, Y) int64 arrays of shape (rows, width) in time
+    order: time 0 alone first (views of px, py), then blocks of up to
+    B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times, each one
+    broadcast of A^s .. A^(sB) against the last row of the block before.
+    """
     mask = modulus - 1
     entries = T.entries if direction is Direction.FORWARD else T.inverse_entries
-    a, b, c, d = _power(entries, steps, mask)
-    return (a * px + b * py) & mask, (c * px + d * py) & mask
-
-
-def power_table(
-    T: ToralAutomorphism, modulus: int, count: int, direction: Direction = Direction.FORWARD
-) -> np.ndarray:
-    """Entries of A^k mod modulus for k = 0..count: an int64 array of shape (4, count + 1).
-
-    Row r holds entry r of the row-major (a, b, c, d) of each power.
-    """
-    table = np.empty((4, count + 1), dtype=np.int64)
-    table[:, 0] = (1, 0, 0, 1)
-    filled = 1
-    while filled <= count:
-        size = min(filled, count + 1 - filled)
-        a, b, c, d = table[:, :size]
-        new = table[:, filled : filled + size]
-        # A^filled moves the columns of A^j to those of A^(filled + j)
-        new[0], new[2] = advance_arrays(a, c, T, modulus, direction, filled)
-        new[1], new[3] = advance_arrays(b, d, T, modulus, direction, filled)
-        filled += size
-    return table
-
-
-def orbit_block(
-    px: np.ndarray, py: np.ndarray, table: np.ndarray, modulus: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Residues of the orbits from (px, py) at every time of a block, exactly.
-
-    With table = power_table(T, modulus, B) (or its first B + 1 columns),
-    returns the (B, width) arrays X, Y with X[k] = (A^k)00*px + (A^k)01*py
-    and Y[k] = (A^k)10*px + (A^k)11*py, masked, for k = 0..B-1, and the
-    carry (X[B], Y[B]): the starting residues of the next block.
-    """
-    mask = modulus - 1
-    a, b, c, d = table[:, :, None]
-    x = a * px
-    x += b * py
-    x &= mask
-    y = c * px
-    y += d * py
-    y &= mask
-    return x[:-1], y[:-1], x[-1], y[-1]
+    step = _power(entries, stride, mask)
+    powers = [step]
+    for _ in range(max(1, min(steps, _BLOCK_ELEMENTS // max(px.size, 1))) - 1):
+        powers.append(_matmul(powers[-1], step, mask))
+    a, b, c, d = np.array(powers, dtype=np.int64).T[:, :, None]
+    x, y = px[None], py[None]
+    yield x, y
+    for done in range(0, steps, len(powers)):
+        rows = min(len(powers), steps - done)
+        px, py = x[-1], y[-1]
+        x = a[:rows] * px
+        x += b[:rows] * py
+        x &= mask
+        y = c[:rows] * px
+        y += d[:rows] * py
+        y &= mask
+        del px, py  # let the block before go: one block alive while the caller works
+        yield x, y
 
 
 def ball_distance(

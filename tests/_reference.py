@@ -3,8 +3,8 @@
 These are the independent oracles the tests compare the vectorised
 routines of extorus.torus against: exact orbit steps on Python integers,
 and the torus distance as a minimum of the plane metric over lattice
-shifts. The step-at-a-time trial engine is the reference for the
-time-blocked one in extorus.simulate.
+shifts. The step-at-a-time trial engine, with its own one-line array
+step, is the reference for the time-blocked one in extorus.simulate.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from extorus.torus import (
     MetricKind,
     ToralAutomorphism,
     TorusPoint,
-    advance_arrays,
     ball_distance,
     radius_key,
     rational_point,
@@ -130,6 +129,8 @@ def simulate_chunk_stepwise(
     key_radius = radius_key(cfg.radius, metric)
     # the Euclidean key is the squared distance: -log d = -0.5 log key
     log_scale = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
+    a, b, c, d = T.entries
+    mask = modulus - 1
 
     def observable(key: float) -> float:
         return OBSERVABLE_CAP if key == 0.0 else log_scale * math.log(key)
@@ -153,7 +154,7 @@ def simulate_chunk_stepwise(
                 times[i].append(step)
                 values[i].append(observable(float(dist[i])))
         if step + 1 < cfg.n:
-            px, py = advance_arrays(px, py, T, modulus)
+            px, py = (a * px + b * py) & mask, (c * px + d * py) & mask
 
     return [
         TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), observable(float(best[i])))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
 
 import pytest
 
@@ -50,6 +51,11 @@ class TestTheory:
         code, out, _ = run_cli(capsys, "theory", "--q", "1")
         assert code == 0
         assert "theta" in out and "u_n" in out and "pi[1]" in out
+
+    def test_bad_zeta_exits_2_even_with_q(self, capsys):
+        code, _, err = run_cli(capsys, "theory", "--q", "1", "--zeta", "bogus")
+        assert code == 2
+        assert "zeta" in err
 
 
 class TestSimulate:
@@ -115,17 +121,37 @@ class TestSimulate:
         assert manifest.config["n"] == 800  # from file
         assert manifest.config["trials"] == 7  # flag wins
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n = 800\ntrails = 7\n", "unknown key 'trails'"),
+            ("n = 800\n# comment\nn = 900\n", "duplicate key 'n'"),
+        ],
+    )
+    def test_config_file_bad_key_exit_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert f"{cfg}:{len(text.splitlines())}:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEstimate:
-    @pytest.fixture()
-    def sim_dir(self, tmp_path, capsys):
-        out_dir = tmp_path / "sim"
-        code, _, _ = run_cli(
-            capsys, "simulate", "--zeta", "0/1,0/1", "--n", "20000", "--trials", "400",
-            "--seed", "12", "--out", str(out_dir),
-        )
-        assert code == 0
+    @pytest.fixture(scope="class")
+    def sim_run(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("estimate") / "sim"
+        argv = ["simulate", "--zeta", "0/1,0/1", "--n", "20000", "--trials", "400",
+                "--seed", "12", "--out", str(out_dir)]
+        assert main(argv) == 0
         return out_dir
+
+    @pytest.fixture()
+    def sim_dir(self, sim_run, tmp_path):
+        # one simulation per class, copied per test: some tests edit the files
+        return shutil.copytree(sim_run, tmp_path / "sim")
 
     def test_pipeline(self, sim_dir, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--in", str(sim_dir), "--mc-samples", "50000")
@@ -166,7 +192,8 @@ class TestEstimate:
 
 
 class TestEstimateRejectsBadRecords:
-    """Every inconsistent CSV fails loudly with a line number (exit 2)."""
+    """Every inconsistent CSV fails loudly with a line number, and a bad manifest config
+    with the manifest's name (exit 2)."""
 
     TRIALS = 20
 
@@ -244,6 +271,25 @@ class TestEstimateRejectsBadRecords:
         self.edit(run_dir / "block_maxima.csv", lambda lines: lines.extend(["19,1.5", "20,1.5"]))
         err = self.estimate_error(run_dir, capsys)
         assert f"block_maxima.csv:{self.TRIALS + 2}:" in err and "manifest" in err
+
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda config: config.pop("seed"), "config lacks seed"),
+            (lambda config: config.update(trails=config.pop("trials")), "config lacks trials"),
+            (lambda config: config.update(n="many"), "bad config"),
+            (lambda config: config.update(zeta=5), "bad config"),
+        ],
+        ids=["missing", "misspelled", "mistyped-n", "mistyped-zeta"],
+    )
+    def test_bad_manifest_config(self, run_dir, capsys, change, message):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest["config"])
+        path.write_text(json.dumps(manifest))
+        err = self.estimate_error(run_dir, capsys)
+        assert f"{path}:" in err and message in err
 
 
 class TestValidate:

@@ -26,7 +26,7 @@ from extorus import (
     wrap_time_g,
 )
 from extorus.regions import membership_mask, sample_ball
-from extorus.torus import DEFAULT_MODULUS, advance_arrays
+from extorus.torus import DEFAULT_MODULUS, orbit_blocks
 
 CAT = build_automorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
@@ -63,42 +63,40 @@ class TestContains:
         rng = np.random.default_rng(2)
         ball = ball_region()
         u0 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=0)
-        px, py = sample_ball(ball, CAT, 100_000, rng, modulus)
+        px, py = sample_ball(ball, CAT, 100_000, rng)
         # widen: also points outside the ball
         px = np.concatenate([px, rng.integers(0, modulus, 1000)])
         py = np.concatenate([py, rng.integers(0, modulus, 1000)])
-        a = membership_mask(ball, CAT, px, py, modulus)
-        b = membership_mask(u0, CAT, px, py, modulus)
+        a = membership_mask(ball, CAT, px, py)
+        b = membership_mask(u0, CAT, px, py)
         assert np.array_equal(a, b)
 
     def test_strip_partition_is_exact(self):
         # every sampled ball point lies in exactly one strip, kappa <= 60
-        modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(3)
         ball = ball_region()
-        px, py = sample_ball(ball, CAT, 30_000, rng, modulus)
-        inside = membership_mask(ball, CAT, px, py, modulus)
+        px, py = sample_ball(ball, CAT, 30_000, rng)
+        inside = membership_mask(ball, CAT, px, py)
         px, py = px[inside], py[inside]
         counts = np.zeros(px.shape[0], dtype=np.int64)
         for kappa in range(61):
             strip = RegionSpec(
                 ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=kappa
             )
-            counts += membership_mask(strip, CAT, px, py, modulus).astype(np.int64)
+            counts += membership_mask(strip, CAT, px, py).astype(np.int64)
         assert np.all(counts == 1)
 
     def test_strip_dynamics(self):
         # the q-fold map sends strip kappa+1 onto strip kappa
-        modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(4)
         ball = ball_region()
-        px, py = sample_ball(ball, CAT, 200_000, rng, modulus)
+        px, py = sample_ball(ball, CAT, 200_000, rng)
         q2 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=2)
-        member = membership_mask(q2, CAT, px, py, modulus)
+        member = membership_mask(q2, CAT, px, py)
         assert member.any()
-        fx, fy = advance_arrays(px[member], py[member], CAT, modulus, steps=1)
+        _, (fx, fy) = orbit_blocks(px[member], py[member], CAT, DEFAULT_MODULUS, 1)
         q1 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=1)
-        assert membership_mask(q1, CAT, fx, fy, modulus).all()
+        assert membership_mask(q1, CAT, fx[0], fy[0]).all()
 
 
 class TestMonteCarloMeasure:

@@ -32,13 +32,13 @@ from extorus import (
 )
 from _reference import simulate_chunk_stepwise
 from extorus.simulate import (
-    _BLOCK_ELEMENTS,
     OBSERVABLE_CAP,
     _initial_states,
     _simulate_chunk,
     chi_square_vs_pmf,
     pooled_gaps,
 )
+from extorus.torus import _BLOCK_ELEMENTS
 
 ORIGIN = (Fraction(0), Fraction(0))
 

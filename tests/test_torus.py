@@ -1,12 +1,14 @@
 """Torus core: eigen-structure, metrics, exact orbits, periods.
 
-The array kernels (advance_arrays, ball_distance) are checked against the
-scalar Python-int and Python-float references in _reference.
+The array routines (the orbit walker orbit_blocks, ball_distance) are
+checked against the scalar Python-int and Python-float references in
+_reference.
 """
 
 from __future__ import annotations
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -30,17 +32,23 @@ from extorus import (
     build_automorphism,
     compute_period,
 )
-from extorus.torus import (
-    DEFAULT_MODULUS,
-    advance_arrays,
-    ball_distance,
-    orbit_block,
-    power_table,
-    wrap_unit,
-)
+from extorus import torus
+from extorus.torus import DEFAULT_MODULUS, ball_distance, orbit_blocks, wrap_unit
 
 CAT = build_automorphism(2, 1, 1, 1)
 OTHER = build_automorphism(1, 1, 1, 2)
+
+
+def walk(px, py, T, modulus, steps, direction=Direction.FORWARD, stride=1):
+    """The whole walk of orbit_blocks stacked into (steps + 1, width) arrays."""
+    blocks = list(orbit_blocks(px, py, T, modulus, steps, direction, stride))
+    return np.concatenate([x for x, _ in blocks]), np.concatenate([y for _, y in blocks])
+
+
+def jump(px, py, T, stride, direction=Direction.FORWARD, modulus=DEFAULT_MODULUS):
+    """The residues `stride` steps on: the last row of a one-step walk."""
+    *_, (x, y) = orbit_blocks(px, py, T, modulus, 1, direction, stride)
+    return x[0], y[0]
 
 
 def brute_adapted_distance(z, w, T: ToralAutomorphism, span: int = 3) -> float:
@@ -104,8 +112,8 @@ class TestStepExact:
         rng = np.random.default_rng(5)
         px = rng.integers(0, DEFAULT_MODULUS, 10_000)
         py = rng.integers(0, DEFAULT_MODULUS, 10_000)
-        fx, fy = advance_arrays(px, py, CAT, DEFAULT_MODULUS)
-        bx, by = advance_arrays(fx, fy, CAT, DEFAULT_MODULUS, Direction.BACKWARD)
+        fx, fy = jump(px, py, CAT, 1)
+        bx, by = jump(fx, fy, CAT, 1, Direction.BACKWARD)
         assert np.array_equal(bx, px) and np.array_equal(by, py)
 
     def test_state_validation(self):
@@ -141,52 +149,85 @@ def residue_arrays(points, modulus):
     return states, px, py
 
 
-class TestAdvanceArrays:
-    @given(T=hyperbolic_matrices(), modulus=MODULI, steps=st.integers(2, 40), points=RESIDUE_PAIRS)
-    @settings(max_examples=300, deadline=None)
-    def test_matches_python_int_reference(self, T, modulus, steps, points):
-        states, px, py = residue_arrays(points, modulus)
-        for direction in Direction:
-            fx, fy = advance_arrays(px, py, T, modulus, direction, steps)
-            for i, state in enumerate(states):
-                for _ in range(steps):
-                    state = step_exact(state, T, direction)
-                assert (int(fx[i]), int(fy[i])) == (state.px, state.py)
-        fx, fy = advance_arrays(px, py, T, modulus, Direction.FORWARD, steps)
-        bx, by = advance_arrays(fx, fy, T, modulus, Direction.BACKWARD, steps)
-        assert np.array_equal(bx, px) and np.array_equal(by, py)
-
+class TestOrbitBlocks:
     @given(
         T=hyperbolic_matrices(),
         modulus=MODULI,
-        block=st.integers(1, 40),
+        steps=st.integers(0, 40),
+        stride=st.integers(1, 5),
+        elements=st.integers(1, 64),
         points=RESIDUE_PAIRS,
         direction=st.sampled_from(Direction),
     )
     @settings(max_examples=300, deadline=None)
-    def test_block_matches_python_int_reference(self, T, modulus, block, points, direction):
-        """Row k of a block is the orbit after k single steps; the carry is after `block`."""
+    def test_matches_python_int_reference(
+        self, T, modulus, steps, stride, elements, points, direction
+    ):
+        """Row t of the walk is the orbit after t * stride single steps, across block boundaries."""
         states, px, py = residue_arrays(points, modulus)
-        xs, ys, cx, cy = orbit_block(px, py, power_table(T, modulus, block, direction), modulus)
-        assert xs.shape == ys.shape == (block, len(states))
+        with patch.object(torus, "_BLOCK_ELEMENTS", elements):
+            xs, ys = walk(px, py, T, modulus, steps, direction, stride)
+        assert xs.shape == ys.shape == (steps + 1, len(states))
+        assert xs.dtype == ys.dtype == np.int64
         for i, state in enumerate(states):
-            for k in range(block):
-                assert (int(xs[k, i]), int(ys[k, i])) == (state.px, state.py)
-                state = step_exact(state, T, direction)
-            assert (int(cx[i]), int(cy[i])) == (state.px, state.py)
+            for t in range(steps + 1):
+                assert (int(xs[t, i]), int(ys[t, i])) == (state.px, state.py)
+                for _ in range(stride):
+                    state = step_exact(state, T, direction)
+        # walking back from the end retraces the walk
+        other = Direction.BACKWARD if direction is Direction.FORWARD else Direction.FORWARD
+        with patch.object(torus, "_BLOCK_ELEMENTS", elements):
+            bx, by = walk(xs[-1], ys[-1], T, modulus, steps, other, stride)
+        assert np.array_equal(bx[::-1], xs) and np.array_equal(by[::-1], ys)
+
+    @given(
+        steps=st.integers(0, 100),
+        width=st.integers(1, 9),
+        elements=st.integers(1, 64),
+        stride=st.integers(1, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_layout(self, steps, width, elements, stride):
+        """Time 0 comes alone, then full blocks of B = max(1, min(steps, elements // width)) rows."""
+        px = np.arange(width, dtype=np.int64)
+        with patch.object(torus, "_BLOCK_ELEMENTS", elements):
+            rows = [len(x) for x, _ in orbit_blocks(px, px, CAT, 1 << 32, steps, stride=stride)]
+        block = max(1, min(steps, elements // width))
+        assert rows[0] == 1 and sum(rows) == steps + 1
+        assert all(r == block for r in rows[1:-1]) and all(0 < r <= block for r in rows[1:])
+
+    def test_block_matches_python_int_reference(self):
+        """At the real block size the walk crosses two block boundaries without drift."""
+        T = build_automorphism(-1000, -999, -1, -1)
+        modulus = 1 << 62
+        points = [(1, 2), (modulus - 1, 12345), (987654321987654321, modulus // 3)]
+        block = torus._BLOCK_ELEMENTS // len(points)
+        steps = 2 * block + 5
+        for direction in Direction:
+            states, px, py = residue_arrays(points, modulus)
+            blocks = list(orbit_blocks(px, py, T, modulus, steps, direction))
+            assert [len(x) for x, _ in blocks] == [1, block, block, 5]
+            xs = np.concatenate([x for x, _ in blocks])
+            ys = np.concatenate([y for _, y in blocks])
+            for i, state in enumerate(states):
+                for t in range(steps + 1):
+                    assert (int(xs[t, i]), int(ys[t, i])) == (state.px, state.py)
+                    state = step_exact(state, T, direction)
 
     def test_long_jump_composes(self):
-        """A^(j+k) in one product equals A^j after A^k, far beyond any block length."""
+        """Stride j + k equals stride k then stride j, far beyond any block length."""
         rng = np.random.default_rng(8)
         T = build_automorphism(-1000, -999, -1, -1)
         px = rng.integers(0, DEFAULT_MODULUS, 64)
         py = rng.integers(0, DEFAULT_MODULUS, 64)
         j, k = 123_457, 1_000_003
-        once = advance_arrays(px, py, T, DEFAULT_MODULUS, steps=j + k)
-        first = advance_arrays(px, py, T, DEFAULT_MODULUS, steps=k)
-        twice = advance_arrays(*first, T, DEFAULT_MODULUS, steps=j)
+        once = jump(px, py, T, j + k)
+        twice = jump(*jump(px, py, T, k), T, j)
         assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
-        back = advance_arrays(*once, T, DEFAULT_MODULUS, Direction.BACKWARD, j + k)
+        xs, ys = walk(px, py, T, DEFAULT_MODULUS, 3, stride=j)
+        thrice = jump(px, py, T, 3 * j)
+        assert np.array_equal(xs[-1], thrice[0]) and np.array_equal(ys[-1], thrice[1])
+        back = jump(*once, T, j + k, Direction.BACKWARD)
         assert np.array_equal(back[0], px) and np.array_equal(back[1], py)
 
 
@@ -351,7 +392,7 @@ def test_measure_preservation_statistical():
     n = 1_000_000
     px = rng.integers(0, DEFAULT_MODULUS, n)
     py = rng.integers(0, DEFAULT_MODULUS, n)
-    px, py = advance_arrays(px, py, CAT, DEFAULT_MODULUS, steps=10)
+    px, py = jump(px, py, CAT, 10)
     cells = (px >> 57) * 16 + (py >> 57)  # top 4 bits of each coordinate
     counts = np.bincount(cells, minlength=256)
     p = 1.0 / 256.0
