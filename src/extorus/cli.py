@@ -146,17 +146,9 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
     if missing:
         raise ValueError(f"{path}: config lacks {', '.join(missing)}")
     try:
-        return ExperimentConfig(
-            matrix=tuple(echo["matrix"]),
-            zeta=parse_zeta(str(echo["zeta"])),
-            metric=MetricKind(echo["metric"]),
-            tau=echo["tau"],
-            n=echo["n"],
-            trials=echo["trials"],
-            modulus_bits=echo["modulus_bits"],
-            seed=echo["seed"],
-            run_gap=echo["run_gap"],
-        )
+        values = {**{key: echo[key] for key in _CONFIG_KEYS}, "matrix": tuple(echo["matrix"])}
+        values.update(zeta=parse_zeta(str(echo["zeta"])), metric=MetricKind(echo["metric"]))
+        return ExperimentConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
 

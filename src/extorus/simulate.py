@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import NoExceedances, TooFewGaps
 from .formulas import ThresholdSchedule, kac_rescale, threshold_u_n, wrap_time_g
@@ -65,7 +64,10 @@ def resolve_workers(explicit: int | None = None) -> int:
         env = os.environ.get("EXTORUS_THREADS")
         if not env:
             return min(cores, 8)
-        explicit = int(env)
+        try:
+            explicit = int(env)
+        except ValueError:
+            raise ValueError(f"EXTORUS_THREADS must be an integer, got {env!r}") from None
     if explicit < 1:
         raise ValueError(f"worker count must be >= 1, got {explicit}")
     return min(explicit, cores)
@@ -368,6 +370,7 @@ def gap_ks_statistic(
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     ks = float(max(np.max(hi - cdf), np.max(cdf - lo)))
+    from scipy import special  # here, not at the top: it is half the package's import time
     return ks, float(special.kolmogorov(math.sqrt(n) * ks))
 
 
@@ -414,6 +417,7 @@ def chi_square_vs_pmf(
         raise ValueError("too few bins with adequate expectation")
     stat = float(sum((o - e) ** 2 / e for o, e in zip(obs, exp)))
     dof = len(exp) - 1
+    from scipy import special  # here, not at the top: see gap_ks_statistic
     return stat, float(special.chdtrc(dof, stat)), dof
 
 

@@ -288,14 +288,19 @@ def ball_distance(
     representative that small is the folded one).
     """
     inv = 1.0 / modulus
-    dx = px * inv - zeta.x
-    dy = py * inv - zeta.y
-    dx -= np.rint(dx)
-    dy -= np.rint(dy)
+    dx = px * inv
+    dx -= zeta.x
+    dy = py * inv
+    dy -= zeta.y
+    tmp = np.rint(dx)  # scratch: the steps below write into dx, dy and tmp
+    dx -= tmp
+    dy -= np.rint(dy, out=tmp)
     if metric is MetricKind.EUCLIDEAN:
-        return dx * dx + dy * dy
+        return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
     (b00, b01), (b10, b11) = T.eigen_inverse
-    return np.maximum(np.abs(b00 * dx + b01 * dy), np.abs(b10 * dx + b11 * dy))
+    xu = np.add(b00 * dx, np.multiply(b01, dy, out=tmp), out=tmp)
+    xs = np.add(np.multiply(b10, dx, out=dx), np.multiply(b11, dy, out=dy), out=dx)
+    return np.maximum(np.abs(xu, out=xu), np.abs(xs, out=xs), out=xs)
 
 
 def radius_key(radius: float, metric: MetricKind) -> float:

@@ -5,6 +5,9 @@ routines of extorus.torus against: exact orbit steps on Python integers,
 and the torus distance as a minimum of the plane metric over lattice
 shifts. The step-at-a-time trial engine, with its own one-line array
 step, is the reference for the time-blocked one in extorus.simulate.
+The float-remainder ball sampler and the out-of-place ball distance are
+the references that the in-place and floor-folded routines of
+extorus.regions and extorus.torus must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from extorus.errors import ExtorusError
+from extorus.regions import RegionSpec
 from extorus.simulate import OBSERVABLE_CAP, ExperimentConfig, TrialRecord, _initial_states
 from extorus.torus import (
+    DEFAULT_MODULUS,
     Direction,
     MetricKind,
     ToralAutomorphism,
@@ -160,3 +165,47 @@ def simulate_chunk_stepwise(
         TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), observable(float(best[i])))
         for i, tid in enumerate(trial_ids)
     ]
+
+
+def sample_ball_remainder(
+    region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform sample of `count` points of the default grid from the bounding ball."""
+    modulus = DEFAULT_MODULUS
+    r = region.radius
+    if region.metric is MetricKind.EUCLIDEAN:
+        rho = r * np.sqrt(rng.random(count))
+        ang = 2.0 * math.pi * rng.random(count)
+        ox = rho * np.cos(ang)
+        oy = rho * np.sin(ang)
+    else:
+        xu = r * (2.0 * rng.random(count) - 1.0)
+        xs = r * (2.0 * rng.random(count) - 1.0)
+        eu, es = T.e_unstable, T.e_stable
+        ox = xu * eu[0] + xs * es[0]
+        oy = xu * eu[1] + xs * es[1]
+    x = (region.zeta.x + ox) % 1.0
+    y = (region.zeta.y + oy) % 1.0
+    px = np.round(x * modulus).astype(np.int64) % modulus
+    py = np.round(y * modulus).astype(np.int64) % modulus
+    return px, py
+
+
+def ball_distance_out_of_place(
+    px: np.ndarray,
+    py: np.ndarray,
+    modulus: int,
+    zeta: TorusPoint,
+    T: ToralAutomorphism,
+    metric: MetricKind,
+) -> np.ndarray:
+    """Distance key from residue-array points to zeta, one new array per operation."""
+    inv = 1.0 / modulus
+    dx = px * inv - zeta.x
+    dy = py * inv - zeta.y
+    dx -= np.rint(dx)
+    dy -= np.rint(dy)
+    if metric is MetricKind.EUCLIDEAN:
+        return dx * dx + dy * dy
+    (b00, b01), (b10, b11) = T.eigen_inverse
+    return np.maximum(np.abs(b00 * dx + b01 * dy), np.abs(b10 * dx + b11 * dy))

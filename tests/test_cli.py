@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import extorus
+from extorus import cli
 from extorus.acceptance import RunManifest
-from extorus.cli import main
+from extorus.cli import _read_records, main
+from extorus.simulate import ExperimentConfig, TrialRecord
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +101,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, command, "--workers", "0", "--out", str(tmp_path / "x"))
         assert code == 2
         assert "worker count" in err
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_non_integer_threads_variable_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("EXTORUS_THREADS", value)
+        code, _, err = run_cli(capsys, "simulate", "--n", "100", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert f"EXTORUS_THREADS must be an integer, got '{value}'" in err
 
     def test_radius_too_large_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -290,6 +311,88 @@ class TestEstimateRejectsBadRecords:
         path.write_text(json.dumps(manifest))
         err = self.estimate_error(run_dir, capsys)
         assert f"{path}:" in err and message in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.special is imported by the two estimators that use it, not at start-up
+    src = str(Path(extorus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import extorus.cli, sys; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+RT_CONFIG = ExperimentConfig(zeta=(Fraction(0), Fraction(0)), n=1000, trials=1, seed=1)
+# (exceedance times, values above u_n) and a block maximum, any finite floats
+RT_TRIAL = st.tuples(
+    st.lists(
+        st.tuples(
+            st.integers(0, RT_CONFIG.n - 1),
+            st.floats(min_value=RT_CONFIG.u_n, exclude_min=True, allow_infinity=False),
+        ),
+        max_size=6,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+BAD_ROWS = [
+    lambda fields: fields[:-1],  # a field short
+    lambda fields: [*fields, "1"],  # a field too many
+    lambda fields: [*fields[:-1], ""],
+    lambda fields: [*fields[:-1], "nan"],
+    lambda fields: [*fields[:-1], "-inf"],
+    lambda fields: ["x", *fields[1:]],
+    lambda fields: [fields[0] + ".5", *fields[1:]],  # a non-integer trial id
+]
+
+
+class TestRecordsCsvRoundTrip:
+    """simulate's CSV writer and estimate's reader are inverses on any valid records."""
+
+    @staticmethod
+    def write(trials, out_dir):
+        records = [
+            TrialRecord(i, tuple(t for t, _ in sorted(hits)), tuple(v for _, v in sorted(hits)), m)
+            for i, (hits, m) in enumerate(trials)
+        ]
+        argv = ["simulate", "--zeta", "0/1,0/1", "--n", str(RT_CONFIG.n), "--seed", "1",
+                "--trials", str(len(records)), "--workers", "1", "--out", str(out_dir)]
+        with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()):
+            mp.setattr(cli, "run_experiment", lambda cfg, workers: records)
+            assert main(argv) == 0
+        return records
+
+    @settings(max_examples=40, deadline=None)
+    @given(trials=st.lists(RT_TRIAL, min_size=1, max_size=5))
+    def test_lossless(self, trials):
+        with tempfile.TemporaryDirectory() as tmp:
+            records = self.write(trials, Path(tmp))
+            cfg, back = _read_records(Path(tmp))
+        assert cfg == replace(RT_CONFIG, trials=len(records))
+        assert back == records
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trials=st.lists(RT_TRIAL, min_size=1, max_size=5),
+        name=st.sampled_from(["exceedances.csv", "block_maxima.csv"]),
+        row=st.integers(0, 100),
+        mutate=st.sampled_from(BAD_ROWS),
+    )
+    def test_malformed_row_exit_2_with_line(self, trials, name, row, mutate):
+        with tempfile.TemporaryDirectory() as tmp:
+            self.write(trials, Path(tmp))
+            path = Path(tmp) / name
+            lines = path.read_text().splitlines()
+            if len(lines) == 1:  # no exceedances: mutate a block maximum
+                path = Path(tmp) / "block_maxima.csv"
+                lines = path.read_text().splitlines()
+            lineno = 2 + row % (len(lines) - 1)
+            lines[lineno - 1] = ",".join(mutate(lines[lineno - 1].split(",")))
+            path.write_text("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(["estimate", "--in", tmp, "--mc-samples", "0"])
+        assert code == 2
+        assert f"{path}:{lineno}:" in err.getvalue()
 
 
 class TestValidate:

@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _reference import sample_ball_remainder
 from extorus import (
     MetricKind,
     OutOfLocalRange,
@@ -25,8 +28,8 @@ from extorus import (
     strip_area_Q,
     wrap_time_g,
 )
-from extorus.regions import membership_mask, sample_ball
-from extorus.torus import DEFAULT_MODULUS, orbit_blocks
+from extorus.regions import _measure_chunk, membership_mask, sample_ball
+from extorus.torus import _BLOCK_ELEMENTS, DEFAULT_MODULUS, keyed_rng, orbit_blocks
 
 CAT = build_automorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
@@ -97,6 +100,68 @@ class TestContains:
         _, (fx, fy) = orbit_blocks(px[member], py[member], CAT, DEFAULT_MODULUS, 1)
         q1 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=1)
         assert membership_mask(q1, CAT, fx[0], fy[0]).all()
+
+
+# coordinates at both ends of [0, 1) and anywhere in between
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
+)
+
+
+class TestSampler:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        metric=st.sampled_from(list(MetricKind)),
+        x=COORDINATES,
+        y=COORDINATES,
+        radius=st.floats(1e-6, 0.2499),
+        matrix=st.sampled_from([(2, 1, 1, 1), (-1000, -999, -1, -1)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_remainder_fold(self, metric, x, y, radius, matrix, seed):
+        # x - floor(x) and the mask give the bits of x % 1.0 and % modulus
+        region = RegionSpec(TorusPoint(x, y), radius, metric, RegionKind.BALL)
+        T = build_automorphism(*matrix)
+        px, py = sample_ball(region, T, 3000, np.random.default_rng(seed))
+        ref_x, ref_y = sample_ball_remainder(region, T, 3000, np.random.default_rng(seed))
+        np.testing.assert_array_equal(px, ref_x)
+        np.testing.assert_array_equal(py, ref_y)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("x, y", [(0.0, 0.0), (1.0 - 2.0**-53, 0.0), (0.0, 1.0 - 2.0**-53)])
+    def test_edge_uniforms_bit_identical(self, metric, x, y):
+        # offsets in (-2^-54, 0) from a centre at 0 fold to 1.0, whose residue wraps to 0:
+        # u = 1e-40 (Euclidean) and u, v = 0.5 - 2^-55 (adapted) make them
+        edges = np.array([0.0, 1e-40, 0.25, 0.5 - 2.0**-55, 0.5, 0.5 + 2.0**-54, 1.0 - 2.0**-53])
+        u, v = (a.ravel() for a in np.meshgrid(edges, edges))
+
+        class Uniforms:  # a generator stand-in that hands out u, then v
+            def __init__(self):
+                self.arrays = [u, v]
+
+            def random(self, count):
+                return self.arrays.pop(0)
+
+        region = RegionSpec(TorusPoint(x, y), 0.2, metric, RegionKind.BALL)
+        px, py = sample_ball(region, CAT, u.size, Uniforms())
+        ref_x, ref_y = sample_ball_remainder(region, CAT, u.size, Uniforms())
+        np.testing.assert_array_equal(px, ref_x)
+        np.testing.assert_array_equal(py, ref_y)
+        assert px.min() >= 0 and py.min() >= 0
+        assert px.max() < DEFAULT_MODULUS and py.max() < DEFAULT_MODULUS
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("kind", list(RegionKind))
+    @pytest.mark.parametrize(
+        # 38,528 is the last chunk of a 10M-sample oracle call: 10M mod 2^18
+        "size", [1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 38_528]
+    )
+    def test_sliced_chunk_counts_whole_chunk(self, metric, kind, size):
+        region = RegionSpec(ORIGIN, S, metric, kind, q=1, kappa=2)
+        px, py = sample_ball(region, CAT, size, keyed_rng(11, 3))
+        whole = int(np.count_nonzero(membership_mask(region, CAT, px, py)))
+        assert _measure_chunk((region, CAT, 11, 3, size)) == whole
+        assert whole > 0 or size == 1  # the count is not vacuous
 
 
 class TestMonteCarloMeasure:

@@ -142,6 +142,14 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             resolve_workers()
 
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_non_integer_environment_named(self, monkeypatch, value):
+        from extorus.simulate import resolve_workers
+
+        monkeypatch.setenv("EXTORUS_THREADS", value)
+        with pytest.raises(ValueError, match=f"EXTORUS_THREADS must be an integer, got '{value}'"):
+            resolve_workers()
+
 
 CENTRES = {
     0: (Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1)),

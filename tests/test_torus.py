@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from _reference import (
     ExactOrbitState,
     ShiftSetInsufficient,
+    ball_distance_out_of_place,
     observable_value,
     step_exact,
     torus_distance,
@@ -231,6 +232,12 @@ class TestOrbitBlocks:
         assert np.array_equal(back[0], px) and np.array_equal(back[1], py)
 
 
+# centre coordinates at both ends of [0, 1) and anywhere in between
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
+)
+
+
 class TestBallDistance:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_matches_scalar_reference(self, metric):
@@ -258,6 +265,26 @@ class TestBallDistance:
                 assert key == pytest.approx(expected, abs=1e-12)
                 checked += 1
             assert checked >= 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        metric=st.sampled_from(list(MetricKind)),
+        x=COORDINATES,
+        y=COORDINATES,
+        matrix=st.sampled_from([(2, 1, 1, 1), (-1000, -999, -1, -1)]),
+        modulus_bits=st.sampled_from([32, 61, 62]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_out_of_place(self, metric, x, y, matrix, modulus_bits, seed):
+        # (rows, width) blocks as the walker yields them, points anywhere on the torus
+        modulus = 1 << modulus_bits
+        rng = np.random.default_rng(seed)
+        px, py = rng.integers(0, modulus, size=(2, 5, 300), dtype=np.int64)
+        zeta = TorusPoint(x, y)
+        T = build_automorphism(*matrix)
+        keys = ball_distance(px, py, modulus, zeta, T, metric)
+        ref = ball_distance_out_of_place(px, py, modulus, zeta, T, metric)
+        np.testing.assert_array_equal(keys.view(np.int64), ref.view(np.int64))
 
 
 class TestTorusDistance:
