@@ -18,6 +18,7 @@ corrected; see the manifest detail text.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -63,6 +64,10 @@ from .torus import (
 
 CAT = (2, 1, 1, 1)
 _SEED = 20260810
+_ORACLE_SAMPLES = 10_000_000  # per region of criterion 2
+_SEPARATION_SAMPLES = 1_000_000  # criterion 3
+_TRIALS = 10_000  # criteria 4-7
+_RATIO_SAMPLES = 1_000_000  # per measure of criterion 5's ratio estimator
 
 
 @dataclass
@@ -118,9 +123,33 @@ class RunManifest:
         return cls.from_dict(json.loads(text))
 
 
-def criterion_1_formula_identities(theta_bias: float = 0.0) -> CriterionResult:
+_NAMES: dict[int, str] = {}  # criterion id -> name, filled in by @_criterion
+
+
+def _criterion(cid: int, name: str):
+    """Register criterion `cid` as `name`; the decorated body is timed into its result.
+
+    The body returns (passed, measured, detail).
+    """
+    _NAMES[cid] = name
+
+    def decorate(body):
+        @functools.wraps(body)
+        def timed(*args, **kwargs) -> CriterionResult:
+            start = time.perf_counter()
+            passed, measured, detail = body(*args, **kwargs)
+            return CriterionResult(
+                cid, name, bool(passed), time.perf_counter() - start, measured, detail
+            )
+
+        return timed
+
+    return decorate
+
+
+@_criterion(1, "formula-identities")
+def criterion_1_formula_identities():
     """Exact identities among the closed forms (sub-second)."""
-    start = time.perf_counter()
     measured: dict = {}
     ok = True
 
@@ -132,7 +161,7 @@ def criterion_1_formula_identities(theta_bias: float = 0.0) -> CriterionResult:
     for lam in lams:
         for q in (1, 2, 3, 5):
             for s in (0.01, 0.003):
-                theta = extremal_index(lam, q, MetricKind.EUCLIDEAN) + theta_bias
+                theta = extremal_index(lam, q, MetricKind.EUCLIDEAN)
                 ratio = area_A_q(s, lam, q) / (math.pi * s * s)
                 worst = max(worst, abs(theta - ratio))
     measured["ei_area_identity_max_err"] = worst
@@ -179,27 +208,17 @@ def criterion_1_formula_identities(theta_bias: float = 0.0) -> CriterionResult:
     measured["pa_mean_max_err"] = worst_mean
     ok &= worst_sum <= 1e-9 and worst_mean <= 1e-6
 
-    return CriterionResult(
-        1,
-        "formula-identities",
-        bool(ok),
-        time.perf_counter() - start,
-        measured,
-        "exact identities among extremal index, escape area, strip laws, counting pmf",
-    )
+    return ok, measured, "exact identities among extremal index, escape area, strip laws, counting pmf"
 
 
-def criterion_2_oracle_equivalence(
-    scale: float = 1.0, workers: int = 1, seed: int = _SEED
-) -> CriterionResult:
+@_criterion(2, "oracle-equivalence")
+def criterion_2_oracle_equivalence(workers: int = 1):
     """Monte Carlo area oracle versus every closed form at s = 0.01."""
-    start = time.perf_counter()
     T = build_automorphism(*CAT)
     lam = T.lam_abs
     s, q = 0.01, 1
-    samples = max(int(10_000_000 * scale), 1000)
     zeta = TorusPoint(0.0, 0.0)
-    measured: dict = {"samples": samples}
+    measured: dict = {"samples": _ORACLE_SAMPLES}
 
     regions: list[tuple[str, RegionSpec, float]] = [
         ("A_q1", RegionSpec(zeta, s, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q), area_A_q(s, lam, q))
@@ -224,7 +243,7 @@ def criterion_2_oracle_equivalence(
     equal_ok = True
     tail_ok = True
     for i, (name, region, closed) in enumerate(regions):
-        est, se = monte_carlo_measure(region, T, samples, seed + i, workers)
+        est, se = monte_carlo_measure(region, T, _ORACLE_SAMPLES, _SEED + i, workers)
         measured[f"mc_{name}"] = est
         measured[f"se_{name}"] = se
         measured[f"closed_{name}"] = closed
@@ -247,48 +266,29 @@ def criterion_2_oracle_equivalence(
             "constant is 4. Reported honestly as a failure."
         )
     )
-    return CriterionResult(
-        2,
-        "oracle-equivalence",
-        bool(equal_ok and tail_ok),
-        time.perf_counter() - start,
-        measured,
-        detail,
-    )
+    return equal_ok and tail_ok, measured, detail
 
 
-def criterion_3_separation(scale: float = 1.0, seed: int = _SEED) -> CriterionResult:
+@_criterion(3, "separation-property")
+def criterion_3_separation():
     """No sampled escape-region point returns within the wrap window."""
-    start = time.perf_counter()
     T = build_automorphism(*CAT)
-    samples = max(int(1_000_000 * scale), 1000)
     origin = (Fraction(0), Fraction(0))
-    separated = separation_check(T, origin, q=1, n=100_000, tau=1.0, samples=samples, seed=seed)
-    measured = {"samples": samples, "separated": bool(separated)}
-    return CriterionResult(
-        3,
-        "separation-property",
-        bool(separated),
-        time.perf_counter() - start,
-        measured,
-        "backward images of the escape region avoid it for j = 1..q*g(n)",
+    separated = separation_check(
+        T, origin, q=1, n=100_000, tau=1.0, samples=_SEPARATION_SAMPLES, seed=_SEED
     )
+    measured = {"samples": _SEPARATION_SAMPLES, "separated": bool(separated)}
+    return separated, measured, "backward images of the escape region avoid it for j = 1..q*g(n)"
 
 
-def _dichotomy_run(scale: float, metric: MetricKind, zeta, workers: int | None):
+def _dichotomy_run(metric: MetricKind, zeta, workers: int | None):
     """Run one dichotomy experiment through block maxima, declustering and theta-hat.
 
     Returns the config, the cluster summaries and the measured values
     every dichotomy criterion reports.
     """
     cfg = ExperimentConfig(
-        matrix=CAT,
-        zeta=zeta,
-        metric=metric,
-        tau=1.0,
-        n=100_000,
-        trials=max(int(10_000 * scale), 100),
-        seed=_SEED,
+        matrix=CAT, zeta=zeta, metric=metric, tau=1.0, n=100_000, trials=_TRIALS, seed=_SEED
     )
     records = run_experiment(cfg, workers)
     p_hat, se = estimate_block_maxima_cdf(cfg, records)
@@ -308,13 +308,11 @@ def _size_chi_square(summaries, pmf) -> dict:
     return {"chi2": chi, "chi2_p_value": chi_p, "chi2_dof": dof}
 
 
-def criterion_4_nonperiodic(
-    scale: float = 1.0, workers: int | None = None
-) -> CriterionResult:
+@_criterion(4, "dichotomy-nonperiodic")
+def criterion_4_nonperiodic(workers: int | None = None):
     """Dichotomy at a non-periodic centre: unit extremal index statistics."""
-    start = time.perf_counter()
     zeta = (Fraction(math.sqrt(2.0) - 1.0), Fraction(math.sqrt(3.0) - 1.0))
-    cfg, summaries, measured = _dichotomy_run(scale, MetricKind.EUCLIDEAN, zeta, workers)
+    cfg, summaries, measured = _dichotomy_run(MetricKind.EUCLIDEAN, zeta, workers)
     hist = empirical_multiplicity(summaries)
     ks, ks_p = gap_ks_statistic(summaries, 1.0, window_span=cfg.tau)
     measured.update(
@@ -329,29 +327,17 @@ def criterion_4_nonperiodic(
         and ks_p > 0.01
         and hist.get(1, 0.0) >= 0.95
     )
-    return CriterionResult(
-        4,
-        "dichotomy-nonperiodic",
-        bool(ok),
-        time.perf_counter() - start,
-        measured,
-        "block maxima, cluster index, gap law, multiplicity at a generic centre",
-    )
+    return ok, measured, "block maxima, cluster index, gap law, multiplicity at a generic centre"
 
 
-def criterion_5_periodic_euclidean(
-    scale: float = 1.0,
-    workers: int | None = None,
-    theta_bias: float = 0.0,
-) -> CriterionResult:
+@_criterion(5, "dichotomy-periodic-euclidean")
+def criterion_5_periodic_euclidean(workers: int | None = None):
     """Dichotomy at the fixed point, Euclidean metric."""
-    start = time.perf_counter()
     origin = (Fraction(0), Fraction(0))
-    cfg, summaries, measured = _dichotomy_run(scale, MetricKind.EUCLIDEAN, origin, workers)
+    cfg, summaries, measured = _dichotomy_run(MetricKind.EUCLIDEAN, origin, workers)
     lam = cfg.automorphism.lam_abs
-    theta = extremal_index(lam, cfg.q, MetricKind.EUCLIDEAN) + theta_bias
-    ratio_samples = max(int(1_000_000 * scale), 1000)
-    theta_ratio = ei_measure_ratio(cfg, ratio_samples, _SEED + 17)
+    theta = extremal_index(lam, cfg.q, MetricKind.EUCLIDEAN)
+    theta_ratio = ei_measure_ratio(cfg, _RATIO_SAMPLES, _SEED + 17)
     model = extremal_model(lam, cfg.q, MetricKind.EUCLIDEAN)
     measured.update(
         q=cfg.q,
@@ -366,23 +352,14 @@ def criterion_5_periodic_euclidean(
         and abs(theta_ratio - theta) <= 0.04
         and measured["chi2_p_value"] >= 0.01
     )
-    return CriterionResult(
-        5,
-        "dichotomy-periodic-euclidean",
-        bool(ok),
-        time.perf_counter() - start,
-        measured,
-        "both extremal-index estimators and the cluster-size law at the fixed point",
-    )
+    return ok, measured, "both extremal-index estimators and the cluster-size law at the fixed point"
 
 
-def criterion_6_periodic_adapted(
-    scale: float = 1.0, workers: int | None = None
-) -> CriterionResult:
+@_criterion(6, "dichotomy-periodic-adapted")
+def criterion_6_periodic_adapted(workers: int | None = None):
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
-    start = time.perf_counter()
     origin = (Fraction(0), Fraction(0))
-    cfg, summaries, measured = _dichotomy_run(scale, MetricKind.ADAPTED, origin, workers)
+    cfg, summaries, measured = _dichotomy_run(MetricKind.ADAPTED, origin, workers)
     theta = extremal_index(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
     measured.update(
         q=cfg.q,
@@ -394,29 +371,20 @@ def criterion_6_periodic_adapted(
         abs(measured["theta_hat_clusters"] - theta) <= 0.04
         and measured["chi2_p_value"] >= 0.01
     )
-    return CriterionResult(
-        6,
-        "dichotomy-periodic-adapted",
-        bool(ok),
-        time.perf_counter() - start,
-        measured,
-        "cluster index and geometric size law in the eigenbasis sup metric",
-    )
+    return ok, measured, "cluster index and geometric size law in the eigenbasis sup metric"
 
 
-def criterion_7_repp_counts(
-    scale: float = 1.0, workers: int | None = None
-) -> CriterionResult:
+@_criterion(7, "repp-counting-law")
+def criterion_7_repp_counts(workers: int | None = None):
     """Window counting law at the fixed point, adapted metric, t = 2."""
-    start = time.perf_counter()
     t = 2.0
     cfg = ExperimentConfig(
         matrix=CAT,
         zeta=(Fraction(0), Fraction(0)),
         metric=MetricKind.ADAPTED,
-        tau=t,  # whole orbit = one window of rescaled length t
+        tau=t,  # whole orbit = one window of length t in Kac time
         n=20_000,
-        trials=max(int(10_000 * scale), 100),
+        trials=_TRIALS,
         seed=_SEED + 7,
     )
     theta = extremal_index(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
@@ -440,21 +408,15 @@ def criterion_7_repp_counts(
         "pa_vs_convolution_max_err": pa_vs_generic,
     }
     ok = chi_p >= 0.01 and pa_vs_generic <= 1e-9
-    return CriterionResult(
-        7,
-        "repp-counting-law",
-        bool(ok),
-        time.perf_counter() - start,
-        measured,
-        "window counts match the geometric-multiplicity counting pmf",
-    )
+    return ok, measured, "window counts match the geometric-multiplicity counting pmf"
 
 
-def criterion_8_engineering(
-    elapsed_so_far: float, workers: int | None = None
-) -> CriterionResult:
-    """Worker invariance, exact inversion, runtime budget."""
-    start = time.perf_counter()
+@_criterion(8, "engineering")
+def criterion_8_engineering(suite_start: float, workers: int | None = None):
+    """Worker invariance, exact inversion, runtime budget.
+
+    suite_start is the time.perf_counter() reading at the start of the suite.
+    """
     cfg = ExperimentConfig(
         matrix=CAT,
         zeta=(Fraction(1, 2), Fraction(1, 2)),
@@ -476,37 +438,21 @@ def criterion_8_engineering(
     _, (bx, by) = orbit_blocks(fx[0], fy[0], T, DEFAULT_MODULUS, 1, Direction.BACKWARD)
     inverse_ok = np.array_equal(bx[0], px) and np.array_equal(by[0], py)
 
-    runtime = time.perf_counter() - start
-    total = elapsed_so_far + runtime
-    budget_ok = total <= 1800.0
+    total = time.perf_counter() - suite_start
     measured = {
         "workers_identical": bool(workers_ok),
         "inverse_identity_ok": bool(inverse_ok),
         "suite_wall_time_s": total,
     }
-    return CriterionResult(
-        8,
-        "engineering",
-        bool(workers_ok and inverse_ok and budget_ok),
-        runtime,
-        measured,
-        "1-vs-N worker equality, forward/backward exactness, 30 min budget",
-    )
+    ok = workers_ok and inverse_ok and total <= 1800.0
+    return ok, measured, "1-vs-N worker equality, forward/backward exactness, 30 min budget"
 
 
-def run_acceptance(
-    quick: bool = False,
-    workers: int | None = None,
-    theta_bias: float = 0.0,
-    scale: float = 1.0,
-    progress=print,
-) -> RunManifest:
-    """Run the acceptance suite and return the manifest.
+def run_acceptance(quick: bool = False, workers: int | None = None) -> RunManifest:
+    """Run the acceptance suite, printing each criterion's line, and return the manifest.
 
     quick runs the formula and oracle criteria only (1-3) and marks the
-    long-simulation criteria as skipped. scale < 1 shrinks sample and
-    trial counts proportionally (used by smoke tests); the published
-    tolerances are stated for scale = 1.
+    long-simulation criteria as skipped.
     """
     workers = resolve_workers(workers)
     t0 = time.perf_counter()
@@ -514,39 +460,23 @@ def run_acceptance(
 
     def emit(result: CriterionResult) -> None:
         criteria.append(result)
-        if progress is not None:
-            progress(result.line())
+        print(result.line())
 
-    emit(criterion_1_formula_identities(theta_bias))
-    emit(criterion_2_oracle_equivalence(scale, workers))
-    emit(criterion_3_separation(scale))
+    emit(criterion_1_formula_identities())
+    emit(criterion_2_oracle_equivalence(workers))
+    emit(criterion_3_separation())
     if quick:
-        for cid, name in (
-            (4, "dichotomy-nonperiodic"),
-            (5, "dichotomy-periodic-euclidean"),
-            (6, "dichotomy-periodic-adapted"),
-            (7, "repp-counting-law"),
-            (8, "engineering"),
-        ):
-            emit(CriterionResult(cid, name, None, 0.0, {}, "skipped (--quick)"))
+        for cid in range(4, 9):
+            emit(CriterionResult(cid, _NAMES[cid], None, 0.0, {}, "skipped (--quick)"))
     else:
-        emit(criterion_4_nonperiodic(scale, workers))
-        emit(criterion_5_periodic_euclidean(scale, workers, theta_bias))
-        emit(criterion_6_periodic_adapted(scale, workers))
-        emit(criterion_7_repp_counts(scale, workers))
-        emit(criterion_8_engineering(time.perf_counter() - t0, workers))
-
-    wall = time.perf_counter() - t0
+        emit(criterion_4_nonperiodic(workers))
+        emit(criterion_5_periodic_euclidean(workers))
+        emit(criterion_6_periodic_adapted(workers))
+        emit(criterion_7_repp_counts(workers))
+        emit(criterion_8_engineering(t0, workers))
     return RunManifest(
-        config={
-            "quick": quick,
-            "scale": scale,
-            "workers": workers,
-            "theta_bias": theta_bias,
-            "base_seed": _SEED,
-            "matrix": list(CAT),
-        },
+        config={"quick": quick, "workers": workers, "base_seed": _SEED, "matrix": list(CAT)},
         version=__version__,
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - t0,
         criteria=criteria,
     )

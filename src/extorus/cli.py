@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
-from .errors import ExtorusError, NoExceedances
+from .errors import ExtorusError, NoExceedances, OutOfLocalRange
 from .formulas import extremal_index, extremal_model, radius_s_n, wrap_time_g
 from .simulate import (
     ExperimentConfig,
@@ -327,8 +328,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     print(f"theta (formula)       {theta_model:.6g}")
     print(f"theta_hat (clusters)  {theta_clusters:.6g}")
     if cfg.q >= 1 and args.mc_samples > 0:
-        theta_ratio = ei_measure_ratio(cfg, args.mc_samples, cfg.seed + 1)
-        print(f"theta_hat (ratio)     {theta_ratio:.6g}")
+        try:
+            theta_ratio = ei_measure_ratio(cfg, args.mc_samples, cfg.seed + 1)
+        except OutOfLocalRange as exc:
+            print(f"theta_hat (ratio)     skipped ({type(exc).__name__}: {exc})")
+        else:
+            print(f"theta_hat (ratio)     {theta_ratio:.6g}")
     print(f"P(M_n <= u_n)         {p_hat:.6g}  (model {math.exp(-theta_model * cfg.tau):.6g})")
 
     sizes = [s for summ in summaries for s in summ.cluster_sizes]
@@ -361,12 +366,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    manifest = run_acceptance(
-        quick=args.quick,
-        workers=args.workers,
-        theta_bias=args.inject_theta_error,
-        scale=args.scale,
-    )
+    manifest = run_acceptance(quick=args.quick, workers=args.workers)
     out = Path(args.out)
     out.write_text(manifest.to_json() + "\n", encoding="utf-8")
     print(f"manifest written to {out}")
@@ -397,8 +397,20 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=None, help="worker cap (or EXTORUS_THREADS)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token such as -1000,-999,-1,-1 or -1/3,1/2 as a value.
+
+    argparse takes a token that starts with '-' for a flag unless it is a
+    plain negative number, so --matrix and --zeta would miss their values.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="extorus",
         description="Extreme-value statistics of hyperbolic torus maps",
     )
@@ -433,8 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true", help="formulas and oracles only")
     p.add_argument("--out", default="acceptance_manifest.json")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--scale", type=float, default=1.0, help=argparse.SUPPRESS)
-    p.add_argument("--inject-theta-error", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -97,17 +97,6 @@ def radius_s_n(n: int, tau: float) -> float:
     return math.sqrt(tau / (math.pi * n))
 
 
-def kac_rescale(n: int, sched: ThresholdSchedule) -> float:
-    """Reciprocal ball measure at the threshold radius.
-
-    u_n inverts the ball area by construction, so the exact value is
-    n / tau for both metrics.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n / sched.tau
-
-
 def _power(lam_abs: float, p: float) -> float:
     """lam_abs**p saturating at +inf instead of raising OverflowError."""
     try:
@@ -189,7 +178,7 @@ def strip_area_Q(s: float, lam_abs: float, q: int, kappa: int) -> float:
 
     kappa = 0 is the escape region itself; for kappa >= 1 the area is
     the difference of the angular-gap closed form at indices kappa+1 and
-    kappa, scaled by 2 s^2.
+    kappa, times 2 s^2.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")

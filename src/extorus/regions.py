@@ -13,7 +13,7 @@ drift) and tests each image with its ball test, so decisions are exact
 up to a boundary fuzz of one part in 1e16 of the radius.
 
 The measure oracle samples uniformly from the bounding ball rather than
-the whole torus, a variance reduction of about 1/(pi r^2), and scales
+the whole torus, a variance reduction of about 1/(pi r^2), and multiplies
 the hit fraction by the ball area. Sampling is split into fixed-size
 chunks whose random streams are keyed by (seed, chunk index); the merged
 estimate is a pure function of the seed, independent of how chunks are
@@ -204,7 +204,7 @@ def monte_carlo_measure(
 ) -> MeasureEstimate:
     """Unbiased Monte Carlo estimate of the region's Lebesgue measure.
 
-    Uniform importance sampling over the bounding metric ball scaled by
+    Uniform importance sampling over the bounding metric ball times
     the ball area; the standard error is binomial. Deterministic given
     the seed, for any worker count. The pool never has more workers than
     chunks or cores.
@@ -242,22 +242,20 @@ def separation_check(
     tau: float,
     samples: int,
     seed: int,
-    metric: MetricKind = MetricKind.EUCLIDEAN,
-    radius_scale: float = 1.0,
 ) -> bool:
     """True iff no sampled escape-region point returns within the wrap window.
 
-    Samples the escape region at radius s_n (optionally inflated by
-    radius_scale as a negative control) and pulls every member backward
-    j = 1 .. q*g(n) steps, testing escape-region membership of each
-    preimage. The j = 0 term is excluded: the region trivially meets
-    itself.
+    Samples the Euclidean escape region at radius s_n and pulls every
+    member backward j = 1 .. q*g(n) steps, testing escape-region
+    membership of each preimage. The j = 0 term is excluded: the region
+    trivially meets itself.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _verify_periodic(zeta, q, T)
-    radius = radius_s_n(n, tau) * radius_scale
-    region = RegionSpec(rational_point(zeta), radius, metric, RegionKind.A_Q, q=q)
+    region = RegionSpec(
+        rational_point(zeta), radius_s_n(n, tau), MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q
+    )
     window = q * wrap_time_g(n, T.lam_abs, q, tau)
     px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
     keep = membership_mask(region, T, px, py)
@@ -289,14 +287,12 @@ def dprime_sum_diagnostic(
     j_max: int,
     samples: int,
     seed: int,
-    tau: float = 1.0,
-    metric: MetricKind = MetricKind.EUCLIDEAN,
 ) -> float:
     """Monte Carlo estimate of the short-range correlation sum.
 
-    n * sum_{j=1..j_max} m(A cap T^-j A) where A is the escape region
-    (the ball itself when q = 0). A decreasing-in-n diagnostic of
-    short-return suppression, not a proof.
+    n * sum_{j=1..j_max} m(A cap T^-j A) where A is the Euclidean escape
+    region at radius s_n for tau = 1 (the ball itself when q = 0). A
+    decreasing-in-n diagnostic of short-return suppression, not a proof.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -304,14 +300,14 @@ def dprime_sum_diagnostic(
         raise ValueError("j_max must be >= 1")
     if j_max > math.log(n) ** 5:
         raise ValueError("j_max exceeds the (log n)^5 analysis window")
-    radius = radius_s_n(n, tau)
+    radius = radius_s_n(n, 1.0)
     kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
-    region = RegionSpec(rational_point(zeta), radius, metric, kind, q=q)
+    region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, kind, q=q)
     px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
     # membership of A at forward time j needs the ball masks at times j .. j+q
     balls = _ball_masks(region, T, px, py, j_max + q)
     base = _escape_mask(balls, 0, q)
-    area = ball_measure(radius, metric, T.basis_det)
+    area = ball_measure(radius, MetricKind.EUCLIDEAN, T.basis_det)
     total = 0.0
     for j in range(1, j_max + 1):
         hits = int(np.count_nonzero(base & _escape_mask(balls, j, q)))

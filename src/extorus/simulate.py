@@ -9,7 +9,7 @@ trial range across workers produces identical records.
 
 On top of the raw records sit the standard estimators: block-maxima CDF
 at the threshold, runs declustering, cluster-count extremal index,
-cluster-size histograms, rescaled inter-cluster gap Kolmogorov-Smirnov
+cluster-size histograms, Kac-time inter-cluster gap Kolmogorov-Smirnov
 statistics, window counting distributions, and the measure-ratio
 extremal index backed by the region oracle.
 """
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
-from .formulas import ThresholdSchedule, kac_rescale, threshold_u_n, wrap_time_g
+from .formulas import ThresholdSchedule, threshold_u_n, wrap_time_g
 from .regions import RegionKind, RegionSpec, monte_carlo_measure
 from .torus import (
     MAX_MODULUS_BITS,
@@ -125,9 +125,14 @@ class ExperimentConfig:
     def radius(self) -> float:
         return math.exp(-self.u_n)
 
-    @cached_property
+    @property
     def v_n(self) -> float:
-        return kac_rescale(self.n, self.schedule)
+        """Kac rescaling, the reciprocal ball measure at the threshold radius.
+
+        u_n inverts the ball area by construction, so this is exactly n / tau
+        for both metrics.
+        """
+        return self.n / self.tau
 
     @cached_property
     def q(self) -> int:
@@ -163,7 +168,7 @@ class TrialRecord:
 
 @dataclass(frozen=True)
 class ClusterSummary:
-    """Declustered view of one trial, in Kac-rescaled time units."""
+    """Declustered view of one trial, in Kac time units (steps / v_n)."""
 
     cluster_sizes: tuple[int, ...]
     inter_cluster_gaps: tuple[float, ...]
@@ -178,11 +183,7 @@ def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
     return states
 
 
-def _simulate_chunk(
-    cfg: ExperimentConfig,
-    trial_ids: list[int],
-    initial_states: list[tuple[int, int]] | None = None,
-) -> list[TrialRecord]:
+def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> list[TrialRecord]:
     """Orbits for a batch of trials, one time block of every orbit per broadcast."""
     T = cfg.automorphism
     modulus = cfg.modulus
@@ -190,13 +191,12 @@ def _simulate_chunk(
     zeta = rational_point(cfg.zeta)
     key_radius = radius_key(cfg.radius, metric)
     # the Euclidean key is the squared distance: -log d = -0.5 log key
-    log_scale = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
+    log_factor = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
 
     def observable(key: float) -> float:
-        return OBSERVABLE_CAP if key == 0.0 else log_scale * math.log(key)
+        return OBSERVABLE_CAP if key == 0.0 else log_factor * math.log(key)
 
-    if initial_states is None:
-        initial_states = _initial_states(cfg, trial_ids)
+    initial_states = _initial_states(cfg, trial_ids)
     px = np.array([s[0] for s in initial_states], dtype=np.int64)
     py = np.array([s[1] for s in initial_states], dtype=np.int64)
 
@@ -223,12 +223,9 @@ def _simulate_chunk(
     ]
 
 
-def run_trial(
-    cfg: ExperimentConfig, trial_id: int, initial_state: tuple[int, int] | None = None
-) -> TrialRecord:
-    """One orbit; the optional initial_state override is for diagnostics."""
-    states = [initial_state] if initial_state is not None else None
-    return _simulate_chunk(cfg, [trial_id], states)[0]
+def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
+    """The record of one trial, as run_experiment would give it."""
+    return _simulate_chunk(cfg, [trial_id])[0]
 
 
 def _chunk_job(args: tuple) -> list[TrialRecord]:
@@ -256,18 +253,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
 
 
 def estimate_block_maxima_cdf(
-    cfg: ExperimentConfig,
-    records: list[TrialRecord] | None = None,
-    workers: int | None = None,
+    cfg: ExperimentConfig, records: list[TrialRecord]
 ) -> tuple[float, float]:
-    """Fraction of trials whose block maximum stays at or below u_n, and its standard error.
-
-    Without records it runs the experiment, which then needs at least 100 trials.
-    """
-    if records is None:
-        if cfg.trials < 100:
-            raise ValueError("need at least 100 trials")
-        records = run_experiment(cfg, workers)
+    """Fraction of trials whose block maximum stays at or below u_n, and its standard error."""
     u = cfg.u_n
     p = sum(1 for rec in records if rec.block_maximum <= u) / len(records)
     return p, math.sqrt(p * (1.0 - p) / len(records))
@@ -333,16 +321,13 @@ def empirical_multiplicity(summaries: list[ClusterSummary]) -> dict[int, float]:
     return {k: v / total for k, v in sorted(counts.items())}
 
 
-def pooled_gaps(summaries: list[ClusterSummary], window_span: float | None = None) -> np.ndarray:
+def pooled_gaps(summaries: list[ClusterSummary], window_span: float) -> np.ndarray:
     """Inter-cluster gaps pooled across trials.
 
-    With window_span given, trials are glued end to end on the rescaled
-    timeline (trial i offset by i * window_span) and gaps are taken on
-    the glued stream, which keeps the gap law exponential across trial
-    boundaries; otherwise the per-trial gaps are simply concatenated.
+    Trials are glued end to end on the Kac timeline (trial i offset
+    by i * window_span) and gaps are taken on the glued stream, which
+    keeps the gap law exponential across trial boundaries.
     """
-    if window_span is None:
-        return np.concatenate([np.asarray(s.inter_cluster_gaps) for s in summaries] or [[]])
     glued: list[float] = []
     for i, s in enumerate(summaries):
         offset = i * window_span
@@ -352,11 +337,9 @@ def pooled_gaps(summaries: list[ClusterSummary], window_span: float | None = Non
 
 
 def gap_ks_statistic(
-    summaries: list[ClusterSummary],
-    theta: float,
-    window_span: float | None = None,
+    summaries: list[ClusterSummary], theta: float, window_span: float
 ) -> tuple[float, float]:
-    """KS distance of pooled gaps against Exponential(rate=theta).
+    """KS distance of pooled gaps (see pooled_gaps) against Exponential(rate=theta).
 
     The p-value uses the asymptotic Kolmogorov distribution; adequate
     for 1% decisions at twenty or more gaps.
@@ -421,9 +404,7 @@ def chi_square_vs_pmf(
     return stat, float(special.chdtrc(dof, stat)), dof
 
 
-def ei_measure_ratio(
-    cfg: ExperimentConfig, samples: int, seed: int, workers: int = 1
-) -> float:
+def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
     """Extremal index as the oracle measure ratio escape-region / ball.
 
     An independent path to theta: two Monte Carlo measures at the
@@ -436,6 +417,6 @@ def ei_measure_ratio(
     zeta = rational_point(cfg.zeta)
     ball = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.BALL)
     escape = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
-    num = monte_carlo_measure(escape, T, samples, seed, workers)
-    den = monte_carlo_measure(ball, T, samples, seed + 1, workers)
+    num = monte_carlo_measure(escape, T, samples, seed)
+    den = monte_carlo_measure(ball, T, samples, seed + 1)
     return num.estimate / den.estimate

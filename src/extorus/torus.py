@@ -304,7 +304,7 @@ def ball_distance(
 
 
 def radius_key(radius: float, metric: MetricKind) -> float:
-    """The radius on the scale of ball_distance: points are inside iff key < radius_key."""
+    """The radius in the units of ball_distance: points are inside iff key < radius_key."""
     return radius * radius if metric is MetricKind.EUCLIDEAN else radius
 
 

@@ -23,7 +23,7 @@ from extorus.acceptance import RunManifest, run_acceptance
 
 @pytest.fixture(scope="module")
 def manifest() -> RunManifest:
-    return run_acceptance(quick=False, workers=None, progress=print)
+    return run_acceptance(quick=False, workers=None)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,65 @@ def test_criterion_8_engineering(by_id):
     assert c.measured["inverse_identity_ok"] is True
     assert c.measured["suite_wall_time_s"] <= 1800.0
     assert c.passed is True
+
+
+REGIONS = ("A_q1", "Q_0", "Q_1", "Q_2", "Q_3", "U_1", "U_2", "U_3")
+DICHOTOMY = {"trials", "p_hat", "p_se", "p_target", "theta_hat_clusters"}
+CHI2 = {"chi2", "chi2_dof", "chi2_p_value"}
+# cid: (name, detail, measured keys)
+MANIFEST_SHAPE = {
+    1: (
+        "formula-identities",
+        "exact identities among extremal index, escape area, strip laws, counting pmf",
+        {"ei_area_identity_max_err", "ei_limit_q50_max_err", "multiplicity_mass_max_err",
+         "pa_mean_max_err", "pa_sum_max_err", "tail_ratio_max_err"},
+    ),
+    2: (
+        "oracle-equivalence",
+        "oracle matches closed forms, but the configured nested-set tail bound lam^(-kq) s^2 "
+        "is exceeded by the exact area 4 s^2 atan(lam^(-kq)); the covering rectangle has "
+        "sides 2s x 2 lam^(-kq) s, so the provable constant is 4. Reported honestly as a "
+        "failure.",
+        {f"{kind}_{r}" for kind in ("mc", "se", "closed") for r in REGIONS}
+        | {f"tail_bound_U_{k}" for k in (1, 2, 3)}
+        | {"samples", "oracle_equivalence_ok", "tail_bound_ok"},
+    ),
+    3: (
+        "separation-property",
+        "backward images of the escape region avoid it for j = 1..q*g(n)",
+        {"samples", "separated"},
+    ),
+    4: (
+        "dichotomy-nonperiodic",
+        "block maxima, cluster index, gap law, multiplicity at a generic centre",
+        DICHOTOMY | {"ks_stat", "ks_p_value", "multiplicity_mass_at_1"},
+    ),
+    5: (
+        "dichotomy-periodic-euclidean",
+        "both extremal-index estimators and the cluster-size law at the fixed point",
+        DICHOTOMY | CHI2 | {"q", "theta_formula", "theta_hat_ratio"},
+    ),
+    6: (
+        "dichotomy-periodic-adapted",
+        "cluster index and geometric size law in the eigenbasis sup metric",
+        DICHOTOMY | CHI2 | {"q", "theta_formula"},
+    ),
+    7: (
+        "repp-counting-law",
+        "window counts match the geometric-multiplicity counting pmf",
+        CHI2 | {"trials", "t", "theta", "mean_count", "pa_vs_convolution_max_err"},
+    ),
+    8: (
+        "engineering",
+        "1-vs-N worker equality, forward/backward exactness, 30 min budget",
+        {"workers_identical", "inverse_identity_ok", "suite_wall_time_s"},
+    ),
+}
+
+
+def test_manifest_shape(manifest):
+    shape = {c.cid: (c.name, c.detail, set(c.measured)) for c in manifest.criteria}
+    assert shape == MANIFEST_SHAPE
 
 
 def test_manifest_lists_every_criterion_once(manifest):

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extorus
-from extorus import cli
+from extorus import acceptance, cli
 from extorus.acceptance import RunManifest
 from extorus.cli import _read_records, main
 from extorus.simulate import ExperimentConfig, TrialRecord
@@ -70,6 +70,13 @@ class TestTheory:
         code, _, err = run_cli(capsys, "theory", "--q", "1", "--zeta", "bogus")
         assert code == 2
         assert "zeta" in err
+
+    def test_values_starting_with_dash(self, capsys):
+        spaced = run_cli(capsys, "theory", "--matrix", "-3,1,-1,0", "--zeta", "-1/3,1/2", "--json")
+        joined = run_cli(capsys, "theory", "--matrix=-3,1,-1,0", "--zeta=-1/3,1/2", "--json")
+        assert spaced[0] == 0
+        assert spaced == joined
+        assert json.loads(spaced[1])["lambda"] < 0
 
 
 class TestSimulate:
@@ -129,6 +136,20 @@ class TestSimulate:
         cfg, records = _read_records(out_dir)
         assert cfg == ExperimentConfig(zeta=cfg.zeta, n=5000, trials=50, seed=21)
         assert records == run_experiment(cfg, workers=1)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--matrix", "-1000,-999,-1,-1"), ("--zeta", "-1/3,1/2")]
+    )
+    def test_value_starting_with_dash_same_bytes(self, tmp_path, capsys, flag, value):
+        args = ["simulate", "--n", "2000", "--trials", "5", "--tau", "5", "--seed", "3"]
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert run_cli(capsys, *args, flag, value, "--out", str(spaced))[0] == 0
+        assert run_cli(capsys, *args, f"{flag}={value}", "--out", str(joined))[0] == 0
+        for name in ("exceedances.csv", "block_maxima.csv"):
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+        config = RunManifest.from_json((spaced / "manifest.json").read_text()).config
+        assert config == RunManifest.from_json((joined / "manifest.json").read_text()).config
+        assert config[flag[2:]] == ([-1000, -999, -1, -1] if flag == "--matrix" else "2/3,1/2")
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -201,6 +222,23 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--in", str(out_dir))
         assert code == 4
         assert "NoExceedances" in err
+
+    def test_ratio_out_of_local_range_is_skipped(self, tmp_path, capsys):
+        # at |trace| 1001 one image of the threshold ball wraps the torus:
+        # the ratio oracle cannot run, every other estimator still can
+        out_dir = tmp_path / "wide"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--matrix", "1000,999,1,1", "--n", "7000", "--trials", "5",
+            "--tau", "40", "--seed", "4", "--out", str(out_dir),
+        )
+        assert code == 0
+        code, out, err = run_cli(capsys, "estimate", "--in", str(out_dir))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[4].startswith("theta_hat (clusters)")
+        assert lines[5].startswith("theta_hat (ratio)     skipped (OutOfLocalRange: lam^(1q)")
+        assert lines[6].startswith("P(M_n <= u_n)")
+        assert lines[-1].startswith("wrote multiplicity table")
 
     def test_malformed_csv_exit_2(self, sim_dir, capsys):
         path = sim_dir / "exceedances.csv"
@@ -396,11 +434,15 @@ class TestRecordsCsvRoundTrip:
 
 
 class TestValidate:
+    @pytest.fixture(autouse=True)
+    def fewer_samples(self, monkeypatch):
+        # 2% of the published sample counts: the same verdicts, in a second
+        monkeypatch.setattr(acceptance, "_ORACLE_SAMPLES", 200_000)
+        monkeypatch.setattr(acceptance, "_SEPARATION_SAMPLES", 20_000)
+
     def test_quick_run_reports_known_failure(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
-        code, out, err = run_cli(
-            capsys, "validate", "--quick", "--scale", "0.02", "--out", str(manifest_path)
-        )
+        code, out, err = run_cli(capsys, "validate", "--quick", "--out", str(manifest_path))
         # the nested-set tail bound is expected to fail as configured
         assert code == 1
         assert "oracle-equivalence" in err
@@ -416,12 +458,12 @@ class TestValidate:
         # manifest round-trips losslessly
         assert RunManifest.from_json(manifest.to_json()).to_dict() == manifest.to_dict()
 
-    def test_injected_theta_error_fails_criterion_1(self, tmp_path, capsys):
+    def test_injected_theta_error_fails_criterion_1(self, tmp_path, capsys, monkeypatch):
+        theta = acceptance.extremal_index
+        monkeypatch.setattr(acceptance, "extremal_index", lambda *args: theta(*args) + 0.1)
         manifest_path = tmp_path / "manifest.json"
-        code, _, _ = run_cli(
-            capsys, "validate", "--quick", "--scale", "0.02", "--out", str(manifest_path),
-            "--inject-theta-error", "0.1",
-        )
+        code, _, err = run_cli(capsys, "validate", "--quick", "--out", str(manifest_path))
         assert code == 1
+        assert "formula-identities" in err
         manifest = RunManifest.from_json(manifest_path.read_text())
         assert manifest.criteria[0].passed is False

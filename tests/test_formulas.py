@@ -20,7 +20,6 @@ from extorus import (
     chi_square_vs_pmf,
     extremal_index,
     extremal_model,
-    kac_rescale,
     multiplicity_pi,
     nested_area_U,
     polya_aeppli_pmf,
@@ -249,25 +248,6 @@ class TestWrapTime:
     def test_clamped_at_zero(self):
         assert wrap_time_g(2, LAM, 0) == 0
         assert wrap_time_g(1, LAM, 1, 4.0) == 0
-
-
-class TestKacRescale:
-    def test_exact_euclidean(self):
-        assert kac_rescale(12345, EUCLID) == 12345.0
-
-    def test_example(self):
-        assert kac_rescale(10**4, ThresholdSchedule(2.0, MetricKind.EUCLIDEAN)) == 5000.0
-
-    def test_inverts_ball_measure(self):
-        rng = np.random.default_rng(8)
-        for metric in MetricKind:
-            for _ in range(10):
-                n = int(rng.integers(100, 10**6))
-                tau = float(rng.uniform(0.2, 3.0))
-                sched = ThresholdSchedule(tau, metric, basis_det=1.0)
-                v = kac_rescale(n, sched)
-                r = threshold_radius(n, sched)
-                assert v * ball_measure(r, metric, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestExtremalModel:

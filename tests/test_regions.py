@@ -28,6 +28,7 @@ from extorus import (
     strip_area_Q,
     wrap_time_g,
 )
+from extorus import regions
 from extorus.regions import _measure_chunk, membership_mask, sample_ball
 from extorus.torus import _BLOCK_ELEMENTS, DEFAULT_MODULUS, keyed_rng, orbit_blocks
 
@@ -294,17 +295,13 @@ class TestSeparation:
             CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, 200_000, 7
         )
 
-    def test_fails_with_inflated_radius(self):
+    def test_fails_with_inflated_radius(self, monkeypatch):
+        # negative control: a radius lam^g times s_n lets escape points return
         g = wrap_time_g(100_000, CAT.lam_abs, 1, 1.0)
+        s_n = regions.radius_s_n
+        monkeypatch.setattr(regions, "radius_s_n", lambda n, tau: s_n(n, tau) * CAT.lam_abs**g)
         assert not separation_check(
-            CAT,
-            (Fraction(0), Fraction(0)),
-            1,
-            100_000,
-            1.0,
-            200_000,
-            7,
-            radius_scale=CAT.lam_abs**g,
+            CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, 200_000, 7
         )
 
     def test_rejects_non_periodic_claim(self):

@@ -19,6 +19,7 @@ from extorus import (
     RadiusTooLarge,
     TooFewGaps,
     TrialRecord,
+    ball_measure,
     decluster,
     ei_measure_ratio,
     empirical_extremal_index,
@@ -31,6 +32,7 @@ from extorus import (
     run_trial,
 )
 from _reference import simulate_chunk_stepwise
+from extorus import simulate
 from extorus.simulate import (
     OBSERVABLE_CAP,
     _initial_states,
@@ -78,14 +80,33 @@ class TestConfig:
         assert small_cfg(run_gap=9).run_gap_effective == 9
 
 
+class TestKacRescale:
+    def test_exact_euclidean(self):
+        assert ExperimentConfig(n=12345).v_n == 12345.0
+
+    def test_example(self):
+        assert ExperimentConfig(n=10**4, tau=2.0).v_n == 5000.0
+
+    def test_inverts_ball_measure(self):
+        rng = np.random.default_rng(8)
+        for metric in MetricKind:
+            for _ in range(10):
+                n = int(rng.integers(100, 10**6))
+                tau = float(rng.uniform(0.2, 3.0))
+                cfg = ExperimentConfig(n=n, tau=tau, metric=metric)
+                area = ball_measure(cfg.radius, metric, cfg.automorphism.basis_det)
+                assert cfg.v_n * area == pytest.approx(1.0, rel=1e-12)
+
+
 class TestRunTrial:
     def test_deterministic(self):
         cfg = small_cfg()
         assert run_trial(cfg, 7) == run_trial(cfg, 7)
 
-    def test_start_at_centre_records_capped_value(self):
+    def test_start_at_centre_records_capped_value(self, monkeypatch):
         cfg = small_cfg()
-        rec = run_trial(cfg, 0, initial_state=(0, 0))
+        monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: [(0, 0)])
+        rec = run_trial(cfg, 0)
         assert rec.exceedance_times[0] == 0
         assert rec.exceedance_values[0] == OBSERVABLE_CAP
         assert rec.block_maximum == OBSERVABLE_CAP
@@ -174,7 +195,7 @@ class TestBlockedEngine:
             (1024, 50),  # blocks of 16 steps, n not a multiple
         ],
     )
-    def test_records_equal_stepwise_reference(self, metric, q, width, n):
+    def test_records_equal_stepwise_reference(self, metric, q, width, n, monkeypatch):
         cfg = ExperimentConfig(
             zeta=CENTRES[q], metric=metric, n=n, trials=width, tau=min(40.0, 0.1 * n), seed=9
         )
@@ -184,7 +205,8 @@ class TestBlockedEngine:
         # trial 0 starts exactly at the centre: a capped hit at time 0 and,
         # for a periodic centre, again at every multiple of q, across blocks
         states[0] = (int(cfg.zeta[0] * cfg.modulus), int(cfg.zeta[1] * cfg.modulus))
-        blocked = _simulate_chunk(cfg, ids, states)
+        monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: states)
+        blocked = _simulate_chunk(cfg, ids)
         assert blocked == simulate_chunk_stepwise(cfg, ids, states)
         first = blocked[0]
         assert first.exceedance_values[0] == OBSERVABLE_CAP
@@ -209,12 +231,14 @@ class TestBlockedEngine:
 class TestBlockMaxima:
     def test_tiny_tau_rarely_exceeds(self):
         cfg = small_cfg(tau=0.01, n=10_000, trials=200, zeta=(Fraction(0.21), Fraction(0.83)))
-        p, se = estimate_block_maxima_cdf(cfg)
+        p, se = estimate_block_maxima_cdf(cfg, run_experiment(cfg))
         assert p >= 0.98
 
-    def test_requires_enough_trials(self):
-        with pytest.raises(ValueError):
-            estimate_block_maxima_cdf(small_cfg(trials=50))
+    def test_binomial_standard_error(self):
+        cfg = small_cfg(trials=4)
+        maxima = (cfg.u_n - 1.0, cfg.u_n, cfg.u_n + 1.0, cfg.u_n - 2.0)
+        records = [TrialRecord(i, (), (), m) for i, m in enumerate(maxima)]
+        assert estimate_block_maxima_cdf(cfg, records) == (0.75, math.sqrt(0.75 * 0.25 / 4))
 
 
 class TestDecluster:
@@ -304,19 +328,20 @@ class TestGapKS:
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             gaps = rng.exponential(1.0 / theta, 10_000)
-            summary = ClusterSummary((1,) * 10_000, tuple(gaps), tuple(np.cumsum(gaps)))
-            _, p = gap_ks_statistic([summary], theta)
+            times = (0.0, *np.cumsum(gaps))
+            summary = ClusterSummary((1,) * 10_001, tuple(gaps), times)
+            _, p = gap_ks_statistic([summary], theta, window_span=times[-1])
             ok += p > 0.01
         assert ok >= 98
 
     def test_constant_gaps_rejected(self):
         summary = ClusterSummary((1,) * 101, (1.0,) * 100, tuple(range(101)))
-        _, p = gap_ks_statistic([summary], 1.0)
+        _, p = gap_ks_statistic([summary], 1.0, window_span=101.0)
         assert p < 1e-6
 
     def test_too_few_gaps(self):
         with pytest.raises(TooFewGaps):
-            gap_ks_statistic([ClusterSummary((1, 1), (0.5,), (0.0, 0.5))], 1.0)
+            gap_ks_statistic([ClusterSummary((1, 1), (0.5,), (0.0, 0.5))], 1.0, window_span=1.0)
 
 
 class TestMeasureRatioEstimator:
