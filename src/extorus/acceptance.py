@@ -434,9 +434,9 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
     rng = np.random.default_rng(_SEED)
     px = rng.integers(0, DEFAULT_MODULUS, 10_000)
     py = rng.integers(0, DEFAULT_MODULUS, 10_000)
-    _, (fx, fy) = orbit_blocks(px, py, T, DEFAULT_MODULUS, 1)
-    _, (bx, by) = orbit_blocks(fx[0], fy[0], T, DEFAULT_MODULUS, 1, Direction.BACKWARD)
-    inverse_ok = np.array_equal(bx[0], px) and np.array_equal(by[0], py)
+    _, fwd = orbit_blocks(px, py, T, DEFAULT_MODULUS, 1)
+    _, back = orbit_blocks(fwd.x[0], fwd.y[0], T, DEFAULT_MODULUS, 1, Direction.BACKWARD)
+    inverse_ok = np.array_equal(back.x[0], px) and np.array_equal(back.y[0], py)
 
     total = time.perf_counter() - suite_start
     measured = {

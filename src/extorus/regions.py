@@ -99,8 +99,8 @@ def _ball_masks(
     """
     key = radius_key(region.radius, region.metric)
     return np.concatenate([
-        ball_distance(xs, ys, DEFAULT_MODULUS, region.zeta, T, region.metric) < key
-        for xs, ys in orbit_blocks(px, py, T, DEFAULT_MODULUS, count, direction, stride)
+        ball_distance(block.x, block.y, DEFAULT_MODULUS, region.zeta, T, region.metric) < key
+        for block in orbit_blocks(px, py, T, DEFAULT_MODULUS, count, direction, stride)
     ])
 
 

@@ -10,7 +10,7 @@ diagnostic are built from:
 
 * orbit_blocks, the one exact orbit walker: the residues of every orbit
   at times 0, s, 2s, .. (forward or backward, s steps apart), a block of
-  times per broadcast;
+  times at a time, X at once and Y on demand;
 * ball_distance, the folded offset from a centre measured in one of the
   two torus metrics (plane Euclidean, or the sup metric in the
   eigenbasis, whose balls are squares aligned with the invariant
@@ -31,7 +31,22 @@ are exact integers that fit in int64, so the residues at time k are
 (A^k)00*x + (A^k)01*y and (A^k)10*x + (A^k)11*y, masked. With a table
 of A^s .. A^(sB), the residues of every orbit at the next B times are one
 broadcast product against the last row of the block before, as in the
-matrix-power jump-ahead of linear random-number substreams.
+matrix-power jump-ahead of linear random-number substreams. Past the
+first two blocks even that product is skipped: M = A^(sB) has
+determinant 1, so M^2 = trace(M) M - I, and each block is trace(M) times
+the block before minus the block two before, one scalar product and one
+difference per residue.
+
+Why x-first: the trial engine needs Y only where X lies in a narrow
+strip around the centre. Its ball of radius R = 3 r max(1, 1/sqrt(tau))
+reaches R in x for the Euclidean metric and R(|e_u[0]| + |e_s[0]|) for
+the adapted one, 1-12 % of the (step, orbit) pairs. So a block carries
+its X rows and the last row of Y, and computes Y elsewhere only when
+asked: all of it (OrbitBlock.y, for the region oracle, the separation
+scan and d'') or at chosen positions (OrbitBlock.y_at, for the engine),
+by the same masked products, so the bits agree. The trials that never
+come within R of the centre, about e^(-9 theta max(tau, 1)) of them, are
+walked again with the strip set to the whole torus.
 """
 
 from __future__ import annotations
@@ -172,7 +187,8 @@ def build_automorphism(a: int, b: int, c: int, d: int) -> ToralAutomorphism:
 
     e_u = unit_eigenvector(lam)
     e_s = unit_eigenvector(other)
-    basis_det = abs(e_u[0] * e_s[1] - e_u[1] * e_s[0])
+    # |sin| of the angle between unit vectors: at most 1, though the rounded product may not be
+    basis_det = min(abs(e_u[0] * e_s[1] - e_u[1] * e_s[0]), 1.0)
     return ToralAutomorphism(a, b, c, d, lam, e_u, e_s, basis_det)
 
 
@@ -232,6 +248,51 @@ def _power(entries: tuple[int, ...], k: int, mask: int) -> tuple[int, int, int, 
     return out
 
 
+class OrbitBlock:
+    """One block of orbit_blocks: the X residues of every orbit at a run of
+    times, and the Y residues at the same times on demand.
+
+    x is the (rows, width) array of X. y, the Y array of the same shape, is
+    computed on first use, unless given; y_at(rows, cols) computes Y only
+    at the given (row, column) positions. Both are c * px + d * py, masked,
+    from the row (px, py) before the block, so the bits agree.
+    """
+
+    __slots__ = ("x", "_y", "_c", "_d", "_px", "_py", "_mask")
+
+    def __init__(self, x, c, d, px, py, mask, y=None):
+        self.x, self._y = x, y
+        self._c, self._d = c, d  # (rows,) entries (1, 0) and (1, 1) of the block's powers
+        self._px, self._py = px, py
+        self._mask = mask
+
+    @property
+    def y(self) -> np.ndarray:
+        if self._y is None:
+            y = self._c[:, None] * self._px
+            y += self._d[:, None] * self._py
+            y &= self._mask
+            self._y = y
+        return self._y
+
+    @property
+    def y_last(self) -> np.ndarray:
+        """Y's last row, the walker's carry into the next block."""
+        if self._y is not None:
+            return self._y[-1]
+        y = self._c[-1] * self._px
+        y += self._d[-1] * self._py
+        y &= self._mask
+        return y
+
+    def y_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Y at the positions (rows[i], cols[i]) of the block, as a 1-D array."""
+        y = self._c[rows] * self._px[cols]
+        y += self._d[rows] * self._py[cols]
+        y &= self._mask
+        return y
+
+
 def orbit_blocks(
     px: np.ndarray,
     py: np.ndarray,
@@ -240,14 +301,19 @@ def orbit_blocks(
     steps: int,
     direction: Direction = Direction.FORWARD,
     stride: int = 1,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[OrbitBlock]:
     """Exact residues of the orbits from (px, py) at times 0, s, 2s, .., steps*s.
 
     s is `stride` applications of the matrix (of its inverse when walking
-    backward). Yields (X, Y) int64 arrays of shape (rows, width) in time
-    order: time 0 alone first (views of px, py), then blocks of up to
-    B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times, each one
-    broadcast of A^s .. A^(sB) against the last row of the block before.
+    backward); px and py are residues in [0, modulus). Yields an
+    OrbitBlock of shape (rows, width) per run of times, in time order:
+    time 0 alone first (views of px, py), then blocks of up to
+    B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times. The first two
+    are one broadcast of A^s .. A^(sB) against the last row of the block
+    before, and each later one is trace(A^(sB)) times the block before
+    minus the block two before. Only X is computed up front, and Y's last
+    row for the next block, so a caller that needs Y at a few positions
+    (the trial engine) pays for those alone.
     """
     mask = modulus - 1
     entries = T.entries if direction is Direction.FORWARD else T.inverse_entries
@@ -255,20 +321,30 @@ def orbit_blocks(
     powers = [step]
     for _ in range(max(1, min(steps, _BLOCK_ELEMENTS // max(px.size, 1))) - 1):
         powers.append(_matmul(powers[-1], step, mask))
-    a, b, c, d = np.array(powers, dtype=np.int64).T[:, :, None]
-    x, y = px[None], py[None]
-    yield x, y
-    for done in range(0, steps, len(powers)):
-        rows = min(len(powers), steps - done)
-        px, py = x[-1], y[-1]
-        x = a[:rows] * px
-        x += b[:rows] * py
-        x &= mask
-        y = c[:rows] * px
-        y += d[:rows] * py
-        y &= mask
-        del px, py  # let the block before go: one block alive while the caller works
-        yield x, y
+    block = len(powers)
+    # M = A^(sB) has determinant 1, so M^2 = trace(M) M - I (Cayley-Hamilton):
+    # each row of a block is B times on from the same row of the block before
+    trace = (powers[-1][0] + powers[-1][3]) & mask
+    a, b, c, d = np.array(powers, dtype=np.int64).T
+    a, b = a[:, None], b[:, None]
+    # time 0: A^0 = I, and Y is py itself
+    out = OrbitBlock(px[None], np.zeros(1, np.int64), np.ones(1, np.int64), px, py, mask, y=py[None])
+    yield out
+    x = before = None
+    for done in range(0, steps, block):
+        rows = min(block, steps - done)
+        px, py = out.x[-1], out.y_last
+        if before is None:
+            # the first two blocks: one broadcast of A^s .. A^(sB) against the row before
+            new = a[:rows] * px
+            new += b[:rows] * py
+        else:
+            new = x[:rows] * trace
+            new -= before[:rows]
+        new &= mask
+        before, x = x, new
+        out = OrbitBlock(x, c[:rows], d[:rows], px, py, mask)
+        yield out
 
 
 def ball_distance(

@@ -98,9 +98,9 @@ class TestContains:
         q2 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=2)
         member = membership_mask(q2, CAT, px, py)
         assert member.any()
-        _, (fx, fy) = orbit_blocks(px[member], py[member], CAT, DEFAULT_MODULUS, 1)
+        _, fwd = orbit_blocks(px[member], py[member], CAT, DEFAULT_MODULUS, 1)
         q1 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=1)
-        assert membership_mask(q1, CAT, fx[0], fy[0]).all()
+        assert membership_mask(q1, CAT, fwd.x[0], fwd.y[0]).all()
 
 
 # coordinates at both ends of [0, 1) and anywhere in between

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from extorus import (
@@ -40,7 +40,7 @@ from extorus.simulate import (
     chi_square_vs_pmf,
     pooled_gaps,
 )
-from extorus.torus import _BLOCK_ELEMENTS
+from extorus.torus import _BLOCK_ELEMENTS, ball_distance, rational_point
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -180,7 +180,16 @@ CENTRES = {
 
 
 class TestBlockedEngine:
-    """The time-blocked engine reproduces the step-at-a-time reference exactly."""
+    """The time-blocked x-first engine reproduces the step-at-a-time reference exactly."""
+
+    @staticmethod
+    def records_from_centre(cfg, monkeypatch):
+        """Both engines' records, with trial 0 started exactly at the centre."""
+        ids = list(range(cfg.trials))
+        states = _initial_states(cfg, ids)
+        states[0] = (int(cfg.zeta[0] * cfg.modulus), int(cfg.zeta[1] * cfg.modulus))
+        monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: states)
+        return _simulate_chunk(cfg, ids), simulate_chunk_stepwise(cfg, ids, states)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("q", sorted(CENTRES))
@@ -200,14 +209,10 @@ class TestBlockedEngine:
             zeta=CENTRES[q], metric=metric, n=n, trials=width, tau=min(40.0, 0.1 * n), seed=9
         )
         assert cfg.q == q
-        ids = list(range(width))
-        states = _initial_states(cfg, ids)
-        # trial 0 starts exactly at the centre: a capped hit at time 0 and,
-        # for a periodic centre, again at every multiple of q, across blocks
-        states[0] = (int(cfg.zeta[0] * cfg.modulus), int(cfg.zeta[1] * cfg.modulus))
-        monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: states)
-        blocked = _simulate_chunk(cfg, ids)
-        assert blocked == simulate_chunk_stepwise(cfg, ids, states)
+        blocked, reference = self.records_from_centre(cfg, monkeypatch)
+        assert blocked == reference
+        # a capped hit at time 0 and, for a periodic centre, again at every
+        # multiple of q, across blocks
         first = blocked[0]
         assert first.exceedance_values[0] == OBSERVABLE_CAP
         assert first.block_maximum == OBSERVABLE_CAP
@@ -226,6 +231,132 @@ class TestBlockedEngine:
         records = _simulate_chunk(cfg, ids)
         assert sum(len(r.exceedance_times) for r in records) > 0
         assert records == simulate_chunk_stepwise(cfg, ids)
+
+    # The x-strip: wrapped through residue 0, widened, whole, and so narrow
+    # that many trials are walked again.
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize(
+        "matrix, zeta, tau",
+        [
+            # zeta_x just below 1: the strip wraps through residue 0 from above
+            ((2, 1, 1, 1), (Fraction(1) - Fraction(1, 2**53), Fraction(3, 10)), 5.0),
+            ((2, 1, 1, 1), CENTRES[0], 0.01),  # R widened to 30 r
+            ((3, 1, 2, 1), CENTRES[0], 5.0),  # non-symmetric matrices
+            ((3, 1, 2, 1), ORIGIN, 5.0),
+            ((-3, 1, -1, 0), CENTRES[0], 5.0),
+            ((-3, 1, -1, 0), ORIGIN, 5.0),
+        ],
+    )
+    def test_narrow_strips(self, matrix, zeta, tau, metric, monkeypatch):
+        cfg = ExperimentConfig(matrix=matrix, zeta=zeta, metric=metric, tau=tau, n=6000, trials=64, seed=5)
+        lo, span, _ = simulate._strip(cfg)
+        assert span < cfg.modulus // 4
+        blocked, reference = self.records_from_centre(cfg, monkeypatch)
+        assert blocked == reference
+        assert blocked[0].exceedance_values[0] == OBSERVABLE_CAP
+        assert sum(len(r.exceedance_times) for r in blocked) > (0 if tau < 1 else 100)
+
+    def test_tau_below_one_widens_the_strip(self):
+        wide = ExperimentConfig(zeta=CENTRES[0], tau=0.01, n=100_000)
+        unit = ExperimentConfig(zeta=CENTRES[0], tau=1.0, n=100_000)
+        # R = 3 r max(1, 1/sqrt(tau)): the same strip width at tau = 0.01 and tau = 1
+        assert simulate._strip(wide)[1] == pytest.approx(simulate._strip(unit)[1], rel=1e-12)
+        assert simulate._strip(wide)[2] == pytest.approx((30.0 * wide.radius) ** 2, rel=1e-15)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_full_torus_strip(self, metric, monkeypatch):
+        cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=20.0, n=200, trials=16, seed=6)
+        assert simulate._strip(cfg)[:2] == (0, cfg.modulus)
+        blocked, reference = self.records_from_centre(cfg, monkeypatch)
+        assert blocked == reference
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_fallback_trials(self, metric, monkeypatch):
+        """With R = r, every trial without a hit is walked again over the whole torus."""
+        monkeypatch.setattr(simulate, "_STRIP_FACTOR", 1.0)
+        walks = []
+        walk = simulate._walk_candidates
+
+        def counted(cfg, px, py, lo, span):
+            walks.append((px.size, span))
+            return walk(cfg, px, py, lo, span)
+
+        monkeypatch.setattr(simulate, "_walk_candidates", counted)
+        cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=1.0, n=3000, trials=200, seed=8)
+        ids = list(range(cfg.trials))
+        records = _simulate_chunk(cfg, ids)
+        assert records == simulate_chunk_stepwise(cfg, ids)
+        misses = sum(1 for r in records if not r.exceedance_times)
+        assert len(walks) == 2 and misses > 20
+        assert walks[1] == (misses, cfg.modulus)
+
+
+@st.composite
+def det_one_matrices(draw):
+    """Products of shears [[1, p], [0, 1]] [[1, 0], [q, 1]] [[1, s], [0, 1]], times +-1.
+
+    The product is [[1 + pq, (1 + pq) s + p], [q, qs + 1]], of trace 2 + q(p + s).
+    """
+    p, q, s = (draw(st.integers(-1000, 1000)) for _ in range(3))
+    sign = draw(st.sampled_from([1, -1]))
+    entries = (1 + p * q, (1 + p * q) * s + p, q, q * s + 1)
+    assume(2 < abs(entries[0] + entries[3]) <= 10**6)
+    return tuple(sign * e for e in entries)
+
+
+class TestStripHoldsBall:
+    """Every residue point closer to the centre than R passes the engine's strip test."""
+
+    @given(
+        matrix=det_one_matrices(),
+        metric=st.sampled_from(list(MetricKind)),
+        zeta_x=st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)),
+        zeta_y=st.floats(0.0, 1.0, exclude_max=True),
+        modulus_bits=st.sampled_from([32, 61, 62]),
+        tau=st.sampled_from([0.01, 1.0, 40.0]),
+        n=st.sampled_from([10**3, 10**6, 10**9, 10**12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_strip_contains_ball(self, matrix, metric, zeta_x, zeta_y, modulus_bits, tau, n, seed):
+        try:
+            cfg = ExperimentConfig(
+                matrix=matrix, zeta=(Fraction(zeta_x), Fraction(zeta_y)), metric=metric,
+                tau=tau, n=n, modulus_bits=modulus_bits,
+            )
+        except RadiusTooLarge:
+            assume(False)
+        T, modulus = cfg.automorphism, cfg.modulus
+        zeta = rational_point(cfg.zeta)
+        lo, span, strip_key = simulate._strip(cfg)
+        strip_radius = math.sqrt(strip_key) if metric is MetricKind.EUCLIDEAN else strip_key
+        rng = np.random.default_rng(seed)
+
+        # plane offsets at the rim of the R-ball, most of them where x reaches furthest
+        count = 4000
+        rim = 1.0 - np.abs(rng.normal(0.0, 1e-9, count)) * rng.integers(0, 2, count)
+        if metric is MetricKind.EUCLIDEAN:
+            angle = rng.integers(0, 2, count) * math.pi + rng.normal(0.0, 1e-4, count)
+            angle[::4] = rng.uniform(0.0, 2.0 * math.pi, count // 4)
+            dx, dy = strip_radius * rim * np.cos(angle), strip_radius * rim * np.sin(angle)
+        else:
+            signs = rng.choice([-1.0, 1.0], (2, count))
+            xu = strip_radius * signs[0] * rim
+            xs = strip_radius * signs[1] * np.where(rng.random(count) < 0.75, rim, rng.random(count))
+            (eu, es) = T.e_unstable, T.e_stable
+            dx, dy = xu * eu[0] + xs * es[0], xu * eu[1] + xs * es[1]
+        px = np.round(((zeta.x + dx) % 1.0) * modulus).astype(np.int64) % modulus
+        py = np.round(((zeta.y + dy) % 1.0) * modulus).astype(np.int64) % modulus
+        # the residues on both sides of each strip edge, at the rim's heights
+        edges = np.array([lo - 1, lo, lo + span - 1, lo + span], dtype=object) % modulus
+        px = np.concatenate([px, np.repeat(edges.astype(np.int64), 64), rng.integers(0, modulus, 256)])
+        py = np.concatenate([py, np.tile(py[:64], 4), rng.integers(0, modulus, 256)])
+
+        inside = simulate._in_strip(px, lo, span, modulus)
+        assert np.array_equal(inside, ((px - lo) & (modulus - 1)) < span)
+        near = ball_distance(px, py, modulus, zeta, T, metric) < strip_key
+        assert near.sum() > 100
+        assert inside[near].all()
 
 
 class TestBlockMaxima:

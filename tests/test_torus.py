@@ -26,6 +26,7 @@ from _reference import (
 from extorus import (
     DeterminantNotOne,
     Direction,
+    ExperimentConfig,
     MetricKind,
     NotHyperbolic,
     ToralAutomorphism,
@@ -43,13 +44,13 @@ OTHER = build_automorphism(1, 1, 1, 2)
 def walk(px, py, T, modulus, steps, direction=Direction.FORWARD, stride=1):
     """The whole walk of orbit_blocks stacked into (steps + 1, width) arrays."""
     blocks = list(orbit_blocks(px, py, T, modulus, steps, direction, stride))
-    return np.concatenate([x for x, _ in blocks]), np.concatenate([y for _, y in blocks])
+    return np.concatenate([b.x for b in blocks]), np.concatenate([b.y for b in blocks])
 
 
 def jump(px, py, T, stride, direction=Direction.FORWARD, modulus=DEFAULT_MODULUS):
     """The residues `stride` steps on: the last row of a one-step walk."""
-    *_, (x, y) = orbit_blocks(px, py, T, modulus, 1, direction, stride)
-    return x[0], y[0]
+    *_, last = orbit_blocks(px, py, T, modulus, 1, direction, stride)
+    return last.x[0], last.y[0]
 
 
 def brute_adapted_distance(z, w, T: ToralAutomorphism, span: int = 3) -> float:
@@ -82,6 +83,12 @@ class TestBuildAutomorphism:
         for vec, mu in ((T.e_unstable, T.lam), (T.e_stable, 1 / T.lam)):
             assert np.allclose(m @ np.array(vec), mu * np.array(vec), atol=1e-12)
         assert 0.0 < T.basis_det <= 1.0
+
+    def test_symmetric_basis_det_does_not_round_above_one(self):
+        # the rounded eigenvector product of this symmetric matrix is 1 + 2^-52
+        T = build_automorphism(1, 140, 140, 19601)
+        assert T.basis_det == 1.0
+        ExperimentConfig(matrix=T.entries, metric=MetricKind.ADAPTED)
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
@@ -192,24 +199,38 @@ class TestOrbitBlocks:
         """Time 0 comes alone, then full blocks of B = max(1, min(steps, elements // width)) rows."""
         px = np.arange(width, dtype=np.int64)
         with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            rows = [len(x) for x, _ in orbit_blocks(px, px, CAT, 1 << 32, steps, stride=stride)]
+            rows = [len(b.x) for b in orbit_blocks(px, px, CAT, 1 << 32, steps, stride=stride)]
         block = max(1, min(steps, elements // width))
         assert rows[0] == 1 and sum(rows) == steps + 1
         assert all(r == block for r in rows[1:-1]) and all(0 < r <= block for r in rows[1:])
 
     def test_block_matches_python_int_reference(self):
-        """At the real block size the walk crosses two block boundaries without drift."""
+        """At the real block size the walk crosses block boundaries without drift.
+
+        The first two blocks are broadcast from the row before; the third
+        and the short last one come from the trace recurrence. Y is asked
+        for after the walk has ended, whole and at chosen positions, and
+        again block by block as the walk goes, when the walker's carry is
+        Y's last row.
+        """
         T = build_automorphism(-1000, -999, -1, -1)
         modulus = 1 << 62
         points = [(1, 2), (modulus - 1, 12345), (987654321987654321, modulus // 3)]
         block = torus._BLOCK_ELEMENTS // len(points)
-        steps = 2 * block + 5
+        steps = 3 * block + 5
+        rng = np.random.default_rng(3)
         for direction in Direction:
             states, px, py = residue_arrays(points, modulus)
             blocks = list(orbit_blocks(px, py, T, modulus, steps, direction))
-            assert [len(x) for x, _ in blocks] == [1, block, block, 5]
-            xs = np.concatenate([x for x, _ in blocks])
-            ys = np.concatenate([y for _, y in blocks])
+            assert [len(b.x) for b in blocks] == [1, block, block, block, 5]
+            for b in blocks:
+                rows = rng.integers(0, len(b.x), 50)
+                cols = rng.integers(0, len(points), 50)
+                assert np.array_equal(b.y_at(rows, cols), b.y[rows, cols])
+            xs = np.concatenate([b.x for b in blocks])
+            ys = np.concatenate([b.y for b in blocks])
+            eager = [b.y for b in orbit_blocks(px, py, T, modulus, steps, direction)]
+            assert np.array_equal(np.concatenate(eager), ys)
             for i, state in enumerate(states):
                 for t in range(steps + 1):
                     assert (int(xs[t, i]), int(ys[t, i])) == (state.px, state.py)
