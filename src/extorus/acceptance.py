@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .formulas import (
     area_A_q,
+    ball_measure,
     extremal_index,
     extremal_model,
     multiplicity_mass,
@@ -37,7 +38,6 @@ from .formulas import (
     nested_area_U,
     polya_aeppli_pmf,
     strip_area_Q,
-    CompoundPoissonLaw,
 )
 from .regions import RegionKind, RegionSpec, monte_carlo_measure, separation_check
 from .simulate import (
@@ -50,7 +50,6 @@ from .simulate import (
     ei_measure_ratio,
     gap_ks_statistic,
     repp_counts,
-    resolve_workers,
     run_experiment,
 )
 from .torus import (
@@ -60,6 +59,7 @@ from .torus import (
     TorusPoint,
     build_automorphism,
     orbit_blocks,
+    resolve_workers,
 )
 
 CAT = (2, 1, 1, 1)
@@ -162,7 +162,7 @@ def criterion_1_formula_identities():
         for q in (1, 2, 3, 5):
             for s in (0.01, 0.003):
                 theta = extremal_index(lam, q, MetricKind.EUCLIDEAN)
-                ratio = area_A_q(s, lam, q) / (math.pi * s * s)
+                ratio = area_A_q(s, lam, q) / ball_measure(s, MetricKind.EUCLIDEAN)
                 worst = max(worst, abs(theta - ratio))
     measured["ei_area_identity_max_err"] = worst
     ok &= worst <= 1e-12
@@ -335,10 +335,9 @@ def criterion_5_periodic_euclidean(workers: int | None = None):
     """Dichotomy at the fixed point, Euclidean metric."""
     origin = (Fraction(0), Fraction(0))
     cfg, summaries, measured = _dichotomy_run(MetricKind.EUCLIDEAN, origin, workers)
-    lam = cfg.automorphism.lam_abs
-    theta = extremal_index(lam, cfg.q, MetricKind.EUCLIDEAN)
+    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.EUCLIDEAN)
+    theta = model.theta
     theta_ratio = ei_measure_ratio(cfg, _RATIO_SAMPLES, _SEED + 17)
-    model = extremal_model(lam, cfg.q, MetricKind.EUCLIDEAN)
     measured.update(
         q=cfg.q,
         theta_formula=theta,
@@ -360,12 +359,13 @@ def criterion_6_periodic_adapted(workers: int | None = None):
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
     origin = (Fraction(0), Fraction(0))
     cfg, summaries, measured = _dichotomy_run(MetricKind.ADAPTED, origin, workers)
-    theta = extremal_index(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    theta = model.theta
     measured.update(
         q=cfg.q,
         theta_formula=theta,
         p_target=math.exp(-theta * cfg.tau),
-        **_size_chi_square(summaries, lambda k: theta * (1.0 - theta) ** (k - 1)),
+        **_size_chi_square(summaries, model.multiplicity),
     )
     ok = (
         abs(measured["theta_hat_clusters"] - theta) <= 0.04
@@ -387,14 +387,14 @@ def criterion_7_repp_counts(workers: int | None = None):
         trials=_TRIALS,
         seed=_SEED + 7,
     )
-    theta = extremal_index(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    theta = model.theta
     records = run_experiment(cfg, workers)
     horizon = int(round(cfg.v_n * t))
     counts = repp_counts(records, horizon)
     chi, chi_p, dof = chi_square_vs_pmf(counts, lambda k: polya_aeppli_pmf(theta, t, k), 0, 14)
-    law = CompoundPoissonLaw(theta, extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED))
     pa_vs_generic = float(
-        np.max(np.abs(law.pmf_vector(t, 14) - np.array([polya_aeppli_pmf(theta, t, k) for k in range(15)])))
+        np.max(np.abs(model.pmf_vector(t, 14) - np.array([polya_aeppli_pmf(theta, t, k) for k in range(15)])))
     )
 
     measured = {

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange
-from .formulas import extremal_index, extremal_model, radius_s_n, wrap_time_g
+from .formulas import extremal_model, threshold_radius, wrap_time_g
 from .simulate import (
     ExperimentConfig,
     TrialRecord,
@@ -33,10 +33,9 @@ from .simulate import (
     empirical_multiplicity,
     estimate_block_maxima_cdf,
     gap_ks_statistic,
-    resolve_workers,
     run_experiment,
 )
-from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind
+from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind, resolve_workers
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -169,8 +168,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
     q = cfg.q if args.q is None else args.q
     if q < 0:
         raise ValueError("q must be >= 0")
-    theta = extremal_index(T.lam_abs, q, metric)
     model = extremal_model(T.lam_abs, q, metric)
+    theta = model.theta
     pis = model.multiplicity_table(args.kmax)
     payload = {
         "lambda": T.lam,
@@ -182,7 +181,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "n": args.n,
         "tau": args.tau,
         "u_n": cfg.u_n,
-        "s_n": radius_s_n(args.n, args.tau),
+        "s_n": threshold_radius(args.n, args.tau, MetricKind.EUCLIDEAN),
         "radius": cfg.radius,
         "g_n": wrap_time_g(args.n, T.lam_abs, q, args.tau),
         "v_n": cfg.v_n,
@@ -315,10 +314,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise NoExceedances("no exceedances in the supplied CSVs")
 
     summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
-    theta_model = extremal_index(cfg.automorphism.lam_abs, cfg.q, cfg.metric)
+    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, cfg.metric)
+    theta_model = model.theta
     theta_clusters = empirical_extremal_index(summaries)
     hist = empirical_multiplicity(summaries)
-    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, cfg.metric)
 
     p_hat, _ = estimate_block_maxima_cdf(cfg, records)
 

@@ -1,13 +1,17 @@
 """Closed-form extreme-value quantities for hyperbolic torus maps.
 
-Everything here is a pure function of (|lam|, q, metric) and the
-threshold schedule. Geometry conventions, with s the ball radius and
-lam the dominant eigenvalue:
+Each closed form has its one evaluation here, and the other modules call
+it. The cluster laws are pure functions of (|lam|, q, metric); the
+thresholds are functions of (n, tau, metric, basis_det). Geometry
+conventions, with s the ball radius and lam the dominant eigenvalue:
 
+* Ball measure: a Euclidean ball of radius r has measure pi r^2; an
+  adapted-metric ball is a square in eigenbasis coordinates with
+  measure 4 r^2 basis_det. ball_measure is the only place this law is
+  written.
 * Thresholds: u_n is chosen so that n times the measure of the ball of
-  radius exp(-u_n) around the centre tends to tau. A Euclidean ball of
-  radius r has measure pi r^2; an adapted-metric ball is a square in
-  eigenbasis coordinates with measure 4 r^2 basis_det.
+  radius exp(-u_n) around the centre equals tau, so
+  u_n = (1/2) log(n ball_measure(1) / tau).
 * Escape region: points of the ball whose first q forward images all
   leave it. Its area is 2 s^2 (asin(L/sqrt(L^2+1)) - asin(1/sqrt(L^2+1)))
   with L = lam^q, and dividing by the ball area pi s^2 gives the
@@ -19,8 +23,9 @@ lam the dominant eigenvalue:
   consecutive indices, the cluster-size law pi(kappa) is a ratio of
   strip areas, and pi(kappa+1)/pi(kappa) -> lam^(-q).
 * Counting law: cluster starts arrive as a Poisson stream of intensity
-  theta and each cluster carries an integer multiplicity; geometric
-  multiplicities give the Polya-Aeppli counting distribution.
+  theta and each cluster carries an integer multiplicity
+  (ExtremalModel.pmf_vector); geometric multiplicities give the
+  Polya-Aeppli counting distribution.
 
 The arcsin forms are the primary code path in their well-conditioned
 range; algebraically identical atan rearrangements (via
@@ -40,21 +45,7 @@ from .errors import RadiusTooLarge
 from .torus import MetricKind
 
 _TAIL_TOL = 1e-15
-
-
-@dataclass(frozen=True)
-class ThresholdSchedule:
-    """Threshold law parameters: limit mean exceedance count and metric."""
-
-    tau: float
-    metric: MetricKind
-    basis_det: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not (0.0 < self.basis_det <= 1.0):
-            raise ValueError("basis_det must lie in (0, 1]")
+_MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
 
 
 def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> float:
@@ -64,37 +55,29 @@ def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> f
     return 4.0 * radius * radius * basis_det
 
 
-def threshold_u_n(n: int, sched: ThresholdSchedule) -> float:
+def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0) -> float:
     """Threshold for orbit length n: inverts the ball measure at tau/n.
 
-    Euclidean: u = (1/2) log(pi n / tau). Adapted: u = (1/2)
-    log(4 basis_det n / tau). Raises RadiusTooLarge when exp(-u) >= 0.25.
+    u = (1/2) log(n m(B_1) / tau), with m(B_1) the measure of the unit
+    ball. Raises ValueError for n < 1, a tau that is not finite and
+    positive, or basis_det outside (0, 1]; RadiusTooLarge when
+    exp(-u) >= 0.25.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sched.metric is MetricKind.EUCLIDEAN:
-        u = 0.5 * math.log(math.pi * n / sched.tau)
-    else:
-        u = 0.5 * math.log(4.0 * sched.basis_det * n / sched.tau)
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if not (0.0 < basis_det <= 1.0):
+        raise ValueError("basis_det must lie in (0, 1]")
+    u = 0.5 * math.log(ball_measure(1.0, metric, basis_det) * n / tau)
     if math.exp(-u) >= 0.25:
-        raise RadiusTooLarge(
-            f"threshold radius {math.exp(-u):.4g} >= 0.25 at n={n}, tau={sched.tau}"
-        )
+        raise RadiusTooLarge(f"threshold radius {math.exp(-u):.4g} >= 0.25 at n={n}, tau={tau}")
     return u
 
 
-def threshold_radius(n: int, sched: ThresholdSchedule) -> float:
-    """exp(-u_n), the exceedance ball radius for the schedule."""
-    return math.exp(-threshold_u_n(n, sched))
-
-
-def radius_s_n(n: int, tau: float) -> float:
-    """sqrt(tau / (pi n)); equals the Euclidean threshold radius exactly."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return math.sqrt(tau / (math.pi * n))
+def threshold_radius(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0) -> float:
+    """exp(-u_n), the exceedance ball radius; see threshold_u_n."""
+    return math.exp(-threshold_u_n(n, tau, metric, basis_det))
 
 
 def _power(lam_abs: float, p: float) -> float:
@@ -195,7 +178,7 @@ def nested_area_U(s: float, lam_abs: float, q: int, kappa: int) -> float:
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    total = math.pi * s * s
+    total = ball_measure(s, MetricKind.EUCLIDEAN)
     for j in range(kappa):
         total -= strip_area_Q(s, lam_abs, q, j)
     return total
@@ -228,7 +211,7 @@ def multiplicity_pi(lam_abs: float, q: int, kappa: int, metric: MetricKind) -> f
     )
 
 
-def multiplicity_mass(lam_abs: float, q: int, metric: MetricKind, k_max: int = 4000) -> float:
+def multiplicity_mass(lam_abs: float, q: int, metric: MetricKind) -> float:
     """Sum of pi(kappa) up to an adaptive cutoff plus a geometric tail bound.
 
     The tail ratio tends to lam_abs**(-q), so once terms are below the
@@ -237,7 +220,7 @@ def multiplicity_mass(lam_abs: float, q: int, metric: MetricKind, k_max: int = 4
     ratio = lam_abs ** (-q)
     total = 0.0
     last = 0.0
-    for kappa in range(1, k_max + 1):
+    for kappa in range(1, _MASS_TERMS + 1):
         last = multiplicity_pi(lam_abs, q, kappa, metric)
         total += last
         if last < _TAIL_TOL:
@@ -319,46 +302,17 @@ class ExtremalModel:
     def multiplicity_table(self, k_max: int) -> list[float]:
         return [self.multiplicity(k) for k in range(1, k_max + 1)]
 
-
-def extremal_model(lam_abs: float, q: int, metric: MetricKind) -> ExtremalModel:
-    """Build and validate an ExtremalModel.
-
-    Checks theta in (0, 1] and, for q >= 1, that the multiplicity law
-    sums to 1 within 1e-9 (adaptive cutoff plus geometric tail).
-    """
-    theta = extremal_index(lam_abs, q, metric)
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta = {theta} out of (0, 1]")
-    if q >= 1:
-        mass = multiplicity_mass(lam_abs, q, metric)
-        if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"multiplicity law sums to {mass}, not 1")
-    return ExtremalModel(lam_abs, q, metric, theta)
-
-
-@dataclass(frozen=True)
-class CompoundPoissonLaw:
-    """Counting law: Poisson(theta t) cluster arrivals with iid sizes.
-
-    `multiplicity` maps kappa >= 1 to a probability. The pmf of the
-    window count N([0,t)) is assembled by convolution powers of the size
-    law; for geometric sizes it coincides with polya_aeppli_pmf.
-    """
-
-    theta: float
-    model: ExtremalModel
-
-    def multiplicity(self, kappa: int) -> float:
-        return self.model.multiplicity(kappa)
-
     def pmf_vector(self, t: float, k_max: int) -> np.ndarray:
-        """P(N([0,t)) = k) for k = 0..k_max."""
+        """P(N([0,t)) = k) for k = 0..k_max under the compound Poisson counting law.
+
+        Clusters arrive as a Poisson(theta t) stream with iid sizes drawn from
+        the multiplicity law; the pmf is a sum of convolution powers of that
+        law. For geometric sizes it coincides with polya_aeppli_pmf.
+        """
         if t <= 0:
             raise ValueError("t must be positive")
         rate = self.theta * t
-        sizes = np.zeros(k_max + 1)
-        for kappa in range(1, k_max + 1):
-            sizes[kappa] = self.multiplicity(kappa)
+        sizes = [0.0, *self.multiplicity_table(k_max)]
         out = np.zeros(k_max + 1)
         conv = np.zeros(k_max + 1)
         conv[0] = 1.0  # zero clusters
@@ -377,3 +331,19 @@ class CompoundPoissonLaw:
             if weight < _TAIL_TOL and j > rate:
                 break
         return out
+
+
+def extremal_model(lam_abs: float, q: int, metric: MetricKind) -> ExtremalModel:
+    """Build and validate an ExtremalModel.
+
+    Checks theta in (0, 1] and, for q >= 1, that the multiplicity law
+    sums to 1 within 1e-9 (adaptive cutoff plus geometric tail).
+    """
+    theta = extremal_index(lam_abs, q, metric)
+    if not (0.0 < theta <= 1.0):
+        raise ValueError(f"theta = {theta} out of (0, 1]")
+    if q >= 1:
+        mass = multiplicity_mass(lam_abs, q, metric)
+        if abs(mass - 1.0) > 1e-9:
+            raise ValueError(f"multiplicity law sums to {mass}, not 1")
+    return ExtremalModel(lam_abs, q, metric, theta)

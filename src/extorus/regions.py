@@ -27,7 +27,6 @@ on [-1, 0)).
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfLocalRange
-from .formulas import ball_measure, radius_s_n, wrap_time_g
+from .formulas import ball_measure, threshold_radius, wrap_time_g
 from .torus import (
     _BLOCK_ELEMENTS,
     DEFAULT_MODULUS,
@@ -52,6 +51,7 @@ from .torus import (
     radius_key,
     rational_point,
     rational_residues,
+    resolve_workers,
 )
 
 _CHUNK = 1 << 18
@@ -206,9 +206,11 @@ def monte_carlo_measure(
 
     Uniform importance sampling over the bounding metric ball times
     the ball area; the standard error is binomial. Deterministic given
-    the seed, for any worker count. The pool never has more workers than
-    chunks or cores.
+    the seed, for any worker count. Workers follow resolve_workers, so a
+    count below 1 raises, and the pool never has more workers than chunks
+    or cores.
     """
+    workers = resolve_workers(workers)
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _local_range_guard(region, T)
@@ -216,7 +218,7 @@ def monte_carlo_measure(
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     jobs = [(region, T, seed, i, size) for i, size in enumerate(sizes)]
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(_measure_chunk, jobs, chunksize=1))
@@ -245,17 +247,16 @@ def separation_check(
 ) -> bool:
     """True iff no sampled escape-region point returns within the wrap window.
 
-    Samples the Euclidean escape region at radius s_n and pulls every
-    member backward j = 1 .. q*g(n) steps, testing escape-region
-    membership of each preimage. The j = 0 term is excluded: the region
-    trivially meets itself.
+    Samples the escape region at the Euclidean threshold radius s_n and
+    pulls every member backward j = 1 .. q*g(n) steps, testing
+    escape-region membership of each preimage. The j = 0 term is
+    excluded: the region trivially meets itself.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _verify_periodic(zeta, q, T)
-    region = RegionSpec(
-        rational_point(zeta), radius_s_n(n, tau), MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q
-    )
+    radius = threshold_radius(n, tau, MetricKind.EUCLIDEAN)
+    region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q)
     window = q * wrap_time_g(n, T.lam_abs, q, tau)
     px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
     keep = membership_mask(region, T, px, py)
@@ -290,9 +291,10 @@ def dprime_sum_diagnostic(
 ) -> float:
     """Monte Carlo estimate of the short-range correlation sum.
 
-    n * sum_{j=1..j_max} m(A cap T^-j A) where A is the Euclidean escape
-    region at radius s_n for tau = 1 (the ball itself when q = 0). A
-    decreasing-in-n diagnostic of short-return suppression, not a proof.
+    n * sum_{j=1..j_max} m(A cap T^-j A) where A is the escape region at
+    the Euclidean threshold radius s_n for tau = 1 (the ball itself when
+    q = 0). A decreasing-in-n diagnostic of short-return suppression, not
+    a proof.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -300,14 +302,14 @@ def dprime_sum_diagnostic(
         raise ValueError("j_max must be >= 1")
     if j_max > math.log(n) ** 5:
         raise ValueError("j_max exceeds the (log n)^5 analysis window")
-    radius = radius_s_n(n, 1.0)
+    radius = threshold_radius(n, 1.0, MetricKind.EUCLIDEAN)
     kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
     region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, kind, q=q)
     px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
     # membership of A at forward time j needs the ball masks at times j .. j+q
     balls = _ball_masks(region, T, px, py, j_max + q)
     base = _escape_mask(balls, 0, q)
-    area = ball_measure(radius, MetricKind.EUCLIDEAN, T.basis_det)
+    area = ball_measure(radius, MetricKind.EUCLIDEAN)
     total = 0.0
     for j in range(1, j_max + 1):
         hits = int(np.count_nonzero(base & _escape_mask(balls, j, q)))

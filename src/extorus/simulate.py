@@ -32,7 +32,6 @@ extremal index backed by the region oracle.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
-from .formulas import ThresholdSchedule, threshold_u_n, wrap_time_g
+from .formulas import threshold_radius, threshold_u_n, wrap_time_g
 from .regions import RegionKind, RegionSpec, monte_carlo_measure
 from .torus import (
     MAX_MODULUS_BITS,
@@ -57,6 +56,7 @@ from .torus import (
     radius_key,
     rational_point,
     rational_residues,
+    resolve_workers,
 )
 
 # Observable value reported for an exact hit of the centre; -log of the
@@ -69,26 +69,6 @@ _TRIAL_CHUNK = 1024
 _STRIP_FACTOR = 3.0
 _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else EXTORUS_THREADS, else cores.
-
-    Explicit and environment values are capped at the number of cores;
-    values below 1 are rejected.
-    """
-    cores = os.cpu_count() or 1
-    if explicit is None:
-        env = os.environ.get("EXTORUS_THREADS")
-        if not env:
-            return min(cores, 8)
-        try:
-            explicit = int(env)
-        except ValueError:
-            raise ValueError(f"EXTORUS_THREADS must be an integer, got {env!r}") from None
-    if explicit < 1:
-        raise ValueError(f"worker count must be >= 1, got {explicit}")
-    return min(explicit, cores)
 
 
 @dataclass(frozen=True)
@@ -121,7 +101,7 @@ class ExperimentConfig:
         if self.run_gap is not None and self.run_gap < 1:
             raise ValueError("run_gap must be positive")
         object.__setattr__(self, "zeta", (Fraction(self.zeta[0]) % 1, Fraction(self.zeta[1]) % 1))
-        self.radius  # validates tau > 0, matrix, and radius < 0.25
+        self.radius  # validates tau (finite, > 0), the matrix, and radius < 0.25
 
     @cached_property
     def automorphism(self) -> ToralAutomorphism:
@@ -132,16 +112,12 @@ class ExperimentConfig:
         return 1 << self.modulus_bits
 
     @cached_property
-    def schedule(self) -> ThresholdSchedule:
-        return ThresholdSchedule(self.tau, self.metric, self.automorphism.basis_det)
-
-    @cached_property
     def u_n(self) -> float:
-        return threshold_u_n(self.n, self.schedule)
+        return threshold_u_n(self.n, self.tau, self.metric, self.automorphism.basis_det)
 
     @cached_property
     def radius(self) -> float:
-        return math.exp(-self.u_n)
+        return threshold_radius(self.n, self.tau, self.metric, self.automorphism.basis_det)
 
     @property
     def v_n(self) -> float:
@@ -189,7 +165,6 @@ class ClusterSummary:
     """Declustered view of one trial, in Kac time units (steps / v_n)."""
 
     cluster_sizes: tuple[int, ...]
-    inter_cluster_gaps: tuple[float, ...]
     cluster_times: tuple[float, ...]
 
 
@@ -339,8 +314,7 @@ def estimate_block_maxima_cdf(
 def decluster(record: TrialRecord, run_gap: int, v_n: float) -> ClusterSummary:
     """Runs declustering: exceedances within run_gap raw steps share a cluster.
 
-    A cluster's time is its first exceedance time divided by v_n; gaps
-    are differences of consecutive cluster times within the record.
+    A cluster's time is its first exceedance time divided by v_n.
     """
     if run_gap < 1:
         raise ValueError("run_gap must be positive")
@@ -348,7 +322,7 @@ def decluster(record: TrialRecord, run_gap: int, v_n: float) -> ClusterSummary:
         raise ValueError("v_n must be positive")
     times = record.exceedance_times
     if not times:
-        return ClusterSummary((), (), ())
+        return ClusterSummary((), ())
     sizes: list[int] = []
     starts: list[int] = []
     current = 1
@@ -363,9 +337,7 @@ def decluster(record: TrialRecord, run_gap: int, v_n: float) -> ClusterSummary:
             start = cur
     sizes.append(current)
     starts.append(start)
-    cluster_times = tuple(s / v_n for s in starts)
-    gaps = tuple(t1 - t0 for t0, t1 in zip(cluster_times, cluster_times[1:]))
-    return ClusterSummary(tuple(sizes), gaps, cluster_times)
+    return ClusterSummary(tuple(sizes), tuple(s / v_n for s in starts))
 
 
 def decluster_all(

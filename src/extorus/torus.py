@@ -52,6 +52,7 @@ walked again with the strip set to the whole torus.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -387,6 +388,26 @@ def radius_key(radius: float, metric: MetricKind) -> float:
 def keyed_rng(seed: int, key: int) -> np.random.Generator:
     """Random stream keyed by (seed, key), independent of every other key."""
     return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, key)))
+
+
+def resolve_workers(explicit: int | None = None) -> int:
+    """Worker count: explicit argument, else EXTORUS_THREADS, else cores.
+
+    Explicit and environment values are capped at the number of cores;
+    values below 1 are rejected.
+    """
+    cores = os.cpu_count() or 1
+    if explicit is None:
+        env = os.environ.get("EXTORUS_THREADS")
+        if not env:
+            return min(cores, 8)
+        try:
+            explicit = int(env)
+        except ValueError:
+            raise ValueError(f"EXTORUS_THREADS must be an integer, got {env!r}") from None
+    if explicit < 1:
+        raise ValueError(f"worker count must be >= 1, got {explicit}")
+    return min(explicit, cores)
 
 
 def draw_residue(rng: np.random.Generator, modulus: int) -> int:

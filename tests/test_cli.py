@@ -116,6 +116,15 @@ class TestSimulate:
         assert code == 2
         assert f"EXTORUS_THREADS must be an integer, got '{value}'" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exits_2(self, tmp_path, capsys, command, tau):
+        extra = ["--out", str(tmp_path / "x")] if command == "simulate" else []
+        code, _, err = run_cli(capsys, command, "--tau", tau, "--n", "100", *extra)
+        assert code == 2
+        assert f"tau must be finite and positive, got {tau}" in err
+        assert not (tmp_path / "x").exists()
+
     def test_radius_too_large_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--tau", "99", "--n", "100", "--out", str(tmp_path / "x")

@@ -10,10 +10,8 @@ import pytest
 from scipy import stats
 
 from extorus import (
-    CompoundPoissonLaw,
     MetricKind,
     RadiusTooLarge,
-    ThresholdSchedule,
     area_A_q,
     ball_measure,
     build_automorphism,
@@ -23,7 +21,6 @@ from extorus import (
     multiplicity_pi,
     nested_area_U,
     polya_aeppli_pmf,
-    radius_s_n,
     strip_area_Q,
     threshold_radius,
     threshold_u_n,
@@ -33,7 +30,7 @@ from extorus.formulas import multiplicity_mass
 
 CAT = build_automorphism(2, 1, 1, 1)
 LAM = CAT.lam_abs
-EUCLID = ThresholdSchedule(1.0, MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def mp_extremal_index(lam: float, q: int) -> float:
@@ -46,60 +43,63 @@ def mp_extremal_index(lam: float, q: int) -> float:
 
 class TestThresholds:
     def test_euclidean_example(self):
-        assert threshold_u_n(1000, EUCLID) == pytest.approx(
+        assert threshold_u_n(1000, 1.0, EUCLID) == pytest.approx(
             0.5 * math.log(1000 * math.pi), rel=1e-15
         )
-        assert threshold_u_n(1000, EUCLID) == pytest.approx(4.026242582415769, abs=1e-12)
+        assert threshold_u_n(1000, 1.0, EUCLID) == pytest.approx(4.026242582415769, abs=1e-12)
 
     def test_radius_too_large(self):
         with pytest.raises(RadiusTooLarge):
-            threshold_u_n(1, ThresholdSchedule(math.pi, MetricKind.EUCLIDEAN))
+            threshold_u_n(1, math.pi, EUCLID)
 
     def test_adapted_inverts_ball_area(self):
-        sched = ThresholdSchedule(1.0, MetricKind.ADAPTED, basis_det=1.0)
-        u = threshold_u_n(1000, sched)
+        u = threshold_u_n(1000, 1.0, MetricKind.ADAPTED, basis_det=1.0)
         assert u == pytest.approx(0.5 * math.log(4000.0), rel=1e-15)
         r = math.exp(-u)
         assert 1000 * 4.0 * r * r == pytest.approx(1.0, rel=1e-12)
 
     def test_adapted_with_basis_det(self):
         T = build_automorphism(3, 2, 1, 1)
-        sched = ThresholdSchedule(2.0, MetricKind.ADAPTED, basis_det=T.basis_det)
-        r = threshold_radius(5000, sched)
+        r = threshold_radius(5000, 2.0, MetricKind.ADAPTED, T.basis_det)
         assert 5000 * ball_measure(r, MetricKind.ADAPTED, T.basis_det) == pytest.approx(
             2.0, rel=1e-12
         )
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_strictly_increasing_in_n(self, metric):
-        sched = ThresholdSchedule(1.0, metric)
-        values = [threshold_u_n(n, sched) for n in (100, 316, 1000, 10**4, 10**6, 10**9)]
+        values = [threshold_u_n(n, 1.0, metric) for n in (100, 316, 1000, 10**4, 10**6, 10**9)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
-    def test_schedule_validation(self):
+    def test_argument_validation(self):
         with pytest.raises(ValueError):
-            ThresholdSchedule(0.0, MetricKind.EUCLIDEAN)
+            threshold_u_n(1000, 0.0, EUCLID)
         with pytest.raises(ValueError):
-            ThresholdSchedule(1.0, MetricKind.ADAPTED, basis_det=1.5)
+            threshold_u_n(1000, 1.0, MetricKind.ADAPTED, basis_det=1.5)
+        with pytest.raises(ValueError):
+            threshold_radius(0, 1.0, EUCLID)
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
+                threshold_u_n(1000, tau, MetricKind.ADAPTED)
 
 
 class TestRadius:
+    """The Euclidean threshold radius is s_n = sqrt(tau / (pi n))."""
+
     def test_value(self):
-        assert radius_s_n(1000, 1.0) == pytest.approx(0.0178412411615277, abs=1e-12)
+        assert threshold_radius(1000, 1.0, EUCLID) == pytest.approx(0.0178412411615277, abs=1e-12)
 
     def test_area_identity(self):
         for n, tau in ((10, 0.5), (1234, 2.0), (10**6, 1.0)):
-            s = radius_s_n(n, tau)
+            s = threshold_radius(n, tau, EUCLID)
             assert n * math.pi * s * s == pytest.approx(tau, rel=1e-14)
 
-    def test_matches_euclidean_threshold_radius(self):
+    def test_matches_square_root_form(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(100, 10**7))
             tau = float(rng.uniform(0.1, 4.0))
-            s = radius_s_n(n, tau)
-            assert s == pytest.approx(
-                threshold_radius(n, ThresholdSchedule(tau, MetricKind.EUCLIDEAN)), rel=1e-13
+            assert threshold_radius(n, tau, EUCLID) == pytest.approx(
+                math.sqrt(tau / (math.pi * n)), rel=1e-13
             )
 
 
@@ -263,18 +263,16 @@ class TestExtremalModel:
         assert math.fsum(model.multiplicity_table(400)) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestCompoundPoissonLaw:
+class TestPmfVector:
     def test_matches_polya_aeppli_for_geometric_sizes(self):
         model = extremal_model(LAM, 1, MetricKind.ADAPTED)
-        law = CompoundPoissonLaw(model.theta, model)
-        pmf = law.pmf_vector(2.0, 20)
+        pmf = model.pmf_vector(2.0, 20)
         for k in range(21):
             assert pmf[k] == pytest.approx(polya_aeppli_pmf(model.theta, 2.0, k), abs=1e-12)
 
     def test_euclidean_law_is_probability(self):
         model = extremal_model(LAM, 1, MetricKind.EUCLIDEAN)
-        law = CompoundPoissonLaw(model.theta, model)
-        pmf = law.pmf_vector(3.0, 120)
+        pmf = model.pmf_vector(3.0, 120)
         assert float(pmf.sum()) == pytest.approx(1.0, abs=1e-9)
         mean = float(np.arange(121) @ pmf)
         assert mean == pytest.approx(3.0, abs=1e-6)  # mean t for any size law
@@ -289,3 +287,132 @@ class TestCompoundPoissonLaw:
         totals[mask] = clusters[mask] + rng.negative_binomial(clusters[mask], theta)
         _, p, _ = chi_square_vs_pmf(totals, lambda k: polya_aeppli_pmf(theta, t, k), 0, 20)
         assert p >= 0.01
+
+
+# float.hex of the closed forms. The acceptance manifest and the benchmark
+# reference digests are built from these values, so a moved bit must fail
+# here first. Thresholds: (metric, n, tau) -> (u_n, radius), with the cat
+# map's basis_det for the adapted metric.
+PINNED_THRESHOLDS = {
+    ("euclidean", 20_000, 1.0): ("0x1.618aff4c1ececp+2", "0x1.0573687920e48p-8"),
+    ("euclidean", 20_000, 2.0): ("0x1.4b5cbc4d2494dp+2", "0x1.71bf4e19cefe9p-8"),
+    ("euclidean", 20_000, 40.0): ("0x1.d6ff64beaa0d2p+1", "0x1.9d63d929f3cedp-6"),
+    ("euclidean", 50_000, 1.0): ("0x1.7edd403cffaf4p+2", "0x1.4ab64754c30bdp-9"),
+    ("euclidean", 50_000, 2.0): ("0x1.68aefd3e05755p+2", "0x1.d3b28aec6c155p-9"),
+    ("euclidean", 50_000, 40.0): ("0x1.08d1f35035e70p+2", "0x1.0573687920e49p-6"),
+    ("euclidean", 100_000, 1.0): ("0x1.950b833bf9e92p+2", "0x1.d3b28aec6c15bp-10"),
+    ("euclidean", 100_000, 2.0): ("0x1.7edd403cffaf4p+2", "0x1.4ab64754c30bdp-9"),
+    ("euclidean", 100_000, 40.0): ("0x1.1f00364f3020fp+2", "0x1.71bf4e19cefe9p-7"),
+    ("adapted", 20_000, 1.0): ("0x1.6945e4b843ff2p+2", "0x1.cf68d4fff04e0p-9"),
+    ("adapted", 20_000, 2.0): ("0x1.5317a1b949c53p+2", "0x1.47ae147ae147dp-8"),
+    ("adapted", 20_000, 40.0): ("0x1.e6752f96f46dep+1", "0x1.6e5b7d16657e1p-6"),
+    ("adapted", 50_000, 1.0): ("0x1.869825a924dfap+2", "0x1.2515fdab8464dp-9"),
+    ("adapted", 50_000, 2.0): ("0x1.7069e2aa2aa5bp+2", "0x1.9e7c6e43390b6p-9"),
+    ("adapted", 50_000, 40.0): ("0x1.108cd8bc5b176p+2", "0x1.cf68d4fff04e1p-7"),
+    ("adapted", 100_000, 1.0): ("0x1.9cc668a81f199p+2", "0x1.9e7c6e43390b5p-10"),
+    ("adapted", 100_000, 2.0): ("0x1.869825a924dfap+2", "0x1.2515fdab8464dp-9"),
+    ("adapted", 100_000, 40.0): ("0x1.26bb1bbb55515p+2", "0x1.47ae147ae147dp-7"),
+}
+# cat map at q = 1: theta, pi(1..5) and pmf_vector(2, 14)
+PINNED_MODELS = {
+    "euclidean": {
+        "theta": "0x1.122550cc9a903p-1",
+        "pi": (
+            "0x1.e854714ce10efp-2",
+            "0x1.3e749315aaefbp-2",
+            "0x1.0af6725ef73a5p-3",
+            "0x1.9da7cbbbf3ed8p-5",
+            "0x1.3ca82b9006fbdp-6",
+        ),
+        "pmf": (
+            "0x1.5eee5cb80cb54p-2",
+            "0x1.666e9626f6053p-3",
+            "0x1.4544a51de4bd6p-3",
+            "0x1.d1d9a9e5bfa3cp-4",
+            "0x1.3ec236c538a3dp-4",
+            "0x1.a25495d592e55p-5",
+            "0x1.093d63810e516p-5",
+            "0x1.470952e0d8eadp-6",
+            "0x1.89d1866b06fe5p-7",
+            "0x1.d0b9c884f20f2p-8",
+            "0x1.0d678fc4f7db8p-8",
+            "0x1.3387c009099f9p-9",
+            "0x1.5a38a5c8c0c2dp-10",
+            "0x1.80f52e85be0c1p-11",
+            "0x1.a73b38e4bd9dfp-12",
+        ),
+    },
+    "adapted": {
+        "theta": "0x1.3c6ef372fe950p-1",
+        "pi": (
+            "0x1.3c6ef372fe950p-1",
+            "0x1.e3779b97f4a7cp-3",
+            "0x1.715609f7c746bp-4",
+            "0x1.1a25cd6ed9098p-5",
+            "0x1.af155173f23d3p-7",
+        ),
+        "pmf": (
+            "0x1.297f354b1b240p-2",
+            "0x1.c688ea7670d93p-3",
+            "0x1.5b3bd46dcbf6ap-3",
+            "0x1.e650bea8880abp-4",
+            "0x1.40d9e8264891fp-4",
+            "0x1.9512f55099984p-5",
+            "0x1.ee11380914a04p-6",
+            "0x1.250184d7237afp-6",
+            "0x1.538c4e256e7f0p-7",
+            "0x1.81c9534eb6fffp-8",
+            "0x1.aee73497534a3p-9",
+            "0x1.da2786675b850p-10",
+            "0x1.01711d79d3e3dp-10",
+            "0x1.1443ef047fb97p-11",
+            "0x1.255160c8aa62fp-12",
+        ),
+    },
+}
+# cat map at s = 0.01: A_q, Q_kappa for kappa = 0..3, U_kappa for kappa = 0..3
+PINNED_AREAS = {
+    1: {
+        "A": "0x1.60c50f9381177p-13",
+        "Q": ("0x1.60c50f9381177p-13", "0x1.71141de966b04p-14",
+              "0x1.2b52ce7f80884p-15", "0x1.cd8a7fb04e646p-17"),
+        "U": ("0x1.496b7c53c5b03p-12", "0x1.3211e9140a48fp-13",
+              "0x1.e61f687d5bc34p-15", "0x1.759933fbb6760p-16"),
+    },
+    2: {
+        "A": "0x1.0ca78f441a37cp-12",
+        "Q": ("0x1.0ca78f441a37cp-12", "0x1.9eb56e6b94216p-15",
+              "0x1.e7f2399c82742p-18", "0x1.1ccf8913f2b8dp-20"),
+        "U": ("0x1.496b7c53c5b03p-12", "0x1.e61f687d5bc38p-15",
+              "0x1.1da7e8471e888p-17", "0x1.4d765bc6ea738p-20"),
+    },
+}
+
+
+class TestPinnedBits:
+    """Every closed form keeps its bits: values are compared as float.hex."""
+
+    @pytest.mark.parametrize("key", sorted(PINNED_THRESHOLDS))
+    def test_thresholds(self, key):
+        metric, n, tau = MetricKind(key[0]), key[1], key[2]
+        basis_det = CAT.basis_det if metric is MetricKind.ADAPTED else 1.0
+        got = (
+            threshold_u_n(n, tau, metric, basis_det).hex(),
+            threshold_radius(n, tau, metric, basis_det).hex(),
+        )
+        assert got == PINNED_THRESHOLDS[key]
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_model(self, metric):
+        model = extremal_model(LAM, 1, metric)
+        pinned = PINNED_MODELS[metric.value]
+        assert model.theta.hex() == pinned["theta"]
+        assert tuple(model.multiplicity(k).hex() for k in range(1, 6)) == pinned["pi"]
+        assert tuple(float(p).hex() for p in model.pmf_vector(2.0, 14)) == pinned["pmf"]
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_areas(self, q):
+        pinned = PINNED_AREAS[q]
+        assert area_A_q(0.01, LAM, q).hex() == pinned["A"]
+        assert tuple(strip_area_Q(0.01, LAM, q, k).hex() for k in range(4)) == pinned["Q"]
+        assert tuple(nested_area_U(0.01, LAM, q, k).hex() for k in range(4)) == pinned["U"]

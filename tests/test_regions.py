@@ -267,6 +267,16 @@ class TestMonteCarloMeasure:
         assert sizes == [3, 2]
         assert many == few == monte_carlo_measure(ball_region(), CAT, samples, 5)
 
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_counts_below_one_rejected(self, monkeypatch, workers):
+        # the count is checked before any work; a pool would fail the test
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(regions, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+            monte_carlo_measure(ball_region(), CAT, 1 << 19, 5, workers=workers)
+
     def test_error_shrinks_like_sqrt_samples(self):
         small = monte_carlo_measure(
             RegionSpec(ORIGIN, 0.02, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=1),
@@ -298,8 +308,10 @@ class TestSeparation:
     def test_fails_with_inflated_radius(self, monkeypatch):
         # negative control: a radius lam^g times s_n lets escape points return
         g = wrap_time_g(100_000, CAT.lam_abs, 1, 1.0)
-        s_n = regions.radius_s_n
-        monkeypatch.setattr(regions, "radius_s_n", lambda n, tau: s_n(n, tau) * CAT.lam_abs**g)
+        s_n = regions.threshold_radius
+        monkeypatch.setattr(
+            regions, "threshold_radius", lambda n, tau, metric: s_n(n, tau, metric) * CAT.lam_abs**g
+        )
         assert not separation_check(
             CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, 200_000, 7
         )

@@ -56,6 +56,11 @@ class TestConfig:
         with pytest.raises(RadiusTooLarge):
             ExperimentConfig(tau=25.0, n=100)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, 0.0, -1.0])
+    def test_tau_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+            ExperimentConfig(tau=tau)
+
     def test_field_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
@@ -135,7 +140,7 @@ class TestRunTrial:
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
 
     def test_worker_cap_from_environment(self, monkeypatch):
-        from extorus.simulate import resolve_workers
+        from extorus.torus import resolve_workers
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setenv("EXTORUS_THREADS", "3")
@@ -146,7 +151,7 @@ class TestRunTrial:
 
     def test_worker_counts_capped_at_cores(self, monkeypatch):
         # only the computed count is checked; no pool is started
-        from extorus.simulate import resolve_workers
+        from extorus.torus import resolve_workers
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         monkeypatch.setenv("EXTORUS_THREADS", "100000")
@@ -155,7 +160,7 @@ class TestRunTrial:
         assert resolve_workers(3) == 3
 
     def test_worker_counts_below_one_rejected(self, monkeypatch):
-        from extorus.simulate import resolve_workers
+        from extorus.torus import resolve_workers
 
         with pytest.raises(ValueError):
             resolve_workers(0)
@@ -165,7 +170,7 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("value", ["abc", "2.5"])
     def test_non_integer_environment_named(self, monkeypatch, value):
-        from extorus.simulate import resolve_workers
+        from extorus.torus import resolve_workers
 
         monkeypatch.setenv("EXTORUS_THREADS", value)
         with pytest.raises(ValueError, match=f"EXTORUS_THREADS must be an integer, got '{value}'"):
@@ -378,17 +383,17 @@ class TestDecluster:
         summary = decluster(rec, run_gap=2, v_n=100.0)
         assert summary.cluster_sizes == (3, 1)
         assert summary.cluster_times == (0.05, 5.0)
-        assert summary.inter_cluster_gaps == (4.95,)
+        assert np.diff(summary.cluster_times).tolist() == [4.95]
 
     def test_empty_record(self):
         rec = TrialRecord(0, (), (), 1.0)
-        assert decluster(rec, 5, 10.0) == ClusterSummary((), (), ())
+        assert decluster(rec, 5, 10.0) == ClusterSummary((), ())
 
     def test_gap_equal_to_n_single_cluster(self):
         rec = TrialRecord(0, (0, 400, 1999), (9.0, 9.0, 9.0), 9.0)
         summary = decluster(rec, run_gap=2000, v_n=10.0)
         assert summary.cluster_sizes == (3,)
-        assert summary.inter_cluster_gaps == ()
+        assert np.diff(summary.cluster_times).size == 0
 
     @given(
         times=st.lists(st.integers(0, 5000), min_size=0, max_size=40, unique=True),
@@ -400,25 +405,26 @@ class TestDecluster:
         rec = TrialRecord(0, times, tuple(9.0 for _ in times), 9.0)
         summary = decluster(rec, run_gap, v_n=50.0)
         assert sum(summary.cluster_sizes) == len(times)
-        assert all(g > 0 for g in summary.inter_cluster_gaps)
-        assert len(summary.inter_cluster_gaps) == max(len(summary.cluster_sizes) - 1, 0)
+        gaps = np.diff(summary.cluster_times)
+        assert np.all(gaps > 0)
+        assert gaps.size == max(len(summary.cluster_sizes) - 1, 0)
 
 
 class TestEstimators:
     def test_singleton_clusters_give_unit_index(self):
-        summaries = [ClusterSummary((1, 1, 1), (0.5, 0.5), (0.1, 0.6, 1.1))]
+        summaries = [ClusterSummary((1, 1, 1), (0.1, 0.6, 1.1))]
         assert empirical_extremal_index(summaries) == 1.0
 
     def test_no_exceedances(self):
         with pytest.raises(NoExceedances):
-            empirical_extremal_index([ClusterSummary((), (), ())])
+            empirical_extremal_index([ClusterSummary((), ())])
         with pytest.raises(NoExceedances):
-            empirical_multiplicity([ClusterSummary((), (), ())])
+            empirical_multiplicity([ClusterSummary((), ())])
 
     def test_multiplicity_histogram_normalised(self):
         summaries = [
-            ClusterSummary((1, 2), (0.3,), (0.0, 0.3)),
-            ClusterSummary((1,), (), (0.1,)),
+            ClusterSummary((1, 2), (0.0, 0.3)),
+            ClusterSummary((1,), (0.1,)),
         ]
         hist = empirical_multiplicity(summaries)
         assert hist == {1: 2 / 3, 2: 1 / 3}
@@ -426,8 +432,8 @@ class TestEstimators:
     def test_gap_gluing_bridges_trials(self):
         # two windows of span 1.0: glued gap crosses the boundary
         summaries = [
-            ClusterSummary((1,), (), (0.8,)),
-            ClusterSummary((1,), (), (0.3,)),
+            ClusterSummary((1,), (0.8,)),
+            ClusterSummary((1,), (0.3,)),
         ]
         gaps = pooled_gaps(summaries, window_span=1.0)
         assert gaps == pytest.approx([0.5])
@@ -460,19 +466,19 @@ class TestGapKS:
             rng = np.random.default_rng(1000 + seed)
             gaps = rng.exponential(1.0 / theta, 10_000)
             times = (0.0, *np.cumsum(gaps))
-            summary = ClusterSummary((1,) * 10_001, tuple(gaps), times)
+            summary = ClusterSummary((1,) * 10_001, times)
             _, p = gap_ks_statistic([summary], theta, window_span=times[-1])
             ok += p > 0.01
         assert ok >= 98
 
     def test_constant_gaps_rejected(self):
-        summary = ClusterSummary((1,) * 101, (1.0,) * 100, tuple(range(101)))
+        summary = ClusterSummary((1,) * 101, tuple(range(101)))
         _, p = gap_ks_statistic([summary], 1.0, window_span=101.0)
         assert p < 1e-6
 
     def test_too_few_gaps(self):
         with pytest.raises(TooFewGaps):
-            gap_ks_statistic([ClusterSummary((1, 1), (0.5,), (0.0, 0.5))], 1.0, window_span=1.0)
+            gap_ks_statistic([ClusterSummary((1, 1), (0.0, 0.5))], 1.0, window_span=1.0)
 
 
 class TestMeasureRatioEstimator:
