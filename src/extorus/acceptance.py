@@ -41,6 +41,7 @@ from .formulas import (
 )
 from .regions import RegionKind, RegionSpec, monte_carlo_measure, separation_check
 from .simulate import (
+    _TRIAL_CHUNK,
     ExperimentConfig,
     chi_square_vs_pmf,
     decluster_all,
@@ -426,9 +427,10 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
         trials=2 * 1024 + 100,  # spans three chunks
         seed=_SEED + 11,
     )
-    serial = run_experiment(cfg, workers=1)
-    parallel = run_experiment(cfg, workers=max(2, resolve_workers(workers)))
-    workers_ok = serial == parallel
+    # the N-worker run's pool: at least 2, at most one per core and per chunk (1: serial)
+    chunks = math.ceil(cfg.trials / _TRIAL_CHUNK)
+    many = min(resolve_workers(max(2, resolve_workers(workers))), chunks)
+    workers_ok = run_experiment(cfg, workers=1) == run_experiment(cfg, workers=many)
 
     T = cfg.automorphism
     rng = np.random.default_rng(_SEED)
@@ -441,6 +443,7 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
     total = time.perf_counter() - suite_start
     measured = {
         "workers_identical": bool(workers_ok),
+        "parallel_workers": many,
         "inverse_identity_ok": bool(inverse_ok),
         "suite_wall_time_s": total,
     }

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange
-from .formulas import extremal_model, threshold_radius, wrap_time_g
+from .formulas import ExtremalModel, extremal_model, threshold_radius, wrap_time_g
 from .simulate import (
     ExperimentConfig,
     TrialRecord,
@@ -35,7 +35,7 @@ from .simulate import (
     gap_ks_statistic,
     run_experiment,
 )
-from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind, resolve_workers
+from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind, ToralAutomorphism
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -153,6 +153,21 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
         raise ValueError(f"{path}: bad config: {exc}") from None
 
 
+def _closed_form_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> ExtremalModel:
+    """The closed-form law for (T, q, metric), refused where it is known to be wrong.
+
+    The Euclidean forms take |lam| alone. At a periodic centre the disc's
+    overlap with its images depends on the singular values of A^q, which
+    equal |lam|^q only when the matrix is symmetric.
+    """
+    if metric is MetricKind.EUCLIDEAN and q >= 1 and T.b != T.c:
+        raise ValueError(
+            f"the Euclidean closed forms at a periodic centre (q = {q}) need a symmetric "
+            f"matrix (b == c), got {T.entries}; the adapted metric has no such limit"
+        )
+    return extremal_model(T.lam_abs, q, metric)
+
+
 # --------------------------------------------------------------------------
 # theory
 # --------------------------------------------------------------------------
@@ -168,7 +183,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
     q = cfg.q if args.q is None else args.q
     if q < 0:
         raise ValueError("q must be >= 0")
-    model = extremal_model(T.lam_abs, q, metric)
+    model = _closed_form_model(T, q, metric)
     theta = model.theta
     pis = model.multiplicity_table(args.kmax)
     payload = {
@@ -212,9 +227,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
-    workers = resolve_workers(args.workers)
     t0 = time.perf_counter()
-    records = run_experiment(cfg, workers)
+    records = run_experiment(cfg, args.workers)
     wall = time.perf_counter() - t0
 
     out = Path(args.out)
@@ -314,7 +328,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise NoExceedances("no exceedances in the supplied CSVs")
 
     summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
-    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, cfg.metric)
+    model = _closed_form_model(cfg.automorphism, cfg.q, cfg.metric)
     theta_model = model.theta
     theta_clusters = empirical_extremal_index(summaries)
     hist = empirical_multiplicity(summaries)

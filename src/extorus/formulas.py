@@ -55,6 +55,11 @@ def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> f
     return 4.0 * radius * radius * basis_det
 
 
+def _check_tau(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
 def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0) -> float:
     """Threshold for orbit length n: inverts the ball measure at tau/n.
 
@@ -65,8 +70,7 @@ def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    _check_tau(tau)
     if not (0.0 < basis_det <= 1.0):
         raise ValueError("basis_det must lie in (0, 1]")
     u = 0.5 * math.log(ball_measure(1.0, metric, basis_det) * n / tau)
@@ -265,18 +269,18 @@ def wrap_time_g(n: int, lam_abs: float, q: int, tau: float = 1.0) -> int:
     q >= 1: floor((log n + log(lam^(2q)+1) - 2 log(2 lam^q sqrt(tau/pi)))
     / (2 q log lam)), evaluated in a cancellation-free rearrangement so
     large q cannot overflow. Clamped at 0: a negative value would index
-    an empty sum.
+    an empty sum. Raises ValueError, as threshold_u_n does, for n < 1 or
+    a tau that is not finite and positive, whatever q.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_tau(tau)
     if lam_abs <= 1.0:
         raise ValueError("lam_abs must exceed 1")
     log_lam = math.log(lam_abs)
     if q == 0:
         value = (math.log(n) - math.log(math.pi)) / (2.0 * log_lam)
     else:
-        if tau <= 0:
-            raise ValueError("tau must be positive")
         # log(lam^{2q}+1) - 2q log lam = log1p(lam^{-2q})
         numer = math.log(n) + math.log1p(lam_abs ** (-2 * q)) - math.log(4.0 * tau / math.pi)
         value = numer / (2.0 * q * log_lam)

@@ -17,17 +17,18 @@ the whole torus, a variance reduction of about 1/(pi r^2), and multiplies
 the hit fraction by the ball area. Sampling is split into fixed-size
 chunks whose random streams are keyed by (seed, chunk index); the merged
 estimate is a pure function of the seed, independent of how chunks are
-assigned to workers. A chunk's uniforms are drawn whole, then mapped and
-tested in cache-sized slices of _BLOCK_ELEMENTS points. The fold to
-[0, 1) is exact: for x = zeta + offset in (-1, 2), x - floor(x) has the
-bits of x % 1.0 (x - 1 is exact on [1, 2), and both round x + 1 once
-on [-1, 0)).
+assigned to workers. One sampler, _ball_slices, serves the oracle, the
+separation scan and d'': it draws the uniforms whole, so the keyed stream
+fixes the sample, and maps them to grid points in cache-sized slices of
+_BLOCK_ELEMENTS points. The fold to [0, 1) is exact: for x = zeta +
+offset in (-1, 2), x - floor(x) has the bits of x % 1.0 (x - 1 is exact
+on [1, 2), and both round x + 1 once on [-1, 0)).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -47,11 +48,11 @@ from .torus import (
     ball_distance,
     compute_period,
     keyed_rng,
+    map_jobs,
     orbit_blocks,
     radius_key,
     rational_point,
     rational_residues,
-    resolve_workers,
 )
 
 _CHUNK = 1 << 18
@@ -104,9 +105,16 @@ def _ball_masks(
     ])
 
 
-def _escape_mask(balls: np.ndarray, t: int, q: int) -> np.ndarray:
-    """A_q membership at time t from the ball masks at times t .. t+q."""
-    return balls[t] & ~balls[t + 1 : t + q + 1].any(axis=0)
+def _escape_masks(balls: np.ndarray, q: int) -> np.ndarray:
+    """A_q membership at times t = 0 .. len(balls) - q - 1 from the ball masks at times 0, 1, ..
+
+    Row t is in the ball at time t and out of it at times t+1 .. t+q.
+    """
+    times = len(balls) - q
+    escape = balls[:times].copy()
+    for i in range(1, q + 1):
+        escape &= ~balls[i : i + times]
+    return escape
 
 
 def membership_mask(
@@ -116,7 +124,7 @@ def membership_mask(
     if region.kind is RegionKind.BALL:
         return _ball_masks(region, T, px, py, 0)[0]
     if region.kind is RegionKind.A_Q:
-        return _escape_mask(_ball_masks(region, T, px, py, region.q), 0, region.q)
+        return _escape_masks(_ball_masks(region, T, px, py, region.q), region.q)[0]
     # U_KAPPA and Q_KAPPA walk the q-fold map
     strip = region.kind is RegionKind.Q_KAPPA
     balls = _ball_masks(region, T, px, py, region.kappa + strip, stride=region.q)
@@ -134,11 +142,17 @@ def contains(region: RegionSpec, z: TorusPoint, T: ToralAutomorphism) -> bool:
     return bool(membership_mask(region, T, px, py)[0])
 
 
-def sample_ball(
+def _ball_slices(
     region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform sample of `count` points of the default grid from the bounding ball."""
-    return _ball_points(region, T, rng.random(count), rng.random(count))
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Uniform sample of `count` default-grid points from the bounding ball, in slices.
+
+    The uniforms are drawn whole, so the stream fixes the sample; the
+    residues come out _BLOCK_ELEMENTS points at a time.
+    """
+    u, v = rng.random(count), rng.random(count)
+    for lo in range(0, count, _BLOCK_ELEMENTS):
+        yield _ball_points(region, T, u[lo : lo + _BLOCK_ELEMENTS], v[lo : lo + _BLOCK_ELEMENTS])
 
 
 def _ball_points(
@@ -186,12 +200,9 @@ def _local_range_guard(region: RegionSpec, T: ToralAutomorphism) -> None:
 
 def _measure_chunk(args: tuple) -> int:
     region, T, seed, index, size = args
-    rng = keyed_rng(seed, index)
-    u, v = rng.random(size), rng.random(size)  # drawn whole: the keyed stream fixes the sample
-    cuts = range(_BLOCK_ELEMENTS, size, _BLOCK_ELEMENTS)  # tested in cache-sized slices
     return sum(
-        int(np.count_nonzero(membership_mask(region, T, *_ball_points(region, T, us, vs))))
-        for us, vs in zip(np.split(u, cuts), np.split(v, cuts))
+        int(np.count_nonzero(membership_mask(region, T, px, py)))
+        for px, py in _ball_slices(region, T, size, keyed_rng(seed, index))
     )
 
 
@@ -206,11 +217,10 @@ def monte_carlo_measure(
 
     Uniform importance sampling over the bounding metric ball times
     the ball area; the standard error is binomial. Deterministic given
-    the seed, for any worker count. Workers follow resolve_workers, so a
-    count below 1 raises, and the pool never has more workers than chunks
-    or cores.
+    the seed, for any worker count. The chunks run through map_jobs, so
+    a worker count below 1 raises, and the pool never has more workers
+    than chunks or cores.
     """
-    workers = resolve_workers(workers)
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _local_range_guard(region, T)
@@ -218,12 +228,7 @@ def monte_carlo_measure(
     if samples % _CHUNK:
         sizes.append(samples % _CHUNK)
     jobs = [(region, T, seed, i, size) for i, size in enumerate(sizes)]
-    workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_measure_chunk, jobs, chunksize=1))
-    else:
-        hits = sum(_measure_chunk(job) for job in jobs)
+    hits = sum(map_jobs(_measure_chunk, jobs, workers))
     area = ball_measure(region.radius, region.metric, T.basis_det)
     p = hits / samples
     return MeasureEstimate(area * p, area * math.sqrt(p * (1.0 - p) / samples))
@@ -250,7 +255,8 @@ def separation_check(
     Samples the escape region at the Euclidean threshold radius s_n and
     pulls every member backward j = 1 .. q*g(n) steps, testing
     escape-region membership of each preimage. The j = 0 term is
-    excluded: the region trivially meets itself.
+    excluded: the region trivially meets itself. The sample is checked a
+    slice at a time, up to the first slice with a return.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -258,24 +264,15 @@ def separation_check(
     radius = threshold_radius(n, tau, MetricKind.EUCLIDEAN)
     region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q)
     window = q * wrap_time_g(n, T.lam_abs, q, tau)
-    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
-    keep = membership_mask(region, T, px, py)
-    px, py = px[keep], py[keep]
-    if px.size == 0 or window == 0:
+    if window == 0:
         return True
-    return _separation_scan(region, T, px, py, window)
-
-
-def _separation_scan(
-    region: RegionSpec, T: ToralAutomorphism, px: np.ndarray, py: np.ndarray, window: int
-) -> bool:
-    """Exhaustive check: escape membership of each backward preimage."""
-    q = region.q
-    # ball masks at times -window .. q; row i holds time i - window
-    backward = _ball_masks(region, T, px, py, window, Direction.BACKWARD)
-    balls = np.concatenate([backward[::-1], _ball_masks(region, T, px, py, q)[1:]])
-    for j in range(1, window + 1):
-        if bool(np.any(_escape_mask(balls, window - j, q))):
+    for px, py in _ball_slices(region, T, samples, keyed_rng(seed, 0)):
+        forward = _ball_masks(region, T, px, py, q)
+        keep = _escape_masks(forward, q)[0]
+        # ball masks of the slice's A_q points at times -window .. q; row i holds time i - window
+        backward = _ball_masks(region, T, px[keep], py[keep], window, Direction.BACKWARD)
+        balls = np.concatenate([backward[::-1], forward[1:, keep]])
+        if _escape_masks(balls, q)[:window].any():
             return False
     return True
 
@@ -305,13 +302,12 @@ def dprime_sum_diagnostic(
     radius = threshold_radius(n, 1.0, MetricKind.EUCLIDEAN)
     kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
     region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, kind, q=q)
-    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
-    # membership of A at forward time j needs the ball masks at times j .. j+q
-    balls = _ball_masks(region, T, px, py, j_max + q)
-    base = _escape_mask(balls, 0, q)
+    # hits[j - 1] counts the sampled points in A and in T^-j A, j = 1 .. j_max
+    hits = np.zeros(j_max, dtype=np.int64)
+    for px, py in _ball_slices(region, T, samples, keyed_rng(seed, 0)):
+        # membership of A at forward times 0 .. j_max needs the ball masks at times 0 .. j_max+q
+        escape = _escape_masks(_ball_masks(region, T, px, py, j_max + q), q)
+        hits += np.count_nonzero(escape[0] & escape[1:], axis=1)
     area = ball_measure(radius, MetricKind.EUCLIDEAN)
-    total = 0.0
-    for j in range(1, j_max + 1):
-        hits = int(np.count_nonzero(base & _escape_mask(balls, j, q)))
-        total += area * hits / samples
-    return n * total
+    # a running sum in the order of j: accumulate adds strictly left to right
+    return n * float(np.add.accumulate(area * hits / samples)[-1])

@@ -32,7 +32,6 @@ extremal index backed by the region oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
-from .formulas import threshold_radius, threshold_u_n, wrap_time_g
+from .formulas import ball_measure, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import RegionKind, RegionSpec, monte_carlo_measure
 from .torus import (
     MAX_MODULUS_BITS,
@@ -52,11 +51,11 @@ from .torus import (
     compute_period,
     draw_residue,
     keyed_rng,
+    map_jobs,
     orbit_blocks,
     radius_key,
     rational_point,
     rational_residues,
-    resolve_workers,
 )
 
 # Observable value reported for an exact hit of the centre; -log of the
@@ -289,17 +288,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[Tr
     Records are a pure function of (cfg, trial_id); the worker count
     only changes how chunks are scheduled.
     """
-    workers = resolve_workers(workers)
     ids = list(range(cfg.trials))
-    chunks = [ids[i : i + _TRIAL_CHUNK] for i in range(0, len(ids), _TRIAL_CHUNK)]
-    if workers == 1 or len(chunks) == 1:
-        out: list[TrialRecord] = []
-        for chunk in chunks:
-            out.extend(_simulate_chunk(cfg, chunk))
-        return out
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        parts = list(pool.map(_chunk_job, [(cfg, chunk) for chunk in chunks]))
-    return [rec for part in parts for rec in part]
+    chunks = [(cfg, ids[i : i + _TRIAL_CHUNK]) for i in range(0, len(ids), _TRIAL_CHUNK)]
+    return [rec for part in map_jobs(_chunk_job, chunks, workers) for rec in part]
 
 
 def estimate_block_maxima_cdf(
@@ -452,18 +443,16 @@ def chi_square_vs_pmf(
 
 
 def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
-    """Extremal index as the oracle measure ratio escape-region / ball.
+    """Extremal index as the ratio escape-region / ball measure.
 
-    An independent path to theta: two Monte Carlo measures at the
-    threshold radius. By convention the ratio is 1 for q = 0, where the
-    escape region is the ball itself.
+    An independent path to theta: the oracle's measure of the escape
+    region at the threshold radius over the exact ball area. By
+    convention the ratio is 1 for q = 0, where the escape region is the
+    ball itself.
     """
     if cfg.q == 0:
         return 1.0
     T = cfg.automorphism
-    zeta = rational_point(cfg.zeta)
-    ball = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.BALL)
-    escape = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
+    escape = RegionSpec(rational_point(cfg.zeta), cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
     num = monte_carlo_measure(escape, T, samples, seed)
-    den = monte_carlo_measure(ball, T, samples, seed + 1)
-    return num.estimate / den.estimate
+    return num.estimate / ball_measure(cfg.radius, cfg.metric, T.basis_det)

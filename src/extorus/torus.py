@@ -53,7 +53,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -408,6 +409,18 @@ def resolve_workers(explicit: int | None = None) -> int:
     if explicit < 1:
         raise ValueError(f"worker count must be >= 1, got {explicit}")
     return min(explicit, cores)
+
+
+def map_jobs(fn: Callable, jobs: list, workers: int | None = None) -> list:
+    """[fn(job) for job in jobs] on resolve_workers(workers) processes, at most one per job.
+
+    One worker runs the jobs in this process; more share a process pool.
+    """
+    workers = min(resolve_workers(workers), len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def draw_residue(rng: np.random.Generator, modulus: int) -> int:

@@ -7,18 +7,29 @@ shifts. The step-at-a-time trial engine, with its own one-line array
 step, is the reference for the time-blocked one in extorus.simulate.
 The float-remainder ball sampler and the out-of-place ball distance are
 the references that the in-place and floor-folded routines of
-extorus.regions and extorus.torus must equal bit for bit.
+extorus.regions and extorus.torus must equal bit for bit. The
+whole-array separation check and d'' diagnostic, which sample, map and
+mask every point at once, are the references for the sliced ones.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from extorus.errors import ExtorusError
-from extorus.regions import RegionSpec
+from extorus.formulas import ball_measure, threshold_radius, wrap_time_g
+from extorus.regions import (
+    RegionKind,
+    RegionSpec,
+    _ball_masks,
+    _ball_points,
+    _verify_periodic,
+    membership_mask,
+)
 from extorus.simulate import OBSERVABLE_CAP, ExperimentConfig, TrialRecord, _initial_states
 from extorus.torus import (
     DEFAULT_MODULUS,
@@ -27,6 +38,7 @@ from extorus.torus import (
     ToralAutomorphism,
     TorusPoint,
     ball_distance,
+    keyed_rng,
     radius_key,
     rational_point,
 )
@@ -209,3 +221,96 @@ def ball_distance_out_of_place(
         return dx * dx + dy * dy
     (b00, b01), (b10, b11) = T.eigen_inverse
     return np.maximum(np.abs(b00 * dx + b01 * dy), np.abs(b10 * dx + b11 * dy))
+
+
+def sample_ball(
+    region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform sample of `count` points of the default grid from the bounding ball, whole."""
+    return _ball_points(region, T, rng.random(count), rng.random(count))
+
+
+def _escape_mask(balls: np.ndarray, t: int, q: int) -> np.ndarray:
+    """A_q membership at time t from the ball masks at times t .. t+q."""
+    return balls[t] & ~balls[t + 1 : t + q + 1].any(axis=0)
+
+
+def separation_check(
+    T: ToralAutomorphism,
+    zeta: tuple[Fraction, Fraction],
+    q: int,
+    n: int,
+    tau: float,
+    samples: int,
+    seed: int,
+) -> bool:
+    """True iff no sampled escape-region point returns within the wrap window.
+
+    Samples the escape region at the Euclidean threshold radius s_n and
+    pulls every member backward j = 1 .. q*g(n) steps, testing
+    escape-region membership of each preimage. The j = 0 term is
+    excluded: the region trivially meets itself.
+    """
+    if samples < 1000:
+        raise ValueError("samples must be >= 1000")
+    _verify_periodic(zeta, q, T)
+    radius = threshold_radius(n, tau, MetricKind.EUCLIDEAN)
+    region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q)
+    window = q * wrap_time_g(n, T.lam_abs, q, tau)
+    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
+    keep = membership_mask(region, T, px, py)
+    px, py = px[keep], py[keep]
+    if px.size == 0 or window == 0:
+        return True
+    return _separation_scan(region, T, px, py, window)
+
+
+def _separation_scan(
+    region: RegionSpec, T: ToralAutomorphism, px: np.ndarray, py: np.ndarray, window: int
+) -> bool:
+    """Exhaustive check: escape membership of each backward preimage."""
+    q = region.q
+    # ball masks at times -window .. q; row i holds time i - window
+    backward = _ball_masks(region, T, px, py, window, Direction.BACKWARD)
+    balls = np.concatenate([backward[::-1], _ball_masks(region, T, px, py, q)[1:]])
+    for j in range(1, window + 1):
+        if bool(np.any(_escape_mask(balls, window - j, q))):
+            return False
+    return True
+
+
+def dprime_sum_diagnostic(
+    T: ToralAutomorphism,
+    zeta: tuple[Fraction, Fraction],
+    q: int,
+    n: int,
+    j_max: int,
+    samples: int,
+    seed: int,
+) -> float:
+    """Monte Carlo estimate of the short-range correlation sum.
+
+    n * sum_{j=1..j_max} m(A cap T^-j A) where A is the escape region at
+    the Euclidean threshold radius s_n for tau = 1 (the ball itself when
+    q = 0). A decreasing-in-n diagnostic of short-return suppression, not
+    a proof.
+    """
+    if samples < 1000:
+        raise ValueError("samples must be >= 1000")
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    if j_max > math.log(n) ** 5:
+        raise ValueError("j_max exceeds the (log n)^5 analysis window")
+    radius = threshold_radius(n, 1.0, MetricKind.EUCLIDEAN)
+    kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
+    region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, kind, q=q)
+    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
+    # membership of A at forward time j needs the ball masks at times j .. j+q
+    balls = _ball_masks(region, T, px, py, j_max + q)
+    base = _escape_mask(balls, 0, q)
+    area = ball_measure(radius, MetricKind.EUCLIDEAN)
+    total = 0.0
+    for j in range(1, j_max + 1):
+        hits = int(np.count_nonzero(base & _escape_mask(balls, j, q)))
+        total += area * hits / samples
+    return n * total

@@ -15,10 +15,12 @@ asserted separately.
 from __future__ import annotations
 
 import math
+import os
 
 import pytest
 
 from extorus.acceptance import RunManifest, run_acceptance
+from extorus.torus import resolve_workers
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,8 @@ def test_criterion_7_repp_counting_law(by_id):
 def test_criterion_8_engineering(by_id):
     c = by_id[8]
     assert c.measured["workers_identical"] is True
+    # the N-worker run's pool: at least 2 asked for, capped at the cores and the 3 chunks
+    assert c.measured["parallel_workers"] == min(max(2, resolve_workers()), os.cpu_count() or 1, 3)
     assert c.measured["inverse_identity_ok"] is True
     assert c.measured["suite_wall_time_s"] <= 1800.0
     assert c.passed is True
@@ -164,7 +168,7 @@ MANIFEST_SHAPE = {
     8: (
         "engineering",
         "1-vs-N worker equality, forward/backward exactness, 30 min budget",
-        {"workers_identical", "inverse_identity_ok", "suite_wall_time_s"},
+        {"workers_identical", "parallel_workers", "inverse_identity_ok", "suite_wall_time_s"},
     ),
 }
 

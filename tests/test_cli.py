@@ -72,11 +72,48 @@ class TestTheory:
         assert "zeta" in err
 
     def test_values_starting_with_dash(self, capsys):
-        spaced = run_cli(capsys, "theory", "--matrix", "-3,1,-1,0", "--zeta", "-1/3,1/2", "--json")
-        joined = run_cli(capsys, "theory", "--matrix=-3,1,-1,0", "--zeta=-1/3,1/2", "--json")
+        # -2,1,1,-1 is symmetric with lam < 0
+        spaced = run_cli(capsys, "theory", "--matrix", "-2,1,1,-1", "--zeta", "-1/3,1/2", "--json")
+        joined = run_cli(capsys, "theory", "--matrix=-2,1,1,-1", "--zeta=-1/3,1/2", "--json")
         assert spaced[0] == 0
         assert spaced == joined
         assert json.loads(spaced[1])["lambda"] < 0
+
+
+class TestEuclideanNeedsSymmetricMatrix:
+    """theory and estimate refuse the |lam|-only Euclidean law where it is wrong."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("symmetric")
+        for matrix in ("3,1,2,1", "-3,1,-1,0", "2,1,1,1", "5,2,2,1"):
+            argv = ["simulate", f"--matrix={matrix}", "--n", "3000", "--trials", "200",
+                    "--seed", "3", "--out", str(root / matrix)]
+            assert main(argv) == 0
+        return root
+
+    @pytest.mark.parametrize("matrix", ["3,1,2,1", "-3,1,-1,0"])
+    def test_non_symmetric_exits_2(self, runs, capsys, matrix):
+        code, out, err = run_cli(capsys, "theory", f"--matrix={matrix}", "--json")
+        assert (code, out) == (2, "")
+        assert "need a symmetric matrix (b == c)" in err
+        code, out, err = run_cli(capsys, "estimate", "--in", str(runs / matrix))
+        assert (code, out) == (2, "")
+        assert "need a symmetric matrix (b == c)" in err
+        assert not (runs / matrix / "multiplicity.tsv").exists()
+
+    @pytest.mark.parametrize("matrix", ["3,1,2,1", "-3,1,-1,0"])
+    def test_non_symmetric_still_runs_where_the_law_holds(self, capsys, matrix):
+        # the adapted metric, and the Euclidean metric at a non-periodic centre
+        assert run_cli(capsys, "theory", f"--matrix={matrix}", "--metric", "adapted")[0] == 0
+        assert run_cli(capsys, "theory", f"--matrix={matrix}", "--q", "0")[0] == 0
+
+    @pytest.mark.parametrize("matrix", ["2,1,1,1", "5,2,2,1"])
+    def test_symmetric_runs(self, runs, capsys, matrix):
+        code, out, _ = run_cli(capsys, "theory", f"--matrix={matrix}", "--json")
+        assert code == 0 and json.loads(out)["q"] == 1
+        code, out, _ = run_cli(capsys, "estimate", "--in", str(runs / matrix), "--mc-samples", "0")
+        assert code == 0 and "theta (formula)" in out
 
 
 class TestSimulate:
@@ -233,11 +270,11 @@ class TestEstimate:
         assert "NoExceedances" in err
 
     def test_ratio_out_of_local_range_is_skipped(self, tmp_path, capsys):
-        # at |trace| 1001 one image of the threshold ball wraps the torus:
+        # at |trace| 19602 one image of the threshold ball wraps the torus:
         # the ratio oracle cannot run, every other estimator still can
         out_dir = tmp_path / "wide"
         code, _, _ = run_cli(
-            capsys, "simulate", "--matrix", "1000,999,1,1", "--n", "7000", "--trials", "5",
+            capsys, "simulate", "--matrix", "1,140,140,19601", "--n", "7000", "--trials", "5",
             "--tau", "40", "--seed", "4", "--out", str(out_dir),
         )
         assert code == 0

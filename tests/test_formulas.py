@@ -249,6 +249,30 @@ class TestWrapTime:
         assert wrap_time_g(2, LAM, 0) == 0
         assert wrap_time_g(1, LAM, 1, 4.0) == 0
 
+    @pytest.mark.parametrize("q", [0, 1, 3])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_tau_validated_for_every_q(self, q, tau):
+        # the same check and message as threshold_u_n, also at q = 0 where tau is unused
+        with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {tau}$"):
+            wrap_time_g(10**5, LAM, q, tau)
+        with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {tau}$"):
+            threshold_u_n(10**5, tau, EUCLID)
+
+    def test_pinned_values(self):
+        # recorded before tau was checked for every q: valid inputs keep their integers
+        grid = [
+            wrap_time_g(n, LAM, q, tau)
+            for n in (10, 10**3, 10**5, 10**7)
+            for q in (0, 1, 2, 3)
+            for tau in (0.01, 1.0, 40.0)
+        ]
+        assert grid == [
+            0, 0, 0, 3, 1, 0, 1, 0, 0, 1, 0, 0,
+            2, 2, 2, 5, 3, 1, 2, 1, 0, 1, 1, 0,
+            5, 5, 5, 8, 5, 4, 4, 2, 1, 2, 1, 1,
+            7, 7, 7, 10, 8, 6, 5, 4, 3, 3, 2, 2,
+        ]
+
 
 class TestExtremalModel:
     def test_nonperiodic_concentrated(self):

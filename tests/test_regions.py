@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _reference import sample_ball_remainder
+import _reference as ref
+from _reference import sample_ball, sample_ball_remainder
 from extorus import (
     MetricKind,
     OutOfLocalRange,
@@ -28,13 +29,20 @@ from extorus import (
     strip_area_Q,
     wrap_time_g,
 )
-from extorus import regions
-from extorus.regions import _measure_chunk, membership_mask, sample_ball
+from extorus import regions, torus
+from extorus.regions import _ball_slices, _escape_masks, _measure_chunk, membership_mask
 from extorus.torus import _BLOCK_ELEMENTS, DEFAULT_MODULUS, keyed_rng, orbit_blocks
 
 CAT = build_automorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
 S = 0.01
+
+
+def sliced_sample(region, T, count, rng):
+    """The residues _ball_slices yields, concatenated."""
+    slices = list(_ball_slices(region, T, count, rng))
+    assert all(len(px) <= _BLOCK_ELEMENTS for px, _ in slices)
+    return tuple(np.concatenate(part) for part in zip(*slices))
 
 
 def ball_region(radius=S, metric=MetricKind.EUCLIDEAN, zeta=ORIGIN):
@@ -123,8 +131,10 @@ class TestSampler:
         # x - floor(x) and the mask give the bits of x % 1.0 and % modulus
         region = RegionSpec(TorusPoint(x, y), radius, metric, RegionKind.BALL)
         T = build_automorphism(*matrix)
-        px, py = sample_ball(region, T, 3000, np.random.default_rng(seed))
-        ref_x, ref_y = sample_ball_remainder(region, T, 3000, np.random.default_rng(seed))
+        # more points than one slice holds: the slices must join into the whole sample
+        count = _BLOCK_ELEMENTS + 3000
+        px, py = sliced_sample(region, T, count, np.random.default_rng(seed))
+        ref_x, ref_y = sample_ball_remainder(region, T, count, np.random.default_rng(seed))
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
 
@@ -144,7 +154,7 @@ class TestSampler:
                 return self.arrays.pop(0)
 
         region = RegionSpec(TorusPoint(x, y), 0.2, metric, RegionKind.BALL)
-        px, py = sample_ball(region, CAT, u.size, Uniforms())
+        px, py = sliced_sample(region, CAT, u.size, Uniforms())
         ref_x, ref_y = sample_ball_remainder(region, CAT, u.size, Uniforms())
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
@@ -163,6 +173,22 @@ class TestSampler:
         whole = int(np.count_nonzero(membership_mask(region, CAT, px, py)))
         assert _measure_chunk((region, CAT, 11, 3, size)) == whole
         assert whole > 0 or size == 1  # the count is not vacuous
+
+
+class TestEscapeMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.integers(0, 4),
+        extra=st.integers(1, 6),
+        width=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_is_the_per_time_mask(self, q, extra, width, seed):
+        balls = np.random.default_rng(seed).random((q + extra, width)) < 0.7
+        escape = _escape_masks(balls, q)
+        assert escape.shape == (extra, width)
+        for t in range(extra):
+            np.testing.assert_array_equal(escape[t], balls[t] & ~balls[t + 1 : t + q + 1].any(0))
 
 
 class TestMonteCarloMeasure:
@@ -241,8 +267,6 @@ class TestMonteCarloMeasure:
 
     def test_pool_capped_at_jobs_and_cores(self, monkeypatch):
         # a stand-in pool records its size and runs the jobs in-process
-        import extorus.regions as regions
-
         sizes = []
 
         class RecordingPool:
@@ -255,10 +279,10 @@ class TestMonteCarloMeasure:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
+            def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(regions, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", RecordingPool)
         samples = 2 * (1 << 18) + 1000  # three chunks
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         many = monte_carlo_measure(ball_region(), CAT, samples, 5, workers=100_000)
@@ -273,7 +297,7 @@ class TestMonteCarloMeasure:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(regions, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
             monte_carlo_measure(ball_region(), CAT, 1 << 19, 5, workers=workers)
 
@@ -297,6 +321,58 @@ class TestMonteCarloMeasure:
         bad = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=4)
         with pytest.raises(OutOfLocalRange):
             monte_carlo_measure(bad, CAT, 1000, 1)
+
+
+# sample counts around the slice size: one slice, one short of two, just over two
+SLICED_SAMPLES = [1000, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS + 1]
+
+
+class TestSlicedAgainstWholeArray:
+    """The sliced separation check and d'' equal the whole-array ones of _reference."""
+
+    @pytest.mark.parametrize("samples", SLICED_SAMPLES)
+    @pytest.mark.parametrize("zeta, q", [((0, 0), 1), ((Fraction(1, 2), Fraction(1, 2)), 3)])
+    def test_separation_same_answer(self, zeta, q, samples):
+        zeta = tuple(Fraction(c) for c in zeta)
+        args = (CAT, zeta, q, 100_000, 1.0, samples, 7)
+        assert regions.separation_check(*args) is ref.separation_check(*args) is True
+
+    @pytest.mark.parametrize("samples", SLICED_SAMPLES)
+    def test_separation_inflated_radius_same_answer(self, monkeypatch, samples):
+        g = wrap_time_g(100_000, CAT.lam_abs, 1, 1.0)
+        s_n = regions.threshold_radius
+        inflated = lambda n, tau, metric: s_n(n, tau, metric) * CAT.lam_abs**g  # noqa: E731
+        monkeypatch.setattr(regions, "threshold_radius", inflated)
+        monkeypatch.setattr(ref, "threshold_radius", inflated)
+        args = (CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, samples, 7)
+        assert regions.separation_check(*args) is ref.separation_check(*args) is False
+
+    def test_separation_window_edge_same_answer(self, monkeypatch):
+        # at radius s_n lam^4 the first return is at j = 5: windows 4 and 5 differ
+        s_n = regions.threshold_radius
+        inflated = lambda n, tau, metric: s_n(n, tau, metric) * CAT.lam_abs**4  # noqa: E731
+        monkeypatch.setattr(regions, "threshold_radius", inflated)
+        monkeypatch.setattr(ref, "threshold_radius", inflated)
+        args = (CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, _BLOCK_ELEMENTS + 1, 7)
+        for window, separated in ((4, True), (5, False)):
+            for module in (regions, ref):
+                monkeypatch.setattr(module, "wrap_time_g", lambda *args: window)
+            assert regions.separation_check(*args) is ref.separation_check(*args) is separated
+
+    @pytest.mark.parametrize("samples", SLICED_SAMPLES)
+    @pytest.mark.parametrize(
+        "zeta, q, n, j_max",
+        [
+            ((Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1)), 0, 10**3, 6),
+            ((Fraction(0), Fraction(0)), 1, 300, 20),
+            ((Fraction(1, 2), Fraction(1, 2)), 3, 300, 20),
+        ],
+    )
+    def test_dprime_same_bits(self, zeta, q, n, j_max, samples):
+        args = (CAT, zeta, q, n, j_max, samples, 12)
+        sliced = regions.dprime_sum_diagnostic(*args)
+        assert sliced.hex() == ref.dprime_sum_diagnostic(*args).hex()
+        assert sliced > 0.0  # a sum of several terms, not a vacuous zero
 
 
 class TestSeparation:

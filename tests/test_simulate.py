@@ -17,6 +17,8 @@ from extorus import (
     MetricKind,
     NoExceedances,
     RadiusTooLarge,
+    RegionKind,
+    RegionSpec,
     TooFewGaps,
     TrialRecord,
     ball_measure,
@@ -27,6 +29,7 @@ from extorus import (
     estimate_block_maxima_cdf,
     extremal_index,
     gap_ks_statistic,
+    monte_carlo_measure,
     repp_counts,
     run_experiment,
     run_trial,
@@ -497,6 +500,32 @@ class TestMeasureRatioEstimator:
     def test_nonperiodic_convention(self):
         cfg = small_cfg(zeta=(Fraction(math.sqrt(2) - 1), Fraction(0.77)))
         assert ei_measure_ratio(cfg, 1000, 1) == 1.0
+
+    @pytest.mark.parametrize(
+        "cfg, samples, seed",
+        [
+            # the sim-dense benchmark run at seed 2, whose estimate uses seed 3
+            (ExperimentConfig(zeta=ORIGIN, metric=MetricKind.ADAPTED, tau=40.0, n=50_000,
+                              trials=4096, seed=2), 200_000, 3),
+            # acceptance criterion 5
+            (ExperimentConfig(zeta=ORIGIN, n=100_000, trials=10_000, seed=20260810),
+             1_000_000, 20260810 + 17),
+        ],
+        ids=["adapted", "euclidean"],
+    )
+    def test_exact_ball_area_keeps_the_two_measure_bits(self, cfg, samples, seed):
+        # the oracle samples the ball itself, so its estimate of the ball is the
+        # exact area with no error, and the ratio keeps the bits it had when the
+        # ball was a second Monte Carlo measure (seeded seed + 1)
+        T = cfg.automorphism
+        zeta = rational_point(cfg.zeta)
+        ball = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.BALL)
+        sampled_ball = monte_carlo_measure(ball, T, samples, seed + 1)
+        assert sampled_ball == (ball_measure(cfg.radius, cfg.metric, T.basis_det), 0.0)
+        escape = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
+        escape_estimate = monte_carlo_measure(escape, T, samples, seed).estimate
+        two_measures = escape_estimate / sampled_ball.estimate
+        assert ei_measure_ratio(cfg, samples, seed).hex() == two_measures.hex()
 
 
 class TestRepp:

@@ -446,3 +446,50 @@ def test_measure_preservation_statistical():
     p = 1.0 / 256.0
     sigma = math.sqrt(n * p * (1 - p))
     assert np.max(np.abs(counts - n * p)) <= 4.0 * sigma
+
+
+class TestMapJobs:
+    @staticmethod
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    def test_one_worker_or_one_job_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(torus.os, "cpu_count", lambda: 8)
+        assert torus.map_jobs(abs, [-1, 2, -3], 1) == [1, 2, 3]
+        assert torus.map_jobs(abs, [-4], 8) == [4]
+        assert torus.map_jobs(abs, [], 8) == []
+
+    def test_one_core_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(torus.os, "cpu_count", lambda: 1)
+        assert torus.map_jobs(abs, [-1, 2, -3], 4) == [1, 2, 3]
+
+    def test_pool_capped_at_jobs_and_cores_in_job_order(self, monkeypatch):
+        sizes = []
+
+        class ReversingPool:  # records its size, runs the jobs last to first
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return reversed([fn(job) for job in reversed(list(jobs))])
+
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", ReversingPool)
+        monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("EXTORUS_THREADS", raising=False)
+        assert torus.map_jobs(abs, [-1, 2, -3], 100) == [1, 2, 3]
+        assert torus.map_jobs(abs, list(range(-9, 0)), None) == list(range(9, 0, -1))
+        assert sizes == [3, 4]
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_worker_counts_below_one_rejected(self, monkeypatch, workers):
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
+        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+            torus.map_jobs(abs, [1, 2], workers)
