@@ -35,7 +35,6 @@ from .regions import (
     MeasureEstimate,
     RegionKind,
     RegionSpec,
-    contains,
     dprime_sum_diagnostic,
     monte_carlo_measure,
     separation_check,
@@ -54,7 +53,6 @@ from .simulate import (
     gap_ks_statistic,
     repp_counts,
     run_experiment,
-    run_trial,
 )
 from .torus import (
     Direction,
@@ -95,14 +93,12 @@ __all__ = [
     "RegionKind",
     "RegionSpec",
     "MeasureEstimate",
-    "contains",
     "monte_carlo_measure",
     "separation_check",
     "dprime_sum_diagnostic",
     "ExperimentConfig",
     "TrialRecord",
     "ClusterSummary",
-    "run_trial",
     "run_experiment",
     "estimate_block_maxima_cdf",
     "decluster",

@@ -336,7 +336,7 @@ def criterion_5_periodic_euclidean(workers: int | None = None):
     """Dichotomy at the fixed point, Euclidean metric."""
     origin = (Fraction(0), Fraction(0))
     cfg, summaries, measured = _dichotomy_run(MetricKind.EUCLIDEAN, origin, workers)
-    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.EUCLIDEAN)
+    model = extremal_model(cfg.automorphism, cfg.q, MetricKind.EUCLIDEAN)
     theta = model.theta
     theta_ratio = ei_measure_ratio(cfg, _RATIO_SAMPLES, _SEED + 17)
     measured.update(
@@ -360,7 +360,7 @@ def criterion_6_periodic_adapted(workers: int | None = None):
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
     origin = (Fraction(0), Fraction(0))
     cfg, summaries, measured = _dichotomy_run(MetricKind.ADAPTED, origin, workers)
-    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    model = extremal_model(cfg.automorphism, cfg.q, MetricKind.ADAPTED)
     theta = model.theta
     measured.update(
         q=cfg.q,
@@ -388,7 +388,7 @@ def criterion_7_repp_counts(workers: int | None = None):
         trials=_TRIALS,
         seed=_SEED + 7,
     )
-    model = extremal_model(cfg.automorphism.lam_abs, cfg.q, MetricKind.ADAPTED)
+    model = extremal_model(cfg.automorphism, cfg.q, MetricKind.ADAPTED)
     theta = model.theta
     records = run_experiment(cfg, workers)
     horizon = int(round(cfg.v_n * t))
@@ -427,10 +427,16 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
         trials=2 * 1024 + 100,  # spans three chunks
         seed=_SEED + 11,
     )
-    # the N-worker run's pool: at least 2, at most one per core and per chunk (1: serial)
+    # the N-worker run's pool: at least 2, at most one per core and per chunk
     chunks = math.ceil(cfg.trials / _TRIAL_CHUNK)
     many = min(resolve_workers(max(2, resolve_workers(workers))), chunks)
-    workers_ok = run_experiment(cfg, workers=1) == run_experiment(cfg, workers=many)
+    checks = "forward/backward exactness, 30 min budget"
+    if many >= 2:
+        workers_ok = run_experiment(cfg, workers=1) == run_experiment(cfg, workers=many)
+        detail = f"1-vs-N worker equality, {checks}"
+    else:
+        workers_ok = None  # not run: it would compare a serial run with a serial run
+        detail = f"1-vs-N worker check not run, one core makes both runs serial; {checks}"
 
     T = cfg.automorphism
     rng = np.random.default_rng(_SEED)
@@ -442,13 +448,13 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
 
     total = time.perf_counter() - suite_start
     measured = {
-        "workers_identical": bool(workers_ok),
+        "workers_identical": workers_ok,
         "parallel_workers": many,
         "inverse_identity_ok": bool(inverse_ok),
         "suite_wall_time_s": total,
     }
-    ok = workers_ok and inverse_ok and total <= 1800.0
-    return ok, measured, "1-vs-N worker equality, forward/backward exactness, 30 min budget"
+    ok = workers_ok is not False and inverse_ok and total <= 1800.0
+    return ok, measured, detail
 
 
 def run_acceptance(quick: bool = False, workers: int | None = None) -> RunManifest:

@@ -1,11 +1,16 @@
 """Command-line front end: theory | simulate | estimate | validate.
 
-Configuration comes from flags, which override an optional UTF-8
-key=value config file whose keys mirror ExperimentConfig field names.
-Centres are given as exact rationals ("1/2,1/2") or decimals
-("0.4142,0.7321"); decimals denote the exact rational the double holds,
-which for a generic decimal is effectively non-periodic. All machine
-output carries full float precision; human tables round.
+The run schema is one table, _FIELDS: for each ExperimentConfig field,
+the flag help, the text parser and the manifest's JSON form. Flags,
+UTF-8 key=value config-file keys (flags win) and the manifest's config
+echo all come from it; theory takes ExperimentConfig's defaults too. One
+parse step reads every value and names the source of a bad one ("--n:
+..." or "run.cfg:2: n: ..."). estimate rejects, naming path:line, every
+CSV row that the manifest rules out. Centres are exact rationals
+("1/2,1/2") or decimals ("0.4142,0.7321"); a decimal denotes the exact
+rational the double holds, which for a generic decimal is effectively
+non-periodic. All machine output carries full float precision; human
+tables round.
 """
 
 from __future__ import annotations
@@ -13,16 +18,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 import time
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, NamedTuple
 
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange
-from .formulas import ExtremalModel, extremal_model, threshold_radius, wrap_time_g
+from .formulas import extremal_model, threshold_radius, wrap_time_g
 from .simulate import (
     ExperimentConfig,
     TrialRecord,
@@ -35,7 +43,7 @@ from .simulate import (
     gap_ks_statistic,
     run_experiment,
 )
-from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind, ToralAutomorphism
+from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -74,22 +82,46 @@ def parse_metric(text: str) -> MetricKind:
         raise ValueError(f"metric must be 'euclidean' or 'adapted', got {text!r}") from None
 
 
-# Config keys: the ExperimentConfig fields, which are also the flag names.
-_CONFIG_KEYS = {
-    "matrix": parse_matrix,
-    "zeta": parse_zeta,
-    "metric": parse_metric,
-    "tau": float,
-    "n": int,
-    "trials": int,
-    "modulus_bits": int,
-    "seed": int,
-    "run_gap": int,
+class _Field(NamedTuple):
+    """One ExperimentConfig field: its flag help, its text parser, its manifest JSON form."""
+
+    help: str
+    parse: Callable[[str], Any]
+    echo: Callable[[Any], Any]
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+# The run schema: ExperimentConfig's fields in their order. Each is a flag
+# (--modulus-bits for modulus_bits), a config-file key and a manifest config key.
+_FIELDS = {
+    "matrix": _Field("a,b,c,d integer matrix entries", parse_matrix, list),
+    "zeta": _Field("centre: 'a/b,c/d' exact or decimals", parse_zeta, lambda z: f"{z[0]},{z[1]}"),
+    "metric": _Field("euclidean | adapted", parse_metric, lambda metric: metric.value),
+    "tau": _Field("limit mean exceedance count", float, _same),
+    "n": _Field("orbit length", int, _same),
+    "trials": _Field("number of trials", int, _same),
+    "modulus_bits": _Field(
+        f"exact grid 2^k, k in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] "
+        f"(default {ExperimentConfig.modulus_bits})", int, _same,
+    ),
+    "seed": _Field("seed of the per-trial random streams", int, _same),
+    "run_gap": _Field("declustering gap (default: derived from q and g_n)", int, _same),
 }
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _parse(source: str, key: str, text: str) -> Any:
+    """The value of field `key` written as `text`; an error names the source."""
+    try:
+        return _FIELDS[key].parse(text)
+    except (ValueError, ArithmeticError) as exc:  # Fraction: 1/0 and inf
+        raise ValueError(f"{source}: {exc}") from None
+
+
+def _read_config_file(path: str) -> dict[str, Any]:
+    out: dict[str, Any] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -97,75 +129,61 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELDS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in out:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value
+        out[key] = _parse(f"{path}:{lineno}: {key}", key, value)
     return out
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge flags over config-file values over defaults."""
-    file_values = _read_config_file(args.config) if args.config else {}
-    kwargs = {}
-    for key, convert in _CONFIG_KEYS.items():
-        flag = getattr(args, key)
-        if flag is not None:
-            kwargs[key] = convert(flag) if isinstance(flag, str) else flag
-        elif key in file_values:
-            kwargs[key] = convert(file_values[key])
-    return ExperimentConfig(**kwargs)
+    """Merge flags over config-file values over ExperimentConfig's defaults.
+
+    A command may carry only some of the fields' flags, and no --config.
+    """
+    values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _FIELDS:
+        text = getattr(args, key, None)
+        if text is not None:
+            values[key] = _parse("--" + key.replace("_", "-"), key, text)
+    return ExperimentConfig(**values)
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "matrix": list(cfg.matrix),
-        "zeta": f"{cfg.zeta[0]},{cfg.zeta[1]}",
-        "metric": cfg.metric.value,
-        "tau": cfg.tau,
-        "n": cfg.n,
-        "trials": cfg.trials,
-        "modulus_bits": cfg.modulus_bits,
-        "seed": cfg.seed,
-        "run_gap": cfg.run_gap,
-        "derived": {
-            "q": cfg.q,
-            "u_n": cfg.u_n,
-            "radius": cfg.radius,
-            "v_n": cfg.v_n,
-            "g_n": cfg.g_n,
-            "run_gap_effective": cfg.run_gap_effective,
-            "lambda": cfg.automorphism.lam,
-        },
+    echo = {key: field.echo(getattr(cfg, key)) for key, field in _FIELDS.items()}
+    echo["derived"] = {
+        "q": cfg.q,
+        "u_n": cfg.u_n,
+        "radius": cfg.radius,
+        "v_n": cfg.v_n,
+        "g_n": cfg.g_n,
+        "run_gap_effective": cfg.run_gap_effective,
+        "lambda": cfg.automorphism.lam,
     }
+    return echo
 
 
 def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
-    missing = [key for key in _CONFIG_KEYS if key not in echo]
+    """The config a manifest echoes, which must echo back exactly as written."""
+    missing = [key for key in _FIELDS if key not in echo]
     if missing:
         raise ValueError(f"{path}: config lacks {', '.join(missing)}")
+    # each JSON value as its flag text, a list joined by commas; null leaves the default
+    texts = {
+        key: ",".join(map(str, echo[key])) if isinstance(echo[key], list) else str(echo[key])
+        for key in _FIELDS
+        if echo[key] is not None
+    }
     try:
-        values = {**{key: echo[key] for key in _CONFIG_KEYS}, "matrix": tuple(echo["matrix"])}
-        values.update(zeta=parse_zeta(str(echo["zeta"])), metric=MetricKind(echo["metric"]))
-        return ExperimentConfig(**values)
-    except (TypeError, ValueError) as exc:
+        cfg = ExperimentConfig(**{key: _parse(key, key, text) for key, text in texts.items()})
+    except ValueError as exc:
         raise ValueError(f"{path}: bad config: {exc}") from None
-
-
-def _closed_form_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> ExtremalModel:
-    """The closed-form law for (T, q, metric), refused where it is known to be wrong.
-
-    The Euclidean forms take |lam| alone. At a periodic centre the disc's
-    overlap with its images depends on the singular values of A^q, which
-    equal |lam|^q only when the matrix is symmetric.
-    """
-    if metric is MetricKind.EUCLIDEAN and q >= 1 and T.b != T.c:
-        raise ValueError(
-            f"the Euclidean closed forms at a periodic centre (q = {q}) need a symmetric "
-            f"matrix (b == c), got {T.entries}; the adapted metric has no such limit"
-        )
-    return extremal_model(T.lam_abs, q, metric)
+    written = _config_echo(cfg)
+    for key in _FIELDS:
+        if written[key] != echo[key]:
+            raise ValueError(f"{path}: bad config: {key} is {echo[key]!r}, not {written[key]!r}")
+    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -174,31 +192,25 @@ def _closed_form_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> Extr
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    metric = parse_metric(args.metric)
-    cfg = ExperimentConfig(
-        matrix=parse_matrix(args.matrix), zeta=parse_zeta(args.zeta), metric=metric,
-        tau=args.tau, n=args.n,
-    )
+    cfg = build_config(args)
     T = cfg.automorphism
     q = cfg.q if args.q is None else args.q
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    model = _closed_form_model(T, q, metric)
+    model = extremal_model(T, q, cfg.metric)
     theta = model.theta
     pis = model.multiplicity_table(args.kmax)
     payload = {
         "lambda": T.lam,
         "basis_det": T.basis_det,
         "q": q,
-        "metric": metric.value,
+        "metric": cfg.metric.value,
         "theta": theta,
         "pi": pis,
-        "n": args.n,
-        "tau": args.tau,
+        "n": cfg.n,
+        "tau": cfg.tau,
         "u_n": cfg.u_n,
-        "s_n": threshold_radius(args.n, args.tau, MetricKind.EUCLIDEAN),
+        "s_n": threshold_radius(cfg.n, cfg.tau, MetricKind.EUCLIDEAN),
         "radius": cfg.radius,
-        "g_n": wrap_time_g(args.n, T.lam_abs, q, args.tau),
+        "g_n": wrap_time_g(cfg.n, T.lam_abs, q, cfg.tau),
         "v_n": cfg.v_n,
     }
     if args.json:
@@ -207,10 +219,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
     print(f"matrix      {T.entries}")
     print(f"lambda      {T.lam:.12g}")
     print(f"basis_det   {T.basis_det:.12g}")
-    print(f"metric      {metric.value}")
+    print(f"metric      {cfg.metric.value}")
     print(f"q           {q}")
     print(f"theta       {theta:.12g}")
-    print(f"u_n         {payload['u_n']:.12g}   (n={args.n}, tau={args.tau})")
+    print(f"u_n         {payload['u_n']:.12g}   (n={cfg.n}, tau={cfg.tau})")
     print(f"s_n         {payload['s_n']:.12g}")
     print(f"radius      {payload['radius']:.12g}")
     print(f"g_n         {payload['g_n']}")
@@ -231,25 +243,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     records = run_experiment(cfg, args.workers)
     wall = time.perf_counter() - t0
 
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "exceedances.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(EXCEEDANCE_HEADER + "\n")
-            for rec in records:
-                for t, v in zip(rec.exceedance_times, rec.exceedance_values):
-                    fh.write(f"{rec.trial_id},{t},{_fmt(v)}\n")
-        with open(out / "block_maxima.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(BLOCK_MAX_HEADER + "\n")
-            for rec in records:
-                fh.write(f"{rec.trial_id},{_fmt(rec.block_maximum)}\n")
-        manifest = RunManifest(
-            config=_config_echo(cfg), version=__version__, wall_time_s=wall, criteria=[]
-        )
-        (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
-        return 3
+    out = Path(args.out)  # an OSError exits 3 through main
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "exceedances.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(EXCEEDANCE_HEADER + "\n")
+        for rec in records:
+            for t, v in zip(rec.exceedance_times, rec.exceedance_values):
+                fh.write(f"{rec.trial_id},{t},{_fmt(v)}\n")
+    with open(out / "block_maxima.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(BLOCK_MAX_HEADER + "\n")
+        for rec in records:
+            fh.write(f"{rec.trial_id},{_fmt(rec.block_maximum)}\n")
+    manifest = RunManifest(
+        config=_config_echo(cfg), version=__version__, wall_time_s=wall, criteria=[]
+    )
+    (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     total = sum(len(r.exceedance_times) for r in records)
     print(f"wrote {len(records)} trials, {total} exceedances to {out}")
     return 0
@@ -284,10 +292,12 @@ def _read_records(indir: Path) -> tuple[ExperimentConfig, list[TrialRecord]]:
     path = indir / "block_maxima.csv"
     rows = _csv_rows(path, BLOCK_MAX_HEADER, lambda trial, m: (int(trial), float(m)))
     for lineno, (trial, maximum) in rows:
+        if not 0 <= trial < cfg.trials:
+            raise ValueError(
+                f"{path}:{lineno}: trial {trial} is not in the manifest's 0..{cfg.trials - 1}"
+            )
         if trial in maxima:
             raise ValueError(f"{path}:{lineno}: duplicate trial {trial}")
-        if len(maxima) == cfg.trials:
-            raise ValueError(f"{path}:{lineno}: more trials than the manifest's {cfg.trials}")
         maxima[trial] = maximum
     if len(maxima) != cfg.trials:
         # the first missing row would sit right after the last one read
@@ -295,28 +305,29 @@ def _read_records(indir: Path) -> tuple[ExperimentConfig, list[TrialRecord]]:
             f"{path}:{len(maxima) + 2}: {len(maxima)} trials, the manifest says {cfg.trials}"
         )
 
-    times: dict[int, list[tuple[int, float]]] = {t: [] for t in maxima}
-    u_n = cfg.u_n
+    # (time, line, value) of each trial's exceedances
+    hits: dict[int, list[tuple[int, int, float]]] = {t: [] for t in maxima}
+    u_n, n = cfg.u_n, cfg.n
     path = indir / "exceedances.csv"
     rows = _csv_rows(path, EXCEEDANCE_HEADER, lambda trial, t, v: (int(trial), int(t), float(v)))
     for lineno, (trial, t, v) in rows:
-        if trial not in times:
+        if trial not in hits:
             raise ValueError(f"{path}:{lineno}: trial {trial} has no block maximum")
+        if not 0 <= t < n:
+            raise ValueError(f"{path}:{lineno}: time {t} is not in the manifest's [0, {n})")
         if v <= u_n:
             raise ValueError(f"{path}:{lineno}: value {_fmt(v)} is not above u_n = {_fmt(u_n)}")
-        times[trial].append((t, v))
+        hits[trial].append((t, lineno, v))
 
     records = []
     for trial in sorted(maxima):
-        pairs = sorted(times[trial])
-        records.append(
-            TrialRecord(
-                trial,
-                tuple(t for t, _ in pairs),
-                tuple(v for _, v in pairs),
-                maxima[trial],
-            )
-        )
+        ordered = sorted(hits[trial])
+        times = tuple(t for t, _, _ in ordered)
+        if not all(map(operator.lt, times, times[1:])):
+            t, lineno, _ = next(b for a, b in zip(ordered, ordered[1:]) if a[0] == b[0])
+            raise ValueError(f"{path}:{lineno}: repeated time {t} of trial {trial}")
+        values = tuple(v for _, _, v in ordered)
+        records.append(TrialRecord(trial, times, values, maxima[trial]))
     return cfg, records
 
 
@@ -328,7 +339,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise NoExceedances("no exceedances in the supplied CSVs")
 
     summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
-    model = _closed_form_model(cfg.automorphism, cfg.q, cfg.metric)
+    model = extremal_model(cfg.automorphism, cfg.q, cfg.metric)
     theta_model = model.theta
     theta_clusters = empirical_extremal_index(summaries)
     hist = empirical_multiplicity(summaries)
@@ -395,19 +406,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--matrix", default=None, help="a,b,c,d integer matrix entries")
-    p.add_argument("--zeta", default=None, help="centre: 'a/b,c/d' exact or decimals")
-    p.add_argument("--metric", default=None, help="euclidean | adapted")
-    p.add_argument("--tau", type=float, default=None, help="limit mean exceedance count")
-    p.add_argument("--n", type=int, default=None, help="orbit length")
-    p.add_argument("--trials", type=int, default=None, help="number of trials")
-    p.add_argument("--modulus-bits", dest="modulus_bits", type=int, default=None,
-                   help=f"exact grid 2^k, k in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] (default 61)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--run-gap", dest="run_gap", type=int, default=None)
-    p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--workers", type=int, default=None, help="worker cap (or EXTORUS_THREADS)")
+def _add_config_flags(p: argparse.ArgumentParser, keys: Iterable[str]) -> None:
+    """A flag for each ExperimentConfig field in keys; build_config parses its text."""
+    for key in keys:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=_FIELDS[key].help)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,18 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("theory", help="print closed-form quantities")
-    p.add_argument("--matrix", default="2,1,1,1")
-    p.add_argument("--zeta", default="0/1,0/1")
-    p.add_argument("--metric", default="euclidean")
+    _add_config_flags(p, ("matrix", "zeta", "metric", "tau", "n"))
     p.add_argument("--q", type=int, default=None, help="period (derived from --zeta if omitted)")
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("simulate", help="run trials, write CSVs and a manifest")
-    _add_config_flags(p)
+    _add_config_flags(p, _FIELDS)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--workers", type=int, default=None, help="worker cap (or EXTORUS_THREADS)")
     p.add_argument("--out", default="extorus_out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -468,12 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NoExceedances as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
     except (ExtorusError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, NoExceedances) else 2
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 3

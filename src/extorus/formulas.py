@@ -2,8 +2,11 @@
 
 Each closed form has its one evaluation here, and the other modules call
 it. The cluster laws are pure functions of (|lam|, q, metric); the
-thresholds are functions of (n, tau, metric, basis_det). Geometry
-conventions, with s the ball radius and lam the dominant eigenvalue:
+thresholds are functions of (n, tau, metric, basis_det). extremal_model
+takes the automorphism itself and is the one gate to the law: it refuses
+the Euclidean forms at a periodic centre for a non-symmetric matrix,
+where |lam| alone does not fix them. Geometry conventions, with s the
+ball radius and lam the dominant eigenvalue:
 
 * Ball measure: a Euclidean ball of radius r has measure pi r^2; an
   adapted-metric ball is a square in eigenbasis coordinates with
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .torus import MetricKind
+from .torus import MetricKind, ToralAutomorphism
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
@@ -337,12 +340,22 @@ class ExtremalModel:
         return out
 
 
-def extremal_model(lam_abs: float, q: int, metric: MetricKind) -> ExtremalModel:
-    """Build and validate an ExtremalModel.
+def extremal_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> ExtremalModel:
+    """The closed-form law for (T, q, metric), refused where it is known to be wrong.
 
-    Checks theta in (0, 1] and, for q >= 1, that the multiplicity law
-    sums to 1 within 1e-9 (adaptive cutoff plus geometric tail).
+    The Euclidean forms take |lam| alone. At a periodic centre the disc's
+    overlap with its images depends on the singular values of A^q, which
+    equal |lam|^q only when the matrix is symmetric, so the Euclidean
+    metric at q >= 1 needs b == c. Also checks theta in (0, 1] and, for
+    q >= 1, that the multiplicity law sums to 1 within 1e-9 (adaptive
+    cutoff plus geometric tail).
     """
+    if metric is MetricKind.EUCLIDEAN and q >= 1 and T.b != T.c:
+        raise ValueError(
+            f"the Euclidean closed forms at a periodic centre (q = {q}) need a symmetric "
+            f"matrix (b == c), got {T.entries}; the adapted metric has no such limit"
+        )
+    lam_abs = T.lam_abs
     theta = extremal_index(lam_abs, q, metric)
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta = {theta} out of (0, 1]")

@@ -134,14 +134,6 @@ def membership_mask(
     return mask
 
 
-def contains(region: RegionSpec, z: TorusPoint, T: ToralAutomorphism) -> bool:
-    """Membership of a single point (snapped to the default exact grid)."""
-    modulus = DEFAULT_MODULUS
-    px = np.array([round(z.x * modulus) % modulus], dtype=np.int64)
-    py = np.array([round(z.y * modulus) % modulus], dtype=np.int64)
-    return bool(membership_mask(region, T, px, py)[0])
-
-
 def _ball_slices(
     region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -291,7 +283,7 @@ def dprime_sum_diagnostic(
     n * sum_{j=1..j_max} m(A cap T^-j A) where A is the escape region at
     the Euclidean threshold radius s_n for tau = 1 (the ball itself when
     q = 0). A decreasing-in-n diagnostic of short-return suppression, not
-    a proof.
+    a proof. For q >= 1, zeta must be periodic with period q.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -299,6 +291,8 @@ def dprime_sum_diagnostic(
         raise ValueError("j_max must be >= 1")
     if j_max > math.log(n) ** 5:
         raise ValueError("j_max exceeds the (log n)^5 analysis window")
+    if q >= 1:
+        _verify_periodic(zeta, q, T)
     radius = threshold_radius(n, 1.0, MetricKind.EUCLIDEAN)
     kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
     region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, kind, q=q)

@@ -272,11 +272,6 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> list[TrialRe
     ]
 
 
-def run_trial(cfg: ExperimentConfig, trial_id: int) -> TrialRecord:
-    """The record of one trial, as run_experiment would give it."""
-    return _simulate_chunk(cfg, [trial_id])[0]
-
-
 def _chunk_job(args: tuple) -> list[TrialRecord]:
     cfg, ids = args
     return _simulate_chunk(cfg, ids)

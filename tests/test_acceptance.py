@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import math
 import os
+import time
 
 import pytest
 
+from extorus import acceptance
 from extorus.acceptance import RunManifest, run_acceptance
 from extorus.torus import resolve_workers
 
@@ -117,6 +119,16 @@ def test_criterion_8_engineering(by_id):
     assert c.measured["inverse_identity_ok"] is True
     assert c.measured["suite_wall_time_s"] <= 1800.0
     assert c.passed is True
+
+
+def test_criterion_8_on_one_core_says_worker_check_did_not_run(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    c = acceptance.criterion_8_engineering(time.perf_counter())
+    assert c.measured["workers_identical"] is None
+    assert c.measured["parallel_workers"] == 1
+    assert c.detail.startswith("1-vs-N worker check not run, one core")
+    assert set(c.measured) == MANIFEST_SHAPE[8][2]
+    assert c.passed is True  # on the inverse and budget checks alone
 
 
 REGIONS = ("A_q1", "Q_0", "Q_1", "Q_2", "Q_3", "U_1", "U_2", "U_3")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import io
 import json
 import math
@@ -162,6 +164,12 @@ class TestSimulate:
         assert f"tau must be finite and positive, got {tau}" in err
         assert not (tmp_path / "x").exists()
 
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("a file, not a directory")
+        code, out, err = run_cli(capsys, "simulate", "--n", "100", "--out", str(tmp_path / "taken"))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: I/O failure: ")
+
     def test_radius_too_large_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--tau", "99", "--n", "100", "--out", str(tmp_path / "x")
@@ -208,6 +216,38 @@ class TestSimulate:
         manifest = RunManifest.from_json((out_dir / "manifest.json").read_text())
         assert manifest.config["n"] == 800  # from file
         assert manifest.config["trials"] == 7  # flag wins
+
+    @pytest.mark.parametrize("command", ["simulate", "theory"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "abc", "--n: invalid literal for int() with base 10: 'abc'"),
+            ("--tau", "1,5", "--tau: could not convert string to float: '1,5'"),
+            ("--matrix", "2,1,1", "--matrix: matrix needs four comma-separated integers"),
+            ("--metric", "taxicab", "--metric: metric must be 'euclidean' or 'adapted'"),
+            ("--zeta", "1/0,0", "--zeta: Fraction(1, 0)"),
+            ("--zeta", "inf,0", "--zeta: cannot convert Infinity to integer ratio"),
+        ],
+        ids=["n", "tau", "matrix", "metric", "zeta-1/0", "zeta-inf"],
+    )
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys, command, flag, value, message):
+        extra = ["--out", str(tmp_path / "x")] if command == "simulate" else []
+        code, out, err = run_cli(capsys, command, f"{flag}={value}", *extra)
+        assert (code, out) == (2, "")
+        assert f"error: ValueError: {message}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--n", "900"]], ids=["file", "file-under-flag"])
+    def test_bad_config_file_value_names_path_line_and_key(self, tmp_path, capsys, flags):
+        # a bad file value is an error even where a flag overrides it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 5\nn = abc\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), *flags, "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert f"{cfg}:2: n: invalid literal for int() with base 10: 'abc'" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -378,15 +418,46 @@ class TestEstimateRejectsBadRecords:
         assert f"block_maxima.csv:{self.TRIALS + 2}:" in err and "manifest" in err
 
 
+    def test_trial_outside_manifest_range(self, run_dir, capsys):
+        def rename_first(lines):
+            _, maximum = lines[1].split(",")
+            lines[1] = f"777,{maximum}"
+
+        self.edit(run_dir / "block_maxima.csv", rename_first)
+        err = self.estimate_error(run_dir, capsys)
+        assert f"block_maxima.csv:2: trial 777 is not in the manifest's 0..{self.TRIALS - 1}" in err
+
+    @pytest.mark.parametrize("time", [-5, 2000, 999999])
+    def test_time_outside_orbit(self, run_dir, capsys, time):
+        def move_first(lines):
+            trial, _, value = lines[1].split(",")
+            lines[1] = f"{trial},{time},{value}"
+
+        self.edit(run_dir / "exceedances.csv", move_first)
+        err = self.estimate_error(run_dir, capsys)
+        assert f"exceedances.csv:2: time {time} is not in the manifest's [0, 2000)" in err
+
+    def test_repeated_row(self, run_dir, capsys):
+        path = run_dir / "exceedances.csv"
+        trial, time, _ = path.read_text().splitlines()[1].split(",")
+        n = self.edit(path, lambda lines: lines.append(lines[1]))
+        err = self.estimate_error(run_dir, capsys)
+        assert f"exceedances.csv:{n}: repeated time {time} of trial {trial}" in err
+
     @pytest.mark.parametrize(
         "change, message",
         [
             (lambda config: config.pop("seed"), "config lacks seed"),
             (lambda config: config.update(trails=config.pop("trials")), "config lacks trials"),
-            (lambda config: config.update(n="many"), "bad config"),
-            (lambda config: config.update(zeta=5), "bad config"),
+            (lambda config: config.update(n="many"), "bad config: n: invalid literal for int()"),
+            (lambda config: config.update(zeta=5), "bad config: zeta: zeta needs two"),
+            (lambda config: config.update(n=None), "bad config: n is None, not 100000"),
+            (lambda config: config.update(n=2000.5), "bad config: n: invalid literal"),
+            (lambda config: config.update(zeta="-1/1,1"), "bad config: zeta is '-1/1,1', not '0,0'"),
+            (lambda config: config.update(trials=0), "bad config: trials must be >= 1"),
         ],
-        ids=["missing", "misspelled", "mistyped-n", "mistyped-zeta"],
+        ids=["missing", "misspelled", "mistyped-n", "mistyped-zeta", "null-n", "float-n",
+             "unreduced-zeta", "no-trials"],
     )
     def test_bad_manifest_config(self, run_dir, capsys, change, message):
         path = run_dir / "manifest.json"
@@ -395,6 +466,58 @@ class TestEstimateRejectsBadRecords:
         path.write_text(json.dumps(manifest))
         err = self.estimate_error(run_dir, capsys)
         assert f"{path}:" in err and message in err
+
+
+class TestCliSurface:
+    """Each subcommand's flags, and one set of names for the run schema."""
+
+    FLAGS = {
+        "theory": {"--matrix", "--zeta", "--metric", "--tau", "--n", "--q", "--kmax", "--json"},
+        "simulate": {
+            "--matrix", "--zeta", "--metric", "--tau", "--n", "--trials", "--modulus-bits",
+            "--seed", "--run-gap", "--config", "--workers", "--out",
+        },
+        "estimate": {"--in", "--out", "--theta-override", "--mc-samples"},
+        "validate": {"--quick", "--out", "--workers"},
+    }
+    FILE_VALUES = {
+        "matrix": "5,2,2,1", "zeta": "1/2,1/2", "metric": "adapted", "tau": "2.5", "n": "3000",
+        "trials": "4", "modulus_bits": "40", "seed": "9", "run_gap": "3",
+    }
+
+    def test_flags_of_each_subcommand(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert flags == self.FLAGS
+
+    def test_fields_flags_config_keys_and_manifest_keys_are_one_set(self, tmp_path, capsys):
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert list(cli._FIELDS) == fields
+        assert set(self.FILE_VALUES) == set(fields)
+        schema_flags = self.FLAGS["simulate"] - {"--config", "--workers", "--out"}
+        assert {flag[2:].replace("-", "_") for flag in schema_flags} == set(fields)
+        # every field is a config-file key, and the manifest echoes each one back
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in self.FILE_VALUES.items()))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
+        assert code == 0, err
+        config = RunManifest.from_json((out / "manifest.json").read_text()).config
+        assert set(config) - {"derived"} == set(fields)
+        echoed = {
+            k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
+            for k, v in config.items()
+            if k != "derived"
+        }
+        assert echoed == self.FILE_VALUES
+        # the same values as flags give the same run
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in self.FILE_VALUES.items()]
+        assert run_cli(capsys, "simulate", *flags, "--out", str(tmp_path / "flags"))[0] == 0
+        assert _read_records(out) == _read_records(tmp_path / "flags")
 
 
 def test_import_leaves_scipy_unloaded():

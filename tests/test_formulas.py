@@ -276,26 +276,36 @@ class TestWrapTime:
 
 class TestExtremalModel:
     def test_nonperiodic_concentrated(self):
-        model = extremal_model(LAM, 0, MetricKind.EUCLIDEAN)
+        model = extremal_model(CAT, 0, MetricKind.EUCLIDEAN)
         assert model.theta == 1.0
         assert model.multiplicity(1) == 1.0
         assert model.multiplicity(2) == 0.0
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_validated_mass(self, metric):
-        model = extremal_model(LAM, 2, metric)
+        model = extremal_model(CAT, 2, metric)
         assert math.fsum(model.multiplicity_table(400)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("matrix", [(3, 1, 2, 1), (-3, 1, -1, 0)])
+    def test_euclidean_periodic_needs_symmetric_matrix(self, matrix):
+        T = build_automorphism(*matrix)
+        for q in (1, 3):
+            with pytest.raises(ValueError, match=r"need a symmetric matrix \(b == c\)"):
+                extremal_model(T, q, MetricKind.EUCLIDEAN)
+        # the adapted law and the non-periodic law take |lam| alone
+        assert extremal_model(T, 1, MetricKind.ADAPTED).theta == 1.0 - T.lam_abs**-1
+        assert extremal_model(T, 0, MetricKind.EUCLIDEAN).theta == 1.0
 
 
 class TestPmfVector:
     def test_matches_polya_aeppli_for_geometric_sizes(self):
-        model = extremal_model(LAM, 1, MetricKind.ADAPTED)
+        model = extremal_model(CAT, 1, MetricKind.ADAPTED)
         pmf = model.pmf_vector(2.0, 20)
         for k in range(21):
             assert pmf[k] == pytest.approx(polya_aeppli_pmf(model.theta, 2.0, k), abs=1e-12)
 
     def test_euclidean_law_is_probability(self):
-        model = extremal_model(LAM, 1, MetricKind.EUCLIDEAN)
+        model = extremal_model(CAT, 1, MetricKind.EUCLIDEAN)
         pmf = model.pmf_vector(3.0, 120)
         assert float(pmf.sum()) == pytest.approx(1.0, abs=1e-9)
         mean = float(np.arange(121) @ pmf)
@@ -428,7 +438,7 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_model(self, metric):
-        model = extremal_model(LAM, 1, metric)
+        model = extremal_model(CAT, 1, metric)
         pinned = PINNED_MODELS[metric.value]
         assert model.theta.hex() == pinned["theta"]
         assert tuple(model.multiplicity(k).hex() for k in range(1, 6)) == pinned["pi"]

@@ -21,7 +21,6 @@ from extorus import (
     TorusPoint,
     area_A_q,
     build_automorphism,
-    contains,
     dprime_sum_diagnostic,
     monte_carlo_measure,
     nested_area_U,
@@ -62,12 +61,13 @@ class TestRegionSpec:
 
 class TestContains:
     def test_centre_in_ball_and_nested_sets(self):
-        assert contains(ball_region(), ORIGIN, CAT)
+        centre = np.zeros(1, dtype=np.int64)  # the origin's residue
+        assert membership_mask(ball_region(), CAT, centre, centre)[0]
         for kappa in range(4):
             region = RegionSpec(
                 ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=kappa
             )
-            assert contains(region, ORIGIN, CAT)
+            assert membership_mask(region, CAT, centre, centre)[0]
 
     def test_nested_level_zero_is_ball(self):
         # membership of U at kappa=0 agrees with the plain ball on 1e5 points
@@ -416,6 +416,11 @@ class TestDprimeSum:
         large_n = dprime_sum_diagnostic(CAT, zeta, 0, 10**6, 10, 400_000, 12)
         assert small_n > 0.0
         assert large_n < small_n
+
+    def test_rejects_non_periodic_claim(self):
+        # like separation_check: an escape region needs a centre of period q
+        with pytest.raises(ValueError, match="zeta is not periodic with period 1"):
+            dprime_sum_diagnostic(CAT, (Fraction(1, 3), Fraction(1, 7)), 1, 1000, 2, 2000, 1)
 
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(ValueError):

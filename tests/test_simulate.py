@@ -32,7 +32,6 @@ from extorus import (
     monte_carlo_measure,
     repp_counts,
     run_experiment,
-    run_trial,
 )
 from _reference import simulate_chunk_stepwise
 from extorus import simulate
@@ -109,12 +108,12 @@ class TestKacRescale:
 class TestRunTrial:
     def test_deterministic(self):
         cfg = small_cfg()
-        assert run_trial(cfg, 7) == run_trial(cfg, 7)
+        assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=1)
 
     def test_start_at_centre_records_capped_value(self, monkeypatch):
-        cfg = small_cfg()
+        cfg = small_cfg(trials=1)
         monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: [(0, 0)])
-        rec = run_trial(cfg, 0)
+        (rec,) = run_experiment(cfg, workers=1)
         assert rec.exceedance_times[0] == 0
         assert rec.exceedance_values[0] == OBSERVABLE_CAP
         assert rec.block_maximum == OBSERVABLE_CAP
