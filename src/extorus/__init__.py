@@ -40,11 +40,12 @@ from .regions import (
     separation_check,
 )
 from .simulate import (
+    Clusters,
     ClusterSummary,
     ExperimentConfig,
+    Records,
     TrialRecord,
     chi_square_vs_pmf,
-    decluster,
     decluster_all,
     ei_measure_ratio,
     empirical_extremal_index,
@@ -97,11 +98,12 @@ __all__ = [
     "separation_check",
     "dprime_sum_diagnostic",
     "ExperimentConfig",
+    "Records",
     "TrialRecord",
+    "Clusters",
     "ClusterSummary",
     "run_experiment",
     "estimate_block_maxima_cdf",
-    "decluster",
     "decluster_all",
     "empirical_extremal_index",
     "empirical_multiplicity",

@@ -285,27 +285,26 @@ def criterion_3_separation():
 def _dichotomy_run(metric: MetricKind, zeta, workers: int | None):
     """Run one dichotomy experiment through block maxima, declustering and theta-hat.
 
-    Returns the config, the cluster summaries and the measured values
-    every dichotomy criterion reports.
+    Returns the config, the clusters and the measured values every
+    dichotomy criterion reports.
     """
     cfg = ExperimentConfig(
         matrix=CAT, zeta=zeta, metric=metric, tau=1.0, n=100_000, trials=_TRIALS, seed=_SEED
     )
     records = run_experiment(cfg, workers)
     p_hat, se = estimate_block_maxima_cdf(cfg, records)
-    summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
+    clusters = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
     measured = {
         "trials": cfg.trials,
         "p_hat": p_hat,
         "p_se": se,
-        "theta_hat_clusters": empirical_extremal_index(summaries),
+        "theta_hat_clusters": empirical_extremal_index(clusters),
     }
-    return cfg, summaries, measured
+    return cfg, clusters, measured
 
 
-def _size_chi_square(summaries, pmf) -> dict:
-    sizes = [s for summ in summaries for s in summ.cluster_sizes]
-    chi, chi_p, dof = chi_square_vs_pmf(sizes, pmf, 1, 5)
+def _size_chi_square(clusters, pmf) -> dict:
+    chi, chi_p, dof = chi_square_vs_pmf(clusters.size, pmf, 1, 5)
     return {"chi2": chi, "chi2_p_value": chi_p, "chi2_dof": dof}
 
 
@@ -313,9 +312,9 @@ def _size_chi_square(summaries, pmf) -> dict:
 def criterion_4_nonperiodic(workers: int | None = None):
     """Dichotomy at a non-periodic centre: unit extremal index statistics."""
     zeta = (Fraction(math.sqrt(2.0) - 1.0), Fraction(math.sqrt(3.0) - 1.0))
-    cfg, summaries, measured = _dichotomy_run(MetricKind.EUCLIDEAN, zeta, workers)
-    hist = empirical_multiplicity(summaries)
-    ks, ks_p = gap_ks_statistic(summaries, 1.0, window_span=cfg.tau)
+    cfg, clusters, measured = _dichotomy_run(MetricKind.EUCLIDEAN, zeta, workers)
+    hist = empirical_multiplicity(clusters)
+    ks, ks_p = gap_ks_statistic(clusters, 1.0, window_span=cfg.tau)
     measured.update(
         p_target=math.exp(-1.0),
         ks_stat=ks,
@@ -335,7 +334,7 @@ def criterion_4_nonperiodic(workers: int | None = None):
 def criterion_5_periodic_euclidean(workers: int | None = None):
     """Dichotomy at the fixed point, Euclidean metric."""
     origin = (Fraction(0), Fraction(0))
-    cfg, summaries, measured = _dichotomy_run(MetricKind.EUCLIDEAN, origin, workers)
+    cfg, clusters, measured = _dichotomy_run(MetricKind.EUCLIDEAN, origin, workers)
     model = extremal_model(cfg.automorphism, cfg.q, MetricKind.EUCLIDEAN)
     theta = model.theta
     theta_ratio = ei_measure_ratio(cfg, _RATIO_SAMPLES, _SEED + 17)
@@ -344,7 +343,7 @@ def criterion_5_periodic_euclidean(workers: int | None = None):
         theta_formula=theta,
         p_target=math.exp(-theta * cfg.tau),
         theta_hat_ratio=theta_ratio,
-        **_size_chi_square(summaries, model.multiplicity),
+        **_size_chi_square(clusters, model.multiplicity),
     )
     ok = (
         abs(measured["p_hat"] - math.exp(-theta * cfg.tau)) <= 0.03
@@ -359,14 +358,14 @@ def criterion_5_periodic_euclidean(workers: int | None = None):
 def criterion_6_periodic_adapted(workers: int | None = None):
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
     origin = (Fraction(0), Fraction(0))
-    cfg, summaries, measured = _dichotomy_run(MetricKind.ADAPTED, origin, workers)
+    cfg, clusters, measured = _dichotomy_run(MetricKind.ADAPTED, origin, workers)
     model = extremal_model(cfg.automorphism, cfg.q, MetricKind.ADAPTED)
     theta = model.theta
     measured.update(
         q=cfg.q,
         theta_formula=theta,
         p_target=math.exp(-theta * cfg.tau),
-        **_size_chi_square(summaries, model.multiplicity),
+        **_size_chi_square(clusters, model.multiplicity),
     )
     ok = (
         abs(measured["theta_hat_clusters"] - theta) <= 0.04

@@ -16,9 +16,9 @@ tables round.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
-import operator
 import re
 import sys
 import time
@@ -27,13 +27,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange
 from .formulas import extremal_model, threshold_radius, wrap_time_g
 from .simulate import (
     ExperimentConfig,
-    TrialRecord,
+    Records,
+    check_field,
     chi_square_vs_pmf,
     decluster_all,
     ei_measure_ratio,
@@ -47,6 +50,7 @@ from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
+_CSV_ROWS = 1 << 15
 
 
 def _fmt(x: float) -> str:
@@ -113,11 +117,15 @@ _FIELDS = {
 
 
 def _parse(source: str, key: str, text: str) -> Any:
-    """The value of field `key` written as `text`; an error names the source."""
+    """The value of field `key` written as `text`, checked on its own; an error names the source."""
     try:
-        return _FIELDS[key].parse(text)
+        value = _FIELDS[key].parse(text)
+        check_field(key, value)
+    except ExtorusError as exc:  # a matrix that is not hyperbolic or not of determinant 1
+        raise type(exc)(f"{source}: {exc}") from None
     except (ValueError, ArithmeticError) as exc:  # Fraction: 1/0 and inf
         raise ValueError(f"{source}: {exc}") from None
+    return value
 
 
 def _read_config_file(path: str) -> dict[str, Any]:
@@ -177,8 +185,8 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
     }
     try:
         cfg = ExperimentConfig(**{key: _parse(key, key, text) for key, text in texts.items()})
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad config: {exc}") from None
+    except (ValueError, ExtorusError) as exc:
+        raise type(exc)(f"{path}: bad config: {exc}") from None
     written = _config_echo(cfg)
     for key in _FIELDS:
         if written[key] != echo[key]:
@@ -237,6 +245,20 @@ def cmd_theory(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> None:
+    """header, then a row per line: integers, then the last column as _fmt writes it.
+
+    One % formats _CSV_ROWS rows: faster than a call per row, and of bounded memory.
+    """
+    line = "%d," * (len(columns) - 1) + "%.17g\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CSV_ROWS):
+            rows = zip(*(column[start : start + _CSV_ROWS].tolist() for column in columns))
+            fields = tuple(itertools.chain.from_iterable(rows))
+            fh.write(line * (len(fields) // len(columns)) % fields)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     t0 = time.perf_counter()
@@ -245,21 +267,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = Path(args.out)  # an OSError exits 3 through main
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "exceedances.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(EXCEEDANCE_HEADER + "\n")
-        for rec in records:
-            for t, v in zip(rec.exceedance_times, rec.exceedance_values):
-                fh.write(f"{rec.trial_id},{t},{_fmt(v)}\n")
-    with open(out / "block_maxima.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(BLOCK_MAX_HEADER + "\n")
-        for rec in records:
-            fh.write(f"{rec.trial_id},{_fmt(rec.block_maximum)}\n")
+    _write_csv(out / "exceedances.csv", EXCEEDANCE_HEADER, records.trial, records.time, records.value)
+    _write_csv(out / "block_maxima.csv", BLOCK_MAX_HEADER, np.arange(len(records)), records.maxima)
     manifest = RunManifest(
         config=_config_echo(cfg), version=__version__, wall_time_s=wall, criteria=[]
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
-    total = sum(len(r.exceedance_times) for r in records)
-    print(f"wrote {len(records)} trials, {total} exceedances to {out}")
+    print(f"wrote {len(records)} trials, {records.time.size} exceedances to {out}")
     return 0
 
 
@@ -267,82 +281,128 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # estimate
 # --------------------------------------------------------------------------
 
+# The columns of each records CSV, the float last.
+_EXCEEDANCE_ROW = np.dtype([("trial", np.int64), ("time", np.int64), ("value", np.float64)])
+_BLOCK_MAX_ROW = np.dtype([("trial", np.int64), ("maximum", np.float64)])
 
-def _csv_rows(path: Path, header: str, parse):
-    """(line number, parse(*fields)) of each data row; parse puts the float value last."""
+
+def _first_problem(columns: dict[str, np.ndarray], checks) -> tuple[int, str, dict] | None:
+    """The first row that fails a check, the message of the first check it fails, and its fields."""
+    value = [*columns.values()][-1]
+    masks = [(~np.isfinite(value), "non-finite value in {line!r}"), *checks(columns)]
+    firsts = [(np.argmax(mask), i) for i, (mask, _) in enumerate(masks) if np.any(mask)]
+    if not firsts:
+        return None
+    row, i = min(firsts)
+    return row, masks[i][1], {name: column.item(row) for name, column in columns.items()}
+
+
+def _read_csv(path: Path, header: str, dtype: np.dtype, checks) -> dict[str, np.ndarray]:
+    """A records CSV's columns, read by NumPy; the first bad row raises, naming path:line.
+
+    checks(columns) gives (failing-row mask, message) pairs in the order a
+    row is checked, after "malformed" and "non-finite"; a message is
+    formatted with the row's fields and line, which is found only then.
+    """
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != header:
         raise ValueError(f"{path}:1: expected header {header!r}")
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            row = parse(*line.split(","))
-        except (TypeError, ValueError):  # TypeError: wrong field count
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
-        if not math.isfinite(row[-1]):
-            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
-        yield lineno, row
+    body = lines[1:]
+
+    def parse(lines: list[str]) -> np.ndarray:
+        if "" in lines:  # loadtxt would skip it
+            raise ValueError("empty line")
+        if not lines:
+            return np.empty(0, dtype)
+        return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+
+    try:
+        rows, bad = parse(body), len(body)
+    except ValueError:  # bisect for the first line that does not parse: body[:good] does
+        good, bad = 0, len(body) - 1
+        while good < bad:
+            mid = (good + bad + 1) // 2
+            try:
+                parse(body[:mid])
+                good = mid
+            except ValueError:
+                bad = mid - 1
+        rows = parse(body[:bad])
+    columns = {name: rows[name] for name in dtype.names}
+    problem = _first_problem(columns, checks)
+    if problem is None and bad < len(body):
+        try:  # int() and float() read more than NumPy: an integer beyond int64 fails its range check
+            one = {
+                name: np.array([(float if dtype[name].kind == "f" else int)(text)])
+                for name, text in zip(dtype.names, body[bad].split(","), strict=True)
+            }
+            problem = _first_problem(one, checks)
+        except ValueError:
+            problem = None
+        _, message, fields = problem or (bad, "malformed row {line!r}", {})
+        problem = bad, message, fields
+    if problem is not None:
+        row, message, fields = problem
+        raise ValueError(f"{path}:{row + 2}: " + message.format(line=body[row], **fields))
+    return columns
 
 
-def _read_records(indir: Path) -> tuple[ExperimentConfig, list[TrialRecord]]:
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """The mask of the entries equal to an earlier one."""
+    mask = np.ones(values.size, dtype=bool)
+    mask[np.unique(values, return_index=True)[1]] = False
+    return mask
+
+
+def _read_records(indir: Path) -> tuple[ExperimentConfig, Records]:
     path = indir / "manifest.json"
     manifest = RunManifest.from_json(path.read_text(encoding="utf-8"))
     cfg = _config_from_echo(manifest.config, path)
+    last, n = cfg.trials - 1, cfg.n
 
-    maxima: dict[int, float] = {}
     path = indir / "block_maxima.csv"
-    rows = _csv_rows(path, BLOCK_MAX_HEADER, lambda trial, m: (int(trial), float(m)))
-    for lineno, (trial, maximum) in rows:
-        if not 0 <= trial < cfg.trials:
-            raise ValueError(
-                f"{path}:{lineno}: trial {trial} is not in the manifest's 0..{cfg.trials - 1}"
-            )
-        if trial in maxima:
-            raise ValueError(f"{path}:{lineno}: duplicate trial {trial}")
-        maxima[trial] = maximum
-    if len(maxima) != cfg.trials:
+    maxima = _read_csv(path, BLOCK_MAX_HEADER, _BLOCK_MAX_ROW, lambda c: [
+        ((c["trial"] < 0) | (c["trial"] > last), f"trial {{trial}} is not in the manifest's 0..{last}"),
+        (_repeats(c["trial"]), "duplicate trial {trial}"),
+    ])
+    found = maxima["trial"].size
+    if found != cfg.trials:
         # the first missing row would sit right after the last one read
-        raise ValueError(
-            f"{path}:{len(maxima) + 2}: {len(maxima)} trials, the manifest says {cfg.trials}"
-        )
+        raise ValueError(f"{path}:{found + 2}: {found} trials, the manifest says {cfg.trials}")
 
-    # (time, line, value) of each trial's exceedances
-    hits: dict[int, list[tuple[int, int, float]]] = {t: [] for t in maxima}
-    u_n, n = cfg.u_n, cfg.n
     path = indir / "exceedances.csv"
-    rows = _csv_rows(path, EXCEEDANCE_HEADER, lambda trial, t, v: (int(trial), int(t), float(v)))
-    for lineno, (trial, t, v) in rows:
-        if trial not in hits:
-            raise ValueError(f"{path}:{lineno}: trial {trial} has no block maximum")
-        if not 0 <= t < n:
-            raise ValueError(f"{path}:{lineno}: time {t} is not in the manifest's [0, {n})")
-        if v <= u_n:
-            raise ValueError(f"{path}:{lineno}: value {_fmt(v)} is not above u_n = {_fmt(u_n)}")
-        hits[trial].append((t, lineno, v))
+    rows = _read_csv(path, EXCEEDANCE_HEADER, _EXCEEDANCE_ROW, lambda c: [
+        ((c["trial"] < 0) | (c["trial"] > last), "trial {trial} has no block maximum"),
+        ((c["time"] < 0) | (c["time"] >= n), f"time {{time}} is not in the manifest's [0, {n})"),
+        (c["value"] <= cfg.u_n, f"value {{value:.17g}} is not above u_n = {_fmt(cfg.u_n)}"),
+    ])
+    trial, times, values = rows["trial"], rows["time"], rows["value"]
+    # sorted by (trial, time) with no repeat, as simulate writes them, unless a row says otherwise
+    if not np.all((trial[1:] > trial[:-1]) | ((trial[1:] == trial[:-1]) & (times[1:] > times[:-1]))):
+        line = np.lexsort((times, trial))  # stable: a repeat comes after the row it repeats
+        trial, times, values = trial[line], times[line], values[line]
+        same = np.flatnonzero((trial[1:] == trial[:-1]) & (times[1:] == times[:-1]))
+        if same.size:
+            i = same[0] + 1
+            raise ValueError(f"{path}:{line[i] + 2}: repeated time {times[i]} of trial {trial[i]}")
 
-    records = []
-    for trial in sorted(maxima):
-        ordered = sorted(hits[trial])
-        times = tuple(t for t, _, _ in ordered)
-        if not all(map(operator.lt, times, times[1:])):
-            t, lineno, _ = next(b for a, b in zip(ordered, ordered[1:]) if a[0] == b[0])
-            raise ValueError(f"{path}:{lineno}: repeated time {t} of trial {trial}")
-        values = tuple(v for _, _, v in ordered)
-        records.append(TrialRecord(trial, times, values, maxima[trial]))
-    return cfg, records
+    block_maxima = np.empty(cfg.trials)
+    block_maxima[maxima["trial"]] = maxima["maximum"]
+    return cfg, Records(trial, times, values, block_maxima)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     indir = Path(args.indir)
     cfg, records = _read_records(indir)
-    total_exceedances = sum(len(r.exceedance_times) for r in records)
+    total_exceedances = records.time.size
     if total_exceedances == 0:
         raise NoExceedances("no exceedances in the supplied CSVs")
 
-    summaries = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
+    clusters = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
     model = extremal_model(cfg.automorphism, cfg.q, cfg.metric)
     theta_model = model.theta
-    theta_clusters = empirical_extremal_index(summaries)
-    hist = empirical_multiplicity(summaries)
+    theta_clusters = empirical_extremal_index(clusters)
+    hist = empirical_multiplicity(clusters)
 
     p_hat, _ = estimate_block_maxima_cdf(cfg, records)
 
@@ -360,16 +420,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             print(f"theta_hat (ratio)     {theta_ratio:.6g}")
     print(f"P(M_n <= u_n)         {p_hat:.6g}  (model {math.exp(-theta_model * cfg.tau):.6g})")
 
-    sizes = [s for summ in summaries for s in summ.cluster_sizes]
     try:
-        chi, chi_p, dof = chi_square_vs_pmf(sizes, model.multiplicity, 1, 5)
+        chi, chi_p, dof = chi_square_vs_pmf(clusters.size, model.multiplicity, 1, 5)
         print(f"size chi-square       {chi:.4g} (dof {dof}, p {chi_p:.4g})")
     except ValueError as exc:
         print(f"size chi-square       skipped ({exc})")
 
     theta_gap = args.theta_override if args.theta_override is not None else theta_model
     try:
-        ks, ks_p = gap_ks_statistic(summaries, theta_gap, window_span=cfg.tau)
+        ks, ks_p = gap_ks_statistic(clusters, theta_gap, window_span=cfg.tau)
         print(f"gap KS vs Exp({theta_gap:.4g})   {ks:.4g} (p {ks_p:.4g})")
     except ExtorusError as exc:
         print(f"gap KS                skipped ({exc})")

@@ -22,24 +22,26 @@ it is below the key of R; the trials whose candidates never get there,
 about e^(-9 theta max(tau, 1)) of them, are walked again with the strip
 set to the whole torus.
 
-On top of the raw records sit the standard estimators: block-maxima CDF
-at the threshold, runs declustering, cluster-count extremal index,
-cluster-size histograms, Kac-time inter-cluster gap Kolmogorov-Smirnov
-statistics, window counting distributions, and the measure-ratio
-extremal index backed by the region oracle.
+On top of the records, kept as columns (Records), sit the standard
+estimators, each an array pass: block-maxima CDF at the threshold, runs
+declustering, cluster-count extremal index, cluster-size histograms,
+Kac-time inter-cluster gap Kolmogorov-Smirnov statistics, window
+counting distributions, and the measure-ratio extremal index backed by
+the region oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
-from .formulas import ball_measure, threshold_radius, threshold_u_n, wrap_time_g
+from .formulas import _check_tau, ball_measure, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import RegionKind, RegionSpec, monte_carlo_measure
 from .torus import (
     MAX_MODULUS_BITS,
@@ -70,6 +72,20 @@ _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
 
 
+def check_field(key: str, value) -> None:
+    """Raise unless `value` is valid for ExperimentConfig field `key` on its own; cli names the source."""
+    if key == "matrix":
+        build_automorphism(*value)
+    elif key == "tau":
+        _check_tau(value)
+    elif key in ("n", "trials") and value < 1:
+        raise ValueError(f"{key} must be >= 1")
+    elif key == "modulus_bits" and not MIN_MODULUS_BITS <= value <= MAX_MODULUS_BITS:
+        raise ValueError(f"modulus_bits must lie in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}]")
+    elif key == "run_gap" and value is not None and value < 1:
+        raise ValueError("run_gap must be positive")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulation experiment.
@@ -91,16 +107,10 @@ class ExperimentConfig:
     run_gap: int | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (MIN_MODULUS_BITS <= self.modulus_bits <= MAX_MODULUS_BITS):
-            raise ValueError(f"modulus_bits must lie in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}]")
-        if self.run_gap is not None and self.run_gap < 1:
-            raise ValueError("run_gap must be positive")
+        for field in fields(self):
+            check_field(field.name, getattr(self, field.name))
         object.__setattr__(self, "zeta", (Fraction(self.zeta[0]) % 1, Fraction(self.zeta[1]) % 1))
-        self.radius  # validates tau (finite, > 0), the matrix, and radius < 0.25
+        self.radius  # the one check of fields together: radius < 0.25
 
     @cached_property
     def automorphism(self) -> ToralAutomorphism:
@@ -149,22 +159,73 @@ class ExperimentConfig:
         return max(gap, 1)
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Exceedance times/values and the block maximum of one orbit."""
+class TrialRecord(NamedTuple):
+    """Exceedance times/values and the block maximum of one orbit, as views of a Records."""
 
     trial_id: int
-    exceedance_times: tuple[int, ...]
-    exceedance_values: tuple[float, ...]
+    exceedance_times: np.ndarray
+    exceedance_values: np.ndarray
     block_maximum: float
 
 
-@dataclass(frozen=True)
-class ClusterSummary:
-    """Declustered view of one trial, in Kac time units (steps / v_n)."""
+class ClusterSummary(NamedTuple):
+    """Declustered view of one trial, in Kac time units (steps / v_n), as views of a Clusters."""
 
-    cluster_sizes: tuple[int, ...]
-    cluster_times: tuple[float, ...]
+    cluster_sizes: np.ndarray
+    cluster_times: np.ndarray
+
+
+class _ByTrial:
+    """Rows sorted by their trial column; self[k] views the rows of trial k in 0..len(self)-1.
+
+    Iteration goes through __getitem__ up to its IndexError. Two values are
+    equal when their columns are (so they are not hashable).
+    """
+
+    def __getitem__(self, k: int):
+        k = range(len(self))[k]  # negative k counts from the end; IndexError past it
+        return self._view(k, slice(*self._bounds[k : k + 2]))
+
+    @cached_property
+    def _bounds(self) -> list[int]:
+        return np.searchsorted(self.trial, np.arange(len(self) + 1)).tolist()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Records(_ByTrial):
+    """An experiment's exceedances as columns sorted by (trial, time), and each trial's block maximum."""
+
+    trial: np.ndarray
+    time: np.ndarray
+    value: np.ndarray
+    maxima: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.maxima)
+
+    def _view(self, k: int, rows: slice) -> TrialRecord:
+        return TrialRecord(k, self.time[rows], self.value[rows], float(self.maxima[k]))
+
+
+@dataclass(frozen=True, eq=False)
+class Clusters(_ByTrial):
+    """Declustered records as columns, a row per cluster; time is its first step over v_n."""
+
+    trial: np.ndarray
+    size: np.ndarray
+    time: np.ndarray
+    trials: int
+
+    def __len__(self) -> int:
+        return self.trials
+
+    def _view(self, k: int, rows: slice) -> ClusterSummary:
+        return ClusterSummary(self.size[rows], self.time[rows])
 
 
 def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
@@ -241,15 +302,17 @@ def _walk_candidates(
     return np.concatenate(ids), np.concatenate(times), np.concatenate(keys), best
 
 
-def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> list[TrialRecord]:
-    """Orbits for a batch of trials, measured only in the x-strip (see the module notes)."""
-    metric = cfg.metric
+def _observable(keys: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """-log of each key's distance (OBSERVABLE_CAP at 0) by math.log, whose bits np.log misses at times."""
     # the Euclidean key is the squared distance: -log d = -0.5 log key
-    log_factor = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
+    factor = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
+    zero = keys == 0.0
+    logs = np.fromiter(map(math.log, np.where(zero, 1.0, keys).tolist()), np.float64, keys.size)
+    return np.where(zero, OBSERVABLE_CAP, factor * logs)
 
-    def observable(key: float) -> float:
-        return OBSERVABLE_CAP if key == 0.0 else log_factor * math.log(key)
 
+def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> Records:
+    """Orbits for a batch of trials (trial k is trial_ids[k]), measured only in the x-strip."""
     initial_states = _initial_states(cfg, trial_ids)
     px = np.array([s[0] for s in initial_states], dtype=np.int64)
     py = np.array([s[1] for s in initial_states], dtype=np.int64)
@@ -263,42 +326,41 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> list[TrialRe
 
     # a stable sort by trial keeps each trial's hits in time order
     order = np.argsort(ids, kind="stable")
-    times = times[order].tolist()
-    values = [observable(key) for key in keys[order].tolist()]
-    bounds = np.cumsum(np.bincount(ids, minlength=len(trial_ids))).tolist()
-    return [
-        TrialRecord(int(tid), tuple(times[s:e]), tuple(values[s:e]), observable(float(best[i])))
-        for i, (tid, s, e) in enumerate(zip(trial_ids, [0, *bounds], bounds))
-    ]
+    return Records(
+        ids[order], times[order], _observable(keys[order], cfg.metric), _observable(best, cfg.metric)
+    )
 
 
-def _chunk_job(args: tuple) -> list[TrialRecord]:
+def _chunk_job(args: tuple) -> Records:
     cfg, ids = args
     return _simulate_chunk(cfg, ids)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:
-    """All trials of the experiment, ordered by trial id.
+def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Records:
+    """The records of all trials.
 
     Records are a pure function of (cfg, trial_id); the worker count
     only changes how chunks are scheduled.
     """
     ids = list(range(cfg.trials))
-    chunks = [(cfg, ids[i : i + _TRIAL_CHUNK]) for i in range(0, len(ids), _TRIAL_CHUNK)]
-    return [rec for part in map_jobs(_chunk_job, chunks, workers) for rec in part]
+    starts = range(0, len(ids), _TRIAL_CHUNK)
+    parts = map_jobs(_chunk_job, [(cfg, ids[i : i + _TRIAL_CHUNK]) for i in starts], workers)
+    return Records(
+        np.concatenate([part.trial + i for part, i in zip(parts, starts)]),
+        np.concatenate([part.time for part in parts]),
+        np.concatenate([part.value for part in parts]),
+        np.concatenate([part.maxima for part in parts]),
+    )
 
 
-def estimate_block_maxima_cdf(
-    cfg: ExperimentConfig, records: list[TrialRecord]
-) -> tuple[float, float]:
+def estimate_block_maxima_cdf(cfg: ExperimentConfig, records: Records) -> tuple[float, float]:
     """Fraction of trials whose block maximum stays at or below u_n, and its standard error."""
-    u = cfg.u_n
-    p = sum(1 for rec in records if rec.block_maximum <= u) / len(records)
+    p = int(np.count_nonzero(records.maxima <= cfg.u_n)) / len(records)
     return p, math.sqrt(p * (1.0 - p) / len(records))
 
 
-def decluster(record: TrialRecord, run_gap: int, v_n: float) -> ClusterSummary:
-    """Runs declustering: exceedances within run_gap raw steps share a cluster.
+def decluster_all(records: Records, run_gap: int, v_n: float) -> Clusters:
+    """Runs declustering: exceedances of one trial within run_gap raw steps share a cluster.
 
     A cluster's time is its first exceedance time divided by v_n.
     """
@@ -306,78 +368,48 @@ def decluster(record: TrialRecord, run_gap: int, v_n: float) -> ClusterSummary:
         raise ValueError("run_gap must be positive")
     if v_n <= 0:
         raise ValueError("v_n must be positive")
-    times = record.exceedance_times
-    if not times:
-        return ClusterSummary((), ())
-    sizes: list[int] = []
-    starts: list[int] = []
-    current = 1
-    start = times[0]
-    for prev, cur in zip(times, times[1:]):
-        if cur - prev <= run_gap:
-            current += 1
-        else:
-            sizes.append(current)
-            starts.append(start)
-            current = 1
-            start = cur
-    sizes.append(current)
-    starts.append(start)
-    return ClusterSummary(tuple(sizes), tuple(s / v_n for s in starts))
+    trial, time = records.trial, records.time
+    first = np.ones(trial.size, dtype=bool)
+    first[1:] = (np.diff(time) > run_gap) | (trial[1:] != trial[:-1])
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=trial.size)
+    return Clusters(trial[starts], sizes, time[starts] / v_n, len(records))
 
 
-def decluster_all(
-    records: list[TrialRecord], run_gap: int, v_n: float
-) -> list[ClusterSummary]:
-    return [decluster(rec, run_gap, v_n) for rec in records]
-
-
-def empirical_extremal_index(summaries: list[ClusterSummary]) -> float:
+def empirical_extremal_index(clusters: Clusters) -> float:
     """Pooled clusters over pooled exceedances; the reciprocal mean cluster size."""
-    clusters = sum(len(s.cluster_sizes) for s in summaries)
-    exceedances = sum(sum(s.cluster_sizes) for s in summaries)
+    exceedances = int(clusters.size.sum())
     if exceedances == 0:
         raise NoExceedances("no exceedances across the supplied summaries")
-    return clusters / exceedances
+    return clusters.size.size / exceedances
 
 
-def empirical_multiplicity(summaries: list[ClusterSummary]) -> dict[int, float]:
+def empirical_multiplicity(clusters: Clusters) -> dict[int, float]:
     """Normalised histogram of cluster sizes."""
-    counts: dict[int, int] = {}
-    total = 0
-    for s in summaries:
-        for size in s.cluster_sizes:
-            counts[size] = counts.get(size, 0) + 1
-            total += 1
+    total = clusters.size.size
     if total == 0:
         raise NoExceedances("no clusters across the supplied summaries")
-    return {k: v / total for k, v in sorted(counts.items())}
+    counts = np.bincount(clusters.size).tolist()
+    return {k: c / total for k, c in enumerate(counts) if c}
 
 
-def pooled_gaps(summaries: list[ClusterSummary], window_span: float) -> np.ndarray:
+def pooled_gaps(clusters: Clusters, window_span: float) -> np.ndarray:
     """Inter-cluster gaps pooled across trials.
 
     Trials are glued end to end on the Kac timeline (trial i offset
     by i * window_span) and gaps are taken on the glued stream, which
     keeps the gap law exponential across trial boundaries.
     """
-    glued: list[float] = []
-    for i, s in enumerate(summaries):
-        offset = i * window_span
-        glued.extend(t + offset for t in s.cluster_times)
-    arr = np.asarray(glued)
-    return np.diff(arr) if arr.size else arr
+    return np.diff(clusters.time + clusters.trial * window_span)
 
 
-def gap_ks_statistic(
-    summaries: list[ClusterSummary], theta: float, window_span: float
-) -> tuple[float, float]:
+def gap_ks_statistic(clusters: Clusters, theta: float, window_span: float) -> tuple[float, float]:
     """KS distance of pooled gaps (see pooled_gaps) against Exponential(rate=theta).
 
     The p-value uses the asymptotic Kolmogorov distribution; adequate
     for 1% decisions at twenty or more gaps.
     """
-    gaps = pooled_gaps(summaries, window_span)
+    gaps = pooled_gaps(clusters, window_span)
     if gaps.size < 20:
         raise TooFewGaps(f"{gaps.size} gaps, need >= 20")
     x = np.sort(gaps)
@@ -390,12 +422,9 @@ def gap_ks_statistic(
     return ks, float(special.kolmogorov(math.sqrt(n) * ks))
 
 
-def repp_counts(records: list[TrialRecord], horizon_steps: int) -> np.ndarray:
+def repp_counts(records: Records, horizon_steps: int) -> np.ndarray:
     """Exceedance counts per trial within the first horizon_steps steps."""
-    return np.array(
-        [sum(1 for t in rec.exceedance_times if t < horizon_steps) for rec in records],
-        dtype=np.int64,
-    )
+    return np.bincount(records.trial[records.time < horizon_steps], minlength=len(records))
 
 
 def chi_square_vs_pmf(

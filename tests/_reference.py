@@ -9,14 +9,19 @@ The float-remainder ball sampler and the out-of-place ball distance are
 the references that the in-place and floor-folded routines of
 extorus.regions and extorus.torus must equal bit for bit. The
 whole-array separation check and d'' diagnostic, which sample, map and
-mask every point at once, are the references for the sliced ones.
+mask every point at once, are the references for the sliced ones. The
+row-at-a-time CSV reader and the per-exceedance loop estimators, on
+per-trial tuples, are the references for the columnar reader and
+estimators of extorus.cli and extorus.simulate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +35,10 @@ from extorus.regions import (
     _verify_periodic,
     membership_mask,
 )
-from extorus.simulate import OBSERVABLE_CAP, ExperimentConfig, TrialRecord, _initial_states
+from extorus.acceptance import RunManifest
+from extorus.cli import BLOCK_MAX_HEADER, EXCEEDANCE_HEADER, _config_from_echo, _fmt
+from extorus.errors import NoExceedances
+from extorus.simulate import OBSERVABLE_CAP, Clusters, ExperimentConfig, Records, _initial_states
 from extorus.torus import (
     DEFAULT_MODULUS,
     Direction,
@@ -137,7 +145,7 @@ def simulate_chunk_stepwise(
     cfg: ExperimentConfig,
     trial_ids: list[int],
     initial_states: list[tuple[int, int]] | None = None,
-) -> list[TrialRecord]:
+) -> Records:
     """Lockstep-vectorised orbits for a batch of trials, one time step per iteration."""
     T = cfg.automorphism
     modulus = cfg.modulus
@@ -173,10 +181,142 @@ def simulate_chunk_stepwise(
         if step + 1 < cfg.n:
             px, py = (a * px + b * py) & mask, (c * px + d * py) & mask
 
-    return [
-        TrialRecord(int(tid), tuple(times[i]), tuple(values[i]), observable(float(best[i])))
-        for i, tid in enumerate(trial_ids)
-    ]
+    return records_of(
+        [(times[i], values[i], observable(float(best[i]))) for i in range(len(trial_ids))]
+    )
+
+
+def records_of(trials) -> Records:
+    """Records from each trial's (exceedance times, values, block maximum), times increasing."""
+    return Records(
+        np.array([k for k, (times, _, _) in enumerate(trials) for _ in times], dtype=np.int64),
+        np.array([t for times, _, _ in trials for t in times], dtype=np.int64),
+        np.array([v for _, values, _ in trials for v in values], dtype=np.float64),
+        np.array([m for _, _, m in trials], dtype=np.float64),
+    )
+
+
+def clusters_of(trials) -> Clusters:
+    """Clusters from each trial's (cluster sizes, cluster times), times increasing."""
+    return Clusters(
+        np.array([k for k, (sizes, _) in enumerate(trials) for _ in sizes], dtype=np.int64),
+        np.array([s for sizes, _ in trials for s in sizes], dtype=np.int64),
+        np.array([t for _, times in trials for t in times], dtype=np.float64),
+        len(trials),
+    )
+
+
+def decluster(times: tuple[int, ...], run_gap: int, v_n: float):
+    """Runs declustering of one trial's increasing times: (cluster sizes, cluster times)."""
+    if not times:
+        return (), ()
+    sizes: list[int] = []
+    starts: list[int] = []
+    current = 1
+    start = times[0]
+    for prev, cur in zip(times, times[1:]):
+        if cur - prev <= run_gap:
+            current += 1
+        else:
+            sizes.append(current)
+            starts.append(start)
+            current = 1
+            start = cur
+    sizes.append(current)
+    starts.append(start)
+    return tuple(sizes), tuple(s / v_n for s in starts)
+
+
+def empirical_multiplicity(sizes_by_trial) -> dict[int, float]:
+    """Normalised histogram of the cluster sizes of every trial."""
+    counts: dict[int, int] = {}
+    total = 0
+    for sizes in sizes_by_trial:
+        for size in sizes:
+            counts[size] = counts.get(size, 0) + 1
+            total += 1
+    if total == 0:
+        raise NoExceedances("no clusters across the supplied summaries")
+    return {k: v / total for k, v in sorted(counts.items())}
+
+
+def pooled_gaps(times_by_trial, window_span: float) -> np.ndarray:
+    """Gaps between cluster times, trial i glued on at offset i * window_span."""
+    glued: list[float] = []
+    for i, times in enumerate(times_by_trial):
+        offset = i * window_span
+        glued.extend(t + offset for t in times)
+    arr = np.asarray(glued)
+    return np.diff(arr) if arr.size else arr
+
+
+def repp_counts(times_by_trial, horizon_steps: int) -> np.ndarray:
+    """Each trial's exceedance count before horizon_steps."""
+    return np.array(
+        [sum(1 for t in times if t < horizon_steps) for times in times_by_trial], dtype=np.int64
+    )
+
+
+def _csv_rows(path: Path, header: str, parse):
+    """(line number, parse(*fields)) of each data row; parse puts the float value last."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}:1: expected header {header!r}")
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            row = parse(*line.split(","))
+        except (TypeError, ValueError):  # TypeError: wrong field count
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+        if not math.isfinite(row[-1]):
+            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+        yield lineno, row
+
+
+def read_records_rowwise(indir: Path) -> tuple[ExperimentConfig, Records]:
+    """A simulate directory read one row at a time by int() and float(), every row checked."""
+    path = indir / "manifest.json"
+    manifest = RunManifest.from_json(path.read_text(encoding="utf-8"))
+    cfg = _config_from_echo(manifest.config, path)
+
+    maxima: dict[int, float] = {}
+    path = indir / "block_maxima.csv"
+    rows = _csv_rows(path, BLOCK_MAX_HEADER, lambda trial, m: (int(trial), float(m)))
+    for lineno, (trial, maximum) in rows:
+        if not 0 <= trial < cfg.trials:
+            raise ValueError(
+                f"{path}:{lineno}: trial {trial} is not in the manifest's 0..{cfg.trials - 1}"
+            )
+        if trial in maxima:
+            raise ValueError(f"{path}:{lineno}: duplicate trial {trial}")
+        maxima[trial] = maximum
+    if len(maxima) != cfg.trials:
+        raise ValueError(
+            f"{path}:{len(maxima) + 2}: {len(maxima)} trials, the manifest says {cfg.trials}"
+        )
+
+    # (time, line, value) of each trial's exceedances
+    hits: dict[int, list[tuple[int, int, float]]] = {t: [] for t in maxima}
+    u_n, n = cfg.u_n, cfg.n
+    path = indir / "exceedances.csv"
+    rows = _csv_rows(path, EXCEEDANCE_HEADER, lambda trial, t, v: (int(trial), int(t), float(v)))
+    for lineno, (trial, t, v) in rows:
+        if trial not in hits:
+            raise ValueError(f"{path}:{lineno}: trial {trial} has no block maximum")
+        if not 0 <= t < n:
+            raise ValueError(f"{path}:{lineno}: time {t} is not in the manifest's [0, {n})")
+        if v <= u_n:
+            raise ValueError(f"{path}:{lineno}: value {_fmt(v)} is not above u_n = {_fmt(u_n)}")
+        hits[trial].append((t, lineno, v))
+
+    trials = []
+    for trial in sorted(maxima):
+        ordered = sorted(hits[trial])
+        times = tuple(t for t, _, _ in ordered)
+        if not all(map(operator.lt, times, times[1:])):
+            t, lineno, _ = next(b for a, b in zip(ordered, ordered[1:]) if a[0] == b[0])
+            raise ValueError(f"{path}:{lineno}: repeated time {t} of trial {trial}")
+        trials.append((times, tuple(v for _, _, v in ordered), maxima[trial]))
+    return cfg, records_of(trials)
 
 
 def sample_ball_remainder(

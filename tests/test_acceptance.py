@@ -111,6 +111,70 @@ def test_criterion_7_repp_counting_law(by_id):
     assert c.passed is True
 
 
+# Criteria 4-7 as measured before the records became columns. Counts and
+# the estimators keep their bits (float.hex); the scipy p-values and the
+# values through exp, log or the closed forms agree to 1e-12 relative.
+# pa_vs_convolution_max_err, a rounding residue gated at 1e-9, is not pinned.
+MEASURED_4_TO_7 = {
+    4: {
+        "ks_p_value": "0x1.3ee077fb587cdp-2",
+        "ks_stat": "0x1.3c2713f7008e0p-7",
+        "multiplicity_mass_at_1": "0x1.0000000000000p+0",
+        "p_hat": "0x1.7b15b573eab36p-2",
+        "p_se": "0x1.3c722628f343fp-8",
+        "p_target": "0x1.78b56362cef38p-2",
+        "theta_hat_clusters": "0x1.0000000000000p+0",
+        "trials": 10000,
+    },
+    5: {
+        "chi2": "0x1.4b4bff79d350bp+1",
+        "chi2_dof": 5,
+        "chi2_p_value": "0x1.86bb6cf3d72e4p-1",
+        "p_hat": "0x1.2c154c985f06fp-1",
+        "p_se": "0x1.42c8fd8c7bf00p-8",
+        "p_target": "0x1.2bbb00e7e8d70p-1",
+        "q": 1,
+        "theta_formula": "0x1.122550cc9a903p-1",
+        "theta_hat_clusters": "0x1.10cdffe586b23p-1",
+        "theta_hat_ratio": "0x1.11c886162f167p-1",
+        "trials": 10000,
+    },
+    6: {
+        "chi2": "0x1.2109344ae58aap+2",
+        "chi2_dof": 5,
+        "chi2_p_value": "0x1.e92f98a0268c6p-2",
+        "p_hat": "0x1.158e219652bd4p-1",
+        "p_se": "0x1.468430a562c20p-8",
+        "p_target": "0x1.13f836497c648p-1",
+        "q": 1,
+        "theta_formula": "0x1.3c6ef372fe950p-1",
+        "theta_hat_clusters": "0x1.3b520ff0a1949p-1",
+        "trials": 10000,
+    },
+    7: {
+        "chi2": "0x1.1c2c9d2e25ca4p+4",
+        "chi2_dof": 14,
+        "chi2_p_value": "0x1.be3c914c1a20ap-3",
+        "mean_count": "0x1.f9a6b50b0f27cp+0",
+        "t": "0x1.0000000000000p+1",
+        "theta": "0x1.3c6ef372fe950p-1",
+        "trials": 10000,
+    },
+}
+NEAR = ["chi2", "chi2_p_value", "ks_p_value", "ks_stat", "p_target", "theta", "theta_formula"]
+
+
+def test_criteria_4_to_7_keep_their_measured_values(by_id):
+    for cid, pinned in MEASURED_4_TO_7.items():
+        measured = {key: by_id[cid].measured[key] for key in pinned}
+        exact = {k: v.hex() if isinstance(v, float) else v for k, v in measured.items() if k not in NEAR}
+        assert exact == {k: v for k, v in pinned.items() if k not in NEAR}, cid
+        for key in NEAR:
+            if key in pinned:
+                expected = float.fromhex(pinned[key])
+                assert measured[key] == pytest.approx(expected, rel=1e-12, abs=0), (cid, key)
+
+
 def test_criterion_8_engineering(by_id):
     c = by_id[8]
     assert c.measured["workers_identical"] is True

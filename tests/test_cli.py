@@ -25,7 +25,8 @@ import extorus
 from extorus import acceptance, cli
 from extorus.acceptance import RunManifest
 from extorus.cli import _read_records, main
-from extorus.simulate import ExperimentConfig, TrialRecord
+from extorus.simulate import ExperimentConfig
+from _reference import read_records_rowwise, records_of
 
 
 def run_cli(capsys, *argv):
@@ -250,6 +251,34 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "where, message",
+        [
+            (["--trials", "0"], "error: ValueError: --trials: trials must be >= 1"),
+            ("trials = 0\n", "error: ValueError: {cfg}:1: trials: trials must be >= 1"),
+            ("seed = 2\nmatrix = 1,1,0,1\n", "error: NotHyperbolic: {cfg}:2: matrix: |trace| = 2 <= 2"),
+            ("matrix = 2,1,1,2\n", "error: DeterminantNotOne: {cfg}:1: matrix: determinant is 3, must be 1"),
+            (["--modulus-bits", "31"], "error: ValueError: --modulus-bits: modulus_bits must lie in [32, 62]"),
+            ("run_gap = 0\n", "error: ValueError: {cfg}:1: run_gap: run_gap must be positive"),
+            (["--n", "0"], "error: ValueError: --n: n must be >= 1"),
+            ("tau = -1\n", "error: ValueError: {cfg}:1: tau: tau must be finite and positive, got -1.0"),
+        ],
+        ids=["trials-flag", "trials-file", "matrix-file", "determinant-file", "modulus-bits-flag",
+             "run-gap-file", "n-flag", "tau-file"],
+    )
+    def test_value_failing_its_field_check_names_its_source(self, tmp_path, capsys, where, message):
+        # the value parses, but ExperimentConfig's check of that one field rejects it
+        cfg = tmp_path / "run.cfg"
+        if isinstance(where, list):
+            argv = where
+        else:
+            cfg.write_text(where, encoding="utf-8")
+            argv = ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err == message.format(cfg=cfg) + "\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("n = 800\ntrails = 7\n", "unknown key 'trails'"),
@@ -454,7 +483,7 @@ class TestEstimateRejectsBadRecords:
             (lambda config: config.update(n=None), "bad config: n is None, not 100000"),
             (lambda config: config.update(n=2000.5), "bad config: n: invalid literal"),
             (lambda config: config.update(zeta="-1/1,1"), "bad config: zeta is '-1/1,1', not '0,0'"),
-            (lambda config: config.update(trials=0), "bad config: trials must be >= 1"),
+            (lambda config: config.update(trials=0), "bad config: trials: trials must be >= 1"),
         ],
         ids=["missing", "misspelled", "mistyped-n", "mistyped-zeta", "null-n", "float-n",
              "unreduced-zeta", "no-trials"],
@@ -557,10 +586,9 @@ class TestRecordsCsvRoundTrip:
 
     @staticmethod
     def write(trials, out_dir):
-        records = [
-            TrialRecord(i, tuple(t for t, _ in sorted(hits)), tuple(v for _, v in sorted(hits)), m)
-            for i, (hits, m) in enumerate(trials)
-        ]
+        records = records_of(
+            [([t for t, _ in sorted(hits)], [v for _, v in sorted(hits)], m) for hits, m in trials]
+        )
         argv = ["simulate", "--zeta", "0/1,0/1", "--n", str(RT_CONFIG.n), "--seed", "1",
                 "--trials", str(len(records)), "--workers", "1", "--out", str(out_dir)]
         with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()):
@@ -600,6 +628,175 @@ class TestRecordsCsvRoundTrip:
                 code = main(["estimate", "--in", tmp, "--mc-samples", "0"])
         assert code == 2
         assert f"{path}:{lineno}:" in err.getvalue()
+
+
+def read_outcome(reader, run_dir):
+    """("ok", records) or ("error", message) of one reader on a simulate directory."""
+    try:
+        return "ok", reader(run_dir)[1]
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class TestReaderMatchesRowwiseReference:
+    """NumPy reads what int() and float() read, and rejects with the same path:line message.
+
+    The exception: NumPy does not take digit separators (1_0) or non-ASCII
+    digits, which int() and float() do; such a row is malformed now.
+    """
+
+    TRIALS = 6
+
+    @pytest.fixture(scope="class")
+    def sim_run(self, tmp_path_factory):
+        out_dir = tmp_path_factory.mktemp("reader") / "sim"
+        argv = ["simulate", "--zeta", "0/1,0/1", "--n", "2000", "--trials", str(self.TRIALS),
+                "--tau", "10", "--seed", "3", "--out", str(out_dir)]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return out_dir
+
+    @pytest.fixture()
+    def run_dir(self, sim_run, tmp_path):
+        return shutil.copytree(sim_run, tmp_path / "sim")
+
+    edit = staticmethod(TestEstimateRejectsBadRecords.edit)
+
+    def test_unedited_run_reads_the_same(self, run_dir):
+        ours, theirs = read_outcome(_read_records, run_dir), read_outcome(read_records_rowwise, run_dir)
+        assert ours[0] == "ok" and len(ours[1].time) > 20
+        assert ours == theirs
+
+    @pytest.mark.parametrize(
+        "name, line, text, message",
+        [
+            # loadtxt skips empty lines, and '#' lines unless comments=None: both stay malformed
+            ("exceedances.csv", 3, "", "malformed row ''"),
+            ("exceedances.csv", -1, "", "malformed row ''"),
+            ("block_maxima.csv", 2, "   ", "malformed row '   '"),
+            ("exceedances.csv", 2, "# a comment", "malformed row '# a comment'"),
+            ("block_maxima.csv", 4, "#2,9.5", "malformed row '#2,9.5'"),
+            ("block_maxima.csv", 2, "5.0,9.5", "malformed row '5.0,9.5'"),
+            ("exceedances.csv", 2, "0,5,9.5,1", "malformed row '0,5,9.5,1'"),
+            ("exceedances.csv", 2, "0,5", "malformed row '0,5'"),
+            ("exceedances.csv", 2, "0,0x10,9.5", "malformed row '0,0x10,9.5'"),
+            ("exceedances.csv", 2, "0,5,inf", "non-finite value in '0,5,inf'"),
+            # beyond int64: NumPy cannot read them, int() can, and the range check says why
+            ("exceedances.csv", 2, "9223372036854775808,5,9.5",
+             "trial 9223372036854775808 has no block maximum"),
+            ("exceedances.csv", 2, "0,-99999999999999999999,9.5",
+             "time -99999999999999999999 is not in the manifest's [0, 2000)"),
+            ("block_maxima.csv", 3, "18446744073709551616,9.5",
+             "trial 18446744073709551616 is not in the manifest's 0..5"),
+        ],
+    )
+    def test_rejected_rows(self, run_dir, name, line, text, message):
+        """line: the line replaced by text, or -1 to append text as the last line."""
+
+        def put(lines):
+            if line > 0:
+                lines[line - 1] = text
+            else:
+                lines.append(text)
+
+        self.edit(run_dir / name, put)
+        lineno = line if line > 0 else len((run_dir / name).read_text().splitlines())
+        expected = ("error", f"{run_dir / name}:{lineno}: {message}")
+        assert read_outcome(read_records_rowwise, run_dir) == expected
+        assert read_outcome(_read_records, run_dir) == expected
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda trial, time, value: f"+{trial},{time},{value}",
+            lambda trial, time, value: f"  {trial}, {time}\t,{value}  ",
+            lambda trial, time, value: f"{trial},{time},{float(value):.3e}",
+            lambda trial, time, value: f"0{trial},+{time},+{value}",
+        ],
+        ids=["plus", "spaces", "exponent", "leading-zero"],
+    )
+    def test_accepted_spellings(self, run_dir, change):
+        def respell(lines):
+            lines[1:] = [change(*line.split(",")) for line in lines[1:]]
+
+        self.edit(run_dir / "exceedances.csv", respell)
+        ours = read_outcome(_read_records, run_dir)
+        assert ours[0] == "ok"
+        assert ours == read_outcome(read_records_rowwise, run_dir)
+
+    def test_unsorted_rows_read_sorted(self, run_dir):
+        in_order = read_outcome(_read_records, run_dir)
+
+        def reverse(lines):
+            lines[1:] = lines[:0:-1]
+
+        self.edit(run_dir / "exceedances.csv", reverse)
+        ours = read_outcome(_read_records, run_dir)
+        assert ours[0] == "ok"
+        assert ours == in_order == read_outcome(read_records_rowwise, run_dir)
+
+    @pytest.mark.parametrize(
+        "name, field, respell",
+        [
+            ("block_maxima.csv", 0, lambda text: "0_" + text),
+            ("exceedances.csv", 1, lambda text: "0_" + text),
+            ("exceedances.csv", 2, lambda text: "0_" + text),
+            # the last digit as an ARABIC-INDIC DIGIT
+            ("exceedances.csv", 1, lambda text: text[:-1] + chr(0x660 + int(text[-1]))),
+        ],
+        ids=["trial-separator", "time-separator", "value-separator", "time-arabic-indic"],
+    )
+    def test_separators_and_non_ascii_digits_now_malformed(self, run_dir, name, field, respell):
+        path = run_dir / name
+
+        def put(lines):
+            fields = lines[2].split(",")
+            fields[field] = respell(fields[field])
+            lines[2] = ",".join(fields)
+
+        self.edit(path, put)
+        line = path.read_text().splitlines()[2]
+        assert read_outcome(read_records_rowwise, run_dir)[0] == "ok"
+        assert read_outcome(_read_records, run_dir) == ("error", f"{path}:3: malformed row {line!r}")
+
+    TOKENS = st.sampled_from(
+        ["", " ", "#", "-", "+", "0", "1", "5", "19", "1999", "2000", "-1", "+1", " 1", "1 ",
+         "5.0", "1e3", "9.5", "25.0", "nan", "inf", "-inf", "1e400", "0x1", "1_0", "\u0665",
+         "9223372036854775808", "-9223372036854775809", "18446744073709551616"]
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["exceedances.csv", "block_maxima.csv"]),
+        edits=st.lists(
+            st.tuples(st.integers(1, 10**6), st.one_of(st.integers(0, 3), st.none()), TOKENS),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_same_outcome_as_rowwise_reader(self, sim_run, name, edits):
+        """Edits: a field replaced by a token, a row replaced (None) or a row repeated."""
+        with tempfile.TemporaryDirectory() as tmp:
+            run_dir = shutil.copytree(sim_run, Path(tmp) / "sim")
+            path = run_dir / name
+            lines = path.read_text().splitlines()
+            for row, field, token in edits:
+                i = 1 + row % (len(lines) - 1)
+                fields = lines[i].split(",")
+                if field is None:
+                    lines[i] = token
+                elif field < len(fields):
+                    fields[field] = token
+                    lines[i] = ",".join(fields)
+                else:
+                    lines.append(lines[i])
+            path.write_text("\n".join(lines) + "\n")
+            ours = read_outcome(_read_records, run_dir)
+            theirs = read_outcome(read_records_rowwise, run_dir)
+        if ours != theirs:
+            # the one difference: a separator or a non-ASCII digit, on the line named
+            assert ours[0] == "error" and "malformed row" in ours[1]
+            line = ours[1].split("malformed row ", 1)[1]
+            assert "_" in line or "\u0665" in line
 
 
 class TestValidate:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -11,18 +12,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from extorus import (
     ClusterSummary,
     ExperimentConfig,
     MetricKind,
     NoExceedances,
     RadiusTooLarge,
+    Records,
     RegionKind,
     RegionSpec,
     TooFewGaps,
     TrialRecord,
     ball_measure,
-    decluster,
+    decluster_all,
     ei_measure_ratio,
     empirical_extremal_index,
     empirical_multiplicity,
@@ -33,7 +36,7 @@ from extorus import (
     repp_counts,
     run_experiment,
 )
-from _reference import simulate_chunk_stepwise
+from _reference import clusters_of, records_of, simulate_chunk_stepwise
 from extorus import simulate
 from extorus.simulate import (
     OBSERVABLE_CAP,
@@ -127,7 +130,7 @@ class TestRunTrial:
             assert all(b > a for a, b in zip(times, times[1:]))
             assert all(0 <= t < cfg.n for t in times)
             assert all(v > u for v in rec.exceedance_values)
-            if rec.exceedance_times:
+            if rec.exceedance_times.size:
                 assert rec.block_maximum >= max(rec.exceedance_values)
 
     def test_mean_exceedances_near_tau(self):
@@ -224,7 +227,7 @@ class TestBlockedEngine:
         assert first.exceedance_values[0] == OBSERVABLE_CAP
         assert first.block_maximum == OBSERVABLE_CAP
         if q:
-            assert first.exceedance_times == tuple(range(0, n, q))
+            assert first.exceedance_times.tolist() == list(range(0, n, q))
             assert set(first.exceedance_values) == {OBSERVABLE_CAP}
 
     @pytest.mark.parametrize("matrix", [(1000, 999, 1, 1), (-1000, -999, -1, -1)])
@@ -293,7 +296,7 @@ class TestBlockedEngine:
         ids = list(range(cfg.trials))
         records = _simulate_chunk(cfg, ids)
         assert records == simulate_chunk_stepwise(cfg, ids)
-        misses = sum(1 for r in records if not r.exceedance_times)
+        misses = sum(1 for r in records if r.exceedance_times.size == 0)
         assert len(walks) == 2 and misses > 20
         assert walks[1] == (misses, cfg.modulus)
 
@@ -375,69 +378,163 @@ class TestBlockMaxima:
     def test_binomial_standard_error(self):
         cfg = small_cfg(trials=4)
         maxima = (cfg.u_n - 1.0, cfg.u_n, cfg.u_n + 1.0, cfg.u_n - 2.0)
-        records = [TrialRecord(i, (), (), m) for i, m in enumerate(maxima)]
+        records = records_of([((), (), m) for m in maxima])
         assert estimate_block_maxima_cdf(cfg, records) == (0.75, math.sqrt(0.75 * 0.25 / 4))
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def exceedance_trials(draw):
+    """(n, run_gap, each trial's increasing times).
+
+    The trials include empty and single-hit ones, gaps of exactly
+    run_gap and one more, and the times 0 and n - 1.
+    """
+    run_gap = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 3000))
+    trials = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["empty", "single", "runs"]))
+        if kind == "empty":
+            times = []
+        elif kind == "single":
+            times = [draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))]
+        else:
+            gap = st.one_of(st.sampled_from([1, run_gap, run_gap + 1]), st.integers(1, 3 * run_gap))
+            first = draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+            times = [t for t in itertools.accumulate([first, *draw(st.lists(gap, max_size=25))]) if t < n]
+            if draw(st.booleans()) and times[-1] < n - 1:
+                times.append(n - 1)
+        trials.append(times)
+    return n, run_gap, trials
+
+
+class TestRecords:
+    def test_trial_views(self):
+        records = records_of([((3, 8), (9.0, 9.5), 9.5), ((), (), 1.0), ((0,), (7.0,), 7.0)])
+        assert len(records) == 3
+        first, empty, last = records
+        assert isinstance(first, TrialRecord) and first.trial_id == 0
+        assert first.exceedance_times.tolist() == [3, 8]
+        assert first.exceedance_values.tolist() == [9.0, 9.5]
+        assert first.block_maximum == 9.5
+        assert (empty.trial_id, len(empty.exceedance_times), empty.block_maximum) == (1, 0, 1.0)
+        assert records[-1].trial_id == last.trial_id == 2
+        with pytest.raises(IndexError):
+            records[3]
+
+    def test_equality_compares_columns(self):
+        records = records_of([((3, 8), (9.0, 9.5), 9.5), ((), (), 1.0)])
+        assert records == records_of([((3, 8), (9.0, 9.5), 9.5), ((), (), 1.0)])
+        assert records != records_of([((3, 8), (9.0, 9.5), 9.5), ((), (), 2.0)])
+        assert records != records_of([((3, 9), (9.0, 9.5), 9.5), ((), (), 1.0)])
+        assert records != records_of([((3, 8), (9.0, 9.5), 9.5)])
+        assert records != list(records)
+
+    def test_run_experiment_concatenates_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 7)
+        cfg = small_cfg(trials=30, n=500, tau=5.0)
+        records = run_experiment(cfg, workers=1)
+        assert isinstance(records, Records) and len(records) == 30
+        assert records == _simulate_chunk(cfg, list(range(30)))
 
 
 class TestDecluster:
     def test_runs_grouping_example(self):
-        rec = TrialRecord(0, (5, 6, 7, 500), (9.0, 9.0, 9.0, 9.0), 9.0)
-        summary = decluster(rec, run_gap=2, v_n=100.0)
-        assert summary.cluster_sizes == (3, 1)
-        assert summary.cluster_times == (0.05, 5.0)
+        clusters = decluster_all(records_of([((5, 6, 7, 500), (9.0,) * 4, 9.0)]), 2, 100.0)
+        (summary,) = clusters
+        assert isinstance(summary, ClusterSummary)
+        assert summary.cluster_sizes.tolist() == [3, 1]
+        assert summary.cluster_times.tolist() == [0.05, 5.0]
         assert np.diff(summary.cluster_times).tolist() == [4.95]
 
     def test_empty_record(self):
-        rec = TrialRecord(0, (), (), 1.0)
-        assert decluster(rec, 5, 10.0) == ClusterSummary((), ())
+        clusters = decluster_all(records_of([((), (), 1.0)]), 5, 10.0)
+        assert len(clusters) == 1 and clusters == clusters_of([((), ())])
+        assert len(clusters[0].cluster_sizes) == 0
 
     def test_gap_equal_to_n_single_cluster(self):
-        rec = TrialRecord(0, (0, 400, 1999), (9.0, 9.0, 9.0), 9.0)
-        summary = decluster(rec, run_gap=2000, v_n=10.0)
-        assert summary.cluster_sizes == (3,)
-        assert np.diff(summary.cluster_times).size == 0
+        clusters = decluster_all(records_of([((0, 400, 1999), (9.0,) * 3, 9.0)]), 2000, 10.0)
+        assert clusters[0].cluster_sizes.tolist() == [3]
 
-    @given(
-        times=st.lists(st.integers(0, 5000), min_size=0, max_size=40, unique=True),
-        run_gap=st.integers(1, 100),
-    )
+    def test_trial_boundary_splits_clusters(self):
+        # time 9 of trial 0 and time 10 of trial 1 are one step apart, yet two clusters
+        records = records_of([((4, 9), (9.0, 9.0), 9.0), ((10,), (9.0,), 9.0)])
+        clusters = decluster_all(records, 5, 1.0)
+        assert clusters == clusters_of([((2,), (4.0,)), ((1,), (10.0,))])
+
+    @pytest.mark.parametrize("run_gap, v_n", [(0, 1.0), (1, 0.0)])
+    def test_rejects_bad_parameters(self, run_gap, v_n):
+        with pytest.raises(ValueError):
+            decluster_all(records_of([((), (), 1.0)]), run_gap, v_n)
+
+
+class TestColumnarEqualsLoops:
+    """The columnar estimators equal the per-exceedance loops of _reference, bit for bit."""
+
+    @given(case=exceedance_trials(), v_n=st.floats(0.1, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_decluster(self, case, v_n):
+        n, run_gap, trials = case
+        records = records_of([(times, [9.0] * len(times), 9.0) for times in trials])
+        clusters = decluster_all(records, run_gap, v_n)
+        assert len(clusters) == len(trials)
+        expected = [ref.decluster(tuple(times), run_gap, v_n) for times in trials]
+        for summary, (sizes, times), trial in zip(clusters, expected, trials):
+            assert summary.cluster_sizes.tolist() == list(sizes)
+            assert bits(summary.cluster_times) == bits(times)
+            # the clusters partition the trial's exceedances, in time order
+            assert sum(sizes) == len(trial)
+            assert np.all(np.diff(summary.cluster_times) > 0)
+        assert clusters == clusters_of(expected)
+        sizes = [s for trial_sizes, _ in expected for s in trial_sizes]
+        if sizes:
+            assert empirical_extremal_index(clusters) == len(sizes) / sum(sizes)
+            hist = empirical_multiplicity(clusters)
+            expected_hist = ref.empirical_multiplicity(s for s, _ in expected)
+            assert list(hist) == list(expected_hist)
+            assert bits(hist.values()) == bits(expected_hist.values())
+        window_span = n / v_n
+        gaps = pooled_gaps(clusters, window_span)
+        assert bits(gaps) == bits(ref.pooled_gaps((t for _, t in expected), window_span))
+
+    @given(case=exceedance_trials(), horizon=st.integers(-1, 3001))
     @settings(max_examples=200, deadline=None)
-    def test_sizes_partition_exceedances(self, times, run_gap):
-        times = tuple(sorted(times))
-        rec = TrialRecord(0, times, tuple(9.0 for _ in times), 9.0)
-        summary = decluster(rec, run_gap, v_n=50.0)
-        assert sum(summary.cluster_sizes) == len(times)
-        gaps = np.diff(summary.cluster_times)
-        assert np.all(gaps > 0)
-        assert gaps.size == max(len(summary.cluster_sizes) - 1, 0)
+    def test_repp_counts_and_block_maxima(self, case, horizon):
+        n, _, trials = case
+        maxima = [float(len(times)) for times in trials]
+        records = records_of([(times, [9.0] * len(times), m) for times, m in zip(trials, maxima)])
+        counts = repp_counts(records, horizon)
+        expected = ref.repp_counts(trials, horizon)
+        assert counts.dtype == expected.dtype and counts.tolist() == expected.tolist()
+        cfg = small_cfg(trials=len(trials))
+        below = sum(1 for m in maxima if m <= cfg.u_n)
+        assert estimate_block_maxima_cdf(cfg, records)[0] == below / len(trials)
 
 
 class TestEstimators:
     def test_singleton_clusters_give_unit_index(self):
-        summaries = [ClusterSummary((1, 1, 1), (0.1, 0.6, 1.1))]
-        assert empirical_extremal_index(summaries) == 1.0
+        clusters = clusters_of([((1, 1, 1), (0.1, 0.6, 1.1))])
+        assert empirical_extremal_index(clusters) == 1.0
 
     def test_no_exceedances(self):
         with pytest.raises(NoExceedances):
-            empirical_extremal_index([ClusterSummary((), ())])
+            empirical_extremal_index(clusters_of([((), ())]))
         with pytest.raises(NoExceedances):
-            empirical_multiplicity([ClusterSummary((), ())])
+            empirical_multiplicity(clusters_of([((), ())]))
 
     def test_multiplicity_histogram_normalised(self):
-        summaries = [
-            ClusterSummary((1, 2), (0.0, 0.3)),
-            ClusterSummary((1,), (0.1,)),
-        ]
-        hist = empirical_multiplicity(summaries)
+        clusters = clusters_of([((1, 2), (0.0, 0.3)), ((1,), (0.1,))])
+        hist = empirical_multiplicity(clusters)
         assert hist == {1: 2 / 3, 2: 1 / 3}
 
     def test_gap_gluing_bridges_trials(self):
         # two windows of span 1.0: glued gap crosses the boundary
-        summaries = [
-            ClusterSummary((1,), (0.8,)),
-            ClusterSummary((1,), (0.3,)),
-        ]
-        gaps = pooled_gaps(summaries, window_span=1.0)
+        clusters = clusters_of([((1,), (0.8,)), ((1,), (0.3,))])
+        gaps = pooled_gaps(clusters, window_span=1.0)
         assert gaps == pytest.approx([0.5])
 
 
@@ -468,19 +565,19 @@ class TestGapKS:
             rng = np.random.default_rng(1000 + seed)
             gaps = rng.exponential(1.0 / theta, 10_000)
             times = (0.0, *np.cumsum(gaps))
-            summary = ClusterSummary((1,) * 10_001, times)
-            _, p = gap_ks_statistic([summary], theta, window_span=times[-1])
+            clusters = clusters_of([((1,) * 10_001, times)])
+            _, p = gap_ks_statistic(clusters, theta, window_span=times[-1])
             ok += p > 0.01
         assert ok >= 98
 
     def test_constant_gaps_rejected(self):
-        summary = ClusterSummary((1,) * 101, tuple(range(101)))
-        _, p = gap_ks_statistic([summary], 1.0, window_span=101.0)
+        clusters = clusters_of([((1,) * 101, tuple(range(101)))])
+        _, p = gap_ks_statistic(clusters, 1.0, window_span=101.0)
         assert p < 1e-6
 
     def test_too_few_gaps(self):
         with pytest.raises(TooFewGaps):
-            gap_ks_statistic([ClusterSummary((1, 1), (0.0, 0.5))], 1.0, window_span=1.0)
+            gap_ks_statistic(clusters_of([((1, 1), (0.0, 0.5))]), 1.0, window_span=1.0)
 
 
 class TestMeasureRatioEstimator:
@@ -529,10 +626,7 @@ class TestMeasureRatioEstimator:
 
 class TestRepp:
     def test_counts_respect_horizon(self):
-        records = [
-            TrialRecord(0, (1, 5, 9), (9.0, 9.0, 9.0), 9.0),
-            TrialRecord(1, (), (), 1.0),
-        ]
+        records = records_of([((1, 5, 9), (9.0, 9.0, 9.0), 9.0), ((), (), 1.0)])
         assert list(repp_counts(records, 6)) == [2, 0]
 
     def test_periodic_orbit_counts_cluster(self):
