@@ -35,7 +35,6 @@ from .regions import (
     MeasureEstimate,
     RegionKind,
     RegionSpec,
-    dprime_sum_diagnostic,
     monte_carlo_measure,
     separation_check,
 )
@@ -56,6 +55,7 @@ from .simulate import (
     run_experiment,
 )
 from .torus import (
+    Ball,
     Direction,
     MetricKind,
     ToralAutomorphism,
@@ -75,6 +75,7 @@ __all__ = [
     "TooFewGaps",
     "MetricKind",
     "Direction",
+    "Ball",
     "ToralAutomorphism",
     "TorusPoint",
     "build_automorphism",
@@ -96,7 +97,6 @@ __all__ = [
     "MeasureEstimate",
     "monte_carlo_measure",
     "separation_check",
-    "dprime_sum_diagnostic",
     "ExperimentConfig",
     "Records",
     "TrialRecord",

@@ -55,6 +55,7 @@ from .simulate import (
 )
 from .torus import (
     DEFAULT_MODULUS,
+    Ball,
     Direction,
     MetricKind,
     TorusPoint,
@@ -218,33 +219,23 @@ def criterion_2_oracle_equivalence(workers: int = 1):
     T = build_automorphism(*CAT)
     lam = T.lam_abs
     s, q = 0.01, 1
-    zeta = TorusPoint(0.0, 0.0)
+    ball = Ball(T, TorusPoint(0.0, 0.0), s, MetricKind.EUCLIDEAN)
     measured: dict = {"samples": _ORACLE_SAMPLES}
 
     regions: list[tuple[str, RegionSpec, float]] = [
-        ("A_q1", RegionSpec(zeta, s, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q), area_A_q(s, lam, q))
+        ("A_q1", RegionSpec(ball, RegionKind.A_Q, q=q), area_A_q(s, lam, q))
     ]
     for kappa in range(0, 4):
-        regions.append(
-            (
-                f"Q_{kappa}",
-                RegionSpec(zeta, s, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=q, kappa=kappa),
-                strip_area_Q(s, lam, q, kappa),
-            )
-        )
+        region = RegionSpec(ball, RegionKind.Q_KAPPA, q=q, kappa=kappa)
+        regions.append((f"Q_{kappa}", region, strip_area_Q(s, lam, q, kappa)))
     for kappa in range(1, 4):
-        regions.append(
-            (
-                f"U_{kappa}",
-                RegionSpec(zeta, s, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=q, kappa=kappa),
-                nested_area_U(s, lam, q, kappa),
-            )
-        )
+        region = RegionSpec(ball, RegionKind.U_KAPPA, q=q, kappa=kappa)
+        regions.append((f"U_{kappa}", region, nested_area_U(s, lam, q, kappa)))
 
     equal_ok = True
     tail_ok = True
     for i, (name, region, closed) in enumerate(regions):
-        est, se = monte_carlo_measure(region, T, _ORACLE_SAMPLES, _SEED + i, workers)
+        est, se = monte_carlo_measure(region, _ORACLE_SAMPLES, _SEED + i, workers)
         measured[f"mc_{name}"] = est
         measured[f"se_{name}"] = se
         measured[f"closed_{name}"] = closed
@@ -273,11 +264,8 @@ def criterion_2_oracle_equivalence(workers: int = 1):
 @_criterion(3, "separation-property")
 def criterion_3_separation():
     """No sampled escape-region point returns within the wrap window."""
-    T = build_automorphism(*CAT)
-    origin = (Fraction(0), Fraction(0))
-    separated = separation_check(
-        T, origin, q=1, n=100_000, tau=1.0, samples=_SEPARATION_SAMPLES, seed=_SEED
-    )
+    cfg = ExperimentConfig(matrix=CAT, zeta=(Fraction(0), Fraction(0)), n=100_000, tau=1.0)
+    separated = separation_check(cfg, samples=_SEPARATION_SAMPLES, seed=_SEED)
     measured = {"samples": _SEPARATION_SAMPLES, "separated": bool(separated)}
     return separated, measured, "backward images of the escape region avoid it for j = 1..q*g(n)"
 

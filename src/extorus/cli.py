@@ -200,6 +200,8 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax: kmax must be >= 1, got {args.kmax}")
     cfg = build_config(args)
     T = cfg.automorphism
     q = cfg.q if args.q is None else args.q
@@ -392,6 +394,10 @@ def _read_records(indir: Path) -> tuple[ExperimentConfig, Records]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    if args.mc_samples != 0 and args.mc_samples < 1000:
+        raise ValueError(f"--mc-samples: mc_samples must be 0 or >= 1000, got {args.mc_samples}")
+    if args.theta_override is not None and not 0.0 < args.theta_override <= 1.0:
+        raise ValueError(f"--theta-override: theta_override must lie in (0, 1], got {args.theta_override}")
     indir = Path(args.indir)
     cfg, records = _read_records(indir)
     total_exceedances = records.time.size
@@ -494,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="print closed-form quantities")
     _add_config_flags(p, ("matrix", "zeta", "metric", "tau", "n"))
     p.add_argument("--q", type=int, default=None, help="period (derived from --zeta if omitted)")
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--kmax", type=int, default=10, help="pi rows to print (>= 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theory)
 
@@ -508,9 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimators and GOF from simulate output")
     p.add_argument("--in", dest="indir", default="extorus_out")
     p.add_argument("--out", default=None, help="multiplicity table path")
-    p.add_argument("--theta-override", type=float, default=None)
+    p.add_argument("--theta-override", type=float, default=None,
+                   help="theta of the gap law, in (0, 1] (default: the formula's)")
     p.add_argument("--mc-samples", type=int, default=200_000,
-                   help="measure-ratio oracle samples (0 disables)")
+                   help="measure-ratio oracle samples, >= 1000 (0 disables)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

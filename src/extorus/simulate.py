@@ -10,9 +10,10 @@ trial range across workers produces identical records.
 Why x-first: the threshold ball is a rare set, of measure tau/n, but
 the engine cannot know in advance which steps enter it. Every point of
 the ball of radius R = 3 r max(1, 1/sqrt(tau)) lies in a strip of x of
-half-width R (Euclidean) or R(|e_u[0]| + |e_s[0]|) (adapted), so the
-engine walks X alone, tests the strip in integers, and computes Y and
-the distance key only at the candidates. They are twice the half-width
+half-width its x-extent (Ball.x_extent: R for the Euclidean disc,
+R(|e_u[0]| + |e_s[0]|) for the adapted square), so the engine walks X
+alone, tests the strip in integers, and computes Y and the distance key
+only at the candidates. They are twice the half-width
 of the (step, orbit) pairs: about 1 % at n = 1e5 for tau <= 1, where the
 1/sqrt(tau) keeps R at three times the radius of a tau = 1 ball, and
 about 12 % at a fixed point with the adapted metric, tau = 40 and
@@ -33,7 +34,7 @@ the region oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -42,27 +43,22 @@ import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
 from .formulas import _check_tau, ball_measure, threshold_radius, threshold_u_n, wrap_time_g
-from .regions import RegionKind, RegionSpec, monte_carlo_measure
+from .regions import escape_region, monte_carlo_measure
 from .torus import (
     MAX_MODULUS_BITS,
     MIN_MODULUS_BITS,
+    Ball,
     MetricKind,
     ToralAutomorphism,
-    ball_distance,
     build_automorphism,
     compute_period,
     draw_residue,
     keyed_rng,
     map_jobs,
     orbit_blocks,
-    radius_key,
     rational_point,
     rational_residues,
 )
-
-# Observable value reported for an exact hit of the centre; -log of the
-# smallest positive double, so records stay free of infinities.
-OBSERVABLE_CAP = 745.0
 
 _TRIAL_CHUNK = 1024
 # The engine measures the points of an x-strip that holds the ball of
@@ -127,6 +123,11 @@ class ExperimentConfig:
     @cached_property
     def radius(self) -> float:
         return threshold_radius(self.n, self.tau, self.metric, self.automorphism.basis_det)
+
+    @cached_property
+    def ball(self) -> Ball:
+        """The threshold ball around zeta, on the trials' grid."""
+        return Ball(self.automorphism, rational_point(self.zeta), self.radius, self.metric, self.modulus)
 
     @property
     def v_n(self) -> float:
@@ -239,25 +240,19 @@ def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
 def _strip(cfg: ExperimentConfig) -> tuple[int, int, float]:
     """The x-strip the engine tests: (lo, span, key of its ball radius R).
 
-    Every residue point whose key is below radius_key(R) has
+    Every residue point whose key is below that of R has
     ((X - lo) & mask) < span, with R = _STRIP_FACTOR * r * max(1, 1/sqrt(tau)).
-    The strip's half-width is the x-extent of that ball, R for the
-    Euclidean metric and R(|e_u[0]| + |e_s[0]|) for the adapted one,
-    widened by far more than the rounding of the keys and of lo; a strip
-    half as wide as the torus is the whole torus.
+    The strip's half-width is the x-extent of that ball, widened by far
+    more than the rounding of the keys and of lo; a strip half as wide as
+    the torus is the whole torus.
     """
-    T = cfg.automorphism
     modulus = cfg.modulus
-    strip_radius = _STRIP_FACTOR * cfg.radius * max(1.0, 1.0 / math.sqrt(cfg.tau))
-    half = strip_radius
-    if cfg.metric is MetricKind.ADAPTED:
-        half *= abs(T.e_unstable[0]) + abs(T.e_stable[0])
-    half = half * (1.0 + 2.0**-20) + 2.0**-40
+    wide = replace(cfg.ball, radius=_STRIP_FACTOR * cfg.radius * max(1.0, 1.0 / math.sqrt(cfg.tau)))
+    half = wide.x_extent * (1.0 + 2.0**-20) + 2.0**-40
     span = math.ceil(2.0 * min(half, 0.5) * modulus) + 1
-    key = radius_key(strip_radius, cfg.metric)
     if span >= modulus:
-        return 0, modulus, key
-    return math.floor((rational_point(cfg.zeta).x - half) * modulus) % modulus, span, key
+        return 0, modulus, wide.key_radius
+    return math.floor((wide.centre.x - half) * modulus) % modulus, span, wide.key_radius
 
 
 def _in_strip(x: np.ndarray, lo: int, span: int, modulus: int) -> np.ndarray:
@@ -278,20 +273,18 @@ def _walk_candidates(
     threshold ball, time-major) and each orbit's least key over the
     strip's points (inf if it never enters the strip).
     """
-    T = cfg.automorphism
-    modulus = cfg.modulus
-    metric = cfg.metric
-    zeta = rational_point(cfg.zeta)
-    key_radius = radius_key(cfg.radius, metric)
+    ball = cfg.ball
+    modulus = ball.modulus
+    key_radius = ball.key_radius
     width = px.size
     best = np.full(width, np.inf)
     ids, times, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     start = 0
-    for block in orbit_blocks(px, py, T, modulus, cfg.n - 1):
+    for block in orbit_blocks(px, py, ball.T, modulus, cfg.n - 1):
         pos = _in_strip(block.x, lo, span, modulus).ravel().nonzero()[0]
         rows = pos // width
         cols = pos - rows * width
-        key = ball_distance(block.x.ravel()[pos], block.y_at(rows, cols), modulus, zeta, T, metric)
+        key = ball.key(block.x.ravel()[pos], block.y_at(rows, cols))
         np.minimum.at(best, cols, key)
         hit = key < key_radius
         if hit.any():
@@ -300,15 +293,6 @@ def _walk_candidates(
             keys.append(key[hit])
         start += len(block.x)
     return np.concatenate(ids), np.concatenate(times), np.concatenate(keys), best
-
-
-def _observable(keys: np.ndarray, metric: MetricKind) -> np.ndarray:
-    """-log of each key's distance (OBSERVABLE_CAP at 0) by math.log, whose bits np.log misses at times."""
-    # the Euclidean key is the squared distance: -log d = -0.5 log key
-    factor = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
-    zero = keys == 0.0
-    logs = np.fromiter(map(math.log, np.where(zero, 1.0, keys).tolist()), np.float64, keys.size)
-    return np.where(zero, OBSERVABLE_CAP, factor * logs)
 
 
 def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> Records:
@@ -326,9 +310,8 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> Records:
 
     # a stable sort by trial keeps each trial's hits in time order
     order = np.argsort(ids, kind="stable")
-    return Records(
-        ids[order], times[order], _observable(keys[order], cfg.metric), _observable(best, cfg.metric)
-    )
+    observable = cfg.ball.observable
+    return Records(ids[order], times[order], observable(keys[order]), observable(best))
 
 
 def _chunk_job(args: tuple) -> Records:
@@ -476,7 +459,5 @@ def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
     """
     if cfg.q == 0:
         return 1.0
-    T = cfg.automorphism
-    escape = RegionSpec(rational_point(cfg.zeta), cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
-    num = monte_carlo_measure(escape, T, samples, seed)
-    return num.estimate / ball_measure(cfg.radius, cfg.metric, T.basis_det)
+    num = monte_carlo_measure(escape_region(cfg), samples, seed)
+    return num.estimate / ball_measure(cfg.radius, cfg.metric, cfg.automorphism.basis_det)

@@ -4,17 +4,18 @@ A 2x2 integer matrix with determinant 1 and |trace| > 2 induces an
 invertible, area-preserving map of the unit torus R^2/Z^2. This module
 validates such matrices, exposes their eigen data (dominant eigenvalue,
 unit expanding/contracting eigenvectors) and detects the period of
-rational points. It is also the one home of the array routines that
-the trial engine, the region oracle, the separation scan and the d''
-diagnostic are built from:
+rational points. It is also the one home of the two pieces that the
+trial engine, the region oracle and the separation scan are built from:
 
 * orbit_blocks, the one exact orbit walker: the residues of every orbit
   at times 0, s, 2s, .. (forward or backward, s steps apart), a block of
   times at a time, X at once and Y on demand;
-* ball_distance, the folded offset from a centre measured in one of the
-  two torus metrics (plane Euclidean, or the sup metric in the
-  eigenbasis, whose balls are squares aligned with the invariant
-  directions), returned as the key that is compared with a radius.
+* Ball, a metric ball in one of the two torus metrics (plane Euclidean,
+  or the sup metric in the eigenbasis, whose balls are squares aligned
+  with the invariant directions) on a residue grid, and all that is
+  known of it: the key of a point's folded offset from the centre and
+  the key radius it is compared with, the ball's x-extent, its uniform
+  sampler and the observable -log distance of a key.
 
 Why exact orbits: floating-point iteration of an expanding linear map
 burns through mantissa bits at a rate of log2|lam| per step, so a double
@@ -38,12 +39,11 @@ the block before minus the block two before, one scalar product and one
 difference per residue.
 
 Why x-first: the trial engine needs Y only where X lies in a narrow
-strip around the centre. Its ball of radius R = 3 r max(1, 1/sqrt(tau))
-reaches R in x for the Euclidean metric and R(|e_u[0]| + |e_s[0]|) for
-the adapted one, 1-12 % of the (step, orbit) pairs. So a block carries
-its X rows and the last row of Y, and computes Y elsewhere only when
-asked: all of it (OrbitBlock.y, for the region oracle, the separation
-scan and d'') or at chosen positions (OrbitBlock.y_at, for the engine),
+strip around the centre: the x-extent of its ball of radius
+R = 3 r max(1, 1/sqrt(tau)), 1-12 % of the (step, orbit) pairs. So a
+block carries its X rows and the last row of Y, and computes Y elsewhere
+only when asked: all of it (OrbitBlock.y, for the region oracle and the
+separation scan) or at chosen positions (OrbitBlock.y_at, for the engine),
 by the same masked products, so the bits agree. The trials that never
 come within R of the centre, about e^(-9 theta max(tau, 1)) of them, are
 walked again with the strip set to the whole torus.
@@ -349,41 +349,97 @@ def orbit_blocks(
         yield out
 
 
-def ball_distance(
-    px: np.ndarray,
-    py: np.ndarray,
-    modulus: int,
-    zeta: TorusPoint,
-    T: ToralAutomorphism,
-    metric: MetricKind,
-) -> np.ndarray:
-    """Distance key from residue-array points to zeta: compare it with radius_key.
+# Observable value reported for an exact hit of the centre; -log of the
+# smallest positive double, so records stay free of infinities.
+OBSERVABLE_CAP = 745.0
 
-    The key is the squared distance for the Euclidean metric and the
-    eigenbasis sup for the adapted one. Offsets are folded per coordinate
-    to [-1/2, 1/2], which gives the exact Euclidean torus distance; for the
-    adapted metric it is exact whenever the value is below 0.25 (any
-    representative that small is the folded one).
+
+@dataclass(frozen=True)
+class Ball:
+    """The open ball of `radius` around `centre` in `metric`, tested on the grid 1/modulus.
+
+    The one home of what a metric ball is: the key that is compared with
+    key_radius (the squared distance for the Euclidean metric, the
+    eigenbasis sup for the adapted one, whose ball is a square in the
+    eigenbasis of T), the ball's x-extent, its uniform sampler and the
+    observable of a key.
     """
-    inv = 1.0 / modulus
-    dx = px * inv
-    dx -= zeta.x
-    dy = py * inv
-    dy -= zeta.y
-    tmp = np.rint(dx)  # scratch: the steps below write into dx, dy and tmp
-    dx -= tmp
-    dy -= np.rint(dy, out=tmp)
-    if metric is MetricKind.EUCLIDEAN:
-        return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
-    (b00, b01), (b10, b11) = T.eigen_inverse
-    xu = np.add(b00 * dx, np.multiply(b01, dy, out=tmp), out=tmp)
-    xs = np.add(np.multiply(b10, dx, out=dx), np.multiply(b11, dy, out=dy), out=dx)
-    return np.maximum(np.abs(xu, out=xu), np.abs(xs, out=xs), out=xs)
 
+    T: ToralAutomorphism
+    centre: TorusPoint
+    radius: float
+    metric: MetricKind
+    modulus: int = DEFAULT_MODULUS
 
-def radius_key(radius: float, metric: MetricKind) -> float:
-    """The radius in the units of ball_distance: points are inside iff key < radius_key."""
-    return radius * radius if metric is MetricKind.EUCLIDEAN else radius
+    @property
+    def key_radius(self) -> float:
+        """The radius in the units of key: a point is inside iff its key is below this."""
+        return self.radius * self.radius if self.metric is MetricKind.EUCLIDEAN else self.radius
+
+    @property
+    def x_extent(self) -> float:
+        """The largest |x offset| of a point of the ball."""
+        if self.metric is MetricKind.EUCLIDEAN:
+            return self.radius
+        return self.radius * (abs(self.T.e_unstable[0]) + abs(self.T.e_stable[0]))
+
+    def key(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+        """Distance key from residue-array points to the centre: compare it with key_radius.
+
+        Offsets are folded per coordinate to [-1/2, 1/2], which gives the
+        exact Euclidean torus distance; for the adapted metric it is exact
+        whenever the value is below 0.25 (any representative that small is
+        the folded one).
+        """
+        inv = 1.0 / self.modulus
+        dx = px * inv
+        dx -= self.centre.x
+        dy = py * inv
+        dy -= self.centre.y
+        tmp = np.rint(dx)  # scratch: the steps below write into dx, dy and tmp
+        dx -= tmp
+        dy -= np.rint(dy, out=tmp)
+        if self.metric is MetricKind.EUCLIDEAN:
+            return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
+        (b00, b01), (b10, b11) = self.T.eigen_inverse
+        xu = np.add(b00 * dx, np.multiply(b01, dy, out=tmp), out=tmp)
+        xs = np.add(np.multiply(b10, dx, out=dx), np.multiply(b11, dy, out=dy), out=dx)
+        return np.maximum(np.abs(xu, out=xu), np.abs(xs, out=xs), out=xs)
+
+    def observable(self, keys: np.ndarray) -> np.ndarray:
+        """-log of each key's distance (OBSERVABLE_CAP at 0) by math.log, whose bits np.log misses at times."""
+        # the Euclidean key is the squared distance: -log d = -0.5 log key
+        factor = -0.5 if self.metric is MetricKind.EUCLIDEAN else -1.0
+        zero = keys == 0.0
+        logs = np.fromiter(map(math.log, np.where(zero, 1.0, keys).tolist()), np.float64, keys.size)
+        return np.where(zero, OBSERVABLE_CAP, factor * logs)
+
+    def points(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Residues of the ball's points that the uniforms u, v in [0, 1) map to, uniformly.
+
+        The fold to [0, 1) is exact: for x = centre + offset in (-1, 2),
+        x - floor(x) has the bits of x % 1.0 (x - 1 is exact on [1, 2), and
+        both round x + 1 once on [-1, 0)).
+        """
+        r = self.radius
+        if self.metric is MetricKind.EUCLIDEAN:
+            rho = r * np.sqrt(u)
+            ang = 2.0 * math.pi * v
+            ox = rho * np.cos(ang)
+            oy = rho * np.sin(ang)
+        else:
+            xu = r * (2.0 * u - 1.0)
+            xs = r * (2.0 * v - 1.0)
+            eu, es = self.T.e_unstable, self.T.e_stable
+            ox = xu * eu[0] + xs * es[0]
+            oy = xu * eu[1] + xs * es[1]
+        for x, centre in ((ox, self.centre.x), (oy, self.centre.y)):
+            x += centre
+            x -= np.floor(x)
+            x *= self.modulus
+            np.rint(x, out=x)
+        mask = self.modulus - 1
+        return ox.astype(np.int64) & mask, oy.astype(np.int64) & mask
 
 
 def keyed_rng(seed: int, key: int) -> np.random.Generator:

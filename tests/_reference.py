@@ -5,11 +5,10 @@ routines of extorus.torus against: exact orbit steps on Python integers,
 and the torus distance as a minimum of the plane metric over lattice
 shifts. The step-at-a-time trial engine, with its own one-line array
 step, is the reference for the time-blocked one in extorus.simulate.
-The float-remainder ball sampler and the out-of-place ball distance are
-the references that the in-place and floor-folded routines of
-extorus.regions and extorus.torus must equal bit for bit. The
-whole-array separation check and d'' diagnostic, which sample, map and
-mask every point at once, are the references for the sliced ones. The
+The float-remainder ball sampler and the out-of-place ball key are the
+references that the floor-folded and in-place methods of extorus.torus.Ball
+must equal bit for bit. The whole-array separation check, which samples,
+maps and masks every point at once, is the reference for the sliced one. The
 row-at-a-time CSV reader and the per-exceedance loop estimators, on
 per-trial tuples, are the references for the columnar reader and
 estimators of extorus.cli and extorus.simulate.
@@ -20,34 +19,24 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from extorus.errors import ExtorusError
-from extorus.formulas import ball_measure, threshold_radius, wrap_time_g
-from extorus.regions import (
-    RegionKind,
-    RegionSpec,
-    _ball_masks,
-    _ball_points,
-    _verify_periodic,
-    membership_mask,
-)
+from extorus.regions import RegionKind, RegionSpec, _ball_masks, membership_mask
 from extorus.acceptance import RunManifest
 from extorus.cli import BLOCK_MAX_HEADER, EXCEEDANCE_HEADER, _config_from_echo, _fmt
 from extorus.errors import NoExceedances
-from extorus.simulate import OBSERVABLE_CAP, Clusters, ExperimentConfig, Records, _initial_states
+from extorus.simulate import Clusters, ExperimentConfig, Records, _initial_states
 from extorus.torus import (
-    DEFAULT_MODULUS,
+    OBSERVABLE_CAP,
+    Ball,
     Direction,
     MetricKind,
     ToralAutomorphism,
     TorusPoint,
-    ball_distance,
     keyed_rng,
-    radius_key,
     rational_point,
 )
 
@@ -147,15 +136,11 @@ def simulate_chunk_stepwise(
     initial_states: list[tuple[int, int]] | None = None,
 ) -> Records:
     """Lockstep-vectorised orbits for a batch of trials, one time step per iteration."""
-    T = cfg.automorphism
-    modulus = cfg.modulus
-    metric = cfg.metric
-    zeta = rational_point(cfg.zeta)
-    key_radius = radius_key(cfg.radius, metric)
+    ball = cfg.ball
     # the Euclidean key is the squared distance: -log d = -0.5 log key
-    log_scale = -0.5 if metric is MetricKind.EUCLIDEAN else -1.0
-    a, b, c, d = T.entries
-    mask = modulus - 1
+    log_scale = -0.5 if cfg.metric is MetricKind.EUCLIDEAN else -1.0
+    a, b, c, d = cfg.automorphism.entries
+    mask = cfg.modulus - 1
 
     def observable(key: float) -> float:
         return OBSERVABLE_CAP if key == 0.0 else log_scale * math.log(key)
@@ -171,8 +156,8 @@ def simulate_chunk_stepwise(
     best = np.full(width, np.inf)
 
     for step in range(cfg.n):
-        dist = ball_distance(px, py, modulus, zeta, T, metric)
-        hits = dist < key_radius
+        dist = ball.key(px, py)
+        hits = dist < ball.key_radius
         np.minimum(best, dist, out=best)
         if hits.any():
             for i in np.nonzero(hits)[0]:
@@ -320,12 +305,12 @@ def read_records_rowwise(indir: Path) -> tuple[ExperimentConfig, Records]:
 
 
 def sample_ball_remainder(
-    region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
+    ball: Ball, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform sample of `count` points of the default grid from the bounding ball."""
-    modulus = DEFAULT_MODULUS
-    r = region.radius
-    if region.metric is MetricKind.EUCLIDEAN:
+    """Uniform sample of `count` points of the ball's grid from the ball."""
+    modulus = ball.modulus
+    r = ball.radius
+    if ball.metric is MetricKind.EUCLIDEAN:
         rho = r * np.sqrt(rng.random(count))
         ang = 2.0 * math.pi * rng.random(count)
         ox = rho * np.cos(ang)
@@ -333,41 +318,32 @@ def sample_ball_remainder(
     else:
         xu = r * (2.0 * rng.random(count) - 1.0)
         xs = r * (2.0 * rng.random(count) - 1.0)
-        eu, es = T.e_unstable, T.e_stable
+        eu, es = ball.T.e_unstable, ball.T.e_stable
         ox = xu * eu[0] + xs * es[0]
         oy = xu * eu[1] + xs * es[1]
-    x = (region.zeta.x + ox) % 1.0
-    y = (region.zeta.y + oy) % 1.0
+    x = (ball.centre.x + ox) % 1.0
+    y = (ball.centre.y + oy) % 1.0
     px = np.round(x * modulus).astype(np.int64) % modulus
     py = np.round(y * modulus).astype(np.int64) % modulus
     return px, py
 
 
-def ball_distance_out_of_place(
-    px: np.ndarray,
-    py: np.ndarray,
-    modulus: int,
-    zeta: TorusPoint,
-    T: ToralAutomorphism,
-    metric: MetricKind,
-) -> np.ndarray:
-    """Distance key from residue-array points to zeta, one new array per operation."""
-    inv = 1.0 / modulus
-    dx = px * inv - zeta.x
-    dy = py * inv - zeta.y
+def ball_key_out_of_place(px: np.ndarray, py: np.ndarray, ball: Ball) -> np.ndarray:
+    """The ball's key of residue-array points, one new array per operation."""
+    inv = 1.0 / ball.modulus
+    dx = px * inv - ball.centre.x
+    dy = py * inv - ball.centre.y
     dx -= np.rint(dx)
     dy -= np.rint(dy)
-    if metric is MetricKind.EUCLIDEAN:
+    if ball.metric is MetricKind.EUCLIDEAN:
         return dx * dx + dy * dy
-    (b00, b01), (b10, b11) = T.eigen_inverse
+    (b00, b01), (b10, b11) = ball.T.eigen_inverse
     return np.maximum(np.abs(b00 * dx + b01 * dy), np.abs(b10 * dx + b11 * dy))
 
 
-def sample_ball(
-    region: RegionSpec, T: ToralAutomorphism, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform sample of `count` points of the default grid from the bounding ball, whole."""
-    return _ball_points(region, T, rng.random(count), rng.random(count))
+def sample_ball(ball: Ball, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform sample of `count` points of the ball's grid from the ball, whole."""
+    return ball.points(rng.random(count), rng.random(count))
 
 
 def _escape_mask(balls: np.ndarray, t: int, q: int) -> np.ndarray:
@@ -375,82 +351,35 @@ def _escape_mask(balls: np.ndarray, t: int, q: int) -> np.ndarray:
     return balls[t] & ~balls[t + 1 : t + q + 1].any(axis=0)
 
 
-def separation_check(
-    T: ToralAutomorphism,
-    zeta: tuple[Fraction, Fraction],
-    q: int,
-    n: int,
-    tau: float,
-    samples: int,
-    seed: int,
-) -> bool:
+def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     """True iff no sampled escape-region point returns within the wrap window.
 
-    Samples the escape region at the Euclidean threshold radius s_n and
-    pulls every member backward j = 1 .. q*g(n) steps, testing
-    escape-region membership of each preimage. The j = 0 term is
-    excluded: the region trivially meets itself.
+    Samples the escape region of the config's threshold ball (on the
+    2^61 grid, at its detected period q) and pulls every member backward
+    j = 1 .. q*g(n) steps, testing escape-region membership of each
+    preimage. The j = 0 term is excluded: the region trivially meets
+    itself.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
-    _verify_periodic(zeta, q, T)
-    radius = threshold_radius(n, tau, MetricKind.EUCLIDEAN)
-    region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=q)
-    window = q * wrap_time_g(n, T.lam_abs, q, tau)
-    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
-    keep = membership_mask(region, T, px, py)
+    ball = Ball(cfg.automorphism, rational_point(cfg.zeta), cfg.radius, cfg.metric)
+    region = RegionSpec(ball, RegionKind.A_Q, q=cfg.q)
+    window = cfg.q * cfg.g_n
+    px, py = sample_ball(ball, samples, keyed_rng(seed, 0))
+    keep = membership_mask(region, px, py)
     px, py = px[keep], py[keep]
     if px.size == 0 or window == 0:
         return True
-    return _separation_scan(region, T, px, py, window)
+    return _separation_scan(region, px, py, window)
 
 
-def _separation_scan(
-    region: RegionSpec, T: ToralAutomorphism, px: np.ndarray, py: np.ndarray, window: int
-) -> bool:
+def _separation_scan(region: RegionSpec, px: np.ndarray, py: np.ndarray, window: int) -> bool:
     """Exhaustive check: escape membership of each backward preimage."""
     q = region.q
     # ball masks at times -window .. q; row i holds time i - window
-    backward = _ball_masks(region, T, px, py, window, Direction.BACKWARD)
-    balls = np.concatenate([backward[::-1], _ball_masks(region, T, px, py, q)[1:]])
+    backward = _ball_masks(region, px, py, window, Direction.BACKWARD)
+    balls = np.concatenate([backward[::-1], _ball_masks(region, px, py, q)[1:]])
     for j in range(1, window + 1):
         if bool(np.any(_escape_mask(balls, window - j, q))):
             return False
     return True
-
-
-def dprime_sum_diagnostic(
-    T: ToralAutomorphism,
-    zeta: tuple[Fraction, Fraction],
-    q: int,
-    n: int,
-    j_max: int,
-    samples: int,
-    seed: int,
-) -> float:
-    """Monte Carlo estimate of the short-range correlation sum.
-
-    n * sum_{j=1..j_max} m(A cap T^-j A) where A is the escape region at
-    the Euclidean threshold radius s_n for tau = 1 (the ball itself when
-    q = 0). A decreasing-in-n diagnostic of short-return suppression, not
-    a proof.
-    """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    if j_max > math.log(n) ** 5:
-        raise ValueError("j_max exceeds the (log n)^5 analysis window")
-    radius = threshold_radius(n, 1.0, MetricKind.EUCLIDEAN)
-    kind = RegionKind.A_Q if q >= 1 else RegionKind.BALL
-    region = RegionSpec(rational_point(zeta), radius, MetricKind.EUCLIDEAN, kind, q=q)
-    px, py = sample_ball(region, T, samples, keyed_rng(seed, 0))
-    # membership of A at forward time j needs the ball masks at times j .. j+q
-    balls = _ball_masks(region, T, px, py, j_max + q)
-    base = _escape_mask(balls, 0, q)
-    area = ball_measure(radius, MetricKind.EUCLIDEAN)
-    total = 0.0
-    for j in range(1, j_max + 1):
-        hits = int(np.count_nonzero(base & _escape_mask(balls, j, q)))
-        total += area * hits / samples
-    return n * total

@@ -327,6 +327,36 @@ class TestEstimate:
         assert code == 0
         assert "Exp(0.25)" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--mc-samples", "-5"], "--mc-samples: mc_samples must be 0 or >= 1000, got -5"),
+            (["estimate", "--mc-samples", "500"], "--mc-samples: mc_samples must be 0 or >= 1000, got 500"),
+            (["estimate", "--mc-samples", "999"], "--mc-samples: mc_samples must be 0 or >= 1000, got 999"),
+            (["estimate", "--theta-override", "nan"],
+             "--theta-override: theta_override must lie in (0, 1], got nan"),
+            (["estimate", "--theta-override", "inf"],
+             "--theta-override: theta_override must lie in (0, 1], got inf"),
+            (["estimate", "--theta-override", "-2"],
+             "--theta-override: theta_override must lie in (0, 1], got -2.0"),
+            (["estimate", "--theta-override", "0"],
+             "--theta-override: theta_override must lie in (0, 1], got 0.0"),
+            (["estimate", "--theta-override", "1.5"],
+             "--theta-override: theta_override must lie in (0, 1], got 1.5"),
+            (["theory", "--kmax", "-3"], "--kmax: kmax must be >= 1, got -3"),
+            (["theory", "--kmax", "0"], "--kmax: kmax must be >= 1, got 0"),
+        ],
+        ids=["mc-negative", "mc-500", "mc-999", "theta-nan", "theta-inf", "theta-negative",
+             "theta-zero", "theta-above-one", "kmax-negative", "kmax-zero"],
+    )
+    def test_flag_outside_the_run_schema_rejected_before_output(self, sim_dir, capsys, argv, message):
+        # flags that are not ExperimentConfig fields are checked too, and named the same way
+        command, *flags = argv
+        where = ["--in", str(sim_dir)] if command == "estimate" else []
+        code, out, err = run_cli(capsys, command, *where, *flags)
+        assert (code, out, err) == (2, "", f"error: ValueError: {message}\n")
+        assert not (sim_dir / "multiplicity.tsv").exists()
+
     def test_empty_exceedances_exit_4(self, tmp_path, capsys):
         out_dir = tmp_path / "quiet"
         code, _, _ = run_cli(

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from extorus import (
+    Ball,
     ExperimentConfig,
     MetricKind,
     RegionKind,
@@ -41,9 +42,9 @@ def oracle(matrix: str, metric: MetricKind, kind: RegionKind, q: int, kappa: int
     entries, radius, fixed, period_two = MATRICES[matrix]
     T = build_automorphism(*entries)
     centre = TorusPoint(*(period_two if q == 2 else fixed))
-    region = RegionSpec(centre, radius, metric, kind, q=q, kappa=kappa)
+    region = RegionSpec(Ball(T, centre, radius, metric), kind, q=q, kappa=kappa)
     seed = zlib.crc32(case_id(matrix, metric, kind, q, kappa).encode())
-    return monte_carlo_measure(region, T, 20_000, seed)
+    return monte_carlo_measure(region, 20_000, seed)
 
 
 def digest(records) -> str:

@@ -1,4 +1,4 @@
-"""Region membership, the Monte Carlo measure oracle, separation, D' sum."""
+"""Region membership, the Monte Carlo measure oracle, separation."""
 
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import _reference as ref
 from _reference import sample_ball, sample_ball_remainder
 from extorus import (
+    Ball,
+    ExperimentConfig,
     MetricKind,
     OutOfLocalRange,
     RegionKind,
@@ -21,94 +23,89 @@ from extorus import (
     TorusPoint,
     area_A_q,
     build_automorphism,
-    dprime_sum_diagnostic,
     monte_carlo_measure,
     nested_area_U,
     separation_check,
     strip_area_Q,
     wrap_time_g,
 )
-from extorus import regions, torus
+from extorus import regions, simulate, torus
 from extorus.regions import _ball_slices, _escape_masks, _measure_chunk, membership_mask
 from extorus.torus import _BLOCK_ELEMENTS, DEFAULT_MODULUS, keyed_rng, orbit_blocks
 
 CAT = build_automorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
 S = 0.01
+BALL = Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN)
 
 
-def sliced_sample(region, T, count, rng):
+def sliced_sample(ball, count, rng):
     """The residues _ball_slices yields, concatenated."""
-    slices = list(_ball_slices(region, T, count, rng))
+    slices = list(_ball_slices(ball, count, rng))
     assert all(len(px) <= _BLOCK_ELEMENTS for px, _ in slices)
     return tuple(np.concatenate(part) for part in zip(*slices))
 
 
-def ball_region(radius=S, metric=MetricKind.EUCLIDEAN, zeta=ORIGIN):
-    return RegionSpec(zeta, radius, metric, RegionKind.BALL)
+def ball_region():
+    return RegionSpec(BALL, RegionKind.BALL)
 
 
 class TestRegionSpec:
     def test_radius_bound(self):
         with pytest.raises(ValueError):
-            RegionSpec(ORIGIN, 0.25, MetricKind.EUCLIDEAN, RegionKind.BALL)
+            RegionSpec(Ball(CAT, ORIGIN, 0.25, MetricKind.EUCLIDEAN), RegionKind.BALL)
 
     def test_kinds_require_period(self):
         for kind in (RegionKind.A_Q, RegionKind.U_KAPPA, RegionKind.Q_KAPPA):
             with pytest.raises(ValueError):
-                RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, kind)
+                RegionSpec(BALL, kind)
 
 
 class TestContains:
     def test_centre_in_ball_and_nested_sets(self):
         centre = np.zeros(1, dtype=np.int64)  # the origin's residue
-        assert membership_mask(ball_region(), CAT, centre, centre)[0]
+        assert membership_mask(ball_region(), centre, centre)[0]
         for kappa in range(4):
-            region = RegionSpec(
-                ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=kappa
-            )
-            assert membership_mask(region, CAT, centre, centre)[0]
+            region = RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=kappa)
+            assert membership_mask(region, centre, centre)[0]
 
     def test_nested_level_zero_is_ball(self):
         # membership of U at kappa=0 agrees with the plain ball on 1e5 points
         modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(2)
         ball = ball_region()
-        u0 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=0)
-        px, py = sample_ball(ball, CAT, 100_000, rng)
+        u0 = RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=0)
+        px, py = sample_ball(BALL, 100_000, rng)
         # widen: also points outside the ball
         px = np.concatenate([px, rng.integers(0, modulus, 1000)])
         py = np.concatenate([py, rng.integers(0, modulus, 1000)])
-        a = membership_mask(ball, CAT, px, py)
-        b = membership_mask(u0, CAT, px, py)
+        a = membership_mask(ball, px, py)
+        b = membership_mask(u0, px, py)
         assert np.array_equal(a, b)
 
     def test_strip_partition_is_exact(self):
         # every sampled ball point lies in exactly one strip, kappa <= 60
         rng = np.random.default_rng(3)
         ball = ball_region()
-        px, py = sample_ball(ball, CAT, 30_000, rng)
-        inside = membership_mask(ball, CAT, px, py)
+        px, py = sample_ball(BALL, 30_000, rng)
+        inside = membership_mask(ball, px, py)
         px, py = px[inside], py[inside]
         counts = np.zeros(px.shape[0], dtype=np.int64)
         for kappa in range(61):
-            strip = RegionSpec(
-                ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=kappa
-            )
-            counts += membership_mask(strip, CAT, px, py).astype(np.int64)
+            strip = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=kappa)
+            counts += membership_mask(strip, px, py).astype(np.int64)
         assert np.all(counts == 1)
 
     def test_strip_dynamics(self):
         # the q-fold map sends strip kappa+1 onto strip kappa
         rng = np.random.default_rng(4)
-        ball = ball_region()
-        px, py = sample_ball(ball, CAT, 200_000, rng)
-        q2 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=2)
-        member = membership_mask(q2, CAT, px, py)
+        px, py = sample_ball(BALL, 200_000, rng)
+        q2 = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=2)
+        member = membership_mask(q2, px, py)
         assert member.any()
         _, fwd = orbit_blocks(px[member], py[member], CAT, DEFAULT_MODULUS, 1)
-        q1 = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=1)
-        assert membership_mask(q1, CAT, fwd.x[0], fwd.y[0]).all()
+        q1 = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=1)
+        assert membership_mask(q1, fwd.x[0], fwd.y[0]).all()
 
 
 # coordinates at both ends of [0, 1) and anywhere in between
@@ -129,12 +126,11 @@ class TestSampler:
     )
     def test_bit_identical_to_remainder_fold(self, metric, x, y, radius, matrix, seed):
         # x - floor(x) and the mask give the bits of x % 1.0 and % modulus
-        region = RegionSpec(TorusPoint(x, y), radius, metric, RegionKind.BALL)
-        T = build_automorphism(*matrix)
+        ball = Ball(build_automorphism(*matrix), TorusPoint(x, y), radius, metric)
         # more points than one slice holds: the slices must join into the whole sample
         count = _BLOCK_ELEMENTS + 3000
-        px, py = sliced_sample(region, T, count, np.random.default_rng(seed))
-        ref_x, ref_y = sample_ball_remainder(region, T, count, np.random.default_rng(seed))
+        px, py = sliced_sample(ball, count, np.random.default_rng(seed))
+        ref_x, ref_y = sample_ball_remainder(ball, count, np.random.default_rng(seed))
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
 
@@ -153,9 +149,9 @@ class TestSampler:
             def random(self, count):
                 return self.arrays.pop(0)
 
-        region = RegionSpec(TorusPoint(x, y), 0.2, metric, RegionKind.BALL)
-        px, py = sliced_sample(region, CAT, u.size, Uniforms())
-        ref_x, ref_y = sample_ball_remainder(region, CAT, u.size, Uniforms())
+        ball = Ball(CAT, TorusPoint(x, y), 0.2, metric)
+        px, py = sliced_sample(ball, u.size, Uniforms())
+        ref_x, ref_y = sample_ball_remainder(ball, u.size, Uniforms())
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
         assert px.min() >= 0 and py.min() >= 0
@@ -168,10 +164,10 @@ class TestSampler:
         "size", [1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 38_528]
     )
     def test_sliced_chunk_counts_whole_chunk(self, metric, kind, size):
-        region = RegionSpec(ORIGIN, S, metric, kind, q=1, kappa=2)
-        px, py = sample_ball(region, CAT, size, keyed_rng(11, 3))
-        whole = int(np.count_nonzero(membership_mask(region, CAT, px, py)))
-        assert _measure_chunk((region, CAT, 11, 3, size)) == whole
+        region = RegionSpec(Ball(CAT, ORIGIN, S, metric), kind, q=1, kappa=2)
+        px, py = sample_ball(region.ball, size, keyed_rng(11, 3))
+        whole = int(np.count_nonzero(membership_mask(region, px, py)))
+        assert _measure_chunk((region, 11, 3, size)) == whole
         assert whole > 0 or size == 1  # the count is not vacuous
 
 
@@ -193,36 +189,34 @@ class TestEscapeMasks:
 
 class TestMonteCarloMeasure:
     def test_ball_sanity(self):
-        est, se = monte_carlo_measure(ball_region(), CAT, 100_000, 1)
+        est, se = monte_carlo_measure(ball_region(), 100_000, 1)
         assert abs(est - math.pi * S * S) <= 3 * se + 1e-12
 
     def test_escape_region_oracle(self):
         # this is the independent oracle for the escape-area closed form
-        region = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=1)
-        est, se = monte_carlo_measure(region, CAT, 1_000_000, 2)
+        region = RegionSpec(BALL, RegionKind.A_Q, q=1)
+        est, se = monte_carlo_measure(region, 1_000_000, 2)
         assert abs(est - area_A_q(S, CAT.lam_abs, 1)) <= 3 * se
 
     def test_adapted_escape_region(self):
-        region = RegionSpec(ORIGIN, 0.005, MetricKind.ADAPTED, RegionKind.A_Q, q=1)
-        est, se = monte_carlo_measure(region, CAT, 1_000_000, 3)
+        region = RegionSpec(Ball(CAT, ORIGIN, 0.005, MetricKind.ADAPTED), RegionKind.A_Q, q=1)
+        est, se = monte_carlo_measure(region, 1_000_000, 3)
         theta = 1.0 - 1.0 / CAT.lam_abs
         ball_area = 4 * 0.005**2 * CAT.basis_det
         assert abs(est - theta * ball_area) <= 3 * se
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_nested_sets_match_strip_complements(self, kappa):
-        region = RegionSpec(
-            ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=kappa
+        region = RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=kappa
         )
-        est, se = monte_carlo_measure(region, CAT, 1_000_000, 4 + kappa)
+        est, se = monte_carlo_measure(region, 1_000_000, 4 + kappa)
         assert abs(est - nested_area_U(S, CAT.lam_abs, 1, kappa)) <= 3 * se
 
     @pytest.mark.parametrize("kappa", [0, 1, 2, 3])
     def test_strips_match_closed_form(self, kappa):
-        region = RegionSpec(
-            ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=kappa
+        region = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=kappa
         )
-        est, se = monte_carlo_measure(region, CAT, 1_000_000, 8 + kappa)
+        est, se = monte_carlo_measure(region, 1_000_000, 8 + kappa)
         assert abs(est - strip_area_Q(S, CAT.lam_abs, 1, kappa)) <= 3 * se
 
     @pytest.mark.xfail(
@@ -233,10 +227,9 @@ class TestMonteCarloMeasure:
     )
     def test_nested_tail_bound_as_configured(self):
         for kappa in range(1, 6):
-            region = RegionSpec(
-                ORIGIN, 0.003, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=kappa
-            )
-            est, se = monte_carlo_measure(region, CAT, 200_000, 20 + kappa)
+            ball = Ball(CAT, ORIGIN, 0.003, MetricKind.EUCLIDEAN)
+            region = RegionSpec(ball, RegionKind.U_KAPPA, q=1, kappa=kappa)
+            est, se = monte_carlo_measure(region, 200_000, 20 + kappa)
             assert est <= CAT.lam_abs ** (-kappa) * 0.003**2 + 3 * se
 
     def test_strips_partition_ball_measure(self):
@@ -244,25 +237,24 @@ class TestMonteCarloMeasure:
         # must recombine into the MC ball measure within combined errors
         total, var = 0.0, 0.0
         for kappa in range(4):
-            region = RegionSpec(
-                ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=kappa
+            region = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=kappa
             )
-            est, se = monte_carlo_measure(region, CAT, 400_000, 40 + kappa)
+            est, se = monte_carlo_measure(region, 400_000, 40 + kappa)
             total += est
             var += se * se
-        rest = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.U_KAPPA, q=1, kappa=4)
-        est, se = monte_carlo_measure(rest, CAT, 400_000, 44)
+        rest = RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=4)
+        est, se = monte_carlo_measure(rest, 400_000, 44)
         total += est
         var += se * se
-        ball_est, ball_se = monte_carlo_measure(ball_region(), CAT, 400_000, 45)
+        ball_est, ball_se = monte_carlo_measure(ball_region(), 400_000, 45)
         var += ball_se * ball_se
         assert abs(total - ball_est) <= 3.0 * math.sqrt(var) + 1e-12
 
     def test_deterministic_and_worker_invariant(self):
-        region = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=1)
-        one = monte_carlo_measure(region, CAT, 600_000, 7, workers=1)
-        again = monte_carlo_measure(region, CAT, 600_000, 7, workers=1)
-        multi = monte_carlo_measure(region, CAT, 600_000, 7, workers=2)
+        region = RegionSpec(BALL, RegionKind.A_Q, q=1)
+        one = monte_carlo_measure(region, 600_000, 7, workers=1)
+        again = monte_carlo_measure(region, 600_000, 7, workers=1)
+        multi = monte_carlo_measure(region, 600_000, 7, workers=2)
         assert one == again == multi
 
     def test_pool_capped_at_jobs_and_cores(self, monkeypatch):
@@ -285,11 +277,11 @@ class TestMonteCarloMeasure:
         monkeypatch.setattr(torus, "ProcessPoolExecutor", RecordingPool)
         samples = 2 * (1 << 18) + 1000  # three chunks
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        many = monte_carlo_measure(ball_region(), CAT, samples, 5, workers=100_000)
+        many = monte_carlo_measure(ball_region(), samples, 5, workers=100_000)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        few = monte_carlo_measure(ball_region(), CAT, samples, 5, workers=100_000)
+        few = monte_carlo_measure(ball_region(), samples, 5, workers=100_000)
         assert sizes == [3, 2]
-        assert many == few == monte_carlo_measure(ball_region(), CAT, samples, 5)
+        assert many == few == monte_carlo_measure(ball_region(), samples, 5)
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_worker_counts_below_one_rejected(self, monkeypatch, workers):
@@ -299,135 +291,88 @@ class TestMonteCarloMeasure:
 
         monkeypatch.setattr(torus, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
-            monte_carlo_measure(ball_region(), CAT, 1 << 19, 5, workers=workers)
+            monte_carlo_measure(ball_region(), 1 << 19, 5, workers=workers)
 
     def test_error_shrinks_like_sqrt_samples(self):
-        small = monte_carlo_measure(
-            RegionSpec(ORIGIN, 0.02, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=1),
-            CAT, 250_000, 9,
-        )
-        large = monte_carlo_measure(
-            RegionSpec(ORIGIN, 0.02, MetricKind.EUCLIDEAN, RegionKind.A_Q, q=1),
-            CAT, 1_000_000, 9,
-        )
+        region = RegionSpec(Ball(CAT, ORIGIN, 0.02, MetricKind.EUCLIDEAN), RegionKind.A_Q, q=1)
+        small = monte_carlo_measure(region, 250_000, 9)
+        large = monte_carlo_measure(region, 1_000_000, 9)
         assert large.std_error == pytest.approx(small.std_error / 2.0, rel=0.1)
 
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
-            monte_carlo_measure(ball_region(), CAT, 999, 1)
+            monte_carlo_measure(ball_region(), 999, 1)
 
     def test_local_range_guard(self):
         # lam^5 * 0.01 > 1/2: strip 4 wraps, strip 3 is the last local one
-        bad = RegionSpec(ORIGIN, S, MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, q=1, kappa=4)
+        bad = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=4)
         with pytest.raises(OutOfLocalRange):
-            monte_carlo_measure(bad, CAT, 1000, 1)
+            monte_carlo_measure(bad, 1000, 1)
 
 
 # sample counts around the slice size: one slice, one short of two, just over two
 SLICED_SAMPLES = [1000, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS + 1]
 
 
+def separation_cfg(zeta=(0, 0)):
+    """The cat map at n = 1e5 and tau = 1, Euclidean, as criterion 3 runs it."""
+    return ExperimentConfig(zeta=tuple(Fraction(c) for c in zeta), n=100_000, tau=1.0)
+
+
+def inflate_radius(monkeypatch, factor):
+    """Configs made from now on have factor times the threshold radius (and ball)."""
+    s_n = simulate.threshold_radius
+    monkeypatch.setattr(simulate, "threshold_radius", lambda *args: s_n(*args) * factor)
+
+
 class TestSlicedAgainstWholeArray:
-    """The sliced separation check and d'' equal the whole-array ones of _reference."""
+    """The sliced separation check equals the whole-array one of _reference."""
 
     @pytest.mark.parametrize("samples", SLICED_SAMPLES)
-    @pytest.mark.parametrize("zeta, q", [((0, 0), 1), ((Fraction(1, 2), Fraction(1, 2)), 3)])
+    @pytest.mark.parametrize(
+        "zeta, q", [((0, 0), 1), ((Fraction(1, 2), Fraction(1, 2)), 3), ((Fraction(1, 5), Fraction(2, 5)), 2)]
+    )
     def test_separation_same_answer(self, zeta, q, samples):
-        zeta = tuple(Fraction(c) for c in zeta)
-        args = (CAT, zeta, q, 100_000, 1.0, samples, 7)
+        cfg = separation_cfg(zeta)
+        assert cfg.q == q
+        args = (cfg, samples, 7)
         assert regions.separation_check(*args) is ref.separation_check(*args) is True
 
     @pytest.mark.parametrize("samples", SLICED_SAMPLES)
     def test_separation_inflated_radius_same_answer(self, monkeypatch, samples):
-        g = wrap_time_g(100_000, CAT.lam_abs, 1, 1.0)
-        s_n = regions.threshold_radius
-        inflated = lambda n, tau, metric: s_n(n, tau, metric) * CAT.lam_abs**g  # noqa: E731
-        monkeypatch.setattr(regions, "threshold_radius", inflated)
-        monkeypatch.setattr(ref, "threshold_radius", inflated)
-        args = (CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, samples, 7)
+        inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT.lam_abs, 1, 1.0))
+        args = (separation_cfg(), samples, 7)
         assert regions.separation_check(*args) is ref.separation_check(*args) is False
 
     def test_separation_window_edge_same_answer(self, monkeypatch):
         # at radius s_n lam^4 the first return is at j = 5: windows 4 and 5 differ
-        s_n = regions.threshold_radius
-        inflated = lambda n, tau, metric: s_n(n, tau, metric) * CAT.lam_abs**4  # noqa: E731
-        monkeypatch.setattr(regions, "threshold_radius", inflated)
-        monkeypatch.setattr(ref, "threshold_radius", inflated)
-        args = (CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, _BLOCK_ELEMENTS + 1, 7)
+        inflate_radius(monkeypatch, CAT.lam_abs**4)
         for window, separated in ((4, True), (5, False)):
-            for module in (regions, ref):
-                monkeypatch.setattr(module, "wrap_time_g", lambda *args: window)
+            monkeypatch.setattr(simulate, "wrap_time_g", lambda *args: window)
+            cfg = separation_cfg()
+            assert cfg.q * cfg.g_n == window
+            args = (cfg, _BLOCK_ELEMENTS + 1, 7)
             assert regions.separation_check(*args) is ref.separation_check(*args) is separated
-
-    @pytest.mark.parametrize("samples", SLICED_SAMPLES)
-    @pytest.mark.parametrize(
-        "zeta, q, n, j_max",
-        [
-            ((Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1)), 0, 10**3, 6),
-            ((Fraction(0), Fraction(0)), 1, 300, 20),
-            ((Fraction(1, 2), Fraction(1, 2)), 3, 300, 20),
-        ],
-    )
-    def test_dprime_same_bits(self, zeta, q, n, j_max, samples):
-        args = (CAT, zeta, q, n, j_max, samples, 12)
-        sliced = regions.dprime_sum_diagnostic(*args)
-        assert sliced.hex() == ref.dprime_sum_diagnostic(*args).hex()
-        assert sliced > 0.0  # a sum of several terms, not a vacuous zero
 
 
 class TestSeparation:
     def test_holds_at_fixed_point(self):
-        assert separation_check(
-            CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, 200_000, 7
-        )
+        assert separation_check(separation_cfg(), 200_000, 7)
 
     def test_fails_with_inflated_radius(self, monkeypatch):
         # negative control: a radius lam^g times s_n lets escape points return
-        g = wrap_time_g(100_000, CAT.lam_abs, 1, 1.0)
-        s_n = regions.threshold_radius
-        monkeypatch.setattr(
-            regions, "threshold_radius", lambda n, tau, metric: s_n(n, tau, metric) * CAT.lam_abs**g
-        )
-        assert not separation_check(
-            CAT, (Fraction(0), Fraction(0)), 1, 100_000, 1.0, 200_000, 7
-        )
-
-    def test_rejects_non_periodic_claim(self):
-        with pytest.raises(ValueError):
-            separation_check(CAT, (Fraction(1, 2), Fraction(1, 2)), 1, 10_000, 1.0, 1000, 1)
+        inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT.lam_abs, 1, 1.0))
+        assert not separation_check(separation_cfg(), 200_000, 7)
 
     def test_period_three_point(self):
-        assert separation_check(
-            CAT, (Fraction(1, 2), Fraction(1, 2)), 3, 100_000, 1.0, 100_000, 11
-        )
+        assert separation_check(separation_cfg((Fraction(1, 2), Fraction(1, 2))), 100_000, 11)
 
+    def test_non_periodic_centre_has_no_escape_region(self):
+        cfg = separation_cfg((Fraction(2**0.5 - 1), Fraction(3**0.5 - 1)))
+        assert cfg.q == 0
+        with pytest.raises(ValueError, match="a_q requires q >= 1"):
+            separation_check(cfg, 1000, 1)
 
-class TestDprimeSum:
-    def test_zero_within_separation_window(self):
-        g = wrap_time_g(100_000, CAT.lam_abs, 1, 1.0)
-        est = dprime_sum_diagnostic(
-            CAT, (Fraction(0), Fraction(0)), 1, 100_000, g, 200_000, 5
-        )
-        assert est == 0.0
-
-    def test_decreases_in_n_for_generic_centre(self):
-        zeta = (Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1))
-        small_n = dprime_sum_diagnostic(CAT, zeta, 0, 10**3, 6, 400_000, 12)
-        large_n = dprime_sum_diagnostic(CAT, zeta, 0, 10**6, 10, 400_000, 12)
-        assert small_n > 0.0
-        assert large_n < small_n
-
-    def test_rejects_non_periodic_claim(self):
-        # like separation_check: an escape region needs a centre of period q
-        with pytest.raises(ValueError, match="zeta is not periodic with period 1"):
-            dprime_sum_diagnostic(CAT, (Fraction(1, 3), Fraction(1, 7)), 1, 1000, 2, 2000, 1)
-
-    def test_rejects_tiny_sample_counts(self):
-        with pytest.raises(ValueError):
-            dprime_sum_diagnostic(CAT, (Fraction(0), Fraction(0)), 1, 1000, 2, 0, 1)
-
-    def test_rejects_window_beyond_analysis_range(self):
-        with pytest.raises(ValueError):
-            dprime_sum_diagnostic(
-                CAT, (Fraction(0), Fraction(0)), 1, 1000, 10**6, 2000, 1
-            )
+    def test_minimum_samples(self):
+        with pytest.raises(ValueError, match="samples must be >= 1000"):
+            separation_check(separation_cfg(), 999, 1)

@@ -39,13 +39,12 @@ from extorus import (
 from _reference import clusters_of, records_of, simulate_chunk_stepwise
 from extorus import simulate
 from extorus.simulate import (
-    OBSERVABLE_CAP,
     _initial_states,
     _simulate_chunk,
     chi_square_vs_pmf,
     pooled_gaps,
 )
-from extorus.torus import _BLOCK_ELEMENTS, ball_distance, rational_point
+from extorus.torus import _BLOCK_ELEMENTS, OBSERVABLE_CAP, Ball, rational_point
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -364,7 +363,7 @@ class TestStripHoldsBall:
 
         inside = simulate._in_strip(px, lo, span, modulus)
         assert np.array_equal(inside, ((px - lo) & (modulus - 1)) < span)
-        near = ball_distance(px, py, modulus, zeta, T, metric) < strip_key
+        near = cfg.ball.key(px, py) < strip_key
         assert near.sum() > 100
         assert inside[near].all()
 
@@ -614,12 +613,11 @@ class TestMeasureRatioEstimator:
         # exact area with no error, and the ratio keeps the bits it had when the
         # ball was a second Monte Carlo measure (seeded seed + 1)
         T = cfg.automorphism
-        zeta = rational_point(cfg.zeta)
-        ball = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.BALL)
-        sampled_ball = monte_carlo_measure(ball, T, samples, seed + 1)
+        ball = Ball(T, rational_point(cfg.zeta), cfg.radius, cfg.metric)
+        sampled_ball = monte_carlo_measure(RegionSpec(ball, RegionKind.BALL), samples, seed + 1)
         assert sampled_ball == (ball_measure(cfg.radius, cfg.metric, T.basis_det), 0.0)
-        escape = RegionSpec(zeta, cfg.radius, cfg.metric, RegionKind.A_Q, q=cfg.q)
-        escape_estimate = monte_carlo_measure(escape, T, samples, seed).estimate
+        escape = RegionSpec(ball, RegionKind.A_Q, q=cfg.q)
+        escape_estimate = monte_carlo_measure(escape, samples, seed).estimate
         two_measures = escape_estimate / sampled_ball.estimate
         assert ei_measure_ratio(cfg, samples, seed).hex() == two_measures.hex()
 

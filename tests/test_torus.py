@@ -1,6 +1,6 @@
 """Torus core: eigen-structure, metrics, exact orbits, periods.
 
-The array routines (the orbit walker orbit_blocks, ball_distance) are
+The array routines (the orbit walker orbit_blocks, the key of Ball) are
 checked against the scalar Python-int and Python-float references in
 _reference.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from _reference import (
     ExactOrbitState,
     ShiftSetInsufficient,
-    ball_distance_out_of_place,
+    ball_key_out_of_place,
     observable_value,
     step_exact,
     torus_distance,
@@ -35,7 +35,7 @@ from extorus import (
     compute_period,
 )
 from extorus import torus
-from extorus.torus import DEFAULT_MODULUS, ball_distance, orbit_blocks, wrap_unit
+from extorus.torus import DEFAULT_MODULUS, OBSERVABLE_CAP, Ball, orbit_blocks, wrap_unit
 
 CAT = build_automorphism(2, 1, 1, 1)
 OTHER = build_automorphism(1, 1, 1, 2)
@@ -272,7 +272,7 @@ class TestBallDistance:
             py = np.round(((zeta.y + rho * np.sin(ang)) % 1.0) * DEFAULT_MODULUS).astype(np.int64)
             px %= DEFAULT_MODULUS
             py %= DEFAULT_MODULUS
-            keys = ball_distance(px, py, DEFAULT_MODULUS, zeta, T, metric)
+            keys = Ball(T, zeta, 0.25, metric).key(px, py)
             checked = 0
             for x, y, key in zip(px, py, keys):
                 z = TorusPoint(wrap_unit(int(x) / DEFAULT_MODULUS), wrap_unit(int(y) / DEFAULT_MODULUS))
@@ -303,9 +303,41 @@ class TestBallDistance:
         px, py = rng.integers(0, modulus, size=(2, 5, 300), dtype=np.int64)
         zeta = TorusPoint(x, y)
         T = build_automorphism(*matrix)
-        keys = ball_distance(px, py, modulus, zeta, T, metric)
-        ref = ball_distance_out_of_place(px, py, modulus, zeta, T, metric)
+        ball = Ball(T, zeta, 0.25, metric, modulus)
+        keys = ball.key(px, py)
+        ref = ball_key_out_of_place(px, py, ball)
         np.testing.assert_array_equal(keys.view(np.int64), ref.view(np.int64))
+
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)])
+    def test_radius_and_observable_match_scalar_reference(self, metric, matrix):
+        # inside iff key < key_radius iff distance < radius; observable = -log distance
+        T = build_automorphism(*matrix)
+        zeta = TorusPoint(0.3, 0.7)
+        ball = Ball(T, zeta, 0.05, metric)
+        rng = np.random.default_rng(7)
+        px, py = Ball(T, zeta, 0.1, metric).points(rng.random(400), rng.random(400))
+        keys = ball.key(px, py)
+        values = ball.observable(keys)
+        for x, y, key, value in zip(px, py, keys, values):
+            z = TorusPoint(int(x) / DEFAULT_MODULUS, int(y) / DEFAULT_MODULUS)
+            dist = torus_distance(z, zeta, T, metric)
+            assert (key < ball.key_radius) == (dist < ball.radius)
+            assert value == pytest.approx(observable_value(z, zeta, T, metric), rel=1e-9)
+        assert 50 < np.count_nonzero(keys < ball.key_radius) < 350
+        assert ball.observable(np.zeros(1)).tolist() == [OBSERVABLE_CAP]
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)])
+    def test_x_extent_is_the_sampled_balls_reach_in_x(self, metric, matrix):
+        ball = Ball(build_automorphism(*matrix), TorusPoint(0.5, 0.5), 0.01, metric)
+        # the disc's rim at angles 0 and pi, and the square's corners
+        edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
+        u, v = (a.ravel() for a in np.meshgrid(edges, edges))
+        px, _ = ball.points(u, v)
+        reach = np.abs(px / DEFAULT_MODULUS - 0.5).max()
+        assert ball.x_extent * (1 - 1e-9) <= reach <= ball.x_extent * (1 + 1e-9)
 
 
 class TestTorusDistance:
