@@ -422,6 +422,22 @@ PINNED_AREAS = {
     },
 }
 
+# cat map, Euclidean metric, period q: (theta, (pi(1), pi(2), pi(3)))
+PINNED_LARGE_Q = {
+    1: ("0x1.122550cc9a903p-1",
+        ("0x1.e854714ce10efp-2", "0x1.3e749315aaefbp-2", "0x1.0af6725ef73a5p-3")),
+    2: ("0x1.a18e3db2df7ebp-1",
+        ("0x1.9d34d445296c9p-1", "0x1.510de3d9bf4c4p-3", "0x1.8d1d0e788f109p-6")),
+    3: ("0x1.dbb55e66cadfcp-1",
+        ("0x1.db1e6a101b356p-1", "0x1.1696cc195e321p-4", "0x1.f161c6e6f0c88p-9")),
+    50: ("0x1.0000000000000p+0",
+         ("0x1.0000000000000p+0", "0x1.e5d4e37501703p-70", "0x1.6a11aed4b604ap-139")),
+    300: ("0x1.0000000000000p+0",
+          ("0x1.0000000000000p+0", "0x1.bec284d06a57dp-417", "0x1.322c84fb15d9bp-834")),
+    700: ("0x1.0000000000000p+0",
+          ("0x1.0000000000000p+0", "0x1.541a2dc9f20eap-973", "0x0.0p+0")),
+}
+
 
 class TestPinnedBits:
     """Every closed form keeps its bits: values are compared as float.hex."""
@@ -450,3 +466,8 @@ class TestPinnedBits:
         assert area_A_q(0.01, LAM, q).hex() == pinned["A"]
         assert tuple(strip_area_Q(0.01, LAM, q, k).hex() for k in range(4)) == pinned["Q"]
         assert tuple(nested_area_U(0.01, LAM, q, k).hex() for k in range(4)) == pinned["U"]
+
+    @pytest.mark.parametrize("q", sorted(PINNED_LARGE_Q))
+    def test_euclidean_law_up_to_large_q(self, q):
+        model = extremal_model(CAT, q, EUCLID)
+        assert (model.theta.hex(), tuple(model.multiplicity(k).hex() for k in (1, 2, 3))) == PINNED_LARGE_Q[q]

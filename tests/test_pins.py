@@ -4,7 +4,8 @@ The benchmark digests the Euclidean cat-map oracle at the origin and a
 few simulate runs. These pins cover the rest of the metric-ball code:
 every region kind in both metrics on two matrices, the measure-ratio
 estimator (also on a coarse trial grid, which the oracle must not
-follow), and the engine at 2^40 and on a matrix with negative entries.
+follow), and the engine at a decimal centre (on the default grid and at
+2^40) and on a matrix with negative entries.
 Floats are compared as float.hex and record columns by sha256, so a
 change that moves one bit fails here.
 """
@@ -124,6 +125,7 @@ RATIO_PINS = {
 }
 
 ENGINE_PINS = {
+    "adapted-decimal": "12b7422a2a1ef91487cc72fcf36183e1e592c2efa857ebd55cbde654df0e690d",
     "bits40-adapted-decimal": "d5253a704120f1a60b22d0a4bc8bfb162db1bb562f65deed14da0a1cdf030ed2",
     "-3,1,-1,0-euclidean-origin": "c3f910064a341a8268afe2b71efd2b4c5c5ab3d805b7dd331fa0530f36dbe19f",
 }
@@ -137,6 +139,7 @@ RATIO_CONFIGS = {
 }
 
 ENGINE_CONFIGS = {
+    "adapted-decimal": dict(zeta=(Fraction(0.4142), Fraction(0.7321)), metric=MetricKind.ADAPTED),
     "bits40-adapted-decimal": dict(
         zeta=(Fraction(0.4142), Fraction(0.7321)), metric=MetricKind.ADAPTED, modulus_bits=40
     ),
