@@ -54,7 +54,7 @@ from .simulate import (
     run_experiment,
 )
 from .torus import (
-    DEFAULT_MODULUS,
+    MODULUS,
     Ball,
     Direction,
     MetricKind,
@@ -281,7 +281,7 @@ def _dichotomy_run(metric: MetricKind, zeta, workers: int | None):
     )
     records = run_experiment(cfg, workers)
     p_hat, se = estimate_block_maxima_cdf(cfg, records)
-    clusters = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
+    clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
     measured = {
         "trials": cfg.trials,
         "p_hat": p_hat,
@@ -427,10 +427,10 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
 
     T = cfg.automorphism
     rng = np.random.default_rng(_SEED)
-    px = rng.integers(0, DEFAULT_MODULUS, 10_000)
-    py = rng.integers(0, DEFAULT_MODULUS, 10_000)
-    _, fwd = orbit_blocks(px, py, T, DEFAULT_MODULUS, 1)
-    _, back = orbit_blocks(fwd.x[0], fwd.y[0], T, DEFAULT_MODULUS, 1, Direction.BACKWARD)
+    px = rng.integers(0, MODULUS, 10_000)
+    py = rng.integers(0, MODULUS, 10_000)
+    _, fwd = orbit_blocks(px, py, T, 1)
+    _, back = orbit_blocks(fwd.x[0], fwd.y[0], T, 1, Direction.BACKWARD)
     inverse_ok = np.array_equal(back.x[0], px) and np.array_equal(back.y[0], py)
 
     total = time.perf_counter() - suite_start

@@ -5,12 +5,13 @@ the flag help, the text parser and the manifest's JSON form. Flags,
 UTF-8 key=value config-file keys (flags win) and the manifest's config
 echo all come from it; theory takes ExperimentConfig's defaults too. One
 parse step reads every value and names the source of a bad one ("--n:
-..." or "run.cfg:2: n: ..."). estimate rejects, naming path:line, every
-CSV row that the manifest rules out. Centres are exact rationals
-("1/2,1/2") or decimals ("0.4142,0.7321"); a decimal denotes the exact
-rational the double holds, which for a generic decimal is effectively
-non-periodic. All machine output carries full float precision; human
-tables round.
+..." or "run.cfg:2: n: ..."). estimate reads a manifest's config only if
+it is, key for key, the echo that config writes, its derived block
+included, and rejects, naming path:line, every CSV row that the manifest
+rules out. Centres are exact rationals ("1/2,1/2") or decimals
+("0.4142,0.7321"); a decimal denotes the exact rational the double
+holds, which for a generic decimal is effectively non-periodic. All
+machine output carries full float precision; human tables round.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .simulate import (
     gap_ks_statistic,
     run_experiment,
 )
-from .torus import MAX_MODULUS_BITS, MIN_MODULUS_BITS, MetricKind
+from .torus import MetricKind
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -99,7 +100,7 @@ def _same(value: Any) -> Any:
 
 
 # The run schema: ExperimentConfig's fields in their order. Each is a flag
-# (--modulus-bits for modulus_bits), a config-file key and a manifest config key.
+# (--n for n), a config-file key and a manifest config key.
 _FIELDS = {
     "matrix": _Field("a,b,c,d integer matrix entries", parse_matrix, list),
     "zeta": _Field("centre: 'a/b,c/d' exact or decimals", parse_zeta, lambda z: f"{z[0]},{z[1]}"),
@@ -107,12 +108,7 @@ _FIELDS = {
     "tau": _Field("limit mean exceedance count", float, _same),
     "n": _Field("orbit length", int, _same),
     "trials": _Field("number of trials", int, _same),
-    "modulus_bits": _Field(
-        f"exact grid 2^k, k in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}] "
-        f"(default {ExperimentConfig.modulus_bits})", int, _same,
-    ),
     "seed": _Field("seed of the per-trial random streams", int, _same),
-    "run_gap": _Field("declustering gap (default: derived from q and g_n)", int, _same),
 }
 
 
@@ -154,7 +150,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     for key in _FIELDS:
         text = getattr(args, key, None)
         if text is not None:
-            values[key] = _parse("--" + key.replace("_", "-"), key, text)
+            values[key] = _parse("--" + key, key, text)
     return ExperimentConfig(**values)
 
 
@@ -166,31 +162,47 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "radius": cfg.radius,
         "v_n": cfg.v_n,
         "g_n": cfg.g_n,
-        "run_gap_effective": cfg.run_gap_effective,
+        "run_gap": cfg.run_gap,
         "lambda": cfg.automorphism.lam,
     }
     return echo
 
 
+def _dotted(echo: dict, prefix: str = "") -> dict:
+    """A config echo's values by dotted key: derived.u_n for echo["derived"]["u_n"]."""
+    out = {}
+    for key, value in echo.items():
+        out.update(_dotted(value, f"{prefix}{key}.") if isinstance(value, dict) else {prefix + key: value})
+    return out
+
+
 def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
-    """The config a manifest echoes, which must echo back exactly as written."""
+    """The config a manifest echoes, which must be, key for key, the echo it writes.
+
+    Every key counts, the derived block's too: an unknown key, a missing
+    one or a value that differs raises ValueError naming it.
+    """
     missing = [key for key in _FIELDS if key not in echo]
     if missing:
         raise ValueError(f"{path}: config lacks {', '.join(missing)}")
-    # each JSON value as its flag text, a list joined by commas; null leaves the default
+    # each JSON value as its flag text, a list joined by commas
     texts = {
         key: ",".join(map(str, echo[key])) if isinstance(echo[key], list) else str(echo[key])
         for key in _FIELDS
-        if echo[key] is not None
     }
     try:
         cfg = ExperimentConfig(**{key: _parse(key, key, text) for key, text in texts.items()})
     except (ValueError, ExtorusError) as exc:
         raise type(exc)(f"{path}: bad config: {exc}") from None
-    written = _config_echo(cfg)
-    for key in _FIELDS:
-        if written[key] != echo[key]:
-            raise ValueError(f"{path}: bad config: {key} is {echo[key]!r}, not {written[key]!r}")
+    got, written = _dotted(echo), _dotted(_config_echo(cfg))
+    unknown = [key for key in got if key not in written]
+    if unknown:
+        raise ValueError(f"{path}: bad config: unknown key {', '.join(unknown)}")
+    for key, value in written.items():
+        if key not in got:
+            raise ValueError(f"{path}: config lacks {key}")
+        if json.dumps(got[key]) != json.dumps(value):  # as JSON text: true is not 1, 2 is not 2.0
+            raise ValueError(f"{path}: bad config: {key} is {got[key]!r}, not {value!r}")
     return cfg
 
 
@@ -200,6 +212,8 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
+    if args.q is not None and args.q < 0:
+        raise ValueError(f"--q: q must be >= 0, got {args.q}")
     if args.kmax < 1:
         raise ValueError(f"--kmax: kmax must be >= 1, got {args.kmax}")
     cfg = build_config(args)
@@ -404,7 +418,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if total_exceedances == 0:
         raise NoExceedances("no exceedances in the supplied CSVs")
 
-    clusters = decluster_all(records, cfg.run_gap_effective, cfg.v_n)
+    clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
     model = extremal_model(cfg.automorphism, cfg.q, cfg.metric)
     theta_model = model.theta
     theta_clusters = empirical_extremal_index(clusters)
@@ -474,7 +488,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _add_config_flags(p: argparse.ArgumentParser, keys: Iterable[str]) -> None:
     """A flag for each ExperimentConfig field in keys; build_config parses its text."""
     for key in keys:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=_FIELDS[key].help)
+        p.add_argument("--" + key, default=None, help=_FIELDS[key].help)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -499,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="print closed-form quantities")
     _add_config_flags(p, ("matrix", "zeta", "metric", "tau", "n"))
-    p.add_argument("--q", type=int, default=None, help="period (derived from --zeta if omitted)")
+    p.add_argument("--q", type=int, default=None, help="period, >= 0 (derived from --zeta if omitted)")
     p.add_argument("--kmax", type=int, default=10, help="pi rows to print (>= 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theory)

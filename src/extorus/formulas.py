@@ -120,9 +120,14 @@ def _strip_gap(lam_abs: float, q: int, kappa: int) -> float:
 
     Exact rearrangement of _asin_gap(lam,(kappa+1)q) - _asin_gap(lam,kq)
     via atan(b)-atan(a) = atan((b-a)/(1+ab)); the direct difference
-    cancels to zero in doubles once lam**(kappa*q) exceeds ~1e16.
+    cancels to zero in doubles once lam**(kappa*q) exceeds ~1e16. Once
+    lam**q overflows a double, the form would be inf / inf; its limit is
+    pi/2 at kappa = 0 (the escape region fills the disc) and 0 beyond, so
+    that pi(1) = 1 and pi(kappa >= 2) = 0.
     """
     lq = _power(lam_abs, q)
+    if lq == math.inf:
+        return math.pi / 2 if kappa == 0 else 0.0
     inv_a = _power(lam_abs, -kappa * q)
     big = _power(lam_abs, (kappa + 1) * q)
     expanding = math.atan((lq - 1.0) / (inv_a + big))
@@ -361,6 +366,6 @@ def extremal_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> Extremal
         raise ValueError(f"theta = {theta} out of (0, 1]")
     if q >= 1:
         mass = multiplicity_mass(lam_abs, q, metric)
-        if abs(mass - 1.0) > 1e-9:
+        if not abs(mass - 1.0) <= 1e-9:  # a nan mass fails too
             raise ValueError(f"multiplicity law sums to {mass}, not 1")
     return ExtremalModel(lam_abs, q, metric, theta)

@@ -8,10 +8,9 @@ Regions are subsets of a small metric ball (torus.Ball) around a centre:
 * Q_KAPPA  - strip: in U_KAPPA but not in U_(KAPPA+1).
 
 Membership iterates orbits with the exact residue kernel of the torus
-module (points are snapped to the ball's grid, 2**61 for every region
-here, after which there is no drift) and tests each image with the
-ball's key, so decisions are exact up to a boundary fuzz of one part in
-1e16 of the radius.
+module (points are snapped to the 2**61 grid, after which there is no
+drift) and tests each image with the ball's key, so decisions are exact
+up to a boundary fuzz of one part in 1e16 of the radius.
 
 The measure oracle samples uniformly from the ball rather than the whole
 torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import ball_measure
-from .torus import _BLOCK_ELEMENTS, DEFAULT_MODULUS, Ball, Direction, keyed_rng, map_jobs, orbit_blocks
+from .torus import _BLOCK_ELEMENTS, Ball, Direction, keyed_rng, map_jobs, orbit_blocks
 
 if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
@@ -86,7 +85,7 @@ def _ball_masks(
     ball = region.ball
     return np.concatenate([
         ball.key(block.x, block.y) < ball.key_radius
-        for block in orbit_blocks(px, py, ball.T, ball.modulus, count, direction, stride)
+        for block in orbit_blocks(px, py, ball.T, count, direction, stride)
     ])
 
 
@@ -103,7 +102,7 @@ def _escape_masks(balls: np.ndarray, q: int) -> np.ndarray:
 
 
 def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Vectorised membership of residue-array points (on the ball's grid) in the region."""
+    """Vectorised membership of residue-array points in the region."""
     if region.kind is RegionKind.BALL:
         return _ball_masks(region, px, py, 0)[0]
     if region.kind is RegionKind.A_Q:
@@ -183,12 +182,8 @@ def monte_carlo_measure(
 
 
 def escape_region(cfg: ExperimentConfig) -> RegionSpec:
-    """The escape region A_q of an ExperimentConfig's threshold ball, on the default grid.
-
-    The oracle samples its own points, so it keeps the 2^61 grid whatever
-    grid the trials use; the period q is the config's detected one.
-    """
-    return RegionSpec(replace(cfg.ball, modulus=DEFAULT_MODULUS), RegionKind.A_Q, q=cfg.q)
+    """The escape region A_q of an ExperimentConfig's threshold ball at its detected period q."""
+    return RegionSpec(cfg.ball, RegionKind.A_Q, q=cfg.q)
 
 
 def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:

@@ -1,7 +1,10 @@
 """Monte Carlo orbit experiments and empirical extreme-value estimators.
 
-A trial draws a uniform random exact initial state, iterates the torus
-map for n steps in modular integer arithmetic, and records the times and
+An experiment is its run schema, the ExperimentConfig fields (matrix,
+centre, metric, tau, n, trials, seed); the threshold, the period and the
+declustering gap q g(n) are derived from them. A trial draws a uniform
+random exact initial state on the 2**61 grid, iterates the torus map for
+n steps in modular integer arithmetic, and records the times and
 observable values of every entry into the threshold ball together with
 the block maximum of the observable. Trials are bit-reproducible: the
 random stream of trial k is keyed by (seed, k), so any partition of the
@@ -25,10 +28,10 @@ set to the whole torus.
 
 On top of the records, kept as columns (Records), sit the standard
 estimators, each an array pass: block-maxima CDF at the threshold, runs
-declustering, cluster-count extremal index, cluster-size histograms,
-Kac-time inter-cluster gap Kolmogorov-Smirnov statistics, window
-counting distributions, and the measure-ratio extremal index backed by
-the region oracle.
+declustering at the config's run gap, cluster-count extremal index,
+cluster-size histograms, Kac-time inter-cluster gap Kolmogorov-Smirnov
+statistics, window counting distributions, and the measure-ratio
+extremal index backed by the region oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +48,7 @@ from .errors import NoExceedances, TooFewGaps
 from .formulas import _check_tau, ball_measure, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import escape_region, monte_carlo_measure
 from .torus import (
-    MAX_MODULUS_BITS,
-    MIN_MODULUS_BITS,
+    MODULUS,
     Ball,
     MetricKind,
     ToralAutomorphism,
@@ -76,10 +78,6 @@ def check_field(key: str, value) -> None:
         _check_tau(value)
     elif key in ("n", "trials") and value < 1:
         raise ValueError(f"{key} must be >= 1")
-    elif key == "modulus_bits" and not MIN_MODULUS_BITS <= value <= MAX_MODULUS_BITS:
-        raise ValueError(f"modulus_bits must lie in [{MIN_MODULUS_BITS}, {MAX_MODULUS_BITS}]")
-    elif key == "run_gap" and value is not None and value < 1:
-        raise ValueError("run_gap must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,7 @@ class ExperimentConfig:
     tau: float = 1.0
     n: int = 100_000
     trials: int = 1000
-    modulus_bits: int = 61
     seed: int = 1
-    run_gap: int | None = None
 
     def __post_init__(self) -> None:
         for field in fields(self):
@@ -112,10 +108,6 @@ class ExperimentConfig:
     def automorphism(self) -> ToralAutomorphism:
         return build_automorphism(*self.matrix)
 
-    @property
-    def modulus(self) -> int:
-        return 1 << self.modulus_bits
-
     @cached_property
     def u_n(self) -> float:
         return threshold_u_n(self.n, self.tau, self.metric, self.automorphism.basis_det)
@@ -126,8 +118,8 @@ class ExperimentConfig:
 
     @cached_property
     def ball(self) -> Ball:
-        """The threshold ball around zeta, on the trials' grid."""
-        return Ball(self.automorphism, rational_point(self.zeta), self.radius, self.metric, self.modulus)
+        """The threshold ball around zeta."""
+        return Ball(self.automorphism, rational_point(self.zeta), self.radius, self.metric)
 
     @property
     def v_n(self) -> float:
@@ -152,12 +144,9 @@ class ExperimentConfig:
         return wrap_time_g(self.n, self.automorphism.lam_abs, self.q, self.tau)
 
     @cached_property
-    def run_gap_effective(self) -> int:
-        """Declustering gap: q*g(n) for periodic centres, g(n) otherwise."""
-        if self.run_gap is not None:
-            return self.run_gap
-        gap = self.q * self.g_n if self.q >= 1 else self.g_n
-        return max(gap, 1)
+    def run_gap(self) -> int:
+        """Declustering gap: q*g(n) for periodic centres, g(n) otherwise, and at least 1."""
+        return max(self.q * self.g_n if self.q >= 1 else self.g_n, 1)
 
 
 class TrialRecord(NamedTuple):
@@ -233,7 +222,7 @@ def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
     states = []
     for tid in trial_ids:
         rng = keyed_rng(cfg.seed, int(tid))
-        states.append((draw_residue(rng, cfg.modulus), draw_residue(rng, cfg.modulus)))
+        states.append((draw_residue(rng), draw_residue(rng)))
     return states
 
 
@@ -246,21 +235,20 @@ def _strip(cfg: ExperimentConfig) -> tuple[int, int, float]:
     more than the rounding of the keys and of lo; a strip half as wide as
     the torus is the whole torus.
     """
-    modulus = cfg.modulus
     wide = replace(cfg.ball, radius=_STRIP_FACTOR * cfg.radius * max(1.0, 1.0 / math.sqrt(cfg.tau)))
     half = wide.x_extent * (1.0 + 2.0**-20) + 2.0**-40
-    span = math.ceil(2.0 * min(half, 0.5) * modulus) + 1
-    if span >= modulus:
-        return 0, modulus, wide.key_radius
-    return math.floor((wide.centre.x - half) * modulus) % modulus, span, wide.key_radius
+    span = math.ceil(2.0 * min(half, 0.5) * MODULUS) + 1
+    if span >= MODULUS:
+        return 0, MODULUS, wide.key_radius
+    return math.floor((wide.centre.x - half) * MODULUS) % MODULUS, span, wide.key_radius
 
 
-def _in_strip(x: np.ndarray, lo: int, span: int, modulus: int) -> np.ndarray:
-    """((x - lo) & (modulus - 1)) < span for residues x, in two array passes, not three."""
-    if lo + span <= modulus:
+def _in_strip(x: np.ndarray, lo: int, span: int) -> np.ndarray:
+    """((x - lo) & (MODULUS - 1)) < span for residues x, in two array passes, not three."""
+    if lo + span <= MODULUS:
         return (x - lo).view(np.uint64) < span
     # the strip wraps through 0: x is in it unless it lies in the gap [hi, lo)
-    hi = lo + span - modulus
+    hi = lo + span - MODULUS
     return (x - hi).view(np.uint64) >= lo - hi
 
 
@@ -274,14 +262,13 @@ def _walk_candidates(
     strip's points (inf if it never enters the strip).
     """
     ball = cfg.ball
-    modulus = ball.modulus
     key_radius = ball.key_radius
     width = px.size
     best = np.full(width, np.inf)
     ids, times, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     start = 0
-    for block in orbit_blocks(px, py, ball.T, modulus, cfg.n - 1):
-        pos = _in_strip(block.x, lo, span, modulus).ravel().nonzero()[0]
+    for block in orbit_blocks(px, py, ball.T, cfg.n - 1):
+        pos = _in_strip(block.x, lo, span).ravel().nonzero()[0]
         rows = pos // width
         cols = pos - rows * width
         key = ball.key(block.x.ravel()[pos], block.y_at(rows, cols))
@@ -306,7 +293,7 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> Records:
     fallback = np.flatnonzero(best >= strip_key)
     if fallback.size:
         # their hits are all found already: hits lie below the key of r <= R
-        best[fallback] = _walk_candidates(cfg, px[fallback], py[fallback], 0, cfg.modulus)[3]
+        best[fallback] = _walk_candidates(cfg, px[fallback], py[fallback], 0, MODULUS)[3]
 
     # a stable sort by trial keeps each trial's hits in time order
     order = np.argsort(ids, kind="stable")

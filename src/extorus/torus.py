@@ -12,7 +12,7 @@ trial engine, the region oracle and the separation scan are built from:
   times at a time, X at once and Y on demand;
 * Ball, a metric ball in one of the two torus metrics (plane Euclidean,
   or the sup metric in the eigenbasis, whose balls are squares aligned
-  with the invariant directions) on a residue grid, and all that is
+  with the invariant directions) on the residue grid, and all that is
   known of it: the key of a point's folded offset from the centre and
   the key radius it is compared with, the ball's x-extent, its uniform
   sampler and the observable -log distance of a key.
@@ -22,12 +22,12 @@ burns through mantissa bits at a rate of log2|lam| per step, so a double
 carries usable information for only ~53/log2|lam| iterations. Points
 whose coordinates are rationals with a common denominator iterate
 exactly in modular integer arithmetic, with no drift at any orbit
-length. The denominator is a power of two, 2**k with 32 <= k <= 62
-(default 2**61); residue orbits at that size have periods astronomically
-longer than any simulated orbit.
+length. The denominator is MODULUS = 2**61, the one grid of the package;
+residue orbits at that size have periods astronomically longer than any
+simulated orbit.
 
 Why jump-ahead: iterating one matrix product per time step costs one
-Python iteration per step. The entries of A^k reduced mod the modulus
+Python iteration per step. The entries of A^k reduced mod MODULUS
 are exact integers that fit in int64, so the residues at time k are
 (A^k)00*x + (A^k)01*y and (A^k)10*x + (A^k)11*y, masked. With a table
 of A^s .. A^(sB), the residues of every orbit at the next B times are one
@@ -64,10 +64,8 @@ import numpy as np
 
 from .errors import DeterminantNotOne, NotHyperbolic
 
-DEFAULT_MODULUS_BITS = 61
-DEFAULT_MODULUS = 1 << DEFAULT_MODULUS_BITS
-MIN_MODULUS_BITS = 32
-MAX_MODULUS_BITS = 62  # residues, the modulus and its mask all fit in int64
+MODULUS = 1 << 61  # the denominator of every exact point; residues and the mask fit in int64
+_MASK = MODULUS - 1
 
 _MASK64 = (1 << 64) - 1
 # Residues computed per broadcast by orbit_blocks: a block spans
@@ -217,35 +215,35 @@ def compute_period(
 
 # ---------------------------------------------------------------------------
 # Vectorised walker shared by the trial engine and the region oracle.
-# Residues are int64 arrays. The modulus is 2**k with k <= 62, which
-# divides 2**64, and int64 array arithmetic wraps modulo 2**64; so masking
-# the low k bits of a*x + b*y gives the exact residue for any integer
-# entries, however large the products grow. Matrix powers are reduced
-# with the same mask, so their entries fit in int64 and the same argument
-# covers A^k for any k in one product.
+# Residues are int64 arrays. MODULUS = 2**61 divides 2**64, and int64
+# array arithmetic wraps modulo 2**64; so masking the low 61 bits of
+# a*x + b*y gives the exact residue for any integer entries, however
+# large the products grow. Matrix powers are reduced with the same mask,
+# so their entries fit in int64 and the same argument covers A^k for any
+# k in one product.
 # ---------------------------------------------------------------------------
 
 
-def _matmul(m: tuple[int, ...], n: tuple[int, ...], mask: int) -> tuple[int, int, int, int]:
-    """The 2x2 product m @ n of row-major entry tuples, reduced mod mask + 1."""
+def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The 2x2 product m @ n of row-major entry tuples, reduced mod MODULUS."""
     a, b, c, d = m
     e, f, g, h = n
     return (
-        (a * e + b * g) & mask,
-        (a * f + b * h) & mask,
-        (c * e + d * g) & mask,
-        (c * f + d * h) & mask,
+        (a * e + b * g) & _MASK,
+        (a * f + b * h) & _MASK,
+        (c * e + d * g) & _MASK,
+        (c * f + d * h) & _MASK,
     )
 
 
-def _power(entries: tuple[int, ...], k: int, mask: int) -> tuple[int, int, int, int]:
-    """Entries of the k-th matrix power, reduced mod mask + 1, by repeated squaring."""
+def _power(entries: tuple[int, ...], k: int) -> tuple[int, int, int, int]:
+    """Entries of the k-th matrix power, reduced mod MODULUS, by repeated squaring."""
     out = (1, 0, 0, 1)
-    base = tuple(e & mask for e in entries)
+    base = tuple(e & _MASK for e in entries)
     while k:
         if k & 1:
-            out = _matmul(out, base, mask)
-        base = _matmul(base, base, mask)
+            out = _matmul(out, base)
+        base = _matmul(base, base)
         k >>= 1
     return out
 
@@ -260,20 +258,19 @@ class OrbitBlock:
     from the row (px, py) before the block, so the bits agree.
     """
 
-    __slots__ = ("x", "_y", "_c", "_d", "_px", "_py", "_mask")
+    __slots__ = ("x", "_y", "_c", "_d", "_px", "_py")
 
-    def __init__(self, x, c, d, px, py, mask, y=None):
+    def __init__(self, x, c, d, px, py, y=None):
         self.x, self._y = x, y
         self._c, self._d = c, d  # (rows,) entries (1, 0) and (1, 1) of the block's powers
         self._px, self._py = px, py
-        self._mask = mask
 
     @property
     def y(self) -> np.ndarray:
         if self._y is None:
             y = self._c[:, None] * self._px
             y += self._d[:, None] * self._py
-            y &= self._mask
+            y &= _MASK
             self._y = y
         return self._y
 
@@ -284,14 +281,14 @@ class OrbitBlock:
             return self._y[-1]
         y = self._c[-1] * self._px
         y += self._d[-1] * self._py
-        y &= self._mask
+        y &= _MASK
         return y
 
     def y_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Y at the positions (rows[i], cols[i]) of the block, as a 1-D array."""
         y = self._c[rows] * self._px[cols]
         y += self._d[rows] * self._py[cols]
-        y &= self._mask
+        y &= _MASK
         return y
 
 
@@ -299,7 +296,6 @@ def orbit_blocks(
     px: np.ndarray,
     py: np.ndarray,
     T: ToralAutomorphism,
-    modulus: int,
     steps: int,
     direction: Direction = Direction.FORWARD,
     stride: int = 1,
@@ -307,7 +303,7 @@ def orbit_blocks(
     """Exact residues of the orbits from (px, py) at times 0, s, 2s, .., steps*s.
 
     s is `stride` applications of the matrix (of its inverse when walking
-    backward); px and py are residues in [0, modulus). Yields an
+    backward); px and py are residues in [0, MODULUS). Yields an
     OrbitBlock of shape (rows, width) per run of times, in time order:
     time 0 alone first (views of px, py), then blocks of up to
     B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times. The first two
@@ -317,20 +313,19 @@ def orbit_blocks(
     row for the next block, so a caller that needs Y at a few positions
     (the trial engine) pays for those alone.
     """
-    mask = modulus - 1
     entries = T.entries if direction is Direction.FORWARD else T.inverse_entries
-    step = _power(entries, stride, mask)
+    step = _power(entries, stride)
     powers = [step]
     for _ in range(max(1, min(steps, _BLOCK_ELEMENTS // max(px.size, 1))) - 1):
-        powers.append(_matmul(powers[-1], step, mask))
+        powers.append(_matmul(powers[-1], step))
     block = len(powers)
     # M = A^(sB) has determinant 1, so M^2 = trace(M) M - I (Cayley-Hamilton):
     # each row of a block is B times on from the same row of the block before
-    trace = (powers[-1][0] + powers[-1][3]) & mask
+    trace = (powers[-1][0] + powers[-1][3]) & _MASK
     a, b, c, d = np.array(powers, dtype=np.int64).T
     a, b = a[:, None], b[:, None]
     # time 0: A^0 = I, and Y is py itself
-    out = OrbitBlock(px[None], np.zeros(1, np.int64), np.ones(1, np.int64), px, py, mask, y=py[None])
+    out = OrbitBlock(px[None], np.zeros(1, np.int64), np.ones(1, np.int64), px, py, y=py[None])
     yield out
     x = before = None
     for done in range(0, steps, block):
@@ -343,9 +338,9 @@ def orbit_blocks(
         else:
             new = x[:rows] * trace
             new -= before[:rows]
-        new &= mask
+        new &= _MASK
         before, x = x, new
-        out = OrbitBlock(x, c[:rows], d[:rows], px, py, mask)
+        out = OrbitBlock(x, c[:rows], d[:rows], px, py)
         yield out
 
 
@@ -356,7 +351,7 @@ OBSERVABLE_CAP = 745.0
 
 @dataclass(frozen=True)
 class Ball:
-    """The open ball of `radius` around `centre` in `metric`, tested on the grid 1/modulus.
+    """The open ball of `radius` around `centre` in `metric`, tested on the grid 1/MODULUS.
 
     The one home of what a metric ball is: the key that is compared with
     key_radius (the squared distance for the Euclidean metric, the
@@ -369,7 +364,6 @@ class Ball:
     centre: TorusPoint
     radius: float
     metric: MetricKind
-    modulus: int = DEFAULT_MODULUS
 
     @property
     def key_radius(self) -> float:
@@ -391,7 +385,7 @@ class Ball:
         whenever the value is below 0.25 (any representative that small is
         the folded one).
         """
-        inv = 1.0 / self.modulus
+        inv = 1.0 / MODULUS
         dx = px * inv
         dx -= self.centre.x
         dy = py * inv
@@ -436,10 +430,9 @@ class Ball:
         for x, centre in ((ox, self.centre.x), (oy, self.centre.y)):
             x += centre
             x -= np.floor(x)
-            x *= self.modulus
+            x *= MODULUS
             np.rint(x, out=x)
-        mask = self.modulus - 1
-        return ox.astype(np.int64) & mask, oy.astype(np.int64) & mask
+        return ox.astype(np.int64) & _MASK, oy.astype(np.int64) & _MASK
 
 
 def keyed_rng(seed: int, key: int) -> np.random.Generator:
@@ -479,6 +472,6 @@ def map_jobs(fn: Callable, jobs: list, workers: int | None = None) -> list:
         return list(pool.map(fn, jobs))
 
 
-def draw_residue(rng: np.random.Generator, modulus: int) -> int:
-    """Uniform residue in [0, modulus); 128 random bits leave no usable bias."""
-    return int.from_bytes(rng.bytes(16), "little") % modulus
+def draw_residue(rng: np.random.Generator) -> int:
+    """Uniform residue in [0, MODULUS); 128 random bits leave no usable bias."""
+    return int.from_bytes(rng.bytes(16), "little") % MODULUS

@@ -30,6 +30,7 @@ from extorus.cli import BLOCK_MAX_HEADER, EXCEEDANCE_HEADER, _config_from_echo, 
 from extorus.errors import NoExceedances
 from extorus.simulate import Clusters, ExperimentConfig, Records, _initial_states
 from extorus.torus import (
+    MODULUS,
     OBSERVABLE_CAP,
     Ball,
     Direction,
@@ -140,7 +141,7 @@ def simulate_chunk_stepwise(
     # the Euclidean key is the squared distance: -log d = -0.5 log key
     log_scale = -0.5 if cfg.metric is MetricKind.EUCLIDEAN else -1.0
     a, b, c, d = cfg.automorphism.entries
-    mask = cfg.modulus - 1
+    mask = MODULUS - 1
 
     def observable(key: float) -> float:
         return OBSERVABLE_CAP if key == 0.0 else log_scale * math.log(key)
@@ -308,7 +309,6 @@ def sample_ball_remainder(
     ball: Ball, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform sample of `count` points of the ball's grid from the ball."""
-    modulus = ball.modulus
     r = ball.radius
     if ball.metric is MetricKind.EUCLIDEAN:
         rho = r * np.sqrt(rng.random(count))
@@ -323,14 +323,14 @@ def sample_ball_remainder(
         oy = xu * eu[1] + xs * es[1]
     x = (ball.centre.x + ox) % 1.0
     y = (ball.centre.y + oy) % 1.0
-    px = np.round(x * modulus).astype(np.int64) % modulus
-    py = np.round(y * modulus).astype(np.int64) % modulus
+    px = np.round(x * MODULUS).astype(np.int64) % MODULUS
+    py = np.round(y * MODULUS).astype(np.int64) % MODULUS
     return px, py
 
 
 def ball_key_out_of_place(px: np.ndarray, py: np.ndarray, ball: Ball) -> np.ndarray:
     """The ball's key of residue-array points, one new array per operation."""
-    inv = 1.0 / ball.modulus
+    inv = 1.0 / MODULUS
     dx = px * inv - ball.centre.x
     dy = py * inv - ball.centre.y
     dx -= np.rint(dx)

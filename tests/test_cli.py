@@ -257,13 +257,10 @@ class TestSimulate:
             ("trials = 0\n", "error: ValueError: {cfg}:1: trials: trials must be >= 1"),
             ("seed = 2\nmatrix = 1,1,0,1\n", "error: NotHyperbolic: {cfg}:2: matrix: |trace| = 2 <= 2"),
             ("matrix = 2,1,1,2\n", "error: DeterminantNotOne: {cfg}:1: matrix: determinant is 3, must be 1"),
-            (["--modulus-bits", "31"], "error: ValueError: --modulus-bits: modulus_bits must lie in [32, 62]"),
-            ("run_gap = 0\n", "error: ValueError: {cfg}:1: run_gap: run_gap must be positive"),
             (["--n", "0"], "error: ValueError: --n: n must be >= 1"),
             ("tau = -1\n", "error: ValueError: {cfg}:1: tau: tau must be finite and positive, got -1.0"),
         ],
-        ids=["trials-flag", "trials-file", "matrix-file", "determinant-file", "modulus-bits-flag",
-             "run-gap-file", "n-flag", "tau-file"],
+        ids=["trials-flag", "trials-file", "matrix-file", "determinant-file", "n-flag", "tau-file"],
     )
     def test_value_failing_its_field_check_names_its_source(self, tmp_path, capsys, where, message):
         # the value parses, but ExperimentConfig's check of that one field rejects it
@@ -345,9 +342,10 @@ class TestEstimate:
              "--theta-override: theta_override must lie in (0, 1], got 1.5"),
             (["theory", "--kmax", "-3"], "--kmax: kmax must be >= 1, got -3"),
             (["theory", "--kmax", "0"], "--kmax: kmax must be >= 1, got 0"),
+            (["theory", "--q", "-1"], "--q: q must be >= 0, got -1"),
         ],
         ids=["mc-negative", "mc-500", "mc-999", "theta-nan", "theta-inf", "theta-negative",
-             "theta-zero", "theta-above-one", "kmax-negative", "kmax-zero"],
+             "theta-zero", "theta-above-one", "kmax-negative", "kmax-zero", "q-negative"],
     )
     def test_flag_outside_the_run_schema_rejected_before_output(self, sim_dir, capsys, argv, message):
         # flags that are not ExperimentConfig fields are checked too, and named the same way
@@ -510,13 +508,24 @@ class TestEstimateRejectsBadRecords:
             (lambda config: config.update(trails=config.pop("trials")), "config lacks trials"),
             (lambda config: config.update(n="many"), "bad config: n: invalid literal for int()"),
             (lambda config: config.update(zeta=5), "bad config: zeta: zeta needs two"),
-            (lambda config: config.update(n=None), "bad config: n is None, not 100000"),
+            (lambda config: config.update(n=None), "bad config: n: invalid literal for int() with base 10: 'None'"),
             (lambda config: config.update(n=2000.5), "bad config: n: invalid literal"),
             (lambda config: config.update(zeta="-1/1,1"), "bad config: zeta is '-1/1,1', not '0,0'"),
             (lambda config: config.update(trials=0), "bad config: trials: trials must be >= 1"),
+            (lambda config: config.update(tua=5), "bad config: unknown key tua"),
+            (lambda config: config["derived"].update(u_n=123.0), "bad config: derived.u_n is 123.0, not "),
+            (lambda config: config["derived"].pop("g_n"), "config lacks derived.g_n"),
+            (lambda config: config["derived"].update(q=True), "bad config: derived.q is True, not 1"),
+            (lambda config: config["derived"].update(extra=1), "bad config: unknown key derived.extra"),
+            # a manifest written before the grid and the run gap left the run schema
+            (lambda config: config.update(modulus_bits=61, run_gap=None),
+             "bad config: unknown key modulus_bits, run_gap"),
+            (lambda config: config["derived"].update(run_gap_effective=config["derived"].pop("run_gap")),
+             "bad config: unknown key derived.run_gap_effective"),
         ],
         ids=["missing", "misspelled", "mistyped-n", "mistyped-zeta", "null-n", "float-n",
-             "unreduced-zeta", "no-trials"],
+             "unreduced-zeta", "no-trials", "unknown-key", "derived-value", "derived-missing",
+             "derived-bool", "derived-unknown", "old-fields", "old-derived"],
     )
     def test_bad_manifest_config(self, run_dir, capsys, change, message):
         path = run_dir / "manifest.json"
@@ -533,15 +542,15 @@ class TestCliSurface:
     FLAGS = {
         "theory": {"--matrix", "--zeta", "--metric", "--tau", "--n", "--q", "--kmax", "--json"},
         "simulate": {
-            "--matrix", "--zeta", "--metric", "--tau", "--n", "--trials", "--modulus-bits",
-            "--seed", "--run-gap", "--config", "--workers", "--out",
+            "--matrix", "--zeta", "--metric", "--tau", "--n", "--trials", "--seed",
+            "--config", "--workers", "--out",
         },
         "estimate": {"--in", "--out", "--theta-override", "--mc-samples"},
         "validate": {"--quick", "--out", "--workers"},
     }
     FILE_VALUES = {
         "matrix": "5,2,2,1", "zeta": "1/2,1/2", "metric": "adapted", "tau": "2.5", "n": "3000",
-        "trials": "4", "modulus_bits": "40", "seed": "9", "run_gap": "3",
+        "trials": "4", "seed": "9",
     }
 
     def test_flags_of_each_subcommand(self):

@@ -26,6 +26,7 @@ from extorus import (
     threshold_u_n,
     wrap_time_g,
 )
+from extorus import formulas
 from extorus.formulas import multiplicity_mass
 
 CAT = build_automorphism(2, 1, 1, 1)
@@ -285,6 +286,21 @@ class TestExtremalModel:
     def test_validated_mass(self, metric):
         model = extremal_model(CAT, 2, metric)
         assert math.fsum(model.multiplicity_table(400)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [800, 2000])
+    def test_euclidean_law_once_lam_q_overflows(self, q):
+        # lam^q is inf in doubles: the law is its limit, all mass on one exceedance
+        model = extremal_model(CAT, q, EUCLID)
+        pis = model.multiplicity_table(3)
+        assert model.theta == 1.0
+        assert all(math.isfinite(p) for p in pis) and math.fsum(pis) == 1.0
+        assert strip_area_Q(0.01, LAM, q, 0) == pytest.approx(ball_measure(0.01, EUCLID), rel=1e-15)
+        assert strip_area_Q(0.01, LAM, q, 1) == 0.0
+
+    def test_nan_law_is_refused(self, monkeypatch):
+        monkeypatch.setattr(formulas, "multiplicity_pi", lambda *args: math.nan)
+        with pytest.raises(ValueError, match="multiplicity law sums to nan"):
+            extremal_model(CAT, 1, EUCLID)
 
     @pytest.mark.parametrize("matrix", [(3, 1, 2, 1), (-3, 1, -1, 0)])
     def test_euclidean_periodic_needs_symmetric_matrix(self, matrix):

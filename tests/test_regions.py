@@ -31,7 +31,7 @@ from extorus import (
 )
 from extorus import regions, simulate, torus
 from extorus.regions import _ball_slices, _escape_masks, _measure_chunk, membership_mask
-from extorus.torus import _BLOCK_ELEMENTS, DEFAULT_MODULUS, keyed_rng, orbit_blocks
+from extorus.torus import _BLOCK_ELEMENTS, MODULUS, keyed_rng, orbit_blocks
 
 CAT = build_automorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
@@ -71,14 +71,13 @@ class TestContains:
 
     def test_nested_level_zero_is_ball(self):
         # membership of U at kappa=0 agrees with the plain ball on 1e5 points
-        modulus = DEFAULT_MODULUS
         rng = np.random.default_rng(2)
         ball = ball_region()
         u0 = RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=0)
         px, py = sample_ball(BALL, 100_000, rng)
         # widen: also points outside the ball
-        px = np.concatenate([px, rng.integers(0, modulus, 1000)])
-        py = np.concatenate([py, rng.integers(0, modulus, 1000)])
+        px = np.concatenate([px, rng.integers(0, MODULUS, 1000)])
+        py = np.concatenate([py, rng.integers(0, MODULUS, 1000)])
         a = membership_mask(ball, px, py)
         b = membership_mask(u0, px, py)
         assert np.array_equal(a, b)
@@ -103,7 +102,7 @@ class TestContains:
         q2 = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=2)
         member = membership_mask(q2, px, py)
         assert member.any()
-        _, fwd = orbit_blocks(px[member], py[member], CAT, DEFAULT_MODULUS, 1)
+        _, fwd = orbit_blocks(px[member], py[member], CAT, 1)
         q1 = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=1)
         assert membership_mask(q1, fwd.x[0], fwd.y[0]).all()
 
@@ -125,7 +124,7 @@ class TestSampler:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bit_identical_to_remainder_fold(self, metric, x, y, radius, matrix, seed):
-        # x - floor(x) and the mask give the bits of x % 1.0 and % modulus
+        # x - floor(x) and the mask give the bits of x % 1.0 and % MODULUS
         ball = Ball(build_automorphism(*matrix), TorusPoint(x, y), radius, metric)
         # more points than one slice holds: the slices must join into the whole sample
         count = _BLOCK_ELEMENTS + 3000
@@ -155,7 +154,7 @@ class TestSampler:
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
         assert px.min() >= 0 and py.min() >= 0
-        assert px.max() < DEFAULT_MODULUS and py.max() < DEFAULT_MODULUS
+        assert px.max() < MODULUS and py.max() < MODULUS
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("kind", list(RegionKind))

@@ -44,7 +44,7 @@ from extorus.simulate import (
     chi_square_vs_pmf,
     pooled_gaps,
 )
-from extorus.torus import _BLOCK_ELEMENTS, OBSERVABLE_CAP, Ball, rational_point
+from extorus.torus import _BLOCK_ELEMENTS, MODULUS, OBSERVABLE_CAP, Ball, rational_point
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -68,12 +68,6 @@ class TestConfig:
     def test_field_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(modulus_bits=31)
-        with pytest.raises(ValueError):
-            ExperimentConfig(modulus_bits=63)
-        with pytest.raises(ValueError):
-            ExperimentConfig(run_gap=0)
 
     def test_period_detection(self):
         assert small_cfg().q == 1
@@ -83,10 +77,9 @@ class TestConfig:
 
     def test_run_gap_defaults(self):
         periodic = small_cfg(n=100_000)
-        assert periodic.run_gap_effective == periodic.q * periodic.g_n
+        assert periodic.run_gap == periodic.q * periodic.g_n
         generic = small_cfg(n=100_000, zeta=(Fraction(math.sqrt(2) - 1), Fraction(0.3)))
-        assert generic.run_gap_effective == generic.g_n
-        assert small_cfg(run_gap=9).run_gap_effective == 9
+        assert generic.run_gap == generic.g_n
 
 
 class TestKacRescale:
@@ -196,7 +189,7 @@ class TestBlockedEngine:
         """Both engines' records, with trial 0 started exactly at the centre."""
         ids = list(range(cfg.trials))
         states = _initial_states(cfg, ids)
-        states[0] = (int(cfg.zeta[0] * cfg.modulus), int(cfg.zeta[1] * cfg.modulus))
+        states[0] = (int(cfg.zeta[0] * MODULUS), int(cfg.zeta[1] * MODULUS))
         monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: states)
         return _simulate_chunk(cfg, ids), simulate_chunk_stepwise(cfg, ids, states)
 
@@ -230,12 +223,8 @@ class TestBlockedEngine:
             assert set(first.exceedance_values) == {OBSERVABLE_CAP}
 
     @pytest.mark.parametrize("matrix", [(1000, 999, 1, 1), (-1000, -999, -1, -1)])
-    @pytest.mark.parametrize("modulus_bits", [32, 62])
-    def test_other_matrices_and_moduli(self, matrix, modulus_bits):
-        cfg = ExperimentConfig(
-            matrix=matrix, zeta=CENTRES[0], n=7000, trials=5, tau=40.0,
-            modulus_bits=modulus_bits, seed=4,
-        )
+    def test_other_matrices(self, matrix):
+        cfg = ExperimentConfig(matrix=matrix, zeta=CENTRES[0], n=7000, trials=5, tau=40.0, seed=4)
         ids = list(range(cfg.trials))
         records = _simulate_chunk(cfg, ids)
         assert sum(len(r.exceedance_times) for r in records) > 0
@@ -259,7 +248,7 @@ class TestBlockedEngine:
     def test_narrow_strips(self, matrix, zeta, tau, metric, monkeypatch):
         cfg = ExperimentConfig(matrix=matrix, zeta=zeta, metric=metric, tau=tau, n=6000, trials=64, seed=5)
         lo, span, _ = simulate._strip(cfg)
-        assert span < cfg.modulus // 4
+        assert span < MODULUS // 4
         blocked, reference = self.records_from_centre(cfg, monkeypatch)
         assert blocked == reference
         assert blocked[0].exceedance_values[0] == OBSERVABLE_CAP
@@ -275,7 +264,7 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_full_torus_strip(self, metric, monkeypatch):
         cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=20.0, n=200, trials=16, seed=6)
-        assert simulate._strip(cfg)[:2] == (0, cfg.modulus)
+        assert simulate._strip(cfg)[:2] == (0, MODULUS)
         blocked, reference = self.records_from_centre(cfg, monkeypatch)
         assert blocked == reference
 
@@ -297,7 +286,7 @@ class TestBlockedEngine:
         assert records == simulate_chunk_stepwise(cfg, ids)
         misses = sum(1 for r in records if r.exceedance_times.size == 0)
         assert len(walks) == 2 and misses > 20
-        assert walks[1] == (misses, cfg.modulus)
+        assert walks[1] == (misses, MODULUS)
 
 
 @st.composite
@@ -321,21 +310,19 @@ class TestStripHoldsBall:
         metric=st.sampled_from(list(MetricKind)),
         zeta_x=st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)),
         zeta_y=st.floats(0.0, 1.0, exclude_max=True),
-        modulus_bits=st.sampled_from([32, 61, 62]),
         tau=st.sampled_from([0.01, 1.0, 40.0]),
         n=st.sampled_from([10**3, 10**6, 10**9, 10**12]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
-    def test_strip_contains_ball(self, matrix, metric, zeta_x, zeta_y, modulus_bits, tau, n, seed):
+    def test_strip_contains_ball(self, matrix, metric, zeta_x, zeta_y, tau, n, seed):
         try:
             cfg = ExperimentConfig(
-                matrix=matrix, zeta=(Fraction(zeta_x), Fraction(zeta_y)), metric=metric,
-                tau=tau, n=n, modulus_bits=modulus_bits,
+                matrix=matrix, zeta=(Fraction(zeta_x), Fraction(zeta_y)), metric=metric, tau=tau, n=n
             )
         except RadiusTooLarge:
             assume(False)
-        T, modulus = cfg.automorphism, cfg.modulus
+        T = cfg.automorphism
         zeta = rational_point(cfg.zeta)
         lo, span, strip_key = simulate._strip(cfg)
         strip_radius = math.sqrt(strip_key) if metric is MetricKind.EUCLIDEAN else strip_key
@@ -354,15 +341,15 @@ class TestStripHoldsBall:
             xs = strip_radius * signs[1] * np.where(rng.random(count) < 0.75, rim, rng.random(count))
             (eu, es) = T.e_unstable, T.e_stable
             dx, dy = xu * eu[0] + xs * es[0], xu * eu[1] + xs * es[1]
-        px = np.round(((zeta.x + dx) % 1.0) * modulus).astype(np.int64) % modulus
-        py = np.round(((zeta.y + dy) % 1.0) * modulus).astype(np.int64) % modulus
+        px = np.round(((zeta.x + dx) % 1.0) * MODULUS).astype(np.int64) % MODULUS
+        py = np.round(((zeta.y + dy) % 1.0) * MODULUS).astype(np.int64) % MODULUS
         # the residues on both sides of each strip edge, at the rim's heights
-        edges = np.array([lo - 1, lo, lo + span - 1, lo + span], dtype=object) % modulus
-        px = np.concatenate([px, np.repeat(edges.astype(np.int64), 64), rng.integers(0, modulus, 256)])
-        py = np.concatenate([py, np.tile(py[:64], 4), rng.integers(0, modulus, 256)])
+        edges = np.array([lo - 1, lo, lo + span - 1, lo + span], dtype=object) % MODULUS
+        px = np.concatenate([px, np.repeat(edges.astype(np.int64), 64), rng.integers(0, MODULUS, 256)])
+        py = np.concatenate([py, np.tile(py[:64], 4), rng.integers(0, MODULUS, 256)])
 
-        inside = simulate._in_strip(px, lo, span, modulus)
-        assert np.array_equal(inside, ((px - lo) & (modulus - 1)) < span)
+        inside = simulate._in_strip(px, lo, span)
+        assert np.array_equal(inside, ((px - lo) & (MODULUS - 1)) < span)
         near = cfg.ball.key(px, py) < strip_key
         assert near.sum() > 100
         assert inside[near].all()

@@ -35,21 +35,21 @@ from extorus import (
     compute_period,
 )
 from extorus import torus
-from extorus.torus import DEFAULT_MODULUS, OBSERVABLE_CAP, Ball, orbit_blocks, wrap_unit
+from extorus.torus import MODULUS, OBSERVABLE_CAP, Ball, orbit_blocks, wrap_unit
 
 CAT = build_automorphism(2, 1, 1, 1)
 OTHER = build_automorphism(1, 1, 1, 2)
 
 
-def walk(px, py, T, modulus, steps, direction=Direction.FORWARD, stride=1):
+def walk(px, py, T, steps, direction=Direction.FORWARD, stride=1):
     """The whole walk of orbit_blocks stacked into (steps + 1, width) arrays."""
-    blocks = list(orbit_blocks(px, py, T, modulus, steps, direction, stride))
+    blocks = list(orbit_blocks(px, py, T, steps, direction, stride))
     return np.concatenate([b.x for b in blocks]), np.concatenate([b.y for b in blocks])
 
 
-def jump(px, py, T, stride, direction=Direction.FORWARD, modulus=DEFAULT_MODULUS):
+def jump(px, py, T, stride, direction=Direction.FORWARD):
     """The residues `stride` steps on: the last row of a one-step walk."""
-    *_, last = orbit_blocks(px, py, T, modulus, 1, direction, stride)
+    *_, last = orbit_blocks(px, py, T, 1, direction, stride)
     return last.x[0], last.y[0]
 
 
@@ -109,17 +109,17 @@ class TestStepExact:
         out = step_exact(ExactOrbitState(4, 2, 10), CAT)
         assert (out.px, out.py) == (0, 6)
 
-    @given(px=st.integers(0, DEFAULT_MODULUS - 1), py=st.integers(0, DEFAULT_MODULUS - 1))
+    @given(px=st.integers(0, MODULUS - 1), py=st.integers(0, MODULUS - 1))
     @settings(max_examples=200, deadline=None)
     def test_forward_backward_roundtrip(self, px, py):
-        state = ExactOrbitState(px, py, DEFAULT_MODULUS)
+        state = ExactOrbitState(px, py, MODULUS)
         back = step_exact(step_exact(state, CAT), CAT, Direction.BACKWARD)
         assert back == state
 
     def test_roundtrip_bulk(self):
         rng = np.random.default_rng(5)
-        px = rng.integers(0, DEFAULT_MODULUS, 10_000)
-        py = rng.integers(0, DEFAULT_MODULUS, 10_000)
+        px = rng.integers(0, MODULUS, 10_000)
+        py = rng.integers(0, MODULUS, 10_000)
         fx, fy = jump(px, py, CAT, 1)
         bx, by = jump(fx, fy, CAT, 1, Direction.BACKWARD)
         assert np.array_equal(bx, px) and np.array_equal(by, py)
@@ -142,7 +142,6 @@ def hyperbolic_matrices(draw):
     return build_automorphism(a, b, (a * d - 1) // b, d)
 
 
-MODULI = st.sampled_from((1 << 32, 1 << 61, 1 << 62))
 RESIDUE_PAIRS = st.lists(
     st.tuples(st.integers(0, (1 << 62) - 1), st.integers(0, (1 << 62) - 1)),
     min_size=1,
@@ -150,8 +149,8 @@ RESIDUE_PAIRS = st.lists(
 )
 
 
-def residue_arrays(points, modulus):
-    states = [ExactOrbitState(x % modulus, y % modulus, modulus) for x, y in points]
+def residue_arrays(points):
+    states = [ExactOrbitState(x % MODULUS, y % MODULUS, MODULUS) for x, y in points]
     px = np.array([s.px for s in states], dtype=np.int64)
     py = np.array([s.py for s in states], dtype=np.int64)
     return states, px, py
@@ -160,7 +159,6 @@ def residue_arrays(points, modulus):
 class TestOrbitBlocks:
     @given(
         T=hyperbolic_matrices(),
-        modulus=MODULI,
         steps=st.integers(0, 40),
         stride=st.integers(1, 5),
         elements=st.integers(1, 64),
@@ -169,12 +167,12 @@ class TestOrbitBlocks:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_python_int_reference(
-        self, T, modulus, steps, stride, elements, points, direction
+        self, T, steps, stride, elements, points, direction
     ):
         """Row t of the walk is the orbit after t * stride single steps, across block boundaries."""
-        states, px, py = residue_arrays(points, modulus)
+        states, px, py = residue_arrays(points)
         with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            xs, ys = walk(px, py, T, modulus, steps, direction, stride)
+            xs, ys = walk(px, py, T, steps, direction, stride)
         assert xs.shape == ys.shape == (steps + 1, len(states))
         assert xs.dtype == ys.dtype == np.int64
         for i, state in enumerate(states):
@@ -185,7 +183,7 @@ class TestOrbitBlocks:
         # walking back from the end retraces the walk
         other = Direction.BACKWARD if direction is Direction.FORWARD else Direction.FORWARD
         with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            bx, by = walk(xs[-1], ys[-1], T, modulus, steps, other, stride)
+            bx, by = walk(xs[-1], ys[-1], T, steps, other, stride)
         assert np.array_equal(bx[::-1], xs) and np.array_equal(by[::-1], ys)
 
     @given(
@@ -199,7 +197,7 @@ class TestOrbitBlocks:
         """Time 0 comes alone, then full blocks of B = max(1, min(steps, elements // width)) rows."""
         px = np.arange(width, dtype=np.int64)
         with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            rows = [len(b.x) for b in orbit_blocks(px, px, CAT, 1 << 32, steps, stride=stride)]
+            rows = [len(b.x) for b in orbit_blocks(px, px, CAT, steps, stride=stride)]
         block = max(1, min(steps, elements // width))
         assert rows[0] == 1 and sum(rows) == steps + 1
         assert all(r == block for r in rows[1:-1]) and all(0 < r <= block for r in rows[1:])
@@ -214,14 +212,13 @@ class TestOrbitBlocks:
         Y's last row.
         """
         T = build_automorphism(-1000, -999, -1, -1)
-        modulus = 1 << 62
-        points = [(1, 2), (modulus - 1, 12345), (987654321987654321, modulus // 3)]
+        points = [(1, 2), (MODULUS - 1, 12345), (987654321987654321, MODULUS // 3)]
         block = torus._BLOCK_ELEMENTS // len(points)
         steps = 3 * block + 5
         rng = np.random.default_rng(3)
         for direction in Direction:
-            states, px, py = residue_arrays(points, modulus)
-            blocks = list(orbit_blocks(px, py, T, modulus, steps, direction))
+            states, px, py = residue_arrays(points)
+            blocks = list(orbit_blocks(px, py, T, steps, direction))
             assert [len(b.x) for b in blocks] == [1, block, block, block, 5]
             for b in blocks:
                 rows = rng.integers(0, len(b.x), 50)
@@ -229,7 +226,7 @@ class TestOrbitBlocks:
                 assert np.array_equal(b.y_at(rows, cols), b.y[rows, cols])
             xs = np.concatenate([b.x for b in blocks])
             ys = np.concatenate([b.y for b in blocks])
-            eager = [b.y for b in orbit_blocks(px, py, T, modulus, steps, direction)]
+            eager = [b.y for b in orbit_blocks(px, py, T, steps, direction)]
             assert np.array_equal(np.concatenate(eager), ys)
             for i, state in enumerate(states):
                 for t in range(steps + 1):
@@ -240,13 +237,13 @@ class TestOrbitBlocks:
         """Stride j + k equals stride k then stride j, far beyond any block length."""
         rng = np.random.default_rng(8)
         T = build_automorphism(-1000, -999, -1, -1)
-        px = rng.integers(0, DEFAULT_MODULUS, 64)
-        py = rng.integers(0, DEFAULT_MODULUS, 64)
+        px = rng.integers(0, MODULUS, 64)
+        py = rng.integers(0, MODULUS, 64)
         j, k = 123_457, 1_000_003
         once = jump(px, py, T, j + k)
         twice = jump(*jump(px, py, T, k), T, j)
         assert np.array_equal(once[0], twice[0]) and np.array_equal(once[1], twice[1])
-        xs, ys = walk(px, py, T, DEFAULT_MODULUS, 3, stride=j)
+        xs, ys = walk(px, py, T, 3, stride=j)
         thrice = jump(px, py, T, 3 * j)
         assert np.array_equal(xs[-1], thrice[0]) and np.array_equal(ys[-1], thrice[1])
         back = jump(*once, T, j + k, Direction.BACKWARD)
@@ -268,14 +265,14 @@ class TestBallDistance:
             zeta = TorusPoint(rng.random(), rng.random())
             rho = 0.25 * np.sqrt(rng.random(2000))
             ang = 2.0 * math.pi * rng.random(2000)
-            px = np.round(((zeta.x + rho * np.cos(ang)) % 1.0) * DEFAULT_MODULUS).astype(np.int64)
-            py = np.round(((zeta.y + rho * np.sin(ang)) % 1.0) * DEFAULT_MODULUS).astype(np.int64)
-            px %= DEFAULT_MODULUS
-            py %= DEFAULT_MODULUS
+            px = np.round(((zeta.x + rho * np.cos(ang)) % 1.0) * MODULUS).astype(np.int64)
+            py = np.round(((zeta.y + rho * np.sin(ang)) % 1.0) * MODULUS).astype(np.int64)
+            px %= MODULUS
+            py %= MODULUS
             keys = Ball(T, zeta, 0.25, metric).key(px, py)
             checked = 0
             for x, y, key in zip(px, py, keys):
-                z = TorusPoint(wrap_unit(int(x) / DEFAULT_MODULUS), wrap_unit(int(y) / DEFAULT_MODULUS))
+                z = TorusPoint(wrap_unit(int(x) / MODULUS), wrap_unit(int(y) / MODULUS))
                 try:
                     ref = torus_distance(z, zeta, T, metric)
                 except ShiftSetInsufficient:
@@ -293,17 +290,15 @@ class TestBallDistance:
         x=COORDINATES,
         y=COORDINATES,
         matrix=st.sampled_from([(2, 1, 1, 1), (-1000, -999, -1, -1)]),
-        modulus_bits=st.sampled_from([32, 61, 62]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bit_identical_to_out_of_place(self, metric, x, y, matrix, modulus_bits, seed):
+    def test_bit_identical_to_out_of_place(self, metric, x, y, matrix, seed):
         # (rows, width) blocks as the walker yields them, points anywhere on the torus
-        modulus = 1 << modulus_bits
         rng = np.random.default_rng(seed)
-        px, py = rng.integers(0, modulus, size=(2, 5, 300), dtype=np.int64)
+        px, py = rng.integers(0, MODULUS, size=(2, 5, 300), dtype=np.int64)
         zeta = TorusPoint(x, y)
         T = build_automorphism(*matrix)
-        ball = Ball(T, zeta, 0.25, metric, modulus)
+        ball = Ball(T, zeta, 0.25, metric)
         keys = ball.key(px, py)
         ref = ball_key_out_of_place(px, py, ball)
         np.testing.assert_array_equal(keys.view(np.int64), ref.view(np.int64))
@@ -321,7 +316,7 @@ class TestBallDistance:
         keys = ball.key(px, py)
         values = ball.observable(keys)
         for x, y, key, value in zip(px, py, keys, values):
-            z = TorusPoint(int(x) / DEFAULT_MODULUS, int(y) / DEFAULT_MODULUS)
+            z = TorusPoint(int(x) / MODULUS, int(y) / MODULUS)
             dist = torus_distance(z, zeta, T, metric)
             assert (key < ball.key_radius) == (dist < ball.radius)
             assert value == pytest.approx(observable_value(z, zeta, T, metric), rel=1e-9)
@@ -336,7 +331,7 @@ class TestBallDistance:
         edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
         u, v = (a.ravel() for a in np.meshgrid(edges, edges))
         px, _ = ball.points(u, v)
-        reach = np.abs(px / DEFAULT_MODULUS - 0.5).max()
+        reach = np.abs(px / MODULUS - 0.5).max()
         assert ball.x_extent * (1 - 1e-9) <= reach <= ball.x_extent * (1 + 1e-9)
 
 
@@ -470,8 +465,8 @@ def test_measure_preservation_statistical():
     """Pushforward of 1e6 uniform exact states stays uniform on a 16x16 grid."""
     rng = np.random.default_rng(99)
     n = 1_000_000
-    px = rng.integers(0, DEFAULT_MODULUS, n)
-    py = rng.integers(0, DEFAULT_MODULUS, n)
+    px = rng.integers(0, MODULUS, n)
+    py = rng.integers(0, MODULUS, n)
     px, py = jump(px, py, CAT, 10)
     cells = (px >> 57) * 16 + (py >> 57)  # top 4 bits of each coordinate
     counts = np.bincount(cells, minlength=256)
