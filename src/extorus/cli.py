@@ -372,8 +372,14 @@ def _repeats(values: np.ndarray) -> np.ndarray:
 
 def _read_records(indir: Path) -> tuple[ExperimentConfig, Records]:
     path = indir / "manifest.json"
-    manifest = RunManifest.from_json(path.read_text(encoding="utf-8"))
-    cfg = _config_from_echo(manifest.config, path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    # only the config is read: the version, wall time and criteria are not estimate's input
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)):
+        raise ValueError(f"{path}: not a JSON object holding a config object")
+    cfg = _config_from_echo(manifest["config"], path)
     last, n = cfg.trials - 1, cfg.n
 
     path = indir / "block_maxima.csv"
@@ -521,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run trials, write CSVs and a manifest")
     _add_config_flags(p, _FIELDS)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--workers", type=int, default=None, help="worker cap (or EXTORUS_THREADS)")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes, at most the cores (default: min(cores, 8))")
     p.add_argument("--out", default="extorus_out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 

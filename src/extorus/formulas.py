@@ -30,11 +30,13 @@ ball radius and lam the dominant eigenvalue:
   (ExtremalModel.pmf_vector); geometric multiplicities give the
   Polya-Aeppli counting distribution.
 
-The arcsin forms are the primary code path in their well-conditioned
-range; algebraically identical atan rearrangements (via
-asin(x/sqrt(1+x^2)) = atan(x) and atan(b)-atan(a) =
-atan((b-a)/(1+ab))) take over where conditioning or cancellation would
-destroy precision. Tests pin each pair together where they overlap.
+The Euclidean theta and pi(kappa) take one numerically stable route,
+_strip_gap: the arcsin differences rearranged through
+asin(x/sqrt(1+x^2)) = atan(x) and atan(b)-atan(a) = atan((b-a)/(1+ab)),
+so no difference of nearly equal angles is ever taken. Only area_A_q
+(and through it strip_area_Q at kappa = 0 and nested_area_U) keeps the
+printed arcsin form while lam^q <= 100; the tests check it against the
+stable theta and against mpmath.
 """
 
 from __future__ import annotations
@@ -95,24 +97,17 @@ def _power(lam_abs: float, p: float) -> float:
         return math.inf
 
 
-def _asin_gap(lam_abs: float, power: float) -> float:
-    """asin(L/sqrt(L^2+1)) - asin(1/sqrt(L^2+1)) at L = lam_abs**power.
+def _asin_gap(lam_abs: float, q: int) -> float:
+    """asin(L/sqrt(L^2+1)) - asin(1/sqrt(L^2+1)) at L = lam_abs**q, as printed.
 
     The asin form has condition number ~L near its upper limit, so for
-    L > 100 the algebraically identical atan form is used instead
-    (asin(x/sqrt(1+x^2)) = atan(x)); both paths agree to 1e-15 where
-    they overlap.
+    L > 100 this is _strip_gap(lam_abs, q, 0), its stable rearrangement.
     """
-    big = _power(lam_abs, power)
+    big = _power(lam_abs, q)
     if big > 100.0:
-        return _atan_gap(lam_abs, power)
+        return _strip_gap(lam_abs, q, 0)
     root = math.sqrt(big * big + 1.0)
     return math.asin(big / root) - math.asin(1.0 / root)
-
-
-def _atan_gap(lam_abs: float, power: float) -> float:
-    """atan(lam**p) - atan(lam**-p), identical to _asin_gap."""
-    return math.atan(_power(lam_abs, power)) - math.atan(_power(lam_abs, -power))
 
 
 def _strip_gap(lam_abs: float, q: int, kappa: int) -> float:
@@ -151,7 +146,7 @@ def extremal_index(lam_abs: float, q: int, metric: MetricKind) -> float:
     if q == 0:
         return 1.0
     if metric is MetricKind.EUCLIDEAN:
-        return (2.0 / math.pi) * _atan_gap(lam_abs, q)
+        return (2.0 / math.pi) * _strip_gap(lam_abs, q, 0)
     return 1.0 - lam_abs ** (-q)
 
 
@@ -199,28 +194,20 @@ def nested_area_U(s: float, lam_abs: float, q: int, kappa: int) -> float:
 def multiplicity_pi(lam_abs: float, q: int, kappa: int, metric: MetricKind) -> float:
     """Cluster-size probability pi(kappa), kappa >= 1.
 
-    Adapted metric: geometric with parameter theta* = 1 - lam_abs**(-q).
-    Euclidean metric: the four-arcsin closed form, equal to the strip
-    area ratio (Q^(kappa-1) - Q^kappa) / Q^0.
+    Adapted metric: geometric with parameter theta = extremal_index.
+    Euclidean metric: the strip area ratio (Q^(kappa-1) - Q^kappa) / Q^0,
+    from the stable gaps; it equals the paper's four-arcsin grouping,
+    which cancels below the double noise floor once lam^(kappa q) grows.
     """
     if kappa < 1:
         raise ValueError("kappa must be >= 1")
     if q < 1:
         raise ValueError("q must be >= 1")
     if metric is MetricKind.ADAPTED:
-        theta = 1.0 - lam_abs ** (-q)
+        theta = extremal_index(lam_abs, q, metric)
         return theta * (1.0 - theta) ** (kappa - 1)
-    if _power(lam_abs, kappa * q) <= 1e6:
-        # printed grouping: well conditioned while lam^(kq) stays moderate
-        low = _asin_gap(lam_abs, (kappa - 1) * q)
-        mid = _asin_gap(lam_abs, kappa * q)
-        high = _asin_gap(lam_abs, (kappa + 1) * q)
-        return (2.0 * mid - low - high) / _asin_gap(lam_abs, q)
-    # deep tail: the grouping cancels below the double noise floor, so use
-    # the identical strip-gap ratio built from stable differences
-    return (_strip_gap(lam_abs, q, kappa - 1) - _strip_gap(lam_abs, q, kappa)) / _strip_gap(
-        lam_abs, q, 0
-    )
+    gap = _strip_gap(lam_abs, q, kappa - 1) - _strip_gap(lam_abs, q, kappa)
+    return gap / _strip_gap(lam_abs, q, 0)
 
 
 def multiplicity_mass(lam_abs: float, q: int, metric: MetricKind) -> float:

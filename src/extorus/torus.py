@@ -441,20 +441,13 @@ def keyed_rng(seed: int, key: int) -> np.random.Generator:
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else EXTORUS_THREADS, else cores.
+    """Worker count: the explicit count capped at the cores, else min(cores, 8).
 
-    Explicit and environment values are capped at the number of cores;
-    values below 1 are rejected.
+    A count below 1 is rejected.
     """
     cores = os.cpu_count() or 1
     if explicit is None:
-        env = os.environ.get("EXTORUS_THREADS")
-        if not env:
-            return min(cores, 8)
-        try:
-            explicit = int(env)
-        except ValueError:
-            raise ValueError(f"EXTORUS_THREADS must be an integer, got {env!r}") from None
+        return min(cores, 8)
     if explicit < 1:
         raise ValueError(f"worker count must be >= 1, got {explicit}")
     return min(explicit, cores)

@@ -11,7 +11,9 @@ must equal bit for bit. The whole-array separation check, which samples,
 maps and masks every point at once, is the reference for the sliced one. The
 row-at-a-time CSV reader and the per-exceedance loop estimators, on
 per-trial tuples, are the references for the columnar reader and
-estimators of extorus.cli and extorus.simulate.
+estimators of extorus.cli and extorus.simulate. The paper's four-arcsin
+grouping of the Euclidean cluster-size law is the reference for the
+stable strip-gap ratio of extorus.formulas.
 """
 
 from __future__ import annotations
@@ -129,6 +131,32 @@ def observable_value(
     """-log distance to the centre; +inf at the centre itself."""
     dist = torus_distance(z, zeta, T, metric)
     return math.inf if dist == 0.0 else -math.log(dist)
+
+
+def _printed_gap(lam_abs: float, power: int) -> float:
+    """asin(L/sqrt(L^2+1)) - asin(1/sqrt(L^2+1)) at L = lam_abs**power.
+
+    Above L = 100, where the asin form loses digits, its identical atan
+    form atan(L) - atan(1/L).
+    """
+    big = lam_abs**power
+    if big > 100.0:
+        return math.atan(big) - math.atan(1.0 / big)
+    root = math.sqrt(big * big + 1.0)
+    return math.asin(big / root) - math.asin(1.0 / root)
+
+
+def printed_multiplicity_pi(lam_abs: float, q: int, kappa: int) -> float:
+    """The Euclidean pi(kappa) in the paper's four-arcsin grouping.
+
+    (2 g(kappa q) - g((kappa-1) q) - g((kappa+1) q)) / g(q), with g the
+    angular gap at L = lam**p. Well conditioned only while lam^(kappa q)
+    stays moderate: the grouping cancels to the double noise floor.
+    """
+    low = _printed_gap(lam_abs, (kappa - 1) * q)
+    mid = _printed_gap(lam_abs, kappa * q)
+    high = _printed_gap(lam_abs, (kappa + 1) * q)
+    return (2.0 * mid - low - high) / _printed_gap(lam_abs, q)
 
 
 def simulate_chunk_stepwise(

@@ -149,13 +149,6 @@ class TestSimulate:
         assert code == 2
         assert "worker count" in err
 
-    @pytest.mark.parametrize("value", ["abc", "2.5"])
-    def test_non_integer_threads_variable_exit_2(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("EXTORUS_THREADS", value)
-        code, _, err = run_cli(capsys, "simulate", "--n", "100", "--out", str(tmp_path / "x"))
-        assert code == 2
-        assert f"EXTORUS_THREADS must be an integer, got '{value}'" in err
-
     @pytest.mark.parametrize("command", ["simulate", "theory"])
     @pytest.mark.parametrize("tau", ["nan", "inf"])
     def test_non_finite_tau_exits_2(self, tmp_path, capsys, command, tau):
@@ -522,18 +515,40 @@ class TestEstimateRejectsBadRecords:
              "bad config: unknown key modulus_bits, run_gap"),
             (lambda config: config["derived"].update(run_gap_effective=config["derived"].pop("run_gap")),
              "bad config: unknown key derived.run_gap_effective"),
+            # a file that is not a config object inside an object: these return the whole text
+            (lambda config: json.dumps([{"config": config}]), "not a JSON object holding a config object"),
+            (lambda config: json.dumps({"config": list(config.items())}),
+             "not a JSON object holding a config object"),
+            (lambda config: json.dumps({"version": "0"}), "not a JSON object holding a config object"),
+            (lambda config: json.dumps({"config": config})[:-1], "Expecting ',' delimiter"),
         ],
         ids=["missing", "misspelled", "mistyped-n", "mistyped-zeta", "null-n", "float-n",
              "unreduced-zeta", "no-trials", "unknown-key", "derived-value", "derived-missing",
-             "derived-bool", "derived-unknown", "old-fields", "old-derived"],
+             "derived-bool", "derived-unknown", "old-fields", "old-derived", "list", "config-list",
+             "no-config", "not-json"],
     )
     def test_bad_manifest_config(self, run_dir, capsys, change, message):
         path = run_dir / "manifest.json"
         manifest = json.loads(path.read_text())
-        change(manifest["config"])
-        path.write_text(json.dumps(manifest))
+        text = change(manifest["config"])
+        path.write_text(text if isinstance(text, str) else json.dumps(manifest))
         err = self.estimate_error(run_dir, capsys)
         assert f"{path}:" in err and message in err
+
+    @pytest.mark.parametrize(
+        "change",
+        [lambda manifest: manifest.pop("version"), lambda manifest: manifest["criteria"].append({"tua": 5})],
+        ids=["no-version", "unknown-criterion-key"],
+    )
+    def test_manifest_read_for_its_config_alone(self, run_dir, capsys, change):
+        # estimate reads the config; the rest of the manifest is simulate's record of the run
+        path = run_dir / "manifest.json"
+        before = run_cli(capsys, "estimate", "--in", str(run_dir), "--mc-samples", "0")
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        after = run_cli(capsys, "estimate", "--in", str(run_dir), "--mc-samples", "0")
+        assert before[0] == 0 and after == before
 
 
 class TestCliSurface:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -28,6 +29,8 @@ from extorus import (
 )
 from extorus import formulas
 from extorus.formulas import multiplicity_mass
+
+from _reference import printed_multiplicity_pi
 
 CAT = build_automorphism(2, 1, 1, 1)
 LAM = CAT.lam_abs
@@ -189,7 +192,7 @@ class TestMultiplicity:
         assert abs(r - 1.0 / LAM) <= 1e-3
 
     def test_closed_form_equals_strip_ratio(self):
-        # the printed grouping against (Q^(k-1) - Q^k) / Q^0
+        # pi(kappa) against the strip areas' ratio (Q^(k-1) - Q^k) / Q^0
         s = 0.017
         base = strip_area_Q(s, LAM, 1, 0)
         for kappa in range(1, 11):
@@ -204,6 +207,57 @@ class TestMultiplicity:
         assert multiplicity_pi(LAM, 1, 1, MetricKind.EUCLIDEAN) == pytest.approx(
             0.476884622876, abs=1e-9
         )
+
+
+def mp_euclidean_law(lam: float, q: int, s: float) -> tuple[float, list[float], float]:
+    """theta, pi(kappa) for kappa <= 30 while pi > 1e-250, and A_q at radius s, at 600 digits.
+
+    Evaluated from the printed arcsin gaps at the float lam itself, so
+    the comparison measures the formulas, not the rounding of lam.
+    """
+    with mp.workdps(600):
+        lam_mp = mp.mpf(lam)
+
+        def gap(k):
+            t = lam_mp ** (k * q)
+            root = mp.sqrt(t * t + 1)
+            return mp.asin(t / root) - mp.asin(1 / root)
+
+        gaps = [gap(k) for k in range(3)]
+        pis = []
+        for kappa in range(1, 31):
+            pi = (2 * gaps[kappa] - gaps[kappa - 1] - gaps[kappa + 1]) / gaps[1]
+            if pi <= mp.mpf("1e-250"):
+                break
+            pis.append(float(pi))
+            gaps.append(gap(kappa + 2))
+        return float(2 / mp.pi * gaps[1]), pis, float(2 * mp.mpf(s) ** 2 * gaps[1])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "matrix",
+    [(2, 1, 1, 1), (3, 1, 2, 1), (5, 2, 2, 1), (1000, 999, 1, 1), (1, 140, 140, 19601)],
+    ids=lambda m: ",".join(map(str, m)),
+)
+class TestEuclideanAccuracy:
+    """The Euclidean law of |lam| against mpmath, and against the paper's printed grouping."""
+
+    def test_matches_600_digit_mpmath(self, matrix, q):
+        lam = build_automorphism(*matrix).lam_abs
+        theta, pis, area = mp_euclidean_law(lam, q, 0.01)
+        assert extremal_index(lam, q, EUCLID) == pytest.approx(theta, rel=1e-15, abs=0)
+        got = [multiplicity_pi(lam, q, kappa, EUCLID) for kappa in range(1, len(pis) + 1)]
+        assert got == pytest.approx(pis, rel=1e-15, abs=0)
+        # the escape area keeps the printed arcsin form while lam^q <= 100
+        assert area_A_q(0.01, lam, q) == pytest.approx(area, rel=1e-14, abs=0)
+
+    def test_printed_grouping_where_it_is_well_conditioned(self, matrix, q):
+        lam = build_automorphism(*matrix).lam_abs
+        kappas = list(itertools.takewhile(lambda kappa: lam ** (kappa * q) <= 1e6, range(1, 31)))
+        got = [multiplicity_pi(lam, q, kappa, EUCLID) for kappa in kappas]
+        printed = [printed_multiplicity_pi(lam, q, kappa) for kappa in kappas]
+        assert got == pytest.approx(printed, rel=1e-10, abs=0)
 
 
 class TestPolyaAeppli:
@@ -366,30 +420,30 @@ PINNED_THRESHOLDS = {
 # cat map at q = 1: theta, pi(1..5) and pmf_vector(2, 14)
 PINNED_MODELS = {
     "euclidean": {
-        "theta": "0x1.122550cc9a903p-1",
+        "theta": "0x1.122550cc9a902p-1",
         "pi": (
-            "0x1.e854714ce10efp-2",
-            "0x1.3e749315aaefbp-2",
-            "0x1.0af6725ef73a5p-3",
-            "0x1.9da7cbbbf3ed8p-5",
-            "0x1.3ca82b9006fbdp-6",
+            "0x1.e854714ce10ecp-2",
+            "0x1.3e749315aaedep-2",
+            "0x1.0af6725ef73d3p-3",
+            "0x1.9da7cbbbf4070p-5",
+            "0x1.3ca82b9006d2dp-6",
         ),
         "pmf": (
-            "0x1.5eee5cb80cb54p-2",
-            "0x1.666e9626f6053p-3",
-            "0x1.4544a51de4bd6p-3",
-            "0x1.d1d9a9e5bfa3cp-4",
-            "0x1.3ec236c538a3dp-4",
-            "0x1.a25495d592e55p-5",
-            "0x1.093d63810e516p-5",
-            "0x1.470952e0d8eadp-6",
-            "0x1.89d1866b06fe5p-7",
-            "0x1.d0b9c884f20f2p-8",
-            "0x1.0d678fc4f7db8p-8",
-            "0x1.3387c009099f9p-9",
-            "0x1.5a38a5c8c0c2dp-10",
-            "0x1.80f52e85be0c1p-11",
-            "0x1.a73b38e4bd9dfp-12",
+            "0x1.5eee5cb80cb56p-2",
+            "0x1.666e9626f6052p-3",
+            "0x1.4544a51de4bc0p-3",
+            "0x1.d1d9a9e5bfa46p-4",
+            "0x1.3ec236c538a83p-4",
+            "0x1.a25495d592e28p-5",
+            "0x1.093d63810e514p-5",
+            "0x1.470952e0d8eb6p-6",
+            "0x1.89d1866b06f7bp-7",
+            "0x1.d0b9c884f215ap-8",
+            "0x1.0d678fc4f7d46p-8",
+            "0x1.3387c009099edp-9",
+            "0x1.5a38a5c8c0bb2p-10",
+            "0x1.80f52e85be00ap-11",
+            "0x1.a73b38e4bd82bp-12",
         ),
     },
     "adapted": {
@@ -440,12 +494,12 @@ PINNED_AREAS = {
 
 # cat map, Euclidean metric, period q: (theta, (pi(1), pi(2), pi(3)))
 PINNED_LARGE_Q = {
-    1: ("0x1.122550cc9a903p-1",
-        ("0x1.e854714ce10efp-2", "0x1.3e749315aaefbp-2", "0x1.0af6725ef73a5p-3")),
+    1: ("0x1.122550cc9a902p-1",
+        ("0x1.e854714ce10ecp-2", "0x1.3e749315aaedep-2", "0x1.0af6725ef73d3p-3")),
     2: ("0x1.a18e3db2df7ebp-1",
-        ("0x1.9d34d445296c9p-1", "0x1.510de3d9bf4c4p-3", "0x1.8d1d0e788f109p-6")),
+        ("0x1.9d34d445296bbp-1", "0x1.510de3d9bf531p-3", "0x1.8d1d0e788ef48p-6")),
     3: ("0x1.dbb55e66cadfcp-1",
-        ("0x1.db1e6a101b356p-1", "0x1.1696cc195e321p-4", "0x1.f161c6e6f0c88p-9")),
+        ("0x1.db1e6a101b362p-1", "0x1.1696cc195e2c1p-4", "0x1.f161c6e6f0e38p-9")),
     50: ("0x1.0000000000000p+0",
          ("0x1.0000000000000p+0", "0x1.e5d4e37501703p-70", "0x1.6a11aed4b604ap-139")),
     300: ("0x1.0000000000000p+0",

@@ -136,42 +136,24 @@ class TestRunTrial:
         cfg = small_cfg(trials=2100, n=500)  # spans three chunks
         assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=2)
 
-    def test_worker_cap_from_environment(self, monkeypatch):
-        from extorus.torus import resolve_workers
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        monkeypatch.setenv("EXTORUS_THREADS", "3")
-        assert resolve_workers() == 3
-        assert resolve_workers(5) == 5  # explicit argument wins
-        monkeypatch.delenv("EXTORUS_THREADS")
-        assert resolve_workers() >= 1
-
     def test_worker_counts_capped_at_cores(self, monkeypatch):
         # only the computed count is checked; no pool is started
         from extorus.torus import resolve_workers
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setenv("EXTORUS_THREADS", "100000")
         assert resolve_workers() == 4
         assert resolve_workers(100_000) == 4
         assert resolve_workers(3) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(5) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert resolve_workers() == 8
 
-    def test_worker_counts_below_one_rejected(self, monkeypatch):
+    def test_worker_counts_below_one_rejected(self):
         from extorus.torus import resolve_workers
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
             resolve_workers(0)
-        monkeypatch.setenv("EXTORUS_THREADS", "0")
-        with pytest.raises(ValueError):
-            resolve_workers()
-
-    @pytest.mark.parametrize("value", ["abc", "2.5"])
-    def test_non_integer_environment_named(self, monkeypatch, value):
-        from extorus.torus import resolve_workers
-
-        monkeypatch.setenv("EXTORUS_THREADS", value)
-        with pytest.raises(ValueError, match=f"EXTORUS_THREADS must be an integer, got '{value}'"):
-            resolve_workers()
 
 
 CENTRES = {

@@ -510,7 +510,6 @@ class TestMapJobs:
 
         monkeypatch.setattr(torus, "ProcessPoolExecutor", ReversingPool)
         monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
-        monkeypatch.delenv("EXTORUS_THREADS", raising=False)
         assert torus.map_jobs(abs, [-1, 2, -3], 100) == [1, 2, 3]
         assert torus.map_jobs(abs, list(range(-9, 0)), None) == list(range(9, 0, -1))
         assert sizes == [3, 4]
