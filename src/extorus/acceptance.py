@@ -111,19 +111,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> RunManifest:
-        return cls(
-            config=data["config"],
-            version=data["version"],
-            wall_time_s=data["wall_time_s"],
-            criteria=[CriterionResult(**c) for c in data["criteria"]],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> RunManifest:
-        return cls.from_dict(json.loads(text))
-
 
 _NAMES: dict[int, str] = {}  # criterion id -> name, filled in by @_criterion
 

@@ -18,11 +18,13 @@ fraction by the ball area. Sampling is split into fixed-size chunks
 whose random streams are keyed by (seed, chunk index); the merged
 estimate is a pure function of the seed, independent of how chunks are
 assigned to workers. One sampler, _ball_slices, serves the oracle and
-the separation scan: it draws the uniforms whole, so the keyed stream
-fixes the sample, and maps them to grid points by Ball.points in
-cache-sized slices of _BLOCK_ELEMENTS points. The escape region of an
-experiment, for the separation scan and the measure-ratio estimator, is
-built from its config by escape_region.
+the separation scan. A sample is one keyed stream: u is its first
+`count` doubles and v the `count` after them. Both are drawn a slice of
+_BLOCK_ELEMENTS points at a time, v from a copy of the stream advanced
+`count` draws on, and mapped to grid points by Ball.points, so neither
+caller holds an array larger than a slice, whatever the sample size.
+The escape region of an experiment, for the separation scan and the
+measure-ratio estimator, is built from its config by escape_region.
 """
 
 from __future__ import annotations
@@ -117,16 +119,21 @@ def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.nd
 
 
 def _ball_slices(
-    ball: Ball, count: int, rng: np.random.Generator
+    ball: Ball, count: int, seed: int, key: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Uniform sample of `count` grid points from the ball, in slices.
 
-    The uniforms are drawn whole, so the stream fixes the sample; the
-    residues come out _BLOCK_ELEMENTS points at a time.
+    The sample is keyed_rng(seed, key)'s first 2*count doubles: u is the
+    first count and v the next count, the bits of one whole draw. Each
+    double is one output of the bit generator, so a second copy of the
+    stream advanced by count draws v alongside u, and the residues come
+    out _BLOCK_ELEMENTS points at a time with no array larger than a slice.
     """
-    u, v = rng.random(count), rng.random(count)
+    u_rng, v_rng = keyed_rng(seed, key), keyed_rng(seed, key)
+    v_rng.bit_generator.advance(count)
     for lo in range(0, count, _BLOCK_ELEMENTS):
-        yield ball.points(u[lo : lo + _BLOCK_ELEMENTS], v[lo : lo + _BLOCK_ELEMENTS])
+        size = min(_BLOCK_ELEMENTS, count - lo)
+        yield ball.points(u_rng.random(size), v_rng.random(size))
 
 
 class MeasureEstimate(NamedTuple):
@@ -152,7 +159,7 @@ def _measure_chunk(args: tuple) -> int:
     region, seed, index, size = args
     return sum(
         int(np.count_nonzero(membership_mask(region, px, py)))
-        for px, py in _ball_slices(region.ball, size, keyed_rng(seed, index))
+        for px, py in _ball_slices(region.ball, size, seed, index)
     )
 
 
@@ -203,7 +210,7 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     window = q * cfg.g_n
     if window == 0:
         return True
-    for px, py in _ball_slices(region.ball, samples, keyed_rng(seed, 0)):
+    for px, py in _ball_slices(region.ball, samples, seed, 0):
         forward = _ball_masks(region, px, py, q)
         keep = _escape_masks(forward, q)[0]
         # ball masks of the slice's A_q points at times -window .. q; row i holds time i - window

@@ -54,7 +54,6 @@ from .torus import (
     ToralAutomorphism,
     build_automorphism,
     compute_period,
-    draw_residue,
     keyed_rng,
     map_jobs,
     orbit_blocks,
@@ -219,10 +218,17 @@ class Clusters(_ByTrial):
 
 
 def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
+    """Trial k's start: the low 61 bits of raw outputs 0 and 2 of keyed_rng(seed, k).
+
+    Each coordinate is the residue of 16 random bytes read little-endian,
+    as Generator.bytes(16) hands them out: two raw outputs, low half
+    first, of which the residue keeps the first output's low 61 bits.
+    """
+    mask = MODULUS - 1
     states = []
     for tid in trial_ids:
-        rng = keyed_rng(cfg.seed, int(tid))
-        states.append((draw_residue(rng), draw_residue(rng)))
+        raw = keyed_rng(cfg.seed, int(tid)).bit_generator.random_raw(3).tolist()
+        states.append((raw[0] & mask, raw[2] & mask))
     return states
 
 

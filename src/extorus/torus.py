@@ -463,8 +463,3 @@ def map_jobs(fn: Callable, jobs: list, workers: int | None = None) -> list:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
-
-
-def draw_residue(rng: np.random.Generator) -> int:
-    """Uniform residue in [0, MODULUS); 128 random bits leave no usable bias."""
-    return int.from_bytes(rng.bytes(16), "little") % MODULUS

@@ -4,11 +4,15 @@ These are the independent oracles the tests compare the vectorised
 routines of extorus.torus against: exact orbit steps on Python integers,
 and the torus distance as a minimum of the plane metric over lattice
 shifts. The step-at-a-time trial engine, with its own one-line array
-step, is the reference for the time-blocked one in extorus.simulate.
-The float-remainder ball sampler and the out-of-place ball key are the
-references that the floor-folded and in-place methods of extorus.torus.Ball
-must equal bit for bit. The whole-array separation check, which samples,
-maps and masks every point at once, is the reference for the sliced one. The
+step, is the reference for the time-blocked one in extorus.simulate, and
+the residues of 16 random bytes are the reference for its trial starts
+taken from raw bit-generator outputs. The float-remainder ball sampler
+and the out-of-place ball key are the references that the floor-folded
+and in-place methods of extorus.torus.Ball must equal bit for bit; both
+whole-draw samplers, which draw all of u and then all of v, are the
+references for the sampler of extorus.regions that streams them a slice
+at a time. The whole-array separation check, which samples, maps and
+masks every point at once, is the reference for the sliced one. The
 row-at-a-time CSV reader and the per-exceedance loop estimators, on
 per-trial tuples, are the references for the columnar reader and
 estimators of extorus.cli and extorus.simulate. The paper's four-arcsin
@@ -18,6 +22,7 @@ stable strip-gap ratio of extorus.formulas.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -27,7 +32,6 @@ import numpy as np
 
 from extorus.errors import ExtorusError
 from extorus.regions import RegionKind, RegionSpec, _ball_masks, membership_mask
-from extorus.acceptance import RunManifest
 from extorus.cli import BLOCK_MAX_HEADER, EXCEEDANCE_HEADER, _config_from_echo, _fmt
 from extorus.errors import NoExceedances
 from extorus.simulate import Clusters, ExperimentConfig, Records, _initial_states
@@ -157,6 +161,16 @@ def printed_multiplicity_pi(lam_abs: float, q: int, kappa: int) -> float:
     mid = _printed_gap(lam_abs, kappa * q)
     high = _printed_gap(lam_abs, (kappa + 1) * q)
     return (2.0 * mid - low - high) / _printed_gap(lam_abs, q)
+
+
+def initial_states_from_bytes(seed: int, trial_ids) -> list[tuple[int, int]]:
+    """Each trial's start: two residues of 16 bytes of keyed_rng(seed, k), read little-endian."""
+    states = []
+    for tid in trial_ids:
+        rng = keyed_rng(seed, int(tid))
+        x, y = (int.from_bytes(rng.bytes(16), "little") % MODULUS for _ in range(2))
+        states.append((x, y))
+    return states
 
 
 def simulate_chunk_stepwise(
@@ -289,8 +303,13 @@ def _csv_rows(path: Path, header: str, parse):
 def read_records_rowwise(indir: Path) -> tuple[ExperimentConfig, Records]:
     """A simulate directory read one row at a time by int() and float(), every row checked."""
     path = indir / "manifest.json"
-    manifest = RunManifest.from_json(path.read_text(encoding="utf-8"))
-    cfg = _config_from_echo(manifest.config, path)
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)):
+        raise ValueError(f"{path}: not a JSON object holding a config object")
+    cfg = _config_from_echo(manifest["config"], path)
 
     maxima: dict[int, float] = {}
     path = indir / "block_maxima.csv"

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import extorus
 from extorus import acceptance, cli
-from extorus.acceptance import RunManifest
+from extorus.acceptance import CriterionResult, RunManifest
 from extorus.cli import _read_records, main
 from extorus.simulate import ExperimentConfig
 from _reference import read_records_rowwise, records_of
@@ -132,8 +132,8 @@ class TestSimulate:
         maxima = (out_dir / "block_maxima.csv").read_text().splitlines()
         assert maxima[0] == "trial,maximum"
         assert len(maxima) == 11
-        manifest = RunManifest.from_json((out_dir / "manifest.json").read_text())
-        assert manifest.config["n"] == 1000
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["n"] == 1000
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "1500", "--trials", "20", "--seed", "9"]
@@ -195,8 +195,8 @@ class TestSimulate:
         assert run_cli(capsys, *args, f"{flag}={value}", "--out", str(joined))[0] == 0
         for name in ("exceedances.csv", "block_maxima.csv"):
             assert (spaced / name).read_bytes() == (joined / name).read_bytes()
-        config = RunManifest.from_json((spaced / "manifest.json").read_text()).config
-        assert config == RunManifest.from_json((joined / "manifest.json").read_text()).config
+        config = json.loads((spaced / "manifest.json").read_text())["config"]
+        assert config == json.loads((joined / "manifest.json").read_text())["config"]
         assert config[flag[2:]] == ([-1000, -999, -1, -1] if flag == "--matrix" else "2/3,1/2")
 
     def test_config_file_with_flag_precedence(self, tmp_path, capsys):
@@ -207,9 +207,9 @@ class TestSimulate:
             capsys, "simulate", "--config", str(cfg), "--trials", "7", "--out", str(out_dir)
         )
         assert code == 0
-        manifest = RunManifest.from_json((out_dir / "manifest.json").read_text())
-        assert manifest.config["n"] == 800  # from file
-        assert manifest.config["trials"] == 7  # flag wins
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["config"]["n"] == 800  # from file
+        assert manifest["config"]["trials"] == 7  # flag wins
 
     @pytest.mark.parametrize("command", ["simulate", "theory"])
     @pytest.mark.parametrize(
@@ -589,7 +589,7 @@ class TestCliSurface:
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out))
         assert code == 0, err
-        config = RunManifest.from_json((out / "manifest.json").read_text()).config
+        config = json.loads((out / "manifest.json").read_text())["config"]
         assert set(config) - {"derived"} == set(fields)
         echoed = {
             k: ",".join(map(str, v)) if isinstance(v, list) else str(v)
@@ -720,6 +720,23 @@ class TestReaderMatchesRowwiseReference:
         ours, theirs = read_outcome(_read_records, run_dir), read_outcome(read_records_rowwise, run_dir)
         assert ours[0] == "ok" and len(ours[1].time) > 20
         assert ours == theirs
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "not a JSON object holding a config object"),
+            ('{"config": [["n", 2000]]}', "not a JSON object holding a config object"),
+            ('{"version": "0"}', "not a JSON object holding a config object"),
+            ('{"config": {}', "Expecting ',' delimiter"),
+        ],
+        ids=["list", "config-list", "no-config", "not-json"],
+    )
+    def test_rejected_manifests(self, run_dir, text, message):
+        path = run_dir / "manifest.json"
+        path.write_text(text)
+        ours, theirs = read_outcome(_read_records, run_dir), read_outcome(read_records_rowwise, run_dir)
+        assert ours == theirs
+        assert ours[0] == "error" and ours[1].startswith(f"{path}: ") and message in ours[1]
 
     @pytest.mark.parametrize(
         "name, line, text, message",
@@ -866,17 +883,19 @@ class TestValidate:
         # the nested-set tail bound is expected to fail as configured
         assert code == 1
         assert "oracle-equivalence" in err
-        manifest = RunManifest.from_json(manifest_path.read_text())
-        assert [c.cid for c in manifest.criteria] == list(range(1, 9))
-        by_id = {c.cid: c for c in manifest.criteria}
-        assert by_id[1].passed is True
-        assert by_id[2].passed is False
-        assert by_id[2].measured["oracle_equivalence_ok"] is True
-        assert by_id[2].measured["tail_bound_ok"] is False
-        assert by_id[3].passed is True
-        assert all(by_id[cid].passed is None for cid in range(4, 9))
-        # manifest round-trips losslessly
-        assert RunManifest.from_json(manifest.to_json()).to_dict() == manifest.to_dict()
+        manifest = json.loads(manifest_path.read_text())
+        assert [c["cid"] for c in manifest["criteria"]] == list(range(1, 9))
+        by_id = {c["cid"]: c for c in manifest["criteria"]}
+        assert by_id[1]["passed"] is True
+        assert by_id[2]["passed"] is False
+        assert by_id[2]["measured"]["oracle_equivalence_ok"] is True
+        assert by_id[2]["measured"]["tail_bound_ok"] is False
+        assert by_id[3]["passed"] is True
+        assert all(by_id[cid]["passed"] is None for cid in range(4, 9))
+        # the file holds a RunManifest, and it round-trips losslessly
+        criteria = [CriterionResult(**c) for c in manifest["criteria"]]
+        rebuilt = RunManifest(**{**manifest, "criteria": criteria})
+        assert json.loads(rebuilt.to_json()) == rebuilt.to_dict() == manifest
 
     def test_injected_theta_error_fails_criterion_1(self, tmp_path, capsys, monkeypatch):
         theta = acceptance.extremal_index
@@ -885,5 +904,5 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--quick", "--out", str(manifest_path))
         assert code == 1
         assert "formula-identities" in err
-        manifest = RunManifest.from_json(manifest_path.read_text())
-        assert manifest.criteria[0].passed is False
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["criteria"][0]["passed"] is False

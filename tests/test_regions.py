@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,9 +40,9 @@ S = 0.01
 BALL = Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN)
 
 
-def sliced_sample(ball, count, rng):
+def sliced_sample(ball, count, seed, key):
     """The residues _ball_slices yields, concatenated."""
-    slices = list(_ball_slices(ball, count, rng))
+    slices = list(_ball_slices(ball, count, seed, key))
     assert all(len(px) <= _BLOCK_ELEMENTS for px, _ in slices)
     return tuple(np.concatenate(part) for part in zip(*slices))
 
@@ -128,8 +129,21 @@ class TestSampler:
         ball = Ball(build_automorphism(*matrix), TorusPoint(x, y), radius, metric)
         # more points than one slice holds: the slices must join into the whole sample
         count = _BLOCK_ELEMENTS + 3000
-        px, py = sliced_sample(ball, count, np.random.default_rng(seed))
-        ref_x, ref_y = sample_ball_remainder(ball, count, np.random.default_rng(seed))
+        px, py = sliced_sample(ball, count, seed, 0)
+        ref_x, ref_y = sample_ball_remainder(ball, count, keyed_rng(seed, 0))
+        np.testing.assert_array_equal(px, ref_x)
+        np.testing.assert_array_equal(py, ref_y)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize(
+        # 38,528 is the last chunk of a 10M-sample oracle call: 10M mod 2^18
+        "count", [1000, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 1 << 18, 10_000_000 % (1 << 18)]
+    )
+    def test_streamed_slices_are_the_whole_draw(self, metric, count):
+        # u is the stream's first count doubles and v the next count, drawn whole
+        ball = Ball(build_automorphism(3, 1, 2, 1), TorusPoint(0.3, 0.7), 0.01, metric)
+        px, py = sliced_sample(ball, count, 2**70 + 5, 3)
+        ref_x, ref_y = sample_ball_remainder(ball, count, keyed_rng(2**70 + 5, 3))
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
 
@@ -149,7 +163,7 @@ class TestSampler:
                 return self.arrays.pop(0)
 
         ball = Ball(CAT, TorusPoint(x, y), 0.2, metric)
-        px, py = sliced_sample(ball, u.size, Uniforms())
+        px, py = ball.points(u, v)
         ref_x, ref_y = sample_ball_remainder(ball, u.size, Uniforms())
         np.testing.assert_array_equal(px, ref_x)
         np.testing.assert_array_equal(py, ref_y)
@@ -352,6 +366,32 @@ class TestSlicedAgainstWholeArray:
             assert cfg.q * cfg.g_n == window
             args = (cfg, _BLOCK_ELEMENTS + 1, 7)
             assert regions.separation_check(*args) is ref.separation_check(*args) is separated
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    """No array outgrows a slice: peak memory does not grow with the sample size."""
+
+    def test_separation_scan_of_a_million_samples(self):
+        # criterion 3's scan; drawing u and v whole would hold 16 MiB of them
+        separated, peak = traced_peak(lambda: separation_check(separation_cfg(), 1_000_000, 7))
+        assert separated
+        assert peak < 4 << 20
+
+    def test_one_worker_oracle_of_four_chunks(self):
+        region = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=3)
+        (estimate, _), peak = traced_peak(lambda: monte_carlo_measure(region, 1 << 20, 5, workers=1))
+        assert estimate > 0
+        assert peak < 4 << 20
 
 
 class TestSeparation:

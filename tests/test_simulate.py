@@ -100,6 +100,16 @@ class TestKacRescale:
                 assert cfg.v_n * area == pytest.approx(1.0, rel=1e-12)
 
 
+class TestInitialStates:
+    @pytest.mark.parametrize("seed", [0, 1, 42, -3, 2**63, 2**70 + 5])
+    def test_raw_outputs_are_the_byte_residues(self, seed):
+        # trials of every chunk a 4096-trial run has, and ids far past them
+        ids = [*range(0, 4096, 3), 2**31, 2**62 + 1]
+        states = _initial_states(small_cfg(seed=seed), ids)
+        assert states == ref.initial_states_from_bytes(seed, ids)
+        assert all(type(c) is int and 0 <= c < MODULUS for state in states for c in state)
+
+
 class TestRunTrial:
     def test_deterministic(self):
         cfg = small_cfg()
