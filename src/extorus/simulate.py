@@ -394,8 +394,22 @@ def gap_ks_statistic(clusters: Clusters, theta: float, window_span: float) -> tu
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     ks = float(max(np.max(hi - cdf), np.max(cdf - lo)))
-    from scipy import special  # here, not at the top: it is half the package's import time
-    return ks, float(special.kolmogorov(math.sqrt(n) * ks))
+    return ks, _kolmogorov_sf(math.sqrt(n) * ks)
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """Survival function of Kolmogorov's distribution, the limit law of sqrt(n) D_n.
+
+    2 sum_k (-1)^(k-1) e^(-2 k^2 x^2) for x >= 1, and below 1 its Jacobi
+    dual 1 - (sqrt(2 pi)/x) sum_k e^(-(2k-1)^2 pi^2/(8 x^2)). Past five
+    terms, either series adds less than 1e-30 of its value.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x >= 1.0:
+        return 2.0 * math.fsum((-1) ** (k - 1) * math.exp(-2.0 * k * k * (x * x)) for k in range(1, 6))
+    dual = math.fsum(math.exp(-(((2 * k - 1) * math.pi / x) ** 2) / 8.0) for k in range(1, 6))
+    return 1.0 - math.sqrt(2.0 * math.pi) / x * dual
 
 
 def repp_counts(records: Records, horizon_steps: int) -> np.ndarray:
@@ -403,18 +417,15 @@ def repp_counts(records: Records, horizon_steps: int) -> np.ndarray:
     return np.bincount(records.trial[records.time < horizon_steps], minlength=len(records))
 
 
-def chi_square_vs_pmf(
-    values,
-    pmf,
-    k_min: int,
-    k_max: int,
-    min_expected: float = 5.0,
-) -> tuple[float, float, int]:
+MIN_EXPECTED = 5.0  # least expected count of a chi-square bin
+
+
+def chi_square_vs_pmf(values, pmf, k_min: int, k_max: int) -> tuple[float, float, int]:
     """Chi-square GOF of observed integers against a pmf with a pooled tail.
 
     Bins are k_min..k_max individually plus one bin for values above
     k_max (the pmf mass below k_min also lands in the pooled bin, for
-    size laws that start at 1). Bins with expectation under min_expected
+    size laws that start at 1). Bins with expectation under MIN_EXPECTED
     are merged into their left neighbour. Returns (statistic, p_value,
     degrees of freedom).
     """
@@ -429,7 +440,7 @@ def chi_square_vs_pmf(
     exp = [p * n for p in probs]
     i = len(exp) - 1
     while i > 0:
-        if exp[i] < min_expected:
+        if exp[i] < MIN_EXPECTED:
             exp[i - 1] += exp[i]
             obs[i - 1] += obs[i]
             del exp[i], obs[i]
@@ -438,8 +449,29 @@ def chi_square_vs_pmf(
         raise ValueError("too few bins with adequate expectation")
     stat = float(sum((o - e) ** 2 / e for o, e in zip(obs, exp)))
     dof = len(exp) - 1
-    from scipy import special  # here, not at the top: see gap_ks_statistic
-    return stat, float(special.chdtrc(dof, stat)), dof
+    return stat, _chi2_sf(dof, stat), dof
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """Survival function of the chi-square law with an integer dof >= 1.
+
+    With h = x/2, a finite sum: e^-h sum_{j<m} h^j/j! for dof = 2m, and
+    erfc(sqrt h) + e^-h sum_{j<m} h^(j+1/2)/Gamma(j+3/2) for dof = 2m+1.
+    """
+    if x <= 0.0:
+        return 1.0
+    if x == math.inf:
+        return 0.0  # not e^-h times the sum, which is 0 * inf
+    h = 0.5 * x
+    m, odd = divmod(dof, 2)
+    if odd:
+        total, term, step = math.erfc(math.sqrt(h)), math.exp(-h) * math.sqrt(h) / math.gamma(1.5), 1.5
+    else:
+        total, term, step = 0.0, math.exp(-h), 1.0
+    for j in range(m):
+        total += term
+        term *= h / (j + step)
+    return total
 
 
 def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:

@@ -603,12 +603,28 @@ class TestCliSurface:
         assert _read_records(out) == _read_records(tmp_path / "flags")
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy.special is imported by the two estimators that use it, not at start-up
+def test_simulate_and_estimate_run_without_scipy(tmp_path, capsys, monkeypatch):
+    # NumPy is the only runtime dependency: with scipy unimportable, a run prints
+    # what the same run prints in-process
+    simulate = ["simulate", "--zeta", "0/1,0/1", "--n", "20000", "--trials", "300", "--seed", "3"]
+    simulate += ["--out", "run"]
+    estimate = ["estimate", "--in", "run"]
+    code = (
+        "import sys; sys.modules['scipy'] = None; from extorus.cli import main; "
+        f"sys.exit(main({simulate!r}) or main({estimate!r}))"
+    )
     src = str(Path(extorus.__file__).resolve().parents[1])
+    (tmp_path / "sub").mkdir()
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import extorus.cli, sys; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    sub = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path / "sub", env=env, capture_output=True, text=True
+    )
+    assert sub.returncode == 0, sub.stderr
+    monkeypatch.chdir(tmp_path)
+    simulated, estimated = run_cli(capsys, *simulate), run_cli(capsys, *estimate)
+    assert simulated[0] == estimated[0] == 0
+    assert sub.stdout == simulated[1] + estimated[1]
+    assert "size chi-square" in estimated[1] and "gap KS" in estimated[1]
 
 
 RT_CONFIG = ExperimentConfig(zeta=(Fraction(0), Fraction(0)), n=1000, trials=1, seed=1)

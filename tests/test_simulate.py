@@ -7,6 +7,7 @@ import math
 import os
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -39,7 +40,9 @@ from extorus import (
 from _reference import clusters_of, records_of, simulate_chunk_stepwise
 from extorus import simulate
 from extorus.simulate import (
+    _chi2_sf,
     _initial_states,
+    _kolmogorov_sf,
     _simulate_chunk,
     chi_square_vs_pmf,
     pooled_gaps,
@@ -516,22 +519,57 @@ class TestEstimators:
         assert gaps == pytest.approx([0.5])
 
 
-class TestChiSquare:
-    def test_p_value_equals_scipy_stats_chi2_sf(self):
-        """chdtrc(dof, x) is the chi-square survival function, bit for bit."""
+class TestPValues:
+    """The chi-square and Kolmogorov survival functions against mpmath, and SciPy."""
+
+    @pytest.mark.parametrize("dof", range(1, 31))
+    def test_chi2_sf_matches_mpmath(self, dof):
+        for x in np.geomspace(1e-3, 316.0, 60).tolist():
+            with mp.workdps(50):
+                ref = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
+            assert abs(_chi2_sf(dof, x) - ref) <= 5e-14 * ref, (dof, x)
+
+    def test_kolmogorov_sf_matches_mpmath(self):
+        # 1 - theta_4(0, e^(-2 x^2)) is the alternating series, summed by mpmath
+        for x in np.linspace(0.05, 8.0, 400).tolist():
+            with mp.workdps(100):
+                ref = 1 - mp.jtheta(4, 0, mp.exp(-2 * mp.mpf(x) ** 2))
+            assert abs(_kolmogorov_sf(x) - ref) <= 5e-14 * ref, x
+
+    def test_edge_values(self):
+        for dof in (1, 2, 5, 30):
+            assert _chi2_sf(dof, 0.0) == _chi2_sf(dof, -1.0) == 1.0
+            assert _chi2_sf(dof, math.inf) == 0.0
+            assert math.isnan(_chi2_sf(dof, math.nan))
+        assert _kolmogorov_sf(0.0) == _kolmogorov_sf(-1.0) == 1.0
+        assert _kolmogorov_sf(math.inf) == 0.0
+        assert math.isnan(_kolmogorov_sf(math.nan))
+
+    def test_equal_to_scipy(self):
+        """SciPy's chdtrc and kolmogorov, the routes these replace, agree to 1e-13."""
         from scipy import special, stats
 
         rng = np.random.default_rng(17)
-        x = rng.exponential(20.0, 20_000) * rng.random(20_000)
-        dof = rng.integers(1, 60, 20_000)
-        assert np.array_equal(special.chdtrc(dof, x), stats.chi2.sf(x, dof))
+        x = rng.exponential(20.0, 2000) * rng.random(2000)
+        dof = rng.integers(1, 60, 2000)
+        ours = [_chi2_sf(d, v) for d, v in zip(dof.tolist(), x.tolist())]
+        np.testing.assert_allclose(ours, special.chdtrc(dof, x), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ours, stats.chi2.sf(x, dof), rtol=1e-13, atol=0)
+        z = rng.uniform(0.05, 8.0, 2000)
+        ours = [_kolmogorov_sf(v) for v in z.tolist()]
+        np.testing.assert_allclose(ours, special.kolmogorov(z), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ours, stats.kstwobign.sf(z), rtol=1e-13, atol=0)
         values = rng.poisson(2.0, 500)
 
         def poisson_pmf(k):
             return math.exp(-2.0) * 2.0**k / math.factorial(k)
 
         stat, p, dof = chi_square_vs_pmf(values, poisson_pmf, 0, 6)
-        assert p == float(stats.chi2.sf(stat, dof))
+        assert p == pytest.approx(float(stats.chi2.sf(stat, dof)), rel=1e-13, abs=0)
+        gaps = rng.exponential(1.0 / 0.7, 1000)
+        times = (0.0, *np.cumsum(gaps))
+        ks, p = gap_ks_statistic(clusters_of([((1,) * 1001, times)]), 0.7, window_span=times[-1])
+        assert p == pytest.approx(float(special.kolmogorov(math.sqrt(1000) * ks)), rel=1e-13, abs=0)
 
 
 class TestGapKS:
