@@ -56,7 +56,6 @@ from .simulate import (
 )
 from .torus import (
     Ball,
-    Direction,
     MetricKind,
     ToralAutomorphism,
     TorusPoint,
@@ -74,7 +73,6 @@ __all__ = [
     "NoExceedances",
     "TooFewGaps",
     "MetricKind",
-    "Direction",
     "Ball",
     "ToralAutomorphism",
     "TorusPoint",

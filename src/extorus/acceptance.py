@@ -56,7 +56,6 @@ from .simulate import (
 from .torus import (
     MODULUS,
     Ball,
-    Direction,
     MetricKind,
     TorusPoint,
     build_automorphism,
@@ -417,7 +416,7 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
     px = rng.integers(0, MODULUS, 10_000)
     py = rng.integers(0, MODULUS, 10_000)
     _, fwd = orbit_blocks(px, py, T, 1)
-    _, back = orbit_blocks(fwd.x[0], fwd.y[0], T, 1, Direction.BACKWARD)
+    _, back = orbit_blocks(fwd.x[0], fwd.y[0], T, 1, -1)
     inverse_ok = np.array_equal(back.x[0], px) and np.array_equal(back.y[0], py)
 
     total = time.perf_counter() - suite_start

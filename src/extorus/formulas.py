@@ -61,7 +61,7 @@ def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> f
 
 
 def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0):
+    if isinstance(tau, bool) or not (math.isfinite(tau) and tau > 0):  # True is 1 to math
         raise ValueError(f"tau must be finite and positive, got {tau}")
 
 

@@ -1,16 +1,22 @@
 """Exact region membership and an independent Monte Carlo measure oracle.
 
-Regions are subsets of a small metric ball (torus.Ball) around a centre:
+Regions are subsets of a small metric ball (torus.Ball) around a centre.
+Each is one walk (stride, inside, outside) of the table _walk: the points
+whose orbit at times 0, s, 2s, .. (s = stride) is in the ball `inside`
+times, then out of it `outside` times.
 
-* BALL     - the ball itself, key(z) < key_radius;
-* A_Q      - escape region: in the ball, first q forward images outside;
-* U_KAPPA  - nested set: images at times 0, q, 2q, ..., kappa*q all inside;
-* Q_KAPPA  - strip: in U_KAPPA but not in U_(KAPPA+1).
+* BALL    (1, 1, 0)         - the ball itself, key(z) < key_radius;
+* A_Q     (1, 1, q)         - escape region: in the ball, the next q images outside;
+* U_KAPPA (q, kappa + 1, 0) - nested set: images at times 0, q, .., kappa*q inside;
+* Q_KAPPA (q, kappa + 1, 1) - strip: in U_KAPPA but not in U_(KAPPA+1).
 
-Membership iterates orbits with the exact residue kernel of the torus
-module (points are snapped to the 2**61 grid, after which there is no
-drift) and tests each image with the ball's key, so decisions are exact
-up to a boundary fuzz of one part in 1e16 of the radius.
+The table serves membership, the local range guard (a walk reads images
+up to (inside + outside - 1) * stride steps on) and the separation scan,
+which pulls escape-region points back by the negated stride. Membership
+iterates orbits with the exact residue kernel of the torus module
+(points are snapped to the 2**61 grid, after which there is no drift)
+and tests each image with the ball's key, so decisions are exact up to a
+boundary fuzz of one part in 1e16 of the radius.
 
 The measure oracle samples uniformly from the ball rather than the whole
 torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
@@ -39,7 +45,7 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import ball_measure
-from .torus import _BLOCK_ELEMENTS, Ball, Direction, keyed_rng, map_jobs, orbit_blocks
+from .torus import _BLOCK_ELEMENTS, Ball, keyed_rng, map_jobs, orbit_blocks
 
 if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
@@ -72,50 +78,48 @@ class RegionSpec:
             raise ValueError("kappa must be >= 0")
 
 
-def _ball_masks(
-    region: RegionSpec,
-    px: np.ndarray,
-    py: np.ndarray,
-    count: int,
-    direction: Direction = Direction.FORWARD,
-    stride: int = 1,
-) -> np.ndarray:
-    """Ball masks of the orbit at times 0, s, 2s, .., count*s (s = +-stride by direction).
+def _walk(region: RegionSpec) -> tuple[int, int, int]:
+    """The region's walk (stride, inside, outside); see the module notes."""
+    return {
+        RegionKind.BALL: (1, 1, 0),
+        RegionKind.A_Q: (1, 1, region.q),
+        RegionKind.U_KAPPA: (region.q, region.kappa + 1, 0),
+        RegionKind.Q_KAPPA: (region.q, region.kappa + 1, 1),
+    }[region.kind]
+
+
+def _ball_masks(region: RegionSpec, px: np.ndarray, py: np.ndarray, count: int, stride: int) -> np.ndarray:
+    """Ball masks of the orbit at times 0, s, 2s, .., count*s for the signed stride s.
 
     A (count + 1, width) bool array; row t is the mask at time t*s.
     """
     ball = region.ball
     return np.concatenate([
         ball.key(block.x, block.y) < ball.key_radius
-        for block in orbit_blocks(px, py, ball.T, count, direction, stride)
+        for block in orbit_blocks(px, py, ball.T, count, stride)
     ])
 
 
-def _escape_masks(balls: np.ndarray, q: int) -> np.ndarray:
-    """A_q membership at times t = 0 .. len(balls) - q - 1 from the ball masks at times 0, 1, ..
+def _pattern_masks(balls: np.ndarray, inside: int, outside: int) -> np.ndarray:
+    """Membership of a walk from the ball masks of its times, one row per start time t.
 
-    Row t is in the ball at time t and out of it at times t+1 .. t+q.
+    Row t = 0 .. len(balls) - inside - outside is in the ball at rows
+    t .. t+inside-1 of balls and out of it at the `outside` rows after.
     """
-    times = len(balls) - q
-    escape = balls[:times].copy()
-    for i in range(1, q + 1):
-        escape &= ~balls[i : i + times]
-    return escape
+    times = len(balls) - inside - outside + 1
+    mask = balls[:times].copy()
+    for i in range(1, inside):
+        mask &= balls[i : i + times]
+    for i in range(inside, inside + outside):
+        mask &= ~balls[i : i + times]
+    return mask
 
 
 def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Vectorised membership of residue-array points in the region."""
-    if region.kind is RegionKind.BALL:
-        return _ball_masks(region, px, py, 0)[0]
-    if region.kind is RegionKind.A_Q:
-        return _escape_masks(_ball_masks(region, px, py, region.q), region.q)[0]
-    # U_KAPPA and Q_KAPPA walk the q-fold map
-    strip = region.kind is RegionKind.Q_KAPPA
-    balls = _ball_masks(region, px, py, region.kappa + strip, stride=region.q)
-    mask = balls[: region.kappa + 1].all(axis=0)
-    if strip:
-        mask &= ~balls[-1]
-    return mask
+    stride, inside, outside = _walk(region)
+    balls = _ball_masks(region, px, py, inside + outside - 1, stride)
+    return _pattern_masks(balls, inside, outside)[0]
 
 
 def _ball_slices(
@@ -142,16 +146,12 @@ class MeasureEstimate(NamedTuple):
 
 
 def _local_range_guard(region: RegionSpec) -> None:
-    if region.kind is RegionKind.BALL:
-        return
-    depth = {
-        RegionKind.A_Q: 1,
-        RegionKind.U_KAPPA: max(region.kappa, 1),
-        RegionKind.Q_KAPPA: region.kappa + 1,
-    }[region.kind]
-    if region.ball.T.lam_abs ** (depth * region.q) * region.ball.radius >= 0.5:
+    """Raise OutOfLocalRange if an image the region's walk reads may wrap the torus."""
+    stride, inside, outside = _walk(region)
+    reach = (inside + outside - 1) * stride
+    if region.ball.T.lam_abs**reach * region.ball.radius >= 0.5:
         raise OutOfLocalRange(
-            f"lam^({depth}q) * radius >= 1/2: preimages wrap at kappa={region.kappa}"
+            f"lam^({reach // region.q}q) * radius >= 1/2: preimages wrap at kappa={region.kappa}"
         )
 
 
@@ -177,9 +177,7 @@ def monte_carlo_measure(
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     _local_range_guard(region)
-    sizes = [_CHUNK] * (samples // _CHUNK)
-    if samples % _CHUNK:
-        sizes.append(samples % _CHUNK)
+    sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     jobs = [(region, seed, i, size) for i, size in enumerate(sizes)]
     hits = sum(map_jobs(_measure_chunk, jobs, workers))
     ball = region.ball
@@ -206,16 +204,16 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     region = escape_region(cfg)
-    q = region.q
-    window = q * cfg.g_n
+    stride, inside, outside = _walk(region)
+    window = region.q * cfg.g_n  # steps, and rows too: the escape walk's stride is 1
     if window == 0:
         return True
     for px, py in _ball_slices(region.ball, samples, seed, 0):
-        forward = _ball_masks(region, px, py, q)
-        keep = _escape_masks(forward, q)[0]
+        forward = _ball_masks(region, px, py, inside + outside - 1, stride)
+        keep = _pattern_masks(forward, inside, outside)[0]
         # ball masks of the slice's A_q points at times -window .. q; row i holds time i - window
-        backward = _ball_masks(region, px[keep], py[keep], window, Direction.BACKWARD)
+        backward = _ball_masks(region, px[keep], py[keep], window, -stride)
         balls = np.concatenate([backward[::-1], forward[1:, keep]])
-        if _escape_masks(balls, q)[:window].any():
+        if _pattern_masks(balls, inside, outside)[:window].any():
             return False
     return True

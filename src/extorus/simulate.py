@@ -53,6 +53,7 @@ from .torus import (
     MetricKind,
     ToralAutomorphism,
     build_automorphism,
+    check_metric,
     compute_period,
     keyed_rng,
     map_jobs,
@@ -71,8 +72,14 @@ _PERIOD_SEARCH_LIMIT = 1_000_000
 
 def check_field(key: str, value) -> None:
     """Raise unless `value` is valid for ExperimentConfig field `key` on its own; cli names the source."""
+    # type(), not isinstance: a bool is an int, and True would pass for 1
+    entries = value if key == "matrix" else (value,)
+    if key in ("matrix", "n", "trials", "seed") and any(type(v) is not int for v in entries):
+        raise ValueError(f"{key} must be {'all ints' if key == 'matrix' else 'an int'}, got {value!r}")
     if key == "matrix":
         build_automorphism(*value)
+    elif key == "metric":
+        check_metric(value)
     elif key == "tau":
         _check_tau(value)
     elif key in ("n", "trials") and value < 1:

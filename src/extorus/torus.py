@@ -8,8 +8,9 @@ rational points. It is also the one home of the two pieces that the
 trial engine, the region oracle and the separation scan are built from:
 
 * orbit_blocks, the one exact orbit walker: the residues of every orbit
-  at times 0, s, 2s, .. (forward or backward, s steps apart), a block of
-  times at a time, X at once and Y on demand;
+  at times 0, s, 2s, .. for a signed stride s (A^s forward, A^-|s| with
+  the integral inverse backward), a block of times at a time, X at once
+  and Y on demand;
 * Ball, a metric ball in one of the two torus metrics (plane Euclidean,
   or the sup metric in the eigenbasis, whose balls are squares aligned
   with the invariant directions) on the residue grid, and all that is
@@ -82,9 +83,10 @@ class MetricKind(Enum):
     ADAPTED = "adapted"
 
 
-class Direction(Enum):
-    FORWARD = 1
-    BACKWARD = -1
+def check_metric(metric) -> None:
+    """Raise unless metric is a MetricKind; a str such as "euclidean" would pass for adapted."""
+    if not isinstance(metric, MetricKind):
+        raise ValueError(f"metric must be a MetricKind, got {metric!r}")
 
 
 @dataclass(frozen=True)
@@ -268,24 +270,16 @@ class OrbitBlock:
     @property
     def y(self) -> np.ndarray:
         if self._y is None:
-            y = self._c[:, None] * self._px
-            y += self._d[:, None] * self._py
-            y &= _MASK
-            self._y = y
+            self._y = self.y_at(np.s_[:, None], np.s_[:])  # every row against every column
         return self._y
 
     @property
     def y_last(self) -> np.ndarray:
         """Y's last row, the walker's carry into the next block."""
-        if self._y is not None:
-            return self._y[-1]
-        y = self._c[-1] * self._px
-        y += self._d[-1] * self._py
-        y &= _MASK
-        return y
+        return self.y_at(-1, slice(None)) if self._y is None else self._y[-1]
 
     def y_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Y at the positions (rows[i], cols[i]) of the block, as a 1-D array."""
+        """Y at the positions (rows[i], cols[i]) of the block; any NumPy index pair works alike."""
         y = self._c[rows] * self._px[cols]
         y += self._d[rows] * self._py[cols]
         y &= _MASK
@@ -297,24 +291,24 @@ def orbit_blocks(
     py: np.ndarray,
     T: ToralAutomorphism,
     steps: int,
-    direction: Direction = Direction.FORWARD,
     stride: int = 1,
 ) -> Iterator[OrbitBlock]:
     """Exact residues of the orbits from (px, py) at times 0, s, 2s, .., steps*s.
 
-    s is `stride` applications of the matrix (of its inverse when walking
-    backward); px and py are residues in [0, MODULUS). Yields an
-    OrbitBlock of shape (rows, width) per run of times, in time order:
-    time 0 alone first (views of px, py), then blocks of up to
-    B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times. The first two
+    s = stride is signed: |s| applications of the matrix, of its inverse
+    when s < 0; a stride of 0 raises ValueError. px and py are residues in
+    [0, MODULUS). Yields an OrbitBlock of shape (rows, width) per run of
+    times, in time order: time 0 alone first (views of px, py), then
+    blocks of up to B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times. The first two
     are one broadcast of A^s .. A^(sB) against the last row of the block
     before, and each later one is trace(A^(sB)) times the block before
     minus the block two before. Only X is computed up front, and Y's last
     row for the next block, so a caller that needs Y at a few positions
     (the trial engine) pays for those alone.
     """
-    entries = T.entries if direction is Direction.FORWARD else T.inverse_entries
-    step = _power(entries, stride)
+    if stride == 0:
+        raise ValueError("stride must be nonzero")
+    step = _power(T.entries if stride > 0 else T.inverse_entries, abs(stride))
     powers = [step]
     for _ in range(max(1, min(steps, _BLOCK_ELEMENTS // max(px.size, 1))) - 1):
         powers.append(_matmul(powers[-1], step))
@@ -364,6 +358,9 @@ class Ball:
     centre: TorusPoint
     radius: float
     metric: MetricKind
+
+    def __post_init__(self) -> None:
+        check_metric(self.metric)
 
     @property
     def key_radius(self) -> float:

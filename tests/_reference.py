@@ -12,10 +12,12 @@ and in-place methods of extorus.torus.Ball must equal bit for bit; both
 whole-draw samplers, which draw all of u and then all of v, are the
 references for the sampler of extorus.regions that streams them a slice
 at a time. The whole-array separation check, which samples, maps and
-masks every point at once, is the reference for the sliced one. The
-row-at-a-time CSV reader and the per-exceedance loop estimators, on
-per-trial tuples, are the references for the columnar reader and
-estimators of extorus.cli and extorus.simulate. The paper's four-arcsin
+masks every point at once, is the reference for the sliced one, and the
+Python-int orbit read against each region's definition is the reference
+for region membership. The row-at-a-time CSV reader and the
+per-exceedance loop estimators, on per-trial tuples, are the references
+for the columnar reader and estimators of extorus.cli and
+extorus.simulate. The paper's four-arcsin
 grouping of the Euclidean cluster-size law is the reference for the
 stable strip-gap ratio of extorus.formulas.
 """
@@ -26,6 +28,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +42,6 @@ from extorus.torus import (
     MODULUS,
     OBSERVABLE_CAP,
     Ball,
-    Direction,
     MetricKind,
     ToralAutomorphism,
     TorusPoint,
@@ -50,6 +52,13 @@ from extorus.torus import (
 # Shifts probed when projecting a plane metric to the torus; the zero
 # shift comes first so exact ties keep the interior representative.
 _SHIFTS = ((0, 0), (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+class Direction(Enum):
+    """The matrix step_exact applies: A forward, its integral inverse backward."""
+
+    FORWARD = 1
+    BACKWARD = -1
 
 
 class ShiftSetInsufficient(ExtorusError):
@@ -127,6 +136,45 @@ def torus_distance(
             f"minimising shift {best_shift} is on the window boundary at distance {best}"
         )
     return best
+
+
+def region_member(region: RegionSpec, px: int, py: int) -> tuple[bool, float]:
+    """Membership of the grid point (px, py) / MODULUS in the region, from its Python-int orbit.
+
+    Each kind's definition read directly: BALL is d(z) < r; A_Q is z in
+    the ball and T^j z out of it for j = 1 .. q; U_KAPPA is T^(jq) z in it
+    for j = 0 .. kappa; Q_KAPPA is U_KAPPA with T^((kappa+1)q) z out. The
+    orbit is stepped forward to the last time read, and the distances are
+    taken stepping back from there to z. Also returns the least |d / r - 1|
+    over the distances read, so that a caller can leave out points on a
+    boundary. A distance the shift window cannot certify is at least 0.25,
+    outside every ball of a region.
+    """
+    ball, q, kappa = region.ball, region.q, region.kappa
+    nested = [j * q for j in range(kappa + 1)]
+    inside, outside = {
+        RegionKind.BALL: ([0], []),
+        RegionKind.A_Q: ([0], list(range(1, q + 1))),
+        RegionKind.U_KAPPA: (nested, []),
+        RegionKind.Q_KAPPA: (nested, [(kappa + 1) * q]),
+    }[region.kind]
+    last = max(inside + outside)
+    state = ExactOrbitState(px, py, MODULUS)
+    for _ in range(last):
+        state = step_exact(state, ball.T)
+    distances = {}
+    for t in range(last, -1, -1):
+        try:
+            distances[t] = torus_distance(state.to_point(), ball.centre, ball.T, ball.metric)
+        except ShiftSetInsufficient:
+            distances[t] = math.inf
+        if t:
+            state = step_exact(state, ball.T, Direction.BACKWARD)
+    assert (state.px, state.py) == (px, py)
+    member = all(distances[t] < ball.radius for t in inside) and all(
+        distances[t] >= ball.radius for t in outside
+    )
+    return member, min(abs(d / ball.radius - 1.0) for d in distances.values())
 
 
 def observable_value(
@@ -424,8 +472,8 @@ def _separation_scan(region: RegionSpec, px: np.ndarray, py: np.ndarray, window:
     """Exhaustive check: escape membership of each backward preimage."""
     q = region.q
     # ball masks at times -window .. q; row i holds time i - window
-    backward = _ball_masks(region, px, py, window, Direction.BACKWARD)
-    balls = np.concatenate([backward[::-1], _ball_masks(region, px, py, q)[1:]])
+    backward = _ball_masks(region, px, py, window, -1)
+    balls = np.concatenate([backward[::-1], _ball_masks(region, px, py, q, 1)[1:]])
     for j in range(1, window + 1):
         if bool(np.any(_escape_mask(balls, window - j, q))):
             return False

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -31,7 +33,13 @@ from extorus import (
     wrap_time_g,
 )
 from extorus import regions, simulate, torus
-from extorus.regions import _ball_slices, _escape_masks, _measure_chunk, membership_mask
+from extorus.regions import (
+    _ball_slices,
+    _local_range_guard,
+    _measure_chunk,
+    _pattern_masks,
+    membership_mask,
+)
 from extorus.torus import _BLOCK_ELEMENTS, MODULUS, keyed_rng, orbit_blocks
 
 CAT = build_automorphism(2, 1, 1, 1)
@@ -184,20 +192,67 @@ class TestSampler:
         assert whole > 0 or size == 1  # the count is not vacuous
 
 
-class TestEscapeMasks:
+class TestPatternMasks:
     @settings(max_examples=80, deadline=None)
     @given(
-        q=st.integers(0, 4),
+        inside=st.integers(1, 4),
+        outside=st.integers(0, 4),
         extra=st.integers(1, 6),
         width=st.integers(0, 9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_each_row_is_the_per_time_mask(self, q, extra, width, seed):
-        balls = np.random.default_rng(seed).random((q + extra, width)) < 0.7
-        escape = _escape_masks(balls, q)
-        assert escape.shape == (extra, width)
+    def test_each_row_is_the_per_time_mask(self, inside, outside, extra, width, seed):
+        span = inside + outside
+        balls = np.random.default_rng(seed).random((span - 1 + extra, width)) < 0.7
+        masks = _pattern_masks(balls, inside, outside)
+        assert masks.shape == (extra, width)
         for t in range(extra):
-            np.testing.assert_array_equal(escape[t], balls[t] & ~balls[t + 1 : t + q + 1].any(0))
+            expected = balls[t : t + inside].all(0) & ~balls[t + inside : t + span].any(0)
+            np.testing.assert_array_equal(masks[t], expected)
+
+
+def probe_points(ball, q, rng):
+    """Residues of points in and around the ball, most of them thin along its stable line.
+
+    A point of U_kappa lies within about r lam^(-kappa q) of the stable
+    line, so the thin points have unstable offsets down to r lam^(-5q).
+    """
+    T, r, count = ball.T, ball.radius, 300
+    xu = 1.5 * r * rng.uniform(-1, 1, count) * T.lam_abs ** -rng.integers(0, 5 * q + 1, count)
+    xs = 1.5 * r * rng.uniform(-1, 1, count)
+    thin = [
+        np.round(((centre + xu * eu + xs * es) % 1.0) * MODULUS).astype(np.int64) % MODULUS
+        for centre, eu, es in zip((ball.centre.x, ball.centre.y), T.e_unstable, T.e_stable)
+    ]
+    px, py = sample_ball(ball, 100, rng)
+    return np.concatenate([px, thin[0]]), np.concatenate([py, thin[1]])
+
+
+class TestMembershipAgainstPythonInt:
+    """membership_mask equals each region's definition read on Python-int orbits."""
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)])
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_every_kind(self, q, matrix, metric):
+        ball = Ball(build_automorphism(*matrix), ORIGIN, 0.02, metric)
+        px, py = probe_points(ball, q, np.random.default_rng(q))
+        specs = [RegionSpec(ball, RegionKind.BALL), RegionSpec(ball, RegionKind.A_Q, q=q)]
+        specs += [
+            RegionSpec(ball, kind, q=q, kappa=kappa)
+            for kind in (RegionKind.U_KAPPA, RegionKind.Q_KAPPA)
+            for kappa in range(4)
+        ]
+        for region in specs:
+            mask = membership_mask(region, px, py)
+            compared = []
+            for i in range(px.size):
+                member, margin = ref.region_member(region, int(px[i]), int(py[i]))
+                if margin > 1e-9:  # leave out points within rounding of a boundary
+                    assert mask[i] == member, (region, i)
+                    compared.append(member)
+            # members and non-members both compared
+            assert 0 < sum(compared) < len(compared), region
 
 
 class TestMonteCarloMeasure:
@@ -321,6 +376,50 @@ class TestMonteCarloMeasure:
         bad = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=4)
         with pytest.raises(OutOfLocalRange):
             monte_carlo_measure(bad, 1000, 1)
+
+
+class TestLocalRangeGuard:
+    """The guard reads each walk's reach, (inside + outside - 1) * stride steps."""
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_nested_level_zero_measures_past_lam_q_radius(self, metric):
+        # U_0 reads no image: it is the ball, sample for sample, even where lam^q r >= 1/2
+        ball = Ball(build_automorphism(1, 140, 140, 19601), ORIGIN, S, metric)
+        assert ball.T.lam_abs * S >= 0.5
+        u0 = RegionSpec(ball, RegionKind.U_KAPPA, q=1, kappa=0)
+        estimate = monte_carlo_measure(u0, 100_000, 3)
+        assert estimate == monte_carlo_measure(RegionSpec(ball, RegionKind.BALL), 100_000, 3)
+        assert estimate.estimate > 0
+
+    @pytest.mark.parametrize("kind", [RegionKind.A_Q, RegionKind.U_KAPPA, RegionKind.Q_KAPPA])
+    def test_raises_where_the_depth_rule_does(self, kind):
+        # the rule before the walk table: lam^(depth q) r >= 1/2 with depth 1 for A_q,
+        # max(kappa, 1) for U_kappa and kappa + 1 for Q_kappa, kept for all but U_0
+        raised = 0
+        for q, kappa in itertools.product((1, 2, 3), range(6)):
+            if kind is RegionKind.U_KAPPA and kappa == 0:
+                continue
+            depth = {RegionKind.A_Q: 1, RegionKind.U_KAPPA: kappa, RegionKind.Q_KAPPA: kappa + 1}[kind]
+            edge = 0.5 / CAT.lam_abs ** (depth * q)
+            for radius in (0.001, 0.01, 0.05, 0.2, edge, math.nextafter(edge, 0.0)):
+                if not 0.0 < radius < 0.25:
+                    continue
+                region = RegionSpec(Ball(CAT, ORIGIN, radius, MetricKind.EUCLIDEAN), kind, q, kappa)
+                if CAT.lam_abs ** (depth * q) * radius >= 0.5:
+                    raised += 1
+                    with pytest.raises(OutOfLocalRange, match=re.escape(f"lam^({depth}q) * radius")):
+                        _local_range_guard(region)
+                else:
+                    _local_range_guard(region)
+        assert raised > 0
+
+    def test_ball_and_nested_level_zero_never_raise(self):
+        T = build_automorphism(1, 140, 140, 19601)
+        for radius in (0.001, 0.1, 0.2499):
+            ball = Ball(T, ORIGIN, radius, MetricKind.ADAPTED)
+            _local_range_guard(RegionSpec(ball, RegionKind.BALL))
+            for q in (1, 5):
+                _local_range_guard(RegionSpec(ball, RegionKind.U_KAPPA, q=q, kappa=0))
 
 
 # sample counts around the slice size: one slice, one short of two, just over two

@@ -72,6 +72,52 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
 
+    @pytest.mark.parametrize("metric", ["euclidean", "adapted", None, 0])
+    def test_metric_must_be_a_metric_kind(self, metric):
+        # a str once ran the adapted metric: every metric test reads `is EUCLIDEAN`
+        with pytest.raises(ValueError, match="metric must be a MetricKind"):
+            ExperimentConfig(n=1000, metric=metric)
+
+    def test_each_metric_kind_gives_its_radius(self):
+        euclidean = ExperimentConfig(n=1000, metric=MetricKind.EUCLIDEAN)
+        adapted = ExperimentConfig(n=1000, metric=MetricKind.ADAPTED)
+        assert euclidean.radius == pytest.approx(0.01784, abs=1e-5)
+        assert adapted.radius == pytest.approx(0.01581, abs=1e-5)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 1000.5),
+            ("n", True),
+            ("n", np.int64(1000)),
+            ("trials", True),
+            ("trials", 2.0),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", "1"),
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int, got"):
+            ExperimentConfig(**{"n": 1000, field: value})
+
+    @pytest.mark.parametrize("matrix", [(2.0, 1, 1, 1), (2, 1, 1, True), (True, 1, 1, 1)])
+    def test_matrix_entries_must_be_ints(self, matrix):
+        with pytest.raises(ValueError, match="matrix must be all ints, got"):
+            ExperimentConfig(n=1000, matrix=matrix)
+
+    @pytest.mark.parametrize("tau", [True, False])
+    def test_tau_must_not_be_a_bool(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
+            ExperimentConfig(n=1000, tau=tau)
+
+    def test_cli_values_pass(self):
+        # the values the CLI parses are ints, floats and MetricKinds
+        cfg = ExperimentConfig(
+            matrix=(3, 1, 2, 1), metric=MetricKind.ADAPTED, tau=2, n=1000, trials=3, seed=-7
+        )
+        assert (cfg.tau, cfg.seed) == (2, -7)
+
     def test_period_detection(self):
         assert small_cfg().q == 1
         assert small_cfg(zeta=(Fraction(1, 2), Fraction(1, 2))).q == 3

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _reference import (
+    Direction,
     ExactOrbitState,
     ShiftSetInsufficient,
     ball_key_out_of_place,
@@ -25,7 +26,6 @@ from _reference import (
 )
 from extorus import (
     DeterminantNotOne,
-    Direction,
     ExperimentConfig,
     MetricKind,
     NotHyperbolic,
@@ -41,15 +41,15 @@ CAT = build_automorphism(2, 1, 1, 1)
 OTHER = build_automorphism(1, 1, 1, 2)
 
 
-def walk(px, py, T, steps, direction=Direction.FORWARD, stride=1):
+def walk(px, py, T, steps, stride=1):
     """The whole walk of orbit_blocks stacked into (steps + 1, width) arrays."""
-    blocks = list(orbit_blocks(px, py, T, steps, direction, stride))
+    blocks = list(orbit_blocks(px, py, T, steps, stride))
     return np.concatenate([b.x for b in blocks]), np.concatenate([b.y for b in blocks])
 
 
-def jump(px, py, T, stride, direction=Direction.FORWARD):
-    """The residues `stride` steps on: the last row of a one-step walk."""
-    *_, last = orbit_blocks(px, py, T, 1, direction, stride)
+def jump(px, py, T, stride):
+    """The residues `stride` steps on (back for a negative stride): the last row of a one-step walk."""
+    *_, last = orbit_blocks(px, py, T, 1, stride)
     return last.x[0], last.y[0]
 
 
@@ -121,7 +121,7 @@ class TestStepExact:
         px = rng.integers(0, MODULUS, 10_000)
         py = rng.integers(0, MODULUS, 10_000)
         fx, fy = jump(px, py, CAT, 1)
-        bx, by = jump(fx, fy, CAT, 1, Direction.BACKWARD)
+        bx, by = jump(fx, fy, CAT, -1)
         assert np.array_equal(bx, px) and np.array_equal(by, py)
 
     def test_state_validation(self):
@@ -160,30 +160,28 @@ class TestOrbitBlocks:
     @given(
         T=hyperbolic_matrices(),
         steps=st.integers(0, 40),
-        stride=st.integers(1, 5),
+        stride=st.integers(1, 5) | st.integers(-5, -1),
         elements=st.integers(1, 64),
         points=RESIDUE_PAIRS,
-        direction=st.sampled_from(Direction),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matches_python_int_reference(
-        self, T, steps, stride, elements, points, direction
-    ):
-        """Row t of the walk is the orbit after t * stride single steps, across block boundaries."""
+    def test_matches_python_int_reference(self, T, steps, stride, elements, points):
+        """Row t of the walk is the orbit after t * |stride| single steps, of the inverse
+        for a negative stride, across block boundaries."""
+        direction = Direction.FORWARD if stride > 0 else Direction.BACKWARD
         states, px, py = residue_arrays(points)
         with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            xs, ys = walk(px, py, T, steps, direction, stride)
+            xs, ys = walk(px, py, T, steps, stride)
         assert xs.shape == ys.shape == (steps + 1, len(states))
         assert xs.dtype == ys.dtype == np.int64
         for i, state in enumerate(states):
             for t in range(steps + 1):
                 assert (int(xs[t, i]), int(ys[t, i])) == (state.px, state.py)
-                for _ in range(stride):
+                for _ in range(abs(stride)):
                     state = step_exact(state, T, direction)
-        # walking back from the end retraces the walk
-        other = Direction.BACKWARD if direction is Direction.FORWARD else Direction.FORWARD
+        # walking back from the end with the negated stride retraces the walk
         with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            bx, by = walk(xs[-1], ys[-1], T, steps, other, stride)
+            bx, by = walk(xs[-1], ys[-1], T, steps, -stride)
         assert np.array_equal(bx[::-1], xs) and np.array_equal(by[::-1], ys)
 
     @given(
@@ -218,7 +216,7 @@ class TestOrbitBlocks:
         rng = np.random.default_rng(3)
         for direction in Direction:
             states, px, py = residue_arrays(points)
-            blocks = list(orbit_blocks(px, py, T, steps, direction))
+            blocks = list(orbit_blocks(px, py, T, steps, direction.value))
             assert [len(b.x) for b in blocks] == [1, block, block, block, 5]
             for b in blocks:
                 rows = rng.integers(0, len(b.x), 50)
@@ -226,7 +224,7 @@ class TestOrbitBlocks:
                 assert np.array_equal(b.y_at(rows, cols), b.y[rows, cols])
             xs = np.concatenate([b.x for b in blocks])
             ys = np.concatenate([b.y for b in blocks])
-            eager = [b.y for b in orbit_blocks(px, py, T, steps, direction)]
+            eager = [b.y for b in orbit_blocks(px, py, T, steps, direction.value)]
             assert np.array_equal(np.concatenate(eager), ys)
             for i, state in enumerate(states):
                 for t in range(steps + 1):
@@ -246,8 +244,14 @@ class TestOrbitBlocks:
         xs, ys = walk(px, py, T, 3, stride=j)
         thrice = jump(px, py, T, 3 * j)
         assert np.array_equal(xs[-1], thrice[0]) and np.array_equal(ys[-1], thrice[1])
-        back = jump(*once, T, j + k, Direction.BACKWARD)
+        back = jump(*once, T, -(j + k))
         assert np.array_equal(back[0], px) and np.array_equal(back[1], py)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_zero_stride_raises(self, steps):
+        px = np.arange(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="stride must be nonzero"):
+            next(orbit_blocks(px, px, CAT, steps, 0))
 
 
 # centre coordinates at both ends of [0, 1) and anywhere in between
@@ -257,6 +261,11 @@ COORDINATES = st.one_of(
 
 
 class TestBallDistance:
+    @pytest.mark.parametrize("metric", ["euclidean", "adapted", None])
+    def test_metric_must_be_a_metric_kind(self, metric):
+        with pytest.raises(ValueError, match="metric must be a MetricKind"):
+            Ball(CAT, TorusPoint(0.0, 0.0), 0.01, metric)
+
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_matches_scalar_reference(self, metric):
         # points within 0.25 of zeta, where folding is exact in both metrics
