@@ -21,6 +21,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import platform
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -85,12 +87,23 @@ class CriterionResult:
         return f"[{tag}] criterion {self.cid}: {self.name} ({self.runtime_s:.1f}s)"
 
 
+def run_environment() -> dict:
+    """What a run ran on: the Python and NumPy versions and the machine's core count."""
+    return {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class RunManifest:
+    """A run's record. workers is the most processes a pool of the run may start:
+    simulate's one pool, or the count that each of validate's pools is given
+    (a pool never starts more processes than it has jobs)."""
+
     config: dict
     version: str
     wall_time_s: float
+    workers: int
     criteria: list[CriterionResult] = field(default_factory=list)
+    environment: dict = field(default_factory=run_environment)
 
     @property
     def all_passed(self) -> bool:
@@ -104,7 +117,9 @@ class RunManifest:
             "config": self.config,
             "version": self.version,
             "wall_time_s": self.wall_time_s,
+            "workers": self.workers,
             "criteria": [asdict(c) for c in self.criteria],
+            "environment": self.environment,
         }
 
     def to_json(self) -> str:
@@ -460,5 +475,6 @@ def run_acceptance(quick: bool = False, workers: int | None = None) -> RunManife
         config={"quick": quick, "workers": workers, "base_seed": _SEED, "matrix": list(CAT)},
         version=__version__,
         wall_time_s=time.perf_counter() - t0,
+        workers=workers,
         criteria=criteria,
     )

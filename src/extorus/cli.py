@@ -44,6 +44,7 @@ from .simulate import (
     empirical_extremal_index,
     empirical_multiplicity,
     estimate_block_maxima_cdf,
+    experiment_workers,
     gap_ks_statistic,
     run_experiment,
 )
@@ -286,7 +287,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _write_csv(out / "exceedances.csv", EXCEEDANCE_HEADER, records.trial, records.time, records.value)
     _write_csv(out / "block_maxima.csv", BLOCK_MAX_HEADER, np.arange(len(records)), records.maxima)
     manifest = RunManifest(
-        config=_config_echo(cfg), version=__version__, wall_time_s=wall, criteria=[]
+        config=_config_echo(cfg),
+        version=__version__,
+        wall_time_s=wall,
+        workers=experiment_workers(cfg, args.workers),
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     print(f"wrote {len(records)} trials, {records.time.size} exceedances to {out}")

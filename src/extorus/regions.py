@@ -23,14 +23,21 @@ torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
 fraction by the ball area. Sampling is split into fixed-size chunks
 whose random streams are keyed by (seed, chunk index); the merged
 estimate is a pure function of the seed, independent of how chunks are
-assigned to workers. One sampler, _ball_slices, serves the oracle and
-the separation scan. A sample is one keyed stream: u is its first
-`count` doubles and v the `count` after them. Both are drawn a slice of
-_BLOCK_ELEMENTS points at a time, v from a copy of the stream advanced
-`count` draws on, and mapped to grid points by Ball.points, so neither
-caller holds an array larger than a slice, whatever the sample size.
-The escape region of an experiment, for the separation scan and the
-measure-ratio estimator, is built from its config by escape_region.
+assigned to workers. A sample is one keyed stream: u is its first
+`count` doubles and v the `count` after them. _uniform_slices draws
+both a slice of _BLOCK_ELEMENTS points at a time, v from a copy of the
+stream advanced `count` draws on, so no caller holds an array larger
+than a slice, whatever the sample size.
+
+The separation scan maps each slice to grid points by Ball.points. The
+oracle decides a sample on Ball.rough_points, the same points with
+float32 trig, wherever the error bound proves the answer, and settles
+the rest (about 1 in 1e5 samples at criterion 2) on their exact
+Ball.points with membership_mask; _measure_chunk states the bound. Every
+sample is thus decided as on its exact point, so the hit counts keep
+their bits. The escape region of an experiment, for the separation scan
+and the measure-ratio estimator, is built from its config by
+escape_region.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import ball_measure
-from .torus import _BLOCK_ELEMENTS, Ball, keyed_rng, map_jobs, orbit_blocks
+from .torus import _BLOCK_ELEMENTS, Ball, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
 
 if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
@@ -88,16 +95,28 @@ def _walk(region: RegionSpec) -> tuple[int, int, int]:
     }[region.kind]
 
 
-def _ball_masks(region: RegionSpec, px: np.ndarray, py: np.ndarray, count: int, stride: int) -> np.ndarray:
-    """Ball masks of the orbit at times 0, s, 2s, .., count*s for the signed stride s.
+def _below(ball: Ball, px: np.ndarray, py: np.ndarray, count: int, stride: int, *bounds) -> list[np.ndarray]:
+    """Masks of the orbit's ball keys below each bound, at times 0, s, 2s, .., count*s for the signed stride s.
 
-    A (count + 1, width) bool array; row t is the mask at time t*s.
+    A bound is a (count + 1, 1) column of keys, one per time. Each mask
+    is a (count + 1, width) bool array; row t is the mask at time t*s.
     """
+    masks = [np.empty((count + 1, px.size), bool) for _ in bounds]
+    row = 0
+    for block in orbit_blocks(px, py, ball.T, count, stride):
+        keys = ball.key(block.x, block.y)
+        rows = slice(row, row + len(keys))
+        for mask, bound in zip(masks, bounds):
+            np.less(keys, bound[rows], out=mask[rows])
+        row += len(keys)
+        del keys  # before the walker allocates the next block: the heap peaks one slice-size array lower
+    return masks
+
+
+def _ball_masks(region: RegionSpec, px: np.ndarray, py: np.ndarray, count: int, stride: int) -> np.ndarray:
+    """Ball masks of the orbit at times 0, s, 2s, .., count*s: its keys below the key radius."""
     ball = region.ball
-    return np.concatenate([
-        ball.key(block.x, block.y) < ball.key_radius
-        for block in orbit_blocks(px, py, ball.T, count, stride)
-    ])
+    return _below(ball, px, py, count, stride, np.full((count + 1, 1), ball.key_radius))[0]
 
 
 def _pattern_masks(balls: np.ndarray, inside: int, outside: int) -> np.ndarray:
@@ -122,22 +141,29 @@ def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.nd
     return _pattern_masks(balls, inside, outside)[0]
 
 
-def _ball_slices(
-    ball: Ball, count: int, seed: int, key: int
+def _uniform_slices(
+    count: int, seed: int, key: int, out: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Uniform sample of `count` grid points from the ball, in slices.
+    """The uniforms (u, v) of a sample of `count` points, _BLOCK_ELEMENTS at a time.
 
     The sample is keyed_rng(seed, key)'s first 2*count doubles: u is the
     first count and v the next count, the bits of one whole draw. Each
     double is one output of the bit generator, so a second copy of the
-    stream advanced by count draws v alongside u, and the residues come
-    out _BLOCK_ELEMENTS points at a time with no array larger than a slice.
+    stream advanced by count draws v alongside u. Every slice is drawn
+    into the two rows of out, a (2, min(count, _BLOCK_ELEMENTS)) array,
+    so a slice's arrays hold until the next slice is drawn.
     """
     u_rng, v_rng = keyed_rng(seed, key), keyed_rng(seed, key)
     v_rng.bit_generator.advance(count)
     for lo in range(0, count, _BLOCK_ELEMENTS):
         size = min(_BLOCK_ELEMENTS, count - lo)
-        yield ball.points(u_rng.random(size), v_rng.random(size))
+        yield u_rng.random(out=out[0, :size]), v_rng.random(out=out[1, :size])
+
+
+def _ball_slices(ball: Ball, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Uniform sample of `count` grid points from the ball: Ball.points of each _uniform_slices slice."""
+    for u, v in _uniform_slices(count, seed, key, np.empty((2, min(count, _BLOCK_ELEMENTS)))):
+        yield ball.points(u, v)
 
 
 class MeasureEstimate(NamedTuple):
@@ -156,11 +182,40 @@ def _local_range_guard(region: RegionSpec) -> None:
 
 
 def _measure_chunk(args: tuple) -> int:
+    """The hits of one chunk: each sample decided on its rough point where an
+    error bound proves the answer, and on its exact point elsewhere.
+
+    Why the count is membership_mask's on Ball.points, bit for bit: a
+    sample's rough residue p' is within delta = Ball.rough_error of its
+    exact residue p. The walk is exact and linear from either start, so
+    A^k p' - A^k p = A^k (p' - p) on the torus, and at row t of a walk of
+    stride s (time t*s) the two images are within
+    eps_t = ||A^(|s| t)||_F delta: the Frobenius norm bounds the stretch
+    of any matrix, symmetric or not, and a negative stride has the same
+    norms (torus.power_norm_sq). A rough key outside Ball.key_band(eps_t)
+    is therefore on the exact key's side of key_radius. A sample whose
+    keys all lie outside their bands is counted from the rough masks; the
+    others are measured by membership_mask on their exact points, which
+    Ball.points gives from their own u and v alone.
+    """
     region, seed, index, size = args
-    return sum(
-        int(np.count_nonzero(membership_mask(region, px, py)))
-        for px, py in _ball_slices(region.ball, size, seed, index)
-    )
+    ball = region.ball
+    stride, inside, outside = _walk(region)
+    # past 2^1000, eps_t exceeds every key (the band holds them all) and float() would overflow
+    norms = [math.sqrt(min(power_norm_sq(ball.T, stride * t), 1 << 1000)) for t in range(inside + outside)]
+    lo, hi = ball.key_band(ball.rough_error * np.array(norms)[:, None])
+    work = np.empty((6, min(size, _BLOCK_ELEMENTS)))  # the uniforms, then rough_points' scratch
+    hits = 0
+    for u, v in _uniform_slices(size, seed, index, work[:2]):
+        px, py = ball.rough_points(u, v, work[2:])
+        below_lo, below_hi = _below(ball, px, py, inside + outside - 1, stride, lo, hi)
+        unsure = np.not_equal(below_lo, below_hi, out=below_lo).any(axis=0)
+        member = _pattern_masks(below_hi, inside, outside)[0]
+        hits += int(np.count_nonzero(member & ~unsure))
+        if unsure.any():
+            exact = ball.points(u[unsure], v[unsure])
+            hits += int(np.count_nonzero(membership_mask(region, *exact)))
+    return hits
 
 
 def monte_carlo_measure(

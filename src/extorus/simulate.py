@@ -58,6 +58,7 @@ from .torus import (
     keyed_rng,
     map_jobs,
     orbit_blocks,
+    pool_size,
     rational_point,
     rational_residues,
 )
@@ -317,6 +318,11 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> Records:
 def _chunk_job(args: tuple) -> Records:
     cfg, ids = args
     return _simulate_chunk(cfg, ids)
+
+
+def experiment_workers(cfg: ExperimentConfig, workers: int | None = None) -> int:
+    """The processes run_experiment(cfg, workers) runs on: one per chunk of trials at most."""
+    return pool_size(workers, -(-cfg.trials // _TRIAL_CHUNK))
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Records:

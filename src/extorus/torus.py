@@ -16,7 +16,8 @@ trial engine, the region oracle and the separation scan are built from:
   with the invariant directions) on the residue grid, and all that is
   known of it: the key of a point's folded offset from the centre and
   the key radius it is compared with, the ball's x-extent, its uniform
-  sampler and the observable -log distance of a key.
+  sampler (exact, and a cheaper rough one with its error bound) and the
+  observable -log distance of a key.
 
 Why exact orbits: floating-point iteration of an expanding linear map
 burns through mantissa bits at a rate of log2|lam| per step, so a double
@@ -226,28 +227,38 @@ def compute_period(
 # ---------------------------------------------------------------------------
 
 
-def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """The 2x2 product m @ n of row-major entry tuples, reduced mod MODULUS."""
+def _matmul(m: tuple[int, ...], n: tuple[int, ...], mask: int = _MASK) -> tuple[int, int, int, int]:
+    """The 2x2 product m @ n of row-major entry tuples, reduced mod MODULUS (unreduced at mask -1)."""
     a, b, c, d = m
     e, f, g, h = n
     return (
-        (a * e + b * g) & _MASK,
-        (a * f + b * h) & _MASK,
-        (c * e + d * g) & _MASK,
-        (c * f + d * h) & _MASK,
+        (a * e + b * g) & mask,
+        (a * f + b * h) & mask,
+        (c * e + d * g) & mask,
+        (c * f + d * h) & mask,
     )
 
 
-def _power(entries: tuple[int, ...], k: int) -> tuple[int, int, int, int]:
-    """Entries of the k-th matrix power, reduced mod MODULUS, by repeated squaring."""
+def _power(entries: tuple[int, ...], k: int, mask: int = _MASK) -> tuple[int, int, int, int]:
+    """Entries of the k-th matrix power, reduced mod MODULUS (unreduced at mask -1), by repeated squaring."""
     out = (1, 0, 0, 1)
-    base = tuple(e & _MASK for e in entries)
+    base = tuple(e & mask for e in entries)
     while k:
         if k & 1:
-            out = _matmul(out, base)
-        base = _matmul(base, base)
+            out = _matmul(out, base, mask)
+        base = _matmul(base, base, mask)
         k >>= 1
     return out
+
+
+def power_norm_sq(T: ToralAutomorphism, m: int) -> int:
+    """The squared Frobenius norm of A^m, exactly, from the unreduced integer power.
+
+    A negative m takes the power of the integral inverse, whose entries
+    are A's up to sign and order, so the norm of A^-m is that of A^m.
+    """
+    power = _power(T.entries if m >= 0 else T.inverse_entries, abs(m), mask=-1)
+    return sum(e * e for e in power)
 
 
 class OrbitBlock:
@@ -351,7 +362,13 @@ class Ball:
     key_radius (the squared distance for the Euclidean metric, the
     eigenbasis sup for the adapted one, whose ball is a square in the
     eigenbasis of T), the ball's x-extent, its uniform sampler and the
-    observable of a key.
+    observable of a key. The sampler comes in two grades: points, which
+    the records and the separation scan use, and rough_points, the
+    oracle's, whose Euclidean trig is float32. rough_error bounds the
+    distance between the two, and key_band turns a distance into the
+    keys that it cannot move across key_radius, so a caller decides on
+    a rough point exactly what the exact point decides, or knows it
+    cannot.
     """
 
     T: ToralAutomorphism
@@ -405,12 +422,44 @@ class Ball:
         logs = np.fromiter(map(math.log, np.where(zero, 1.0, keys).tolist()), np.float64, keys.size)
         return np.where(zero, OBSERVABLE_CAP, factor * logs)
 
+    @property
+    def rough_error(self) -> float:
+        """delta: a bound on the torus distance from rough_points(u, v) to
+        points(u, v), with the slack that a decision on their keys needs.
+
+        Euclidean: float32 cos and sin of float32(2 pi v) are within 2^-21
+        of float64 cos and sin of 2 pi v (the worst of 2^22 draws is
+        2.56e-7), so each offset coordinate moves by at most r 2^-21, and by
+        r 2^-52 more for the roundings of rho times them. The fold (centre
+        plus offset, rounded once) and the snap to the grid move each
+        coordinate of either point by at most 2^-53 + 2^-62. delta =
+        sqrt(2) r 2^-20 + 2^-48 doubles the trig term, which absorbs any
+        relative rounding of the bands built on it, and its 2^-48 covers
+        the fold, the snap and the rounding of both points' keys (each
+        under 2^-51). Adapted points take no trig: rough_points is points,
+        and delta = 0.
+        """
+        if self.metric is MetricKind.EUCLIDEAN:
+            return math.sqrt(2.0) * self.radius * 2.0**-20 + 2.0**-48
+        return 0.0
+
+    def key_band(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keys (lo, hi) around key_radius: a point whose key lies outside [lo, hi)
+        is on the same side of the ball's boundary as every point within
+        torus distance eps of it, so its key decides theirs.
+        """
+        r = self.radius
+        if self.metric is MetricKind.EUCLIDEAN:
+            return np.square(np.maximum(r - eps, 0.0)), np.square(r + eps)
+        # an offset moved by eps moves each eigencoordinate by at most eps times its row's norm
+        grow = eps * max(math.hypot(*row) for row in self.T.eigen_inverse)
+        return r - grow, r + grow
+
     def points(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residues of the ball's points that the uniforms u, v in [0, 1) map to, uniformly.
 
-        The fold to [0, 1) is exact: for x = centre + offset in (-1, 2),
-        x - floor(x) has the bits of x % 1.0 (x - 1 is exact on [1, 2), and
-        both round x + 1 once on [-1, 0)).
+        Each point depends on its own u and v alone, so points(u[i], v[i])
+        is points(u, v)[i] for any index i.
         """
         r = self.radius
         if self.metric is MetricKind.EUCLIDEAN:
@@ -424,12 +473,48 @@ class Ball:
             eu, es = self.T.e_unstable, self.T.e_stable
             ox = xu * eu[0] + xs * es[0]
             oy = xu * eu[1] + xs * es[1]
-        for x, centre in ((ox, self.centre.x), (oy, self.centre.y)):
+        px, py = np.empty(u.shape, np.int64), np.empty(u.shape, np.int64)
+        self._fold(ox, oy, px, py)
+        return px, py
+
+    def rough_points(self, u: np.ndarray, v: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """points(u, v), but with the Euclidean cos and sin taken in float32 of
+        float32(2 pi v): 25 times cheaper, and within rough_error of points.
+
+        work is a (4, n >= len(u)) float64 scratch array, and the residues
+        returned are views of its last two rows. Adapted points take no
+        trig: they are points(u, v) itself.
+        """
+        if self.metric is not MetricKind.EUCLIDEAN:
+            return self.points(u, v)
+        oy, ox, px, py = work[:, : u.size]
+        ang, cos = np.split(px.view(np.float32), 2)  # scratch until px is written
+        ang[...] = np.multiply(v, 2.0 * math.pi, out=ox)
+        np.cos(ang, out=cos)
+        np.sin(ang, out=ang)
+        np.sqrt(u, out=oy)
+        oy *= self.radius
+        np.multiply(oy, cos, out=ox)
+        oy *= ang
+        px, py = px.view(np.int64), py.view(np.int64)
+        self._fold(ox, oy, px, py)
+        return px, py
+
+    def _fold(self, ox: np.ndarray, oy: np.ndarray, px: np.ndarray, py: np.ndarray) -> None:
+        """Write the residues of the points at offsets (ox, oy) from the centre into px, py.
+
+        ox and oy are overwritten. The fold to [0, 1) is exact: for
+        x = centre + offset in (-1, 2), x - floor(x) has the bits of
+        x % 1.0 (x - 1 is exact on [1, 2), and both round x + 1 once on
+        [-1, 0)).
+        """
+        for x, centre, out in ((ox, self.centre.x, px), (oy, self.centre.y, py)):
             x += centre
-            x -= np.floor(x)
+            x -= np.floor(x, out=out.view(np.float64))  # out is scratch until the residues
             x *= MODULUS
             np.rint(x, out=x)
-        return ox.astype(np.int64) & _MASK, oy.astype(np.int64) & _MASK
+            np.copyto(out, x, casting="unsafe")
+            out &= _MASK
 
 
 def keyed_rng(seed: int, key: int) -> np.random.Generator:
@@ -450,12 +535,17 @@ def resolve_workers(explicit: int | None = None) -> int:
     return min(explicit, cores)
 
 
+def pool_size(workers: int | None, jobs: int) -> int:
+    """The processes map_jobs runs `jobs` jobs on: resolve_workers(workers), at most one per job."""
+    return min(resolve_workers(workers), jobs)
+
+
 def map_jobs(fn: Callable, jobs: list, workers: int | None = None) -> list:
-    """[fn(job) for job in jobs] on resolve_workers(workers) processes, at most one per job.
+    """[fn(job) for job in jobs] on pool_size(workers, len(jobs)) processes.
 
     One worker runs the jobs in this process; more share a process pool.
     """
-    workers = min(resolve_workers(workers), len(jobs))
+    workers = pool_size(workers, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

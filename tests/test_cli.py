@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -17,15 +18,17 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extorus
-from extorus import acceptance, cli
+from extorus import acceptance, cli, torus
 from extorus.acceptance import CriterionResult, RunManifest
 from extorus.cli import _read_records, main
 from extorus.simulate import ExperimentConfig
+from extorus.torus import resolve_workers
 from _reference import read_records_rowwise, records_of
 
 
@@ -134,6 +137,34 @@ class TestSimulate:
         assert len(maxima) == 11
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["n"] == 1000
+
+    @pytest.mark.parametrize("trials, workers, used", [(10, "8", 1), (2049, "8", 3), (2049, "2", 2)])
+    def test_manifest_records_pool_and_environment(self, tmp_path, capsys, monkeypatch, trials, workers, used):
+        # 1,024 trials a chunk: the pool has one process per chunk at most, and no more than the cores
+        sizes = []
+
+        class InProcessPool:  # records its size, runs the jobs here
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
+        out_dir = tmp_path / "run"
+        args = ["--n", "1000", "--trials", str(trials), "--workers", workers, "--out", str(out_dir)]
+        assert run_cli(capsys, "simulate", *args)[0] == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["workers"] == used and sizes == ([used] if used > 1 else [])
+        environment = {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": 4}
+        assert manifest["environment"] == environment
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "1500", "--trials", "20", "--seed", "9"]
@@ -537,8 +568,13 @@ class TestEstimateRejectsBadRecords:
 
     @pytest.mark.parametrize(
         "change",
-        [lambda manifest: manifest.pop("version"), lambda manifest: manifest["criteria"].append({"tua": 5})],
-        ids=["no-version", "unknown-criterion-key"],
+        [
+            lambda manifest: manifest.pop("version"),
+            lambda manifest: manifest["criteria"].append({"tua": 5}),
+            lambda manifest: manifest.pop("environment"),
+            lambda manifest: manifest.update(workers=99),
+        ],
+        ids=["no-version", "unknown-criterion-key", "no-environment", "other-workers"],
     )
     def test_manifest_read_for_its_config_alone(self, run_dir, capsys, change):
         # estimate reads the config; the rest of the manifest is simulate's record of the run
@@ -908,6 +944,9 @@ class TestValidate:
         assert by_id[2]["measured"]["tail_bound_ok"] is False
         assert by_id[3]["passed"] is True
         assert all(by_id[cid]["passed"] is None for cid in range(4, 9))
+        assert manifest["workers"] == resolve_workers(None)
+        environment = {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()}
+        assert manifest["environment"] == environment
         # the file holds a RunManifest, and it round-trips losslessly
         criteria = [CriterionResult(**c) for c in manifest["criteria"]]
         rebuilt = RunManifest(**{**manifest, "criteria": criteria})

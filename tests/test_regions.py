@@ -32,7 +32,7 @@ from extorus import (
     strip_area_Q,
     wrap_time_g,
 )
-from extorus import regions, simulate, torus
+from extorus import acceptance, regions, simulate, torus
 from extorus.regions import (
     _ball_slices,
     _local_range_guard,
@@ -122,6 +122,39 @@ COORDINATES = st.one_of(
 )
 
 
+CRITERION_2_REGIONS = [(RegionKind.A_Q, 0)] + [(RegionKind.Q_KAPPA, k) for k in range(4)] + [
+    (RegionKind.U_KAPPA, k) for k in range(1, 4)
+]
+# a centre at the top of [0, 1) in both coordinates, where offsets fold across 1
+TOP = TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)
+# (metric, kind, kappa, matrix, centre, radius, size) of one oracle chunk. First every
+# kind of both metrics at sizes around the slice (38,528 is the last chunk of a
+# 10M-sample oracle call: 10M mod 2^18); then Euclidean chunks of 2^18, whose points
+# are rough wherever the key band decides them: kappa 0..3 of both walks at stride q,
+# matrices with negative entries and a large trace, both centres, radii 1e-7, 0.01
+# and the local range guard's edge
+CHUNK_CASES = [
+    pytest.param(metric, kind, 2, (2, 1, 1, 1), ORIGIN, S, size, id=f"{size}-{kind}-{metric}")
+    for size in (1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 38_528)
+    for kind in RegionKind
+    for metric in MetricKind
+] + [
+    pytest.param(MetricKind.EUCLIDEAN, kind, kappa, matrix, centre, radius, 1 << 18,
+                 id=f"filter-{','.join(map(str, matrix))}-{'top' if centre is TOP else 0}-{radius}-{kind.value}{kappa}")
+    for matrix, centre, radius, kind, kappa in (
+        [((2, 1, 1, 1), ORIGIN, S, kind, kappa) for kind, kappa in CRITERION_2_REGIONS]
+        + [((3, 1, 2, 1), TOP, "edge", kind, kappa)
+           for kind in (RegionKind.Q_KAPPA, RegionKind.U_KAPPA) for kappa in range(4)]
+        + [((-3, 1, -1, 0), ORIGIN, 1e-7, RegionKind.Q_KAPPA, kappa) for kappa in range(4)]
+        + [((-3, 1, -1, 0), TOP, S, RegionKind.U_KAPPA, kappa) for kappa in range(4)]
+        + [((1000, 999, 1, 1), TOP, 1e-7, kind, kappa)
+           for kind, kappa in CRITERION_2_REGIONS[:2] + [(RegionKind.U_KAPPA, 1)]]
+        + [((1000, 999, 1, 1), ORIGIN, "edge", RegionKind.Q_KAPPA, kappa) for kappa in range(2)]
+        + [((1000, 999, 1, 1), ORIGIN, "edge", RegionKind.BALL, 0)]
+    )
+]
+
+
 class TestSampler:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -178,18 +211,30 @@ class TestSampler:
         assert px.min() >= 0 and py.min() >= 0
         assert px.max() < MODULUS and py.max() < MODULUS
 
-    @pytest.mark.parametrize("metric", list(MetricKind))
-    @pytest.mark.parametrize("kind", list(RegionKind))
-    @pytest.mark.parametrize(
-        # 38,528 is the last chunk of a 10M-sample oracle call: 10M mod 2^18
-        "size", [1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 38_528]
-    )
-    def test_sliced_chunk_counts_whole_chunk(self, metric, kind, size):
-        region = RegionSpec(Ball(CAT, ORIGIN, S, metric), kind, q=1, kappa=2)
-        px, py = sample_ball(region.ball, size, keyed_rng(11, 3))
+    @pytest.mark.parametrize("metric, kind, kappa, matrix, centre, radius, size", CHUNK_CASES)
+    def test_sliced_chunk_counts_whole_chunk(self, metric, kind, kappa, matrix, centre, radius, size):
+        T = build_automorphism(*matrix)
+        if radius == "edge":  # the largest radius the local range guard accepts
+            stride, inside, outside = regions._walk(RegionSpec(BALL, kind, q=1, kappa=kappa))
+            radius = min(math.nextafter(0.5 / T.lam_abs ** ((inside + outside - 1) * stride), 0.0), 0.2499)
+        region = RegionSpec(Ball(T, centre, radius, metric), kind, q=1, kappa=kappa)
+        _local_range_guard(region)
+        # chunk 29 of seed 5 holds a point that is in the cat map's ball of radius 0.01 at
+        # times 0, 1 and 2, while its float32-trig point leaves it at time 2: there, a
+        # zero-width key band would miscount Q_1, Q_2 and U_2
+        px, py = sample_ball(region.ball, size, keyed_rng(5, 29))
         whole = int(np.count_nonzero(membership_mask(region, px, py)))
-        assert _measure_chunk((region, 11, 3, size)) == whole
+        assert _measure_chunk((region, 5, 29, size)) == whole
         assert whole > 0 or size == 1  # the count is not vacuous
+
+    def test_exact_fallback_share_at_criterion_2(self, monkeypatch):
+        # criterion 2's eight regions: under 1e-4 of the samples take the exact points
+        exact = []
+        points = Ball.points
+        monkeypatch.setattr(Ball, "points", lambda ball, u, v: exact.append(u.size) or points(ball, u, v))
+        for i, (kind, kappa) in enumerate(CRITERION_2_REGIONS):
+            _measure_chunk((RegionSpec(BALL, kind, q=1, kappa=kappa), acceptance._SEED + i, 0, 1 << 18))
+        assert 0 < sum(exact) < 1e-4 * 8 * (1 << 18)
 
 
 class TestPatternMasks:

@@ -254,6 +254,18 @@ class TestOrbitBlocks:
             next(orbit_blocks(px, px, CAT, steps, 0))
 
 
+class TestPowerNormSq:
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)])
+    def test_matches_python_int_products(self, matrix):
+        T = build_automorphism(*matrix)
+        a, b, c, d = matrix
+        (p, q), (r, s) = (1, 0), (0, 1)  # A^m, from m = 0
+        for m in range(41):
+            assert torus.power_norm_sq(T, m) == p * p + q * q + r * r + s * s
+            assert torus.power_norm_sq(T, -m) == torus.power_norm_sq(T, m)
+            (p, q), (r, s) = (p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)
+
+
 # centre coordinates at both ends of [0, 1) and anywhere in between
 COORDINATES = st.one_of(
     st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)
@@ -342,6 +354,65 @@ class TestBallDistance:
         px, _ = ball.points(u, v)
         reach = np.abs(px / MODULUS - 0.5).max()
         assert ball.x_extent * (1 - 1e-9) <= reach <= ball.x_extent * (1 + 1e-9)
+
+
+# uniforms at the ends of [0, 1), around its quarters, and at the tie of the rim's angle
+EDGE_UNIFORMS = np.array([
+    0.0, 2.0**-53, math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.25, 1.0), 0.5, 0.75, 1.0 - 2.0**-53
+])
+
+
+class TestRoughPoints:
+    """The two facts the oracle's key band rests on."""
+
+    def test_float32_trig_within_2_to_the_minus_21(self):
+        # float32 cos and sin of float32(2 pi v) against float64 cos and sin of 2 pi v
+        rng = np.random.default_rng(21)
+        worst = 0.0
+        for v in [EDGE_UNIFORMS, *(rng.random(1 << 18) for _ in range(16))]:  # 2^22 in all
+            ang = 2.0 * math.pi * v
+            for f in (np.cos, np.sin):
+                worst = max(worst, float(np.abs(f(ang.astype(np.float32)) - f(ang)).max()))
+        assert worst <= 2.0**-21
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("centre", [TorusPoint(0.0, 0.0), TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)])
+    @pytest.mark.parametrize("radius", [1e-7, 0.01, 0.2499])
+    def test_rough_points_within_rough_error(self, metric, centre, radius):
+        ball = Ball(CAT, centre, radius, metric)
+        rng = np.random.default_rng(22)
+        u, v = (np.concatenate([EDGE_UNIFORMS, a]) for a in rng.random((2, 1 << 16)))
+        exact = ball.points(u, v)
+        rough = ball.rough_points(u, v, np.empty((4, u.size)))
+        offsets = [((r - e + MODULUS // 2) & (MODULUS - 1)) - MODULUS // 2 for r, e in zip(rough, exact)]
+        gap = np.hypot(*offsets) / MODULUS
+        assert gap.max() <= ball.rough_error
+        assert bool(gap.max() > 0) == (metric is MetricKind.EUCLIDEAN)  # adapted points take no trig
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_points_of_an_index_set_are_the_indexed_points(self, metric):
+        # each point reads its own u and v alone, whatever the array's length and alignment
+        ball = Ball(CAT, TorusPoint(0.3, 1.0 - 2.0**-53), 0.01, metric)
+        rng = np.random.default_rng(23)
+        size = (1 << 14) + 3
+        u, v = rng.random((2, size))
+        u[:8], v[-8:] = EDGE_UNIFORMS, EDGE_UNIFORMS
+        px, py = ball.points(u, v)
+        index_sets = [
+            np.flatnonzero(rng.random(size) < 1e-3),
+            np.flatnonzero(rng.random(size) < 0.5),
+            np.array([], dtype=np.int64),
+            np.array([0]),
+            np.array([size - 1]),
+            np.arange(3, 20),
+            np.arange(1, size, 2),
+            np.arange(size - 1),
+            np.array([size - 1, 0, 5, 5]),
+        ]
+        for idx in index_sets:
+            sub_x, sub_y = ball.points(u[idx], v[idx])
+            np.testing.assert_array_equal(sub_x, px[idx])
+            np.testing.assert_array_equal(sub_y, py[idx])
 
 
 class TestTorusDistance:
