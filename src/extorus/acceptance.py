@@ -43,7 +43,6 @@ from .formulas import (
 )
 from .regions import RegionKind, RegionSpec, monte_carlo_measure, separation_check
 from .simulate import (
-    _TRIAL_CHUNK,
     ExperimentConfig,
     chi_square_vs_pmf,
     decluster_all,
@@ -51,6 +50,7 @@ from .simulate import (
     empirical_multiplicity,
     estimate_block_maxima_cdf,
     ei_measure_ratio,
+    experiment_workers,
     gap_ks_statistic,
     repp_counts,
     run_experiment,
@@ -416,8 +416,7 @@ def criterion_8_engineering(suite_start: float, workers: int | None = None):
         seed=_SEED + 11,
     )
     # the N-worker run's pool: at least 2, at most one per core and per chunk
-    chunks = math.ceil(cfg.trials / _TRIAL_CHUNK)
-    many = min(resolve_workers(max(2, resolve_workers(workers))), chunks)
+    many = experiment_workers(cfg, max(2, resolve_workers(workers)))
     checks = "forward/backward exactness, 30 min budget"
     if many >= 2:
         workers_ok = run_experiment(cfg, workers=1) == run_experiment(cfg, workers=many)

@@ -5,7 +5,9 @@ it. The cluster laws are pure functions of (|lam|, q, metric); the
 thresholds are functions of (n, tau, metric, basis_det). extremal_model
 takes the automorphism itself and is the one gate to the law: it refuses
 the Euclidean forms at a periodic centre for a non-symmetric matrix,
-where |lam| alone does not fix them. Geometry conventions, with s the
+where |lam| alone does not fix them. Every form refuses arguments
+outside its domain (s, |lam|, q, kappa) through _check_law, with a
+ValueError that names the argument. Geometry conventions, with s the
 ball radius and lam the dominant eigenvalue:
 
 * Ball measure: a Euclidean ball of radius r has measure pi r^2; an
@@ -63,6 +65,25 @@ def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> f
 def _check_tau(tau: float) -> None:
     if isinstance(tau, bool) or not (math.isfinite(tau) and tau > 0):  # True is 1 to math
         raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
+def _check_law(
+    lam_abs: float, q: int, *, q_min: int = 1, s: float | None = None, kappa: int | None = None, kappa_min: int = 0
+) -> None:
+    """Refuse a closed form's arguments outside its domain with a ValueError naming the first one.
+
+    lam_abs must be finite and exceed 1, and q be at least q_min (0 where
+    q = 0 means a non-periodic centre); s, where given, finite and
+    positive, and kappa, where given, at least kappa_min.
+    """
+    if not (math.isfinite(lam_abs) and lam_abs > 1.0):
+        raise ValueError(f"lam_abs must be finite and exceed 1, got {lam_abs}")
+    if q < q_min:
+        raise ValueError(f"q must be >= {q_min}, got {q}")
+    if s is not None and not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and positive, got {s}")
+    if kappa is not None and kappa < kappa_min:
+        raise ValueError(f"kappa must be >= {kappa_min}, got {kappa}")
 
 
 def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0) -> float:
@@ -139,10 +160,7 @@ def extremal_index(lam_abs: float, q: int, metric: MetricKind) -> float:
     For q >= 1 the Euclidean value is (2/pi) times the angular gap of
     the escape region; the adapted value is 1 - lam_abs**(-q).
     """
-    if lam_abs <= 1.0:
-        raise ValueError("lam_abs must exceed 1")
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    _check_law(lam_abs, q, q_min=0)
     if q == 0:
         return 1.0
     if metric is MetricKind.EUCLIDEAN:
@@ -156,10 +174,7 @@ def area_A_q(s: float, lam_abs: float, q: int) -> float:
     Points in the ball whose first q images leave it; the region between
     the ball and its thin preimage ellipse.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_law(lam_abs, q, s=s)
     return 2.0 * s * s * _asin_gap(lam_abs, q)
 
 
@@ -170,8 +185,7 @@ def strip_area_Q(s: float, lam_abs: float, q: int, kappa: int) -> float:
     the difference of the angular-gap closed form at indices kappa+1 and
     kappa, times 2 s^2.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    _check_law(lam_abs, q, s=s, kappa=kappa)
     if kappa == 0:
         return area_A_q(s, lam_abs, q)
     return 2.0 * s * s * _strip_gap(lam_abs, q, kappa)
@@ -183,8 +197,7 @@ def nested_area_U(s: float, lam_abs: float, q: int, kappa: int) -> float:
     Complement of the first kappa strips inside the ball: pi s^2 minus
     the partial strip sum.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
+    _check_law(lam_abs, q, s=s, kappa=kappa)
     total = ball_measure(s, MetricKind.EUCLIDEAN)
     for j in range(kappa):
         total -= strip_area_Q(s, lam_abs, q, j)
@@ -199,10 +212,7 @@ def multiplicity_pi(lam_abs: float, q: int, kappa: int, metric: MetricKind) -> f
     from the stable gaps; it equals the paper's four-arcsin grouping,
     which cancels below the double noise floor once lam^(kappa q) grows.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be >= 1")
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _check_law(lam_abs, q, kappa=kappa, kappa_min=1)
     if metric is MetricKind.ADAPTED:
         theta = extremal_index(lam_abs, q, metric)
         return theta * (1.0 - theta) ** (kappa - 1)
@@ -239,8 +249,8 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("theta must lie in (0, 1]")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be finite and positive, got {t}")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -270,8 +280,7 @@ def wrap_time_g(n: int, lam_abs: float, q: int, tau: float = 1.0) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_tau(tau)
-    if lam_abs <= 1.0:
-        raise ValueError("lam_abs must exceed 1")
+    _check_law(lam_abs, q, q_min=0)
     log_lam = math.log(lam_abs)
     if q == 0:
         value = (math.log(n) - math.log(math.pi)) / (2.0 * log_lam)
@@ -292,8 +301,7 @@ class ExtremalModel:
     theta: float
 
     def multiplicity(self, kappa: int) -> float:
-        if kappa < 1:
-            raise ValueError("kappa must be >= 1")
+        _check_law(self.lam_abs, self.q, q_min=0, kappa=kappa, kappa_min=1)
         if self.q == 0:
             return 1.0 if kappa == 1 else 0.0
         return multiplicity_pi(self.lam_abs, self.q, kappa, self.metric)
@@ -308,8 +316,8 @@ class ExtremalModel:
         the multiplicity law; the pmf is a sum of convolution powers of that
         law. For geometric sizes it coincides with polya_aeppli_pmf.
         """
-        if t <= 0:
-            raise ValueError("t must be positive")
+        if not (math.isfinite(t) and t > 0):  # at inf or nan the tail test below never holds
+            raise ValueError(f"t must be finite and positive, got {t}")
         rate = self.theta * t
         sizes = [0.0, *self.multiplicity_table(k_max)]
         out = np.zeros(k_max + 1)

@@ -10,13 +10,16 @@ times, then out of it `outside` times.
 * U_KAPPA (q, kappa + 1, 0) - nested set: images at times 0, q, .., kappa*q inside;
 * Q_KAPPA (q, kappa + 1, 1) - strip: in U_KAPPA but not in U_(KAPPA+1).
 
-The table serves membership, the local range guard (a walk reads images
-up to (inside + outside - 1) * stride steps on) and the separation scan,
-which pulls escape-region points back by the negated stride. Membership
-iterates orbits with the exact residue kernel of the torus module
-(points are snapped to the 2**61 grid, after which there is no drift)
-and tests each image with the ball's key, so decisions are exact up to a
-boundary fuzz of one part in 1e16 of the radius.
+One routine, _members, decides every membership: a single walk of the
+orbits in which each row's keys are compared with a band [lo, hi) around
+key_radius and folded into a member mask and an unsure mask, one row at
+a time. membership_mask is that walk with bands of zero width, which
+leave no point unsure. The walk iterates orbits with the exact residue
+kernel of the torus module (points are snapped to the 2**61 grid, after
+which there is no drift) and tests each image with the ball's key, so
+decisions are exact up to a boundary fuzz of one part in 1e16 of the
+radius. The table also sets the local range guard: a walk reads images
+up to (inside + outside - 1) * stride steps on.
 
 The measure oracle samples uniformly from the ball rather than the whole
 torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
@@ -29,15 +32,16 @@ both a slice of _BLOCK_ELEMENTS points at a time, v from a copy of the
 stream advanced `count` draws on, so no caller holds an array larger
 than a slice, whatever the sample size.
 
-The separation scan maps each slice to grid points by Ball.points. The
-oracle decides a sample on Ball.rough_points, the same points with
-float32 trig, wherever the error bound proves the answer, and settles
-the rest (about 1 in 1e5 samples at criterion 2) on their exact
-Ball.points with membership_mask; _measure_chunk states the bound. Every
-sample is thus decided as on its exact point, so the hit counts keep
-their bits. The escape region of an experiment, for the separation scan
-and the measure-ratio estimator, is built from its config by
-escape_region.
+The oracle walks a sample's Ball.rough_points, the same points with
+float32 trig, with bands as wide as the error bound; the samples the
+bands leave unsure (about 1 in 1e5 at criterion 2) are walked again on
+their exact Ball.points by membership_mask. _measure_chunk states the
+bound. Every sample is thus decided as on its exact point, so the hit
+counts keep their bits. The separation scan walks each slice's exact
+points, pulls the escape-region members back one step per row and walks
+each row of preimages forward again. The escape region of an
+experiment, for the separation scan and the measure-ratio estimator, is
+built from its config by escape_region.
 """
 
 from __future__ import annotations
@@ -95,50 +99,35 @@ def _walk(region: RegionSpec) -> tuple[int, int, int]:
     }[region.kind]
 
 
-def _below(ball: Ball, px: np.ndarray, py: np.ndarray, count: int, stride: int, *bounds) -> list[np.ndarray]:
-    """Masks of the orbit's ball keys below each bound, at times 0, s, 2s, .., count*s for the signed stride s.
+def _members(
+    region: RegionSpec, px: np.ndarray, py: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(member, unsure): the points the region's walk decides are in it, and
+    the points whose keys it cannot decide, from one walk of the orbits.
 
-    A bound is a (count + 1, 1) column of keys, one per time. Each mask
-    is a (count + 1, width) bool array; row t is the mask at time t*s.
+    lo and hi hold a key band [lo[t], hi[t]) per row t of the walk. A point
+    is unsure if a key lies in its row's band, and a member if its key is
+    below lo[t] at the rows t < inside and at least hi[t] at the rows after;
+    a key in its band fails both tests, so no unsure point is a member. With
+    lo = hi = key_radius at every row, no point is unsure.
     """
-    masks = [np.empty((count + 1, px.size), bool) for _ in bounds]
-    row = 0
-    for block in orbit_blocks(px, py, ball.T, count, stride):
-        keys = ball.key(block.x, block.y)
-        rows = slice(row, row + len(keys))
-        for mask, bound in zip(masks, bounds):
-            np.less(keys, bound[rows], out=mask[rows])
-        row += len(keys)
-        del keys  # before the walker allocates the next block: the heap peaks one slice-size array lower
-    return masks
-
-
-def _ball_masks(region: RegionSpec, px: np.ndarray, py: np.ndarray, count: int, stride: int) -> np.ndarray:
-    """Ball masks of the orbit at times 0, s, 2s, .., count*s: its keys below the key radius."""
     ball = region.ball
-    return _below(ball, px, py, count, stride, np.full((count + 1, 1), ball.key_radius))[0]
-
-
-def _pattern_masks(balls: np.ndarray, inside: int, outside: int) -> np.ndarray:
-    """Membership of a walk from the ball masks of its times, one row per start time t.
-
-    Row t = 0 .. len(balls) - inside - outside is in the ball at rows
-    t .. t+inside-1 of balls and out of it at the `outside` rows after.
-    """
-    times = len(balls) - inside - outside + 1
-    mask = balls[:times].copy()
-    for i in range(1, inside):
-        mask &= balls[i : i + times]
-    for i in range(inside, inside + outside):
-        mask &= ~balls[i : i + times]
-    return mask
+    stride, inside, outside = _walk(region)
+    member, unsure = np.ones(px.size, bool), np.zeros(px.size, bool)
+    t = 0
+    for block in orbit_blocks(px, py, ball.T, inside + outside - 1, stride):
+        for key in ball.key(block.x, block.y):
+            unsure |= (lo[t] <= key) & (key < hi[t])
+            member &= (key < lo[t]) if t < inside else (key >= hi[t])
+            t += 1
+    return member, unsure
 
 
 def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Vectorised membership of residue-array points in the region."""
-    stride, inside, outside = _walk(region)
-    balls = _ball_masks(region, px, py, inside + outside - 1, stride)
-    return _pattern_masks(balls, inside, outside)[0]
+    """Vectorised membership of residue-array points in the region: _members with exact bands."""
+    _, inside, outside = _walk(region)
+    radius = np.full(inside + outside, region.ball.key_radius)
+    return _members(region, px, py, radius, radius)[0]
 
 
 def _uniform_slices(
@@ -193,28 +182,24 @@ def _measure_chunk(args: tuple) -> int:
     eps_t = ||A^(|s| t)||_F delta: the Frobenius norm bounds the stretch
     of any matrix, symmetric or not, and a negative stride has the same
     norms (torus.power_norm_sq). A rough key outside Ball.key_band(eps_t)
-    is therefore on the exact key's side of key_radius. A sample whose
-    keys all lie outside their bands is counted from the rough masks; the
-    others are measured by membership_mask on their exact points, which
-    Ball.points gives from their own u and v alone.
+    is therefore on the exact key's side of key_radius. _members walks the
+    rough points with these bands and counts its members; the unsure
+    samples are walked again on their exact points, which Ball.points gives
+    from their own u and v alone, by membership_mask.
     """
     region, seed, index, size = args
     ball = region.ball
     stride, inside, outside = _walk(region)
     # past 2^1000, eps_t exceeds every key (the band holds them all) and float() would overflow
     norms = [math.sqrt(min(power_norm_sq(ball.T, stride * t), 1 << 1000)) for t in range(inside + outside)]
-    lo, hi = ball.key_band(ball.rough_error * np.array(norms)[:, None])
+    lo, hi = ball.key_band(ball.rough_error * np.array(norms))
     work = np.empty((6, min(size, _BLOCK_ELEMENTS)))  # the uniforms, then rough_points' scratch
     hits = 0
     for u, v in _uniform_slices(size, seed, index, work[:2]):
-        px, py = ball.rough_points(u, v, work[2:])
-        below_lo, below_hi = _below(ball, px, py, inside + outside - 1, stride, lo, hi)
-        unsure = np.not_equal(below_lo, below_hi, out=below_lo).any(axis=0)
-        member = _pattern_masks(below_hi, inside, outside)[0]
-        hits += int(np.count_nonzero(member & ~unsure))
+        member, unsure = _members(region, *ball.rough_points(u, v, work[2:]), lo, hi)
+        hits += int(np.count_nonzero(member))
         if unsure.any():
-            exact = ball.points(u[unsure], v[unsure])
-            hits += int(np.count_nonzero(membership_mask(region, *exact)))
+            hits += int(np.count_nonzero(membership_mask(region, *ball.points(u[unsure], v[unsure]))))
     return hits
 
 
@@ -252,23 +237,22 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     Samples the escape region of cfg's threshold ball and pulls every
     member backward j = 1 .. q*g(n) steps, testing escape-region
     membership of each preimage. The j = 0 term is excluded: the region
-    trivially meets itself. The sample is checked a slice at a time, up
-    to the first slice with a return. A centre of period 0 has no escape
-    region and raises ValueError.
+    trivially meets itself. The sample is checked a slice at a time, and
+    each slice a preimage row at a time, up to the first return. A centre
+    of period 0 has no escape region and raises ValueError.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     region = escape_region(cfg)
-    stride, inside, outside = _walk(region)
     window = region.q * cfg.g_n  # steps, and rows too: the escape walk's stride is 1
     if window == 0:
         return True
     for px, py in _ball_slices(region.ball, samples, seed, 0):
-        forward = _ball_masks(region, px, py, inside + outside - 1, stride)
-        keep = _pattern_masks(forward, inside, outside)[0]
-        # ball masks of the slice's A_q points at times -window .. q; row i holds time i - window
-        backward = _ball_masks(region, px[keep], py[keep], window, -stride)
-        balls = np.concatenate([backward[::-1], forward[1:, keep]])
-        if _pattern_masks(balls, inside, outside)[:window].any():
-            return False
+        keep = membership_mask(region, px, py)
+        # the slice's A_q points pulled back one step per row, from time -1 to time -window
+        blocks = orbit_blocks(px[keep], py[keep], region.ball.T, window, -1)
+        next(blocks)  # time 0: the points themselves
+        for block in blocks:
+            if any(membership_mask(region, x, y).any() for x, y in zip(block.x, block.y)):
+                return False
     return True

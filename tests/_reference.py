@@ -12,7 +12,8 @@ and in-place methods of extorus.torus.Ball must equal bit for bit; both
 whole-draw samplers, which draw all of u and then all of v, are the
 references for the sampler of extorus.regions that streams them a slice
 at a time. The whole-array separation check, which samples, maps and
-masks every point at once, is the reference for the sliced one, and the
+masks every point at once and reads escape membership off whole ball-mask
+matrices, is the reference for the sliced, row-walking one, and the
 Python-int orbit read against each region's definition is the reference
 for region membership. The row-at-a-time CSV reader and the
 per-exceedance loop estimators, on per-trial tuples, are the references
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from extorus.errors import ExtorusError
-from extorus.regions import RegionKind, RegionSpec, _ball_masks, membership_mask
+from extorus.regions import RegionKind, RegionSpec
 from extorus.cli import BLOCK_MAX_HEADER, EXCEEDANCE_HEADER, _config_from_echo, _fmt
 from extorus.errors import NoExceedances
 from extorus.simulate import Clusters, ExperimentConfig, Records, _initial_states
@@ -46,6 +47,7 @@ from extorus.torus import (
     ToralAutomorphism,
     TorusPoint,
     keyed_rng,
+    orbit_blocks,
     rational_point,
 )
 
@@ -441,6 +443,12 @@ def sample_ball(ball: Ball, count: int, rng: np.random.Generator) -> tuple[np.nd
     return ball.points(rng.random(count), rng.random(count))
 
 
+def _ball_masks(ball: Ball, px: np.ndarray, py: np.ndarray, steps: int, stride: int) -> np.ndarray:
+    """Ball masks of the orbits at times 0, s, .., steps*s (s = stride): one (steps + 1, width) array."""
+    blocks = orbit_blocks(px, py, ball.T, steps, stride)
+    return np.concatenate([ball.key(block.x, block.y) < ball.key_radius for block in blocks])
+
+
 def _escape_mask(balls: np.ndarray, t: int, q: int) -> np.ndarray:
     """A_q membership at time t from the ball masks at times t .. t+q."""
     return balls[t] & ~balls[t + 1 : t + q + 1].any(axis=0)
@@ -453,28 +461,21 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     2^61 grid, at its detected period q) and pulls every member backward
     j = 1 .. q*g(n) steps, testing escape-region membership of each
     preimage. The j = 0 term is excluded: the region trivially meets
-    itself.
+    itself. Every mask is one whole array: the sample's ball masks at
+    times 0 .. q, and its members' at times -window .. q.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
     ball = Ball(cfg.automorphism, rational_point(cfg.zeta), cfg.radius, cfg.metric)
-    region = RegionSpec(ball, RegionKind.A_Q, q=cfg.q)
-    window = cfg.q * cfg.g_n
+    if cfg.q < 1:
+        raise ValueError("a_q requires q >= 1")
+    q, window = cfg.q, cfg.q * cfg.g_n
     px, py = sample_ball(ball, samples, keyed_rng(seed, 0))
-    keep = membership_mask(region, px, py)
-    px, py = px[keep], py[keep]
-    if px.size == 0 or window == 0:
+    forward = _ball_masks(ball, px, py, q, 1)
+    keep = _escape_mask(forward, 0, q)
+    if not keep.any() or window == 0:
         return True
-    return _separation_scan(region, px, py, window)
-
-
-def _separation_scan(region: RegionSpec, px: np.ndarray, py: np.ndarray, window: int) -> bool:
-    """Exhaustive check: escape membership of each backward preimage."""
-    q = region.q
     # ball masks at times -window .. q; row i holds time i - window
-    backward = _ball_masks(region, px, py, window, -1)
-    balls = np.concatenate([backward[::-1], _ball_masks(region, px, py, q, 1)[1:]])
-    for j in range(1, window + 1):
-        if bool(np.any(_escape_mask(balls, window - j, q))):
-            return False
-    return True
+    backward = _ball_masks(ball, px[keep], py[keep], window, -1)
+    balls = np.concatenate([backward[::-1], forward[1:, keep]])
+    return not any(_escape_mask(balls, window - j, q).any() for j in range(1, window + 1))

@@ -367,6 +367,49 @@ class TestExtremalModel:
         assert extremal_model(T, 0, MetricKind.EUCLIDEAN).theta == 1.0
 
 
+class TestDomain:
+    """Each closed form refuses an argument outside its domain, naming it, instead of a silent value or a hang."""
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            # each of these returned a number: 8.80e-05, 0.0, pi s^2 twice, -1.29e-04, 0.320, nan, nan, 0
+            ("s", lambda: strip_area_Q(-0.01, LAM, 1, 1)),
+            ("q", lambda: strip_area_Q(0.01, LAM, 0, 2)),
+            ("s", lambda: nested_area_U(-0.01, LAM, 1, 0)),
+            ("q", lambda: nested_area_U(0.01, LAM, 0, 0)),
+            ("lam_abs", lambda: area_A_q(0.01, 0.5, 1)),
+            ("lam_abs", lambda: multiplicity_pi(0.5, 1, 1, EUCLID)),
+            ("lam_abs", lambda: multiplicity_pi(math.nan, 1, 2, EUCLID)),
+            ("lam_abs", lambda: extremal_index(math.nan, 1, EUCLID)),
+            ("q", lambda: wrap_time_g(1000, LAM, -1)),
+            # and the other edges of the domain
+            ("s", lambda: area_A_q(math.inf, LAM, 1)),
+            ("s", lambda: area_A_q(0.0, LAM, 1)),
+            ("lam_abs", lambda: extremal_index(math.inf, 1, EUCLID)),
+            ("lam_abs", lambda: wrap_time_g(1000, 1.0, 1)),
+            ("q", lambda: extremal_index(LAM, -1, MetricKind.ADAPTED)),
+            ("q", lambda: multiplicity_pi(LAM, 0, 1, EUCLID)),
+            ("kappa", lambda: strip_area_Q(0.01, LAM, 1, -1)),
+            ("kappa", lambda: nested_area_U(0.01, LAM, 1, -1)),
+            ("kappa", lambda: multiplicity_pi(LAM, 1, 0, MetricKind.ADAPTED)),
+            ("kappa", lambda: extremal_model(CAT, 0, EUCLID).multiplicity(0)),
+            # a window length that is not finite: nan, and pmf_vector never returned
+            ("t", lambda: polya_aeppli_pmf(0.5, math.nan, 2)),
+            ("t", lambda: extremal_model(CAT, 1, EUCLID).pmf_vector(math.inf, 3)),
+        ],
+    )
+    def test_invalid_argument_raises(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call()
+
+    def test_domain_edges_are_accepted(self):
+        assert extremal_index(LAM, 0, EUCLID) == 1.0
+        assert wrap_time_g(1000, LAM, 0) >= 0
+        assert nested_area_U(0.01, LAM, 1, 0) == ball_measure(0.01, EUCLID)
+        assert strip_area_Q(0.01, LAM, 1, 0) == area_A_q(0.01, LAM, 1) > 0
+
+
 class TestPmfVector:
     def test_matches_polya_aeppli_for_geometric_sizes(self):
         model = extremal_model(CAT, 1, MetricKind.ADAPTED)

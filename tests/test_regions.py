@@ -8,6 +8,7 @@ import os
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from extorus.regions import (
     _ball_slices,
     _local_range_guard,
     _measure_chunk,
-    _pattern_masks,
+    _members,
     membership_mask,
 )
 from extorus.torus import _BLOCK_ELEMENTS, MODULUS, keyed_rng, orbit_blocks
@@ -237,23 +238,47 @@ class TestSampler:
         assert 0 < sum(exact) < 1e-4 * 8 * (1 << 18)
 
 
-class TestPatternMasks:
-    @settings(max_examples=80, deadline=None)
+def near_lines(width, seed):
+    """Residues of points offset from the origin along the cat map's eigenlines, thin along
+    either one at random, so that forward and backward walks both stay near the ball."""
+    rng = np.random.default_rng(seed)
+    xu, xs = 1.5 * S * rng.uniform(-1, 1, (2, width)) * CAT.lam_abs ** -rng.integers(0, 8, (2, width))
+    return tuple(
+        np.round((xu * eu + xs * es) % 1.0 * MODULUS).astype(np.int64) % MODULUS
+        for eu, es in zip(CAT.e_unstable, CAT.e_stable)
+    )
+
+
+class TestMembers:
+    """_members, folded a row at a time, against the whole key matrix of the walk."""
+
+    @settings(max_examples=120, deadline=None)
     @given(
+        stride=st.sampled_from([-3, -2, -1, 1, 2, 3]),
         inside=st.integers(1, 4),
         outside=st.integers(0, 4),
-        extra=st.integers(1, 6),
         width=st.integers(0, 9),
         seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
     )
-    def test_each_row_is_the_per_time_mask(self, inside, outside, extra, width, seed):
-        span = inside + outside
-        balls = np.random.default_rng(seed).random((span - 1 + extra, width)) < 0.7
-        masks = _pattern_masks(balls, inside, outside)
-        assert masks.shape == (extra, width)
-        for t in range(extra):
-            expected = balls[t : t + inside].all(0) & ~balls[t + inside : t + span].any(0)
-            np.testing.assert_array_equal(masks[t], expected)
+    def test_against_brute_force_key_matrix(self, stride, inside, outside, width, seed, data):
+        rows = inside + outside
+        # band edges as fractions of key_radius below and above it; 0 on both sides is a zero-width band
+        widths = st.sampled_from([0.0, 1e-9, 1e-3, 0.1, 0.5])
+        below, above = (np.array(data.draw(st.lists(widths, min_size=rows, max_size=rows))) for _ in "ab")
+        lo, hi = BALL.key_radius * (1.0 - below), BALL.key_radius * (1.0 + above)
+        px, py = near_lines(width, seed)
+        keys = np.concatenate([BALL.key(b.x, b.y) for b in orbit_blocks(px, py, CAT, rows - 1, stride)])
+        assert keys.shape == (rows, width)
+        with mock.patch.object(regions, "_walk", lambda region: (stride, inside, outside)):
+            member, unsure = _members(ball_region(), px, py, lo, hi)
+        lo, hi = lo[:, None], hi[:, None]
+        np.testing.assert_array_equal(unsure, ((lo <= keys) & (keys < hi)).any(axis=0))
+        expected = (keys[:inside] < lo[:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
+        np.testing.assert_array_equal(member, expected)
+        assert not (member & unsure).any()
+        if not (below.any() or above.any()):
+            assert not unsure.any()
 
 
 def probe_points(ball, q, rng):
