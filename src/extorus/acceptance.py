@@ -113,14 +113,7 @@ class RunManifest:
         return [c.name for c in self.criteria if c.passed is False]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "workers": self.workers,
-            "criteria": [asdict(c) for c in self.criteria],
-            "environment": self.environment,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -32,16 +32,15 @@ both a slice of _BLOCK_ELEMENTS points at a time, v from a copy of the
 stream advanced `count` draws on, so no caller holds an array larger
 than a slice, whatever the sample size.
 
-The oracle walks a sample's Ball.rough_points, the same points with
-float32 trig, with bands as wide as the error bound; the samples the
-bands leave unsure (about 1 in 1e5 at criterion 2) are walked again on
-their exact Ball.points by membership_mask. _measure_chunk states the
-bound. Every sample is thus decided as on its exact point, so the hit
-counts keep their bits. The separation scan walks each slice's exact
-points, pulls the escape-region members back one step per row and walks
-each row of preimages forward again. The escape region of an
-experiment, for the separation scan and the measure-ratio estimator, is
-built from its config by escape_region.
+_decided_slices decides a sample a slice at a time: it walks the
+slice's Ball.rough_points (float32 trig) with bands as wide as their
+error bound, then the few samples the bands leave unsure (about 1 in
+1e5 at criterion 2) on their exact Ball.points by membership_mask, so
+every sample is decided as on its exact point. The oracle counts the
+members. The separation scan maps the members alone to exact points
+and pulls them back with one walk, counting each point's rows out of
+the ball since its last row in it. escape_region builds an
+experiment's escape region, for the scan and the ratio estimator.
 """
 
 from __future__ import annotations
@@ -149,12 +148,6 @@ def _uniform_slices(
         yield u_rng.random(out=out[0, :size]), v_rng.random(out=out[1, :size])
 
 
-def _ball_slices(ball: Ball, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Uniform sample of `count` grid points from the ball: Ball.points of each _uniform_slices slice."""
-    for u, v in _uniform_slices(count, seed, key, np.empty((2, min(count, _BLOCK_ELEMENTS)))):
-        yield ball.points(u, v)
-
-
 class MeasureEstimate(NamedTuple):
     estimate: float
     std_error: float
@@ -170,11 +163,13 @@ def _local_range_guard(region: RegionSpec) -> None:
         )
 
 
-def _measure_chunk(args: tuple) -> int:
-    """The hits of one chunk: each sample decided on its rough point where an
-    error bound proves the answer, and on its exact point elsewhere.
+def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(u, v, member) of each _uniform_slices slice of a sample of `count`
+    points, member deciding each sample on its rough point where an error
+    bound proves the answer and on its exact point elsewhere. The arrays
+    hold until the next slice is drawn.
 
-    Why the count is membership_mask's on Ball.points, bit for bit: a
+    Why member is membership_mask's on Ball.points(u, v), bit for bit: a
     sample's rough residue p' is within delta = Ball.rough_error of its
     exact residue p. The walk is exact and linear from either start, so
     A^k p' - A^k p = A^k (p' - p) on the torus, and at row t of a walk of
@@ -183,24 +178,27 @@ def _measure_chunk(args: tuple) -> int:
     of any matrix, symmetric or not, and a negative stride has the same
     norms (torus.power_norm_sq). A rough key outside Ball.key_band(eps_t)
     is therefore on the exact key's side of key_radius. _members walks the
-    rough points with these bands and counts its members; the unsure
-    samples are walked again on their exact points, which Ball.points gives
+    rough points with these bands; the unsure samples, none of them a
+    member, are walked again on their exact points, which Ball.points gives
     from their own u and v alone, by membership_mask.
     """
-    region, seed, index, size = args
     ball = region.ball
     stride, inside, outside = _walk(region)
     # past 2^1000, eps_t exceeds every key (the band holds them all) and float() would overflow
     norms = [math.sqrt(min(power_norm_sq(ball.T, stride * t), 1 << 1000)) for t in range(inside + outside)]
     lo, hi = ball.key_band(ball.rough_error * np.array(norms))
-    work = np.empty((6, min(size, _BLOCK_ELEMENTS)))  # the uniforms, then rough_points' scratch
-    hits = 0
-    for u, v in _uniform_slices(size, seed, index, work[:2]):
+    work = np.empty((6, min(count, _BLOCK_ELEMENTS)))  # the uniforms, then rough_points' scratch
+    for u, v in _uniform_slices(count, seed, key, work[:2]):
         member, unsure = _members(region, *ball.rough_points(u, v, work[2:]), lo, hi)
-        hits += int(np.count_nonzero(member))
         if unsure.any():
-            hits += int(np.count_nonzero(membership_mask(region, *ball.points(u[unsure], v[unsure]))))
-    return hits
+            member[unsure] = membership_mask(region, *ball.points(u[unsure], v[unsure]))
+        yield u, v, member
+
+
+def _measure_chunk(args: tuple) -> int:
+    """The hits of one chunk: the members of its sample that _decided_slices finds."""
+    region, seed, index, size = args
+    return sum(int(np.count_nonzero(member)) for _, _, member in _decided_slices(region, size, seed, index))
 
 
 def monte_carlo_measure(
@@ -234,12 +232,11 @@ def escape_region(cfg: ExperimentConfig) -> RegionSpec:
 def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     """True iff no sampled escape-region point returns within the wrap window.
 
-    Samples the escape region of cfg's threshold ball and pulls every
-    member backward j = 1 .. q*g(n) steps, testing escape-region
-    membership of each preimage. The j = 0 term is excluded: the region
-    trivially meets itself. The sample is checked a slice at a time, and
-    each slice a preimage row at a time, up to the first return. A centre
-    of period 0 has no escape region and raises ValueError.
+    Samples the escape region A_q of cfg's threshold ball and pulls every
+    member back j = 1 .. q*g(n) steps: the preimage at time -j is in A_q
+    if it is in the ball and its next q images are out (j = 0, the
+    region meeting itself, is excluded). The scan stops at the first
+    return. A centre of period 0 has no escape region and raises ValueError.
     """
     if samples < 1000:
         raise ValueError("samples must be >= 1000")
@@ -247,12 +244,15 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     window = region.q * cfg.g_n  # steps, and rows too: the escape walk's stride is 1
     if window == 0:
         return True
-    for px, py in _ball_slices(region.ball, samples, seed, 0):
-        keep = membership_mask(region, px, py)
-        # the slice's A_q points pulled back one step per row, from time -1 to time -window
-        blocks = orbit_blocks(px[keep], py[keep], region.ball.T, window, -1)
-        next(blocks)  # time 0: the points themselves
-        for block in blocks:
-            if any(membership_mask(region, x, y).any() for x, y in zip(block.x, block.y)):
-                return False
+    ball, outside = region.ball, _walk(region)[2]
+    for u, v, member in _decided_slices(region, samples, seed, 0):
+        # the members at times 0, -1, .., -window; run: each one's rows out of the ball since its last in
+        px, py = ball.points(u[member], v[member])
+        run = np.zeros(px.size, np.int64)
+        for block in orbit_blocks(px, py, ball.T, window, -1):
+            for key in ball.key(block.x, block.y):
+                inside = key < ball.key_radius
+                if (inside & (run >= outside)).any():
+                    return False
+                run = np.where(inside, 0, run + 1)
     return True

@@ -79,6 +79,8 @@ def check_field(key: str, value) -> None:
         raise ValueError(f"{key} must be {'all ints' if key == 'matrix' else 'an int'}, got {value!r}")
     if key == "matrix":
         build_automorphism(*value)
+    elif key == "zeta" and (len(value) != 2 or any(type(v) is bool for v in value)):
+        raise ValueError(f"zeta must be two coordinates, none a bool, got {value!r}")
     elif key == "metric":
         check_metric(value)
     elif key == "tau":

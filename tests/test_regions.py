@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
@@ -35,10 +35,11 @@ from extorus import (
 )
 from extorus import acceptance, regions, simulate, torus
 from extorus.regions import (
-    _ball_slices,
+    _decided_slices,
     _local_range_guard,
     _measure_chunk,
     _members,
+    _uniform_slices,
     membership_mask,
 )
 from extorus.torus import _BLOCK_ELEMENTS, MODULUS, keyed_rng, orbit_blocks
@@ -50,8 +51,9 @@ BALL = Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN)
 
 
 def sliced_sample(ball, count, seed, key):
-    """The residues _ball_slices yields, concatenated."""
-    slices = list(_ball_slices(ball, count, seed, key))
+    """Ball.points of each _uniform_slices slice, concatenated."""
+    work = np.empty((2, min(count, _BLOCK_ELEMENTS)))
+    slices = [ball.points(u, v) for u, v in _uniform_slices(count, seed, key, work)]
     assert all(len(px) <= _BLOCK_ELEMENTS for px, _ in slices)
     return tuple(np.concatenate(part) for part in zip(*slices))
 
@@ -227,6 +229,27 @@ class TestSampler:
         whole = int(np.count_nonzero(membership_mask(region, px, py)))
         assert _measure_chunk((region, 5, 29, size)) == whole
         assert whole > 0 or size == 1  # the count is not vacuous
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        metric=st.sampled_from(list(MetricKind)),
+        kind=st.sampled_from(list(RegionKind)),
+        kappa=st.integers(0, 3),
+        matrix=st.sampled_from([(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)]),
+        radius=st.sampled_from([1e-7, 0.005, S, 0.02]),
+        count=st.integers(1, 2 * _BLOCK_ELEMENTS + 100),
+        seed=st.integers(0, 2**32 - 1),
+        key=st.integers(0, 100),
+    )
+    # chunk 29 of seed 5, where a zero-width key band would miscount Q_1 (see above)
+    @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 1, (2, 1, 1, 1), S, 1 << 18, 5, 29)
+    def test_decided_slices_are_exact_membership(self, metric, kind, kappa, matrix, radius, count, seed, key):
+        region = RegionSpec(Ball(build_automorphism(*matrix), ORIGIN, radius, metric), kind, q=1, kappa=kappa)
+        drawn = 0
+        for u, v, member in _decided_slices(region, count, seed, key):
+            np.testing.assert_array_equal(member, membership_mask(region, *region.ball.points(u, v)))
+            drawn += u.size
+        assert drawn == count
 
     def test_exact_fallback_share_at_criterion_2(self, monkeypatch):
         # criterion 2's eight regions: under 1e-4 of the samples take the exact points
@@ -496,9 +519,10 @@ class TestLocalRangeGuard:
 SLICED_SAMPLES = [1000, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS + 1]
 
 
-def separation_cfg(zeta=(0, 0)):
-    """The cat map at n = 1e5 and tau = 1, Euclidean, as criterion 3 runs it."""
-    return ExperimentConfig(zeta=tuple(Fraction(c) for c in zeta), n=100_000, tau=1.0)
+def separation_cfg(zeta=(0, 0), matrix=(2, 1, 1, 1), metric=MetricKind.EUCLIDEAN):
+    """n = 1e5 and tau = 1; by default the cat map, Euclidean, as criterion 3 runs it."""
+    zeta = tuple(Fraction(c) for c in zeta)
+    return ExperimentConfig(matrix=matrix, zeta=zeta, metric=metric, n=100_000, tau=1.0)
 
 
 def inflate_radius(monkeypatch, factor):
@@ -521,6 +545,19 @@ class TestSlicedAgainstWholeArray:
         assert regions.separation_check(*args) is ref.separation_check(*args) is True
 
     @pytest.mark.parametrize("samples", SLICED_SAMPLES)
+    @pytest.mark.parametrize(
+        "matrix, metric",
+        [((2, 1, 1, 1), MetricKind.ADAPTED)]
+        + [(matrix, metric) for matrix in [(3, 1, 2, 1), (-3, 1, -1, 0)] for metric in MetricKind],
+    )
+    @pytest.mark.parametrize("zeta", [(0, 0), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 5), Fraction(2, 5))])
+    def test_separation_non_symmetric_and_adapted(self, zeta, matrix, metric, samples):
+        cfg = separation_cfg(zeta, matrix, metric)
+        assert cfg.q >= 1
+        args = (cfg, samples, 7)
+        assert regions.separation_check(*args) is ref.separation_check(*args) is True
+
+    @pytest.mark.parametrize("samples", SLICED_SAMPLES)
     def test_separation_inflated_radius_same_answer(self, monkeypatch, samples):
         inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT.lam_abs, 1, 1.0))
         args = (separation_cfg(), samples, 7)
@@ -533,6 +570,25 @@ class TestSlicedAgainstWholeArray:
             monkeypatch.setattr(simulate, "wrap_time_g", lambda *args: window)
             cfg = separation_cfg()
             assert cfg.q * cfg.g_n == window
+            args = (cfg, _BLOCK_ELEMENTS + 1, 7)
+            assert regions.separation_check(*args) is ref.separation_check(*args) is separated
+
+    @pytest.mark.parametrize("samples", SLICED_SAMPLES)
+    def test_separation_inflated_radius_at_period_two(self, monkeypatch, samples):
+        # a radius lam^5 times s_n, just under 1/4: points of A_2 return within the window 2 g(n) = 4
+        inflate_radius(monkeypatch, CAT.lam_abs**5)
+        cfg = separation_cfg((Fraction(1, 5), Fraction(2, 5)))
+        assert (cfg.q, cfg.q * cfg.g_n) == (2, 4)
+        args = (cfg, samples, 7)
+        assert regions.separation_check(*args) is ref.separation_check(*args) is False
+
+    def test_separation_window_edge_at_period_two(self, monkeypatch):
+        # at radius s_n lam^3 the first return is at j = 7: windows 2*3 and 2*4 differ
+        inflate_radius(monkeypatch, CAT.lam_abs**3)
+        for g, separated in ((3, True), (4, False)):
+            monkeypatch.setattr(simulate, "wrap_time_g", lambda *args: g)
+            cfg = separation_cfg((Fraction(1, 5), Fraction(2, 5)))
+            assert (cfg.q, cfg.g_n) == (2, g)
             args = (cfg, _BLOCK_ELEMENTS + 1, 7)
             assert regions.separation_check(*args) is ref.separation_check(*args) is separated
 

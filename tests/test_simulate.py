@@ -111,12 +111,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"tau must be finite and positive, got {tau}"):
             ExperimentConfig(n=1000, tau=tau)
 
+    @pytest.mark.parametrize(
+        "zeta",
+        [
+            (Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)),  # ran at (1/2, 1/2)
+            (Fraction(1, 2),),
+            (True, 0),  # ran at the origin
+            (Fraction(0), False),
+        ],
+    )
+    def test_zeta_must_be_two_coordinates_none_a_bool(self, zeta):
+        with pytest.raises(ValueError, match=r"zeta must be two coordinates, none a bool, got \("):
+            ExperimentConfig(n=1000, zeta=zeta)
+
     def test_cli_values_pass(self):
-        # the values the CLI parses are ints, floats and MetricKinds
+        # the values the CLI parses are ints, floats, Fractions and MetricKinds
         cfg = ExperimentConfig(
-            matrix=(3, 1, 2, 1), metric=MetricKind.ADAPTED, tau=2, n=1000, trials=3, seed=-7
+            matrix=(3, 1, 2, 1), zeta=(Fraction(1, 5), Fraction(0.4)), metric=MetricKind.ADAPTED,
+            tau=2, n=1000, trials=3, seed=-7,
         )
-        assert (cfg.tau, cfg.seed) == (2, -7)
+        assert (cfg.zeta, cfg.tau, cfg.seed) == ((Fraction(1, 5), Fraction(0.4)), 2, -7)
 
     def test_period_detection(self):
         assert small_cfg().q == 1
