@@ -28,9 +28,11 @@ ball radius and lam the dominant eigenvalue:
   consecutive indices, the cluster-size law pi(kappa) is a ratio of
   strip areas, and pi(kappa+1)/pi(kappa) -> lam^(-q).
 * Counting law: cluster starts arrive as a Poisson stream of intensity
-  theta and each cluster carries an integer multiplicity
-  (ExtremalModel.pmf_vector); geometric multiplicities give the
-  Polya-Aeppli counting distribution.
+  theta and each cluster carries an integer multiplicity.
+  ExtremalModel.pmf_vector evaluates the compound Poisson counts by
+  Panjer's recursion, exact term by term with no cut-off on the number
+  of clusters; geometric multiplicities give the Polya-Aeppli counting
+  distribution, whose closed form polya_aeppli_pmf is its check.
 
 The Euclidean theta and pi(kappa) take one numerically stable route,
 _strip_gap: the arcsin differences rearranged through
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .torus import MetricKind, ToralAutomorphism
+from .torus import MetricKind, ToralAutomorphism, check_positive
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
@@ -60,11 +62,6 @@ def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> f
     if metric is MetricKind.EUCLIDEAN:
         return math.pi * radius * radius
     return 4.0 * radius * radius * basis_det
-
-
-def _check_tau(tau: float) -> None:
-    if isinstance(tau, bool) or not (math.isfinite(tau) and tau > 0):  # True is 1 to math
-        raise ValueError(f"tau must be finite and positive, got {tau}")
 
 
 def _check_law(
@@ -80,8 +77,8 @@ def _check_law(
         raise ValueError(f"lam_abs must be finite and exceed 1, got {lam_abs}")
     if q < q_min:
         raise ValueError(f"q must be >= {q_min}, got {q}")
-    if s is not None and not (math.isfinite(s) and s > 0):
-        raise ValueError(f"s must be finite and positive, got {s}")
+    if s is not None:
+        check_positive("s", s)
     if kappa is not None and kappa < kappa_min:
         raise ValueError(f"kappa must be >= {kappa_min}, got {kappa}")
 
@@ -96,7 +93,7 @@ def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_tau(tau)
+    check_positive("tau", tau)
     if not (0.0 < basis_det <= 1.0):
         raise ValueError("basis_det must lie in (0, 1]")
     u = 0.5 * math.log(ball_measure(1.0, metric, basis_det) * n / tau)
@@ -249,8 +246,7 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("theta must lie in (0, 1]")
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"t must be finite and positive, got {t}")
+    check_positive("t", t)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -279,7 +275,7 @@ def wrap_time_g(n: int, lam_abs: float, q: int, tau: float = 1.0) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_tau(tau)
+    check_positive("tau", tau)
     _check_law(lam_abs, q, q_min=0)
     log_lam = math.log(lam_abs)
     if q == 0:
@@ -313,30 +309,20 @@ class ExtremalModel:
         """P(N([0,t)) = k) for k = 0..k_max under the compound Poisson counting law.
 
         Clusters arrive as a Poisson(theta t) stream with iid sizes drawn from
-        the multiplicity law; the pmf is a sum of convolution powers of that
-        law. For geometric sizes it coincides with polya_aeppli_pmf.
+        the multiplicity law pi. Panjer's recursion (ASTIN Bulletin 12, 1981),
+        p_0 = exp(-theta t) and p_k = (theta t / k) sum_{j=1..k} j pi(j) p_{k-j},
+        is exact term by term, with no cut-off on the number of clusters. Each
+        sum is an fsum of correctly rounded products: a dot product's bits would
+        hang on its summation order and on fused multiply-adds, which vary by
+        platform. For geometric sizes it is polya_aeppli_pmf.
         """
-        if not (math.isfinite(t) and t > 0):  # at inf or nan the tail test below never holds
-            raise ValueError(f"t must be finite and positive, got {t}")
+        check_positive("t", t)
         rate = self.theta * t
-        sizes = [0.0, *self.multiplicity_table(k_max)]
+        weights = np.arange(1, k_max + 1) * np.array(self.multiplicity_table(k_max))  # j pi(j)
         out = np.zeros(k_max + 1)
-        conv = np.zeros(k_max + 1)
-        conv[0] = 1.0  # zero clusters
-        weight = math.exp(-rate)
-        out += weight * conv
-        j = 0
-        while True:
-            j += 1
-            weight *= rate / j
-            nxt = np.zeros(k_max + 1)
-            for kappa in range(1, k_max + 1):
-                if sizes[kappa] > 0.0:
-                    nxt[kappa:] += sizes[kappa] * conv[: k_max + 1 - kappa]
-            conv = nxt
-            out += weight * conv
-            if weight < _TAIL_TOL and j > rate:
-                break
+        out[0] = math.exp(-rate)
+        for k in range(1, k_max + 1):
+            out[k] = rate / k * math.fsum(weights[:k] * out[k - 1 :: -1])
         return out
 
 

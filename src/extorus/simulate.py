@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
-from .formulas import _check_tau, ball_measure, threshold_radius, threshold_u_n, wrap_time_g
+from .formulas import ball_measure, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import escape_region, monte_carlo_measure
 from .torus import (
     MODULUS,
@@ -54,6 +54,7 @@ from .torus import (
     ToralAutomorphism,
     build_automorphism,
     check_metric,
+    check_positive,
     compute_period,
     keyed_rng,
     map_jobs,
@@ -84,7 +85,7 @@ def check_field(key: str, value) -> None:
     elif key == "metric":
         check_metric(value)
     elif key == "tau":
-        _check_tau(value)
+        check_positive("tau", value)
     elif key in ("n", "trials") and value < 1:
         raise ValueError(f"{key} must be >= 1")
 

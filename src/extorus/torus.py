@@ -90,6 +90,12 @@ def check_metric(metric) -> None:
         raise ValueError(f"metric must be a MetricKind, got {metric!r}")
 
 
+def check_positive(name: str, value) -> None:
+    """Raise unless value is finite and positive; a bool is refused too, though True is 1 to math."""
+    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ToralAutomorphism:
     """Validated integer matrix [[a,b],[c,d]] with its eigen-structure.
@@ -378,6 +384,7 @@ class Ball:
 
     def __post_init__(self) -> None:
         check_metric(self.metric)
+        check_positive("radius", self.radius)
 
     @property
     def key_radius(self) -> float:

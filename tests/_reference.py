@@ -20,7 +20,9 @@ per-exceedance loop estimators, on per-trial tuples, are the references
 for the columnar reader and estimators of extorus.cli and
 extorus.simulate. The paper's four-arcsin
 grouping of the Euclidean cluster-size law is the reference for the
-stable strip-gap ratio of extorus.formulas.
+stable strip-gap ratio of extorus.formulas, and the mpmath Polya-Aeppli
+pmf and compound Poisson convolution-power series, summed over every
+cluster count, are the references for its counting pmf.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 
 from extorus.errors import ExtorusError
@@ -211,6 +214,47 @@ def printed_multiplicity_pi(lam_abs: float, q: int, kappa: int) -> float:
     mid = _printed_gap(lam_abs, kappa * q)
     high = _printed_gap(lam_abs, (kappa + 1) * q)
     return (2.0 * mid - low - high) / _printed_gap(lam_abs, q)
+
+
+def mp_polya_aeppli_pmf(theta: float, t: float, k_max: int) -> list[float]:
+    """The Polya-Aeppli pmf of formulas.polya_aeppli_pmf at k = 0..k_max, in 50-digit mpmath.
+
+    P(N = k) = exp(-theta t) sum_{j=1..k} (theta^2 t)^j / j! (1-theta)^(k-j) C(k-1, j-1).
+    """
+    with mp.workdps(50):
+        theta, t = mp.mpf(theta), mp.mpf(t)
+        clusters = [(theta * theta * t) ** j / mp.factorial(j) for j in range(k_max + 1)]
+        stay = [(1 - theta) ** m for m in range(k_max + 1)]
+        sums = [mp.mpf(1)] + [
+            mp.fsum(clusters[j] * stay[k - j] * math.comb(k - 1, j - 1) for j in range(1, k + 1))
+            for k in range(1, k_max + 1)
+        ]
+        return [float(mp.exp(-theta * t) * term) for term in sums]
+
+
+def mp_compound_poisson_pmf(theta: float, t: float, sizes: list[float], k_max: int) -> list[float]:
+    """The compound Poisson counting pmf at k = 0..k_max as its convolution-power series, in 50-digit mpmath.
+
+    Clusters arrive at rate theta over a window of length t, and sizes[i] is
+    the probability of a cluster of size i + 1. P(N = k) sums, over every
+    cluster count j <= k, the Poisson weight of j times the j-fold
+    convolution power of the size law at k; no term is left out, as j > k
+    clusters carry at least j > k exceedances.
+    """
+    with mp.workdps(50):
+        rate = mp.mpf(theta) * mp.mpf(t)
+        pi = [mp.mpf(0), *map(mp.mpf, sizes)]
+        power = [mp.mpf(1)] + [mp.mpf(0)] * k_max  # the 0-fold power: no clusters, no exceedances
+        weight = mp.exp(-rate)
+        out = [weight * p for p in power]
+        for j in range(1, k_max + 1):
+            # the j-fold power is zero below j
+            power = [mp.mpf(0)] * j + [
+                mp.fsum(pi[i] * power[k - i] for i in range(1, k - j + 2)) for k in range(j, k_max + 1)
+            ]
+            weight *= rate / j
+            out = [o + weight * p for o, p in zip(out, power)]
+        return [float(o) for o in out]
 
 
 def initial_states_from_bytes(seed: int, trial_ids) -> list[tuple[int, int]]:

@@ -8,6 +8,7 @@ import os
 import re
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -640,3 +641,22 @@ class TestSeparation:
     def test_minimum_samples(self):
         with pytest.raises(ValueError, match="samples must be >= 1000"):
             separation_check(separation_cfg(), 999, 1)
+
+    @pytest.mark.parametrize("zeta, q", [((0, 0), 1), ((Fraction(1, 5), Fraction(2, 5)), 2)])
+    @pytest.mark.parametrize("rows_out, separated", [(0, False), (1, True)], ids=["q-out", "q-1-out"])
+    def test_run_rule_on_a_hand_built_walk(self, monkeypatch, zeta, q, rows_out, separated):
+        # one member whose preimages are the centre (in the ball) or a point 0.4 away (out of
+        # it): in the ball after exactly q rows out it is in A_q, a return; after q - 1 it is not
+        cfg = separation_cfg(zeta)
+        assert cfg.q == q and cfg.q * cfg.g_n > q
+        centre = [round(Fraction(c) * MODULUS) for c in zeta]
+        away = [(c + round(0.4 * MODULUS)) % MODULUS for c in centre]
+        rows = np.array([centre] + [away] * (q - rows_out) + [centre])
+
+        def walk(px, py, T, steps, stride):
+            yield SimpleNamespace(x=rows[:, :1], y=rows[:, 1:])
+
+        member = (np.array([0.5]), np.array([0.5]), np.array([True]))
+        monkeypatch.setattr(regions, "_decided_slices", lambda *args: iter([member]))
+        monkeypatch.setattr(regions, "orbit_blocks", walk)
+        assert separation_check(cfg, 1000, 7) is separated

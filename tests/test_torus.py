@@ -279,6 +279,14 @@ class TestBallDistance:
             Ball(CAT, TorusPoint(0.0, 0.0), 0.01, metric)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("radius", [-0.01, 0.0, math.nan, math.inf, True])
+    def test_radius_must_be_finite_and_positive(self, metric, radius):
+        # each was a ball: -0.01 the Euclidean ball of 0.01 (its key radius is r^2),
+        # nan one holding nothing, inf one holding every point
+        with pytest.raises(ValueError, match="^radius must be finite and positive, got "):
+            Ball(CAT, TorusPoint(0.0, 0.0), radius, metric)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
     def test_matches_scalar_reference(self, metric):
         # points within 0.25 of zeta, where folding is exact in both metrics
         rng = np.random.default_rng(41)
