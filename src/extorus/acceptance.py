@@ -34,7 +34,6 @@ from .formulas import (
     area_A_q,
     ball_measure,
     extremal_index,
-    extremal_model,
     multiplicity_mass,
     multiplicity_pi,
     nested_area_U,
@@ -267,8 +266,8 @@ def criterion_3_separation():
 def _dichotomy_run(metric: MetricKind, zeta, workers: int | None):
     """Run one dichotomy experiment through block maxima, declustering and theta-hat.
 
-    Returns the config, the clusters and the measured values every
-    dichotomy criterion reports.
+    Returns the config, the clusters and the measured values every dichotomy
+    criterion reports, p_target = exp(-theta tau) of cfg.model among them.
     """
     cfg = ExperimentConfig(
         matrix=CAT, zeta=zeta, metric=metric, tau=1.0, n=100_000, trials=_TRIALS, seed=_SEED
@@ -280,14 +279,22 @@ def _dichotomy_run(metric: MetricKind, zeta, workers: int | None):
         "trials": cfg.trials,
         "p_hat": p_hat,
         "p_se": se,
+        "p_target": math.exp(-cfg.model.theta * cfg.tau),
         "theta_hat_clusters": empirical_extremal_index(clusters),
     }
     return cfg, clusters, measured
 
 
-def _size_chi_square(clusters, pmf) -> dict:
-    chi, chi_p, dof = chi_square_vs_pmf(clusters.size, pmf, 1, 5)
-    return {"chi2": chi, "chi2_p_value": chi_p, "chi2_dof": dof}
+def _periodic_run(metric: MetricKind, workers: int | None):
+    """The dichotomy run at the fixed point against cfg.model: the config, the
+    measured values with q, theta_formula and the cluster-size chi-square
+    added, and whether the cluster index and the size law pass."""
+    cfg, clusters, measured = _dichotomy_run(metric, (Fraction(0), Fraction(0)), workers)
+    theta = cfg.model.theta
+    chi, chi_p, dof = chi_square_vs_pmf(clusters.size, cfg.model.multiplicity, 1, 5)
+    measured.update(q=cfg.q, theta_formula=theta, chi2=chi, chi2_p_value=chi_p, chi2_dof=dof)
+    ok = abs(measured["theta_hat_clusters"] - theta) <= 0.04 and chi_p >= 0.01
+    return cfg, measured, ok
 
 
 @_criterion(4, "dichotomy-nonperiodic")
@@ -297,14 +304,9 @@ def criterion_4_nonperiodic(workers: int | None = None):
     cfg, clusters, measured = _dichotomy_run(MetricKind.EUCLIDEAN, zeta, workers)
     hist = empirical_multiplicity(clusters)
     ks, ks_p = gap_ks_statistic(clusters, 1.0, window_span=cfg.tau)
-    measured.update(
-        p_target=math.exp(-1.0),
-        ks_stat=ks,
-        ks_p_value=ks_p,
-        multiplicity_mass_at_1=hist.get(1, 0.0),
-    )
+    measured.update(ks_stat=ks, ks_p_value=ks_p, multiplicity_mass_at_1=hist.get(1, 0.0))
     ok = (
-        abs(measured["p_hat"] - math.exp(-1.0)) <= 0.03
+        abs(measured["p_hat"] - measured["p_target"]) <= 0.03
         and 0.93 <= measured["theta_hat_clusters"] <= 1.0
         and ks_p > 0.01
         and hist.get(1, 0.0) >= 0.95
@@ -315,23 +317,13 @@ def criterion_4_nonperiodic(workers: int | None = None):
 @_criterion(5, "dichotomy-periodic-euclidean")
 def criterion_5_periodic_euclidean(workers: int | None = None):
     """Dichotomy at the fixed point, Euclidean metric."""
-    origin = (Fraction(0), Fraction(0))
-    cfg, clusters, measured = _dichotomy_run(MetricKind.EUCLIDEAN, origin, workers)
-    model = extremal_model(cfg.automorphism, cfg.q, MetricKind.EUCLIDEAN)
-    theta = model.theta
+    cfg, measured, ok = _periodic_run(MetricKind.EUCLIDEAN, workers)
     theta_ratio = ei_measure_ratio(cfg, _RATIO_SAMPLES, _SEED + 17)
-    measured.update(
-        q=cfg.q,
-        theta_formula=theta,
-        p_target=math.exp(-theta * cfg.tau),
-        theta_hat_ratio=theta_ratio,
-        **_size_chi_square(clusters, model.multiplicity),
-    )
+    measured["theta_hat_ratio"] = theta_ratio
     ok = (
-        abs(measured["p_hat"] - math.exp(-theta * cfg.tau)) <= 0.03
-        and abs(measured["theta_hat_clusters"] - theta) <= 0.04
-        and abs(theta_ratio - theta) <= 0.04
-        and measured["chi2_p_value"] >= 0.01
+        ok
+        and abs(measured["p_hat"] - measured["p_target"]) <= 0.03
+        and abs(theta_ratio - measured["theta_formula"]) <= 0.04
     )
     return ok, measured, "both extremal-index estimators and the cluster-size law at the fixed point"
 
@@ -339,20 +331,7 @@ def criterion_5_periodic_euclidean(workers: int | None = None):
 @_criterion(6, "dichotomy-periodic-adapted")
 def criterion_6_periodic_adapted(workers: int | None = None):
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
-    origin = (Fraction(0), Fraction(0))
-    cfg, clusters, measured = _dichotomy_run(MetricKind.ADAPTED, origin, workers)
-    model = extremal_model(cfg.automorphism, cfg.q, MetricKind.ADAPTED)
-    theta = model.theta
-    measured.update(
-        q=cfg.q,
-        theta_formula=theta,
-        p_target=math.exp(-theta * cfg.tau),
-        **_size_chi_square(clusters, model.multiplicity),
-    )
-    ok = (
-        abs(measured["theta_hat_clusters"] - theta) <= 0.04
-        and measured["chi2_p_value"] >= 0.01
-    )
+    _, measured, ok = _periodic_run(MetricKind.ADAPTED, workers)
     return ok, measured, "cluster index and geometric size law in the eigenbasis sup metric"
 
 
@@ -369,15 +348,13 @@ def criterion_7_repp_counts(workers: int | None = None):
         trials=_TRIALS,
         seed=_SEED + 7,
     )
-    model = extremal_model(cfg.automorphism, cfg.q, MetricKind.ADAPTED)
-    theta = model.theta
+    theta = cfg.model.theta
     records = run_experiment(cfg, workers)
     horizon = int(round(cfg.v_n * t))
     counts = repp_counts(records, horizon)
     chi, chi_p, dof = chi_square_vs_pmf(counts, lambda k: polya_aeppli_pmf(theta, t, k), 0, 14)
-    pa_vs_generic = float(
-        np.max(np.abs(model.pmf_vector(t, 14) - np.array([polya_aeppli_pmf(theta, t, k) for k in range(15)])))
-    )
+    pa = np.array([polya_aeppli_pmf(theta, t, k) for k in range(15)])
+    pa_vs_generic = float(np.max(np.abs(cfg.model.pmf_vector(t, 14) - pa)))
 
     measured = {
         "trials": cfg.trials,

@@ -429,7 +429,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise NoExceedances("no exceedances in the supplied CSVs")
 
     clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
-    model = extremal_model(cfg.automorphism, cfg.q, cfg.metric)
+    model = cfg.model
     theta_model = model.theta
     theta_clusters = empirical_extremal_index(clusters)
     hist = empirical_multiplicity(clusters)

@@ -242,13 +242,15 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
         P(N = k) = exp(-theta t) * sum_{j=1..k} theta^j (1-theta)^(k-j)
                    (theta t)^j / j! * C(k-1, j-1).
 
-    At theta = 1 this reduces to the Poisson pmf with mean t.
+    At theta = 1 this reduces to the Poisson pmf with mean t. The j! of
+    the sum is a double up to 170!, so k is at most 170;
+    ExtremalModel.pmf_vector evaluates the law at any k.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError("theta must lie in (0, 1]")
     check_positive("t", t)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    if not 0 <= k <= 170:
+        raise ValueError(f"k must be in [0, 170], got {k}; ExtremalModel.pmf_vector takes any k")
     if k == 0:
         return math.exp(-theta * t)
     total = 0.0

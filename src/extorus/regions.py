@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import OutOfLocalRange
-from .formulas import ball_measure
+from .formulas import _power, ball_measure
 from .torus import _BLOCK_ELEMENTS, Ball, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
 
 if TYPE_CHECKING:  # simulate imports this module
@@ -157,7 +157,7 @@ def _local_range_guard(region: RegionSpec) -> None:
     """Raise OutOfLocalRange if an image the region's walk reads may wrap the torus."""
     stride, inside, outside = _walk(region)
     reach = (inside + outside - 1) * stride
-    if region.ball.T.lam_abs**reach * region.ball.radius >= 0.5:
+    if _power(region.ball.T.lam_abs, reach) * region.ball.radius >= 0.5:
         raise OutOfLocalRange(
             f"lam^({reach // region.q}q) * radius >= 1/2: preimages wrap at kappa={region.kappa}"
         )

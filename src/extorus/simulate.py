@@ -1,14 +1,15 @@
 """Monte Carlo orbit experiments and empirical extreme-value estimators.
 
 An experiment is its run schema, the ExperimentConfig fields (matrix,
-centre, metric, tau, n, trials, seed); the threshold, the period and the
-declustering gap q g(n) are derived from them. A trial draws a uniform
-random exact initial state on the 2**61 grid, iterates the torus map for
-n steps in modular integer arithmetic, and records the times and
-observable values of every entry into the threshold ball together with
-the block maximum of the observable. Trials are bit-reproducible: the
-random stream of trial k is keyed by (seed, k), so any partition of the
-trial range across workers produces identical records.
+centre, metric, tau, n, trials, seed); the threshold, the period, the
+declustering gap q g(n) and the closed-form law (cfg.model) are derived
+from them. A trial draws a uniform random exact initial state on the
+2**61 grid, iterates the torus map for n steps in modular integer
+arithmetic, and records the times and observable values of every entry
+into the threshold ball together with the block maximum of the
+observable. Trials are bit-reproducible: the random stream of trial k is
+keyed by (seed, k), so any partition of the trial range across workers
+produces identical records.
 
 Why x-first: the threshold ball is a rare set, of measure tau/n, but
 the engine cannot know in advance which steps enter it. Every point of
@@ -45,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoExceedances, TooFewGaps
-from .formulas import ball_measure, threshold_radius, threshold_u_n, wrap_time_g
+from .formulas import ExtremalModel, ball_measure, extremal_model, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import escape_region, monte_carlo_measure
 from .torus import (
     MODULUS,
@@ -157,6 +158,12 @@ class ExperimentConfig:
     def run_gap(self) -> int:
         """Declustering gap: q*g(n) for periodic centres, g(n) otherwise, and at least 1."""
         return max(self.q * self.g_n if self.q >= 1 else self.g_n, 1)
+
+    @cached_property
+    def model(self) -> ExtremalModel:
+        """The closed-form law at zeta's period. Lazy: at q >= 1 the Euclidean
+        law refuses a non-symmetric matrix, which simulate still runs."""
+        return extremal_model(self.automorphism, self.q, self.metric)
 
 
 class TrialRecord(NamedTuple):

@@ -532,14 +532,17 @@ def keyed_rng(seed: int, key: int) -> np.random.Generator:
 def resolve_workers(explicit: int | None = None) -> int:
     """Worker count: the explicit count capped at the cores, else min(cores, 8).
 
-    A count below 1 is rejected.
+    A count that is not an int (a bool, a float or a string; a NumPy integer
+    passes, and comes back as an int) or is below 1 is rejected.
     """
     cores = os.cpu_count() or 1
     if explicit is None:
         return min(cores, 8)
+    if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)):
+        raise ValueError(f"worker count must be an int, got {explicit!r}")
     if explicit < 1:
         raise ValueError(f"worker count must be >= 1, got {explicit}")
-    return min(explicit, cores)
+    return min(int(explicit), cores)
 
 
 def pool_size(workers: int | None, jobs: int) -> int:

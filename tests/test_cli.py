@@ -407,6 +407,21 @@ class TestEstimate:
         assert lines[6].startswith("P(M_n <= u_n)")
         assert lines[-1].startswith("wrote multiplicity table")
 
+    def test_ratio_skipped_where_lam_to_the_period_overflows(self, tmp_path, capsys):
+        # a centre of period 750: lam^750 is past the largest double, and the ratio is skipped
+        out_dir = tmp_path / "long"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--zeta", "1/1000,0", "--n", "20000", "--trials", "50",
+            "--seed", "3", "--workers", "1", "--out", str(out_dir),
+        )
+        assert code == 0
+        code, out, err = run_cli(capsys, "estimate", "--in", str(out_dir))
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[2] == "q (detected)          750"
+        assert lines[5].startswith("theta_hat (ratio)     skipped (OutOfLocalRange: lam^(1q)")
+        assert lines[-1].startswith("wrote multiplicity table")
+
     def test_malformed_csv_exit_2(self, sim_dir, capsys):
         path = sim_dir / "exceedances.csv"
         lines = path.read_text().splitlines()

@@ -278,6 +278,13 @@ class TestPolyaAeppli:
         mean = math.fsum(k * polya_aeppli_pmf(theta, t, k) for k in range(kmax))
         assert mean == pytest.approx(t, abs=1e-6)
 
+    def test_defined_up_to_k_170(self):
+        # the sum's j! is a double up to 170!: k = 170 keeps its value, k = 171 is refused
+        assert polya_aeppli_pmf(0.6, 3.0, 170) == 3.051416786700066e-53
+        with pytest.raises(ValueError, match=r"k must be in \[0, 170\], got 171; ExtremalModel.pmf_vector"):
+            polya_aeppli_pmf(0.6, 3.0, 171)
+        assert extremal_model(CAT, 1, MetricKind.ADAPTED).pmf_vector(3.0, 171)[171] > 0.0
+
 
 class TestWrapTime:
     def test_nonperiodic_example(self):
@@ -396,6 +403,7 @@ class TestDomain:
             ("kappa", lambda: extremal_model(CAT, 0, EUCLID).multiplicity(0)),
             # a window length that is not finite: nan, and pmf_vector never returned
             ("t", lambda: polya_aeppli_pmf(0.5, math.nan, 2)),
+            ("k", lambda: polya_aeppli_pmf(0.5, 2.0, -1)),
             ("t", lambda: extremal_model(CAT, 1, EUCLID).pmf_vector(math.inf, 3)),
             # a bool, which math takes for 0 or 1: area_A_q(True, ...) gave the area at s = 1
             ("s", lambda: area_A_q(True, LAM, 1)),

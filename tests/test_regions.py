@@ -445,14 +445,16 @@ class TestMonteCarloMeasure:
         assert sizes == [3, 2]
         assert many == few == monte_carlo_measure(ball_region(), samples, 5)
 
-    @pytest.mark.parametrize("workers", [0, -5])
+    # a bool, a float or a string is not a count: True would run as one worker
+    @pytest.mark.parametrize("workers", [0, -5, True, 2.5, "2"])
     def test_worker_counts_below_one_rejected(self, monkeypatch, workers):
         # the count is checked before any work; a pool would fail the test
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(torus, "ProcessPoolExecutor", no_pool)
-        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+        wrong = f"an int, got {workers!r}" if type(workers) is not int else f">= 1, got {workers}"
+        with pytest.raises(ValueError, match=f"worker count must be {wrong}"):
             monte_carlo_measure(ball_region(), 1 << 19, 5, workers=workers)
 
     def test_error_shrinks_like_sqrt_samples(self):
@@ -506,6 +508,11 @@ class TestLocalRangeGuard:
                 else:
                     _local_range_guard(region)
         assert raised > 0
+
+    def test_raises_past_the_overflow_of_lam_to_the_reach(self):
+        # lam^750 is past the largest double: the guard raises OutOfLocalRange, not OverflowError
+        with pytest.raises(OutOfLocalRange, match=re.escape("lam^(1q) * radius >= 1/2")):
+            _local_range_guard(RegionSpec(BALL, RegionKind.A_Q, q=750))
 
     def test_ball_and_nested_level_zero_never_raise(self):
         T = build_automorphism(1, 140, 140, 19601)

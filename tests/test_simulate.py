@@ -32,6 +32,7 @@ from extorus import (
     empirical_multiplicity,
     estimate_block_maxima_cdf,
     extremal_index,
+    extremal_model,
     gap_ks_statistic,
     monte_carlo_measure,
     repp_counts,
@@ -138,6 +139,33 @@ class TestConfig:
         decimal = small_cfg(zeta=(Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1)))
         assert decimal.q == 0
 
+    GENERIC = (Fraction(math.sqrt(2) - 1), Fraction(math.sqrt(3) - 1))
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize(
+        "matrix, zeta, q",
+        [
+            ((2, 1, 1, 1), GENERIC, 0),
+            ((2, 1, 1, 1), ORIGIN, 1),
+            ((2, 1, 1, 1), (Fraction(1, 2), Fraction(1, 2)), 3),
+            ((5, 2, 2, 1), GENERIC, 0),
+            ((5, 2, 2, 1), ORIGIN, 1),
+            ((5, 2, 2, 1), (Fraction(0), Fraction(1, 7)), 3),
+        ],
+    )
+    def test_model_is_the_law_at_the_detected_period(self, matrix, zeta, q, metric):
+        cfg = small_cfg(matrix=matrix, zeta=zeta, metric=metric)
+        assert cfg.q == q
+        assert cfg.model == extremal_model(cfg.automorphism, cfg.q, cfg.metric)
+
+    def test_model_is_derived_only_when_read(self):
+        # 3,1,2,1 is not symmetric: the config and its run stand, the Euclidean law at q = 1 is refused
+        cfg = small_cfg(matrix=(3, 1, 2, 1), n=1000, trials=3)
+        assert (cfg.q, cfg.metric) == (1, MetricKind.EUCLIDEAN)
+        assert len(run_experiment(cfg, workers=1).maxima) == 3
+        with pytest.raises(ValueError, match=r"need a symmetric matrix \(b == c\)"):
+            cfg.model
+
     def test_run_gap_defaults(self):
         periodic = small_cfg(n=100_000)
         assert periodic.run_gap == periodic.q * periodic.g_n
@@ -217,6 +245,7 @@ class TestRunTrial:
         assert resolve_workers() == 4
         assert resolve_workers(100_000) == 4
         assert resolve_workers(3) == 3
+        assert type(resolve_workers(np.int64(3))) is int  # a count JSON can write
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert resolve_workers(5) == 5
         monkeypatch.setattr(os, "cpu_count", lambda: 16)

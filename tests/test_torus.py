@@ -602,8 +602,10 @@ class TestMapJobs:
         assert torus.map_jobs(abs, list(range(-9, 0)), None) == list(range(9, 0, -1))
         assert sizes == [3, 4]
 
-    @pytest.mark.parametrize("workers", [0, -5])
+    # a bool, a float or a string is not a count: True would run as one worker
+    @pytest.mark.parametrize("workers", [0, -5, True, 2.5, "2"])
     def test_worker_counts_below_one_rejected(self, monkeypatch, workers):
         monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
-        with pytest.raises(ValueError, match=f"worker count must be >= 1, got {workers}"):
+        wrong = f"an int, got {workers!r}" if type(workers) is not int else f">= 1, got {workers}"
+        with pytest.raises(ValueError, match=f"worker count must be {wrong}"):
             torus.map_jobs(abs, [1, 2], workers)
