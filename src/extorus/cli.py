@@ -48,7 +48,7 @@ from .simulate import (
     gap_ks_statistic,
     run_experiment,
 )
-from .torus import MetricKind
+from .torus import MetricKind, check_count
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -116,8 +116,7 @@ _FIELDS = {
 def _parse(source: str, key: str, text: str) -> Any:
     """The value of field `key` written as `text`, checked on its own; an error names the source."""
     try:
-        value = _FIELDS[key].parse(text)
-        check_field(key, value)
+        value = check_field(key, _FIELDS[key].parse(text))
     except ExtorusError as exc:  # a matrix that is not hyperbolic or not of determinant 1
         raise type(exc)(f"{source}: {exc}") from None
     except (ValueError, ArithmeticError) as exc:  # Fraction: 1/0 and inf
@@ -213,16 +212,13 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    if args.q is not None and args.q < 0:
-        raise ValueError(f"--q: q must be >= 0, got {args.q}")
-    if args.kmax < 1:
-        raise ValueError(f"--kmax: kmax must be >= 1, got {args.kmax}")
+    k_max = check_count("--kmax: kmax", args.kmax, 1)
     cfg = build_config(args)
     T = cfg.automorphism
-    q = cfg.q if args.q is None else args.q
+    q = cfg.q if args.q is None else check_count("--q: q", args.q, 0)
     model = extremal_model(T, q, cfg.metric)
     theta = model.theta
-    pis = model.multiplicity_table(args.kmax)
+    pis = model.multiplicity_table(k_max)
     payload = {
         "lambda": T.lam,
         "basis_det": T.basis_det,

@@ -6,9 +6,9 @@ thresholds are functions of (n, tau, metric, basis_det). extremal_model
 takes the automorphism itself and is the one gate to the law: it refuses
 the Euclidean forms at a periodic centre for a non-symmetric matrix,
 where |lam| alone does not fix them. Every form refuses arguments
-outside its domain (s, |lam|, q, kappa) through _check_law, with a
-ValueError that names the argument. Geometry conventions, with s the
-ball radius and lam the dominant eigenvalue:
+outside its domain (s, |lam|, the integers q and kappa) through
+_check_law, with a ValueError that names the argument. Geometry
+conventions, with s the ball radius and lam the dominant eigenvalue:
 
 * Ball measure: a Euclidean ball of radius r has measure pi r^2; an
   adapted-metric ball is a square in eigenbasis coordinates with
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .torus import MetricKind, ToralAutomorphism, check_positive
+from .torus import MetricKind, ToralAutomorphism, check_count, check_positive
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
@@ -69,30 +69,28 @@ def _check_law(
 ) -> None:
     """Refuse a closed form's arguments outside its domain with a ValueError naming the first one.
 
-    lam_abs must be finite and exceed 1, and q be at least q_min (0 where
-    q = 0 means a non-periodic centre); s, where given, finite and
-    positive, and kappa, where given, at least kappa_min.
+    lam_abs must be finite and exceed 1, and q an integer at least q_min
+    (0 where q = 0 means a non-periodic centre); s, where given, finite and
+    positive, and kappa, where given, an integer at least kappa_min.
     """
     if not (math.isfinite(lam_abs) and lam_abs > 1.0):
         raise ValueError(f"lam_abs must be finite and exceed 1, got {lam_abs}")
-    if q < q_min:
-        raise ValueError(f"q must be >= {q_min}, got {q}")
+    check_count("q", q, q_min)
     if s is not None:
         check_positive("s", s)
-    if kappa is not None and kappa < kappa_min:
-        raise ValueError(f"kappa must be >= {kappa_min}, got {kappa}")
+    if kappa is not None:
+        check_count("kappa", kappa, kappa_min)
 
 
 def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0) -> float:
     """Threshold for orbit length n: inverts the ball measure at tau/n.
 
     u = (1/2) log(n m(B_1) / tau), with m(B_1) the measure of the unit
-    ball. Raises ValueError for n < 1, a tau that is not finite and
-    positive, or basis_det outside (0, 1]; RadiusTooLarge when
-    exp(-u) >= 0.25.
+    ball. Raises ValueError for an n that is not an int >= 1, a tau that
+    is not finite and positive, or basis_det outside (0, 1]; RadiusTooLarge
+    when exp(-u) >= 0.25.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n, 1)
     check_positive("tau", tau)
     if not (0.0 < basis_det <= 1.0):
         raise ValueError("basis_det must lie in (0, 1]")
@@ -247,9 +245,9 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
     ExtremalModel.pmf_vector evaluates the law at any k.
     """
     if not (0.0 < theta <= 1.0):
-        raise ValueError("theta must lie in (0, 1]")
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
     check_positive("t", t)
-    if not 0 <= k <= 170:
+    if check_count("k", k, 0) > 170:
         raise ValueError(f"k must be in [0, 170], got {k}; ExtremalModel.pmf_vector takes any k")
     if k == 0:
         return math.exp(-theta * t)
@@ -272,11 +270,10 @@ def wrap_time_g(n: int, lam_abs: float, q: int, tau: float = 1.0) -> int:
     q >= 1: floor((log n + log(lam^(2q)+1) - 2 log(2 lam^q sqrt(tau/pi)))
     / (2 q log lam)), evaluated in a cancellation-free rearrangement so
     large q cannot overflow. Clamped at 0: a negative value would index
-    an empty sum. Raises ValueError, as threshold_u_n does, for n < 1 or
-    a tau that is not finite and positive, whatever q.
+    an empty sum. Raises ValueError, as threshold_u_n does, for an n that
+    is not an int >= 1 or a tau that is not finite and positive, whatever q.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n, 1)
     check_positive("tau", tau)
     _check_law(lam_abs, q, q_min=0)
     log_lam = math.log(lam_abs)
@@ -305,7 +302,7 @@ class ExtremalModel:
         return multiplicity_pi(self.lam_abs, self.q, kappa, self.metric)
 
     def multiplicity_table(self, k_max: int) -> list[float]:
-        return [self.multiplicity(k) for k in range(1, k_max + 1)]
+        return [self.multiplicity(k) for k in range(1, check_count("k_max", k_max, 0) + 1)]
 
     def pmf_vector(self, t: float, k_max: int) -> np.ndarray:
         """P(N([0,t)) = k) for k = 0..k_max under the compound Poisson counting law.
@@ -319,6 +316,7 @@ class ExtremalModel:
         platform. For geometric sizes it is polya_aeppli_pmf.
         """
         check_positive("t", t)
+        k_max = check_count("k_max", k_max, 0)
         rate = self.theta * t
         weights = np.arange(1, k_max + 1) * np.array(self.multiplicity_table(k_max))  # j pi(j)
         out = np.zeros(k_max + 1)
@@ -338,6 +336,7 @@ def extremal_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> Extremal
     q >= 1, that the multiplicity law sums to 1 within 1e-9 (adaptive
     cutoff plus geometric tail).
     """
+    q = check_count("q", q, 0)
     if metric is MetricKind.EUCLIDEAN and q >= 1 and T.b != T.c:
         raise ValueError(
             f"the Euclidean closed forms at a periodic centre (q = {q}) need a symmetric "

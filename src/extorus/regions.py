@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import _power, ball_measure
-from .torus import _BLOCK_ELEMENTS, Ball, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
+from .torus import _BLOCK_ELEMENTS, Ball, check_count, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
 
 if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
@@ -82,10 +82,8 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.ball.radius < 0.25):
             raise ValueError("radius must lie in (0, 0.25)")
-        if self.kind is not RegionKind.BALL and self.q < 1:
-            raise ValueError(f"{self.kind.value} requires q >= 1")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
+        object.__setattr__(self, "q", check_count("q", self.q, 0 if self.kind is RegionKind.BALL else 1))
+        object.__setattr__(self, "kappa", check_count("kappa", self.kappa, 0))
 
 
 def _walk(region: RegionSpec) -> tuple[int, int, int]:
@@ -212,8 +210,7 @@ def monte_carlo_measure(
     a worker count below 1 raises, and the pool never has more workers
     than chunks or cores.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    samples = check_count("samples", samples, 1000)
     _local_range_guard(region)
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     jobs = [(region, seed, i, size) for i, size in enumerate(sizes)]
@@ -238,8 +235,7 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     region meeting itself, is excluded). The scan stops at the first
     return. A centre of period 0 has no escape region and raises ValueError.
     """
-    if samples < 1000:
-        raise ValueError("samples must be >= 1000")
+    samples = check_count("samples", samples, 1000)
     region = escape_region(cfg)
     window = region.q * cfg.g_n  # steps, and rows too: the escape walk's stride is 1
     if window == 0:

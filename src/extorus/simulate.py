@@ -54,6 +54,7 @@ from .torus import (
     MetricKind,
     ToralAutomorphism,
     build_automorphism,
+    check_count,
     check_metric,
     check_positive,
     compute_period,
@@ -73,22 +74,19 @@ _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
 
 
-def check_field(key: str, value) -> None:
-    """Raise unless `value` is valid for ExperimentConfig field `key` on its own; cli names the source."""
-    # type(), not isinstance: a bool is an int, and True would pass for 1
-    entries = value if key == "matrix" else (value,)
-    if key in ("matrix", "n", "trials", "seed") and any(type(v) is not int for v in entries):
-        raise ValueError(f"{key} must be {'all ints' if key == 'matrix' else 'an int'}, got {value!r}")
+def check_field(key: str, value):
+    """`value` as ExperimentConfig stores field `key`; ValueError if invalid on its own (cli names the source)."""
     if key == "matrix":
-        build_automorphism(*value)
+        value = build_automorphism(*value).entries
+    elif key in ("n", "trials", "seed"):
+        value = check_count(key, value, None if key == "seed" else 1)
     elif key == "zeta" and (len(value) != 2 or any(type(v) is bool for v in value)):
         raise ValueError(f"zeta must be two coordinates, none a bool, got {value!r}")
     elif key == "metric":
         check_metric(value)
     elif key == "tau":
         check_positive("tau", value)
-    elif key in ("n", "trials") and value < 1:
-        raise ValueError(f"{key} must be >= 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for field in fields(self):
-            check_field(field.name, getattr(self, field.name))
+            object.__setattr__(self, field.name, check_field(field.name, getattr(self, field.name)))
         object.__setattr__(self, "zeta", (Fraction(self.zeta[0]) % 1, Fraction(self.zeta[1]) % 1))
         self.radius  # the one check of fields together: radius < 0.25
 
@@ -363,10 +361,8 @@ def decluster_all(records: Records, run_gap: int, v_n: float) -> Clusters:
 
     A cluster's time is its first exceedance time divided by v_n.
     """
-    if run_gap < 1:
-        raise ValueError("run_gap must be positive")
-    if v_n <= 0:
-        raise ValueError("v_n must be positive")
+    check_count("run_gap", run_gap, 1)
+    check_positive("v_n", v_n)
     trial, time = records.trial, records.time
     first = np.ones(trial.size, dtype=bool)
     first[1:] = (np.diff(time) > run_gap) | (trial[1:] != trial[:-1])
@@ -399,6 +395,7 @@ def pooled_gaps(clusters: Clusters, window_span: float) -> np.ndarray:
     by i * window_span) and gaps are taken on the glued stream, which
     keeps the gap law exponential across trial boundaries.
     """
+    check_positive("window_span", window_span)
     return np.diff(clusters.time + clusters.trial * window_span)
 
 
@@ -408,6 +405,8 @@ def gap_ks_statistic(clusters: Clusters, theta: float, window_span: float) -> tu
     The p-value uses the asymptotic Kolmogorov distribution; adequate
     for 1% decisions at twenty or more gaps.
     """
+    if not (0.0 < theta <= 1.0):
+        raise ValueError(f"theta must lie in (0, 1], got {theta}")
     gaps = pooled_gaps(clusters, window_span)
     if gaps.size < 20:
         raise TooFewGaps(f"{gaps.size} gaps, need >= 20")
@@ -436,7 +435,8 @@ def _kolmogorov_sf(x: float) -> float:
 
 
 def repp_counts(records: Records, horizon_steps: int) -> np.ndarray:
-    """Exceedance counts per trial within the first horizon_steps steps."""
+    """Exceedance counts per trial within the first horizon_steps steps (none for a horizon <= 0)."""
+    check_count("horizon_steps", horizon_steps)
     return np.bincount(records.trial[records.time < horizon_steps], minlength=len(records))
 
 
@@ -446,18 +446,19 @@ MIN_EXPECTED = 5.0  # least expected count of a chi-square bin
 def chi_square_vs_pmf(values, pmf, k_min: int, k_max: int) -> tuple[float, float, int]:
     """Chi-square GOF of observed integers against a pmf with a pooled tail.
 
-    Bins are k_min..k_max individually plus one bin for values above
-    k_max (the pmf mass below k_min also lands in the pooled bin, for
-    size laws that start at 1). Bins with expectation under MIN_EXPECTED
+    Bins are k_min..k_max individually plus one pooled bin for every
+    other value, below k_min or above k_max, whose expectation is the
+    pmf mass outside k_min..k_max. Bins with expectation under MIN_EXPECTED
     are merged into their left neighbour. Returns (statistic, p_value,
     degrees of freedom).
     """
+    check_count("k_max", k_max, check_count("k_min", k_min, 0))
     data = np.asarray(values, dtype=np.int64)
     n = data.size
     if n == 0:
         raise ValueError("no observations")
     obs = [float(np.count_nonzero(data == k)) for k in range(k_min, k_max + 1)]
-    obs.append(float(np.count_nonzero(data > k_max)))
+    obs.append(float(np.count_nonzero((data < k_min) | (data > k_max))))
     probs = [pmf(k) for k in range(k_min, k_max + 1)]
     probs.append(max(1.0 - math.fsum(probs), 0.0))
     exp = [p * n for p in probs]

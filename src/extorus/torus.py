@@ -96,6 +96,15 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def check_count(name: str, value, minimum: int | None = None) -> int:
+    """int(value) for a Python or NumPy integer at least minimum; anything else, a bool too, raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ToralAutomorphism:
     """Validated integer matrix [[a,b],[c,d]] with its eigen-structure.
@@ -174,9 +183,11 @@ def rational_residues(zeta: tuple[Fraction, Fraction]) -> tuple[tuple[int, int],
 def build_automorphism(a: int, b: int, c: int, d: int) -> ToralAutomorphism:
     """Validate an integer matrix and compute its eigen-structure.
 
-    Raises DeterminantNotOne if ad - bc != 1 and NotHyperbolic if
-    |a + d| <= 2 (an eigenvalue would sit on the unit circle).
+    Raises ValueError for an entry that is not an int (see check_count),
+    DeterminantNotOne if ad - bc != 1 and NotHyperbolic if |a + d| <= 2
+    (an eigenvalue would sit on the unit circle).
     """
+    a, b, c, d = (check_count("matrix entry", v) for v in (a, b, c, d))
     if a * d - b * c != 1:
         raise DeterminantNotOne(f"determinant is {a * d - b * c}, must be 1")
     tr = a + d
@@ -532,17 +543,12 @@ def keyed_rng(seed: int, key: int) -> np.random.Generator:
 def resolve_workers(explicit: int | None = None) -> int:
     """Worker count: the explicit count capped at the cores, else min(cores, 8).
 
-    A count that is not an int (a bool, a float or a string; a NumPy integer
-    passes, and comes back as an int) or is below 1 is rejected.
+    An explicit count must pass check_count at minimum 1.
     """
     cores = os.cpu_count() or 1
     if explicit is None:
         return min(cores, 8)
-    if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)):
-        raise ValueError(f"worker count must be an int, got {explicit!r}")
-    if explicit < 1:
-        raise ValueError(f"worker count must be >= 1, got {explicit}")
-    return min(int(explicit), cores)
+    return min(check_count("worker count", explicit, 1), cores)
 
 
 def pool_size(workers: int | None, jobs: int) -> int:

@@ -277,11 +277,11 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "where, message",
         [
-            (["--trials", "0"], "error: ValueError: --trials: trials must be >= 1"),
-            ("trials = 0\n", "error: ValueError: {cfg}:1: trials: trials must be >= 1"),
+            (["--trials", "0"], "error: ValueError: --trials: trials must be >= 1, got 0"),
+            ("trials = 0\n", "error: ValueError: {cfg}:1: trials: trials must be >= 1, got 0"),
             ("seed = 2\nmatrix = 1,1,0,1\n", "error: NotHyperbolic: {cfg}:2: matrix: |trace| = 2 <= 2"),
             ("matrix = 2,1,1,2\n", "error: DeterminantNotOne: {cfg}:1: matrix: determinant is 3, must be 1"),
-            (["--n", "0"], "error: ValueError: --n: n must be >= 1"),
+            (["--n", "0"], "error: ValueError: --n: n must be >= 1, got 0"),
             ("tau = -1\n", "error: ValueError: {cfg}:1: tau: tau must be finite and positive, got -1.0"),
         ],
         ids=["trials-flag", "trials-file", "matrix-file", "determinant-file", "n-flag", "tau-file"],

@@ -642,7 +642,7 @@ class TestSeparation:
     def test_non_periodic_centre_has_no_escape_region(self):
         cfg = separation_cfg((Fraction(2**0.5 - 1), Fraction(3**0.5 - 1)))
         assert cfg.q == 0
-        with pytest.raises(ValueError, match="a_q requires q >= 1"):
+        with pytest.raises(ValueError, match="q must be >= 1, got 0"):
             separation_check(cfg, 1000, 1)
 
     def test_minimum_samples(self):

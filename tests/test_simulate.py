@@ -90,7 +90,6 @@ class TestConfig:
         [
             ("n", 1000.5),
             ("n", True),
-            ("n", np.int64(1000)),
             ("trials", True),
             ("trials", 2.0),
             ("seed", 1.5),
@@ -104,7 +103,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("matrix", [(2.0, 1, 1, 1), (2, 1, 1, True), (True, 1, 1, 1)])
     def test_matrix_entries_must_be_ints(self, matrix):
-        with pytest.raises(ValueError, match="matrix must be all ints, got"):
+        with pytest.raises(ValueError, match="matrix entry must be an int, got"):
             ExperimentConfig(n=1000, matrix=matrix)
 
     @pytest.mark.parametrize("tau", [True, False])
@@ -536,7 +535,8 @@ class TestDecluster:
         clusters = decluster_all(records, 5, 1.0)
         assert clusters == clusters_of([((2,), (4.0,)), ((1,), (10.0,))])
 
-    @pytest.mark.parametrize("run_gap, v_n", [(0, 1.0), (1, 0.0)])
+    # v_n = nan used to give nan cluster times
+    @pytest.mark.parametrize("run_gap, v_n", [(0, 1.0), (1, 0.0), (1, math.nan)])
     def test_rejects_bad_parameters(self, run_gap, v_n):
         with pytest.raises(ValueError):
             decluster_all(records_of([((), (), 1.0)]), run_gap, v_n)
@@ -606,6 +606,17 @@ class TestEstimators:
         clusters = clusters_of([((1,), (0.8,)), ((1,), (0.3,))])
         gaps = pooled_gaps(clusters, window_span=1.0)
         assert gaps == pytest.approx([0.5])
+
+    def test_chi_square_pools_values_on_both_sides(self):
+        # the pooled bin expects the Poisson(1) mass at 0 and above 3,
+        # so the 37 zeros count there as 37 values of 99 do
+        def poisson_pmf(k):
+            return math.exp(-1.0) / math.factorial(k)
+
+        sizes = (1,) * 37 + (2,) * 18 + (3,) * 6 + (4,) * 2
+        below = chi_square_vs_pmf((0,) * 37 + sizes, poisson_pmf, 1, 3)
+        assert below == chi_square_vs_pmf((99,) * 37 + sizes, poisson_pmf, 1, 3)
+        assert below[1] > 0.5  # the sample has the law's shape; the zeros dropped gave chi-square 34.8, p 1.3e-7
 
 
 class TestPValues:
@@ -679,6 +690,21 @@ class TestGapKS:
         clusters = clusters_of([((1,) * 101, tuple(range(101)))])
         _, p = gap_ks_statistic(clusters, 1.0, window_span=101.0)
         assert p < 1e-6
+
+    @pytest.mark.parametrize(
+        "theta, window_span, message",
+        [
+            (-1.0, 101.0, r"theta must lie in \(0, 1\], got -1.0"),  # gave a KS distance of 2.72
+            (math.nan, 101.0, r"theta must lie in \(0, 1\], got nan"),  # gave a nan p-value
+            (1.0, math.nan, "window_span must be finite and positive, got nan"),
+            (1.0, -1.0, "window_span must be finite and positive, got -1.0"),
+        ],
+        ids=["theta-negative", "theta-nan", "window_span-nan", "window_span-negative"],
+    )
+    def test_rejects_rates_outside_their_domain(self, theta, window_span, message):
+        clusters = clusters_of([((1,) * 101, tuple(range(101)))])
+        with pytest.raises(ValueError, match=message):
+            gap_ks_statistic(clusters, theta, window_span)
 
     def test_too_few_gaps(self):
         with pytest.raises(TooFewGaps):
