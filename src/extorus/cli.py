@@ -34,6 +34,7 @@ from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange
 from .formulas import extremal_model, threshold_radius, wrap_time_g
+from .regions import MIN_SAMPLES
 from .simulate import (
     ExperimentConfig,
     Records,
@@ -48,7 +49,7 @@ from .simulate import (
     gap_ks_statistic,
     run_experiment,
 )
-from .torus import MetricKind, check_count
+from .torus import MetricKind, check_count, check_positive
 
 EXCEEDANCE_HEADER = "trial,time,value"
 BLOCK_MAX_HEADER = "trial,maximum"
@@ -414,10 +415,10 @@ def _read_records(indir: Path) -> tuple[ExperimentConfig, Records]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    if args.mc_samples != 0 and args.mc_samples < 1000:
-        raise ValueError(f"--mc-samples: mc_samples must be 0 or >= 1000, got {args.mc_samples}")
-    if args.theta_override is not None and not 0.0 < args.theta_override <= 1.0:
-        raise ValueError(f"--theta-override: theta_override must lie in (0, 1], got {args.theta_override}")
+    if args.mc_samples != 0 and args.mc_samples < MIN_SAMPLES:
+        raise ValueError(f"--mc-samples: mc_samples must be 0 or >= {MIN_SAMPLES}, got {args.mc_samples}")
+    if args.theta_override is not None:
+        check_positive("--theta-override: theta_override", args.theta_override, 1)
     indir = Path(args.indir)
     cfg, records = _read_records(indir)
     total_exceedances = records.time.size
@@ -538,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-override", type=float, default=None,
                    help="theta of the gap law, in (0, 1] (default: the formula's)")
     p.add_argument("--mc-samples", type=int, default=200_000,
-                   help="measure-ratio oracle samples, >= 1000 (0 disables)")
+                   help=f"measure-ratio oracle samples, >= {MIN_SAMPLES} (0 disables)")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("validate", help="run the acceptance suite")

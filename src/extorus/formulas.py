@@ -6,9 +6,9 @@ thresholds are functions of (n, tau, metric, basis_det). extremal_model
 takes the automorphism itself and is the one gate to the law: it refuses
 the Euclidean forms at a periodic centre for a non-symmetric matrix,
 where |lam| alone does not fix them. Every form refuses arguments
-outside its domain (s, |lam|, the integers q and kappa) through
-_check_law, with a ValueError that names the argument. Geometry
-conventions, with s the ball radius and lam the dominant eigenvalue:
+outside its domain (s, |lam|, the integers q and kappa, the metric)
+through _check_law and check_metric, with a ValueError that names the
+argument. Conventions: s is the ball radius, lam the dominant eigenvalue:
 
 * Ball measure: a Euclidean ball of radius r has measure pi r^2; an
   adapted-metric ball is a square in eigenbasis coordinates with
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .torus import MetricKind, ToralAutomorphism, check_count, check_positive
+from .torus import MetricKind, ToralAutomorphism, check_count, check_metric, check_positive
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
@@ -59,6 +59,7 @@ _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its 
 
 def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> float:
     """Lebesgue measure of a metric ball of the given radius."""
+    check_metric(metric)
     if metric is MetricKind.EUCLIDEAN:
         return math.pi * radius * radius
     return 4.0 * radius * radius * basis_det
@@ -87,13 +88,12 @@ def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0
 
     u = (1/2) log(n m(B_1) / tau), with m(B_1) the measure of the unit
     ball. Raises ValueError for an n that is not an int >= 1, a tau that
-    is not finite and positive, or basis_det outside (0, 1]; RadiusTooLarge
-    when exp(-u) >= 0.25.
+    is not finite and positive, basis_det outside (0, 1] or a metric that
+    is not a MetricKind; RadiusTooLarge when exp(-u) >= 0.25.
     """
     check_count("n", n, 1)
     check_positive("tau", tau)
-    if not (0.0 < basis_det <= 1.0):
-        raise ValueError("basis_det must lie in (0, 1]")
+    check_positive("basis_det", basis_det, 1)
     u = 0.5 * math.log(ball_measure(1.0, metric, basis_det) * n / tau)
     if math.exp(-u) >= 0.25:
         raise RadiusTooLarge(f"threshold radius {math.exp(-u):.4g} >= 0.25 at n={n}, tau={tau}")
@@ -156,6 +156,7 @@ def extremal_index(lam_abs: float, q: int, metric: MetricKind) -> float:
     the escape region; the adapted value is 1 - lam_abs**(-q).
     """
     _check_law(lam_abs, q, q_min=0)
+    check_metric(metric)
     if q == 0:
         return 1.0
     if metric is MetricKind.EUCLIDEAN:
@@ -208,6 +209,7 @@ def multiplicity_pi(lam_abs: float, q: int, kappa: int, metric: MetricKind) -> f
     which cancels below the double noise floor once lam^(kappa q) grows.
     """
     _check_law(lam_abs, q, kappa=kappa, kappa_min=1)
+    check_metric(metric)
     if metric is MetricKind.ADAPTED:
         theta = extremal_index(lam_abs, q, metric)
         return theta * (1.0 - theta) ** (kappa - 1)
@@ -244,8 +246,7 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
     the sum is a double up to 170!, so k is at most 170;
     ExtremalModel.pmf_vector evaluates the law at any k.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    check_positive("theta", theta, 1)
     check_positive("t", t)
     if check_count("k", k, 0) > 170:
         raise ValueError(f"k must be in [0, 170], got {k}; ExtremalModel.pmf_vector takes any k")
@@ -344,8 +345,7 @@ def extremal_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> Extremal
         )
     lam_abs = T.lam_abs
     theta = extremal_index(lam_abs, q, metric)
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta = {theta} out of (0, 1]")
+    check_positive("theta", theta, 1)
     if q >= 1:
         mass = multiplicity_mass(lam_abs, q, metric)
         if not abs(mass - 1.0) <= 1e-9:  # a nan mass fails too

@@ -61,6 +61,7 @@ if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
 
 _CHUNK = 1 << 18
+MIN_SAMPLES = 1000  # the fewest samples the oracle and the separation scan take
 
 
 class RegionKind(Enum):
@@ -210,7 +211,7 @@ def monte_carlo_measure(
     a worker count below 1 raises, and the pool never has more workers
     than chunks or cores.
     """
-    samples = check_count("samples", samples, 1000)
+    samples = check_count("samples", samples, MIN_SAMPLES)
     _local_range_guard(region)
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     jobs = [(region, seed, i, size) for i, size in enumerate(sizes)]
@@ -235,7 +236,7 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     region meeting itself, is excluded). The scan stops at the first
     return. A centre of period 0 has no escape region and raises ValueError.
     """
-    samples = check_count("samples", samples, 1000)
+    samples = check_count("samples", samples, MIN_SAMPLES)
     region = escape_region(cfg)
     window = region.q * cfg.g_n  # steps, and rows too: the escape walk's stride is 1
     if window == 0:

@@ -55,7 +55,6 @@ from .torus import (
     ToralAutomorphism,
     build_automorphism,
     check_count,
-    check_metric,
     check_positive,
     compute_period,
     keyed_rng,
@@ -82,8 +81,6 @@ def check_field(key: str, value):
         value = check_count(key, value, None if key == "seed" else 1)
     elif key == "zeta" and (len(value) != 2 or any(type(v) is bool for v in value)):
         raise ValueError(f"zeta must be two coordinates, none a bool, got {value!r}")
-    elif key == "metric":
-        check_metric(value)
     elif key == "tau":
         check_positive("tau", value)
     return value
@@ -405,8 +402,7 @@ def gap_ks_statistic(clusters: Clusters, theta: float, window_span: float) -> tu
     The p-value uses the asymptotic Kolmogorov distribution; adequate
     for 1% decisions at twenty or more gaps.
     """
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    check_positive("theta", theta, 1)
     gaps = pooled_gaps(clusters, window_span)
     if gaps.size < 20:
         raise TooFewGaps(f"{gaps.size} gaps, need >= 20")

@@ -90,10 +90,12 @@ def check_metric(metric) -> None:
         raise ValueError(f"metric must be a MetricKind, got {metric!r}")
 
 
-def check_positive(name: str, value) -> None:
-    """Raise unless value is finite and positive; a bool is refused too, though True is 1 to math."""
-    if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
+def check_positive(name: str, value, maximum: float = math.inf) -> None:
+    """Raise unless value is finite, positive and at most maximum; a bool is refused too, though True is 1 to math."""
+    if isinstance(value, bool) or not (math.isfinite(value) and 0 < value <= maximum):
+        if maximum == math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+        raise ValueError(f"{name} must lie in (0, {maximum}], got {value}")
 
 
 def check_count(name: str, value, minimum: int | None = None) -> int:
@@ -536,8 +538,8 @@ class Ball:
 
 
 def keyed_rng(seed: int, key: int) -> np.random.Generator:
-    """Random stream keyed by (seed, key), independent of every other key."""
-    return np.random.default_rng(np.random.SeedSequence((seed & _MASK64, key)))
+    """Random stream keyed by (seed, key), independent of every other key; it checks the seed by check_count."""
+    return np.random.default_rng(np.random.SeedSequence((check_count("seed", seed) & _MASK64, key)))
 
 
 def resolve_workers(explicit: int | None = None) -> int:
