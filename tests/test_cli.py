@@ -317,6 +317,44 @@ class TestSimulate:
         assert not (tmp_path / "out").exists()
 
 
+PERIODIC_REPORT = """\
+trials                400
+exceedances           394
+q (detected)          1
+theta (formula)       0.535441
+theta_hat (clusters)  0.538071
+theta_hat (ratio)     0.53404
+P(M_n <= u_n)         0.57  (model 0.585411)
+size chi-square       5.719 (dof 4, p 0.2212)
+gap KS vs Exp(0.5354)   0.04862 (p 0.7008)
+wrote multiplicity table to {table}
+"""
+PERIODIC_TABLE = """\
+kappa\tempirical\ttheory
+1\t0.49528301886792453\t0.47688462287648181
+2\t0.26415094339622641\t0.31099157161473368
+3\t0.14622641509433962\t0.13035287239372781
+4\t0.075471698113207544\t0.050495050352424964
+5\t0.018867924528301886\t0.019327204267125687
+6\t0\t0.0073845581930936707
+7\t0\t0.0028207741617055967
+8\t0\t0.0010774467615190491
+9\t0\t0.00041154842671103838
+10\t0\t0.00015719753243567739
+"""
+SKIPPED_REPORT = """\
+trials                10
+exceedances           10
+q (detected)          0
+theta (formula)       1
+theta_hat (clusters)  1
+P(M_n <= u_n)         0.3  (model 0.367879)
+size chi-square       skipped (too few bins with adequate expectation)
+gap KS                skipped (9 gaps, need >= 20)
+wrote multiplicity table to {table}
+"""
+
+
 class TestEstimate:
     @pytest.fixture(scope="class")
     def sim_run(self, tmp_path_factory):
@@ -339,6 +377,25 @@ class TestEstimate:
         table = (sim_dir / "multiplicity.tsv").read_text().splitlines()
         assert table[0] == "kappa\tempirical\ttheory"
         assert len(table) >= 11
+
+    def test_report_at_a_periodic_centre(self, sim_dir, capsys):
+        # the whole report and table, so a change to the estimators or their format moves a byte here
+        code, out, _ = run_cli(capsys, "estimate", "--in", str(sim_dir), "--mc-samples", "50000")
+        assert code == 0
+        assert out == PERIODIC_REPORT.format(table=sim_dir / "multiplicity.tsv")
+        assert (sim_dir / "multiplicity.tsv").read_text() == PERIODIC_TABLE
+
+    def test_report_skips_size_and_gap_tests_on_few_clusters(self, tmp_path, capsys):
+        # ten trials at a non-periodic centre: ten clusters of size 1, nine gaps, and no ratio line at q = 0
+        out_dir = tmp_path / "few"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--zeta", "0.4142,0.7321", "--n", "20000", "--trials", "10",
+            "--seed", "3", "--workers", "1", "--out", str(out_dir),
+        )
+        assert code == 0
+        code, out, _ = run_cli(capsys, "estimate", "--in", str(out_dir))
+        assert code == 0
+        assert out == SKIPPED_REPORT.format(table=out_dir / "multiplicity.tsv")
 
     def test_theta_override_forwarded(self, sim_dir, capsys):
         code, out, _ = run_cli(
