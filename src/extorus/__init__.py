@@ -50,6 +50,7 @@ from .simulate import (
     empirical_extremal_index,
     empirical_multiplicity,
     estimate_block_maxima_cdf,
+    estimate_run,
     gap_ks_statistic,
     repp_counts,
     run_experiment,
@@ -102,6 +103,7 @@ __all__ = [
     "ClusterSummary",
     "run_experiment",
     "estimate_block_maxima_cdf",
+    "estimate_run",
     "decluster_all",
     "empirical_extremal_index",
     "empirical_multiplicity",

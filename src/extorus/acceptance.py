@@ -44,13 +44,8 @@ from .regions import RegionKind, RegionSpec, monte_carlo_measure, separation_che
 from .simulate import (
     ExperimentConfig,
     chi_square_vs_pmf,
-    decluster_all,
-    empirical_extremal_index,
-    empirical_multiplicity,
-    estimate_block_maxima_cdf,
-    ei_measure_ratio,
+    estimate_run,
     experiment_workers,
-    gap_ks_statistic,
     repp_counts,
     run_experiment,
 )
@@ -70,6 +65,7 @@ _ORACLE_SAMPLES = 10_000_000  # per region of criterion 2
 _SEPARATION_SAMPLES = 1_000_000  # criterion 3
 _TRIALS = 10_000  # criteria 4-7
 _RATIO_SAMPLES = 1_000_000  # per measure of criterion 5's ratio estimator
+_FIXED_POINT = (Fraction(0), Fraction(0))  # the centre of criteria 3 and 5-7
 
 
 @dataclass
@@ -233,9 +229,8 @@ def criterion_2_oracle_equivalence(workers: int = 1):
         measured[f"se_{name}"] = se
         measured[f"closed_{name}"] = closed
         equal_ok &= abs(est - closed) <= 3.0 * se
-        if name.startswith("U_"):
-            kappa = int(name.split("_")[1])
-            bound = lam ** (-kappa * q) * s * s
+        if region.kind is RegionKind.U_KAPPA:
+            bound = lam ** (-region.kappa * q) * s * s
             measured[f"tail_bound_{name}"] = bound
             tail_ok &= est <= bound + 3.0 * se
 
@@ -257,59 +252,43 @@ def criterion_2_oracle_equivalence(workers: int = 1):
 @_criterion(3, "separation-property")
 def criterion_3_separation():
     """No sampled escape-region point returns within the wrap window."""
-    cfg = ExperimentConfig(matrix=CAT, zeta=(Fraction(0), Fraction(0)), n=100_000, tau=1.0)
+    cfg = ExperimentConfig(matrix=CAT, zeta=_FIXED_POINT, n=100_000, tau=1.0)
     separated = separation_check(cfg, samples=_SEPARATION_SAMPLES, seed=_SEED)
     measured = {"samples": _SEPARATION_SAMPLES, "separated": bool(separated)}
     return separated, measured, "backward images of the escape region avoid it for j = 1..q*g(n)"
 
 
-def _dichotomy_run(metric: MetricKind, zeta, workers: int | None):
-    """Run one dichotomy experiment through block maxima, declustering and theta-hat.
-
-    Returns the config, the clusters and the measured values every dichotomy
-    criterion reports, p_target = exp(-theta tau) of cfg.model among them.
-    """
-    cfg = ExperimentConfig(
-        matrix=CAT, zeta=zeta, metric=metric, tau=1.0, n=100_000, trials=_TRIALS, seed=_SEED
-    )
-    records = run_experiment(cfg, workers)
-    p_hat, se = estimate_block_maxima_cdf(cfg, records)
-    clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
-    measured = {
-        "trials": cfg.trials,
-        "p_hat": p_hat,
-        "p_se": se,
-        "p_target": math.exp(-cfg.model.theta * cfg.tau),
-        "theta_hat_clusters": empirical_extremal_index(clusters),
-    }
-    return cfg, clusters, measured
+_SIZES = ("q", "theta_formula", "chi2", "chi2_p_value", "chi2_dof")  # the size law of criteria 5 and 6
 
 
-def _periodic_run(metric: MetricKind, workers: int | None):
-    """The dichotomy run at the fixed point against cfg.model: the config, the
-    measured values with q, theta_formula and the cluster-size chi-square
-    added, and whether the cluster index and the size law pass."""
-    cfg, clusters, measured = _dichotomy_run(metric, (Fraction(0), Fraction(0)), workers)
-    theta = cfg.model.theta
-    chi, chi_p, dof = chi_square_vs_pmf(clusters.size, cfg.model.multiplicity, 1, 5)
-    measured.update(q=cfg.q, theta_formula=theta, chi2=chi, chi2_p_value=chi_p, chi2_dof=dof)
-    ok = abs(measured["theta_hat_clusters"] - theta) <= 0.04 and chi_p >= 0.01
-    return cfg, measured, ok
+def _dichotomy_run(metric: MetricKind, keys: tuple, workers: int | None, ratio_samples=0, zeta=_FIXED_POINT):
+    """Every estimate_run estimate of a dichotomy run at zeta, and the measured values:
+    the block maxima, the cluster index and keys, each of which must have run."""
+    cfg = ExperimentConfig(matrix=CAT, zeta=zeta, metric=metric, tau=1.0, n=100_000, trials=_TRIALS, seed=_SEED)
+    est = estimate_run(cfg, run_experiment(cfg, workers), ratio_samples, _SEED + 17)
+    measured = {key: est[key] for key in ("trials", "p_hat", "p_se", "p_target", "theta_hat_clusters", *keys)}
+    if any(isinstance(value, str) for value in measured.values()):
+        raise ValueError(f"a criterion's estimate was skipped: {measured}")
+    return est, measured
+
+
+def _sizes_ok(measured: dict) -> bool:
+    """The cluster index within 0.04 of theta and the size law not rejected at 1 %."""
+    theta_ok = abs(measured["theta_hat_clusters"] - measured["theta_formula"]) <= 0.04
+    return theta_ok and measured["chi2_p_value"] >= 0.01
 
 
 @_criterion(4, "dichotomy-nonperiodic")
 def criterion_4_nonperiodic(workers: int | None = None):
     """Dichotomy at a non-periodic centre: unit extremal index statistics."""
     zeta = (Fraction(math.sqrt(2.0) - 1.0), Fraction(math.sqrt(3.0) - 1.0))
-    cfg, clusters, measured = _dichotomy_run(MetricKind.EUCLIDEAN, zeta, workers)
-    hist = empirical_multiplicity(clusters)
-    ks, ks_p = gap_ks_statistic(clusters, 1.0, window_span=cfg.tau)
-    measured.update(ks_stat=ks, ks_p_value=ks_p, multiplicity_mass_at_1=hist.get(1, 0.0))
+    est, measured = _dichotomy_run(MetricKind.EUCLIDEAN, ("ks_stat", "ks_p_value"), workers, zeta=zeta)
+    measured["multiplicity_mass_at_1"] = est["size_histogram"].get(1, 0.0)
     ok = (
         abs(measured["p_hat"] - measured["p_target"]) <= 0.03
         and 0.93 <= measured["theta_hat_clusters"] <= 1.0
-        and ks_p > 0.01
-        and hist.get(1, 0.0) >= 0.95
+        and measured["ks_p_value"] > 0.01
+        and measured["multiplicity_mass_at_1"] >= 0.95
     )
     return ok, measured, "block maxima, cluster index, gap law, multiplicity at a generic centre"
 
@@ -317,13 +296,11 @@ def criterion_4_nonperiodic(workers: int | None = None):
 @_criterion(5, "dichotomy-periodic-euclidean")
 def criterion_5_periodic_euclidean(workers: int | None = None):
     """Dichotomy at the fixed point, Euclidean metric."""
-    cfg, measured, ok = _periodic_run(MetricKind.EUCLIDEAN, workers)
-    theta_ratio = ei_measure_ratio(cfg, _RATIO_SAMPLES, _SEED + 17)
-    measured["theta_hat_ratio"] = theta_ratio
+    _, measured = _dichotomy_run(MetricKind.EUCLIDEAN, (*_SIZES, "theta_hat_ratio"), workers, _RATIO_SAMPLES)
     ok = (
-        ok
+        _sizes_ok(measured)
         and abs(measured["p_hat"] - measured["p_target"]) <= 0.03
-        and abs(theta_ratio - measured["theta_formula"]) <= 0.04
+        and abs(measured["theta_hat_ratio"] - measured["theta_formula"]) <= 0.04
     )
     return ok, measured, "both extremal-index estimators and the cluster-size law at the fixed point"
 
@@ -331,8 +308,8 @@ def criterion_5_periodic_euclidean(workers: int | None = None):
 @_criterion(6, "dichotomy-periodic-adapted")
 def criterion_6_periodic_adapted(workers: int | None = None):
     """Dichotomy at the fixed point, adapted metric: geometric sizes."""
-    _, measured, ok = _periodic_run(MetricKind.ADAPTED, workers)
-    return ok, measured, "cluster index and geometric size law in the eigenbasis sup metric"
+    _, measured = _dichotomy_run(MetricKind.ADAPTED, _SIZES, workers)
+    return _sizes_ok(measured), measured, "cluster index and geometric size law in the eigenbasis sup metric"
 
 
 @_criterion(7, "repp-counting-law")
@@ -341,7 +318,7 @@ def criterion_7_repp_counts(workers: int | None = None):
     t = 2.0
     cfg = ExperimentConfig(
         matrix=CAT,
-        zeta=(Fraction(0), Fraction(0)),
+        zeta=_FIXED_POINT,
         metric=MetricKind.ADAPTED,
         tau=t,  # whole orbit = one window of length t in Kac time
         n=20_000,

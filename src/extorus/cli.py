@@ -6,12 +6,12 @@ UTF-8 key=value config-file keys (flags win) and the manifest's config
 echo all come from it; theory takes ExperimentConfig's defaults too. One
 parse step reads every value and names the source of a bad one ("--n:
 ..." or "run.cfg:2: n: ..."). estimate reads a manifest's config only if
-it is, key for key, the echo that config writes, its derived block
-included, and rejects, naming path:line, every CSV row that the manifest
-rules out. Centres are exact rationals ("1/2,1/2") or decimals
-("0.4142,0.7321"); a decimal denotes the exact rational the double
-holds, which for a generic decimal is effectively non-periodic. All
-machine output carries full float precision; human tables round.
+it is, key for key, the echo that config writes, derived block included,
+rejects, naming path:line, every CSV row the manifest rules out, and
+formats simulate.estimate_run. Centres are exact rationals ("1/2,1/2")
+or decimals ("0.4142,0.7321"); a decimal denotes the exact rational the
+double holds, which for a generic decimal is effectively non-periodic.
+All machine output carries full float precision; human tables round.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import re
 import sys
 import time
@@ -32,21 +31,15 @@ import numpy as np
 
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
-from .errors import ExtorusError, NoExceedances, OutOfLocalRange
+from .errors import ExtorusError, NoExceedances
 from .formulas import extremal_model, threshold_radius, wrap_time_g
 from .regions import MIN_SAMPLES
 from .simulate import (
     ExperimentConfig,
     Records,
     check_field,
-    chi_square_vs_pmf,
-    decluster_all,
-    ei_measure_ratio,
-    empirical_extremal_index,
-    empirical_multiplicity,
-    estimate_block_maxima_cdf,
+    estimate_run,
     experiment_workers,
-    gap_ks_statistic,
     run_experiment,
 )
 from .torus import MetricKind, check_count, check_positive
@@ -421,51 +414,32 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         check_positive("--theta-override: theta_override", args.theta_override, 1)
     indir = Path(args.indir)
     cfg, records = _read_records(indir)
-    total_exceedances = records.time.size
-    if total_exceedances == 0:
+    if records.time.size == 0:
         raise NoExceedances("no exceedances in the supplied CSVs")
+    est = estimate_run(cfg, records, args.mc_samples, cfg.seed + 1, args.theta_override)
 
-    clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
-    model = cfg.model
-    theta_model = model.theta
-    theta_clusters = empirical_extremal_index(clusters)
-    hist = empirical_multiplicity(clusters)
+    print(f"trials                {est['trials']}")
+    print(f"exceedances           {est['exceedances']}")
+    print(f"q (detected)          {est['q']}")
+    print(f"theta (formula)       {est['theta_formula']:.6g}")
+    print(f"theta_hat (clusters)  {est['theta_hat_clusters']:.6g}")
+    if (ratio := est.get("theta_hat_ratio")) is not None:
+        print("theta_hat (ratio)     " + (f"skipped ({ratio})" if isinstance(ratio, str) else f"{ratio:.6g}"))
+    print(f"P(M_n <= u_n)         {est['p_hat']:.6g}  (model {est['p_target']:.6g})")
+    if isinstance(est["chi2"], str):
+        print(f"size chi-square       skipped ({est['chi2']})")
+    else:
+        print(f"size chi-square       {est['chi2']:.4g} (dof {est['chi2_dof']}, p {est['chi2_p_value']:.4g})")
+    if isinstance(est["ks_stat"], str):
+        print(f"gap KS                skipped ({est['ks_stat']})")
+    else:
+        print(f"gap KS vs Exp({est['ks_theta']:.4g})   {est['ks_stat']:.4g} (p {est['ks_p_value']:.4g})")
 
-    p_hat, _ = estimate_block_maxima_cdf(cfg, records)
-
-    print(f"trials                {len(records)}")
-    print(f"exceedances           {total_exceedances}")
-    print(f"q (detected)          {cfg.q}")
-    print(f"theta (formula)       {theta_model:.6g}")
-    print(f"theta_hat (clusters)  {theta_clusters:.6g}")
-    if cfg.q >= 1 and args.mc_samples > 0:
-        try:
-            theta_ratio = ei_measure_ratio(cfg, args.mc_samples, cfg.seed + 1)
-        except OutOfLocalRange as exc:
-            print(f"theta_hat (ratio)     skipped ({type(exc).__name__}: {exc})")
-        else:
-            print(f"theta_hat (ratio)     {theta_ratio:.6g}")
-    print(f"P(M_n <= u_n)         {p_hat:.6g}  (model {math.exp(-theta_model * cfg.tau):.6g})")
-
-    try:
-        chi, chi_p, dof = chi_square_vs_pmf(clusters.size, model.multiplicity, 1, 5)
-        print(f"size chi-square       {chi:.4g} (dof {dof}, p {chi_p:.4g})")
-    except ValueError as exc:
-        print(f"size chi-square       skipped ({exc})")
-
-    theta_gap = args.theta_override if args.theta_override is not None else theta_model
-    try:
-        ks, ks_p = gap_ks_statistic(clusters, theta_gap, window_span=cfg.tau)
-        print(f"gap KS vs Exp({theta_gap:.4g})   {ks:.4g} (p {ks_p:.4g})")
-    except ExtorusError as exc:
-        print(f"gap KS                skipped ({exc})")
-
-    k_max = max(max(hist), 10)
     plot_path = Path(args.out) if args.out else indir / "multiplicity.tsv"
     with open(plot_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("kappa\tempirical\ttheory\n")
-        for k in range(1, k_max + 1):
-            fh.write(f"{k}\t{_fmt(hist.get(k, 0.0))}\t{_fmt(model.multiplicity(k))}\n")
+        for k in range(1, max(max(est["size_histogram"]), 10) + 1):
+            fh.write(f"{k}\t{_fmt(est['size_histogram'].get(k, 0.0))}\t{_fmt(cfg.model.multiplicity(k))}\n")
     print(f"wrote multiplicity table to {plot_path}")
     return 0
 

@@ -27,17 +27,18 @@ it is below the key of R; the trials whose candidates never get there,
 about e^(-9 theta max(tau, 1)) of them, are walked again with the strip
 set to the whole torus.
 
-On top of the records, kept as columns (Records), sit the standard
-estimators, each an array pass: block-maxima CDF at the threshold, runs
-declustering at the config's run gap, cluster-count extremal index,
-cluster-size histograms, Kac-time inter-cluster gap Kolmogorov-Smirnov
-statistics, window counting distributions, and the measure-ratio
-extremal index backed by the region oracle.
+On the records, kept as columns (Records), sit the estimators, each an
+array pass: block-maxima CDF at the threshold, runs declustering at the
+run gap, cluster-count extremal index, cluster-size histogram, Kac-time
+gap KS statistic, window counts, and the oracle-backed measure-ratio
+index. estimate_run chains them into the one set of estimates that the
+estimate command prints and acceptance criteria 4-6 gate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoExceedances, TooFewGaps
+from .errors import ExtorusError, NoExceedances, OutOfLocalRange, TooFewGaps
 from .formulas import ExtremalModel, ball_measure, extremal_model, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import escape_region, monte_carlo_measure
 from .torus import (
@@ -57,6 +58,7 @@ from .torus import (
     check_count,
     check_positive,
     compute_period,
+    is_finite_real,
     keyed_rng,
     map_jobs,
     orbit_blocks,
@@ -75,12 +77,17 @@ _PERIOD_SEARCH_LIMIT = 1_000_000
 
 def check_field(key: str, value):
     """`value` as ExperimentConfig stores field `key`; ValueError if invalid on its own (cli names the source)."""
+    entries = tuple(value) if key in ("matrix", "zeta") and isinstance(value, Iterable) else ()
     if key == "matrix":
-        value = build_automorphism(*value).entries
+        if len(entries) != 4:
+            raise ValueError(f"matrix must be four entries, got {value!r}")
+        value = build_automorphism(*entries).entries
     elif key in ("n", "trials", "seed"):
         value = check_count(key, value, None if key == "seed" else 1)
-    elif key == "zeta" and (len(value) != 2 or any(type(v) is bool for v in value)):
-        raise ValueError(f"zeta must be two coordinates, none a bool, got {value!r}")
+    elif key == "zeta":
+        if len(entries) != 2 or not all(map(is_finite_real, entries)):
+            raise ValueError(f"zeta must be two finite coordinates, none a bool, got {value!r}")
+        value = tuple(Fraction(v) % 1 for v in entries)  # a float is the rational it holds
     elif key == "tau":
         check_positive("tau", value)
     return value
@@ -107,7 +114,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for field in fields(self):
             object.__setattr__(self, field.name, check_field(field.name, getattr(self, field.name)))
-        object.__setattr__(self, "zeta", (Fraction(self.zeta[0]) % 1, Fraction(self.zeta[1]) % 1))
         self.radius  # the one check of fields together: radius < 0.25
 
     @cached_property
@@ -506,3 +512,37 @@ def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
         return 1.0
     num = monte_carlo_measure(escape_region(cfg), samples, seed)
     return num.estimate / ball_measure(cfg.radius, cfg.metric, cfg.automorphism.basis_det)
+
+
+def estimate_run(
+    cfg: ExperimentConfig, records: Records, ratio_samples: int, ratio_seed: int, gap_theta: float | None = None
+) -> dict:
+    """Every estimate of a run's records, keyed as the criteria report them: sizes on bins 1..5, gaps
+    glued at cfg.tau against Exp(gap_theta, theta by default), the measure ratio at q >= 1 if
+    ratio_samples > 0. A step that cannot run holds its reason, as estimate prints it, in each entry."""
+    clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
+    theta = cfg.model.theta
+    p_hat, p_se = estimate_block_maxima_cdf(cfg, records)
+    out = {
+        "trials": len(records), "exceedances": records.time.size, "q": cfg.q, "theta_formula": theta,
+        "p_hat": p_hat, "p_se": p_se, "p_target": math.exp(-theta * cfg.tau),
+        "theta_hat_clusters": empirical_extremal_index(clusters),
+        "size_histogram": empirical_multiplicity(clusters),
+        "ks_theta": theta if gap_theta is None else gap_theta,
+    }
+    try:
+        chi2 = chi_square_vs_pmf(clusters.size, cfg.model.multiplicity, 1, 5)
+    except ValueError as exc:
+        chi2 = (str(exc),) * 3
+    out.update(zip(("chi2", "chi2_p_value", "chi2_dof"), chi2))
+    try:
+        ks = gap_ks_statistic(clusters, out["ks_theta"], window_span=cfg.tau)
+    except ExtorusError as exc:
+        ks = (str(exc),) * 2
+    out.update(zip(("ks_stat", "ks_p_value"), ks))
+    if cfg.q >= 1 and ratio_samples > 0:
+        try:
+            out["theta_hat_ratio"] = ei_measure_ratio(cfg, ratio_samples, ratio_seed)
+        except OutOfLocalRange as exc:
+            out["theta_hat_ratio"] = f"{type(exc).__name__}: {exc}"
+    return out

@@ -54,6 +54,7 @@ walked again with the strip set to the whole torus.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -90,9 +91,15 @@ def check_metric(metric) -> None:
         raise ValueError(f"metric must be a MetricKind, got {metric!r}")
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is a finite real number and not a bool; an int or a Fraction is finite however large."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and (isinstance(value, numbers.Rational) or math.isfinite(value))
+
+
 def check_positive(name: str, value, maximum: float = math.inf) -> None:
-    """Raise unless value is finite, positive and at most maximum; a bool is refused too, though True is 1 to math."""
-    if isinstance(value, bool) or not (math.isfinite(value) and 0 < value <= maximum):
+    """Raise unless value is a finite real number (see is_finite_real), positive and at most maximum."""
+    if not (is_finite_real(value) and 0 < value <= maximum):
         if maximum == math.inf:
             raise ValueError(f"{name} must be finite and positive, got {value}")
         raise ValueError(f"{name} must lie in (0, {maximum}], got {value}")

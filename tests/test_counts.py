@@ -4,8 +4,10 @@ A count (check_count) is a Python int or a NumPy integer, never a bool,
 and never below its entry point's minimum; a random stream's seed is one.
 A NumPy integer gives what the equal int gives, and a config or a region
 stores it as an int. A metric (check_metric) is a MetricKind, and theta
-or basis_det lies in (0, 1] (check_positive with its maximum). Each
-refusal is a ValueError that names the argument.
+or basis_det lies in (0, 1] (check_positive with its maximum). A real
+(check_positive) is a finite number and not a bool, never a string or
+None, and a centre is two of them. Each refusal is a ValueError that
+names the argument.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import contextlib
 import io
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +52,7 @@ from extorus import (
 from extorus.cli import build_parser
 from extorus.formulas import multiplicity_mass
 from extorus.regions import separation_check
-from extorus.torus import keyed_rng, resolve_workers
+from extorus.torus import check_positive, keyed_rng, resolve_workers
 
 CAT = build_automorphism(2, 1, 1, 1)
 LAM = CAT.lam_abs
@@ -177,6 +180,37 @@ def test_one_unit_interval_rule(name, call):
     for value in (True, math.nan, 0, 1.5):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must lie in \\(0, 1\\], got {value}$"):
             call(value)
+
+
+# id: (the call, its refusal); each raised a TypeError, an OverflowError or no error, none naming the argument
+ZETA = "zeta must be two finite coordinates, none a bool, got "
+MATRIX = "matrix must be four entries, got "
+NOT_REAL = {
+    "tau-str": (lambda: ExperimentConfig(n=1000, tau="2"), "tau must be finite and positive, got 2"),
+    "tau-none": (lambda: ExperimentConfig(n=1000, tau=None), "tau must be finite and positive, got None"),
+    "theta-str": (lambda: polya_aeppli_pmf("0.5", 1.0, 1), "theta must lie in (0, 1], got 0.5"),
+    "radius-str": (lambda: Ball(CAT, BALL.centre, "0.1", EUCLID), "radius must be finite and positive, got 0.1"),
+    "basis_det-none": (lambda: threshold_u_n(1000, 1.0, EUCLID, None), "basis_det must lie in (0, 1], got None"),
+    "zeta-none": (lambda: ExperimentConfig(n=1000, zeta=(None, 0)), ZETA + "(None, 0)"),
+    "zeta-int": (lambda: ExperimentConfig(n=1000, zeta=5), ZETA + "5"),
+    "zeta-inf": (lambda: ExperimentConfig(n=1000, zeta=(math.inf, 0)), ZETA + "(inf, 0)"),
+    "zeta-nan": (lambda: ExperimentConfig(n=1000, zeta=(0, math.nan)), ZETA + "(0, nan)"),
+    "zeta-str": (lambda: ExperimentConfig(n=1000, zeta="01"), ZETA + "'01'"),
+    "matrix-three": (lambda: ExperimentConfig(n=1000, matrix=(2, 1, 1)), MATRIX + "(2, 1, 1)"),
+    "matrix-int": (lambda: ExperimentConfig(n=1000, matrix=5), MATRIX + "5"),
+}
+
+
+@pytest.mark.parametrize("call, message", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_values_that_are_not_numbers_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_exact_reals_are_finite_however_large():
+    # an int or a Fraction beyond the doubles is finite; math.isfinite would raise OverflowError on it
+    assert ExperimentConfig(n=1000, zeta=(Fraction(10**400 + 1, 2), 10**400)).zeta == (Fraction(1, 2), 0)
+    check_positive("s", 10**400)
 
 
 # each rule's message, which only the rule itself may write

@@ -31,6 +31,7 @@ from extorus import (
     empirical_extremal_index,
     empirical_multiplicity,
     estimate_block_maxima_cdf,
+    estimate_run,
     extremal_index,
     extremal_model,
     gap_ks_statistic,
@@ -121,7 +122,7 @@ class TestConfig:
         ],
     )
     def test_zeta_must_be_two_coordinates_none_a_bool(self, zeta):
-        with pytest.raises(ValueError, match=r"zeta must be two coordinates, none a bool, got \("):
+        with pytest.raises(ValueError, match=r"zeta must be two finite coordinates, none a bool, got \("):
             ExperimentConfig(n=1000, zeta=zeta)
 
     def test_cli_values_pass(self):
@@ -752,6 +753,66 @@ class TestMeasureRatioEstimator:
         escape_estimate = monte_carlo_measure(escape, samples, seed).estimate
         two_measures = escape_estimate / sampled_ball.estimate
         assert ei_measure_ratio(cfg, samples, seed).hex() == two_measures.hex()
+
+
+class TestEstimateRun:
+    """estimate_run is the chain of estimators that estimate prints and criteria 4-6 report."""
+
+    @pytest.fixture(scope="class")
+    def periodic(self):
+        cfg = small_cfg(n=20_000, trials=400, seed=12)
+        return cfg, run_experiment(cfg, workers=1)
+
+    def test_each_entry_is_its_estimator(self, periodic):
+        cfg, records = periodic
+        clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
+        theta = cfg.model.theta
+        p_hat, p_se = estimate_block_maxima_cdf(cfg, records)
+        chi2 = chi_square_vs_pmf(clusters.size, cfg.model.multiplicity, 1, 5)
+        ks = gap_ks_statistic(clusters, theta, cfg.tau)
+        assert cfg.q == 1
+        assert estimate_run(cfg, records, 20_000, 5) == {
+            "trials": 400,
+            "exceedances": records.time.size,
+            "q": 1,
+            "theta_formula": theta,
+            "p_hat": p_hat,
+            "p_se": p_se,
+            "p_target": math.exp(-theta * cfg.tau),
+            "theta_hat_clusters": empirical_extremal_index(clusters),
+            "size_histogram": empirical_multiplicity(clusters),
+            "ks_theta": theta,
+            "chi2": chi2[0],
+            "chi2_p_value": chi2[1],
+            "chi2_dof": chi2[2],
+            "ks_stat": ks[0],
+            "ks_p_value": ks[1],
+            "theta_hat_ratio": ei_measure_ratio(cfg, 20_000, 5),
+        }
+
+    def test_gap_theta_is_forwarded_and_no_samples_run_no_ratio(self, periodic):
+        cfg, records = periodic
+        clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
+        est = estimate_run(cfg, records, 0, 5, gap_theta=0.25)
+        ks = gap_ks_statistic(clusters, 0.25, cfg.tau)
+        assert (est["ks_theta"], est["ks_stat"], est["ks_p_value"]) == (0.25, *ks)
+        assert "theta_hat_ratio" not in est
+
+    def test_steps_that_cannot_run_hold_their_reasons(self):
+        # ten trials at a non-periodic centre: ten clusters of size 1 and nine gaps; no ratio at q = 0
+        cfg = ExperimentConfig(zeta=(0.4142, 0.7321), n=20_000, trials=10, seed=3)
+        est = estimate_run(cfg, run_experiment(cfg, workers=1), 20_000, 5)
+        assert cfg.q == 0 and "theta_hat_ratio" not in est
+        chi2 = [est[key] for key in ("chi2", "chi2_p_value", "chi2_dof")]
+        assert chi2 == ["too few bins with adequate expectation"] * 3
+        assert [est[key] for key in ("ks_stat", "ks_p_value")] == ["9 gaps, need >= 20"] * 2
+
+    def test_ratio_out_of_local_range_holds_its_reason(self):
+        # at |trace| 19602 one image of the threshold ball wraps the torus
+        cfg = ExperimentConfig(matrix=(1, 140, 140, 19601), n=7000, trials=5, tau=40.0, seed=4)
+        est = estimate_run(cfg, run_experiment(cfg, workers=1), 20_000, 5)
+        assert est["theta_hat_ratio"].startswith("OutOfLocalRange: lam^(1q) * radius >= 1/2")
+        assert isinstance(est["theta_hat_clusters"], float)
 
 
 class TestRepp:
