@@ -60,7 +60,6 @@ from .torus import (
     MetricKind,
     ToralAutomorphism,
     TorusPoint,
-    build_automorphism,
     compute_period,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "Ball",
     "ToralAutomorphism",
     "TorusPoint",
-    "build_automorphism",
     "compute_period",
     "ExtremalModel",
     "threshold_u_n",

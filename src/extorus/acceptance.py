@@ -53,8 +53,8 @@ from .torus import (
     MODULUS,
     Ball,
     MetricKind,
+    ToralAutomorphism,
     TorusPoint,
-    build_automorphism,
     orbit_blocks,
     resolve_workers,
 )
@@ -144,45 +144,45 @@ def criterion_1_formula_identities():
     measured: dict = {}
     ok = True
 
-    matrices = [CAT, (1, 1, 1, 2), (3, 2, 1, 1), (5, 2, 2, 1)]
-    lams = [build_automorphism(*m).lam_abs for m in matrices]
+    # the Euclidean forms evaluate the printed law at |lam|, also for the non-symmetric 3,2,1,1
+    automorphisms = [ToralAutomorphism(*m) for m in (CAT, (1, 1, 1, 2), (3, 2, 1, 1), (5, 2, 2, 1))]
 
     # extremal index equals the escape-area fraction of the ball
     worst = 0.0
-    for lam in lams:
+    for T in automorphisms:
         for q in (1, 2, 3, 5):
             for s in (0.01, 0.003):
-                theta = extremal_index(lam, q, MetricKind.EUCLIDEAN)
-                ratio = area_A_q(s, lam, q) / ball_measure(s, MetricKind.EUCLIDEAN)
+                theta = extremal_index(T, q, MetricKind.EUCLIDEAN)
+                ratio = area_A_q(s, T, q) / ball_measure(s, MetricKind.EUCLIDEAN)
                 worst = max(worst, abs(theta - ratio))
     measured["ei_area_identity_max_err"] = worst
     ok &= worst <= 1e-12
 
     # multiplicity laws sum to one (geometric tail completion)
     worst = 0.0
-    for lam in lams[:2]:
+    for T in automorphisms[:2]:
         for q in (1, 2):
             for metric in (MetricKind.EUCLIDEAN, MetricKind.ADAPTED):
-                worst = max(worst, abs(multiplicity_mass(lam, q, metric) - 1.0))
+                worst = max(worst, abs(multiplicity_mass(T, q, metric) - 1.0))
     measured["multiplicity_mass_max_err"] = worst
     ok &= worst <= 1e-9
 
     # tail ratio approaches lam**-q
     worst = 0.0
-    for lam in lams[:2]:
+    for T in automorphisms[:2]:
         for q in (1, 2):
-            r = multiplicity_pi(lam, q, 21, MetricKind.EUCLIDEAN) / multiplicity_pi(
-                lam, q, 20, MetricKind.EUCLIDEAN
+            r = multiplicity_pi(T, q, 21, MetricKind.EUCLIDEAN) / multiplicity_pi(
+                T, q, 20, MetricKind.EUCLIDEAN
             )
-            worst = max(worst, abs(r - lam**-q))
+            worst = max(worst, abs(r - T.lam_abs**-q))
     measured["tail_ratio_max_err"] = worst
     ok &= worst <= 1e-3
 
     # the extremal index approaches 1 as the period grows
     worst = 0.0
-    for lam in lams:
+    for T in automorphisms:
         for metric in (MetricKind.EUCLIDEAN, MetricKind.ADAPTED):
-            worst = max(worst, abs(extremal_index(lam, 50, metric) - 1.0))
+            worst = max(worst, abs(extremal_index(T, 50, metric) - 1.0))
     measured["ei_limit_q50_max_err"] = worst
     ok &= worst <= 1e-9
 
@@ -205,21 +205,20 @@ def criterion_1_formula_identities():
 @_criterion(2, "oracle-equivalence")
 def criterion_2_oracle_equivalence(workers: int = 1):
     """Monte Carlo area oracle versus every closed form at s = 0.01."""
-    T = build_automorphism(*CAT)
-    lam = T.lam_abs
+    T = ToralAutomorphism(*CAT)
     s, q = 0.01, 1
     ball = Ball(T, TorusPoint(0.0, 0.0), s, MetricKind.EUCLIDEAN)
     measured: dict = {"samples": _ORACLE_SAMPLES}
 
     regions: list[tuple[str, RegionSpec, float]] = [
-        ("A_q1", RegionSpec(ball, RegionKind.A_Q, q=q), area_A_q(s, lam, q))
+        ("A_q1", RegionSpec(ball, RegionKind.A_Q, q=q), area_A_q(s, T, q))
     ]
     for kappa in range(0, 4):
         region = RegionSpec(ball, RegionKind.Q_KAPPA, q=q, kappa=kappa)
-        regions.append((f"Q_{kappa}", region, strip_area_Q(s, lam, q, kappa)))
+        regions.append((f"Q_{kappa}", region, strip_area_Q(s, T, q, kappa)))
     for kappa in range(1, 4):
         region = RegionSpec(ball, RegionKind.U_KAPPA, q=q, kappa=kappa)
-        regions.append((f"U_{kappa}", region, nested_area_U(s, lam, q, kappa)))
+        regions.append((f"U_{kappa}", region, nested_area_U(s, T, q, kappa)))
 
     equal_ok = True
     tail_ok = True
@@ -230,7 +229,7 @@ def criterion_2_oracle_equivalence(workers: int = 1):
         measured[f"closed_{name}"] = closed
         equal_ok &= abs(est - closed) <= 3.0 * se
         if region.kind is RegionKind.U_KAPPA:
-            bound = lam ** (-region.kappa * q) * s * s
+            bound = T.lam_abs ** (-region.kappa * q) * s * s
             measured[f"tail_bound_{name}"] = bound
             tail_ok &= est <= bound + 3.0 * se
 

@@ -38,6 +38,7 @@ from .simulate import (
     ExperimentConfig,
     Records,
     check_field,
+    check_ratio_samples,
     estimate_run,
     experiment_workers,
     run_experiment,
@@ -57,8 +58,7 @@ def parse_matrix(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError(f"matrix needs four comma-separated integers, got {text!r}")
-    a, b, c, d = (int(p.strip()) for p in parts)
-    return (a, b, c, d)
+    return tuple(int(p) for p in parts)  # int() strips the spaces around an entry
 
 
 def parse_zeta(text: str) -> tuple[Fraction, Fraction]:
@@ -225,7 +225,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "u_n": cfg.u_n,
         "s_n": threshold_radius(cfg.n, cfg.tau, MetricKind.EUCLIDEAN),
         "radius": cfg.radius,
-        "g_n": wrap_time_g(cfg.n, T.lam_abs, q, cfg.tau),
+        "g_n": wrap_time_g(cfg.n, T, q, cfg.tau),
         "v_n": cfg.v_n,
     }
     if args.json:
@@ -408,8 +408,7 @@ def _read_records(indir: Path) -> tuple[ExperimentConfig, Records]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    if args.mc_samples != 0 and args.mc_samples < MIN_SAMPLES:
-        raise ValueError(f"--mc-samples: mc_samples must be 0 or >= {MIN_SAMPLES}, got {args.mc_samples}")
+    check_ratio_samples("--mc-samples: mc_samples", args.mc_samples)
     if args.theta_override is not None:
         check_positive("--theta-override: theta_override", args.theta_override, 1)
     indir = Path(args.indir)

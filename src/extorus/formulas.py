@@ -1,14 +1,12 @@
 """Closed-form extreme-value quantities for hyperbolic torus maps.
 
-Each closed form has its one evaluation here, and the other modules call
-it. The cluster laws are pure functions of (|lam|, q, metric); the
-thresholds are functions of (n, tau, metric, basis_det). extremal_model
-takes the automorphism itself and is the one gate to the law: it refuses
-the Euclidean forms at a periodic centre for a non-symmetric matrix,
-where |lam| alone does not fix them. Every form refuses arguments
-outside its domain (s, |lam|, the integers q and kappa, the metric)
-through _check_law and check_metric, with a ValueError that names the
-argument. Conventions: s is the ball radius, lam the dominant eigenvalue:
+Each closed form has its one evaluation here. The laws take the
+ToralAutomorphism T (and q, metric) and read T.lam_abs once; the
+Euclidean ones evaluate the printed law at |lam|, exact for symmetric T,
+so extremal_model refuses them at a periodic centre otherwise. Every
+form refuses an argument outside its domain with a ValueError naming it
+(_check_law, check_positive, check_metric) and returns a Python float.
+Conventions: s is the ball radius, lam the dominant eigenvalue of T:
 
 * Ball measure: a Euclidean ball of radius r has measure pi r^2; an
   adapted-metric ball is a square in eigenbasis coordinates with
@@ -51,50 +49,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .torus import MetricKind, ToralAutomorphism, check_count, check_metric, check_positive
+from .torus import MetricKind, ToralAutomorphism, check_automorphism, check_count, check_metric, check_positive
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
 
 
 def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> float:
-    """Lebesgue measure of a metric ball of the given radius."""
+    """Lebesgue measure of a metric ball of the given radius; basis_det lies in (0, 1]."""
     check_metric(metric)
+    radius = check_positive("radius", radius)
+    basis_det = check_positive("basis_det", basis_det, 1)
     if metric is MetricKind.EUCLIDEAN:
         return math.pi * radius * radius
     return 4.0 * radius * radius * basis_det
 
 
-def _check_law(
-    lam_abs: float, q: int, *, q_min: int = 1, s: float | None = None, kappa: int | None = None, kappa_min: int = 0
-) -> None:
-    """Refuse a closed form's arguments outside its domain with a ValueError naming the first one.
-
-    lam_abs must be finite and exceed 1, and q an integer at least q_min
-    (0 where q = 0 means a non-periodic centre); s, where given, finite and
-    positive, and kappa, where given, an integer at least kappa_min.
-    """
-    if not (math.isfinite(lam_abs) and lam_abs > 1.0):
-        raise ValueError(f"lam_abs must be finite and exceed 1, got {lam_abs}")
-    check_count("q", q, q_min)
-    if s is not None:
-        check_positive("s", s)
-    if kappa is not None:
-        check_count("kappa", kappa, kappa_min)
+def _check_law(T: ToralAutomorphism, q: int, q_min: int = 1) -> tuple[float, int]:
+    """(T.lam_abs, int(q)) for a ToralAutomorphism T and an integer q >= q_min (0: non-periodic), else raise."""
+    check_automorphism(T)
+    return T.lam_abs, check_count("q", q, q_min)
 
 
 def threshold_u_n(n: int, tau: float, metric: MetricKind, basis_det: float = 1.0) -> float:
     """Threshold for orbit length n: inverts the ball measure at tau/n.
 
     u = (1/2) log(n m(B_1) / tau), with m(B_1) the measure of the unit
-    ball. Raises ValueError for an n that is not an int >= 1, a tau that
-    is not finite and positive, basis_det outside (0, 1] or a metric that
-    is not a MetricKind; RadiusTooLarge when exp(-u) >= 0.25.
+    ball. Raises ValueError for an argument outside its domain (n an int
+    >= 1), RadiusTooLarge when exp(-u) >= 0.25.
     """
-    check_count("n", n, 1)
-    check_positive("tau", tau)
-    check_positive("basis_det", basis_det, 1)
+    n = check_positive("n", check_count("n", n, 1))  # m(B_1) n takes n's float, which must exist
+    tau = check_positive("tau", tau)
     u = 0.5 * math.log(ball_measure(1.0, metric, basis_det) * n / tau)
+    if u == math.inf:  # m(B_1) n / tau overflowed: the radius would be 0
+        raise ValueError(f"n / tau must stay within the doubles' range, got n = {n:g}, tau = {tau:g}")
     if math.exp(-u) >= 0.25:
         raise RadiusTooLarge(f"threshold radius {math.exp(-u):.4g} >= 0.25 at n={n}, tau={tau}")
     return u
@@ -105,12 +93,12 @@ def threshold_radius(n: int, tau: float, metric: MetricKind, basis_det: float = 
     return math.exp(-threshold_u_n(n, tau, metric, basis_det))
 
 
-def _power(lam_abs: float, p: float) -> float:
-    """lam_abs**p saturating at +inf instead of raising OverflowError."""
+def _power(base: float, p: int) -> float:
+    """base**p for base >= 0, saturating at +inf or 0 where a result or an exponent overflows."""
     try:
-        return lam_abs**p
+        return base**p
     except OverflowError:
-        return math.inf
+        return math.inf if (base > 1.0) == (p > 0) else 0.0
 
 
 def _asin_gap(lam_abs: float, q: int) -> float:
@@ -148,86 +136,89 @@ def _strip_gap(lam_abs: float, q: int, kappa: int) -> float:
     return expanding + contracting
 
 
-def extremal_index(lam_abs: float, q: int, metric: MetricKind) -> float:
-    """Extremal index theta in (0, 1].
+def extremal_index(T: ToralAutomorphism, q: int, metric: MetricKind) -> float:
+    """Extremal index theta in (0, 1] of T at a centre of period q.
 
     q = 0 encodes a non-periodic centre and gives 1 for both metrics.
     For q >= 1 the Euclidean value is (2/pi) times the angular gap of
-    the escape region; the adapted value is 1 - lam_abs**(-q).
+    the escape region, the printed law at T's |lam| (exact for symmetric
+    T); the adapted value is 1 - |lam|^(-q).
     """
-    _check_law(lam_abs, q, q_min=0)
+    lam_abs, q = _check_law(T, q, q_min=0)
     check_metric(metric)
     if q == 0:
         return 1.0
     if metric is MetricKind.EUCLIDEAN:
         return (2.0 / math.pi) * _strip_gap(lam_abs, q, 0)
-    return 1.0 - lam_abs ** (-q)
+    return 1.0 - _power(lam_abs, -q)
 
 
-def area_A_q(s: float, lam_abs: float, q: int) -> float:
-    """Area of the escape region of a Euclidean ball of radius s.
-
-    Points in the ball whose first q images leave it; the region between
-    the ball and its thin preimage ellipse.
-    """
-    _check_law(lam_abs, q, s=s)
+def area_A_q(s: float, T: ToralAutomorphism, q: int) -> float:
+    """Area of the escape region of a Euclidean ball of radius s, the points whose first q images
+    leave it: the printed law at T's |lam|, exact for symmetric T."""
+    lam_abs, q = _check_law(T, q)
+    s = check_positive("s", s)
     return 2.0 * s * s * _asin_gap(lam_abs, q)
 
 
-def strip_area_Q(s: float, lam_abs: float, q: int, kappa: int) -> float:
-    """Area of the strip of ball points returning exactly kappa times.
-
-    kappa = 0 is the escape region itself; for kappa >= 1 the area is
-    the difference of the angular-gap closed form at indices kappa+1 and
-    kappa, times 2 s^2.
-    """
-    _check_law(lam_abs, q, s=s, kappa=kappa)
+def strip_area_Q(s: float, T: ToralAutomorphism, q: int, kappa: int) -> float:
+    """Area of the strip of ball points returning exactly kappa times: the escape region at kappa = 0,
+    else 2 s^2 times the difference of the angular-gap closed form at indices kappa+1 and kappa.
+    The printed law at T's |lam|, exact for symmetric T."""
+    lam_abs, q = _check_law(T, q)
+    kappa = check_count("kappa", kappa, 0)
+    s = check_positive("s", s)
     if kappa == 0:
-        return area_A_q(s, lam_abs, q)
+        return area_A_q(s, T, q)
     return 2.0 * s * s * _strip_gap(lam_abs, q, kappa)
 
 
-def nested_area_U(s: float, lam_abs: float, q: int, kappa: int) -> float:
-    """Area of the nested set of ball points returning at least kappa times.
-
-    Complement of the first kappa strips inside the ball: pi s^2 minus
-    the partial strip sum.
-    """
-    _check_law(lam_abs, q, s=s, kappa=kappa)
+def nested_area_U(s: float, T: ToralAutomorphism, q: int, kappa: int) -> float:
+    """Area of the nested set of ball points returning at least kappa times: pi s^2 minus the first
+    kappa strips, up to the first of area 0 (all later ones are 0). Exact for symmetric T."""
+    q = _check_law(T, q)[1]
+    kappa = check_count("kappa", kappa, 0)
+    s = check_positive("s", s)
     total = ball_measure(s, MetricKind.EUCLIDEAN)
     for j in range(kappa):
-        total -= strip_area_Q(s, lam_abs, q, j)
+        strip = strip_area_Q(s, T, q, j)
+        if strip == 0.0:
+            break
+        total -= strip
     return total
 
 
-def multiplicity_pi(lam_abs: float, q: int, kappa: int, metric: MetricKind) -> float:
-    """Cluster-size probability pi(kappa), kappa >= 1.
+def multiplicity_pi(T: ToralAutomorphism, q: int, kappa: int, metric: MetricKind) -> float:
+    """Cluster-size probability pi(kappa), kappa >= 1, of T at a centre of period q >= 1.
 
     Adapted metric: geometric with parameter theta = extremal_index.
-    Euclidean metric: the strip area ratio (Q^(kappa-1) - Q^kappa) / Q^0,
-    from the stable gaps; it equals the paper's four-arcsin grouping,
-    which cancels below the double noise floor once lam^(kappa q) grows.
+    Euclidean metric: the strip area ratio (Q^(kappa-1) - Q^kappa) / Q^0
+    at T's |lam| (exact for symmetric T), from the stable gaps; it equals
+    the paper's four-arcsin grouping, which cancels below the double noise
+    floor once lam^(kappa q) grows.
     """
-    _check_law(lam_abs, q, kappa=kappa, kappa_min=1)
+    lam_abs, q = _check_law(T, q)
+    kappa = check_count("kappa", kappa, 1)
     check_metric(metric)
     if metric is MetricKind.ADAPTED:
-        theta = extremal_index(lam_abs, q, metric)
-        return theta * (1.0 - theta) ** (kappa - 1)
+        theta = extremal_index(T, q, metric)
+        return theta * _power(1.0 - theta, kappa - 1)
     gap = _strip_gap(lam_abs, q, kappa - 1) - _strip_gap(lam_abs, q, kappa)
     return gap / _strip_gap(lam_abs, q, 0)
 
 
-def multiplicity_mass(lam_abs: float, q: int, metric: MetricKind) -> float:
+def multiplicity_mass(T: ToralAutomorphism, q: int, metric: MetricKind) -> float:
     """Sum of pi(kappa) up to an adaptive cutoff plus a geometric tail bound.
 
-    The tail ratio tends to lam_abs**(-q), so once terms are below the
+    The tail ratio tends to |lam|^(-q), so once terms are below the
     working tolerance the remainder is summed as a geometric series.
     """
-    ratio = lam_abs ** (-q)
+    lam_abs, q = _check_law(T, q)
+    ratio = _power(lam_abs, -q)
     total = 0.0
     last = 0.0
     for kappa in range(1, _MASS_TERMS + 1):
-        last = multiplicity_pi(lam_abs, q, kappa, metric)
+        last = multiplicity_pi(T, q, kappa, metric)
         total += last
         if last < _TAIL_TOL:
             break
@@ -246,9 +237,10 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
     the sum is a double up to 170!, so k is at most 170;
     ExtremalModel.pmf_vector evaluates the law at any k.
     """
-    check_positive("theta", theta, 1)
-    check_positive("t", t)
-    if check_count("k", k, 0) > 170:
+    theta = check_positive("theta", theta, 1)
+    t = check_positive("t", t)
+    k = check_count("k", k, 0)
+    if k > 170:
         raise ValueError(f"k must be in [0, 170], got {k}; ExtremalModel.pmf_vector takes any k")
     if k == 0:
         return math.exp(-theta * t)
@@ -264,43 +256,50 @@ def polya_aeppli_pmf(theta: float, t: float, k: int) -> float:
     return math.exp(-theta * t) * total
 
 
-def wrap_time_g(n: int, lam_abs: float, q: int, tau: float = 1.0) -> int:
-    """Number of q-fold backward steps before preimages wrap the torus.
+def wrap_time_g(n: int, T: ToralAutomorphism, q: int, tau: float = 1.0) -> int:
+    """Number of q-fold backward steps of T before preimages wrap the torus.
 
     q = 0: floor((log n - log pi) / (2 log lam)).
     q >= 1: floor((log n + log(lam^(2q)+1) - 2 log(2 lam^q sqrt(tau/pi)))
     / (2 q log lam)), evaluated in a cancellation-free rearrangement so
     large q cannot overflow. Clamped at 0: a negative value would index
-    an empty sum. Raises ValueError, as threshold_u_n does, for an n that
-    is not an int >= 1 or a tau that is not finite and positive, whatever q.
+    an empty sum. n and tau are checked as threshold_u_n checks them.
     """
-    check_count("n", n, 1)
-    check_positive("tau", tau)
-    _check_law(lam_abs, q, q_min=0)
+    n = check_count("n", n, 1)
+    tau = check_positive("tau", tau)
+    lam_abs, q = _check_law(T, q, q_min=0)
     log_lam = math.log(lam_abs)
     if q == 0:
         value = (math.log(n) - math.log(math.pi)) / (2.0 * log_lam)
     else:
         # log(lam^{2q}+1) - 2q log lam = log1p(lam^{-2q})
-        numer = math.log(n) + math.log1p(lam_abs ** (-2 * q)) - math.log(4.0 * tau / math.pi)
-        value = numer / (2.0 * q * log_lam)
+        numer = math.log(n) + math.log1p(_power(lam_abs, -2 * q)) - math.log(4.0 * tau / math.pi)
+        try:
+            value = numer / (2.0 * q * log_lam)
+        except OverflowError:  # a q beyond the doubles: the quotient is below 1
+            value = 0.0
     return max(0, math.floor(value))
 
 
 @dataclass(frozen=True)
 class ExtremalModel:
-    """Extremal index plus cluster-size law for one (lam, q, metric)."""
+    """Extremal index plus cluster-size law for one (T, q, metric); theta must lie in (0, 1]."""
 
-    lam_abs: float
+    T: ToralAutomorphism
     q: int
     metric: MetricKind
     theta: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "q", _check_law(self.T, self.q, q_min=0)[1])
+        check_metric(self.metric)
+        object.__setattr__(self, "theta", check_positive("theta", self.theta, 1))
+
     def multiplicity(self, kappa: int) -> float:
-        _check_law(self.lam_abs, self.q, q_min=0, kappa=kappa, kappa_min=1)
+        check_count("kappa", kappa, 1)
         if self.q == 0:
             return 1.0 if kappa == 1 else 0.0
-        return multiplicity_pi(self.lam_abs, self.q, kappa, self.metric)
+        return multiplicity_pi(self.T, self.q, kappa, self.metric)
 
     def multiplicity_table(self, k_max: int) -> list[float]:
         return [self.multiplicity(k) for k in range(1, check_count("k_max", k_max, 0) + 1)]
@@ -316,9 +315,8 @@ class ExtremalModel:
         hang on its summation order and on fused multiply-adds, which vary by
         platform. For geometric sizes it is polya_aeppli_pmf.
         """
-        check_positive("t", t)
+        rate = self.theta * check_positive("t", t)
         k_max = check_count("k_max", k_max, 0)
-        rate = self.theta * t
         weights = np.arange(1, k_max + 1) * np.array(self.multiplicity_table(k_max))  # j pi(j)
         out = np.zeros(k_max + 1)
         out[0] = math.exp(-rate)
@@ -330,24 +328,20 @@ class ExtremalModel:
 def extremal_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> ExtremalModel:
     """The closed-form law for (T, q, metric), refused where it is known to be wrong.
 
-    The Euclidean forms take |lam| alone. At a periodic centre the disc's
-    overlap with its images depends on the singular values of A^q, which
-    equal |lam|^q only when the matrix is symmetric, so the Euclidean
-    metric at q >= 1 needs b == c. Also checks theta in (0, 1] and, for
-    q >= 1, that the multiplicity law sums to 1 within 1e-9 (adaptive
-    cutoff plus geometric tail).
+    The Euclidean forms evaluate the printed law at T's |lam|, but the
+    disc's overlap with its images depends on the singular values of A^q,
+    which are |lam|^q only for a symmetric matrix: the Euclidean metric at
+    q >= 1 needs b == c. For q >= 1 the multiplicity law must sum to 1
+    within 1e-9 (adaptive cutoff plus geometric tail).
     """
-    q = check_count("q", q, 0)
+    theta = extremal_index(T, q, metric)
     if metric is MetricKind.EUCLIDEAN and q >= 1 and T.b != T.c:
         raise ValueError(
             f"the Euclidean closed forms at a periodic centre (q = {q}) need a symmetric "
             f"matrix (b == c), got {T.entries}; the adapted metric has no such limit"
         )
-    lam_abs = T.lam_abs
-    theta = extremal_index(lam_abs, q, metric)
-    check_positive("theta", theta, 1)
     if q >= 1:
-        mass = multiplicity_mass(lam_abs, q, metric)
+        mass = multiplicity_mass(T, q, metric)
         if not abs(mass - 1.0) <= 1e-9:  # a nan mass fails too
             raise ValueError(f"multiplicity law sums to {mass}, not 1")
-    return ExtremalModel(lam_abs, q, metric, theta)
+    return ExtremalModel(T, q, metric, theta)

@@ -48,13 +48,12 @@ import numpy as np
 
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange, TooFewGaps
 from .formulas import ExtremalModel, ball_measure, extremal_model, threshold_radius, threshold_u_n, wrap_time_g
-from .regions import escape_region, monte_carlo_measure
+from .regions import MIN_SAMPLES, escape_region, monte_carlo_measure
 from .torus import (
     MODULUS,
     Ball,
     MetricKind,
     ToralAutomorphism,
-    build_automorphism,
     check_count,
     check_positive,
     compute_period,
@@ -81,15 +80,16 @@ def check_field(key: str, value):
     if key == "matrix":
         if len(entries) != 4:
             raise ValueError(f"matrix must be four entries, got {value!r}")
-        value = build_automorphism(*entries).entries
+        value = ToralAutomorphism(*entries).entries
     elif key in ("n", "trials", "seed"):
         value = check_count(key, value, None if key == "seed" else 1)
     elif key == "zeta":
         if len(entries) != 2 or not all(map(is_finite_real, entries)):
             raise ValueError(f"zeta must be two finite coordinates, none a bool, got {value!r}")
-        value = tuple(Fraction(v) % 1 for v in entries)  # a float is the rational it holds
+        # a float is the rational it holds; a NumPy float, which Fraction does not take, its float's
+        value = tuple(Fraction(float(v) if isinstance(v, np.floating) else v) % 1 for v in entries)
     elif key == "tau":
-        check_positive("tau", value)
+        value = check_positive("tau", value)
     return value
 
 
@@ -118,7 +118,7 @@ class ExperimentConfig:
 
     @cached_property
     def automorphism(self) -> ToralAutomorphism:
-        return build_automorphism(*self.matrix)
+        return ToralAutomorphism(*self.matrix)
 
     @cached_property
     def u_n(self) -> float:
@@ -135,11 +135,7 @@ class ExperimentConfig:
 
     @property
     def v_n(self) -> float:
-        """Kac rescaling, the reciprocal ball measure at the threshold radius.
-
-        u_n inverts the ball area by construction, so this is exactly n / tau
-        for both metrics.
-        """
+        """Kac rescaling, the reciprocal ball measure at the threshold radius: n / tau, as u_n inverts it."""
         return self.n / self.tau
 
     @cached_property
@@ -153,7 +149,7 @@ class ExperimentConfig:
 
     @cached_property
     def g_n(self) -> int:
-        return wrap_time_g(self.n, self.automorphism.lam_abs, self.q, self.tau)
+        return wrap_time_g(self.n, self.automorphism, self.q, self.tau)
 
     @cached_property
     def run_gap(self) -> int:
@@ -365,7 +361,7 @@ def decluster_all(records: Records, run_gap: int, v_n: float) -> Clusters:
     A cluster's time is its first exceedance time divided by v_n.
     """
     check_count("run_gap", run_gap, 1)
-    check_positive("v_n", v_n)
+    v_n = check_positive("v_n", v_n)
     trial, time = records.trial, records.time
     first = np.ones(trial.size, dtype=bool)
     first[1:] = (np.diff(time) > run_gap) | (trial[1:] != trial[:-1])
@@ -398,7 +394,7 @@ def pooled_gaps(clusters: Clusters, window_span: float) -> np.ndarray:
     by i * window_span) and gaps are taken on the glued stream, which
     keeps the gap law exponential across trial boundaries.
     """
-    check_positive("window_span", window_span)
+    window_span = check_positive("window_span", window_span)
     return np.diff(clusters.time + clusters.trial * window_span)
 
 
@@ -408,7 +404,7 @@ def gap_ks_statistic(clusters: Clusters, theta: float, window_span: float) -> tu
     The p-value uses the asymptotic Kolmogorov distribution; adequate
     for 1% decisions at twenty or more gaps.
     """
-    check_positive("theta", theta, 1)
+    theta = check_positive("theta", theta, 1)
     gaps = pooled_gaps(clusters, window_span)
     if gaps.size < 20:
         raise TooFewGaps(f"{gaps.size} gaps, need >= 20")
@@ -514,12 +510,23 @@ def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
     return num.estimate / ball_measure(cfg.radius, cfg.metric, cfg.automorphism.basis_det)
 
 
+def check_ratio_samples(name: str, value) -> int:
+    """The measure ratio's sample count: 0 runs no ratio, any other is the oracle's, at least MIN_SAMPLES."""
+    if check_count(name, value) != 0 and value < MIN_SAMPLES:
+        raise ValueError(f"{name} must be 0 or >= {MIN_SAMPLES}, got {value}")
+    return int(value)
+
+
 def estimate_run(
     cfg: ExperimentConfig, records: Records, ratio_samples: int, ratio_seed: int, gap_theta: float | None = None
 ) -> dict:
     """Every estimate of a run's records, keyed as the criteria report them: sizes on bins 1..5, gaps
     glued at cfg.tau against Exp(gap_theta, theta by default), the measure ratio at q >= 1 if
-    ratio_samples > 0. A step that cannot run holds its reason, as estimate prints it, in each entry."""
+    ratio_samples > 0, all scalars checked first. A step that cannot run holds its reason, as estimate
+    prints it, in each entry."""
+    ratio_samples = check_ratio_samples("ratio_samples", ratio_samples)
+    check_count("ratio_seed", ratio_seed)
+    gap_theta = None if gap_theta is None else check_positive("gap_theta", gap_theta, 1)
     clusters = decluster_all(records, cfg.run_gap, cfg.v_n)
     theta = cfg.model.theta
     p_hat, p_se = estimate_block_maxima_cdf(cfg, records)

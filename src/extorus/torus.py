@@ -58,7 +58,7 @@ import numbers
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -91,18 +91,29 @@ def check_metric(metric) -> None:
         raise ValueError(f"metric must be a MetricKind, got {metric!r}")
 
 
+def check_automorphism(T) -> None:
+    """Raise unless T is a ToralAutomorphism; a bare |lam| would pass for one."""
+    if not isinstance(T, ToralAutomorphism):
+        raise ValueError(f"T must be a ToralAutomorphism, got {T!r}")
+
+
 def is_finite_real(value) -> bool:
     """Whether value is a finite real number and not a bool; an int or a Fraction is finite however large."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     return real and (isinstance(value, numbers.Rational) or math.isfinite(value))
 
 
-def check_positive(name: str, value, maximum: float = math.inf) -> None:
-    """Raise unless value is a finite real number (see is_finite_real), positive and at most maximum."""
-    if not (is_finite_real(value) and 0 < value <= maximum):
+def check_positive(name: str, value, maximum: float = math.inf) -> float:
+    """float(value) for a real (is_finite_real) whose float is positive and at most maximum, else raise."""
+    try:
+        number = float(value) if is_finite_real(value) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not 0 < number <= maximum:
         if maximum == math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-        raise ValueError(f"{name} must lie in (0, {maximum}], got {value}")
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        raise ValueError(f"{name} must lie in (0, {maximum}], got {value!r}")
+    return number
 
 
 def check_count(name: str, value, minimum: int | None = None) -> int:
@@ -116,23 +127,46 @@ def check_count(name: str, value, minimum: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class ToralAutomorphism:
-    """Validated integer matrix [[a,b],[c,d]] with its eigen-structure.
+    """The integer matrix [[a,b],[c,d]], validated, with its eigen-structure.
 
-    lam is the eigenvalue of largest modulus (|lam| > 1, the two
-    eigenvalues multiply to 1). e_unstable / e_stable are unit
-    eigenvectors for lam and 1/lam; basis_det is the absolute
-    determinant of the matrix whose columns are those eigenvectors,
-    which lies in (0, 1] and equals 1 exactly for symmetric matrices.
+    The four entries are the only arguments, each an int (check_count)
+    whose eigen data a double holds; DeterminantNotOne is raised if
+    ad - bc != 1, NotHyperbolic if |a + d| <= 2. Derived: lam, the
+    eigenvalue of largest modulus (> 1); e_unstable / e_stable, unit
+    eigenvectors for lam and 1/lam; basis_det, the |determinant| of
+    those columns, in (0, 1] and 1 for symmetric T.
     """
 
     a: int
     b: int
     c: int
     d: int
-    lam: float
-    e_unstable: tuple[float, float]
-    e_stable: tuple[float, float]
-    basis_det: float
+    lam: float = field(init=False)
+    e_unstable: tuple[float, float] = field(init=False)
+    e_stable: tuple[float, float] = field(init=False)
+    basis_det: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        a, b, c, d = (check_count("matrix entry", v) for v in self.entries)
+        if a * d - b * c != 1:
+            raise DeterminantNotOne(f"determinant is {a * d - b * c}, must be 1")
+        tr = a + d
+        if abs(tr) <= 2:
+            raise NotHyperbolic(f"|trace| = {abs(tr)} <= 2")
+        try:
+            disc = math.sqrt(tr * tr - 4)
+            lam = (tr + disc) / 2.0 if tr > 0 else (tr - disc) / 2.0
+            # eigenvectors for lam and 1/lam; b and c cannot both vanish here: that would
+            # force a*d = 1 with integer a, d and hence |trace| = 2
+            vectors = [(float(b), mu - a) if b != 0 else (mu - d, float(c)) for mu in (lam, 1.0 / lam)]
+        except OverflowError:
+            raise ValueError(f"matrix entry beyond the doubles' range, got {(a, b, c, d)}") from None
+        e_u, e_s = ((x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in vectors)
+        # |sin| of the angle between unit vectors: at most 1, though the rounded product may not be
+        basis_det = min(abs(e_u[0] * e_s[1] - e_u[1] * e_s[0]), 1.0)
+        for name, value in zip(("a", "b", "c", "d", "lam", "e_unstable", "e_stable", "basis_det"),
+                               (a, b, c, d, lam, e_u, e_s, basis_det)):
+            object.__setattr__(self, name, value)
 
     @property
     def entries(self) -> tuple[int, int, int, int]:
@@ -187,38 +221,6 @@ def rational_residues(zeta: tuple[Fraction, Fraction]) -> tuple[tuple[int, int],
     """Numerators and common denominator of a rational centre, reduced mod 1."""
     den = math.lcm(zeta[0].denominator, zeta[1].denominator)
     return (int(zeta[0] * den) % den, int(zeta[1] * den) % den), den
-
-
-def build_automorphism(a: int, b: int, c: int, d: int) -> ToralAutomorphism:
-    """Validate an integer matrix and compute its eigen-structure.
-
-    Raises ValueError for an entry that is not an int (see check_count),
-    DeterminantNotOne if ad - bc != 1 and NotHyperbolic if |a + d| <= 2
-    (an eigenvalue would sit on the unit circle).
-    """
-    a, b, c, d = (check_count("matrix entry", v) for v in (a, b, c, d))
-    if a * d - b * c != 1:
-        raise DeterminantNotOne(f"determinant is {a * d - b * c}, must be 1")
-    tr = a + d
-    if abs(tr) <= 2:
-        raise NotHyperbolic(f"|trace| = {abs(tr)} <= 2")
-
-    disc = math.sqrt(tr * tr - 4)
-    lam = (tr + disc) / 2.0 if tr > 0 else (tr - disc) / 2.0
-    other = 1.0 / lam
-
-    def unit_eigenvector(mu: float) -> tuple[float, float]:
-        # b and c cannot both vanish here: that would force a*d = 1 with
-        # integer a, d and hence |trace| = 2.
-        v = (float(b), mu - a) if b != 0 else (mu - d, float(c))
-        norm = math.hypot(v[0], v[1])
-        return (v[0] / norm, v[1] / norm)
-
-    e_u = unit_eigenvector(lam)
-    e_s = unit_eigenvector(other)
-    # |sin| of the angle between unit vectors: at most 1, though the rounded product may not be
-    basis_det = min(abs(e_u[0] * e_s[1] - e_u[1] * e_s[0]), 1.0)
-    return ToralAutomorphism(a, b, c, d, lam, e_u, e_s, basis_det)
 
 
 def compute_period(
@@ -403,8 +405,9 @@ class Ball:
     metric: MetricKind
 
     def __post_init__(self) -> None:
+        check_automorphism(self.T)
         check_metric(self.metric)
-        check_positive("radius", self.radius)
+        object.__setattr__(self, "radius", check_positive("radius", self.radius))
 
     @property
     def key_radius(self) -> float:

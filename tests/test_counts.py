@@ -32,11 +32,12 @@ from extorus import (
     RegionSpec,
     ToralAutomorphism,
     TorusPoint,
-    build_automorphism,
+    area_A_q,
     chi_square_vs_pmf,
     ball_measure,
     decluster_all,
     ei_measure_ratio,
+    estimate_run,
     extremal_index,
     extremal_model,
     gap_ks_statistic,
@@ -52,10 +53,9 @@ from extorus import (
 from extorus.cli import build_parser
 from extorus.formulas import multiplicity_mass
 from extorus.regions import separation_check
-from extorus.torus import check_positive, keyed_rng, resolve_workers
+from extorus.torus import check_positive, is_finite_real, keyed_rng, resolve_workers
 
-CAT = build_automorphism(2, 1, 1, 1)
-LAM = CAT.lam_abs
+CAT = ToralAutomorphism(2, 1, 1, 1)
 EUCLID, ADAPTED = MetricKind.EUCLIDEAN, MetricKind.ADAPTED
 BALL = Ball(CAT, TorusPoint(0.0, 0.0), 0.01, EUCLID)
 ESCAPE = RegionSpec(BALL, RegionKind.A_Q, q=1)
@@ -78,18 +78,18 @@ def theory(**flags) -> str:
 
 # id: (the name in the message, the entry point as a function of the count, a valid count, its minimum)
 ENTRY_POINTS = {
-    "build_automorphism": ("matrix entry", lambda v: build_automorphism(2, 1, 1, v), 1, None),
+    "ToralAutomorphism": ("matrix entry", lambda v: ToralAutomorphism(2, 1, 1, v), 1, None),
     "config-matrix": ("matrix entry", lambda v: ExperimentConfig(n=1000, matrix=(2, 1, 1, v)), 1, None),
     "config-n": ("n", lambda v: ExperimentConfig(n=v), 1000, 1),
     "config-trials": ("trials", lambda v: ExperimentConfig(n=1000, trials=v), 10, 1),
     "config-seed": ("seed", lambda v: ExperimentConfig(n=1000, seed=v), 7, None),
     "resolve_workers": ("worker count", resolve_workers, 1, 1),
-    "extremal_index-q": ("q", lambda v: extremal_index(LAM, v, EUCLID), 1, 0),
-    "strip_area_Q-kappa": ("kappa", lambda v: strip_area_Q(0.01, LAM, 1, v), 1, 0),
-    "multiplicity_pi-kappa": ("kappa", lambda v: multiplicity_pi(LAM, 1, v, ADAPTED), 2, 1),
+    "extremal_index-q": ("q", lambda v: extremal_index(CAT, v, EUCLID), 1, 0),
+    "strip_area_Q-kappa": ("kappa", lambda v: strip_area_Q(0.01, CAT, 1, v), 1, 0),
+    "multiplicity_pi-kappa": ("kappa", lambda v: multiplicity_pi(CAT, 1, v, ADAPTED), 2, 1),
     "extremal_model-q": ("q", lambda v: extremal_model(CAT, v, ADAPTED), 2, 0),
     "threshold_u_n-n": ("n", lambda v: threshold_u_n(v, 1.0, EUCLID), 1000, 1),
-    "wrap_time_g-n": ("n", lambda v: wrap_time_g(v, LAM, 1), 1000, 1),
+    "wrap_time_g-n": ("n", lambda v: wrap_time_g(v, CAT, 1), 1000, 1),
     "polya_aeppli_pmf-k": ("k", lambda v: polya_aeppli_pmf(0.6, 3.0, v), 3, 0),
     "multiplicity_table-k_max": ("k_max", lambda v: extremal_model(CAT, 1, ADAPTED).multiplicity_table(v), 3, 0),
     "pmf_vector-k_max": ("k_max", lambda v: extremal_model(CAT, 1, ADAPTED).pmf_vector(3.0, v), 3, 0),
@@ -148,10 +148,10 @@ METRIC_ENTRY_POINTS = {
     "ball_measure": lambda m: ball_measure(0.01, m),
     "threshold_u_n": lambda m: threshold_u_n(1000, 1.0, m),
     "threshold_radius": lambda m: threshold_radius(1000, 1.0, m),
-    "extremal_index": lambda m: extremal_index(LAM, 1, m),
-    "extremal_index-q0": lambda m: extremal_index(LAM, 0, m),
-    "multiplicity_pi": lambda m: multiplicity_pi(LAM, 1, 2, m),
-    "multiplicity_mass": lambda m: multiplicity_mass(LAM, 1, m),
+    "extremal_index": lambda m: extremal_index(CAT, 1, m),
+    "extremal_index-q0": lambda m: extremal_index(CAT, 0, m),
+    "multiplicity_pi": lambda m: multiplicity_pi(CAT, 1, 2, m),
+    "multiplicity_mass": lambda m: multiplicity_mass(CAT, 1, m),
     "extremal_model": lambda m: extremal_model(CAT, 1, m),
 }
 
@@ -186,10 +186,10 @@ def test_one_unit_interval_rule(name, call):
 ZETA = "zeta must be two finite coordinates, none a bool, got "
 MATRIX = "matrix must be four entries, got "
 NOT_REAL = {
-    "tau-str": (lambda: ExperimentConfig(n=1000, tau="2"), "tau must be finite and positive, got 2"),
+    "tau-str": (lambda: ExperimentConfig(n=1000, tau="2"), "tau must be finite and positive, got '2'"),
     "tau-none": (lambda: ExperimentConfig(n=1000, tau=None), "tau must be finite and positive, got None"),
-    "theta-str": (lambda: polya_aeppli_pmf("0.5", 1.0, 1), "theta must lie in (0, 1], got 0.5"),
-    "radius-str": (lambda: Ball(CAT, BALL.centre, "0.1", EUCLID), "radius must be finite and positive, got 0.1"),
+    "theta-str": (lambda: polya_aeppli_pmf("0.5", 1.0, 1), "theta must lie in (0, 1], got '0.5'"),
+    "radius-str": (lambda: Ball(CAT, BALL.centre, "0.1", EUCLID), "radius must be finite and positive, got '0.1'"),
     "basis_det-none": (lambda: threshold_u_n(1000, 1.0, EUCLID, None), "basis_det must lie in (0, 1], got None"),
     "zeta-none": (lambda: ExperimentConfig(n=1000, zeta=(None, 0)), ZETA + "(None, 0)"),
     "zeta-int": (lambda: ExperimentConfig(n=1000, zeta=5), ZETA + "5"),
@@ -208,13 +208,93 @@ def test_values_that_are_not_numbers_are_refused_by_name(call, message):
 
 
 def test_exact_reals_are_finite_however_large():
-    # an int or a Fraction beyond the doubles is finite; math.isfinite would raise OverflowError on it
+    # an int or a Fraction beyond the doubles is finite, and an exact centre takes it; math.isfinite would
+    # raise OverflowError on it
     assert ExperimentConfig(n=1000, zeta=(Fraction(10**400 + 1, 2), 10**400)).zeta == (Fraction(1, 2), 0)
-    check_positive("s", 10**400)
+    assert is_finite_real(10**400) and is_finite_real(Fraction(10**400, 3))
+
+
+HUGE = repr(10**400)
+# id: (the call, its refusal); each raised an OverflowError that named no argument
+BEYOND_THE_DOUBLES = {
+    "check_positive-fraction": (lambda: check_positive("s", Fraction(10**400, 3)), "s must be finite and positive, got "),
+    "config-tau": (lambda: ExperimentConfig(n=1000, tau=10**400), "tau must be finite and positive, got " + HUGE),
+    "config-n": (lambda: ExperimentConfig(n=10**400), "n must be finite and positive, got " + HUGE),
+    "polya_aeppli_pmf-t": (lambda: polya_aeppli_pmf(0.5, 10**400, 3), "t must be finite and positive, got " + HUGE),
+    "gap_ks_statistic-window_span": (
+        lambda: gap_ks_statistic(decluster_all(RECORDS, 2, 100.0), 0.5, window_span=10**400),
+        "window_span must be finite and positive, got " + HUGE,
+    ),
+    "matrix-entries": (lambda: ToralAutomorphism(10**400, 1, -1, 0), "matrix entry beyond the doubles' range, got "),
+}
+
+
+@pytest.mark.parametrize("call, message", BEYOND_THE_DOUBLES.values(), ids=BEYOND_THE_DOUBLES.keys())
+def test_reals_beyond_the_doubles_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+@pytest.mark.parametrize("value", [0.25, 1, Fraction(1, 4), np.float32(0.25), np.float64(0.25), np.int8(1)])
+def test_a_positive_real_comes_back_as_a_python_float(value):
+    # a Python float comes back as it is, so no computed bit moves
+    got = check_positive("s", value)
+    assert type(got) is float and got == float(value)
+    # the forms compute on it: a NumPy float32 argument returned an np.float32
+    assert type(polya_aeppli_pmf(0.5, value, 3)) is float
+    s = value / 100
+    assert type(area_A_q(s, CAT, 1)) is float and area_A_q(s, CAT, 1) == area_A_q(float(s), CAT, 1)
+
+
+def test_a_numpy_float_centre_is_the_rational_it_holds():
+    # Fraction refuses a NumPy float32 with an unnamed TypeError; its value is exact in a double
+    cfg = ExperimentConfig(n=1000, zeta=(np.float32(0.1), np.float16(0.5)))
+    assert cfg.zeta == (Fraction(float(np.float32(0.1))), Fraction(1, 2))
+
+
+# id: (the call, its refusal); each returned a number or raised an unnamed TypeError
+BALL_MEASURE = {
+    "negative": (lambda: ball_measure(-1.0, EUCLID), "radius must be finite and positive, got -1.0"),
+    "nan": (lambda: ball_measure(math.nan, EUCLID), "radius must be finite and positive, got nan"),
+    "str": (lambda: ball_measure("0.1", ADAPTED), "radius must be finite and positive, got '0.1'"),
+    "basis_det": (lambda: ball_measure(0.1, ADAPTED, 1.5), "basis_det must lie in (0, 1], got 1.5"),
+}
+
+
+@pytest.mark.parametrize("call, message", BALL_MEASURE.values(), ids=BALL_MEASURE.keys())
+def test_ball_measure_checks_its_arguments(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("zeta, q", [((0, 0), 1), ((0.4142, 0.7321), 0)], ids=["periodic", "non-periodic"])
+def test_estimate_run_checks_ratio_samples_at_every_q(zeta, q):
+    # -5 ran no ratio, and 500 ran none at a q = 0 centre, where only the CLI refused it
+    cfg = ExperimentConfig(n=1000, trials=2, zeta=zeta)
+    assert cfg.q == q
+    for value in (-5, 1, 500, 999):
+        with pytest.raises(ValueError, match=f"^ratio_samples must be 0 or >= 1000, got {value}$"):
+            estimate_run(cfg, RECORDS, value, 1)
+    for value in (True, 1.5, None):
+        with pytest.raises(ValueError, match="^ratio_samples must be an int, got "):
+            estimate_run(cfg, RECORDS, value, 1)
+    with pytest.raises(ValueError, match="^ratio_seed must be an int, got 1.5$"):
+        estimate_run(cfg, RECORDS, 0, 1.5)
+    with pytest.raises(ValueError, match=r"^gap_theta must lie in \(0, 1\], got 2$"):
+        estimate_run(cfg, RECORDS, 0, 1, 2)
+    assert "theta_hat_ratio" not in estimate_run(cfg, RECORDS, 0, 1)
 
 
 # each rule's message, which only the rule itself may write
-RULE_MESSAGES = ("must be an int", "must be >= ", "must be finite and positive", "must lie in (0, {", "must be a MetricKind")
+RULE_MESSAGES = (
+    "must be an int",
+    "must be >= ",
+    "must be finite and positive",
+    "must lie in (0, {",
+    "must be a MetricKind",
+    "must be a ToralAutomorphism",
+    "must be 0 or >= ",
+)
 
 
 def test_each_input_rule_is_written_once():

@@ -11,11 +11,13 @@ import pytest
 from scipy import stats
 
 from extorus import (
+    Ball,
+    ExtremalModel,
     MetricKind,
     RadiusTooLarge,
+    ToralAutomorphism,
     area_A_q,
     ball_measure,
-    build_automorphism,
     chi_square_vs_pmf,
     extremal_index,
     extremal_model,
@@ -28,11 +30,12 @@ from extorus import (
     wrap_time_g,
 )
 from extorus import formulas
+from extorus.torus import TorusPoint
 from extorus.formulas import multiplicity_mass
 
 from _reference import mp_compound_poisson_pmf, mp_polya_aeppli_pmf, printed_multiplicity_pi
 
-CAT = build_automorphism(2, 1, 1, 1)
+CAT = ToralAutomorphism(2, 1, 1, 1)
 LAM = CAT.lam_abs
 EUCLID = MetricKind.EUCLIDEAN
 
@@ -63,7 +66,7 @@ class TestThresholds:
         assert 1000 * 4.0 * r * r == pytest.approx(1.0, rel=1e-12)
 
     def test_adapted_with_basis_det(self):
-        T = build_automorphism(3, 2, 1, 1)
+        T = ToralAutomorphism(3, 2, 1, 1)
         r = threshold_radius(5000, 2.0, MetricKind.ADAPTED, T.basis_det)
         assert 5000 * ball_measure(r, MetricKind.ADAPTED, T.basis_det) == pytest.approx(
             2.0, rel=1e-12
@@ -110,47 +113,47 @@ class TestRadius:
 class TestExtremalIndex:
     def test_nonperiodic_is_one(self):
         for metric in MetricKind:
-            assert extremal_index(LAM, 0, metric) == 1.0
+            assert extremal_index(CAT, 0, metric) == 1.0
 
     def test_cat_q1_euclidean(self):
-        theta = extremal_index(LAM, 1, MetricKind.EUCLIDEAN)
+        theta = extremal_index(CAT, 1, MetricKind.EUCLIDEAN)
         assert theta == pytest.approx(mp_extremal_index(LAM, 1), abs=1e-14)
         assert theta == pytest.approx(0.535440945602460, abs=1e-12)
 
     def test_cat_q1_adapted_golden(self):
-        theta = extremal_index(LAM, 1, MetricKind.ADAPTED)
+        theta = extremal_index(CAT, 1, MetricKind.ADAPTED)
         assert theta == pytest.approx(1.0 - 2.0 / (3.0 + math.sqrt(5.0)), rel=1e-14)
         assert theta == pytest.approx(0.618033988749895, abs=1e-12)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_limit_and_monotonicity(self, metric):
-        assert abs(extremal_index(LAM, 50, metric) - 1.0) < 1e-9
-        values = [extremal_index(LAM, q, metric) for q in range(1, 13)]
+        assert abs(extremal_index(CAT, 50, metric) - 1.0) < 1e-9
+        values = [extremal_index(CAT, q, metric) for q in range(1, 13)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 1.0 for v in values)
 
     def test_area_identity_exact(self):
         # the radius cancels: escape area over ball area equals theta
         for mat in ((2, 1, 1, 1), (1, 1, 1, 2), (5, 2, 2, 1)):
-            lam = build_automorphism(*mat).lam_abs
+            T = ToralAutomorphism(*mat)
             for q in (1, 2, 3, 7):
                 for s in (0.01, 0.0005):
-                    theta = extremal_index(lam, q, MetricKind.EUCLIDEAN)
-                    assert abs(area_A_q(s, lam, q) / (math.pi * s * s) - theta) <= 1e-12
+                    theta = extremal_index(T, q, MetricKind.EUCLIDEAN)
+                    assert abs(area_A_q(s, T, q) / (math.pi * s * s) - theta) <= 1e-12
 
 
 class TestStrips:
     def test_partition_of_ball(self):
         s = 0.01
-        total = sum(strip_area_Q(s, LAM, 1, k) for k in range(51))
+        total = sum(strip_area_Q(s, CAT, 1, k) for k in range(51))
         assert total / (math.pi * s * s) == pytest.approx(1.0, rel=1e-6)
 
     def test_positive(self):
         for k in range(51):
-            assert strip_area_Q(0.01, LAM, 1, k) > 0.0
+            assert strip_area_Q(0.01, CAT, 1, k) > 0.0
 
     def test_kappa_zero_is_escape_region(self):
-        assert strip_area_Q(0.02, LAM, 2, 0) == area_A_q(0.02, LAM, 2)
+        assert strip_area_Q(0.02, CAT, 2, 0) == area_A_q(0.02, CAT, 2)
 
     def test_stable_gap_matches_printed_difference(self):
         # the printed form is a difference of two arcsin gaps; the stable
@@ -163,48 +166,48 @@ class TestStrips:
                 printed = 2 * s * s * (
                     _asin_gap(LAM, (kappa + 1) * q) - _asin_gap(LAM, kappa * q)
                 )
-                assert strip_area_Q(s, LAM, q, kappa) == pytest.approx(printed, rel=1e-10)
+                assert strip_area_Q(s, CAT, q, kappa) == pytest.approx(printed, rel=1e-10)
 
     def test_nested_area_complements_strips(self):
         s = 0.01
         for kappa in range(1, 6):
-            partial = sum(strip_area_Q(s, LAM, 1, j) for j in range(kappa))
-            assert nested_area_U(s, LAM, 1, kappa) == pytest.approx(
+            partial = sum(strip_area_Q(s, CAT, 1, j) for j in range(kappa))
+            assert nested_area_U(s, CAT, 1, kappa) == pytest.approx(
                 math.pi * s * s - partial, rel=1e-12
             )
 
 
 class TestMultiplicity:
     def test_adapted_kappa1_is_theta(self):
-        theta = extremal_index(LAM, 1, MetricKind.ADAPTED)
-        assert multiplicity_pi(LAM, 1, 1, MetricKind.ADAPTED) == pytest.approx(theta, rel=1e-14)
+        theta = extremal_index(CAT, 1, MetricKind.ADAPTED)
+        assert multiplicity_pi(CAT, 1, 1, MetricKind.ADAPTED) == pytest.approx(theta, rel=1e-14)
 
     def test_euclidean_sums_to_one(self):
         for q in (1, 2):
-            assert multiplicity_mass(LAM, q, MetricKind.EUCLIDEAN) == pytest.approx(
+            assert multiplicity_mass(CAT, q, MetricKind.EUCLIDEAN) == pytest.approx(
                 1.0, abs=1e-9
             )
 
     def test_tail_ratio(self):
-        r = multiplicity_pi(LAM, 1, 21, MetricKind.EUCLIDEAN) / multiplicity_pi(
-            LAM, 1, 20, MetricKind.EUCLIDEAN
+        r = multiplicity_pi(CAT, 1, 21, MetricKind.EUCLIDEAN) / multiplicity_pi(
+            CAT, 1, 20, MetricKind.EUCLIDEAN
         )
         assert abs(r - 1.0 / LAM) <= 1e-3
 
     def test_closed_form_equals_strip_ratio(self):
         # pi(kappa) against the strip areas' ratio (Q^(k-1) - Q^k) / Q^0
         s = 0.017
-        base = strip_area_Q(s, LAM, 1, 0)
+        base = strip_area_Q(s, CAT, 1, 0)
         for kappa in range(1, 11):
             ratio = (
-                strip_area_Q(s, LAM, 1, kappa - 1) - strip_area_Q(s, LAM, 1, kappa)
+                strip_area_Q(s, CAT, 1, kappa - 1) - strip_area_Q(s, CAT, 1, kappa)
             ) / base
-            assert multiplicity_pi(LAM, 1, kappa, MetricKind.EUCLIDEAN) == pytest.approx(
+            assert multiplicity_pi(CAT, 1, kappa, MetricKind.EUCLIDEAN) == pytest.approx(
                 ratio, abs=1e-10
             )
 
     def test_frozen_value(self):
-        assert multiplicity_pi(LAM, 1, 1, MetricKind.EUCLIDEAN) == pytest.approx(
+        assert multiplicity_pi(CAT, 1, 1, MetricKind.EUCLIDEAN) == pytest.approx(
             0.476884622876, abs=1e-9
         )
 
@@ -244,18 +247,19 @@ class TestEuclideanAccuracy:
     """The Euclidean law of |lam| against mpmath, and against the paper's printed grouping."""
 
     def test_matches_600_digit_mpmath(self, matrix, q):
-        lam = build_automorphism(*matrix).lam_abs
-        theta, pis, area = mp_euclidean_law(lam, q, 0.01)
-        assert extremal_index(lam, q, EUCLID) == pytest.approx(theta, rel=1e-15, abs=0)
-        got = [multiplicity_pi(lam, q, kappa, EUCLID) for kappa in range(1, len(pis) + 1)]
+        T = ToralAutomorphism(*matrix)
+        theta, pis, area = mp_euclidean_law(T.lam_abs, q, 0.01)
+        assert extremal_index(T, q, EUCLID) == pytest.approx(theta, rel=1e-15, abs=0)
+        got = [multiplicity_pi(T, q, kappa, EUCLID) for kappa in range(1, len(pis) + 1)]
         assert got == pytest.approx(pis, rel=1e-15, abs=0)
         # the escape area keeps the printed arcsin form while lam^q <= 100
-        assert area_A_q(0.01, lam, q) == pytest.approx(area, rel=1e-14, abs=0)
+        assert area_A_q(0.01, T, q) == pytest.approx(area, rel=1e-14, abs=0)
 
     def test_printed_grouping_where_it_is_well_conditioned(self, matrix, q):
-        lam = build_automorphism(*matrix).lam_abs
+        T = ToralAutomorphism(*matrix)
+        lam = T.lam_abs
         kappas = list(itertools.takewhile(lambda kappa: lam ** (kappa * q) <= 1e6, range(1, 31)))
-        got = [multiplicity_pi(lam, q, kappa, EUCLID) for kappa in kappas]
+        got = [multiplicity_pi(T, q, kappa, EUCLID) for kappa in kappas]
         printed = [printed_multiplicity_pi(lam, q, kappa) for kappa in kappas]
         assert got == pytest.approx(printed, rel=1e-10, abs=0)
 
@@ -288,10 +292,10 @@ class TestPolyaAeppli:
 
 class TestWrapTime:
     def test_nonperiodic_example(self):
-        assert wrap_time_g(10**6, LAM, 0) == 6
+        assert wrap_time_g(10**6, CAT, 0) == 6
 
     def test_monotone_in_n(self):
-        values = [wrap_time_g(n, LAM, 0) for n in np.logspace(2, 8, 40).astype(int)]
+        values = [wrap_time_g(n, CAT, 0) for n in np.logspace(2, 8, 40).astype(int)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_periodic_against_high_precision(self):
@@ -305,25 +309,25 @@ class TestWrapTime:
                     - 2 * mp.log(2 * lam**q * mp.sqrt(mp.mpf(tau) / mp.pi))
                 ) / (2 * q * mp.log(lam))
                 expected = max(0, int(mp.floor(arg)))
-            assert wrap_time_g(n, LAM, q, tau) == expected
+            assert wrap_time_g(n, CAT, q, tau) == expected
 
     def test_clamped_at_zero(self):
-        assert wrap_time_g(2, LAM, 0) == 0
-        assert wrap_time_g(1, LAM, 1, 4.0) == 0
+        assert wrap_time_g(2, CAT, 0) == 0
+        assert wrap_time_g(1, CAT, 1, 4.0) == 0
 
     @pytest.mark.parametrize("q", [0, 1, 3])
     @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_tau_validated_for_every_q(self, q, tau):
         # the same check and message as threshold_u_n, also at q = 0 where tau is unused
         with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {tau}$"):
-            wrap_time_g(10**5, LAM, q, tau)
+            wrap_time_g(10**5, CAT, q, tau)
         with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {tau}$"):
             threshold_u_n(10**5, tau, EUCLID)
 
     def test_pinned_values(self):
         # recorded before tau was checked for every q: valid inputs keep their integers
         grid = [
-            wrap_time_g(n, LAM, q, tau)
+            wrap_time_g(n, CAT, q, tau)
             for n in (10, 10**3, 10**5, 10**7)
             for q in (0, 1, 2, 3)
             for tau in (0.01, 1.0, 40.0)
@@ -355,8 +359,8 @@ class TestExtremalModel:
         pis = model.multiplicity_table(3)
         assert model.theta == 1.0
         assert all(math.isfinite(p) for p in pis) and math.fsum(pis) == 1.0
-        assert strip_area_Q(0.01, LAM, q, 0) == pytest.approx(ball_measure(0.01, EUCLID), rel=1e-15)
-        assert strip_area_Q(0.01, LAM, q, 1) == 0.0
+        assert strip_area_Q(0.01, CAT, q, 0) == pytest.approx(ball_measure(0.01, EUCLID), rel=1e-15)
+        assert strip_area_Q(0.01, CAT, q, 1) == 0.0
 
     def test_nan_law_is_refused(self, monkeypatch):
         monkeypatch.setattr(formulas, "multiplicity_pi", lambda *args: math.nan)
@@ -365,7 +369,7 @@ class TestExtremalModel:
 
     @pytest.mark.parametrize("matrix", [(3, 1, 2, 1), (-3, 1, -1, 0)])
     def test_euclidean_periodic_needs_symmetric_matrix(self, matrix):
-        T = build_automorphism(*matrix)
+        T = ToralAutomorphism(*matrix)
         for q in (1, 3):
             with pytest.raises(ValueError, match=r"need a symmetric matrix \(b == c\)"):
                 extremal_model(T, q, MetricKind.EUCLIDEAN)
@@ -380,33 +384,38 @@ class TestDomain:
     @pytest.mark.parametrize(
         "name, call",
         [
-            # each of these returned a number: 8.80e-05, 0.0, pi s^2 twice, -1.29e-04, 0.320, nan, nan, 0
-            ("s", lambda: strip_area_Q(-0.01, LAM, 1, 1)),
-            ("q", lambda: strip_area_Q(0.01, LAM, 0, 2)),
-            ("s", lambda: nested_area_U(-0.01, LAM, 1, 0)),
-            ("q", lambda: nested_area_U(0.01, LAM, 0, 0)),
-            ("lam_abs", lambda: area_A_q(0.01, 0.5, 1)),
-            ("lam_abs", lambda: multiplicity_pi(0.5, 1, 1, EUCLID)),
-            ("lam_abs", lambda: multiplicity_pi(math.nan, 1, 2, EUCLID)),
-            ("lam_abs", lambda: extremal_index(math.nan, 1, EUCLID)),
-            ("q", lambda: wrap_time_g(1000, LAM, -1)),
+            # each of these returned a number: 8.80e-05, 0.0, pi s^2 twice, 0
+            ("s", lambda: strip_area_Q(-0.01, CAT, 1, 1)),
+            ("q", lambda: strip_area_Q(0.01, CAT, 0, 2)),
+            ("s", lambda: nested_area_U(-0.01, CAT, 1, 0)),
+            ("q", lambda: nested_area_U(0.01, CAT, 0, 0)),
+            ("q", lambda: wrap_time_g(1000, CAT, -1)),
             # and the other edges of the domain
-            ("s", lambda: area_A_q(math.inf, LAM, 1)),
-            ("s", lambda: area_A_q(0.0, LAM, 1)),
-            ("lam_abs", lambda: extremal_index(math.inf, 1, EUCLID)),
-            ("lam_abs", lambda: wrap_time_g(1000, 1.0, 1)),
-            ("q", lambda: extremal_index(LAM, -1, MetricKind.ADAPTED)),
-            ("q", lambda: multiplicity_pi(LAM, 0, 1, EUCLID)),
-            ("kappa", lambda: strip_area_Q(0.01, LAM, 1, -1)),
-            ("kappa", lambda: nested_area_U(0.01, LAM, 1, -1)),
-            ("kappa", lambda: multiplicity_pi(LAM, 1, 0, MetricKind.ADAPTED)),
+            ("s", lambda: area_A_q(math.inf, CAT, 1)),
+            ("s", lambda: area_A_q(0.0, CAT, 1)),
+            # the law's input is the automorphism: a bare |lam|, even a valid one, is refused
+            ("T", lambda: area_A_q(0.01, LAM, 1)),
+            ("T", lambda: strip_area_Q(0.01, LAM, 1, 1)),
+            ("T", lambda: nested_area_U(0.01, LAM, 1, 1)),
+            ("T", lambda: multiplicity_pi(LAM, 1, 1, EUCLID)),
+            ("T", lambda: multiplicity_mass(LAM, 1, EUCLID)),
+            ("T", lambda: extremal_index(math.nan, 1, EUCLID)),
+            ("T", lambda: extremal_model(LAM, 1, EUCLID)),
+            ("T", lambda: ExtremalModel(LAM, 1, EUCLID, 0.5).multiplicity(1)),
+            ("T", lambda: wrap_time_g(1000, 1.0, 1)),
+            ("T", lambda: Ball(2.618, TorusPoint(0.0, 0.0), 0.01, EUCLID)),
+            ("q", lambda: extremal_index(CAT, -1, MetricKind.ADAPTED)),
+            ("q", lambda: multiplicity_pi(CAT, 0, 1, EUCLID)),
+            ("kappa", lambda: strip_area_Q(0.01, CAT, 1, -1)),
+            ("kappa", lambda: nested_area_U(0.01, CAT, 1, -1)),
+            ("kappa", lambda: multiplicity_pi(CAT, 1, 0, MetricKind.ADAPTED)),
             ("kappa", lambda: extremal_model(CAT, 0, EUCLID).multiplicity(0)),
             # a window length that is not finite: nan, and pmf_vector never returned
             ("t", lambda: polya_aeppli_pmf(0.5, math.nan, 2)),
             ("k", lambda: polya_aeppli_pmf(0.5, 2.0, -1)),
             ("t", lambda: extremal_model(CAT, 1, EUCLID).pmf_vector(math.inf, 3)),
             # a bool, which math takes for 0 or 1: area_A_q(True, ...) gave the area at s = 1
-            ("s", lambda: area_A_q(True, LAM, 1)),
+            ("s", lambda: area_A_q(True, CAT, 1)),
             ("t", lambda: polya_aeppli_pmf(0.5, True, 2)),
             ("t", lambda: extremal_model(CAT, 1, EUCLID).pmf_vector(True, 3)),
         ],
@@ -416,10 +425,10 @@ class TestDomain:
             call()
 
     def test_domain_edges_are_accepted(self):
-        assert extremal_index(LAM, 0, EUCLID) == 1.0
-        assert wrap_time_g(1000, LAM, 0) >= 0
-        assert nested_area_U(0.01, LAM, 1, 0) == ball_measure(0.01, EUCLID)
-        assert strip_area_Q(0.01, LAM, 1, 0) == area_A_q(0.01, LAM, 1) > 0
+        assert extremal_index(CAT, 0, EUCLID) == 1.0
+        assert wrap_time_g(1000, CAT, 0) >= 0
+        assert nested_area_U(0.01, CAT, 1, 0) == ball_measure(0.01, EUCLID)
+        assert strip_area_Q(0.01, CAT, 1, 0) == area_A_q(0.01, CAT, 1) > 0
 
 
 # every (matrix, q, metric) that extremal_model accepts: at q >= 1 the Euclidean forms need b == c
@@ -439,7 +448,7 @@ class TestPmfVector:
     )
     def test_matches_mpmath_into_the_tail(self, matrix, q, metric, t):
         # into the tail, where a cut-off on the number of clusters would drop whole terms
-        model = extremal_model(build_automorphism(*matrix), q, metric)
+        model = extremal_model(ToralAutomorphism(*matrix), q, metric)
         if metric is MetricKind.ADAPTED:
             k_max = 120
             exact = mp_polya_aeppli_pmf(model.theta, t, k_max)
@@ -615,9 +624,9 @@ class TestPinnedBits:
     @pytest.mark.parametrize("q", [1, 2])
     def test_areas(self, q):
         pinned = PINNED_AREAS[q]
-        assert area_A_q(0.01, LAM, q).hex() == pinned["A"]
-        assert tuple(strip_area_Q(0.01, LAM, q, k).hex() for k in range(4)) == pinned["Q"]
-        assert tuple(nested_area_U(0.01, LAM, q, k).hex() for k in range(4)) == pinned["U"]
+        assert area_A_q(0.01, CAT, q).hex() == pinned["A"]
+        assert tuple(strip_area_Q(0.01, CAT, q, k).hex() for k in range(4)) == pinned["Q"]
+        assert tuple(nested_area_U(0.01, CAT, q, k).hex() for k in range(4)) == pinned["U"]
 
     @pytest.mark.parametrize("q", sorted(PINNED_LARGE_Q))
     def test_euclidean_law_up_to_large_q(self, q):

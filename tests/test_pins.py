@@ -23,7 +23,7 @@ from extorus import (
     MetricKind,
     RegionKind,
     RegionSpec,
-    build_automorphism,
+    ToralAutomorphism,
     ei_measure_ratio,
     monte_carlo_measure,
     run_experiment,
@@ -40,7 +40,7 @@ MATRICES = {
 def oracle(matrix: str, metric: MetricKind, kind: RegionKind, q: int, kappa: int):
     """The oracle's (estimate, std_error) at 20k samples, around a centre of period max(q, 1)."""
     entries, radius, fixed, period_two = MATRICES[matrix]
-    T = build_automorphism(*entries)
+    T = ToralAutomorphism(*entries)
     centre = TorusPoint(*(period_two if q == 2 else fixed))
     region = RegionSpec(Ball(T, centre, radius, metric), kind, q=q, kappa=kappa)
     seed = zlib.crc32(case_id(matrix, metric, kind, q, kappa).encode())

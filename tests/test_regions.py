@@ -25,9 +25,9 @@ from extorus import (
     OutOfLocalRange,
     RegionKind,
     RegionSpec,
+    ToralAutomorphism,
     TorusPoint,
     area_A_q,
-    build_automorphism,
     monte_carlo_measure,
     nested_area_U,
     separation_check,
@@ -45,7 +45,7 @@ from extorus.regions import (
 )
 from extorus.torus import _BLOCK_ELEMENTS, MODULUS, keyed_rng, orbit_blocks
 
-CAT = build_automorphism(2, 1, 1, 1)
+CAT = ToralAutomorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
 S = 0.01
 BALL = Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN)
@@ -171,7 +171,7 @@ class TestSampler:
     )
     def test_bit_identical_to_remainder_fold(self, metric, x, y, radius, matrix, seed):
         # x - floor(x) and the mask give the bits of x % 1.0 and % MODULUS
-        ball = Ball(build_automorphism(*matrix), TorusPoint(x, y), radius, metric)
+        ball = Ball(ToralAutomorphism(*matrix), TorusPoint(x, y), radius, metric)
         # more points than one slice holds: the slices must join into the whole sample
         count = _BLOCK_ELEMENTS + 3000
         px, py = sliced_sample(ball, count, seed, 0)
@@ -186,7 +186,7 @@ class TestSampler:
     )
     def test_streamed_slices_are_the_whole_draw(self, metric, count):
         # u is the stream's first count doubles and v the next count, drawn whole
-        ball = Ball(build_automorphism(3, 1, 2, 1), TorusPoint(0.3, 0.7), 0.01, metric)
+        ball = Ball(ToralAutomorphism(3, 1, 2, 1), TorusPoint(0.3, 0.7), 0.01, metric)
         px, py = sliced_sample(ball, count, 2**70 + 5, 3)
         ref_x, ref_y = sample_ball_remainder(ball, count, keyed_rng(2**70 + 5, 3))
         np.testing.assert_array_equal(px, ref_x)
@@ -217,7 +217,7 @@ class TestSampler:
 
     @pytest.mark.parametrize("metric, kind, kappa, matrix, centre, radius, size", CHUNK_CASES)
     def test_sliced_chunk_counts_whole_chunk(self, metric, kind, kappa, matrix, centre, radius, size):
-        T = build_automorphism(*matrix)
+        T = ToralAutomorphism(*matrix)
         if radius == "edge":  # the largest radius the local range guard accepts
             stride, inside, outside = regions._walk(RegionSpec(BALL, kind, q=1, kappa=kappa))
             radius = min(math.nextafter(0.5 / T.lam_abs ** ((inside + outside - 1) * stride), 0.0), 0.2499)
@@ -245,7 +245,7 @@ class TestSampler:
     # chunk 29 of seed 5, where a zero-width key band would miscount Q_1 (see above)
     @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 1, (2, 1, 1, 1), S, 1 << 18, 5, 29)
     def test_decided_slices_are_exact_membership(self, metric, kind, kappa, matrix, radius, count, seed, key):
-        region = RegionSpec(Ball(build_automorphism(*matrix), ORIGIN, radius, metric), kind, q=1, kappa=kappa)
+        region = RegionSpec(Ball(ToralAutomorphism(*matrix), ORIGIN, radius, metric), kind, q=1, kappa=kappa)
         drawn = 0
         for u, v, member in _decided_slices(region, count, seed, key):
             np.testing.assert_array_equal(member, membership_mask(region, *region.ball.points(u, v)))
@@ -329,7 +329,7 @@ class TestMembershipAgainstPythonInt:
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)])
     @pytest.mark.parametrize("q", [1, 2])
     def test_every_kind(self, q, matrix, metric):
-        ball = Ball(build_automorphism(*matrix), ORIGIN, 0.02, metric)
+        ball = Ball(ToralAutomorphism(*matrix), ORIGIN, 0.02, metric)
         px, py = probe_points(ball, q, np.random.default_rng(q))
         specs = [RegionSpec(ball, RegionKind.BALL), RegionSpec(ball, RegionKind.A_Q, q=q)]
         specs += [
@@ -358,7 +358,7 @@ class TestMonteCarloMeasure:
         # this is the independent oracle for the escape-area closed form
         region = RegionSpec(BALL, RegionKind.A_Q, q=1)
         est, se = monte_carlo_measure(region, 1_000_000, 2)
-        assert abs(est - area_A_q(S, CAT.lam_abs, 1)) <= 3 * se
+        assert abs(est - area_A_q(S, CAT, 1)) <= 3 * se
 
     def test_adapted_escape_region(self):
         region = RegionSpec(Ball(CAT, ORIGIN, 0.005, MetricKind.ADAPTED), RegionKind.A_Q, q=1)
@@ -372,14 +372,14 @@ class TestMonteCarloMeasure:
         region = RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=kappa
         )
         est, se = monte_carlo_measure(region, 1_000_000, 4 + kappa)
-        assert abs(est - nested_area_U(S, CAT.lam_abs, 1, kappa)) <= 3 * se
+        assert abs(est - nested_area_U(S, CAT, 1, kappa)) <= 3 * se
 
     @pytest.mark.parametrize("kappa", [0, 1, 2, 3])
     def test_strips_match_closed_form(self, kappa):
         region = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=kappa
         )
         est, se = monte_carlo_measure(region, 1_000_000, 8 + kappa)
-        assert abs(est - strip_area_Q(S, CAT.lam_abs, 1, kappa)) <= 3 * se
+        assert abs(est - strip_area_Q(S, CAT, 1, kappa)) <= 3 * se
 
     @pytest.mark.xfail(
         strict=True,
@@ -480,7 +480,7 @@ class TestLocalRangeGuard:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_nested_level_zero_measures_past_lam_q_radius(self, metric):
         # U_0 reads no image: it is the ball, sample for sample, even where lam^q r >= 1/2
-        ball = Ball(build_automorphism(1, 140, 140, 19601), ORIGIN, S, metric)
+        ball = Ball(ToralAutomorphism(1, 140, 140, 19601), ORIGIN, S, metric)
         assert ball.T.lam_abs * S >= 0.5
         u0 = RegionSpec(ball, RegionKind.U_KAPPA, q=1, kappa=0)
         estimate = monte_carlo_measure(u0, 100_000, 3)
@@ -515,7 +515,7 @@ class TestLocalRangeGuard:
             _local_range_guard(RegionSpec(BALL, RegionKind.A_Q, q=750))
 
     def test_ball_and_nested_level_zero_never_raise(self):
-        T = build_automorphism(1, 140, 140, 19601)
+        T = ToralAutomorphism(1, 140, 140, 19601)
         for radius in (0.001, 0.1, 0.2499):
             ball = Ball(T, ORIGIN, radius, MetricKind.ADAPTED)
             _local_range_guard(RegionSpec(ball, RegionKind.BALL))
@@ -567,7 +567,7 @@ class TestSlicedAgainstWholeArray:
 
     @pytest.mark.parametrize("samples", SLICED_SAMPLES)
     def test_separation_inflated_radius_same_answer(self, monkeypatch, samples):
-        inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT.lam_abs, 1, 1.0))
+        inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT, 1, 1.0))
         args = (separation_cfg(), samples, 7)
         assert regions.separation_check(*args) is ref.separation_check(*args) is False
 
@@ -633,7 +633,7 @@ class TestSeparation:
 
     def test_fails_with_inflated_radius(self, monkeypatch):
         # negative control: a radius lam^g times s_n lets escape points return
-        inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT.lam_abs, 1, 1.0))
+        inflate_radius(monkeypatch, CAT.lam_abs ** wrap_time_g(100_000, CAT, 1, 1.0))
         assert not separation_check(separation_cfg(), 200_000, 7)
 
     def test_period_three_point(self):

@@ -717,7 +717,7 @@ class TestMeasureRatioEstimator:
         cfg = small_cfg(n=100_000)
         theta = ei_measure_ratio(cfg, 400_000, 31)
         assert theta == pytest.approx(
-            extremal_index(cfg.automorphism.lam_abs, 1, MetricKind.EUCLIDEAN), abs=0.01
+            extremal_index(cfg.automorphism, 1, MetricKind.EUCLIDEAN), abs=0.01
         )
 
     def test_adapted_fixed_point(self):

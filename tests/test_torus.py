@@ -7,6 +7,7 @@ _reference.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from unittest.mock import patch
 
@@ -31,14 +32,13 @@ from extorus import (
     NotHyperbolic,
     ToralAutomorphism,
     TorusPoint,
-    build_automorphism,
     compute_period,
 )
 from extorus import torus
 from extorus.torus import MODULUS, OBSERVABLE_CAP, Ball, orbit_blocks, wrap_unit
 
-CAT = build_automorphism(2, 1, 1, 1)
-OTHER = build_automorphism(1, 1, 1, 2)
+CAT = ToralAutomorphism(2, 1, 1, 1)
+OTHER = ToralAutomorphism(1, 1, 1, 2)
 
 
 def walk(px, py, T, steps, stride=1):
@@ -65,7 +65,35 @@ def brute_adapted_distance(z, w, T: ToralAutomorphism, span: int = 3) -> float:
     return best
 
 
-class TestBuildAutomorphism:
+# float.hex of (lam, e_unstable, e_stable, basis_det), recorded before the eigen data moved into
+# ToralAutomorphism.__post_init__: the constructor keeps the arithmetic and its order
+PINNED_EIGEN = {
+    (2, 1, 1, 1): ("0x1.4f1bbcdcbfa54p+1", ("0x1.b38880b4603e4p-1", "0x1.0d2ca0da1530dp-1"),
+                   ("0x1.0d2ca0da1530dp-1", "-0x1.b38880b4603e4p-1"), "0x1.ffffffffffffep-1"),
+    (3, 1, 2, 1): ("0x1.ddb3d742c2655p+1", ("0x1.9d21c37fd75a2p-1", "0x1.2e6efc0876766p-1"),
+                   ("0x1.5ff91fb094741p-2", "-0x1.e0cde35ae5f7ap-1"), "0x1.ebe9e77d23f70p-1"),
+    (-3, 1, -1, 0): ("-0x1.4f1bbcdcbfa54p+1", ("0x1.de4bd6e524e20p-1", "0x1.6d62c51843606p-2"),
+                     ("0x1.6d62c51843605p-2", "0x1.de4bd6e524e1fp-1"), "0x1.7d9f4cf754636p-1"),
+    (1000, 999, 1, 1): ("0x1.f47fdf43c38cap+9", ("0x1.ffffef3907000p-1", "0x1.0624e5c1bcd15p-10"),
+                        ("0x1.69db92140c7e5p-1", "-0x1.6a3834cedea8dp-1"), "0x1.6a94cba822324p-1"),
+}
+
+
+class TestToralAutomorphism:
+    @pytest.mark.parametrize("matrix", sorted(PINNED_EIGEN), ids=lambda m: ",".join(map(str, m)))
+    def test_eigen_data_keeps_its_bits(self, matrix):
+        T = ToralAutomorphism(*matrix)
+        got = (T.lam.hex(), tuple(map(float.hex, T.e_unstable)), tuple(map(float.hex, T.e_stable)), T.basis_det.hex())
+        assert got == PINNED_EIGEN[matrix]
+
+    def test_the_four_entries_are_the_only_arguments(self):
+        assert [f.name for f in dataclasses.fields(ToralAutomorphism) if f.init] == ["a", "b", "c", "d"]
+        with pytest.raises(TypeError):
+            ToralAutomorphism(2, 1, 1, 1, 2.618)  # derived eigen data cannot be passed in
+        # a NumPy integer entry is kept as an int, and gives the automorphism of the equal int
+        T = ToralAutomorphism(np.int64(2), 1, 1, np.int8(1))
+        assert T == CAT and all(type(e) is int for e in T.entries)
+
     def test_cat_map_eigen_structure(self):
         # characteristic polynomial x^2 - 3x + 1, dominant root (3+sqrt5)/2
         assert CAT.lam == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-14)
@@ -77,7 +105,7 @@ class TestBuildAutomorphism:
 
     @pytest.mark.parametrize("mat", [(2, 1, 1, 1), (1, 1, 1, 2), (3, 2, 1, 1), (5, 2, 2, 1)])
     def test_eigenvector_property(self, mat):
-        T = build_automorphism(*mat)
+        T = ToralAutomorphism(*mat)
         a, b, c, d = T.entries
         m = np.array([[a, b], [c, d]], dtype=float)
         for vec, mu in ((T.e_unstable, T.lam), (T.e_stable, 1 / T.lam)):
@@ -86,17 +114,17 @@ class TestBuildAutomorphism:
 
     def test_symmetric_basis_det_does_not_round_above_one(self):
         # the rounded eigenvector product of this symmetric matrix is 1 + 2^-52
-        T = build_automorphism(1, 140, 140, 19601)
+        T = ToralAutomorphism(1, 140, 140, 19601)
         assert T.basis_det == 1.0
         ExperimentConfig(matrix=T.entries, metric=MetricKind.ADAPTED)
 
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
-            build_automorphism(1, 1, 0, 1)
+            ToralAutomorphism(1, 1, 0, 1)
 
     def test_rejects_wrong_determinant(self):
         with pytest.raises(DeterminantNotOne):
-            build_automorphism(2, 0, 0, 2)
+            ToralAutomorphism(2, 0, 0, 2)
 
 
 class TestStepExact:
@@ -139,7 +167,7 @@ def hyperbolic_matrices(draw):
     assume(abs(a + d) > 2)
     # b divides a*d - 1, so c = (a*d - 1) / b is an integer and det = 1
     b = draw(st.sampled_from((1, -1))) * math.gcd(a * d - 1, draw(st.integers(1, 60)))
-    return build_automorphism(a, b, (a * d - 1) // b, d)
+    return ToralAutomorphism(a, b, (a * d - 1) // b, d)
 
 
 RESIDUE_PAIRS = st.lists(
@@ -209,7 +237,7 @@ class TestOrbitBlocks:
         again block by block as the walk goes, when the walker's carry is
         Y's last row.
         """
-        T = build_automorphism(-1000, -999, -1, -1)
+        T = ToralAutomorphism(-1000, -999, -1, -1)
         points = [(1, 2), (MODULUS - 1, 12345), (987654321987654321, MODULUS // 3)]
         block = torus._BLOCK_ELEMENTS // len(points)
         steps = 3 * block + 5
@@ -234,7 +262,7 @@ class TestOrbitBlocks:
     def test_long_jump_composes(self):
         """Stride j + k equals stride k then stride j, far beyond any block length."""
         rng = np.random.default_rng(8)
-        T = build_automorphism(-1000, -999, -1, -1)
+        T = ToralAutomorphism(-1000, -999, -1, -1)
         px = rng.integers(0, MODULUS, 64)
         py = rng.integers(0, MODULUS, 64)
         j, k = 123_457, 1_000_003
@@ -257,7 +285,7 @@ class TestOrbitBlocks:
 class TestPowerNormSq:
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)])
     def test_matches_python_int_products(self, matrix):
-        T = build_automorphism(*matrix)
+        T = ToralAutomorphism(*matrix)
         a, b, c, d = matrix
         (p, q), (r, s) = (1, 0), (0, 1)  # A^m, from m = 0
         for m in range(41):
@@ -290,7 +318,7 @@ class TestBallDistance:
     def test_matches_scalar_reference(self, metric):
         # points within 0.25 of zeta, where folding is exact in both metrics
         rng = np.random.default_rng(41)
-        for T in (CAT, OTHER, build_automorphism(5, 2, 2, 1)):
+        for T in (CAT, OTHER, ToralAutomorphism(5, 2, 2, 1)):
             zeta = TorusPoint(rng.random(), rng.random())
             rho = 0.25 * np.sqrt(rng.random(2000))
             ang = 2.0 * math.pi * rng.random(2000)
@@ -326,7 +354,7 @@ class TestBallDistance:
         rng = np.random.default_rng(seed)
         px, py = rng.integers(0, MODULUS, size=(2, 5, 300), dtype=np.int64)
         zeta = TorusPoint(x, y)
-        T = build_automorphism(*matrix)
+        T = ToralAutomorphism(*matrix)
         ball = Ball(T, zeta, 0.25, metric)
         keys = ball.key(px, py)
         ref = ball_key_out_of_place(px, py, ball)
@@ -337,7 +365,7 @@ class TestBallDistance:
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)])
     def test_radius_and_observable_match_scalar_reference(self, metric, matrix):
         # inside iff key < key_radius iff distance < radius; observable = -log distance
-        T = build_automorphism(*matrix)
+        T = ToralAutomorphism(*matrix)
         zeta = TorusPoint(0.3, 0.7)
         ball = Ball(T, zeta, 0.05, metric)
         rng = np.random.default_rng(7)
@@ -355,7 +383,7 @@ class TestBallDistance:
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)])
     def test_x_extent_is_the_sampled_balls_reach_in_x(self, metric, matrix):
-        ball = Ball(build_automorphism(*matrix), TorusPoint(0.5, 0.5), 0.01, metric)
+        ball = Ball(ToralAutomorphism(*matrix), TorusPoint(0.5, 0.5), 0.01, metric)
         # the disc's rim at angles 0 and pi, and the square's corners
         edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53])
         u, v = (a.ravel() for a in np.meshgrid(edges, edges))
