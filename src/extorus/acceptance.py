@@ -56,6 +56,7 @@ from .torus import (
     ToralAutomorphism,
     TorusPoint,
     orbit_blocks,
+    process_pool,
     resolve_workers,
 )
 
@@ -90,8 +91,8 @@ def run_environment() -> dict:
 @dataclass
 class RunManifest:
     """A run's record. workers is the most processes a pool of the run may start:
-    simulate's one pool, or the count that each of validate's pools is given
-    (a pool never starts more processes than it has jobs)."""
+    simulate's one pool, or the count that validate's pool is given, which its
+    calls share (a call with fewer jobs than that starts a smaller pool of its own)."""
 
     config: dict
     version: str
@@ -394,7 +395,8 @@ def run_acceptance(quick: bool = False, workers: int | None = None) -> RunManife
     """Run the acceptance suite, printing each criterion's line, and return the manifest.
 
     quick runs the formula and oracle criteria only (1-3) and marks the
-    long-simulation criteria as skipped.
+    long-simulation criteria as skipped. Every call of the run that asks
+    for `workers` processes shares one pool, joined before this returns.
     """
     workers = resolve_workers(workers)
     t0 = time.perf_counter()
@@ -404,18 +406,19 @@ def run_acceptance(quick: bool = False, workers: int | None = None) -> RunManife
         criteria.append(result)
         print(result.line())
 
-    emit(criterion_1_formula_identities())
-    emit(criterion_2_oracle_equivalence(workers))
-    emit(criterion_3_separation())
-    if quick:
-        for cid in range(4, 9):
-            emit(CriterionResult(cid, _NAMES[cid], None, 0.0, {}, "skipped (--quick)"))
-    else:
-        emit(criterion_4_nonperiodic(workers))
-        emit(criterion_5_periodic_euclidean(workers))
-        emit(criterion_6_periodic_adapted(workers))
-        emit(criterion_7_repp_counts(workers))
-        emit(criterion_8_engineering(t0, workers))
+    with process_pool(workers):
+        emit(criterion_1_formula_identities())
+        emit(criterion_2_oracle_equivalence(workers))
+        emit(criterion_3_separation())
+        if quick:
+            for cid in range(4, 9):
+                emit(CriterionResult(cid, _NAMES[cid], None, 0.0, {}, "skipped (--quick)"))
+        else:
+            emit(criterion_4_nonperiodic(workers))
+            emit(criterion_5_periodic_euclidean(workers))
+            emit(criterion_6_periodic_adapted(workers))
+            emit(criterion_7_repp_counts(workers))
+            emit(criterion_8_engineering(t0, workers))
     return RunManifest(
         config={"quick": quick, "workers": workers, "base_seed": _SEED, "matrix": list(CAT)},
         version=__version__,

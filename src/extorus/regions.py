@@ -26,7 +26,11 @@ torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
 fraction by the ball area. Sampling is split into fixed-size chunks
 whose random streams are keyed by (seed, chunk index); the merged
 estimate is a pure function of the seed, independent of how chunks are
-assigned to workers. A sample is one keyed stream: u is its first
+assigned to workers. The chunks run through torus.map_jobs, whose pool
+is the one a caller holds open with torus.process_pool when it has as
+many processes (validate holds one for its whole run, so criterion 2's
+eight calls share it), else one started and joined for the call. A
+sample is one keyed stream: u is its first
 `count` doubles and v the `count` after them. _uniform_slices draws
 both a slice of _BLOCK_ELEMENTS points at a time, v from a copy of the
 stream advanced `count` draws on, so no caller holds an array larger
@@ -36,7 +40,10 @@ _decided_slices decides a sample a slice at a time: it walks the
 slice's Ball.rough_points (float32 trig) with bands as wide as their
 error bound, then the few samples the bands leave unsure (about 1 in
 1e5 at criterion 2) on their exact Ball.points by membership_mask, so
-every sample is decided as on its exact point. The oracle counts the
+every sample is decided as on its exact point. Time 0 takes no key:
+Ball.placed places a sample's point there in the ball from its uniforms
+alone (u < u*, for the Euclidean metric, with 1 - u* about 6e-6), and
+the samples it does not place are unsure. The oracle counts the
 members. The separation scan maps the members alone to exact points
 and pulls them back with one walk, counting each point's rows out of
 the ball since its last row in it. escape_region builds an
@@ -81,6 +88,10 @@ class RegionSpec:
     kappa: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.ball, Ball):
+            raise ValueError(f"ball must be a Ball, got {self.ball!r}")
+        if not isinstance(self.kind, RegionKind):
+            raise ValueError(f"kind must be a RegionKind, got {self.kind!r}")
         if not (0.0 < self.ball.radius < 0.25):
             raise ValueError("radius must lie in (0, 0.25)")
         object.__setattr__(self, "q", check_count("q", self.q, 0 if self.kind is RegionKind.BALL else 1))
@@ -98,7 +109,7 @@ def _walk(region: RegionSpec) -> tuple[int, int, int]:
 
 
 def _members(
-    region: RegionSpec, px: np.ndarray, py: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    region: RegionSpec, px: np.ndarray, py: np.ndarray, lo: np.ndarray, hi: np.ndarray, placed: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(member, unsure): the points the region's walk decides are in it, and
     the points whose keys it cannot decide, from one walk of the orbits.
@@ -107,13 +118,19 @@ def _members(
     is unsure if a key lies in its row's band, and a member if its key is
     below lo[t] at the rows t < inside and at least hi[t] at the rows after;
     a key in its band fails both tests, so no unsure point is a member. With
-    lo = hi = key_radius at every row, no point is unsure.
+    lo = hi = key_radius at every row, no point is unsure. placed, if given,
+    decides row 0 with no key: the points it holds have keys below lo[0]
+    there (Ball.placed), and the rest are unsure.
     """
     ball = region.ball
     stride, inside, outside = _walk(region)
-    member, unsure = np.ones(px.size, bool), np.zeros(px.size, bool)
-    t = 0
-    for block in orbit_blocks(px, py, ball.T, inside + outside - 1, stride):
+    blocks = orbit_blocks(px, py, ball.T, inside + outside - 1, stride)
+    if placed is None:
+        member, unsure, t = np.ones(px.size, bool), np.zeros(px.size, bool), 0
+    else:
+        next(blocks)  # time 0, which placed decides
+        member, unsure, t = placed.copy(), ~placed, 1
+    for block in blocks:
         for key in ball.key(block.x, block.y):
             unsure |= (lo[t] <= key) & (key < hi[t])
             member &= (key < lo[t]) if t < inside else (key >= hi[t])
@@ -179,7 +196,10 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     is therefore on the exact key's side of key_radius. _members walks the
     rough points with these bands; the unsure samples, none of them a
     member, are walked again on their exact points, which Ball.points gives
-    from their own u and v alone, by membership_mask.
+    from their own u and v alone, by membership_mask. Row 0 takes no key:
+    Ball.placed proves from u and v that a sample's rough key there is below
+    lo[0], which is what the key would have decided, and leaves the few
+    others (about 6 in 1e6 for a Euclidean ball) unsure.
     """
     ball = region.ball
     stride, inside, outside = _walk(region)
@@ -188,7 +208,7 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     lo, hi = ball.key_band(ball.rough_error * np.array(norms))
     work = np.empty((6, min(count, _BLOCK_ELEMENTS)))  # the uniforms, then rough_points' scratch
     for u, v in _uniform_slices(count, seed, key, work[:2]):
-        member, unsure = _members(region, *ball.rough_points(u, v, work[2:]), lo, hi)
+        member, unsure = _members(region, *ball.rough_points(u, v, work[2:]), lo, hi, ball.placed(u, v, lo[0]))
         if unsure.any():
             member[unsure] = membership_mask(region, *ball.points(u[unsure], v[unsure]))
         yield u, v, member
@@ -211,6 +231,8 @@ def monte_carlo_measure(
     a worker count below 1 raises, and the pool never has more workers
     than chunks or cores.
     """
+    if not isinstance(region, RegionSpec):
+        raise ValueError(f"region must be a RegionSpec, got {region!r}")
     samples = check_count("samples", samples, MIN_SAMPLES)
     _local_range_guard(region)
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
@@ -224,6 +246,10 @@ def monte_carlo_measure(
 
 def escape_region(cfg: ExperimentConfig) -> RegionSpec:
     """The escape region A_q of an ExperimentConfig's threshold ball at its detected period q."""
+    from .simulate import ExperimentConfig  # at call time: simulate imports this module
+
+    if not isinstance(cfg, ExperimentConfig):
+        raise ValueError(f"cfg must be an ExperimentConfig, got {cfg!r}")
     return RegionSpec(cfg.ball, RegionKind.A_Q, q=cfg.q)
 
 

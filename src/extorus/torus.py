@@ -58,6 +58,7 @@ import numbers
 import os
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -195,14 +196,17 @@ class ToralAutomorphism:
 
 @dataclass(frozen=True)
 class TorusPoint:
-    """A point of the unit torus in local coordinates [0,1) x [0,1)."""
+    """A point of the unit torus in local coordinates [0,1) x [0,1): two reals, kept as Python floats."""
 
     x: float
     y: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.x < 1.0 and 0.0 <= self.y < 1.0):
-            raise ValueError(f"torus coordinates must lie in [0,1): ({self.x}, {self.y})")
+        for name, value in (("x", self.x), ("y", self.y)):
+            if not (is_finite_real(value) and 0 <= value < 1):
+                raise ValueError(f"torus coordinate {name} must be a real in [0, 1), got {value!r}")
+            # wrap: float() of a fraction just below 1 can round up to 1.0
+            object.__setattr__(self, name, wrap_unit(float(value)))
 
 
 def wrap_unit(x: float) -> float:
@@ -213,8 +217,7 @@ def wrap_unit(x: float) -> float:
 
 def rational_point(zeta: tuple[Fraction, Fraction]) -> TorusPoint:
     """The torus point nearest to an exact rational centre."""
-    # wrap: float() of a fraction just below 1 can round up to 1.0
-    return TorusPoint(wrap_unit(float(zeta[0] % 1)), wrap_unit(float(zeta[1] % 1)))
+    return TorusPoint(zeta[0] % 1, zeta[1] % 1)
 
 
 def rational_residues(zeta: tuple[Fraction, Fraction]) -> tuple[tuple[int, int], int]:
@@ -406,6 +409,8 @@ class Ball:
 
     def __post_init__(self) -> None:
         check_automorphism(self.T)
+        if not isinstance(self.centre, TorusPoint):
+            raise ValueError(f"centre must be a TorusPoint, got {self.centre!r}")
         check_metric(self.metric)
         object.__setattr__(self, "radius", check_positive("radius", self.radius))
 
@@ -481,9 +486,54 @@ class Ball:
         r = self.radius
         if self.metric is MetricKind.EUCLIDEAN:
             return np.square(np.maximum(r - eps, 0.0)), np.square(r + eps)
-        # an offset moved by eps moves each eigencoordinate by at most eps times its row's norm
-        grow = eps * max(math.hypot(*row) for row in self.T.eigen_inverse)
+        grow = eps * self._stretch
         return r - grow, r + grow
+
+    @property
+    def _stretch(self) -> float:
+        """The largest row norm of T.eigen_inverse: an offset moved by eps moves each
+        eigencoordinate by at most eps times it."""
+        return max(math.hypot(*row) for row in self.T.eigen_inverse)
+
+    def placed(self, u: np.ndarray, v: np.ndarray, lo: float) -> np.ndarray:
+        """Where the uniforms alone place the time-0 point below lo: True where the
+        keys of points(u, v) and of rough_points(u, v) are both provably below lo.
+
+        Euclidean: each point's key exceeds r^2 u by at most r^2 2^-19.4 + r 2^-50.4.
+        Its offset is rho (cos, sin) with rho = r sqrt(u). The float32 cos and sin
+        of rough_points are each within 2^-21 of the float64 pair (rough_error),
+        whose length is 1 within 2^-52, so the pair is at most
+        1 + 0.70711 2^-20 + 2^-52 long. The fold and the snap (2^-53 + 2^-62) and
+        the key's own reading of the residue (2^-53) move each coordinate by
+        under 2^-52 and the offset by under 2^-51.48. With the roundings of
+        sqrt(u), of the products and of the key's squares and sum, the square
+        root of the key is at most rho (1 + 0.70712 2^-20) + 2^-51.47, and its
+        square is the bound for u < 1 and r > 2^-48 (below that, key_band's lo is
+        0 and nothing is placed). The rule is
+        u < (lo - r^2 2^-19 - r 2^-49) / r^2: the bound rounded up, with slack
+        enough for the rounding of the threshold (a few parts in 2^53 of r^2).
+
+        Adapted: with m = max(|2u - 1|, |2v - 1|), each key exceeds r m by at most
+        N (r 2^-49.2 + 2^-51.4), where N >= 1 is the largest row norm of
+        T.eigen_inverse, the one key_band uses. The offset's eigencoordinates are
+        r (2u - 1) and r (2v - 1) within r 2^-53. Mapping them to the plane (two
+        products and a sum per coordinate, with unit eigenvectors) moves the
+        offset by under r 2^-50.98; the fold, the snap and the key's reading of
+        the residue, by under 2^-51.48. The rows of eigen_inverse, computed with
+        a rounded determinant, are the inverse of the eigenbasis within
+        2^-50.89 N on it, and the key's products and sum round within
+        r 2^-50.98 N. Each error reaches the key times at most N. The rule is
+        m < (lo - N (r 2^-48 + 2^-50)) / r, with slack enough for the rounding
+        of the threshold; rough_points is points here, so the two keys are one.
+
+        A point placed below the lower edge lo of key_band(eps) is, by key_band,
+        in the ball and decided there, so a caller may skip its time-0 key.
+        """
+        r = self.radius
+        if self.metric is MetricKind.EUCLIDEAN:
+            return u < (lo - r * r * 2.0**-19 - r * 2.0**-49) / (r * r)
+        m = np.maximum(np.abs(2.0 * u - 1.0), np.abs(2.0 * v - 1.0))
+        return m < (lo - self._stretch * (r * 2.0**-48 + 2.0**-50)) / r
 
     def points(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Residues of the ball's points that the uniforms u, v in [0, 1) map to, uniformly.
@@ -568,13 +618,35 @@ def pool_size(workers: int | None, jobs: int) -> int:
     return min(resolve_workers(workers), jobs)
 
 
+_open_pools: dict[int, ProcessPoolExecutor] = {}  # size -> the pool an enclosing process_pool holds open
+
+
+@contextmanager
+def process_pool(processes: int) -> Iterator[ProcessPoolExecutor | None]:
+    """A pool of `processes` processes for a with block; None for one process, this one.
+
+    Inside the block of an enclosing process_pool of the same size it is
+    that pool, so the calls of a run can share one. Else it is a new pool,
+    held open for the blocks inside this one and joined when this block
+    ends, by an exception too.
+    """
+    if processes <= 1:
+        yield None
+    elif processes in _open_pools:
+        yield _open_pools[processes]
+    else:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            _open_pools[processes] = pool
+            try:
+                yield pool
+            finally:
+                del _open_pools[processes]
+
+
 def map_jobs(fn: Callable, jobs: list, workers: int | None = None) -> list:
     """[fn(job) for job in jobs] on pool_size(workers, len(jobs)) processes.
 
-    One worker runs the jobs in this process; more share a process pool.
+    One worker runs the jobs in this process; more share process_pool's pool.
     """
-    workers = pool_size(workers, len(jobs))
-    if workers <= 1:
-        return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+    with process_pool(pool_size(workers, len(jobs))) as pool:
+        return [fn(job) for job in jobs] if pool is None else list(pool.map(fn, jobs))

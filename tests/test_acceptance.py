@@ -16,24 +16,44 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import pytest
 
-from extorus import acceptance
+from extorus import acceptance, torus
 from extorus.acceptance import RunManifest, run_acceptance
 from extorus.torus import resolve_workers
 
 
+POOL_SIZES: list[int] = []  # the size of each process pool the suite's run starts
+
+
+class CountedPool(ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        POOL_SIZES.append(max_workers)
+        super().__init__(max_workers)
+
+
 @pytest.fixture(scope="module")
 def manifest() -> RunManifest:
-    return run_acceptance(quick=False, workers=None)
+    with mock.patch.object(torus, "ProcessPoolExecutor", CountedPool):
+        return run_acceptance(quick=False, workers=None)
 
 
 @pytest.fixture(scope="module")
 def by_id(manifest):
     return {c.cid: c for c in manifest.criteria}
+
+
+def test_no_child_process_outlives_the_run(manifest):
+    # the run's calls share one pool of each size, joined before the run returns
+    assert multiprocessing.active_children() == []
+    assert len(POOL_SIZES) == len(set(POOL_SIZES))
+    assert POOL_SIZES[:1] == ([resolve_workers()] if resolve_workers() > 1 else [])
 
 
 def test_criterion_1_formula_identities(by_id):

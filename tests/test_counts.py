@@ -6,8 +6,9 @@ A NumPy integer gives what the equal int gives, and a config or a region
 stores it as an int. A metric (check_metric) is a MetricKind, and theta
 or basis_det lies in (0, 1] (check_positive with its maximum). A real
 (check_positive) is a finite number and not a bool, never a string or
-None, and a centre is two of them. Each refusal is a ValueError that
-names the argument.
+None, and a centre is two of them; a TorusPoint's two are reals in
+[0, 1). A ball's centre is a TorusPoint. Each refusal is a ValueError
+that names the argument.
 """
 
 from __future__ import annotations
@@ -235,6 +236,35 @@ def test_reals_beyond_the_doubles_are_refused_by_name(call, message):
         call()
 
 
+COORDINATE = "torus coordinate {} must be a real in [0, 1), got "
+# id: (the call, its refusal); a Ball built on a centre that was not a point, and raised an unnamed
+# AttributeError at its first key; a coordinate that was not a number raised an unnamed TypeError
+POINTS = {
+    "centre-none": (lambda: Ball(CAT, None, 0.01, EUCLID), "centre must be a TorusPoint, got None"),
+    "centre-tuple": (lambda: Ball(CAT, (0.5, 0.5), 0.01, EUCLID), "centre must be a TorusPoint, got (0.5, 0.5)"),
+    "x-str": (lambda: TorusPoint("a", 0), COORDINATE.format("x") + "'a'"),
+    "y-none": (lambda: TorusPoint(0.5, None), COORDINATE.format("y") + "None"),
+    "y-nan": (lambda: TorusPoint(0.5, math.nan), COORDINATE.format("y") + "nan"),
+    "x-bool": (lambda: TorusPoint(False, 0.5), COORDINATE.format("x") + "False"),
+    "x-one": (lambda: TorusPoint(1.0, 0.5), COORDINATE.format("x") + "1.0"),
+    "y-negative": (lambda: TorusPoint(0.5, -0.25), COORDINATE.format("y") + "-0.25"),
+    "x-huge": (lambda: TorusPoint(10**400, 0.5), COORDINATE.format("x") + HUGE),
+}
+
+
+@pytest.mark.parametrize("call, message", POINTS.values(), ids=POINTS.keys())
+def test_a_ball_takes_a_torus_point_of_two_reals_in_the_unit_square(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_torus_point_holds_python_floats():
+    point = TorusPoint(Fraction(1, 2), np.float32(0.25))
+    assert (point.x, point.y) == (0.5, 0.25) and type(point.x) is float and type(point.y) is float
+    # a fraction just below 1 rounds to 1.0, which is the torus point 0.0
+    assert TorusPoint(Fraction(2**60 - 1, 2**60), 0).x == 0.0
+
+
 @pytest.mark.parametrize("value", [0.25, 1, Fraction(1, 4), np.float32(0.25), np.float64(0.25), np.int8(1)])
 def test_a_positive_real_comes_back_as_a_python_float(value):
     # a Python float comes back as it is, so no computed bit moves
@@ -293,6 +323,12 @@ RULE_MESSAGES = (
     "must lie in (0, {",
     "must be a MetricKind",
     "must be a ToralAutomorphism",
+    "must be a TorusPoint",
+    "must be a real in [0, 1)",
+    "must be a Ball,",
+    "must be a RegionKind",
+    "must be a RegionSpec",
+    "must be an ExperimentConfig",
     "must be 0 or >= ",
 )
 

@@ -10,8 +10,9 @@ one awkward flag value, exits 0, 1 or 2 and raises nothing.
 
 Out of the pools, because they ask for unbounded work rather than give a
 bad value: a valid count beyond the doubles for --trials, --kmax,
---mc-samples and validate's --workers (which runs the whole suite), and
-for pmf_vector's k_max.
+--mc-samples and validate's --workers (which runs the whole suite), for
+pmf_vector's k_max, and for the samples of monte_carlo_measure and
+separation_check, which list their chunks up front.
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ from extorus import (
     ExperimentConfig,
     ExtorusError,
     ExtremalModel,
+    MeasureEstimate,
     MetricKind,
+    RegionKind,
+    RegionSpec,
     ToralAutomorphism,
     TorusPoint,
     area_A_q,
@@ -41,10 +45,12 @@ from extorus import (
     estimate_run,
     extremal_index,
     extremal_model,
+    monte_carlo_measure,
     multiplicity_pi,
     nested_area_U,
     polya_aeppli_pmf,
     run_experiment,
+    separation_check,
     strip_area_Q,
     threshold_radius,
     threshold_u_n,
@@ -56,6 +62,7 @@ from extorus.formulas import multiplicity_mass
 CAT = ToralAutomorphism(2, 1, 1, 1)
 EUCLID, ADAPTED = MetricKind.EUCLIDEAN, MetricKind.ADAPTED
 MODEL = extremal_model(CAT, 1, EUCLID)
+BALL = Ball(CAT, TorusPoint(0.0, 0.0), 0.01, EUCLID)
 AWKWARD = [
     10**400, -(10**400), 0, -1, 3, 0.0, -0.0, 0.5, math.nan, math.inf, -math.inf, 5e-324, 2.0**-1030,
     np.float32(0.01), np.float32(math.nan), np.float64(2.5), np.int8(3), np.uint64(7), True, False,
@@ -105,7 +112,16 @@ FORMS = {
     "polya_aeppli_pmf": (polya_aeppli_pmf, dict(theta=0.5, t=2.0, k=3), float),
     "pmf_vector": (MODEL.pmf_vector, dict(t=2.0, k_max=3), np.ndarray),
     "Ball": (Ball, dict(T=CAT, centre=TorusPoint(0.5, 0.5), radius=0.01, metric=EUCLID), Ball),
+    "TorusPoint": (TorusPoint, dict(x=0.5, y=0.25), TorusPoint),
+    "RegionSpec": (RegionSpec, dict(ball=BALL, kind=RegionKind.U_KAPPA, q=1, kappa=1), RegionSpec),
+    "monte_carlo_measure": (
+        monte_carlo_measure,
+        dict(region=RegionSpec(BALL, RegionKind.A_Q, q=1), samples=1000, seed=1, workers=1),
+        MeasureEstimate,
+    ),
+    "separation_check": (separation_check, dict(cfg=ExperimentConfig(n=1000), samples=1000, seed=1), bool),
 }
+UNBOUNDED_COUNTS = {"k_max", "samples"}  # a valid count beyond the doubles is work without end
 
 
 @pytest.mark.parametrize("form", FORMS, ids=FORMS)
@@ -114,14 +130,20 @@ FORMS = {
 def test_each_form_returns_its_type_or_refuses_by_name(form, data):
     call, valid, returns = FORMS[form]
     name, args = data.draw(one_wrong(valid))
-    assume(not (name == "k_max" and is_huge(args[name])))
-    result = holds(lambda: call(**args), name, returns)
+    assume(not (name in UNBOUNDED_COUNTS and is_huge(args[name])))
+    result = holds(lambda: call(**args), "worker count" if name == "workers" else name, returns)
     if isinstance(result, ExtremalModel):
         assert type(result.theta) is float and type(result.q) is int
     if isinstance(result, np.ndarray):
         assert result.dtype == np.float64 and np.isfinite(result).all()
     if isinstance(result, Ball):
         assert type(result.radius) is float
+    if isinstance(result, TorusPoint):
+        assert type(result.x) is float and type(result.y) is float
+    if isinstance(result, RegionSpec):
+        assert type(result.q) is int and type(result.kappa) is int
+    if isinstance(result, MeasureEstimate):
+        assert all(type(value) is float for value in result)
 
 
 @SETTINGS

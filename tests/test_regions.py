@@ -303,6 +303,15 @@ class TestMembers:
         assert not (member & unsure).any()
         if not (below.any() or above.any()):
             assert not unsure.any()
+        # placed decides row 0 in place of its keys: members there, the rest unsure
+        placed = np.array(data.draw(st.lists(st.booleans(), min_size=width, max_size=width)), bool)
+        given_placed = placed.copy()
+        with mock.patch.object(regions, "_walk", lambda region: (stride, inside, outside)):
+            member, unsure = _members(ball_region(), px, py, lo[:, 0], hi[:, 0], placed)
+        np.testing.assert_array_equal(placed, given_placed)
+        np.testing.assert_array_equal(unsure, ~placed | ((lo <= keys) & (keys < hi))[1:].any(axis=0))
+        later = (keys[1:inside] < lo[1:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
+        np.testing.assert_array_equal(member, placed & later)
 
 
 def probe_points(ball, q, rng):

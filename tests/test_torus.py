@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
 from unittest.mock import patch
 
 import numpy as np
@@ -399,7 +400,7 @@ EDGE_UNIFORMS = np.array([
 
 
 class TestRoughPoints:
-    """The two facts the oracle's key band rests on."""
+    """The facts the oracle's key band and its time-0 rule rest on."""
 
     def test_float32_trig_within_2_to_the_minus_21(self):
         # float32 cos and sin of float32(2 pi v) against float64 cos and sin of 2 pi v
@@ -424,6 +425,37 @@ class TestRoughPoints:
         gap = np.hypot(*offsets) / MODULUS
         assert gap.max() <= ball.rough_error
         assert bool(gap.max() > 0) == (metric is MetricKind.EUCLIDEAN)  # adapted points take no trig
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (1000, 999, 1, 1)])
+    @pytest.mark.parametrize("centre", [TorusPoint(0.0, 0.0), TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)])
+    @pytest.mark.parametrize("radius", [1e-7, 0.01, 0.2499])
+    def test_placed_points_have_keys_below_the_band(self, metric, matrix, centre, radius):
+        ball = Ball(ToralAutomorphism(*matrix), centre, radius, metric)
+        rng = np.random.default_rng(24)
+        # uniforms at the rim as well as across the ball
+        u = np.concatenate([EDGE_UNIFORMS, 1.0 - 1e-4 * rng.random(1 << 15), rng.random(1 << 15)])
+        v = np.concatenate([EDGE_UNIFORMS, rng.random(1 << 16)])
+        r = radius
+        if metric is MetricKind.EUCLIDEAN:  # the bounds that Ball.placed proves, on how far a key exceeds
+            level, excess = r * r * u, r * r * 2.0**-19.4 + r * 2.0**-50.4
+        else:
+            level = r * np.maximum(np.abs(2.0 * u - 1.0), np.abs(2.0 * v - 1.0))
+            excess = ball._stretch * (r * 2.0**-49.2 + 2.0**-51.4)
+        lo = ball.key_band(np.array([math.sqrt(2.0) * ball.rough_error]))[0][0]  # row 0's band, ||I||_F = sqrt 2
+        placed = ball.placed(u, v, lo)
+        for px, py in (ball.points(u, v), ball.rough_points(u, v, np.empty((4, u.size)))):
+            keys = ball.key(px, py)
+            assert (keys - level).max() <= excess
+            assert (keys[placed] < lo).all()
+        # at most a few in 1e5 of the samples are left to the exact walk
+        assert np.count_nonzero(~placed[-(1 << 15):]) <= 3
+
+    def test_placed_leaves_about_6_in_a_million_of_a_euclidean_ball(self):
+        ball = Ball(CAT, TorusPoint(0.0, 0.0), 0.01, MetricKind.EUCLIDEAN)
+        lo = ball.key_band(np.array([math.sqrt(2.0) * ball.rough_error]))[0][0]
+        u = 1.0 - np.array([2e-5, 1e-5, 7e-6, 5e-6, 2e-6, 0.0])
+        assert ball.placed(u, np.full(u.size, 0.3), lo).tolist() == [True, True, True, False, False, False]
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_points_of_an_index_set_are_the_indexed_points(self, metric):
@@ -629,6 +661,44 @@ class TestMapJobs:
         assert torus.map_jobs(abs, [-1, 2, -3], 100) == [1, 2, 3]
         assert torus.map_jobs(abs, list(range(-9, 0)), None) == list(range(9, 0, -1))
         assert sizes == [3, 4]
+
+    def test_a_held_pool_of_the_same_size_is_shared(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # records its size, runs the jobs here
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(torus, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
+        with torus.process_pool(1) as none:
+            assert none is None and torus.map_jobs(abs, [-1, 2, -3], 3) == [1, 2, 3]
+        assert sizes == [3]
+        with torus.process_pool(3) as held:
+            with torus.process_pool(3) as inner:
+                assert inner is held
+            assert torus.map_jobs(abs, [-1, 2, -3], 4) == [1, 2, 3]  # 3 processes: the held pool
+            assert torus.map_jobs(abs, [-1, 2], 4) == [1, 2]  # 2: a pool of its own
+            assert torus.map_jobs(abs, list(range(-6, 0)), 3) == list(range(6, 0, -1))  # 3: held
+        assert sizes == [3, 3, 2]
+        assert torus.map_jobs(abs, [-1, 2, -3], 4) == [1, 2, 3]  # the held pool is gone
+        assert sizes == [3, 3, 2, 3]
+
+    def test_no_child_outlives_a_pool_whose_job_raised(self):
+        with pytest.raises(ValueError, match="math domain error"):
+            with torus.process_pool(2):
+                assert torus.map_jobs(math.sqrt, [4.0, 9.0], 2) == [2.0, 3.0]
+                torus.map_jobs(math.sqrt, [4.0, -1.0, 9.0, 16.0], 2)
+        assert multiprocessing.active_children() == []
 
     # a bool, a float or a string is not a count: True would run as one worker
     @pytest.mark.parametrize("workers", [0, -5, True, 2.5, "2"])
