@@ -13,19 +13,26 @@ produces identical records.
 
 Why x-first: the threshold ball is a rare set, of measure tau/n, but
 the engine cannot know in advance which steps enter it. Every point of
-the ball of radius R = 3 r max(1, 1/sqrt(tau)) lies in a strip of x of
+the ball of radius R = r max(1, 3/sqrt(tau)) lies in a strip of x of
 half-width its x-extent (Ball.x_extent: R for the Euclidean disc,
 R(|e_u[0]| + |e_s[0]|) for the adapted square), so the engine walks X
 alone, tests the strip in integers, and computes Y and the distance key
-only at the candidates. They are twice the half-width
-of the (step, orbit) pairs: about 1 % at n = 1e5 for tau <= 1, where the
-1/sqrt(tau) keeps R at three times the radius of a tau = 1 ball, and
-about 12 % at a fixed point with the adapted metric, tau = 40 and
-n = 5e4. The key is elementwise, so every hit and every block
-maximum has the bits of the full walk. A trial's least key is exact once
-it is below the key of R; the trials whose candidates never get there,
-about e^(-9 theta max(tau, 1)) of them, are walked again with the strip
-set to the whole torus.
+only at the candidates. R is the threshold radius r at tau >= 9 and
+3 r / sqrt(tau) below, so a trial expects max(tau, 9) visits to the
+R-ball. The candidates are twice the half-width of the (step, orbit)
+pairs: about 1 % at n = 1e5 for tau <= 1, where R is three times the
+radius of a tau = 1 ball, and about 4 % at a fixed point with the
+adapted metric, tau = 40 and n = 5e4. The key is elementwise, so every
+hit and every block maximum has the bits of the full walk. A trial's
+least key is exact once it is below the key of R; the trials whose
+candidates never get there, about e^(-theta max(tau, 9)) of them, are
+walked again with the strip set to the whole torus.
+
+The walk goes in blocks of _ENGINE_ELEMENTS = 2^16 residues, 64 steps of
+a 1024-trial chunk. Each block costs some 35 NumPy calls whatever its
+size; at 2^14 residues they were spread over about 640 strip candidates
+at sim-dense's config, at 2^16 over about 2,500. The oracle and the
+separation scan walk their own, smaller blocks.
 
 On the records, kept as columns (Records), sit the estimators, each an
 array pass: block-maxima CDF at the threshold, runs declustering at the
@@ -67,8 +74,14 @@ from .torus import (
 )
 
 _TRIAL_CHUNK = 1024
+# Trial ids 0 .. trials - 1 fill the records' int64 trial column.
+_MAX_TRIALS = 1 << 63
+# Residues per block of the engine's walk (orbit_blocks' budget), 64 rows
+# at the 1024-trial width; see the module notes.
+_ENGINE_ELEMENTS = 1 << 16
 # The engine measures the points of an x-strip that holds the ball of
-# radius R = _STRIP_FACTOR * r * max(1, 1/sqrt(tau)); see the module notes.
+# radius R = r * max(1, _STRIP_FACTOR / sqrt(tau)), which a trial visits
+# max(tau, _STRIP_FACTOR^2) times on average; see the module notes.
 _STRIP_FACTOR = 3.0
 _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
@@ -81,8 +94,10 @@ def check_field(key: str, value):
         if len(entries) != 4:
             raise ValueError(f"matrix must be four entries, got {value!r}")
         value = ToralAutomorphism(*entries).entries
-    elif key in ("n", "trials", "seed"):
+    elif key in ("n", "seed"):
         value = check_count(key, value, None if key == "seed" else 1)
+    elif key == "trials":
+        value = check_count(key, value, 1, _MAX_TRIALS)
     elif key == "zeta":
         if len(entries) != 2 or not all(map(is_finite_real, entries)):
             raise ValueError(f"zeta must be two finite coordinates, none a bool, got {value!r}")
@@ -251,12 +266,13 @@ def _strip(cfg: ExperimentConfig) -> tuple[int, int, float]:
     """The x-strip the engine tests: (lo, span, key of its ball radius R).
 
     Every residue point whose key is below that of R has
-    ((X - lo) & mask) < span, with R = _STRIP_FACTOR * r * max(1, 1/sqrt(tau)).
-    The strip's half-width is the x-extent of that ball, widened by far
-    more than the rounding of the keys and of lo; a strip half as wide as
-    the torus is the whole torus.
+    ((X - lo) & mask) < span, with R = r * max(1, _STRIP_FACTOR / sqrt(tau)):
+    r itself at tau >= 9, and 3 r / sqrt(tau) below, so a trial expects
+    max(tau, 9) visits to the R-ball. The strip's half-width is the
+    x-extent of that ball, widened by far more than the rounding of the
+    keys and of lo; a strip half as wide as the torus is the whole torus.
     """
-    wide = replace(cfg.ball, radius=_STRIP_FACTOR * cfg.radius * max(1.0, 1.0 / math.sqrt(cfg.tau)))
+    wide = replace(cfg.ball, radius=cfg.radius * max(1.0, _STRIP_FACTOR / math.sqrt(cfg.tau)))
     half = wide.x_extent * (1.0 + 2.0**-20) + 2.0**-40
     span = math.ceil(2.0 * min(half, 0.5) * MODULUS) + 1
     if span >= MODULUS:
@@ -288,7 +304,7 @@ def _walk_candidates(
     best = np.full(width, np.inf)
     ids, times, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     start = 0
-    for block in orbit_blocks(px, py, ball.T, cfg.n - 1):
+    for block in orbit_blocks(px, py, ball.T, cfg.n - 1, elements=_ENGINE_ELEMENTS):
         pos = _in_strip(block.x, lo, span).ravel().nonzero()[0]
         rows = pos // width
         cols = pos - rows * width
@@ -303,7 +319,7 @@ def _walk_candidates(
     return np.concatenate(ids), np.concatenate(times), np.concatenate(keys), best
 
 
-def _simulate_chunk(cfg: ExperimentConfig, trial_ids: list[int]) -> Records:
+def _simulate_chunk(cfg: ExperimentConfig, trial_ids: Iterable[int]) -> Records:
     """Orbits for a batch of trials (trial k is trial_ids[k]), measured only in the x-strip."""
     initial_states = _initial_states(cfg, trial_ids)
     px = np.array([s[0] for s in initial_states], dtype=np.int64)
@@ -338,9 +354,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Records
     Records are a pure function of (cfg, trial_id); the worker count
     only changes how chunks are scheduled.
     """
-    ids = list(range(cfg.trials))
-    starts = range(0, len(ids), _TRIAL_CHUNK)
-    parts = map_jobs(_chunk_job, [(cfg, ids[i : i + _TRIAL_CHUNK]) for i in starts], workers)
+    starts = range(0, cfg.trials, _TRIAL_CHUNK)
+    jobs = [(cfg, range(i, min(i + _TRIAL_CHUNK, cfg.trials))) for i in starts]
+    parts = map_jobs(_chunk_job, jobs, workers)
     return Records(
         np.concatenate([part.trial + i for part, i in zip(parts, starts)]),
         np.concatenate([part.time for part in parts]),

@@ -40,14 +40,19 @@ determinant 1, so M^2 = trace(M) M - I, and each block is trace(M) times
 the block before minus the block two before, one scalar product and one
 difference per residue.
 
+Why by doubling: the table of A^s .. A^(sB) is built in about log2 B
+NumPy steps, each multiplying the rows made so far by the last one, so a
+block of 2^16 rows (one orbit in the trial engine) costs tens of NumPy
+calls rather than 2^16 Python products.
+
 Why x-first: the trial engine needs Y only where X lies in a narrow
 strip around the centre: the x-extent of its ball of radius
-R = 3 r max(1, 1/sqrt(tau)), 1-12 % of the (step, orbit) pairs. So a
+R = r max(1, 3/sqrt(tau)), 1-4 % of the (step, orbit) pairs. So a
 block carries its X rows and the last row of Y, and computes Y elsewhere
 only when asked: all of it (OrbitBlock.y, for the region oracle and the
 separation scan) or at chosen positions (OrbitBlock.y_at, for the engine),
 by the same masked products, so the bits agree. The trials that never
-come within R of the centre, about e^(-9 theta max(tau, 1)) of them, are
+come within R of the centre, about e^(-theta max(tau, 9)) of them, are
 walked again with the strip set to the whole torus.
 """
 
@@ -72,11 +77,16 @@ MODULUS = 1 << 61  # the denominator of every exact point; residues and the mask
 _MASK = MODULUS - 1
 
 _MASK64 = (1 << 64) - 1
-# Residues computed per broadcast by orbit_blocks: a block spans
-# _BLOCK_ELEMENTS // width times. Of 2^12..2^16, 2^14 was fastest for the
-# trial engine at widths 1, 8 and 1024: large enough to amortise the
-# per-block Python cost, small enough that a block's arrays stay in cache.
+# Residues computed per broadcast by orbit_blocks unless its caller gives
+# its own budget: a block spans elements // width times. The trial engine
+# walks 2^16 (simulate._ENGINE_ELEMENTS); the oracle and the separation
+# scan walk a slice of regions._SLICE points a row at a time.
 _BLOCK_ELEMENTS = 1 << 14
+# Rows of orbit_blocks' power table made by Python products before the
+# table doubles in NumPy: below five rows the Python products are the
+# cheaper, and the oracle's exact fallback walks a few points at five rows
+# or fewer thousands of times a run.
+_PYTHON_ROWS = 4
 
 
 class MetricKind(Enum):
@@ -117,12 +127,14 @@ def check_positive(name: str, value, maximum: float = math.inf) -> float:
     return number
 
 
-def check_count(name: str, value, minimum: int | None = None) -> int:
-    """int(value) for a Python or NumPy integer at least minimum; anything else, a bool too, raises."""
+def check_count(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """int(value) for a Python or NumPy integer in [minimum, maximum]; anything else, a bool too, raises."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -282,6 +294,31 @@ def _power(entries: tuple[int, ...], k: int, mask: int = _MASK) -> tuple[int, in
     return out
 
 
+def _power_table(step: tuple[int, ...], rows: int) -> np.ndarray:
+    """The (rows, 4) int64 table of the entries of step^1 .. step^rows, reduced mod MODULUS.
+
+    Up to _PYTHON_ROWS rows are Python products. Past them the table
+    doubles: with k rows made, rows k+1 .. 2k are rows 1 .. k times
+    step^k, one int64 (k, 2, 2) @ (2, 2) matmul whose sums wrap mod 2^64
+    and are masked, which is exact mod MODULUS, a divisor of 2^64.
+    """
+    head = [step]
+    for _ in range(min(rows, _PYTHON_ROWS) - 1):
+        head.append(_matmul(head[-1], step))
+    if rows == len(head):
+        return np.array(head, np.int64)
+    table = np.empty((rows, 4), np.int64)
+    table[: len(head)] = head
+    square = table.reshape(rows, 2, 2)
+    done = len(head)
+    while done < rows:
+        more = min(done, rows - done)
+        new = np.matmul(square[:more], square[done - 1], out=square[done : done + more])
+        new &= _MASK
+        done += more
+    return table
+
+
 def power_norm_sq(T: ToralAutomorphism, m: int) -> int:
     """The squared Frobenius norm of A^m, exactly, from the unreduced integer power.
 
@@ -334,6 +371,7 @@ def orbit_blocks(
     T: ToralAutomorphism,
     steps: int,
     stride: int = 1,
+    elements: int = _BLOCK_ELEMENTS,
 ) -> Iterator[OrbitBlock]:
     """Exact residues of the orbits from (px, py) at times 0, s, 2s, .., steps*s.
 
@@ -341,24 +379,24 @@ def orbit_blocks(
     when s < 0; a stride of 0 raises ValueError. px and py are residues in
     [0, MODULUS). Yields an OrbitBlock of shape (rows, width) per run of
     times, in time order: time 0 alone first (views of px, py), then
-    blocks of up to B = max(1, min(steps, _BLOCK_ELEMENTS // width)) times. The first two
-    are one broadcast of A^s .. A^(sB) against the last row of the block
-    before, and each later one is trace(A^(sB)) times the block before
-    minus the block two before. Only X is computed up front, and Y's last
-    row for the next block, so a caller that needs Y at a few positions
-    (the trial engine) pays for those alone.
+    blocks of up to B = max(1, min(steps, elements // width)) times, about
+    `elements` residues each. The table of A^s .. A^(sB) is built by
+    doubling (_power_table). The first two blocks are one broadcast of it
+    against the last row of the block before, and each later one is
+    trace(A^(sB)) times the block before minus the block two before. The
+    residues do not depend on B, only the cost does. Only X is computed up
+    front, and Y's last row for the next block, so a caller that needs Y at
+    a few positions (the trial engine) pays for those alone.
     """
     if stride == 0:
         raise ValueError("stride must be nonzero")
     step = _power(T.entries if stride > 0 else T.inverse_entries, abs(stride))
-    powers = [step]
-    for _ in range(max(1, min(steps, _BLOCK_ELEMENTS // max(px.size, 1))) - 1):
-        powers.append(_matmul(powers[-1], step))
-    block = len(powers)
+    table = _power_table(step, max(1, min(steps, elements // max(px.size, 1))))
+    block = len(table)
     # M = A^(sB) has determinant 1, so M^2 = trace(M) M - I (Cayley-Hamilton):
     # each row of a block is B times on from the same row of the block before
-    trace = (powers[-1][0] + powers[-1][3]) & _MASK
-    a, b, c, d = np.array(powers, dtype=np.int64).T
+    trace = (int(table[-1, 0]) + int(table[-1, 3])) & _MASK
+    a, b, c, d = table.T
     a, b = a[:, None], b[:, None]
     # time 0: A^0 = I, and Y is py itself
     out = OrbitBlock(px[None], np.zeros(1, np.int64), np.ones(1, np.int64), px, py, y=py[None])

@@ -1,7 +1,9 @@
 """The input rules of torus, each written once and called at every entry point it guards.
 
 A count (check_count) is a Python int or a NumPy integer, never a bool,
-and never below its entry point's minimum; a random stream's seed is one.
+never below its entry point's minimum and never above its maximum (a
+run's trials, whose ids fill an int64 column); a random stream's seed is
+one.
 A NumPy integer gives what the equal int gives, and a config or a region
 stores it as an int. A metric (check_metric) is a MetricKind, and theta
 or basis_det lies in (0, 1] (check_positive with its maximum). A real
@@ -51,7 +53,7 @@ from extorus import (
     threshold_u_n,
     wrap_time_g,
 )
-from extorus.cli import build_parser
+from extorus.cli import build_parser, main
 from extorus.formulas import multiplicity_mass
 from extorus.regions import separation_check
 from extorus.torus import check_positive, is_finite_real, keyed_rng, resolve_workers
@@ -236,6 +238,20 @@ def test_reals_beyond_the_doubles_are_refused_by_name(call, message):
         call()
 
 
+@pytest.mark.parametrize("value", [2**63 + 1, 10**400], ids=["2^63+1", "10^400"])
+def test_trial_ids_fit_the_records_int64_column(value, tmp_path, capsys):
+    # simulate --trials 10**400 ended in an unnamed OverflowError from list(range(trials)); ids from
+    # 2^63 on do not fit the records' int64 trial column
+    message = f"trials must be <= {2**63}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig(n=1000, trials=value)
+    assert ExperimentConfig(n=1000, trials=2**63).trials == 2**63
+    out = tmp_path / "run"
+    assert main(["simulate", "--n", "1000", "--trials", str(value), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: ValueError: --trials: {message}\n"
+    assert not out.exists()
+
+
 COORDINATE = "torus coordinate {} must be a real in [0, 1), got "
 # id: (the call, its refusal); a Ball built on a centre that was not a point, and raised an unnamed
 # AttributeError at its first key; a coordinate that was not a number raised an unnamed TypeError
@@ -319,6 +335,7 @@ def test_estimate_run_checks_ratio_samples_at_every_q(zeta, q):
 RULE_MESSAGES = (
     "must be an int",
     "must be >= ",
+    "must be <= ",
     "must be finite and positive",
     "must lie in (0, {",
     "must be a MetricKind",

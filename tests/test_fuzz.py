@@ -9,8 +9,8 @@ ValueError whose message names the argument. Each CLI subcommand, given
 one awkward flag value, exits 0, 1 or 2 and raises nothing.
 
 Out of the pools, because they ask for unbounded work rather than give a
-bad value: a valid count beyond the doubles for --trials, --kmax,
---mc-samples and validate's --workers (which runs the whole suite), for
+bad value: a valid count beyond the doubles for --kmax, --mc-samples and
+validate's --workers (which runs the whole suite), for
 pmf_vector's k_max, and for the samples of monte_carlo_measure and
 separation_check, which list their chunks up front.
 """
@@ -183,7 +183,7 @@ def test_estimate_run_checks_its_scalars(name_args, run):
 
 TEXTS = ["0", "-1", "1", "3", "0.5", "-0.0", "nan", "inf", "-inf", "5e-324", "1e400", str(10**400), "1/3",
          "True", "None", "", "abc", " 2 ", "0x10", "1_0"]
-UNBOUNDED = {"--trials", "--kmax", "--mc-samples"}  # a valid count beyond the doubles is work without end
+UNBOUNDED = {"--kmax", "--mc-samples"}  # a valid count beyond the doubles is work without end
 
 
 def cli(argv: list[str]) -> int:

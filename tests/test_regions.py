@@ -36,6 +36,7 @@ from extorus import (
 )
 from extorus import acceptance, regions, simulate, torus
 from extorus.regions import (
+    _SLICE,
     _decided_slices,
     _local_range_guard,
     _measure_chunk,
@@ -43,7 +44,7 @@ from extorus.regions import (
     _uniform_slices,
     membership_mask,
 )
-from extorus.torus import _BLOCK_ELEMENTS, MODULUS, keyed_rng, orbit_blocks
+from extorus.torus import MODULUS, keyed_rng, orbit_blocks
 
 CAT = ToralAutomorphism(2, 1, 1, 1)
 ORIGIN = TorusPoint(0.0, 0.0)
@@ -53,9 +54,9 @@ BALL = Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN)
 
 def sliced_sample(ball, count, seed, key):
     """Ball.points of each _uniform_slices slice, concatenated."""
-    work = np.empty((2, min(count, _BLOCK_ELEMENTS)))
+    work = np.empty((2, min(count, _SLICE)))
     slices = [ball.points(u, v) for u, v in _uniform_slices(count, seed, key, work)]
-    assert all(len(px) <= _BLOCK_ELEMENTS for px, _ in slices)
+    assert all(len(px) <= _SLICE for px, _ in slices)
     return tuple(np.concatenate(part) for part in zip(*slices))
 
 
@@ -139,7 +140,7 @@ TOP = TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)
 # and the local range guard's edge
 CHUNK_CASES = [
     pytest.param(metric, kind, 2, (2, 1, 1, 1), ORIGIN, S, size, id=f"{size}-{kind}-{metric}")
-    for size in (1, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 38_528)
+    for size in (1, _SLICE - 1, _SLICE, _SLICE + 1, 38_528)
     for kind in RegionKind
     for metric in MetricKind
 ] + [
@@ -173,7 +174,7 @@ class TestSampler:
         # x - floor(x) and the mask give the bits of x % 1.0 and % MODULUS
         ball = Ball(ToralAutomorphism(*matrix), TorusPoint(x, y), radius, metric)
         # more points than one slice holds: the slices must join into the whole sample
-        count = _BLOCK_ELEMENTS + 3000
+        count = _SLICE + 3000
         px, py = sliced_sample(ball, count, seed, 0)
         ref_x, ref_y = sample_ball_remainder(ball, count, keyed_rng(seed, 0))
         np.testing.assert_array_equal(px, ref_x)
@@ -182,7 +183,7 @@ class TestSampler:
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize(
         # 38,528 is the last chunk of a 10M-sample oracle call: 10M mod 2^18
-        "count", [1000, _BLOCK_ELEMENTS, _BLOCK_ELEMENTS + 1, 1 << 18, 10_000_000 % (1 << 18)]
+        "count", [1000, _SLICE, _SLICE + 1, 1 << 18, 10_000_000 % (1 << 18)]
     )
     def test_streamed_slices_are_the_whole_draw(self, metric, count):
         # u is the stream's first count doubles and v the next count, drawn whole
@@ -238,7 +239,7 @@ class TestSampler:
         kappa=st.integers(0, 3),
         matrix=st.sampled_from([(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)]),
         radius=st.sampled_from([1e-7, 0.005, S, 0.02]),
-        count=st.integers(1, 2 * _BLOCK_ELEMENTS + 100),
+        count=st.integers(1, 2 * _SLICE + 100),
         seed=st.integers(0, 2**32 - 1),
         key=st.integers(0, 100),
     )
@@ -533,7 +534,7 @@ class TestLocalRangeGuard:
 
 
 # sample counts around the slice size: one slice, one short of two, just over two
-SLICED_SAMPLES = [1000, _BLOCK_ELEMENTS - 1, _BLOCK_ELEMENTS + 1]
+SLICED_SAMPLES = [1000, _SLICE - 1, _SLICE + 1]
 
 
 def separation_cfg(zeta=(0, 0), matrix=(2, 1, 1, 1), metric=MetricKind.EUCLIDEAN):
@@ -587,7 +588,7 @@ class TestSlicedAgainstWholeArray:
             monkeypatch.setattr(simulate, "wrap_time_g", lambda *args: window)
             cfg = separation_cfg()
             assert cfg.q * cfg.g_n == window
-            args = (cfg, _BLOCK_ELEMENTS + 1, 7)
+            args = (cfg, _SLICE + 1, 7)
             assert regions.separation_check(*args) is ref.separation_check(*args) is separated
 
     @pytest.mark.parametrize("samples", SLICED_SAMPLES)
@@ -606,7 +607,7 @@ class TestSlicedAgainstWholeArray:
             monkeypatch.setattr(simulate, "wrap_time_g", lambda *args: g)
             cfg = separation_cfg((Fraction(1, 5), Fraction(2, 5)))
             assert (cfg.q, cfg.g_n) == (2, g)
-            args = (cfg, _BLOCK_ELEMENTS + 1, 7)
+            args = (cfg, _SLICE + 1, 7)
             assert regions.separation_check(*args) is ref.separation_check(*args) is separated
 
 
@@ -669,7 +670,7 @@ class TestSeparation:
         away = [(c + round(0.4 * MODULUS)) % MODULUS for c in centre]
         rows = np.array([centre] + [away] * (q - rows_out) + [centre])
 
-        def walk(px, py, T, steps, stride):
+        def walk(px, py, T, steps, stride, elements):
             yield SimpleNamespace(x=rows[:, :1], y=rows[:, 1:])
 
         member = (np.array([0.5]), np.array([0.5]), np.array([True]))

@@ -42,6 +42,7 @@ from extorus import (
 from _reference import clusters_of, records_of, simulate_chunk_stepwise
 from extorus import simulate
 from extorus.simulate import (
+    _ENGINE_ELEMENTS,
     _chi2_sf,
     _initial_states,
     _kolmogorov_sf,
@@ -49,7 +50,7 @@ from extorus.simulate import (
     chi_square_vs_pmf,
     pooled_gaps,
 )
-from extorus.torus import _BLOCK_ELEMENTS, MODULUS, OBSERVABLE_CAP, Ball, rational_point
+from extorus.torus import MODULUS, OBSERVABLE_CAP, Ball, rational_point
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -285,9 +286,9 @@ class TestBlockedEngine:
             (1, 1),  # a single step
             (3, 1),
             (1, 300),  # n below the block length: the block is clipped to n
-            (1, _BLOCK_ELEMENTS + 1234),  # two blocks, the last one short
-            (3, 12_000),  # blocks of _BLOCK_ELEMENTS // 3 steps, n not a multiple
-            (1024, 50),  # blocks of 16 steps, n not a multiple
+            (16, _ENGINE_ELEMENTS // 16 + 1234),  # two blocks, the last one short
+            (48, 3000),  # blocks of _ENGINE_ELEMENTS // 48 steps, n not a multiple
+            (1024, 150),  # blocks of 64 steps, n not a multiple
         ],
     )
     def test_records_equal_stepwise_reference(self, metric, q, width, n, monkeypatch):
@@ -341,13 +342,25 @@ class TestBlockedEngine:
     def test_tau_below_one_widens_the_strip(self):
         wide = ExperimentConfig(zeta=CENTRES[0], tau=0.01, n=100_000)
         unit = ExperimentConfig(zeta=CENTRES[0], tau=1.0, n=100_000)
-        # R = 3 r max(1, 1/sqrt(tau)): the same strip width at tau = 0.01 and tau = 1
+        # R = r max(1, 3/sqrt(tau)): the same strip width at tau = 0.01 and tau = 1
         assert simulate._strip(wide)[1] == pytest.approx(simulate._strip(unit)[1], rel=1e-12)
         assert simulate._strip(wide)[2] == pytest.approx((30.0 * wide.radius) ** 2, rel=1e-15)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("tau", [0.01, 1.0, 4.0, 8.99, 9.0, 9.01, 40.0, 1000.0])
+    def test_strip_radius(self, metric, tau):
+        # R = r at tau >= 9 and 3 r / sqrt(tau) below: a trial expects max(tau, 9) visits to the R-ball
+        cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=tau, n=10**7)
+        radius = cfg.radius if tau >= 9 else 3.0 * cfg.radius / math.sqrt(tau)
+        key = radius * radius if metric is MetricKind.EUCLIDEAN else radius
+        if tau >= 9:
+            assert simulate._strip(cfg)[2] == key == cfg.ball.key_radius
+        else:
+            assert simulate._strip(cfg)[2] == pytest.approx(key, rel=1e-15)
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
     def test_full_torus_strip(self, metric, monkeypatch):
-        cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=20.0, n=200, trials=16, seed=6)
+        cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=1.0, n=10, trials=16, seed=6)
         assert simulate._strip(cfg)[:2] == (0, MODULUS)
         blocked, reference = self.records_from_centre(cfg, monkeypatch)
         assert blocked == reference

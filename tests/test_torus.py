@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import multiprocessing
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -36,15 +35,16 @@ from extorus import (
     compute_period,
 )
 from extorus import torus
+from extorus.simulate import _ENGINE_ELEMENTS
 from extorus.torus import MODULUS, OBSERVABLE_CAP, Ball, orbit_blocks, wrap_unit
 
 CAT = ToralAutomorphism(2, 1, 1, 1)
 OTHER = ToralAutomorphism(1, 1, 1, 2)
 
 
-def walk(px, py, T, steps, stride=1):
+def walk(px, py, T, steps, stride=1, elements=torus._BLOCK_ELEMENTS):
     """The whole walk of orbit_blocks stacked into (steps + 1, width) arrays."""
-    blocks = list(orbit_blocks(px, py, T, steps, stride))
+    blocks = list(orbit_blocks(px, py, T, steps, stride, elements))
     return np.concatenate([b.x for b in blocks]), np.concatenate([b.y for b in blocks])
 
 
@@ -199,8 +199,7 @@ class TestOrbitBlocks:
         for a negative stride, across block boundaries."""
         direction = Direction.FORWARD if stride > 0 else Direction.BACKWARD
         states, px, py = residue_arrays(points)
-        with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            xs, ys = walk(px, py, T, steps, stride)
+        xs, ys = walk(px, py, T, steps, stride, elements)
         assert xs.shape == ys.shape == (steps + 1, len(states))
         assert xs.dtype == ys.dtype == np.int64
         for i, state in enumerate(states):
@@ -209,8 +208,7 @@ class TestOrbitBlocks:
                 for _ in range(abs(stride)):
                     state = step_exact(state, T, direction)
         # walking back from the end with the negated stride retraces the walk
-        with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            bx, by = walk(xs[-1], ys[-1], T, steps, -stride)
+        bx, by = walk(xs[-1], ys[-1], T, steps, -stride, elements)
         assert np.array_equal(bx[::-1], xs) and np.array_equal(by[::-1], ys)
 
     @given(
@@ -223,8 +221,7 @@ class TestOrbitBlocks:
     def test_block_layout(self, steps, width, elements, stride):
         """Time 0 comes alone, then full blocks of B = max(1, min(steps, elements // width)) rows."""
         px = np.arange(width, dtype=np.int64)
-        with patch.object(torus, "_BLOCK_ELEMENTS", elements):
-            rows = [len(b.x) for b in orbit_blocks(px, px, CAT, steps, stride=stride)]
+        rows = [len(b.x) for b in orbit_blocks(px, px, CAT, steps, stride, elements)]
         block = max(1, min(steps, elements // width))
         assert rows[0] == 1 and sum(rows) == steps + 1
         assert all(r == block for r in rows[1:-1]) and all(0 < r <= block for r in rows[1:])
@@ -281,6 +278,54 @@ class TestOrbitBlocks:
         px = np.arange(3, dtype=np.int64)
         with pytest.raises(ValueError, match="stride must be nonzero"):
             next(orbit_blocks(px, px, CAT, steps, 0))
+
+
+PIN_MATRICES = [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1), (-1000, -999, -1, -1)]
+
+
+class TestPowerTable:
+    """The doubled power table is the Python-int powers, row for row, and so is the walk at its block edges."""
+
+    @pytest.mark.parametrize("matrix", PIN_MATRICES, ids=lambda m: ",".join(map(str, m)))
+    @pytest.mark.parametrize("stride", [1, -1, 2, -3])
+    def test_doubled_table_is_python_int_powers(self, matrix, stride):
+        T = ToralAutomorphism(*matrix)
+        entries = T.entries if stride > 0 else T.inverse_entries
+        # A^s .. A^(s B) for the largest B, each the last times A^s in Python ints: _power's value
+        # at every k, since products of reduced entries reduce alike
+        step = torus._power(entries, abs(stride))
+        powers = [step]
+        for _ in range(_ENGINE_ELEMENTS - 1):
+            powers.append(torus._matmul(powers[-1], step))
+        expected = np.array(powers, dtype=np.int64)
+        for elements in (torus._BLOCK_ELEMENTS, _ENGINE_ELEMENTS):
+            for width in (1, 3, 1024, _ENGINE_ELEMENTS):
+                rows = max(1, elements // width)  # B of a walk of at least `rows` steps
+                table = torus._power_table(step, rows)
+                assert table.dtype == np.int64 and np.array_equal(table, expected[:rows])
+                # each doubling's first and last row, and the last of the Python rows, by repeated squaring
+                edges = {1, torus._PYTHON_ROWS, rows} | {k for j in range(17) for k in (1 << j, (1 << j) + 1)}
+                for k in sorted(k for k in edges if k <= rows):
+                    assert tuple(table[k - 1].tolist()) == torus._power(entries, abs(stride) * k)
+                self.check_block_edges(T, entries, stride, elements, width, rows)
+
+    @staticmethod
+    def check_block_edges(T, entries, stride, elements, width, rows):
+        """The walk, two full blocks and a short third, at the first and last row of each block."""
+        rng = np.random.default_rng(abs(stride) * width)
+        px, py = rng.integers(0, MODULUS, (2, width))
+        steps = 2 * rows + rows // 2 + 1
+        time = 0
+        for block in orbit_blocks(px, py, T, steps, stride, elements):
+            assert len(block.x) == (1 if time == 0 else min(rows, steps + 1 - time))
+            for t in (0, len(block.x) - 1):
+                a, b, c, d = torus._power(entries, abs(stride) * (time + t))
+                for i in (0, width - 1):
+                    x, y = int(px[i]), int(py[i])
+                    assert int(block.x[t, i]) == (a * x + b * y) % MODULUS
+                    assert int(block.y[t, i]) == (c * x + d * y) % MODULUS
+            time += len(block.x)
+        assert time == steps + 1
 
 
 class TestPowerNormSq:
