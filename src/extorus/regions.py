@@ -10,16 +10,16 @@ times, then out of it `outside` times.
 * U_KAPPA (q, kappa + 1, 0) - nested set: images at times 0, q, .., kappa*q inside;
 * Q_KAPPA (q, kappa + 1, 1) - strip: in U_KAPPA but not in U_(KAPPA+1).
 
-One routine, _members, decides every membership: a single walk of the
-orbits in which each row's keys are compared with a band [lo, hi) around
-key_radius and folded into a member mask and an unsure mask, one row at
-a time. membership_mask is that walk with bands of zero width, which
-leave no point unsure. The walk iterates orbits with the exact residue
-kernel of the torus module (points are snapped to the 2**61 grid, after
-which there is no drift) and tests each image with the ball's key, so
-decisions are exact up to a boundary fuzz of one part in 1e16 of the
-radius. The table also sets the local range guard: a walk reads images
-up to (inside + outside - 1) * stride steps on.
+One routine, _members, decides every membership: each row of keys of a
+walk of the orbits is compared with a band [lo, hi) around key_radius
+and folded into a member mask and an unsure mask, one row at a time.
+membership_mask feeds it the exact walk, _exact_keys, with bands of zero
+width, which leave no point unsure: orbits by the exact residue kernel
+of the torus module (points are snapped to the 2**61 grid, after which
+there is no drift), each image tested with the ball's key, so decisions
+are exact up to a boundary fuzz of one part in 1e16 of the radius. The
+table also sets the local range guard: a walk reads images up to
+(inside + outside - 1) * stride steps on.
 
 The measure oracle samples uniformly from the ball rather than the whole
 torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
@@ -36,11 +36,12 @@ both a slice of _SLICE points at a time, v from a copy of the
 stream advanced `count` draws on, so no caller holds an array larger
 than a slice, whatever the sample size.
 
-_decided_slices decides a sample a slice at a time: it walks the
-slice's Ball.rough_points (float32 trig) with bands as wide as their
-error bound, then the few samples the bands leave unsure (about 1 in
-1e5 at criterion 2) on their exact Ball.points by membership_mask, so
-every sample is decided as on its exact point. Time 0 takes no key:
+_decided_slices decides a sample a slice at a time: a float walk of the
+slice's Ball.rough_offsets (float32 trig, no residues, _rough_keys) with
+bands as wide as its error bound, then the few samples the bands leave
+unsure (about 1 in 1e5 at criterion 2) on their exact Ball.points by
+membership_mask, so every sample is decided as on its exact point. Time
+0 takes no key:
 Ball.placed places a sample's point there in the ball from its uniforms
 alone (u < u*, for the Euclidean metric, with 1 - u* about 6e-6), and
 the samples it does not place are unsure. The oracle counts the
@@ -53,7 +54,7 @@ experiment's escape region, for the scan and the ratio estimator.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -62,17 +63,27 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import _power, ball_measure
-from .torus import Ball, check_count, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
+from .torus import MODULUS, Ball, check_count, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
+from .torus import _power as _matrix_power
 
 if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
 
 _CHUNK = 1 << 18
-# Points per slice of a sample, and orbit_blocks' budget for the walks of
-# a slice: one row of a slice per block. A 2^16 budget (four rows) made
-# criterion 2's oracle chunks about 40 % slower.
-_SLICE = 1 << 14
+# Points per slice of a sample, the width of the oracle's workspace, and
+# orbit_blocks' budget for the exact walks of a slice: one row of a slice
+# per block. At 3 * 2^12 criterion 2's chunks take as long as at 2^14
+# (2^12, 2^13 and 2^16 were about 30, 15 and 10 % slower), and the seven
+# rows the float walk touches stay under six rows of 2^14.
+_SLICE = 3 << 12
 MIN_SAMPLES = 1000  # the fewest samples the oracle and the separation scan take
+# the most: 2^53 is the largest count whose hit fraction a double holds exactly
+MAX_SAMPLES = 1 << 53
+
+
+def check_samples(name: str, value, minimum: int | None = MIN_SAMPLES) -> int:
+    """The sample rule of the oracle and the separation scan: an int (check_count) in [minimum, MAX_SAMPLES]."""
+    return check_count(name, value, minimum, MAX_SAMPLES)
 
 
 class RegionKind(Enum):
@@ -113,40 +124,80 @@ def _walk(region: RegionSpec) -> tuple[int, int, int]:
 
 
 def _members(
-    region: RegionSpec, px: np.ndarray, py: np.ndarray, lo: np.ndarray, hi: np.ndarray, placed: np.ndarray | None = None
+    region: RegionSpec, keys: Iterable[np.ndarray], lo: np.ndarray, hi: np.ndarray, placed: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(member, unsure): the points the region's walk decides are in it, and
-    the points whose keys it cannot decide, from one walk of the orbits.
+    the points whose keys it cannot decide, from the rows of keys of one walk.
 
-    lo and hi hold a key band [lo[t], hi[t]) per row t of the walk. A point
-    is unsure if a key lies in its row's band, and a member if its key is
-    below lo[t] at the rows t < inside and at least hi[t] at the rows after;
-    a key in its band fails both tests, so no unsure point is a member. With
-    lo = hi = key_radius at every row, no point is unsure. placed, if given,
-    decides row 0 with no key: the points it holds have keys below lo[0]
-    there (Ball.placed), and the rest are unsure.
+    keys yields the walk's rows of keys in time order, from row 0, or from
+    row 1 when placed decides row 0: the float walk (_rough_keys) or the
+    exact one (_exact_keys). lo and hi hold a key band [lo[t], hi[t]) per
+    row t. A point is unsure if a key lies in its row's band, and a member
+    if its key is below lo[t] at the rows t < inside and at least hi[t] at
+    the rows after; a key in its band fails both tests, so no unsure point
+    is a member. With lo = hi = key_radius at every row, no point is
+    unsure. placed, if given, decides row 0 with no key: the points it
+    holds have keys below lo[0] there (Ball.placed), and the rest are
+    unsure.
     """
+    inside = _walk(region)[1]
+    member, unsure, t = (True, False, 0) if placed is None else (placed, ~placed, 1)
+    for key in keys:
+        unsure = unsure | ((lo[t] <= key) & (key < hi[t]))
+        member = member & ((key < lo[t]) if t < inside else (key >= hi[t]))
+        t += 1
+    return member, unsure
+
+
+def _exact_keys(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> Iterator[np.ndarray]:
+    """The rows of keys of the region's walk from the residue points (px, py), from row 0."""
     ball = region.ball
     stride, inside, outside = _walk(region)
-    blocks = orbit_blocks(px, py, ball.T, inside + outside - 1, stride, elements=_SLICE)
-    if placed is None:
-        member, unsure, t = np.ones(px.size, bool), np.zeros(px.size, bool), 0
-    else:
-        next(blocks)  # time 0, which placed decides
-        member, unsure, t = placed.copy(), ~placed, 1
-    for block in blocks:
-        for key in ball.key(block.x, block.y):
-            unsure |= (lo[t] <= key) & (key < hi[t])
-            member &= (key < lo[t]) if t < inside else (key >= hi[t])
-            t += 1
-    return member, unsure
+    for block in orbit_blocks(px, py, ball.T, inside + outside - 1, stride, elements=_SLICE):
+        yield from ball.key(block.x, block.y)
 
 
 def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Vectorised membership of residue-array points in the region: _members with exact bands."""
     _, inside, outside = _walk(region)
     radius = np.full(inside + outside, region.ball.key_radius)
-    return _members(region, px, py, radius, radius)[0]
+    return _members(region, _exact_keys(region, px, py), radius, radius)[0]
+
+
+def _float_rows(region: RegionSpec) -> list[tuple[tuple[float, ...], float, float]]:
+    """((a, b, c, d), cx, cy) of each row t >= 1 of the region's walk: A^(st),
+    the exact integer power, as doubles (clamped at 2^1000, where the row's
+    band holds every key), and c_t, the folded offset of A^(st) z from the
+    centre, z the centre's grid point: 0 where A^(st) fixes z.
+    """
+    ball, mask, cap = region.ball, MODULUS - 1, 1 << 1000
+    stride, inside, outside = _walk(region)
+    centre = (ball.centre.x, ball.centre.y)
+    zx, zy = (round(x * MODULUS) & mask for x in centre)
+    rows = []
+    for t in range(1, inside + outside):
+        power = _matrix_power(ball.T.entries, stride * t, mask=-1)
+        a, b, c, d = power
+        drift = (((a * zx + b * zy) & mask) / MODULUS - centre[0], ((c * zx + d * zy) & mask) / MODULUS - centre[1])
+        rows.append((tuple(float(max(-cap, min(e, cap))) for e in power), *(x - round(x) for x in drift)))
+    return rows
+
+
+def _rough_keys(ball: Ball, rows: list, ox: np.ndarray, oy: np.ndarray, work: np.ndarray) -> Iterator[np.ndarray]:
+    """The float walk from the offsets (ox, oy): Ball.offset_key(A^(st) (ox, oy) + c_t)
+    at each of _float_rows' rows, in the rows of work, a (4, len(ox)) float64
+    array, so each row of keys holds until the next is yielded.
+    """
+    dx, dy = work[:2]
+    for (a, b, c, d), cx, cy in rows:
+        np.multiply(ox, a, out=dx)
+        dx += np.multiply(oy, b, out=work[2])
+        np.multiply(ox, c, out=dy)
+        dy += np.multiply(oy, d, out=work[2])
+        if cx or cy:
+            dx += cx
+            dy += cy
+        yield ball.offset_key(dx, dy, work[2:])
 
 
 def _uniform_slices(
@@ -185,34 +236,58 @@ def _local_range_guard(region: RegionSpec) -> None:
 
 def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(u, v, member) of each _uniform_slices slice of a sample of `count`
-    points, member deciding each sample on its rough point where an error
+    points, member deciding each sample on its float walk where an error
     bound proves the answer and on its exact point elsewhere. The arrays
     hold until the next slice is drawn.
 
-    Why member is membership_mask's on Ball.points(u, v), bit for bit: a
-    sample's rough residue p' is within delta = Ball.rough_error of its
-    exact residue p. The walk is exact and linear from either start, so
-    A^k p' - A^k p = A^k (p' - p) on the torus, and at row t of a walk of
-    stride s (time t*s) the two images are within
-    eps_t = ||A^(|s| t)||_F delta: the Frobenius norm bounds the stretch
-    of any matrix, symmetric or not, and a negative stride has the same
-    norms (torus.power_norm_sq). A rough key outside Ball.key_band(eps_t)
-    is therefore on the exact key's side of key_radius. _members walks the
-    rough points with these bands; the unsure samples, none of them a
-    member, are walked again on their exact points, which Ball.points gives
-    from their own u and v alone, by membership_mask. Row 0 takes no key:
-    Ball.placed proves from u and v that a sample's rough key there is below
-    lo[0], which is what the key would have decided, and leaves the few
-    others (about 6 in 1e6 for a Euclidean ball) unsure.
+    Why member is membership_mask's on Ball.points(u, v), bit for bit: with
+    o the offset that Ball.points folds to the grid point p, o' the rough
+    offset and z the centre's grid point, p's image at row t (time k = s t)
+    is A^k (p - z) + c_k from the centre on the torus, and the float walk
+    takes fl(A^k o') + fl(c_k). Their distance, with the keys' roundings,
+    is within eps_t = ||A^k||_F delta' (delta' = Ball.rough_error; the
+    Frobenius norm, exact by torus.power_norm_sq, bounds any matrix's
+    stretch and is at least sqrt 2, so an absolute error e is under
+    ||A^k||_F e / sqrt 2):
+    * |o - o'| <= sqrt(2) r 2^-21 + r 2^-52: float32 cos and sin of
+      float32(2 pi v) are within 2^-21 of float64 ones (the worst of 2^22
+      draws is 2.56e-7); doubled, sqrt(2) r 2^-20 absorbs the bands'
+      relative roundings. Adapted offsets take no trig: o' = o.
+    * |(p - z) - o|: the fold and the snap of p, 2^-53 + 2^-62 a coordinate,
+      and z - centre, 2^-62: under 2^-52.4, times ||A^k||_F.
+    * the walk: entries as doubles, products and sum, each a relative
+      2^-53, move A^k o' by under 3.01 2^-53 ||A^k||_F 2r; adding c_k rounds
+      under 2^-53 (2r ||A^k||_F + 1/2) a coordinate, and c_k is read from a
+      residue within 2^-52, as the exact key reads one. The folds are exact.
+    * the keys: each rounds under 2^-51 (Euclidean) or, near the radius,
+      r 2^-50.9 N (adapted, N = Ball._stretch, by which key_band grows), as
+      do the band's edges.
+    The terms in r sum to under r 2^-48.8, the rest to under 2^-49.4, so
+    delta' = sqrt(2) r 2^-20 (Euclidean) + r 2^-48 + 2^-48. Near the radius
+    (keys below 1/4) both folds pick the nearest representatives, each
+    coordinate being within 2r < 1/2 of 0; so a rough key outside
+    Ball.key_band(eps_t) is on the exact key's side of key_radius. A row of
+    norm 2^48 or more has eps_t >= 1: its band holds every key.
+
+    _members walks the rough offsets with these bands, and membership_mask
+    the unsure samples, none of them a member, on their exact points, which
+    Ball.points gives from their own u and v alone. Row 0 takes no key:
+    Ball.placed proves from u and v that a sample's exact key there is below
+    lo[0], and leaves the few others (about 6 in 1e6 for a Euclidean ball)
+    unsure.
     """
     ball = region.ball
     stride, inside, outside = _walk(region)
     # past 2^1000, eps_t exceeds every key (the band holds them all) and float() would overflow
     norms = [math.sqrt(min(power_norm_sq(ball.T, stride * t), 1 << 1000)) for t in range(inside + outside)]
     lo, hi = ball.key_band(ball.rough_error * np.array(norms))
-    work = np.empty((6, min(count, _SLICE)))  # the uniforms, then rough_points' scratch
+    rows = _float_rows(region)
+    # the uniforms, the rough offsets, and the float walk's two rows and its keys' scratch
+    work = np.empty((8, min(count, _SLICE)))
     for u, v in _uniform_slices(count, seed, key, work[:2]):
-        member, unsure = _members(region, *ball.rough_points(u, v, work[2:]), lo, hi, ball.placed(u, v, lo[0]))
+        ox, oy = ball.rough_offsets(u, v, work[2:5])
+        keys = _rough_keys(ball, rows, ox, oy, work[4:, : u.size])
+        member, unsure = _members(region, keys, lo, hi, ball.placed(u, v, lo[0]))
         if unsure.any():
             member[unsure] = membership_mask(region, *ball.points(u[unsure], v[unsure]))
         yield u, v, member
@@ -237,7 +312,7 @@ def monte_carlo_measure(
     """
     if not isinstance(region, RegionSpec):
         raise ValueError(f"region must be a RegionSpec, got {region!r}")
-    samples = check_count("samples", samples, MIN_SAMPLES)
+    samples = check_samples("samples", samples)
     _local_range_guard(region)
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
     jobs = [(region, seed, i, size) for i, size in enumerate(sizes)]
@@ -266,7 +341,7 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     region meeting itself, is excluded). The scan stops at the first
     return. A centre of period 0 has no escape region and raises ValueError.
     """
-    samples = check_count("samples", samples, MIN_SAMPLES)
+    samples = check_samples("samples", samples)
     region = escape_region(cfg)
     window = region.q * cfg.g_n  # steps, and rows too: the escape walk's stride is 1
     if window == 0:

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange, TooFewGaps
 from .formulas import ExtremalModel, ball_measure, extremal_model, threshold_radius, threshold_u_n, wrap_time_g
-from .regions import MIN_SAMPLES, escape_region, monte_carlo_measure
+from .regions import MIN_SAMPLES, check_samples, escape_region, monte_carlo_measure
 from .torus import (
     MODULUS,
     Ball,
@@ -527,8 +527,8 @@ def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
 
 
 def check_ratio_samples(name: str, value) -> int:
-    """The measure ratio's sample count: 0 runs no ratio, any other is the oracle's, at least MIN_SAMPLES."""
-    if check_count(name, value) != 0 and value < MIN_SAMPLES:
+    """The measure ratio's sample count: 0 runs no ratio, any other is the oracle's (check_samples)."""
+    if check_samples(name, value, minimum=None) != 0 and value < MIN_SAMPLES:
         raise ValueError(f"{name} must be 0 or >= {MIN_SAMPLES}, got {value}")
     return int(value)
 

@@ -432,12 +432,12 @@ class Ball:
     eigenbasis sup for the adapted one, whose ball is a square in the
     eigenbasis of T), the ball's x-extent, its uniform sampler and the
     observable of a key. The sampler comes in two grades: points, which
-    the records and the separation scan use, and rough_points, the
-    oracle's, whose Euclidean trig is float32. rough_error bounds the
-    distance between the two, and key_band turns a distance into the
-    keys that it cannot move across key_radius, so a caller decides on
-    a rough point exactly what the exact point decides, or knows it
-    cannot.
+    the records and the separation scan use, and rough_offsets, the
+    oracle's, unfolded and with float32 Euclidean trig. rough_error bounds
+    the distance between walks from the two, and key_band turns a distance
+    into the keys that it cannot move across key_radius, so a caller
+    decides on a rough offset exactly what the exact point decides, or
+    knows it cannot.
     """
 
     T: ToralAutomorphism
@@ -465,26 +465,33 @@ class Ball:
         return self.radius * (abs(self.T.e_unstable[0]) + abs(self.T.e_stable[0]))
 
     def key(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Distance key from residue-array points to the centre: compare it with key_radius.
+        """Distance key from residue-array points to the centre (offset_key): compare it with key_radius."""
+        inv = 1.0 / MODULUS
+        dx = px * inv
+        dx -= self.centre.x
+        dy = py * inv
+        dy -= self.centre.y
+        return self.offset_key(dx, dy)
+
+    def offset_key(self, dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """The key of offsets (dx, dy) from the centre, returned in dx; dy and scratch,
+        if given a (2, *dx.shape) float64 array for the temporaries, are overwritten.
 
         Offsets are folded per coordinate to [-1/2, 1/2], which gives the
         exact Euclidean torus distance; for the adapted metric it is exact
         whenever the value is below 0.25 (any representative that small is
         the folded one).
         """
-        inv = 1.0 / MODULUS
-        dx = px * inv
-        dx -= self.centre.x
-        dy = py * inv
-        dy -= self.centre.y
-        tmp = np.rint(dx)  # scratch: the steps below write into dx, dy and tmp
+        tmp = np.rint(dx, out=None if scratch is None else scratch[0])
         dx -= tmp
         dy -= np.rint(dy, out=tmp)
         if self.metric is MetricKind.EUCLIDEAN:
             return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
         (b00, b01), (b10, b11) = self.T.eigen_inverse
-        xu = np.add(b00 * dx, np.multiply(b01, dy, out=tmp), out=tmp)
-        xs = np.add(np.multiply(b10, dx, out=dx), np.multiply(b11, dy, out=dy), out=dx)
+        xu = np.multiply(dx, b00, out=tmp)
+        xu += np.multiply(dy, b01, out=None if scratch is None else scratch[1])
+        xs = np.multiply(dx, b10, out=dx)
+        xs += np.multiply(dy, b11, out=dy)
         return np.maximum(np.abs(xu, out=xu), np.abs(xs, out=xs), out=xs)
 
     def observable(self, keys: np.ndarray) -> np.ndarray:
@@ -497,24 +504,17 @@ class Ball:
 
     @property
     def rough_error(self) -> float:
-        """delta: a bound on the torus distance from rough_points(u, v) to
-        points(u, v), with the slack that a decision on their keys needs.
-
-        Euclidean: float32 cos and sin of float32(2 pi v) are within 2^-21
-        of float64 cos and sin of 2 pi v (the worst of 2^22 draws is
-        2.56e-7), so each offset coordinate moves by at most r 2^-21, and by
-        r 2^-52 more for the roundings of rho times them. The fold (centre
-        plus offset, rounded once) and the snap to the grid move each
-        coordinate of either point by at most 2^-53 + 2^-62. delta =
-        sqrt(2) r 2^-20 + 2^-48 doubles the trig term, which absorbs any
-        relative rounding of the bands built on it, and its 2^-48 covers
-        the fold, the snap and the rounding of both points' keys (each
-        under 2^-51). Adapted points take no trig: rough_points is points,
-        and delta = 0.
+        """delta': per unit of ||A^k||_F, a bound on the torus distance from the
+        oracle's float walk of rough_offsets(u, v) at time k to the exact walk
+        of points(u, v), with the slack that a decision on their keys needs:
+        sqrt(2) r 2^-20 for the float32 trig (Euclidean only), and
+        r 2^-48 + 2^-48 for the fold and the snap of the exact point, the
+        walk's roundings and the keys' own. regions._decided_slices proves it.
         """
+        walk = self.radius * 2.0**-48 + 2.0**-48
         if self.metric is MetricKind.EUCLIDEAN:
-            return math.sqrt(2.0) * self.radius * 2.0**-20 + 2.0**-48
-        return 0.0
+            return math.sqrt(2.0) * self.radius * 2.0**-20 + walk
+        return walk
 
     def key_band(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Keys (lo, hi) around key_radius: a point whose key lies outside [lo, hi)
@@ -535,11 +535,11 @@ class Ball:
 
     def placed(self, u: np.ndarray, v: np.ndarray, lo: float) -> np.ndarray:
         """Where the uniforms alone place the time-0 point below lo: True where the
-        keys of points(u, v) and of rough_points(u, v) are both provably below lo.
+        keys of points(u, v) and offset_key(rough_offsets(u, v)) are both provably below lo.
 
         Euclidean: each point's key exceeds r^2 u by at most r^2 2^-19.4 + r 2^-50.4.
         Its offset is rho (cos, sin) with rho = r sqrt(u). The float32 cos and sin
-        of rough_points are each within 2^-21 of the float64 pair (rough_error),
+        of rough_offsets are each within 2^-21 of the float64 pair (rough_error),
         whose length is 1 within 2^-52, so the pair is at most
         1 + 0.70711 2^-20 + 2^-52 long. The fold and the snap (2^-53 + 2^-62) and
         the key's own reading of the residue (2^-53) move each coordinate by
@@ -562,7 +562,7 @@ class Ball:
         2^-50.89 N on it, and the key's products and sum round within
         r 2^-50.98 N. Each error reaches the key times at most N. The rule is
         m < (lo - N (r 2^-48 + 2^-50)) / r, with slack enough for the rounding
-        of the threshold; rough_points is points here, so the two keys are one.
+        of the threshold; the rough offset is the exact one here.
 
         A point placed below the lower edge lo of key_band(eps) is, by key_band,
         in the ball and decided there, so a caller may skip its time-0 key.
@@ -579,34 +579,35 @@ class Ball:
         Each point depends on its own u and v alone, so points(u[i], v[i])
         is points(u, v)[i] for any index i.
         """
+        px, py = np.empty(u.shape, np.int64), np.empty(u.shape, np.int64)
+        self._fold(*self._offsets(u, v), px, py)
+        return px, py
+
+    def _offsets(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets from the centre that points(u, v) folds, in new arrays."""
         r = self.radius
         if self.metric is MetricKind.EUCLIDEAN:
             rho = r * np.sqrt(u)
             ang = 2.0 * math.pi * v
-            ox = rho * np.cos(ang)
-            oy = rho * np.sin(ang)
-        else:
-            xu = r * (2.0 * u - 1.0)
-            xs = r * (2.0 * v - 1.0)
-            eu, es = self.T.e_unstable, self.T.e_stable
-            ox = xu * eu[0] + xs * es[0]
-            oy = xu * eu[1] + xs * es[1]
-        px, py = np.empty(u.shape, np.int64), np.empty(u.shape, np.int64)
-        self._fold(ox, oy, px, py)
-        return px, py
+            return rho * np.cos(ang), rho * np.sin(ang)
+        xu = r * (2.0 * u - 1.0)
+        xs = r * (2.0 * v - 1.0)
+        eu, es = self.T.e_unstable, self.T.e_stable
+        return xu * eu[0] + xs * es[0], xu * eu[1] + xs * es[1]
 
-    def rough_points(self, u: np.ndarray, v: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """points(u, v), but with the Euclidean cos and sin taken in float32 of
-        float32(2 pi v): 25 times cheaper, and within rough_error of points.
+    def rough_offsets(self, u: np.ndarray, v: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets that points(u, v) folds, but with the Euclidean cos and sin
+        taken in float32 of float32(2 pi v): 25 times cheaper.
 
-        work is a (4, n >= len(u)) float64 scratch array, and the residues
-        returned are views of its last two rows. Adapted points take no
-        trig: they are points(u, v) itself.
+        work is a (3, n >= len(u)) float64 scratch array, and the offsets
+        returned are views of its first two rows. Adapted offsets take no
+        trig: they are points' own.
         """
         if self.metric is not MetricKind.EUCLIDEAN:
-            return self.points(u, v)
-        oy, ox, px, py = work[:, : u.size]
-        ang, cos = np.split(px.view(np.float32), 2)  # scratch until px is written
+            return self._offsets(u, v)
+        ox, oy, scratch = work[:, : u.size]
+        scratch = scratch.view(np.float32)
+        ang, cos = scratch[: u.size], scratch[u.size :]
         ang[...] = np.multiply(v, 2.0 * math.pi, out=ox)
         np.cos(ang, out=cos)
         np.sin(ang, out=ang)
@@ -614,9 +615,7 @@ class Ball:
         oy *= self.radius
         np.multiply(oy, cos, out=ox)
         oy *= ang
-        px, py = px.view(np.int64), py.view(np.int64)
-        self._fold(ox, oy, px, py)
-        return px, py
+        return ox, oy
 
     def _fold(self, ox: np.ndarray, oy: np.ndarray, px: np.ndarray, py: np.ndarray) -> None:
         """Write the residues of the points at offsets (ox, oy) from the centre into px, py.

@@ -252,6 +252,25 @@ def test_trial_ids_fit_the_records_int64_column(value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [2**53 + 1, 10**400], ids=["2^53+1", "10^400"])
+def test_oracle_sample_counts_stop_at_2_to_the_53(value, tmp_path, capsys):
+    # a count of 10**400 built the oracle's list of chunk sizes without end; past 2^53 a double
+    # no longer holds every hit fraction exactly
+    for name, call in (
+        ("samples", lambda v: monte_carlo_measure(ESCAPE, v, 1)),
+        ("samples", lambda v: separation_check(ExperimentConfig(n=1000), v, 1)),
+        ("ratio_samples", lambda v: estimate_run(ExperimentConfig(n=1000, trials=2), RECORDS, v, 1)),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be <= {2**53}, got {value}$"):
+            call(value)
+    run = tmp_path / "run"
+    assert main(["simulate", "--n", "1000", "--trials", "2", "--workers", "1", "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--in", str(run), "--mc-samples", str(value)]) == 2
+    message = f"error: ValueError: --mc-samples: mc_samples must be <= {2**53}, got {value}\n"
+    assert capsys.readouterr() == ("", message)
+
+
 COORDINATE = "torus coordinate {} must be a real in [0, 1), got "
 # id: (the call, its refusal); a Ball built on a centre that was not a point, and raised an unnamed
 # AttributeError at its first key; a coordinate that was not a number raised an unnamed TypeError

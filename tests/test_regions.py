@@ -38,9 +38,12 @@ from extorus import acceptance, regions, simulate, torus
 from extorus.regions import (
     _SLICE,
     _decided_slices,
+    _exact_keys,
+    _float_rows,
     _local_range_guard,
     _measure_chunk,
     _members,
+    _rough_keys,
     _uniform_slices,
     membership_mask,
 )
@@ -132,6 +135,8 @@ CRITERION_2_REGIONS = [(RegionKind.A_Q, 0)] + [(RegionKind.Q_KAPPA, k) for k in 
 ]
 # a centre at the top of [0, 1) in both coordinates, where offsets fold across 1
 TOP = TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)
+# the cat map's point (1/5, 2/5), of period 2: a stride-1 walk moves it, so its rows carry a drift
+PERIOD_TWO = TorusPoint(0.2, 0.4)
 # (metric, kind, kappa, matrix, centre, radius, size) of one oracle chunk. First every
 # kind of both metrics at sizes around the slice (38,528 is the last chunk of a
 # 10M-sample oracle call: 10M mod 2^18); then Euclidean chunks of 2^18, whose points
@@ -232,21 +237,24 @@ class TestSampler:
         assert _measure_chunk((region, 5, 29, size)) == whole
         assert whole > 0 or size == 1  # the count is not vacuous
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         metric=st.sampled_from(list(MetricKind)),
         kind=st.sampled_from(list(RegionKind)),
         kappa=st.integers(0, 3),
         matrix=st.sampled_from([(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)]),
+        # the origin; a point of period 2, whose stride-1 rows carry a drift; a centre where offsets fold across 1
+        centre=st.sampled_from([ORIGIN, PERIOD_TWO, TOP]),
+        q=st.sampled_from([1, 2]),
         radius=st.sampled_from([1e-7, 0.005, S, 0.02]),
         count=st.integers(1, 2 * _SLICE + 100),
         seed=st.integers(0, 2**32 - 1),
         key=st.integers(0, 100),
     )
     # chunk 29 of seed 5, where a zero-width key band would miscount Q_1 (see above)
-    @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 1, (2, 1, 1, 1), S, 1 << 18, 5, 29)
-    def test_decided_slices_are_exact_membership(self, metric, kind, kappa, matrix, radius, count, seed, key):
-        region = RegionSpec(Ball(ToralAutomorphism(*matrix), ORIGIN, radius, metric), kind, q=1, kappa=kappa)
+    @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 1, (2, 1, 1, 1), ORIGIN, 1, S, 1 << 18, 5, 29)
+    def test_decided_slices_are_exact_membership(self, metric, kind, kappa, matrix, centre, q, radius, count, seed, key):
+        region = RegionSpec(Ball(ToralAutomorphism(*matrix), centre, radius, metric), kind, q=q, kappa=kappa)
         drawn = 0
         for u, v, member in _decided_slices(region, count, seed, key):
             np.testing.assert_array_equal(member, membership_mask(region, *region.ball.points(u, v)))
@@ -261,6 +269,62 @@ class TestSampler:
         for i, (kind, kappa) in enumerate(CRITERION_2_REGIONS):
             _measure_chunk((RegionSpec(BALL, kind, q=1, kappa=kappa), acceptance._SEED + i, 0, 1 << 18))
         assert 0 < sum(exact) < 1e-4 * 8 * (1 << 18)
+
+    def test_exact_fallback_share_of_the_dense_ratio(self, monkeypatch):
+        # the measure ratio of the dense adapted run at the fixed point: 200k samples of A_1, whose
+        # band is the float walk's rounding alone; under 1e-4 of them take the exact points
+        cfg = ExperimentConfig(n=50_000, metric=MetricKind.ADAPTED, tau=40.0)
+        exact = []
+        points = Ball.points
+        monkeypatch.setattr(Ball, "points", lambda ball, u, v: exact.append(u.size) or points(ball, u, v))
+        monte_carlo_measure(regions.escape_region(cfg), 200_000, cfg.seed + 1)
+        assert sum(exact) < 1e-4 * 200_000
+
+
+# uniforms at the ends of [0, 1), around the quarters and at the middle, in every (u, v) pair
+RIM = [a.ravel() for a in np.meshgrid(*[[0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]] * 2)]
+
+
+class TestFloatWalk:
+    """The oracle's float walk of rough offsets against the exact walk of Ball.points, row by row."""
+
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)])
+    @pytest.mark.parametrize("centre", [ORIGIN, TOP, PERIOD_TWO], ids=["origin", "top", "period-2"])
+    @pytest.mark.parametrize("radius", [1e-7, 1e-4, 0.01, 0.2499])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_keys_within_the_widened_band(self, metric, matrix, centre, radius, stride):
+        T = ToralAutomorphism(*matrix)
+        ball = Ball(T, centre, radius, metric)
+        # the most rows the local range guard accepts: U_kappa walks kappa rows past time 0
+        kappa = 0
+        while T.lam_abs ** (stride * (kappa + 1)) * radius < 0.5:
+            kappa += 1
+        region = RegionSpec(ball, RegionKind.U_KAPPA, q=stride, kappa=kappa)
+        _local_range_guard(region)
+        rng = np.random.default_rng(25)
+        # uniforms at the rim as well as across the ball
+        u = np.concatenate([RIM[0], 1.0 - 1e-4 * rng.random(1 << 13), rng.random(1 << 13)])
+        v = np.concatenate([RIM[1], rng.random(1 << 14)])
+        exact = list(_exact_keys(region, *ball.points(u, v)))[1:]
+        rows = _float_rows(region)
+        offsets = ball.rough_offsets(u, v, np.empty((3, u.size)))
+        rough = [key.copy() for key in _rough_keys(ball, rows, *offsets, np.empty((4, u.size)))]
+        assert len(rough) == len(exact) == kappa
+        # the drift is 0 at the origin, which every power fixes, and not elsewhere
+        assert [(cx, cy) == (0.0, 0.0) for _, cx, cy in rows] == [centre is ORIGIN] * kappa
+        for t, (key, rough_key) in enumerate(zip(exact, rough), 1):
+            eps = math.sqrt(torus.power_norm_sq(T, stride * t)) * ball.rough_error
+            if metric is MetricKind.EUCLIDEAN:
+                gap = np.abs(np.sqrt(key) - np.sqrt(rough_key))
+            else:  # below 1/4 the folded offsets are the nearest ones, and the key grows by eps times N at most
+                near = np.minimum(key, rough_key) < 0.24
+                gap = np.abs(key - rough_key)[near] / ball._stretch
+            assert gap.max(initial=0.0) <= eps
+            # so a rough key outside the band decides the exact one
+            (lo,), (hi,) = ball.key_band(np.array([eps]))
+            assert (key[rough_key < lo] < ball.key_radius).all()
+            assert (key[rough_key >= hi] >= ball.key_radius).all()
 
 
 def near_lines(width, seed):
@@ -296,7 +360,9 @@ class TestMembers:
         keys = np.concatenate([BALL.key(b.x, b.y) for b in orbit_blocks(px, py, CAT, rows - 1, stride)])
         assert keys.shape == (rows, width)
         with mock.patch.object(regions, "_walk", lambda region: (stride, inside, outside)):
-            member, unsure = _members(ball_region(), px, py, lo, hi)
+            # the exact walk's rows of keys are the matrix's rows
+            np.testing.assert_array_equal(np.array(list(_exact_keys(ball_region(), px, py))).reshape(keys.shape), keys)
+            member, unsure = _members(ball_region(), iter(keys), lo, hi)
         lo, hi = lo[:, None], hi[:, None]
         np.testing.assert_array_equal(unsure, ((lo <= keys) & (keys < hi)).any(axis=0))
         expected = (keys[:inside] < lo[:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
@@ -308,7 +374,7 @@ class TestMembers:
         placed = np.array(data.draw(st.lists(st.booleans(), min_size=width, max_size=width)), bool)
         given_placed = placed.copy()
         with mock.patch.object(regions, "_walk", lambda region: (stride, inside, outside)):
-            member, unsure = _members(ball_region(), px, py, lo[:, 0], hi[:, 0], placed)
+            member, unsure = _members(ball_region(), iter(keys[1:]), lo[:, 0], hi[:, 0], placed)
         np.testing.assert_array_equal(placed, given_placed)
         np.testing.assert_array_equal(unsure, ~placed | ((lo <= keys) & (keys < hi))[1:].any(axis=0))
         later = (keys[1:inside] < lo[1:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)

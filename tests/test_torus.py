@@ -458,20 +458,6 @@ class TestRoughPoints:
         assert worst <= 2.0**-21
 
     @pytest.mark.parametrize("metric", list(MetricKind))
-    @pytest.mark.parametrize("centre", [TorusPoint(0.0, 0.0), TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)])
-    @pytest.mark.parametrize("radius", [1e-7, 0.01, 0.2499])
-    def test_rough_points_within_rough_error(self, metric, centre, radius):
-        ball = Ball(CAT, centre, radius, metric)
-        rng = np.random.default_rng(22)
-        u, v = (np.concatenate([EDGE_UNIFORMS, a]) for a in rng.random((2, 1 << 16)))
-        exact = ball.points(u, v)
-        rough = ball.rough_points(u, v, np.empty((4, u.size)))
-        offsets = [((r - e + MODULUS // 2) & (MODULUS - 1)) - MODULUS // 2 for r, e in zip(rough, exact)]
-        gap = np.hypot(*offsets) / MODULUS
-        assert gap.max() <= ball.rough_error
-        assert bool(gap.max() > 0) == (metric is MetricKind.EUCLIDEAN)  # adapted points take no trig
-
-    @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (1000, 999, 1, 1)])
     @pytest.mark.parametrize("centre", [TorusPoint(0.0, 0.0), TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)])
     @pytest.mark.parametrize("radius", [1e-7, 0.01, 0.2499])
@@ -489,8 +475,9 @@ class TestRoughPoints:
             excess = ball._stretch * (r * 2.0**-49.2 + 2.0**-51.4)
         lo = ball.key_band(np.array([math.sqrt(2.0) * ball.rough_error]))[0][0]  # row 0's band, ||I||_F = sqrt 2
         placed = ball.placed(u, v, lo)
-        for px, py in (ball.points(u, v), ball.rough_points(u, v, np.empty((4, u.size)))):
-            keys = ball.key(px, py)
+        rough = ball.offset_key(*(o.copy() for o in ball.rough_offsets(u, v, np.empty((3, u.size)))),
+                                np.empty((2, u.size)))
+        for keys in (ball.key(*ball.points(u, v)), rough):
             assert (keys - level).max() <= excess
             assert (keys[placed] < lo).all()
         # at most a few in 1e5 of the samples are left to the exact walk
