@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances
-from .formulas import extremal_model, threshold_radius, wrap_time_g
+from .formulas import MAX_K, extremal_model, threshold_radius, wrap_time_g
 from .regions import MIN_SAMPLES
 from .simulate import (
     ExperimentConfig,
@@ -206,7 +206,7 @@ def _config_from_echo(echo: dict, path: Path) -> ExperimentConfig:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    k_max = check_count("--kmax: kmax", args.kmax, 1)
+    k_max = check_count("--kmax: kmax", args.kmax, 1, MAX_K)
     cfg = build_config(args)
     T = cfg.automorphism
     q = cfg.q if args.q is None else check_count("--q: q", args.q, 0)
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theory", help="print closed-form quantities")
     _add_config_flags(p, ("matrix", "zeta", "metric", "tau", "n"))
     p.add_argument("--q", type=int, default=None, help="period, >= 0 (derived from --zeta if omitted)")
-    p.add_argument("--kmax", type=int, default=10, help="pi rows to print (>= 1)")
+    p.add_argument("--kmax", type=int, default=10, help=f"pi rows to print (1 to {MAX_K})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_theory)
 

@@ -53,6 +53,10 @@ from .torus import MetricKind, ToralAutomorphism, check_automorphism, check_coun
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
+# The largest k_max of ExtremalModel.multiplicity_table and pmf_vector, and of theory's --kmax.
+# Panjer's recursion is O(k_max^2) fsum terms: k_max = 3000 took 0.2 s and 6000 0.9 s (2-vCPU
+# VM, Python 3.11), so 2^14 takes some 7 s, and a count beyond the doubles would run without end.
+MAX_K = 1 << 14
 
 
 def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> float:
@@ -302,7 +306,8 @@ class ExtremalModel:
         return multiplicity_pi(self.T, self.q, kappa, self.metric)
 
     def multiplicity_table(self, k_max: int) -> list[float]:
-        return [self.multiplicity(k) for k in range(1, check_count("k_max", k_max, 0) + 1)]
+        """pi(1) .. pi(k_max), for k_max in [0, MAX_K]."""
+        return [self.multiplicity(k) for k in range(1, check_count("k_max", k_max, 0, MAX_K) + 1)]
 
     def pmf_vector(self, t: float, k_max: int) -> np.ndarray:
         """P(N([0,t)) = k) for k = 0..k_max under the compound Poisson counting law.
@@ -313,10 +318,11 @@ class ExtremalModel:
         is exact term by term, with no cut-off on the number of clusters. Each
         sum is an fsum of correctly rounded products: a dot product's bits would
         hang on its summation order and on fused multiply-adds, which vary by
-        platform. For geometric sizes it is polya_aeppli_pmf.
+        platform. For geometric sizes it is polya_aeppli_pmf. k_max is at most
+        MAX_K, where the recursion's k_max^2 / 2 terms take seconds.
         """
         rate = self.theta * check_positive("t", t)
-        k_max = check_count("k_max", k_max, 0)
+        k_max = check_count("k_max", k_max, 0, MAX_K)
         weights = np.arange(1, k_max + 1) * np.array(self.multiplicity_table(k_max))  # j pi(j)
         out = np.zeros(k_max + 1)
         out[0] = math.exp(-rate)

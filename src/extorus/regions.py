@@ -285,7 +285,7 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     # the uniforms, the rough offsets, and the float walk's two rows and its keys' scratch
     work = np.empty((8, min(count, _SLICE)))
     for u, v in _uniform_slices(count, seed, key, work[:2]):
-        ox, oy = ball.rough_offsets(u, v, work[2:5])
+        ox, oy = ball.rough_offsets(u, v, work[2:6])
         keys = _rough_keys(ball, rows, ox, oy, work[4:, : u.size])
         member, unsure = _members(region, keys, lo, hi, ball.placed(u, v, lo[0]))
         if unsure.any():

@@ -19,20 +19,35 @@ R(|e_u[0]| + |e_s[0]|) for the adapted square), so the engine walks X
 alone, tests the strip in integers, and computes Y and the distance key
 only at the candidates. R is the threshold radius r at tau >= 9 and
 3 r / sqrt(tau) below, so a trial expects max(tau, 9) visits to the
-R-ball. The candidates are twice the half-width of the (step, orbit)
+R-ball. The x-strip holds twice its half-width of the (step, orbit)
 pairs: about 1 % at n = 1e5 for tau <= 1, where R is three times the
-radius of a tau = 1 ball, and about 4 % at a fixed point with the
-adapted metric, tau = 40 and n = 5e4. The key is elementwise, so every
-hit and every block maximum has the bits of the full walk. A trial's
-least key is exact once it is below the key of R; the trials whose
-candidates never get there, about e^(-theta max(tau, 9)) of them, are
-walked again with the strip set to the whole torus.
+radius of a tau = 1 ball, and 3.9 % at a fixed point with the adapted
+metric, tau = 40 and n = 5e4.
+
+Why the back strip: the preimage of a point of the R-ball has its X,
+(d X - b Y) mod 1 by row 0 of A^-1, in a second strip, of half-width the
+ball's reach along that row (Ball.reach((d, -b))), and that X is the row
+before in the walk. So where the x-strip holds more than _BACK_SHARE =
+2^-6 of the torus, a step t >= 1 is a candidate only if X at t is in the
+x-strip and X at t - 1 in the back strip: at the fixed-point config
+above, 97,101 candidates in a 1024-trial chunk instead of 1,993,677. The
+back test is a second pass over each block, as dear as the first, and
+it pays from a strip share of about 1.5 % up; the narrower strips (0.76 %
+at n = 2e5 and tau = 1, 1.07-1.3 % at n = 1e5) keep the x-strip alone.
+
+The key is elementwise, so every hit and every block maximum has the
+bits of the full walk. A trial's least key is exact once it is below
+the key of R; the trials whose candidates never get there, about
+e^(-theta max(tau, 9)) of them, are walked again with the strip set to
+the whole torus and no back strip, so that every point is measured.
 
 The walk goes in blocks of _ENGINE_ELEMENTS = 2^16 residues, 64 steps of
 a 1024-trial chunk. Each block costs some 35 NumPy calls whatever its
-size; at 2^14 residues they were spread over about 640 strip candidates
-at sim-dense's config, at 2^16 over about 2,500. The oracle and the
-separation scan walk their own, smaller blocks.
+size; at the fixed-point config they are spread over about 124
+candidates (about 2,550 with the x-strip alone), and the passes over a
+block of 2^17 or 2^18 residues, which leaves the cache, are no faster
+per residue. The oracle and the separation scan walk their own, smaller
+blocks.
 
 On the records, kept as columns (Records), sit the estimators, each an
 array pass: block-maxima CDF at the threshold, runs declustering at the
@@ -83,6 +98,13 @@ _ENGINE_ELEMENTS = 1 << 16
 # radius R = r * max(1, _STRIP_FACTOR / sqrt(tau)), which a trial visits
 # max(tau, _STRIP_FACTOR^2) times on average; see the module notes.
 _STRIP_FACTOR = 3.0
+# The engine tests the back strip too where the x-strip holds more than this
+# share of the torus; see the module notes. Its pass over a block costs as
+# much as the x-strip's. Forced on, a 1024-trial chunk took 1.06, 1.01, 0.98
+# and 0.84 times as long as with the x-strip alone at shares of 1.07, 1.31,
+# 1.56 and 3.89 % (medians of 12 alternating pairs, 2-vCPU VM, NumPy 2.4): the
+# break-even is near 1.5 %.
+_BACK_SHARE = 2.0**-6
 _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
 
@@ -262,22 +284,36 @@ def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
     return states
 
 
-def _strip(cfg: ExperimentConfig) -> tuple[int, int, float]:
-    """The x-strip the engine tests: (lo, span, key of its ball radius R).
+def _strip(cfg: ExperimentConfig) -> tuple[tuple[int, int], tuple[int, int], float]:
+    """The strips the engine tests: (x-strip, back strip, key of its ball radius R).
 
-    Every residue point whose key is below that of R has
-    ((X - lo) & mask) < span, with R = r * max(1, _STRIP_FACTOR / sqrt(tau)):
-    r itself at tau >= 9, and 3 r / sqrt(tau) below, so a trial expects
-    max(tau, 9) visits to the R-ball. The strip's half-width is the
-    x-extent of that ball, widened by far more than the rounding of the
-    keys and of lo; a strip half as wide as the torus is the whole torus.
+    A strip is (lo, span): the residues X with ((X - lo) & mask) < span.
+    Every residue point whose key is below that of R, with
+    R = r * max(1, _STRIP_FACTOR / sqrt(tau)) (r itself at tau >= 9, and
+    3 r / sqrt(tau) below, so a trial expects max(tau, 9) visits to the
+    R-ball), has its X in the x-strip and the X of its preimage,
+    (d X - b Y) mod 1 by row 0 of A^-1, in the back strip. Each is the
+    strip of a row's linear form around that form of the centre, taken
+    exactly in rationals from the centre's coordinates, and of half-width
+    the ball's reach along the row (Ball.reach), widened by far more than
+    the rounding of the keys: relatively, and by 2^-40 |row|_1 for the
+    error of a key's offset in each coordinate. A strip half as wide as
+    the torus is the whole torus.
     """
     wide = replace(cfg.ball, radius=cfg.radius * max(1.0, _STRIP_FACTOR / math.sqrt(cfg.tau)))
-    half = wide.x_extent * (1.0 + 2.0**-20) + 2.0**-40
+    cx, cy = Fraction(wide.centre.x), Fraction(wide.centre.y)
+    _, b, _, d = cfg.matrix
+    strip, back = (_row_strip(wide, row, row[0] * cx + row[1] * cy) for row in ((1, 0), (d, -b)))
+    return strip, back, wide.key_radius
+
+
+def _row_strip(ball: Ball, row: tuple[int, int], centre: Fraction) -> tuple[int, int]:
+    """The strip (lo, span) of the values of row . p on the ball's residue points p (see _strip)."""
+    half = ball.reach(row) * (1.0 + 2.0**-20) + 2.0**-40 * (abs(row[0]) + abs(row[1]))
     span = math.ceil(2.0 * min(half, 0.5) * MODULUS) + 1
     if span >= MODULUS:
-        return 0, MODULUS, wide.key_radius
-    return math.floor((wide.centre.x - half) * MODULUS) % MODULUS, span, wide.key_radius
+        return 0, MODULUS
+    return math.floor((centre - Fraction(half)) * MODULUS) % MODULUS, span
 
 
 def _in_strip(x: np.ndarray, lo: int, span: int) -> np.ndarray:
@@ -290,13 +326,15 @@ def _in_strip(x: np.ndarray, lo: int, span: int) -> np.ndarray:
 
 
 def _walk_candidates(
-    cfg: ExperimentConfig, px: np.ndarray, py: np.ndarray, lo: int, span: int
+    cfg: ExperimentConfig, px: np.ndarray, py: np.ndarray, strip: tuple[int, int], back: tuple[int, int] | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk the orbits from (px, py) and measure only the points in the x-strip.
+    """Walk the orbits from (px, py) and measure only the candidates: the
+    points in the x-strip and, at t >= 1 with a back strip given, whose X
+    at t - 1 lies in the back strip.
 
     Returns the hits (orbit index, time and key of every point inside the
-    threshold ball, time-major) and each orbit's least key over the
-    strip's points (inf if it never enters the strip).
+    threshold ball, time-major) and each orbit's least key over its
+    candidates (inf if it has none).
     """
     ball = cfg.ball
     key_radius = ball.key_radius
@@ -304,8 +342,15 @@ def _walk_candidates(
     best = np.full(width, np.inf)
     ids, times, keys = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     start = 0
+    behind = True  # whether X one step back is in the back strip: time 0 has no step back
     for block in orbit_blocks(px, py, ball.T, cfg.n - 1, elements=_ENGINE_ELEMENTS):
-        pos = _in_strip(block.x, lo, span).ravel().nonzero()[0]
+        inside = _in_strip(block.x, *strip)
+        if back is not None:
+            was = _in_strip(block.x, *back)
+            inside[0] &= behind
+            inside[1:] &= was[:-1]
+            behind = was[-1]
+        pos = inside.ravel().nonzero()[0]
         rows = pos // width
         cols = pos - rows * width
         key = ball.key(block.x.ravel()[pos], block.y_at(rows, cols))
@@ -325,12 +370,16 @@ def _simulate_chunk(cfg: ExperimentConfig, trial_ids: Iterable[int]) -> Records:
     px = np.array([s[0] for s in initial_states], dtype=np.int64)
     py = np.array([s[1] for s in initial_states], dtype=np.int64)
 
-    lo, span, strip_key = _strip(cfg)
-    ids, times, keys, best = _walk_candidates(cfg, px, py, lo, span)
+    strip, back, strip_key = _strip(cfg)
+    # the back strip pays where the x-strip is wide, and cannot where it is the whole torus
+    if strip[1] <= _BACK_SHARE * MODULUS or back[1] == MODULUS:
+        back = None
+    ids, times, keys, best = _walk_candidates(cfg, px, py, strip, back)
     fallback = np.flatnonzero(best >= strip_key)
     if fallback.size:
-        # their hits are all found already: hits lie below the key of r <= R
-        best[fallback] = _walk_candidates(cfg, px[fallback], py[fallback], 0, MODULUS)[3]
+        # their hits are all found already: hits lie below the key of r <= R. The whole torus
+        # with no back strip measures every point, so each gets its least key.
+        best[fallback] = _walk_candidates(cfg, px[fallback], py[fallback], (0, MODULUS), None)[3]
 
     # a stable sort by trial keeps each trial's hits in time order
     order = np.argsort(ids, kind="stable")

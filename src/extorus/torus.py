@@ -15,9 +15,9 @@ trial engine, the region oracle and the separation scan are built from:
   or the sup metric in the eigenbasis, whose balls are squares aligned
   with the invariant directions) on the residue grid, and all that is
   known of it: the key of a point's folded offset from the centre and
-  the key radius it is compared with, the ball's x-extent, its uniform
-  sampler (exact, and a cheaper rough one with its error bound) and the
-  observable -log distance of a key.
+  the key radius it is compared with, the ball's reach along a row, its
+  uniform sampler (exact, and a cheaper rough one with its error bound)
+  and the observable -log distance of a key.
 
 Why exact orbits: floating-point iteration of an expanding linear map
 burns through mantissa bits at a rate of log2|lam| per step, so a double
@@ -47,7 +47,10 @@ calls rather than 2^16 Python products.
 
 Why x-first: the trial engine needs Y only where X lies in a narrow
 strip around the centre: the x-extent of its ball of radius
-R = r max(1, 3/sqrt(tau)), 1-4 % of the (step, orbit) pairs. So a
+R = r max(1, 3/sqrt(tau)), 1-4 % of the (step, orbit) pairs. Where that
+strip is wide, the engine also asks that X one step before lie in the
+back strip, the ball's reach along row 0 of A^-1 (Ball.reach), which
+leaves about a twentieth of them at the fixed-point config. So a
 block carries its X rows and the last row of Y, and computes Y elsewhere
 only when asked: all of it (OrbitBlock.y, for the region oracle and the
 separation scan) or at chosen positions (OrbitBlock.y_at, for the engine),
@@ -430,14 +433,16 @@ class Ball:
     The one home of what a metric ball is: the key that is compared with
     key_radius (the squared distance for the Euclidean metric, the
     eigenbasis sup for the adapted one, whose ball is a square in the
-    eigenbasis of T), the ball's x-extent, its uniform sampler and the
-    observable of a key. The sampler comes in two grades: points, which
-    the records and the separation scan use, and rough_offsets, the
-    oracle's, unfolded and with float32 Euclidean trig. rough_error bounds
-    the distance between walks from the two, and key_band turns a distance
-    into the keys that it cannot move across key_radius, so a caller
-    decides on a rough offset exactly what the exact point decides, or
-    knows it cannot.
+    eigenbasis of T), the ball's reach along a row (the largest |row . o|
+    over its offsets o; x_extent is the reach along (1, 0), and the trial
+    engine's back strip the reach along row 0 of A^-1), its uniform
+    sampler and the observable of a key. The sampler comes in two grades:
+    points, which the records and the separation scan use, and
+    rough_offsets, the oracle's, unfolded and with float32 Euclidean trig.
+    rough_error bounds the distance between walks from the two, and
+    key_band turns a distance into the keys that it cannot move across
+    key_radius, so a caller decides on a rough offset exactly what the
+    exact point decides, or knows it cannot.
     """
 
     T: ToralAutomorphism
@@ -459,10 +464,16 @@ class Ball:
 
     @property
     def x_extent(self) -> float:
-        """The largest |x offset| of a point of the ball."""
+        """The largest |x offset| of a point of the ball: reach((1, 0))."""
+        return self.reach((1, 0))
+
+    def reach(self, row: tuple[float, float]) -> float:
+        """The largest |row . o| over the ball's offsets o: the radius times |row|
+        for the Euclidean disc, times |row . e_u| + |row . e_s| for the adapted square."""
         if self.metric is MetricKind.EUCLIDEAN:
-            return self.radius
-        return self.radius * (abs(self.T.e_unstable[0]) + abs(self.T.e_stable[0]))
+            return self.radius * math.hypot(*row)
+        eu, es = self.T.e_unstable, self.T.e_stable
+        return self.radius * (abs(row[0] * eu[0] + row[1] * eu[1]) + abs(row[0] * es[0] + row[1] * es[1]))
 
     def key(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Distance key from residue-array points to the centre (offset_key): compare it with key_radius."""
@@ -599,14 +610,22 @@ class Ball:
         """The offsets that points(u, v) folds, but with the Euclidean cos and sin
         taken in float32 of float32(2 pi v): 25 times cheaper.
 
-        work is a (3, n >= len(u)) float64 scratch array, and the offsets
+        work is a (4, n >= len(u)) float64 scratch array, and the offsets
         returned are views of its first two rows. Adapted offsets take no
-        trig: they are points' own.
+        trig: they are points' own, by _offsets' operations in the rows of work.
         """
+        ox, oy, xu, xs = work[:, : u.size]
         if self.metric is not MetricKind.EUCLIDEAN:
-            return self._offsets(u, v)
-        ox, oy, scratch = work[:, : u.size]
-        scratch = scratch.view(np.float32)
+            for out, w in ((xu, u), (xs, v)):  # r (2w - 1)
+                np.multiply(w, 2.0, out=out)
+                out -= 1.0
+                out *= self.radius
+            eu, es = self.T.e_unstable, self.T.e_stable
+            np.multiply(xu, eu[0], out=ox)
+            ox += np.multiply(xs, es[0], out=oy)
+            xu *= eu[1]
+            return ox, np.add(xu, np.multiply(xs, es[1], out=oy), out=oy)
+        scratch = xu.view(np.float32)
         ang, cos = scratch[: u.size], scratch[u.size :]
         ang[...] = np.multiply(v, 2.0 * math.pi, out=ox)
         np.cos(ang, out=cos)

@@ -54,7 +54,7 @@ from extorus import (
     wrap_time_g,
 )
 from extorus.cli import build_parser, main
-from extorus.formulas import multiplicity_mass
+from extorus.formulas import MAX_K, multiplicity_mass
 from extorus.regions import separation_check
 from extorus.torus import check_positive, is_finite_real, keyed_rng, resolve_workers
 
@@ -269,6 +269,19 @@ def test_oracle_sample_counts_stop_at_2_to_the_53(value, tmp_path, capsys):
     assert main(["estimate", "--in", str(run), "--mc-samples", str(value)]) == 2
     message = f"error: ValueError: --mc-samples: mc_samples must be <= {2**53}, got {value}\n"
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("value", [MAX_K + 1, 2**62, 10**400], ids=["MAX_K+1", "2^62", "10^400"])
+def test_multiplicity_rows_stop_at_max_k(value, capsys):
+    # pmf_vector raised NumPy's unnamed "Maximum allowed size exceeded" at 10**400 and "array is too
+    # big" at 2^62; multiplicity_table and theory --kmax ran without end
+    model = extremal_model(CAT, 1, ADAPTED)
+    for call in (model.multiplicity_table, lambda v: model.pmf_vector(2.0, v)):
+        with pytest.raises(ValueError, match=f"^k_max must be <= {MAX_K}, got {value}$"):
+            call(value)
+    assert len(model.multiplicity_table(MAX_K)) == MAX_K
+    assert main(["theory", "--n", "1000", "--kmax", str(value)]) == 2
+    assert capsys.readouterr() == ("", f"error: ValueError: --kmax: kmax must be <= {MAX_K}, got {value}\n")
 
 
 COORDINATE = "torus coordinate {} must be a real in [0, 1), got "

@@ -308,7 +308,7 @@ class TestFloatWalk:
         v = np.concatenate([RIM[1], rng.random(1 << 14)])
         exact = list(_exact_keys(region, *ball.points(u, v)))[1:]
         rows = _float_rows(region)
-        offsets = ball.rough_offsets(u, v, np.empty((3, u.size)))
+        offsets = ball.rough_offsets(u, v, np.empty((4, u.size)))
         rough = [key.copy() for key in _rough_keys(ball, rows, *offsets, np.empty((4, u.size)))]
         assert len(rough) == len(exact) == kappa
         # the drift is 0 at the origin, which every power fixes, and not elsewhere

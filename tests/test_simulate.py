@@ -278,6 +278,19 @@ class TestBlockedEngine:
         monkeypatch.setattr(simulate, "_initial_states", lambda cfg, ids: states)
         return _simulate_chunk(cfg, ids), simulate_chunk_stepwise(cfg, ids, states)
 
+    @staticmethod
+    def walks(monkeypatch) -> list:
+        """The (width, strip, back strip) of each _walk_candidates call from now on."""
+        walks = []
+        walk = simulate._walk_candidates
+
+        def counted(cfg, px, py, strip, back):
+            walks.append((px.size, strip, back))
+            return walk(cfg, px, py, strip, back)
+
+        monkeypatch.setattr(simulate, "_walk_candidates", counted)
+        return walks
+
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("q", sorted(CENTRES))
     @pytest.mark.parametrize(
@@ -332,18 +345,60 @@ class TestBlockedEngine:
     )
     def test_narrow_strips(self, matrix, zeta, tau, metric, monkeypatch):
         cfg = ExperimentConfig(matrix=matrix, zeta=zeta, metric=metric, tau=tau, n=6000, trials=64, seed=5)
-        lo, span, _ = simulate._strip(cfg)
+        (lo, span), _, _ = simulate._strip(cfg)
         assert span < MODULUS // 4
         blocked, reference = self.records_from_centre(cfg, monkeypatch)
         assert blocked == reference
         assert blocked[0].exceedance_values[0] == OBSERVABLE_CAP
         assert sum(len(r.exceedance_times) for r in blocked) > (0 if tau < 1 else 100)
 
+    # The back strip, tested with the x-strip in all of these (it holds over 2^-6 of the torus):
+    # wrapped through residue 0 where d zeta_x - b zeta_y is 0 and the x-strip is not, and lam < 0.
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize(
+        "matrix, zeta, wraps",
+        [
+            ((2, 1, 1, 1), (Fraction(3, 10), Fraction(3, 10)), True),
+            ((-3, 1, -1, 0), (Fraction(3, 10), Fraction(0)), True),  # lam < 0, and d = 0
+            ((-3, 1, -1, 0), CENTRES[0], False),
+            ((-2, -1, -1, -1), (Fraction(1, 2), Fraction(1, 2)), True),  # lam < 0, period 3
+        ],
+    )
+    def test_back_strip(self, matrix, zeta, wraps, metric, monkeypatch):
+        cfg = ExperimentConfig(matrix=matrix, zeta=zeta, metric=metric, tau=5.0, n=6000, trials=64, seed=7)
+        walks = self.walks(monkeypatch)
+        (lo, span), back, _ = simulate._strip(cfg)
+        assert span > MODULUS // 64 and lo + span <= MODULUS
+        assert back[1] < MODULUS // 4 and (back[0] + back[1] > MODULUS) == wraps
+        blocked, reference = self.records_from_centre(cfg, monkeypatch)
+        assert walks[0][2] == back
+        assert blocked == reference
+        assert blocked[0].exceedance_values[0] == OBSERVABLE_CAP
+        assert sum(len(r.exceedance_times) for r in blocked) > 100
+
+    def test_back_strip_rule(self, monkeypatch):
+        """The back strip is tested where the x-strip holds over 2^-6 of the torus and the back strip is not the
+        whole torus (and on no fallback walk: test_fallback_trials)."""
+        walks = self.walks(monkeypatch)
+        generic = (Fraction(0.4142135623730951), Fraction(0.7320508075688772))
+        cfgs = [
+            ExperimentConfig(zeta=ORIGIN, metric=MetricKind.ADAPTED, tau=40.0, n=50_000, trials=4),  # sim-dense's
+            ExperimentConfig(zeta=generic, tau=1.0, n=100_000, trials=4),
+            ExperimentConfig(zeta=generic, tau=1.0, n=200_000, trials=4),  # orbit-long's
+            ExperimentConfig(matrix=(10**6, 10**6 - 1, 1, 1), n=20, trials=4),
+        ]
+        strips = [simulate._strip(cfg) for cfg in cfgs]
+        assert [round(100 * strip[1] / MODULUS, 2) for strip, _, _ in strips] == [3.89, 1.07, 0.76, 75.69]
+        assert strips[3][1] == (0, MODULUS)
+        for cfg in cfgs:
+            _simulate_chunk(cfg, range(cfg.trials))
+        assert [back for _, _, back in walks] == [strips[0][1], None, None, None]
+
     def test_tau_below_one_widens_the_strip(self):
         wide = ExperimentConfig(zeta=CENTRES[0], tau=0.01, n=100_000)
         unit = ExperimentConfig(zeta=CENTRES[0], tau=1.0, n=100_000)
         # R = r max(1, 3/sqrt(tau)): the same strip width at tau = 0.01 and tau = 1
-        assert simulate._strip(wide)[1] == pytest.approx(simulate._strip(unit)[1], rel=1e-12)
+        assert simulate._strip(wide)[0][1] == pytest.approx(simulate._strip(unit)[0][1], rel=1e-12)
         assert simulate._strip(wide)[2] == pytest.approx((30.0 * wide.radius) ** 2, rel=1e-15)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
@@ -361,52 +416,52 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_full_torus_strip(self, metric, monkeypatch):
         cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=1.0, n=10, trials=16, seed=6)
-        assert simulate._strip(cfg)[:2] == (0, MODULUS)
+        assert simulate._strip(cfg)[0] == (0, MODULUS)
         blocked, reference = self.records_from_centre(cfg, monkeypatch)
         assert blocked == reference
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_fallback_trials(self, metric, monkeypatch):
-        """With R = r, every trial without a hit is walked again over the whole torus."""
+        """With R = r, every trial without a hit is walked again over the whole torus, with no back strip."""
         monkeypatch.setattr(simulate, "_STRIP_FACTOR", 1.0)
-        walks = []
-        walk = simulate._walk_candidates
-
-        def counted(cfg, px, py, lo, span):
-            walks.append((px.size, span))
-            return walk(cfg, px, py, lo, span)
-
-        monkeypatch.setattr(simulate, "_walk_candidates", counted)
+        walks = self.walks(monkeypatch)
         cfg = ExperimentConfig(zeta=CENTRES[0], metric=metric, tau=1.0, n=3000, trials=200, seed=8)
         ids = list(range(cfg.trials))
         records = _simulate_chunk(cfg, ids)
         assert records == simulate_chunk_stepwise(cfg, ids)
         misses = sum(1 for r in records if r.exceedance_times.size == 0)
         assert len(walks) == 2 and misses > 20
-        assert walks[1] == (misses, MODULUS)
+        assert walks[0][2] == simulate._strip(cfg)[1]  # the x-strip holds over 2^-6 of the torus
+        assert walks[1] == (misses, (0, MODULUS), None)
 
 
 @st.composite
-def det_one_matrices(draw):
-    """Products of shears [[1, p], [0, 1]] [[1, 0], [q, 1]] [[1, s], [0, 1]], times +-1.
+def det_one_matrices(draw, bound: int = 1000):
+    """Products of shears [[1, p], [0, 1]] [[1, 0], [q, 1]] [[1, s], [0, 1]], times +-1, for |p|, |q|, |s|
+    up to bound.
 
     The product is [[1 + pq, (1 + pq) s + p], [q, qs + 1]], of trace 2 + q(p + s).
     """
-    p, q, s = (draw(st.integers(-1000, 1000)) for _ in range(3))
+    p, q, s = (draw(st.integers(-bound, bound)) for _ in range(3))
     sign = draw(st.sampled_from([1, -1]))
     entries = (1 + p * q, (1 + p * q) * s + p, q, q * s + 1)
     assume(2 < abs(entries[0] + entries[3]) <= 10**6)
     return tuple(sign * e for e in entries)
 
 
+EDGE_COORDINATES = st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True))
+
+
 class TestStripHoldsBall:
-    """Every residue point closer to the centre than R passes the engine's strip test."""
+    """Every residue point closer to the centre than R passes the engine's strip tests:
+    its X is in the x-strip, and the X of its preimage in the back strip."""
 
     @given(
-        matrix=det_one_matrices(),
+        # small entries too, whose back strips are narrow at every n
+        matrix=st.one_of(det_one_matrices(), det_one_matrices(10)),
         metric=st.sampled_from(list(MetricKind)),
-        zeta_x=st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53]), st.floats(0.0, 1.0, exclude_max=True)),
-        zeta_y=st.floats(0.0, 1.0, exclude_max=True),
+        zeta_x=EDGE_COORDINATES,
+        zeta_y=EDGE_COORDINATES,
         tau=st.sampled_from([0.01, 1.0, 40.0]),
         n=st.sampled_from([10**3, 10**6, 10**9, 10**12]),
         seed=st.integers(0, 2**32 - 1),
@@ -421,15 +476,17 @@ class TestStripHoldsBall:
             assume(False)
         T = cfg.automorphism
         zeta = rational_point(cfg.zeta)
-        lo, span, strip_key = simulate._strip(cfg)
+        (lo, span), back, strip_key = simulate._strip(cfg)
         strip_radius = math.sqrt(strip_key) if metric is MetricKind.EUCLIDEAN else strip_key
         rng = np.random.default_rng(seed)
 
-        # plane offsets at the rim of the R-ball, most of them where x reaches furthest
+        # plane offsets at the rim of the R-ball, most of them where x or the back form d x - b y
+        # reaches furthest (the square's corners, the disc's rim along (1, 0) and along (d, -b))
         count = 4000
         rim = 1.0 - np.abs(rng.normal(0.0, 1e-9, count)) * rng.integers(0, 2, count)
         if metric is MetricKind.EUCLIDEAN:
-            angle = rng.integers(0, 2, count) * math.pi + rng.normal(0.0, 1e-4, count)
+            aim = np.where(rng.random(count) < 0.5, 0.0, math.atan2(-T.b, T.d))
+            angle = aim + rng.integers(0, 2, count) * math.pi + rng.normal(0.0, 1e-4, count)
             angle[::4] = rng.uniform(0.0, 2.0 * math.pi, count // 4)
             dx, dy = strip_radius * rim * np.cos(angle), strip_radius * rim * np.sin(angle)
         else:
@@ -450,6 +507,16 @@ class TestStripHoldsBall:
         near = cfg.ball.key(px, py) < strip_key
         assert near.sum() > 100
         assert inside[near].all()
+
+        # the preimage's X, (d x - b y) mod 1, by int64 products that wrap mod 2^64, exact mod 2^61;
+        # and the residues on both sides of each back strip edge
+        bx = ((T.d % MODULUS) * px + (-T.b % MODULUS) * py) & (MODULUS - 1)
+        back_lo, back_span = back
+        edges = np.array([back_lo - 1, back_lo, back_lo + back_span - 1, back_lo + back_span], dtype=object)
+        bx = np.concatenate([bx, (edges % MODULUS).astype(np.int64)])
+        behind = simulate._in_strip(bx, back_lo, back_span)
+        assert np.array_equal(behind, ((bx - back_lo) & (MODULUS - 1)) < back_span)
+        assert behind[: near.size][near].all()
 
 
 class TestBlockMaxima:

@@ -437,6 +437,23 @@ class TestBallDistance:
         reach = np.abs(px / MODULUS - 0.5).max()
         assert ball.x_extent * (1 - 1e-9) <= reach <= ball.x_extent * (1 + 1e-9)
 
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)])
+    def test_reach_is_the_sampled_balls_reach_along_a_row(self, metric, matrix):
+        T = ToralAutomorphism(*matrix)
+        ball = Ball(T, TorusPoint(0.5, 0.5), 0.01, metric)
+        assert ball.x_extent == ball.reach((1, 0))
+        # the disc's rim at a fine grid of angles, and the square's corners
+        if metric is MetricKind.EUCLIDEAN:
+            u, v = np.full(1 << 20, 1.0 - 2.0**-53), np.arange(1 << 20) / (1 << 20)
+        else:
+            u, v = np.array([0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]), np.array([0.0, 1.0 - 2.0**-53] * 2)
+        ox, oy = ball._offsets(u, v)
+        # rows 0 of A and of A^-1, and one of neither
+        for row in ((T.a, T.b), (T.d, -T.b), (2, -7)):
+            reach = np.abs(row[0] * ox + row[1] * oy).max()
+            assert ball.reach(row) * (1 - 1e-9) <= reach <= ball.reach(row) * (1 + 1e-9)
+
 
 # uniforms at the ends of [0, 1), around its quarters, and at the tie of the rim's angle
 EDGE_UNIFORMS = np.array([
@@ -457,6 +474,18 @@ class TestRoughPoints:
                 worst = max(worst, float(np.abs(f(ang.astype(np.float32)) - f(ang)).max()))
         assert worst <= 2.0**-21
 
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (1000, 999, 1, 1)])
+    def test_adapted_rough_offsets_are_points_own_bit_for_bit(self, matrix):
+        ball = Ball(ToralAutomorphism(*matrix), TorusPoint(0.3, 0.7), 0.01, MetricKind.ADAPTED)
+        rng = np.random.default_rng(30)
+        u = np.concatenate([EDGE_UNIFORMS, rng.random(5000)])
+        v = np.concatenate([EDGE_UNIFORMS[::-1], rng.random(5000)])
+        work = np.full((4, u.size + 7), np.nan)  # a wider workspace, holding nan
+        rough = ball.rough_offsets(u, v, work)
+        for got, want in zip(rough, ball._offsets(u, v)):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(np.shares_memory(o, work) for o in rough)
+
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (1000, 999, 1, 1)])
     @pytest.mark.parametrize("centre", [TorusPoint(0.0, 0.0), TorusPoint(1.0 - 2.0**-53, 1.0 - 2.0**-53)])
@@ -475,7 +504,7 @@ class TestRoughPoints:
             excess = ball._stretch * (r * 2.0**-49.2 + 2.0**-51.4)
         lo = ball.key_band(np.array([math.sqrt(2.0) * ball.rough_error]))[0][0]  # row 0's band, ||I||_F = sqrt 2
         placed = ball.placed(u, v, lo)
-        rough = ball.offset_key(*(o.copy() for o in ball.rough_offsets(u, v, np.empty((3, u.size)))),
+        rough = ball.offset_key(*(o.copy() for o in ball.rough_offsets(u, v, np.empty((4, u.size)))),
                                 np.empty((2, u.size)))
         for keys in (ball.key(*ball.points(u, v)), rough):
             assert (keys - level).max() <= excess
