@@ -22,7 +22,6 @@ from .formulas import (
     area_A_q,
     ball_measure,
     extremal_index,
-    extremal_model,
     multiplicity_pi,
     nested_area_U,
     polya_aeppli_pmf,
@@ -82,7 +81,6 @@ __all__ = [
     "threshold_radius",
     "ball_measure",
     "extremal_index",
-    "extremal_model",
     "area_A_q",
     "strip_area_Q",
     "nested_area_U",

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .acceptance import RunManifest, run_acceptance
 from .errors import ExtorusError, NoExceedances
-from .formulas import MAX_K, extremal_model, threshold_radius, wrap_time_g
+from .formulas import MAX_K, ExtremalModel, threshold_radius, wrap_time_g
 from .regions import MIN_SAMPLES
 from .simulate import (
     ExperimentConfig,
@@ -210,7 +210,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     T = cfg.automorphism
     q = cfg.q if args.q is None else check_count("--q: q", args.q, 0)
-    model = extremal_model(T, q, cfg.metric)
+    model = ExtremalModel(T, q, cfg.metric)
     theta = model.theta
     pis = model.multiplicity_table(k_max)
     payload = {

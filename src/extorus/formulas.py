@@ -3,9 +3,9 @@
 Each closed form has its one evaluation here. The laws take the
 ToralAutomorphism T (and q, metric) and read T.lam_abs once; the
 Euclidean ones evaluate the printed law at |lam|, exact for symmetric T,
-so extremal_model refuses them at a periodic centre otherwise. Every
+so ExtremalModel refuses them at a periodic centre otherwise. Every
 form refuses an argument outside its domain with a ValueError naming it
-(_check_law, check_positive, check_metric) and returns a Python float.
+(_check_law, check_positive, check_type) and returns a Python float.
 Conventions: s is the ball radius, lam the dominant eigenvalue of T:
 
 * Ball measure: a Euclidean ball of radius r has measure pi r^2; an
@@ -44,12 +44,12 @@ stable theta and against mpmath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import RadiusTooLarge
-from .torus import MetricKind, ToralAutomorphism, check_automorphism, check_count, check_metric, check_positive
+from .torus import MetricKind, ToralAutomorphism, check_count, check_positive, check_type
 
 _TAIL_TOL = 1e-15
 _MASS_TERMS = 4000  # multiplicity_mass sums at most this many terms before its tail
@@ -61,7 +61,7 @@ MAX_K = 1 << 14
 
 def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> float:
     """Lebesgue measure of a metric ball of the given radius; basis_det lies in (0, 1]."""
-    check_metric(metric)
+    check_type("metric", metric, MetricKind)
     radius = check_positive("radius", radius)
     basis_det = check_positive("basis_det", basis_det, 1)
     if metric is MetricKind.EUCLIDEAN:
@@ -71,7 +71,7 @@ def ball_measure(radius: float, metric: MetricKind, basis_det: float = 1.0) -> f
 
 def _check_law(T: ToralAutomorphism, q: int, q_min: int = 1) -> tuple[float, int]:
     """(T.lam_abs, int(q)) for a ToralAutomorphism T and an integer q >= q_min (0: non-periodic), else raise."""
-    check_automorphism(T)
+    check_type("T", T, ToralAutomorphism)
     return T.lam_abs, check_count("q", q, q_min)
 
 
@@ -149,7 +149,7 @@ def extremal_index(T: ToralAutomorphism, q: int, metric: MetricKind) -> float:
     T); the adapted value is 1 - |lam|^(-q).
     """
     lam_abs, q = _check_law(T, q, q_min=0)
-    check_metric(metric)
+    check_type("metric", metric, MetricKind)
     if q == 0:
         return 1.0
     if metric is MetricKind.EUCLIDEAN:
@@ -203,7 +203,7 @@ def multiplicity_pi(T: ToralAutomorphism, q: int, kappa: int, metric: MetricKind
     """
     lam_abs, q = _check_law(T, q)
     kappa = check_count("kappa", kappa, 1)
-    check_metric(metric)
+    check_type("metric", metric, MetricKind)
     if metric is MetricKind.ADAPTED:
         theta = extremal_index(T, q, metric)
         return theta * _power(1.0 - theta, kappa - 1)
@@ -287,17 +287,34 @@ def wrap_time_g(n: int, T: ToralAutomorphism, q: int, tau: float = 1.0) -> int:
 
 @dataclass(frozen=True)
 class ExtremalModel:
-    """Extremal index plus cluster-size law for one (T, q, metric); theta must lie in (0, 1]."""
+    """The closed-form law for (T, q, metric): the extremal index theta and the
+    cluster-size law, refused where it is known to be wrong.
+
+    theta is derived, by extremal_index. The Euclidean forms evaluate the
+    printed law at T's |lam|, but the disc's overlap with its images depends
+    on the singular values of A^q, which are |lam|^q only for a symmetric
+    matrix: the Euclidean metric at q >= 1 needs b == c. For q >= 1 the
+    multiplicity law must sum to 1 within 1e-9 (adaptive cutoff plus
+    geometric tail).
+    """
 
     T: ToralAutomorphism
     q: int
     metric: MetricKind
-    theta: float
+    theta: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _check_law(self.T, self.q, q_min=0)[1])
-        check_metric(self.metric)
-        object.__setattr__(self, "theta", check_positive("theta", self.theta, 1))
+        object.__setattr__(self, "theta", extremal_index(self.T, self.q, self.metric))
+        if self.metric is MetricKind.EUCLIDEAN and self.q >= 1 and self.T.b != self.T.c:
+            raise ValueError(
+                f"the Euclidean closed forms at a periodic centre (q = {self.q}) need a symmetric "
+                f"matrix (b == c), got {self.T.entries}; the adapted metric has no such limit"
+            )
+        if self.q >= 1:
+            mass = multiplicity_mass(self.T, self.q, self.metric)
+            if not abs(mass - 1.0) <= 1e-9:  # a nan mass fails too
+                raise ValueError(f"multiplicity law sums to {mass}, not 1")
 
     def multiplicity(self, kappa: int) -> float:
         check_count("kappa", kappa, 1)
@@ -330,24 +347,3 @@ class ExtremalModel:
             out[k] = rate / k * math.fsum(weights[:k] * out[k - 1 :: -1])
         return out
 
-
-def extremal_model(T: ToralAutomorphism, q: int, metric: MetricKind) -> ExtremalModel:
-    """The closed-form law for (T, q, metric), refused where it is known to be wrong.
-
-    The Euclidean forms evaluate the printed law at T's |lam|, but the
-    disc's overlap with its images depends on the singular values of A^q,
-    which are |lam|^q only for a symmetric matrix: the Euclidean metric at
-    q >= 1 needs b == c. For q >= 1 the multiplicity law must sum to 1
-    within 1e-9 (adaptive cutoff plus geometric tail).
-    """
-    theta = extremal_index(T, q, metric)
-    if metric is MetricKind.EUCLIDEAN and q >= 1 and T.b != T.c:
-        raise ValueError(
-            f"the Euclidean closed forms at a periodic centre (q = {q}) need a symmetric "
-            f"matrix (b == c), got {T.entries}; the adapted metric has no such limit"
-        )
-    if q >= 1:
-        mass = multiplicity_mass(T, q, metric)
-        if not abs(mass - 1.0) <= 1e-9:  # a nan mass fails too
-            raise ValueError(f"multiplicity law sums to {mass}, not 1")
-    return ExtremalModel(T, q, metric, theta)

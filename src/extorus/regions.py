@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import _power, ball_measure
-from .torus import MODULUS, Ball, check_count, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
+from .torus import MODULUS, Ball, check_count, check_type, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
 from .torus import _power as _matrix_power
 
 if TYPE_CHECKING:  # simulate imports this module
@@ -103,10 +103,8 @@ class RegionSpec:
     kappa: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ball, Ball):
-            raise ValueError(f"ball must be a Ball, got {self.ball!r}")
-        if not isinstance(self.kind, RegionKind):
-            raise ValueError(f"kind must be a RegionKind, got {self.kind!r}")
+        check_type("ball", self.ball, Ball)
+        check_type("kind", self.kind, RegionKind)
         if not (0.0 < self.ball.radius < 0.25):
             raise ValueError("radius must lie in (0, 0.25)")
         object.__setattr__(self, "q", check_count("q", self.q, 0 if self.kind is RegionKind.BALL else 1))
@@ -310,8 +308,7 @@ def monte_carlo_measure(
     a worker count below 1 raises, and the pool never has more workers
     than chunks or cores.
     """
-    if not isinstance(region, RegionSpec):
-        raise ValueError(f"region must be a RegionSpec, got {region!r}")
+    check_type("region", region, RegionSpec)
     samples = check_samples("samples", samples)
     _local_range_guard(region)
     sizes = [min(_CHUNK, samples - lo) for lo in range(0, samples, _CHUNK)]
@@ -327,8 +324,7 @@ def escape_region(cfg: ExperimentConfig) -> RegionSpec:
     """The escape region A_q of an ExperimentConfig's threshold ball at its detected period q."""
     from .simulate import ExperimentConfig  # at call time: simulate imports this module
 
-    if not isinstance(cfg, ExperimentConfig):
-        raise ValueError(f"cfg must be an ExperimentConfig, got {cfg!r}")
+    check_type("cfg", cfg, ExperimentConfig)
     return RegionSpec(cfg.ball, RegionKind.A_Q, q=cfg.q)
 
 

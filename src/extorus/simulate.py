@@ -14,7 +14,7 @@ produces identical records.
 Why x-first: the threshold ball is a rare set, of measure tau/n, but
 the engine cannot know in advance which steps enter it. Every point of
 the ball of radius R = r max(1, 3/sqrt(tau)) lies in a strip of x of
-half-width its x-extent (Ball.x_extent: R for the Euclidean disc,
+half-width its reach along (1, 0) (Ball.reach: R for the Euclidean disc,
 R(|e_u[0]| + |e_s[0]|) for the adapted square), so the engine walks X
 alone, tests the strip in integers, and computes Y and the distance key
 only at the candidates. R is the threshold radius r at tau >= 9 and
@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExtorusError, NoExceedances, OutOfLocalRange, TooFewGaps
-from .formulas import ExtremalModel, ball_measure, extremal_model, threshold_radius, threshold_u_n, wrap_time_g
+from .formulas import MAX_K, ExtremalModel, ball_measure, threshold_radius, threshold_u_n, wrap_time_g
 from .regions import MIN_SAMPLES, check_samples, escape_region, monte_carlo_measure
 from .torus import (
     MODULUS,
@@ -78,6 +78,7 @@ from .torus import (
     ToralAutomorphism,
     check_count,
     check_positive,
+    check_type,
     compute_period,
     is_finite_real,
     keyed_rng,
@@ -197,7 +198,7 @@ class ExperimentConfig:
     def model(self) -> ExtremalModel:
         """The closed-form law at zeta's period. Lazy: at q >= 1 the Euclidean
         law refuses a non-symmetric matrix, which simulate still runs."""
-        return extremal_model(self.automorphism, self.q, self.metric)
+        return ExtremalModel(self.automorphism, self.q, self.metric)
 
 
 class TrialRecord(NamedTuple):
@@ -416,6 +417,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Records
 
 def estimate_block_maxima_cdf(cfg: ExperimentConfig, records: Records) -> tuple[float, float]:
     """Fraction of trials whose block maximum stays at or below u_n, and its standard error."""
+    check_type("cfg", cfg, ExperimentConfig)
+    check_type("records", records, Records)
     p = int(np.count_nonzero(records.maxima <= cfg.u_n)) / len(records)
     return p, math.sqrt(p * (1.0 - p) / len(records))
 
@@ -425,9 +428,12 @@ def decluster_all(records: Records, run_gap: int, v_n: float) -> Clusters:
 
     A cluster's time is its first exceedance time divided by v_n.
     """
+    check_type("records", records, Records)
     check_count("run_gap", run_gap, 1)
     v_n = check_positive("v_n", v_n)
     trial, time = records.trial, records.time
+    if time.size and not math.isfinite(float(time.max()) / v_n):
+        raise ValueError(f"v_n must keep the cluster times finite, got {v_n!r}")
     first = np.ones(trial.size, dtype=bool)
     first[1:] = (np.diff(time) > run_gap) | (trial[1:] != trial[:-1])
     starts = np.flatnonzero(first)
@@ -437,6 +443,7 @@ def decluster_all(records: Records, run_gap: int, v_n: float) -> Clusters:
 
 def empirical_extremal_index(clusters: Clusters) -> float:
     """Pooled clusters over pooled exceedances; the reciprocal mean cluster size."""
+    check_type("clusters", clusters, Clusters)
     exceedances = int(clusters.size.sum())
     if exceedances == 0:
         raise NoExceedances("no exceedances across the supplied summaries")
@@ -445,6 +452,7 @@ def empirical_extremal_index(clusters: Clusters) -> float:
 
 def empirical_multiplicity(clusters: Clusters) -> dict[int, float]:
     """Normalised histogram of cluster sizes."""
+    check_type("clusters", clusters, Clusters)
     total = clusters.size.size
     if total == 0:
         raise NoExceedances("no clusters across the supplied summaries")
@@ -459,6 +467,7 @@ def pooled_gaps(clusters: Clusters, window_span: float) -> np.ndarray:
     by i * window_span) and gaps are taken on the glued stream, which
     keeps the gap law exponential across trial boundaries.
     """
+    check_type("clusters", clusters, Clusters)
     window_span = check_positive("window_span", window_span)
     return np.diff(clusters.time + clusters.trial * window_span)
 
@@ -498,8 +507,9 @@ def _kolmogorov_sf(x: float) -> float:
 
 
 def repp_counts(records: Records, horizon_steps: int) -> np.ndarray:
-    """Exceedance counts per trial within the first horizon_steps steps (none for a horizon <= 0)."""
-    check_count("horizon_steps", horizon_steps)
+    """Exceedance counts per trial within the first horizon_steps >= 0 steps; 0 is the empty window."""
+    check_type("records", records, Records)
+    check_count("horizon_steps", horizon_steps, 0)
     return np.bincount(records.trial[records.time < horizon_steps], minlength=len(records))
 
 
@@ -512,14 +522,19 @@ def chi_square_vs_pmf(values, pmf, k_min: int, k_max: int) -> tuple[float, float
     Bins are k_min..k_max individually plus one pooled bin for every
     other value, below k_min or above k_max, whose expectation is the
     pmf mass outside k_min..k_max. Bins with expectation under MIN_EXPECTED
-    are merged into their left neighbour. Returns (statistic, p_value,
-    degrees of freedom).
+    are merged into their left neighbour. values is a 1-d array of
+    integers, pmf a callable and k_max at most formulas.MAX_K. Returns
+    (statistic, p_value, degrees of freedom).
     """
-    check_count("k_max", k_max, check_count("k_min", k_min, 0))
-    data = np.asarray(values, dtype=np.int64)
+    check_count("k_max", k_max, check_count("k_min", k_min, 0, MAX_K), MAX_K)
+    if not callable(pmf):
+        raise ValueError(f"pmf must be callable, got {pmf!r}")
+    data = np.asarray(values)
     n = data.size
     if n == 0:
         raise ValueError("no observations")
+    if data.ndim != 1 or data.dtype.kind not in "iu":
+        raise ValueError(f"values must be a 1-d array of integers, got {data.dtype} of shape {data.shape}")
     obs = [float(np.count_nonzero(data == k)) for k in range(k_min, k_max + 1)]
     obs.append(float(np.count_nonzero((data < k_min) | (data > k_max))))
     probs = [pmf(k) for k in range(k_min, k_max + 1)]

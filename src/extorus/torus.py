@@ -40,14 +40,17 @@ determinant 1, so M^2 = trace(M) M - I, and each block is trace(M) times
 the block before minus the block two before, one scalar product and one
 difference per residue.
 
-Why by doubling: the table of A^s .. A^(sB) is built in about log2 B
-NumPy steps, each multiplying the rows made so far by the last one, so a
-block of 2^16 rows (one orbit in the trial engine) costs tens of NumPy
-calls rather than 2^16 Python products.
+Why by doubling: the table of A^s .. A^(sB) is built from its first
+row, A^s, in about log2 B NumPy steps, each multiplying the rows made so
+far by the last one, so a block of 2^16 rows (one orbit in the trial
+engine) costs tens of NumPy calls rather than 2^16 Python products. The
+oracle's exact fallback builds the same way its 1-4 row tables, 1015 of
+them in a quick validate: about 3 ms more than Python products would
+take, of a 1.9 s run (one worker, 2-vCPU VM).
 
 Why x-first: the trial engine needs Y only where X lies in a narrow
-strip around the centre: the x-extent of its ball of radius
-R = r max(1, 3/sqrt(tau)), 1-4 % of the (step, orbit) pairs. Where that
+strip around the centre, the reach along (1, 0) of its ball of radius
+R = r max(1, 3/sqrt(tau)): 1-4 % of the (step, orbit) pairs. Where that
 strip is wide, the engine also asks that X one step before lie in the
 back strip, the ball's reach along row 0 of A^-1 (Ball.reach), which
 leaves about a twentieth of them at the fixed-point config. So a
@@ -85,11 +88,6 @@ _MASK64 = (1 << 64) - 1
 # walks 2^16 (simulate._ENGINE_ELEMENTS); the oracle and the separation
 # scan walk a slice of regions._SLICE points a row at a time.
 _BLOCK_ELEMENTS = 1 << 14
-# Rows of orbit_blocks' power table made by Python products before the
-# table doubles in NumPy: below five rows the Python products are the
-# cheaper, and the oracle's exact fallback walks a few points at five rows
-# or fewer thousands of times a run.
-_PYTHON_ROWS = 4
 
 
 class MetricKind(Enum):
@@ -99,16 +97,13 @@ class MetricKind(Enum):
     ADAPTED = "adapted"
 
 
-def check_metric(metric) -> None:
-    """Raise unless metric is a MetricKind; a str such as "euclidean" would pass for adapted."""
-    if not isinstance(metric, MetricKind):
-        raise ValueError(f"metric must be a MetricKind, got {metric!r}")
-
-
-def check_automorphism(T) -> None:
-    """Raise unless T is a ToralAutomorphism; a bare |lam| would pass for one."""
-    if not isinstance(T, ToralAutomorphism):
-        raise ValueError(f"T must be a ToralAutomorphism, got {T!r}")
+def check_type(name: str, value, kind: type) -> None:
+    """Raise unless value is a `kind`, naming the argument: a str such as "euclidean" would
+    pass for the adapted metric, a bare |lam| for a ToralAutomorphism, and None for records
+    until an unnamed AttributeError."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
 
 
 def is_finite_real(value) -> bool:
@@ -248,14 +243,18 @@ def compute_period(
 
     zeta = (zeta_num[0]/zeta_den, zeta_num[1]/zeta_den) is iterated
     exactly modulo zeta_den; every rational point is periodic, so the
-    search fails only when the period exceeds max_period.
+    search fails only when the period exceeds max_period. zeta_den and
+    max_period are counts >= 1 and the numerators counts below zeta_den
+    (check_count).
     """
-    nx, ny = zeta_num
-    if not (0 <= nx < zeta_den and 0 <= ny < zeta_den):
-        raise ValueError("numerators must satisfy 0 <= num < den")
+    zeta_den = check_count("zeta_den", zeta_den, 1)
+    if not (isinstance(zeta_num, tuple) and len(zeta_num) == 2):
+        raise ValueError(f"zeta_num must be a pair of numerators, got {zeta_num!r}")
+    nx, ny = (check_count("zeta_num", v, 0, zeta_den - 1) for v in zeta_num)
+    check_type("T", T, ToralAutomorphism)
     a, b, c, d = T.entries
     x, y = nx, ny
-    for q in range(1, max_period + 1):
+    for q in range(1, check_count("max_period", max_period, 1) + 1):
         x, y = (a * x + b * y) % zeta_den, (c * x + d * y) % zeta_den
         if x == nx and y == ny:
             return q
@@ -300,20 +299,15 @@ def _power(entries: tuple[int, ...], k: int, mask: int = _MASK) -> tuple[int, in
 def _power_table(step: tuple[int, ...], rows: int) -> np.ndarray:
     """The (rows, 4) int64 table of the entries of step^1 .. step^rows, reduced mod MODULUS.
 
-    Up to _PYTHON_ROWS rows are Python products. Past them the table
-    doubles: with k rows made, rows k+1 .. 2k are rows 1 .. k times
-    step^k, one int64 (k, 2, 2) @ (2, 2) matmul whose sums wrap mod 2^64
-    and are masked, which is exact mod MODULUS, a divisor of 2^64.
+    The table doubles from its first row, step: with k rows made, rows
+    k+1 .. 2k are rows 1 .. k times step^k, one int64 (k, 2, 2) @ (2, 2)
+    matmul whose sums wrap mod 2^64 and are masked, which is exact mod
+    MODULUS, a divisor of 2^64.
     """
-    head = [step]
-    for _ in range(min(rows, _PYTHON_ROWS) - 1):
-        head.append(_matmul(head[-1], step))
-    if rows == len(head):
-        return np.array(head, np.int64)
     table = np.empty((rows, 4), np.int64)
-    table[: len(head)] = head
+    table[0] = step
     square = table.reshape(rows, 2, 2)
-    done = len(head)
+    done = 1
     while done < rows:
         more = min(done, rows - done)
         new = np.matmul(square[:more], square[done - 1], out=square[done : done + more])
@@ -434,8 +428,8 @@ class Ball:
     key_radius (the squared distance for the Euclidean metric, the
     eigenbasis sup for the adapted one, whose ball is a square in the
     eigenbasis of T), the ball's reach along a row (the largest |row . o|
-    over its offsets o; x_extent is the reach along (1, 0), and the trial
-    engine's back strip the reach along row 0 of A^-1), its uniform
+    over its offsets o: the trial engine's x-strip is the reach along
+    (1, 0), its back strip the reach along row 0 of A^-1), its uniform
     sampler and the observable of a key. The sampler comes in two grades:
     points, which the records and the separation scan use, and
     rough_offsets, the oracle's, unfolded and with float32 Euclidean trig.
@@ -451,21 +445,15 @@ class Ball:
     metric: MetricKind
 
     def __post_init__(self) -> None:
-        check_automorphism(self.T)
-        if not isinstance(self.centre, TorusPoint):
-            raise ValueError(f"centre must be a TorusPoint, got {self.centre!r}")
-        check_metric(self.metric)
+        check_type("T", self.T, ToralAutomorphism)
+        check_type("centre", self.centre, TorusPoint)
+        check_type("metric", self.metric, MetricKind)
         object.__setattr__(self, "radius", check_positive("radius", self.radius))
 
     @property
     def key_radius(self) -> float:
         """The radius in the units of key: a point is inside iff its key is below this."""
         return self.radius * self.radius if self.metric is MetricKind.EUCLIDEAN else self.radius
-
-    @property
-    def x_extent(self) -> float:
-        """The largest |x offset| of a point of the ball: reach((1, 0))."""
-        return self.reach((1, 0))
 
     def reach(self, row: tuple[float, float]) -> float:
         """The largest |row . o| over the ball's offsets o: the radius times |row|
@@ -591,20 +579,28 @@ class Ball:
         is points(u, v)[i] for any index i.
         """
         px, py = np.empty(u.shape, np.int64), np.empty(u.shape, np.int64)
-        self._fold(*self._offsets(u, v), px, py)
+        self._fold(*self._offsets(u, v, np.empty((4, u.size))), px, py)
         return px, py
 
-    def _offsets(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The offsets from the centre that points(u, v) folds, in new arrays."""
-        r = self.radius
-        if self.metric is MetricKind.EUCLIDEAN:
-            rho = r * np.sqrt(u)
-            ang = 2.0 * math.pi * v
-            return rho * np.cos(ang), rho * np.sin(ang)
-        xu = r * (2.0 * u - 1.0)
-        xs = r * (2.0 * v - 1.0)
+    def _offsets(self, u: np.ndarray, v: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The offsets from the centre that points(u, v) folds, as views of the first
+        two rows of work, a (4, n >= len(u)) float64 scratch array."""
+        ox, oy, a, b = work[:, : u.size]
+        if self.metric is MetricKind.EUCLIDEAN:  # r sqrt(u) (cos, sin) of 2 pi v
+            np.multiply(v, 2.0 * math.pi, out=a)
+            np.sqrt(u, out=b)
+            b *= self.radius
+            np.multiply(np.cos(a, out=ox), b, out=ox)
+            return ox, np.multiply(np.sin(a, out=oy), b, out=oy)
+        for out, w in ((a, u), (b, v)):  # the eigencoordinates r (2w - 1)
+            np.multiply(w, 2.0, out=out)
+            out -= 1.0
+            out *= self.radius
         eu, es = self.T.e_unstable, self.T.e_stable
-        return xu * eu[0] + xs * es[0], xu * eu[1] + xs * es[1]
+        np.multiply(a, eu[0], out=ox)
+        ox += np.multiply(b, es[0], out=oy)
+        a *= eu[1]
+        return ox, np.add(a, np.multiply(b, es[1], out=oy), out=oy)
 
     def rough_offsets(self, u: np.ndarray, v: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The offsets that points(u, v) folds, but with the Euclidean cos and sin
@@ -612,19 +608,11 @@ class Ball:
 
         work is a (4, n >= len(u)) float64 scratch array, and the offsets
         returned are views of its first two rows. Adapted offsets take no
-        trig: they are points' own, by _offsets' operations in the rows of work.
+        trig: they are points' own, _offsets(u, v, work).
         """
-        ox, oy, xu, xs = work[:, : u.size]
         if self.metric is not MetricKind.EUCLIDEAN:
-            for out, w in ((xu, u), (xs, v)):  # r (2w - 1)
-                np.multiply(w, 2.0, out=out)
-                out -= 1.0
-                out *= self.radius
-            eu, es = self.T.e_unstable, self.T.e_stable
-            np.multiply(xu, eu[0], out=ox)
-            ox += np.multiply(xs, es[0], out=oy)
-            xu *= eu[1]
-            return ox, np.add(xu, np.multiply(xs, es[1], out=oy), out=oy)
+            return self._offsets(u, v, work)
+        ox, oy, xu, _ = work[:, : u.size]
         scratch = xu.view(np.float32)
         ang, cos = scratch[: u.size], scratch[u.size :]
         ang[...] = np.multiply(v, 2.0 * math.pi, out=ox)

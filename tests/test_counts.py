@@ -5,12 +5,13 @@ never below its entry point's minimum and never above its maximum (a
 run's trials, whose ids fill an int64 column); a random stream's seed is
 one.
 A NumPy integer gives what the equal int gives, and a config or a region
-stores it as an int. A metric (check_metric) is a MetricKind, and theta
+stores it as an int. A metric is a MetricKind (check_type), and theta
 or basis_det lies in (0, 1] (check_positive with its maximum). A real
 (check_positive) is a finite number and not a bool, never a string or
 None, and a centre is two of them; a TorusPoint's two are reals in
-[0, 1). A ball's centre is a TorusPoint. Each refusal is a ValueError
-that names the argument.
+[0, 1). A ball's centre is a TorusPoint, and the estimators take the
+Records or the Clusters they read. Each refusal is a ValueError that
+names the argument.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import extorus
 from extorus import (
     Ball,
     ExperimentConfig,
+    ExtremalModel,
     MetricKind,
     RegionKind,
     RegionSpec,
@@ -38,11 +40,14 @@ from extorus import (
     area_A_q,
     chi_square_vs_pmf,
     ball_measure,
+    compute_period,
     decluster_all,
     ei_measure_ratio,
+    empirical_extremal_index,
+    empirical_multiplicity,
+    estimate_block_maxima_cdf,
     estimate_run,
     extremal_index,
-    extremal_model,
     gap_ks_statistic,
     monte_carlo_measure,
     multiplicity_pi,
@@ -56,6 +61,7 @@ from extorus import (
 from extorus.cli import build_parser, main
 from extorus.formulas import MAX_K, multiplicity_mass
 from extorus.regions import separation_check
+from extorus.simulate import pooled_gaps
 from extorus.torus import check_positive, is_finite_real, keyed_rng, resolve_workers
 
 CAT = ToralAutomorphism(2, 1, 1, 1)
@@ -90,20 +96,23 @@ ENTRY_POINTS = {
     "extremal_index-q": ("q", lambda v: extremal_index(CAT, v, EUCLID), 1, 0),
     "strip_area_Q-kappa": ("kappa", lambda v: strip_area_Q(0.01, CAT, 1, v), 1, 0),
     "multiplicity_pi-kappa": ("kappa", lambda v: multiplicity_pi(CAT, 1, v, ADAPTED), 2, 1),
-    "extremal_model-q": ("q", lambda v: extremal_model(CAT, v, ADAPTED), 2, 0),
+    "ExtremalModel-q": ("q", lambda v: ExtremalModel(CAT, v, ADAPTED), 2, 0),
     "threshold_u_n-n": ("n", lambda v: threshold_u_n(v, 1.0, EUCLID), 1000, 1),
     "wrap_time_g-n": ("n", lambda v: wrap_time_g(v, CAT, 1), 1000, 1),
     "polya_aeppli_pmf-k": ("k", lambda v: polya_aeppli_pmf(0.6, 3.0, v), 3, 0),
-    "multiplicity_table-k_max": ("k_max", lambda v: extremal_model(CAT, 1, ADAPTED).multiplicity_table(v), 3, 0),
-    "pmf_vector-k_max": ("k_max", lambda v: extremal_model(CAT, 1, ADAPTED).pmf_vector(3.0, v), 3, 0),
+    "multiplicity_table-k_max": ("k_max", lambda v: ExtremalModel(CAT, 1, ADAPTED).multiplicity_table(v), 3, 0),
+    "pmf_vector-k_max": ("k_max", lambda v: ExtremalModel(CAT, 1, ADAPTED).pmf_vector(3.0, v), 3, 0),
     "region-q": ("q", lambda v: RegionSpec(BALL, RegionKind.A_Q, q=v), 1, 1),
     "region-kappa": ("kappa", lambda v: RegionSpec(BALL, RegionKind.U_KAPPA, q=1, kappa=v), 1, 0),
     "monte_carlo_measure": ("samples", lambda v: monte_carlo_measure(ESCAPE, v, 1), 1000, 1000),
     "separation_check": ("samples", lambda v: separation_check(ExperimentConfig(n=1000), v, 1), 1000, 1000),
     "decluster_all": ("run_gap", lambda v: decluster_all(RECORDS, v, 100.0), 2, 1),
-    "repp_counts": ("horizon_steps", lambda v: repp_counts(RECORDS, v), 6, None),
+    "repp_counts": ("horizon_steps", lambda v: repp_counts(RECORDS, v), 6, 0),
     "chi_square_vs_pmf-k_min": ("k_min", lambda v: chi_square_vs_pmf(SIZES, poisson_pmf, v, 3), 1, 0),
     "chi_square_vs_pmf-k_max": ("k_max", lambda v: chi_square_vs_pmf(SIZES, poisson_pmf, 1, v), 3, 1),
+    "compute_period-zeta_num": ("zeta_num", lambda v: compute_period((1, v), 5, CAT, 25), 2, 0),
+    "compute_period-zeta_den": ("zeta_den", lambda v: compute_period((0, 0), v, CAT, 25), 5, 1),
+    "compute_period-max_period": ("max_period", lambda v: compute_period((1, 2), 5, CAT, v), 25, 1),
     "theory-q": ("--q: q", lambda v: theory(q=v), 1, 0),
     "theory-kmax": ("--kmax: kmax", lambda v: theory(kmax=v), 3, 1),
     "keyed_rng-seed": ("seed", lambda v: keyed_rng(v, 3).random(4), 7, None),
@@ -155,7 +164,7 @@ METRIC_ENTRY_POINTS = {
     "extremal_index-q0": lambda m: extremal_index(CAT, 0, m),
     "multiplicity_pi": lambda m: multiplicity_pi(CAT, 1, 2, m),
     "multiplicity_mass": lambda m: multiplicity_mass(CAT, 1, m),
-    "extremal_model": lambda m: extremal_model(CAT, 1, m),
+    "ExtremalModel": lambda m: ExtremalModel(CAT, 1, m),
 }
 
 
@@ -275,13 +284,49 @@ def test_oracle_sample_counts_stop_at_2_to_the_53(value, tmp_path, capsys):
 def test_multiplicity_rows_stop_at_max_k(value, capsys):
     # pmf_vector raised NumPy's unnamed "Maximum allowed size exceeded" at 10**400 and "array is too
     # big" at 2^62; multiplicity_table and theory --kmax ran without end
-    model = extremal_model(CAT, 1, ADAPTED)
-    for call in (model.multiplicity_table, lambda v: model.pmf_vector(2.0, v)):
+    model = ExtremalModel(CAT, 1, ADAPTED)
+    for call in (model.multiplicity_table, lambda v: model.pmf_vector(2.0, v),
+                 lambda v: chi_square_vs_pmf(SIZES, poisson_pmf, 1, v)):
         with pytest.raises(ValueError, match=f"^k_max must be <= {MAX_K}, got {value}$"):
             call(value)
     assert len(model.multiplicity_table(MAX_K)) == MAX_K
     assert main(["theory", "--n", "1000", "--kmax", str(value)]) == 2
     assert capsys.readouterr() == ("", f"error: ValueError: --kmax: kmax must be <= {MAX_K}, got {value}\n")
+
+
+CLUSTERS = decluster_all(RECORDS, 2, 100.0)
+# id: (the argument, the entry point as a function of it); each raised an unnamed AttributeError on None
+ESTIMATORS = {
+    "estimate_block_maxima_cdf": ("records", lambda v: estimate_block_maxima_cdf(ExperimentConfig(n=1000, trials=2), v)),
+    "decluster_all": ("records", lambda v: decluster_all(v, 5, 1.0)),
+    "repp_counts": ("records", lambda v: repp_counts(v, 6)),
+    "empirical_extremal_index": ("clusters", empirical_extremal_index),
+    "empirical_multiplicity": ("clusters", empirical_multiplicity),
+    "pooled_gaps": ("clusters", lambda v: pooled_gaps(v, 1.0)),
+    "gap_ks_statistic": ("clusters", lambda v: gap_ks_statistic(v, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name, call", ESTIMATORS.values(), ids=ESTIMATORS.keys())
+def test_estimators_take_the_records_or_clusters_they_read(name, call):
+    kind = "Records" if name == "records" else "Clusters"
+    other = CLUSTERS if name == "records" else RECORDS
+    for value in (None, other, [RECORDS]):
+        with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {re.escape(repr(value))}$"):
+            call(value)
+
+
+def test_chi_square_takes_integer_values_and_a_callable_pmf():
+    # a str pmf raised "TypeError: 'str' object is not callable"; a huge value an unnamed OverflowError,
+    # and floats and bools were read as the integers they truncate to
+    with pytest.raises(ValueError, match="^pmf must be callable, got 'abc'$"):
+        chi_square_vs_pmf([1, 2, 3], "abc", 1, 2)
+    for values, got in (([10**400], "object of shape (1,)"), (SIZES + (0.5,), "float64 of shape (101,)"),
+                        ((True,) * 100, "bool of shape (100,)"), ([SIZES], "int64 of shape (1, 100)"),
+                        (3, "int64 of shape ()")):
+        with pytest.raises(ValueError, match=f"^values must be a 1-d array of integers, got {re.escape(got)}$"):
+            chi_square_vs_pmf(values, poisson_pmf, 1, 3)
+    assert chi_square_vs_pmf(np.array(SIZES, np.uint8), poisson_pmf, 1, 3) == chi_square_vs_pmf(SIZES, poisson_pmf, 1, 3)
 
 
 COORDINATE = "torus coordinate {} must be a real in [0, 1), got "
@@ -370,15 +415,12 @@ RULE_MESSAGES = (
     "must be <= ",
     "must be finite and positive",
     "must lie in (0, {",
-    "must be a MetricKind",
-    "must be a ToralAutomorphism",
-    "must be a TorusPoint",
+    "must be {article} {kind.__name__}",
     "must be a real in [0, 1)",
-    "must be a Ball,",
-    "must be a RegionKind",
-    "must be a RegionSpec",
-    "must be an ExperimentConfig",
     "must be 0 or >= ",
+    "must be callable",
+    "must be a 1-d array of integers",
+    "must be a pair of numerators",
 )
 
 

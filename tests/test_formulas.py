@@ -19,8 +19,8 @@ from extorus import (
     area_A_q,
     ball_measure,
     chi_square_vs_pmf,
+    compute_period,
     extremal_index,
-    extremal_model,
     multiplicity_pi,
     nested_area_U,
     polya_aeppli_pmf,
@@ -287,7 +287,7 @@ class TestPolyaAeppli:
         assert polya_aeppli_pmf(0.6, 3.0, 170) == 3.051416786700066e-53
         with pytest.raises(ValueError, match=r"k must be in \[0, 170\], got 171; ExtremalModel.pmf_vector"):
             polya_aeppli_pmf(0.6, 3.0, 171)
-        assert extremal_model(CAT, 1, MetricKind.ADAPTED).pmf_vector(3.0, 171)[171] > 0.0
+        assert ExtremalModel(CAT, 1, MetricKind.ADAPTED).pmf_vector(3.0, 171)[171] > 0.0
 
 
 class TestWrapTime:
@@ -342,20 +342,20 @@ class TestWrapTime:
 
 class TestExtremalModel:
     def test_nonperiodic_concentrated(self):
-        model = extremal_model(CAT, 0, MetricKind.EUCLIDEAN)
+        model = ExtremalModel(CAT, 0, MetricKind.EUCLIDEAN)
         assert model.theta == 1.0
         assert model.multiplicity(1) == 1.0
         assert model.multiplicity(2) == 0.0
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_validated_mass(self, metric):
-        model = extremal_model(CAT, 2, metric)
+        model = ExtremalModel(CAT, 2, metric)
         assert math.fsum(model.multiplicity_table(400)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("q", [800, 2000])
     def test_euclidean_law_once_lam_q_overflows(self, q):
         # lam^q is inf in doubles: the law is its limit, all mass on one exceedance
-        model = extremal_model(CAT, q, EUCLID)
+        model = ExtremalModel(CAT, q, EUCLID)
         pis = model.multiplicity_table(3)
         assert model.theta == 1.0
         assert all(math.isfinite(p) for p in pis) and math.fsum(pis) == 1.0
@@ -365,17 +365,25 @@ class TestExtremalModel:
     def test_nan_law_is_refused(self, monkeypatch):
         monkeypatch.setattr(formulas, "multiplicity_pi", lambda *args: math.nan)
         with pytest.raises(ValueError, match="multiplicity law sums to nan"):
-            extremal_model(CAT, 1, EUCLID)
+            ExtremalModel(CAT, 1, EUCLID)
+
+    def test_theta_is_derived_not_given(self):
+        # theta was a free argument: ExtremalModel(CAT, 1, ADAPTED, 0.3) held a theta that its own
+        # geometric size law, pi(1) = 0.618, contradicted
+        with pytest.raises(TypeError):
+            ExtremalModel(CAT, 1, MetricKind.ADAPTED, 0.3)
+        model = ExtremalModel(CAT, 1, MetricKind.ADAPTED)
+        assert model.theta == model.multiplicity(1) == extremal_index(CAT, 1, MetricKind.ADAPTED)
 
     @pytest.mark.parametrize("matrix", [(3, 1, 2, 1), (-3, 1, -1, 0)])
     def test_euclidean_periodic_needs_symmetric_matrix(self, matrix):
         T = ToralAutomorphism(*matrix)
         for q in (1, 3):
             with pytest.raises(ValueError, match=r"need a symmetric matrix \(b == c\)"):
-                extremal_model(T, q, MetricKind.EUCLIDEAN)
+                ExtremalModel(T, q, MetricKind.EUCLIDEAN)
         # the adapted law and the non-periodic law take |lam| alone
-        assert extremal_model(T, 1, MetricKind.ADAPTED).theta == 1.0 - T.lam_abs**-1
-        assert extremal_model(T, 0, MetricKind.EUCLIDEAN).theta == 1.0
+        assert ExtremalModel(T, 1, MetricKind.ADAPTED).theta == 1.0 - T.lam_abs**-1
+        assert ExtremalModel(T, 0, MetricKind.EUCLIDEAN).theta == 1.0
 
 
 class TestDomain:
@@ -400,8 +408,8 @@ class TestDomain:
             ("T", lambda: multiplicity_pi(LAM, 1, 1, EUCLID)),
             ("T", lambda: multiplicity_mass(LAM, 1, EUCLID)),
             ("T", lambda: extremal_index(math.nan, 1, EUCLID)),
-            ("T", lambda: extremal_model(LAM, 1, EUCLID)),
-            ("T", lambda: ExtremalModel(LAM, 1, EUCLID, 0.5).multiplicity(1)),
+            ("T", lambda: compute_period((0, 0), 1, LAM, 10)),
+            ("T", lambda: ExtremalModel(LAM, 1, EUCLID)),
             ("T", lambda: wrap_time_g(1000, 1.0, 1)),
             ("T", lambda: Ball(2.618, TorusPoint(0.0, 0.0), 0.01, EUCLID)),
             ("q", lambda: extremal_index(CAT, -1, MetricKind.ADAPTED)),
@@ -409,15 +417,15 @@ class TestDomain:
             ("kappa", lambda: strip_area_Q(0.01, CAT, 1, -1)),
             ("kappa", lambda: nested_area_U(0.01, CAT, 1, -1)),
             ("kappa", lambda: multiplicity_pi(CAT, 1, 0, MetricKind.ADAPTED)),
-            ("kappa", lambda: extremal_model(CAT, 0, EUCLID).multiplicity(0)),
+            ("kappa", lambda: ExtremalModel(CAT, 0, EUCLID).multiplicity(0)),
             # a window length that is not finite: nan, and pmf_vector never returned
             ("t", lambda: polya_aeppli_pmf(0.5, math.nan, 2)),
             ("k", lambda: polya_aeppli_pmf(0.5, 2.0, -1)),
-            ("t", lambda: extremal_model(CAT, 1, EUCLID).pmf_vector(math.inf, 3)),
+            ("t", lambda: ExtremalModel(CAT, 1, EUCLID).pmf_vector(math.inf, 3)),
             # a bool, which math takes for 0 or 1: area_A_q(True, ...) gave the area at s = 1
             ("s", lambda: area_A_q(True, CAT, 1)),
             ("t", lambda: polya_aeppli_pmf(0.5, True, 2)),
-            ("t", lambda: extremal_model(CAT, 1, EUCLID).pmf_vector(True, 3)),
+            ("t", lambda: ExtremalModel(CAT, 1, EUCLID).pmf_vector(True, 3)),
         ],
     )
     def test_invalid_argument_raises(self, name, call):
@@ -431,7 +439,7 @@ class TestDomain:
         assert strip_area_Q(0.01, CAT, 1, 0) == area_A_q(0.01, CAT, 1) > 0
 
 
-# every (matrix, q, metric) that extremal_model accepts: at q >= 1 the Euclidean forms need b == c
+# every (matrix, q, metric) that ExtremalModel accepts: at q >= 1 the Euclidean forms need b == c
 PMF_CASES = [
     (matrix, q, metric)
     for matrix in [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0)]
@@ -448,7 +456,7 @@ class TestPmfVector:
     )
     def test_matches_mpmath_into_the_tail(self, matrix, q, metric, t):
         # into the tail, where a cut-off on the number of clusters would drop whole terms
-        model = extremal_model(ToralAutomorphism(*matrix), q, metric)
+        model = ExtremalModel(ToralAutomorphism(*matrix), q, metric)
         if metric is MetricKind.ADAPTED:
             k_max = 120
             exact = mp_polya_aeppli_pmf(model.theta, t, k_max)
@@ -460,13 +468,13 @@ class TestPmfVector:
         assert rel.max() <= 1e-14
 
     def test_matches_polya_aeppli_for_geometric_sizes(self):
-        model = extremal_model(CAT, 1, MetricKind.ADAPTED)
+        model = ExtremalModel(CAT, 1, MetricKind.ADAPTED)
         pmf = model.pmf_vector(2.0, 20)
         for k in range(21):
             assert pmf[k] == pytest.approx(polya_aeppli_pmf(model.theta, 2.0, k), abs=1e-12)
 
     def test_euclidean_law_is_probability(self):
-        model = extremal_model(CAT, 1, MetricKind.EUCLIDEAN)
+        model = ExtremalModel(CAT, 1, MetricKind.EUCLIDEAN)
         pmf = model.pmf_vector(3.0, 120)
         assert float(pmf.sum()) == pytest.approx(1.0, abs=1e-9)
         mean = float(np.arange(121) @ pmf)
@@ -615,7 +623,7 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_model(self, metric):
-        model = extremal_model(CAT, 1, metric)
+        model = ExtremalModel(CAT, 1, metric)
         pinned = PINNED_MODELS[metric.value]
         assert model.theta.hex() == pinned["theta"]
         assert tuple(model.multiplicity(k).hex() for k in range(1, 6)) == pinned["pi"]
@@ -630,5 +638,5 @@ class TestPinnedBits:
 
     @pytest.mark.parametrize("q", sorted(PINNED_LARGE_Q))
     def test_euclidean_law_up_to_large_q(self, q):
-        model = extremal_model(CAT, q, EUCLID)
+        model = ExtremalModel(CAT, q, EUCLID)
         assert (model.theta.hex(), tuple(model.multiplicity(k).hex() for k in (1, 2, 3))) == PINNED_LARGE_Q[q]

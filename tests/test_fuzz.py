@@ -5,8 +5,9 @@ the doubles, signed zeros, nan and the infinities, subnormals, NumPy
 scalars, bools, a Fraction, a Decimal, a string, None) in place of a
 valid one. It must return its documented type, a Python float where it
 returns a number and never a NumPy scalar, or raise an ExtorusError or a
-ValueError whose message names the argument. Each CLI subcommand, given
-one awkward flag value, exits 0, 1 or 2 and raises nothing.
+ValueError whose message names the argument. The law's theta is
+extremal_index's, bit for bit. Each CLI subcommand, given one awkward
+flag value, exits 0, 1 or 2 and raises nothing.
 
 Out of the pools, because it asks for unbounded work rather than gives a
 bad value: a valid count beyond the doubles for validate's --workers
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 from extorus import (
     Ball,
+    Clusters,
     ExperimentConfig,
     ExtorusError,
     ExtremalModel,
@@ -42,13 +44,20 @@ from extorus import (
     TorusPoint,
     area_A_q,
     ball_measure,
+    chi_square_vs_pmf,
+    compute_period,
+    decluster_all,
+    empirical_extremal_index,
+    empirical_multiplicity,
+    estimate_block_maxima_cdf,
     estimate_run,
     extremal_index,
-    extremal_model,
+    gap_ks_statistic,
     monte_carlo_measure,
     multiplicity_pi,
     nested_area_U,
     polya_aeppli_pmf,
+    repp_counts,
     run_experiment,
     separation_check,
     strip_area_Q,
@@ -58,11 +67,18 @@ from extorus import (
 )
 from extorus.cli import main
 from extorus.formulas import multiplicity_mass
+from extorus.simulate import pooled_gaps
+
+from _reference import records_of
 
 CAT = ToralAutomorphism(2, 1, 1, 1)
 EUCLID, ADAPTED = MetricKind.EUCLIDEAN, MetricKind.ADAPTED
-MODEL = extremal_model(CAT, 1, EUCLID)
+MODEL = ExtremalModel(CAT, 1, EUCLID)
 BALL = Ball(CAT, TorusPoint(0.0, 0.0), 0.01, EUCLID)
+RECORDS = records_of([((5, 6, 7, 500), (9.0,) * 4, 9.0), ((3,), (9.0,), 9.0)])
+# 30 clusters of one trial, 29 gaps: enough for the gap KS test
+CLUSTERS = Clusters(np.zeros(30, np.int64), np.ones(30, np.int64), np.linspace(0.0, 0.9, 30) ** 2, 1)
+SIZES = (0,) * 37 + (1,) * 37 + (2,) * 18 + (3,) * 6 + (4,) * 2
 AWKWARD = [
     10**400, -(10**400), 0, -1, 3, 0.0, -0.0, 0.5, math.nan, math.inf, -math.inf, 5e-324, 2.0**-1030,
     np.float32(0.01), np.float32(math.nan), np.float64(2.5), np.int8(3), np.uint64(7), True, False,
@@ -78,8 +94,13 @@ def one_wrong(valid: dict) -> st.SearchStrategy:
     )
 
 
-def holds(call, name: str, returns: type):
-    """The contract on call(): a result of type `returns`, an ExtorusError, or a ValueError naming `name`."""
+def poisson_pmf(k: int) -> float:
+    return math.exp(-1.0) / math.factorial(k)
+
+
+def holds(call, name: str, returns: type | tuple[type, ...]):
+    """The contract on call(): a result of type `returns` (or of one of them), an ExtorusError, or a
+    ValueError naming `name`."""
     try:
         result = call()
     except ExtorusError:
@@ -87,7 +108,7 @@ def holds(call, name: str, returns: type):
     except ValueError as exc:
         assert re.search(rf"(^|\W){re.escape(name)}\b", str(exc)), f"{name}: {exc}"
         return None
-    assert type(result) is returns, (name, result)
+    assert type(result) in (returns if isinstance(returns, tuple) else (returns,)), (name, result)
     return result
 
 
@@ -100,8 +121,8 @@ FORMS = {
     "multiplicity_pi": (multiplicity_pi, dict(T=CAT, q=1, kappa=2, metric=EUCLID), float),
     "multiplicity_mass": (multiplicity_mass, dict(T=CAT, q=2, metric=EUCLID), float),
     "wrap_time_g": (wrap_time_g, dict(n=1000, T=CAT, q=1, tau=1.0), int),
-    "extremal_model": (extremal_model, dict(T=CAT, q=1, metric=EUCLID), ExtremalModel),
-    "ExtremalModel": (ExtremalModel, dict(T=CAT, q=1, metric=ADAPTED, theta=0.5), ExtremalModel),
+    "ExtremalModel": (ExtremalModel, dict(T=CAT, q=1, metric=ADAPTED), ExtremalModel),
+    "ExtremalModel-euclidean": (ExtremalModel, dict(T=CAT, q=1, metric=EUCLID), ExtremalModel),
     "ball_measure": (ball_measure, dict(radius=0.01, metric=ADAPTED, basis_det=0.5), float),
     "threshold_u_n": (threshold_u_n, dict(n=1000, tau=1.0, metric=ADAPTED, basis_det=0.5), float),
     "threshold_radius": (threshold_radius, dict(n=1000, tau=1.0, metric=EUCLID, basis_det=0.5), float),
@@ -117,6 +138,21 @@ FORMS = {
         MeasureEstimate,
     ),
     "separation_check": (separation_check, dict(cfg=ExperimentConfig(n=1000), samples=1000, seed=1), bool),
+    "estimate_block_maxima_cdf": (
+        estimate_block_maxima_cdf, dict(cfg=ExperimentConfig(n=1000, trials=2), records=RECORDS), tuple
+    ),
+    "decluster_all": (decluster_all, dict(records=RECORDS, run_gap=2, v_n=100.0), Clusters),
+    "repp_counts": (repp_counts, dict(records=RECORDS, horizon_steps=6), np.ndarray),
+    "empirical_extremal_index": (empirical_extremal_index, dict(clusters=CLUSTERS), float),
+    "empirical_multiplicity": (empirical_multiplicity, dict(clusters=CLUSTERS), dict),
+    "pooled_gaps": (pooled_gaps, dict(clusters=CLUSTERS, window_span=1.0), np.ndarray),
+    "gap_ks_statistic": (gap_ks_statistic, dict(clusters=CLUSTERS, theta=0.5, window_span=1.0), tuple),
+    # k_max above the pool's small counts: a k_min past k_max is refused as "k_max must be >= k_min"
+    "chi_square_vs_pmf": (chi_square_vs_pmf, dict(values=SIZES, pmf=poisson_pmf, k_min=1, k_max=9), tuple),
+    # the point (1, 2) / 5 has period 2 on the cat map; with a denominator past the doubles it has none below 25
+    "compute_period": (
+        compute_period, dict(zeta_num=(1, 2), zeta_den=5, T=CAT, max_period=25), (int, type(None))
+    ),
 }
 
 
@@ -129,8 +165,11 @@ def test_each_form_returns_its_type_or_refuses_by_name(form, data):
     result = holds(lambda: call(**args), "worker count" if name == "workers" else name, returns)
     if isinstance(result, ExtremalModel):
         assert type(result.theta) is float and type(result.q) is int
+        assert result.theta.hex() == extremal_index(result.T, result.q, result.metric).hex()
     if isinstance(result, np.ndarray):
-        assert result.dtype == np.float64 and np.isfinite(result).all()
+        assert result.dtype == (np.int64 if form == "repp_counts" else np.float64) and np.isfinite(result).all()
+    if isinstance(result, tuple):
+        assert all(type(value) in (float, int) for value in result)
     if isinstance(result, Ball):
         assert type(result.radius) is float
     if isinstance(result, TorusPoint):

@@ -3,8 +3,8 @@
 The benchmark digests the Euclidean cat-map oracle at the origin and a
 few simulate runs. These pins cover the rest of the metric-ball code:
 every region kind in both metrics on two matrices, the measure-ratio
-estimator, and the engine at a decimal centre and on a matrix with
-negative entries.
+estimator, the engine at a decimal centre and on a matrix with
+negative entries, and the points that Ball.points samples.
 Floats are compared as float.hex and record columns by sha256, so a
 change that moves one bit fails here.
 """
@@ -12,9 +12,11 @@ change that moves one bit fails here.
 from __future__ import annotations
 
 import hashlib
+import math
 import zlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from extorus import (
@@ -127,6 +129,27 @@ ENGINE_PINS = {
     "-3,1,-1,0-euclidean-origin": "c3f910064a341a8268afe2b71efd2b4c5c5ab3d805b7dd331fa0530f36dbe19f",
 }
 
+# sha256 of (px, py) of Ball.points on the uniforms of ball_points, one pair per "matrix-metric"
+POINT_PINS = {
+    "2,1,1,1-euclidean": ("87620f09c74f4fd6ee4c6f27494eb33bcd08af717fbd8f0f38c166130369364f",
+                          "dbbae172f04cd9f7d34030a42d1c14742aa4186823cd49a959d7ec85e5c1a2f5"),
+    "2,1,1,1-adapted": ("338a0bd89c45c762ebd4f1adec3e1d8e5354189021fd8dc19a5b37d9cbb4e999",
+                        "c27ac078876de185183a139028519fb375a4b5e824d995abfe131fb8c65c6648"),
+    "3,1,2,1-euclidean": ("9d3fd30083bfd9998d6ba76fe217d9c8ec670101999bdf0959e24e63a57dcea1",
+                          "a02bd3153da2b38dd8558a7946de38d4410d64cda89d98c1a5ec3bc3f7c5ad38"),
+    "3,1,2,1-adapted": ("e20097691bf680ffd1d85529705ab301c316e49083ad9f8841bcdcf59eac2beb",
+                        "2adebdad3ae0719ba6927c5cf3b15b9dcb1ac7fcf2edc74be7eee226e558f738"),
+    "1000,999,1,1-euclidean": ("0fe523093093757b95fb0e07775c976cb6cccac8e2b66d0b1974244ac13242e6",
+                               "566c9db9d8a817108f08c56421541c99002ef87b83c30b9872aa843636e20e59"),
+    "1000,999,1,1-adapted": ("40d1d2422ac49747949bc740d41f1ee48d1c3a9ecbe8cd480507ab7829bc9646",
+                             "02e18923d22a57a987cb88db0576d79576a2aafdde6ef89f68804b36cf0870d7"),
+}
+
+# uniforms at the ends of [0, 1), around its quarters, and at the tie of the rim's angle
+EDGE_UNIFORMS = np.array([
+    0.0, 2.0**-53, math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.25, 1.0), 0.5, 0.75, 1.0 - 2.0**-53
+])
+
 RATIO_CONFIGS = {
     "adapted-q1": dict(metric=MetricKind.ADAPTED),
     "adapted-q2": dict(metric=MetricKind.ADAPTED, zeta=(Fraction(1, 5), Fraction(2, 5))),
@@ -157,6 +180,23 @@ def case_id(matrix, metric, kind, q, kappa) -> str:
 def test_oracle_keeps_its_bits(case):
     estimate, std_error = oracle(*case)
     assert (estimate.hex(), std_error.hex()) == ORACLE_PINS[case_id(*case)]
+
+
+def ball_points(name: str):
+    """Ball.points of the radius-0.01 ball at (0.3, 1 - 2^-53) on every pair of EDGE_UNIFORMS and 2^14 draws."""
+    matrix, metric = name.split("-")
+    ball = Ball(ToralAutomorphism(*map(int, matrix.split(","))), TorusPoint(0.3, 1.0 - 2.0**-53), 0.01,
+                MetricKind(metric))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    u = np.concatenate([np.repeat(EDGE_UNIFORMS, EDGE_UNIFORMS.size), rng.random(1 << 14)])
+    v = np.concatenate([np.tile(EDGE_UNIFORMS, EDGE_UNIFORMS.size), rng.random(1 << 14)])
+    return ball.points(u, v)
+
+
+@pytest.mark.parametrize("name", list(POINT_PINS))
+def test_ball_points_keep_their_bits(name):
+    px, py = ball_points(name)
+    assert tuple(hashlib.sha256(c.tobytes()).hexdigest() for c in (px, py)) == POINT_PINS[name]
 
 
 @pytest.mark.parametrize("name", list(RATIO_CONFIGS))

@@ -303,8 +303,8 @@ class TestPowerTable:
                 rows = max(1, elements // width)  # B of a walk of at least `rows` steps
                 table = torus._power_table(step, rows)
                 assert table.dtype == np.int64 and np.array_equal(table, expected[:rows])
-                # each doubling's first and last row, and the last of the Python rows, by repeated squaring
-                edges = {1, torus._PYTHON_ROWS, rows} | {k for j in range(17) for k in (1 << j, (1 << j) + 1)}
+                # rows 1-4, the first doublings, and each later doubling's first and last row, by repeated squaring
+                edges = {1, 2, 3, 4, rows} | {k for j in range(17) for k in (1 << j, (1 << j) + 1)}
                 for k in sorted(k for k in edges if k <= rows):
                     assert tuple(table[k - 1].tolist()) == torus._power(entries, abs(stride) * k)
                 self.check_block_edges(T, entries, stride, elements, width, rows)
@@ -435,20 +435,20 @@ class TestBallDistance:
         u, v = (a.ravel() for a in np.meshgrid(edges, edges))
         px, _ = ball.points(u, v)
         reach = np.abs(px / MODULUS - 0.5).max()
-        assert ball.x_extent * (1 - 1e-9) <= reach <= ball.x_extent * (1 + 1e-9)
+        x_reach = ball.reach((1, 0))
+        assert x_reach * (1 - 1e-9) <= reach <= x_reach * (1 + 1e-9)
 
     @pytest.mark.parametrize("metric", list(MetricKind))
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)])
     def test_reach_is_the_sampled_balls_reach_along_a_row(self, metric, matrix):
         T = ToralAutomorphism(*matrix)
         ball = Ball(T, TorusPoint(0.5, 0.5), 0.01, metric)
-        assert ball.x_extent == ball.reach((1, 0))
         # the disc's rim at a fine grid of angles, and the square's corners
         if metric is MetricKind.EUCLIDEAN:
             u, v = np.full(1 << 20, 1.0 - 2.0**-53), np.arange(1 << 20) / (1 << 20)
         else:
             u, v = np.array([0.0, 0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-53]), np.array([0.0, 1.0 - 2.0**-53] * 2)
-        ox, oy = ball._offsets(u, v)
+        ox, oy = ball._offsets(u, v, np.empty((4, u.size)))
         # rows 0 of A and of A^-1, and one of neither
         for row in ((T.a, T.b), (T.d, -T.b), (2, -7)):
             reach = np.abs(row[0] * ox + row[1] * oy).max()
@@ -482,7 +482,7 @@ class TestRoughPoints:
         v = np.concatenate([EDGE_UNIFORMS[::-1], rng.random(5000)])
         work = np.full((4, u.size + 7), np.nan)  # a wider workspace, holding nan
         rough = ball.rough_offsets(u, v, work)
-        for got, want in zip(rough, ball._offsets(u, v)):
+        for got, want in zip(rough, ball._offsets(u, v, np.empty((4, u.size)))):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
         assert all(np.shares_memory(o, work) for o in rough)
 
