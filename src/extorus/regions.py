@@ -12,7 +12,9 @@ times, then out of it `outside` times.
 
 One routine, _members, decides every membership: each row of keys of a
 walk of the orbits is compared with a band [lo, hi) around key_radius
-and folded into a member mask and an unsure mask, one row at a time.
+and folded into two masks, one row at a time and in any order: strict,
+the points every row decides in the region's favour, and loose, those
+no row decisively fails; the unsure points are loose but not strict.
 membership_mask feeds it the exact walk, _exact_keys, with bands of zero
 width, which leave no point unsure: orbits by the exact residue kernel
 of the torus module (points are snapped to the 2**61 grid, after which
@@ -36,12 +38,17 @@ both a slice of _SLICE points at a time, v from a copy of the
 stream advanced `count` draws on, so no caller holds an array larger
 than a slice, whatever the sample size.
 
-_decided_slices decides a sample a slice at a time: a float walk of the
-slice's Ball.rough_offsets (float32 trig, no residues, _rough_keys) with
-bands as wide as its error bound, then the few samples the bands leave
-unsure (about 1 in 1e5 at criterion 2) on their exact Ball.points by
-membership_mask, so every sample is decided as on its exact point. Time
-0 takes no key:
+_decided_slices decides a sample a slice at a time on rough keys with
+bands as wide as their error bounds, then the few samples the bands
+leave unsure (about 1 in 1e5 at criterion 2) on their exact Ball.points
+by membership_mask, so every sample is decided as on its exact point.
+The rough key of a row (_row_plan) is the quadratic form where it may
+be: a Euclidean row whose stride fixes the centre keys each sample by
+o^T G o, G the exact Gram matrix of the row's matrix power, from u and
+the float32 cos and sin of the doubled angle 4 pi v (Ball.rough_doubled,
+_form_keys), with no offsets and no fold. Every other row keys the
+float walk of the slice's Ball.rough_offsets (float32 trig, no
+residues, _rough_keys). Time 0 takes no key:
 Ball.placed places a sample's point there in the ball from its uniforms
 alone (u < u*, for the Euclidean metric, with 1 - u* about 6e-6), and
 the samples it does not place are unsure. The oracle counts the
@@ -63,7 +70,7 @@ import numpy as np
 
 from .errors import OutOfLocalRange
 from .formulas import _power, ball_measure
-from .torus import MODULUS, Ball, check_count, check_type, keyed_rng, map_jobs, orbit_blocks, power_norm_sq
+from .torus import MODULUS, Ball, MetricKind, check_count, check_type, keyed_rng, map_jobs, orbit_blocks
 from .torus import _power as _matrix_power
 
 if TYPE_CHECKING:  # simulate imports this module
@@ -79,6 +86,13 @@ _SLICE = 3 << 12
 MIN_SAMPLES = 1000  # the fewest samples the oracle and the separation scan take
 # the most: 2^53 is the largest count whose hit fraction a double holds exactly
 MAX_SAMPLES = 1 << 53
+# The largest ||A^(st)||_F of a row that takes the quadratic form (_row_plan): every row of
+# criteria 2 and 3 (the deepest, the cat map's A^4, has norm 47). The form's band is about
+# ||A^(st)||_F / 8 times the float walk's, and the samples it leaves unsure soon send slice
+# after slice to the exact path, whose fixed cost is about 70 us a slice: on 1000,999,1,1's
+# first row (norm 1413) at radius 1e-7 the form left 5.5e-4 of the samples unsure, the walk
+# 1.5e-5, and a chunk took 28-30 ns a sample against the walk's 23.
+_FORM_NORM = 64.0
 
 
 def check_samples(name: str, value, minimum: int | None = MIN_SAMPLES) -> int:
@@ -122,29 +136,36 @@ def _walk(region: RegionSpec) -> tuple[int, int, int]:
 
 
 def _members(
-    region: RegionSpec, keys: Iterable[np.ndarray], lo: np.ndarray, hi: np.ndarray, placed: np.ndarray | None = None
+    region: RegionSpec, keys: Iterable[tuple[int, np.ndarray]], lo: np.ndarray, hi: np.ndarray,
+    placed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(member, unsure): the points the region's walk decides are in it, and
     the points whose keys it cannot decide, from the rows of keys of one walk.
 
-    keys yields the walk's rows of keys in time order, from row 0, or from
-    row 1 when placed decides row 0: the float walk (_rough_keys) or the
-    exact one (_exact_keys). lo and hi hold a key band [lo[t], hi[t]) per
-    row t. A point is unsure if a key lies in its row's band, and a member
-    if its key is below lo[t] at the rows t < inside and at least hi[t] at
-    the rows after; a key in its band fails both tests, so no unsure point
-    is a member. With lo = hi = key_radius at every row, no point is
-    unsure. placed, if given, decides row 0 with no key: the points it
-    holds have keys below lo[0] there (Ball.placed), and the rest are
-    unsure.
+    keys yields (t, key) for each row t of the walk once, in any order, row
+    0 among them unless placed decides it: the float walk and the quadratic
+    form (_slice_keys) or the exact walk (_exact_keys). lo and hi hold a key
+    band [lo[t], hi[t]) per row t. Each row is folded into two masks: strict,
+    the points whose keys are below lo[t] at the rows t < inside and at
+    least hi[t] at the rows after, and loose, the points no row decisively
+    fails, whose keys are below hi[t] at the rows t < inside and at least
+    lo[t] after. A member is strict; an unsure point is loose but not
+    strict, so a point that some row decisively fails is out whatever its
+    band rows say. With lo = hi = key_radius at every row, the two masks
+    agree and no point is unsure. placed, if given, decides row 0 with no
+    key: the points it holds have keys below lo[0] there (Ball.placed), and
+    the rest are loose.
     """
     inside = _walk(region)[1]
-    member, unsure, t = (True, False, 0) if placed is None else (placed, ~placed, 1)
-    for key in keys:
-        unsure = unsure | ((lo[t] <= key) & (key < hi[t]))
-        member = member & ((key < lo[t]) if t < inside else (key >= hi[t]))
-        t += 1
-    return member, unsure
+    strict, loose = (True if placed is None else placed), True
+    for t, key in keys:
+        if t < inside:
+            strict = strict & (key < lo[t])
+            loose = loose & (key < hi[t])
+        else:
+            strict = strict & (key >= hi[t])
+            loose = loose & (key >= lo[t])
+    return strict, loose & ~strict
 
 
 def _exact_keys(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> Iterator[np.ndarray]:
@@ -159,14 +180,23 @@ def membership_mask(region: RegionSpec, px: np.ndarray, py: np.ndarray) -> np.nd
     """Vectorised membership of residue-array points in the region: _members with exact bands."""
     _, inside, outside = _walk(region)
     radius = np.full(inside + outside, region.ball.key_radius)
-    return _members(region, _exact_keys(region, px, py), radius, radius)[0]
+    return _members(region, enumerate(_exact_keys(region, px, py)), radius, radius)[0]
 
 
-def _float_rows(region: RegionSpec) -> list[tuple[tuple[float, ...], float, float]]:
-    """((a, b, c, d), cx, cy) of each row t >= 1 of the region's walk: A^(st),
-    the exact integer power, as doubles (clamped at 2^1000, where the row's
-    band holds every key), and c_t, the folded offset of A^(st) z from the
-    centre, z the centre's grid point: 0 where A^(st) fixes z.
+class _Row(NamedTuple):
+    """Row t >= 1 of a region's walk, as the float walk and the quadratic form read it."""
+
+    matrix: tuple[float, float, float, float]  # A^(st) as doubles, clamped at 2^1000
+    cx: float  # c_t: the folded offset of A^(st) z from the centre, z the centre's grid point
+    cy: float
+    gram: tuple[int, int, int]  # (alpha, beta, gamma), the exact entries of G_t = (A^(st))^T A^(st)
+
+
+def _float_rows(region: RegionSpec) -> list[_Row]:
+    """Each row t >= 1 of the region's walk: A^(st), the exact integer power,
+    as doubles (clamped at 2^1000, where the row's band holds every key), the
+    drift c_t, 0 where A^(st) fixes z, and the exact Gram matrix G_t, whose
+    trace alpha + gamma is ||A^(st)||_F^2 (torus.power_norm_sq).
     """
     ball, mask, cap = region.ball, MODULUS - 1, 1 << 1000
     stride, inside, outside = _walk(region)
@@ -177,17 +207,20 @@ def _float_rows(region: RegionSpec) -> list[tuple[tuple[float, ...], float, floa
         power = _matrix_power(ball.T.entries, stride * t, mask=-1)
         a, b, c, d = power
         drift = (((a * zx + b * zy) & mask) / MODULUS - centre[0], ((c * zx + d * zy) & mask) / MODULUS - centre[1])
-        rows.append((tuple(float(max(-cap, min(e, cap))) for e in power), *(x - round(x) for x in drift)))
+        matrix = tuple(float(max(-cap, min(e, cap))) for e in power)
+        rows.append(_Row(matrix, *(x - round(x) for x in drift), (a * a + c * c, a * b + c * d, b * b + d * d)))
     return rows
 
 
-def _rough_keys(ball: Ball, rows: list, ox: np.ndarray, oy: np.ndarray, work: np.ndarray) -> Iterator[np.ndarray]:
+def _rough_keys(
+    ball: Ball, rows: Iterable[_Row], ox: np.ndarray, oy: np.ndarray, work: np.ndarray
+) -> Iterator[np.ndarray]:
     """The float walk from the offsets (ox, oy): Ball.offset_key(A^(st) (ox, oy) + c_t)
-    at each of _float_rows' rows, in the rows of work, a (4, len(ox)) float64
-    array, so each row of keys holds until the next is yielded.
+    at each of the rows, in the rows of work, a (4, len(ox)) float64 array,
+    so each row of keys holds until the next is yielded.
     """
     dx, dy = work[:2]
-    for (a, b, c, d), cx, cy in rows:
+    for (a, b, c, d), cx, cy, _ in rows:
         np.multiply(ox, a, out=dx)
         dx += np.multiply(oy, b, out=work[2])
         np.multiply(ox, c, out=dy)
@@ -196,6 +229,23 @@ def _rough_keys(ball: Ball, rows: list, ox: np.ndarray, oy: np.ndarray, work: np
             dx += cx
             dy += cy
         yield ball.offset_key(dx, dy, work[2:])
+
+
+def _form_keys(
+    forms: Iterable[tuple[float, float, float]], u: np.ndarray, cos: np.ndarray, sin: np.ndarray, work: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The quadratic form's keys u (p + q cos + b sin) for each (p, q, b) of forms,
+    cos and sin those of the doubled angle (Ball.rough_doubled), in the first
+    row of work, a (2, len(u)) float64 array, so each row of keys holds until
+    the next is yielded.
+    """
+    key, tmp = work
+    for p, q, b in forms:
+        np.multiply(cos, q, out=key)
+        key += np.multiply(sin, b, out=tmp)
+        key += p
+        key *= u
+        yield key
 
 
 def _uniform_slices(
@@ -234,7 +284,7 @@ def _local_range_guard(region: RegionSpec) -> None:
 
 def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(u, v, member) of each _uniform_slices slice of a sample of `count`
-    points, member deciding each sample on its float walk where an error
+    points, member deciding each sample on its rough keys where an error
     bound proves the answer and on its exact point elsewhere. The arrays
     hold until the next slice is drawn.
 
@@ -267,7 +317,44 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     Ball.key_band(eps_t) is on the exact key's side of key_radius. A row of
     norm 2^48 or more has eps_t >= 1: its band holds every key.
 
-    _members walks the rough offsets with these bands, and membership_mask
+    The quadratic form keys a Euclidean row with no drift in place of the
+    walk. With G = (A^k)^T A^k = [[alpha, beta], [beta, gamma]], exact in
+    integers, |A^k o|^2 = o^T G o, and for o = r sqrt(u) (cos, sin)(2 pi v)
+    that is r^2 u (P + Q cos 4 pi v + beta sin 4 pi v), P = (alpha + gamma)/2
+    = ||A^k||_F^2 / 2 and Q = (alpha - gamma)/2. The form's key F takes the
+    doubled angle's cos and sin from Ball.rough_doubled and no offset, fold
+    or drift: five array operations a row, against thirteen for the walk.
+    A row may take it (_form_band) where |c_k| <= 2^-50 in both coordinates
+    (the centre's grid point is fixed by A^k up to the reading of a
+    residue; c_k is 0 where the stride fixes z exactly, as at the origin)
+    and (||A^k||_F + 1) r + 2 eps'_t < 1, with eps'_t = ||A^k||_F
+    Ball.rounding_error; it does where ||A^k||_F <= _FORM_NORM too. Its band
+    is [(r - eps'_t)^2 - E_t, (r + eps'_t)^2 + E_t) (lo clamped as in
+    Ball.key_band), E_t = r^2 ((|Q| + |beta|) 2^-21 + (P + |Q| + |beta|) 2^-48):
+    * F is within E_t of |A^k o|^2. The trig is within 2^-21 of float64 cos
+      and sin of the same float64 angle; those of 2 pi frac(2v) and the
+      doubled angle of o's own float64 trig are within 2^-49.3, as each
+      angle rounds once, which the 2^-21 absorbs (its worst case on 2^22
+      draws is 2^-21.9). By Q and beta the trig moves F by (|Q| + |beta|)
+      times that. The rest are relative roundings of terms no larger than
+      r^2 (P + |Q| + |beta|): o's coordinates and r sqrt(u), 2^-51; the
+      squares and products of o's float64 cos and sin against the doubled
+      angle's, 2^-51; the coefficients, products, sums and the factor u of
+      F, 2^-50.4; with the rest, under 2^-48. Subnormal roundings, under
+      2^-1074 each, are far below eps'_t^2.
+    * |A^k o| is within ||A^k||_F 2^-52.4 + |c_k| + 2^-52 of the distance of
+      p's image from the centre along the unfolded A^k (p - z) + c_k, and
+      the exact key rounds that distance by under 2^-51: in all under
+      ||A^k||_F 2^-49.9 <= eps'_t, since ||A^k||_F >= sqrt 2.
+    So F < lo_t puts the exact key below key_radius, and F >= hi_t puts the
+    unfolded image at least r + eps'_t from the centre. No other
+    representative of it comes nearer: the image is within ||A^k||_F r +
+    eps'_t / 4 of the centre, so the others are at least 1 - ||A^k||_F r -
+    eps'_t / 4 > r + eps'_t away, by the guard. Every other row takes the
+    walk: adapted rows, drifting rows, rows whose images could wrap and rows
+    past _FORM_NORM.
+
+    _members folds the rows with these bands, and membership_mask takes
     the unsure samples, none of them a member, on their exact points, which
     Ball.points gives from their own u and v alone. Row 0 takes no key:
     Ball.placed proves from u and v that a sample's exact key there is below
@@ -275,20 +362,78 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     unsure.
     """
     ball = region.ball
-    stride, inside, outside = _walk(region)
-    # past 2^1000, eps_t exceeds every key (the band holds them all) and float() would overflow
-    norms = [math.sqrt(min(power_norm_sq(ball.T, stride * t), 1 << 1000)) for t in range(inside + outside)]
-    lo, hi = ball.key_band(ball.rough_error * np.array(norms))
-    rows = _float_rows(region)
-    # the uniforms, the rough offsets, and the float walk's two rows and its keys' scratch
+    lo, hi, forms, walks = _row_plan(region)
+    # the uniforms, then the form's doubled trig and keys, or the rough offsets and the float walk's rows
     work = np.empty((8, min(count, _SLICE)))
     for u, v in _uniform_slices(count, seed, key, work[:2]):
-        ox, oy = ball.rough_offsets(u, v, work[2:6])
-        keys = _rough_keys(ball, rows, ox, oy, work[4:, : u.size])
+        keys = _slice_keys(ball, forms, walks, u, v, work[2:, : u.size])
         member, unsure = _members(region, keys, lo, hi, ball.placed(u, v, lo[0]))
         if unsure.any():
             member[unsure] = membership_mask(region, *ball.points(u[unsure], v[unsure]))
         yield u, v, member
+
+
+def _row_plan(region: RegionSpec) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """(lo, hi, forms, walks): the key band [lo[t], hi[t]) of each row t of the
+    region's walk, and its rows t >= 1 split between the quadratic form,
+    forms = [(t, (p, q, b))] (_form_band), and the float walk,
+    walks = [(t, _Row)]: a row takes the form where _form_band allows it
+    and ||A^(st)||_F <= _FORM_NORM.
+    """
+    ball = region.ball
+    rows = _float_rows(region)
+    # ||A^(st)||_F; past 2^1000, eps_t exceeds every key (the band holds them all) and float() would overflow
+    norms = [math.sqrt(2)] + [math.sqrt(min(row.gram[0] + row.gram[2], 1 << 1000)) for row in rows]
+    lo, hi = ball.key_band(ball.rough_error * np.array(norms))
+    forms, walks = [], []
+    for t, row in enumerate(rows, 1):
+        form = _form_band(ball, row, norms[t]) if norms[t] <= _FORM_NORM else None
+        if form is None:
+            walks.append((t, row))
+        else:
+            lo[t], hi[t], coefficients = form
+            forms.append((t, coefficients))
+    return lo, hi, forms, walks
+
+
+def _form_band(ball: Ball, row: _Row, norm: float) -> tuple[float, float, tuple[float, float, float]] | None:
+    """(lo, hi, (p, q, b)) of the quadratic form at a row of norm ||A^(st)||_F:
+    its key band and r^2 (P, Q, beta), or None where the row may not take it
+    (an adapted ball, a drift, or images that could fold back into the ball).
+    _decided_slices proves the band.
+    """
+    r, r2 = ball.radius, ball.key_radius
+    eps = norm * ball.rounding_error
+    if (
+        ball.metric is not MetricKind.EUCLIDEAN
+        or max(abs(row.cx), abs(row.cy)) > 2.0**-50
+        or (norm + 1.0) * r + 2.0 * eps >= 1.0
+    ):
+        return None
+    alpha, beta, gamma = row.gram
+    p, q = (alpha + gamma) / 2, (alpha - gamma) / 2
+    trig = r2 * ((abs(q) + abs(beta)) * 2.0**-21 + (p + abs(q) + abs(beta)) * 2.0**-48)
+    (lo,), (hi,) = ball.key_band(np.array([eps]))
+    return lo - trig, hi + trig, (r2 * p, r2 * q, r2 * beta)
+
+
+def _slice_keys(
+    ball: Ball, forms: list, walks: list, u: np.ndarray, v: np.ndarray, work: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, key) of each row t >= 1 of a slice's walk, _row_plan's forms first and
+    then its walks, in the rows of work, a (6, len(u)) float64 array: the
+    form takes its doubled trig in rows 0-2 and its keys in rows 2-3, and
+    the walk its rough offsets in rows 0-3 and its keys in rows 2-5. Each
+    key holds until the next is yielded.
+    """
+    if forms:
+        ts, coefficients = zip(*forms)
+        cos, sin = ball.rough_doubled(v, work[:3])
+        yield from zip(ts, _form_keys(coefficients, u, cos, sin, work[2:4]))
+    if walks:
+        ts, rows = zip(*walks)
+        ox, oy = ball.rough_offsets(u, v, work[:4])
+        yield from zip(ts, _rough_keys(ball, rows, ox, oy, work[2:6]))
 
 
 def _measure_chunk(args: tuple) -> int:

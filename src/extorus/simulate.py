@@ -404,6 +404,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> Records
     Records are a pure function of (cfg, trial_id); the worker count
     only changes how chunks are scheduled.
     """
+    check_type("cfg", cfg, ExperimentConfig)
     starts = range(0, cfg.trials, _TRIAL_CHUNK)
     jobs = [(cfg, range(i, min(i + _TRIAL_CHUNK, cfg.trials))) for i in starts]
     parts = map_jobs(_chunk_job, jobs, workers)
@@ -584,6 +585,7 @@ def ei_measure_ratio(cfg: ExperimentConfig, samples: int, seed: int) -> float:
     convention the ratio is 1 for q = 0, where the escape region is the
     ball itself.
     """
+    check_type("cfg", cfg, ExperimentConfig)
     if cfg.q == 0:
         return 1.0
     num = monte_carlo_measure(escape_region(cfg), samples, seed)
@@ -604,6 +606,7 @@ def estimate_run(
     glued at cfg.tau against Exp(gap_theta, theta by default), the measure ratio at q >= 1 if
     ratio_samples > 0, all scalars checked first. A step that cannot run holds its reason, as estimate
     prints it, in each entry."""
+    check_type("cfg", cfg, ExperimentConfig)
     ratio_samples = check_ratio_samples("ratio_samples", ratio_samples)
     check_count("ratio_seed", ratio_seed)
     gap_theta = None if gap_theta is None else check_positive("gap_theta", gap_theta, 1)

@@ -432,8 +432,10 @@ class Ball:
     (1, 0), its back strip the reach along row 0 of A^-1), its uniform
     sampler and the observable of a key. The sampler comes in two grades:
     points, which the records and the separation scan use, and
-    rough_offsets, the oracle's, unfolded and with float32 Euclidean trig.
-    rough_error bounds the distance between walks from the two, and
+    rough_offsets, the oracle's, unfolded and with float32 Euclidean trig
+    (rough_doubled gives the oracle's quadratic form the float32 trig of
+    the doubled angle). rough_error bounds the distance between walks
+    from the two, and
     key_band turns a distance into the keys that it cannot move across
     key_radius, so a caller decides on a rough offset exactly what the
     exact point decides, or knows it cannot.
@@ -507,13 +509,21 @@ class Ball:
         oracle's float walk of rough_offsets(u, v) at time k to the exact walk
         of points(u, v), with the slack that a decision on their keys needs:
         sqrt(2) r 2^-20 for the float32 trig (Euclidean only), and
-        r 2^-48 + 2^-48 for the fold and the snap of the exact point, the
-        walk's roundings and the keys' own. regions._decided_slices proves it.
+        rounding_error for the rest. regions._decided_slices proves it.
         """
-        walk = self.radius * 2.0**-48 + 2.0**-48
         if self.metric is MetricKind.EUCLIDEAN:
-            return math.sqrt(2.0) * self.radius * 2.0**-20 + walk
-        return walk
+            return math.sqrt(2.0) * self.radius * 2.0**-20 + self.rounding_error
+        return self.rounding_error
+
+    @property
+    def rounding_error(self) -> float:
+        """r 2^-48 + 2^-48: the part of rough_error that is not the float32 trig's,
+        for the fold and the snap of the exact point, the walk's roundings and
+        the keys' own. The oracle's quadratic form, which takes no offsets,
+        widens its band by this, per unit of ||A^k||_F, and by its own trig
+        term (regions._decided_slices).
+        """
+        return self.radius * 2.0**-48 + 2.0**-48
 
     def key_band(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Keys (lo, hi) around key_radius: a point whose key lies outside [lo, hi)
@@ -623,6 +633,27 @@ class Ball:
         np.multiply(oy, cos, out=ox)
         oy *= ang
         return ox, oy
+
+    def rough_doubled(self, v: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cos and sin of 4 pi v, the doubled angle of the Euclidean offsets of
+        points(u, v), in float32 of float32(2 pi frac(2v)) as rough_offsets takes
+        its trig: each within 2^-21 of the float64 cos and sin of the same
+        angle, whose argument stays in [0, 2 pi).
+
+        work is a (3, n >= len(v)) float64 scratch array, and the two rows
+        returned are views of its first two rows, as doubles.
+        """
+        cos, sin, scratch = work[:, : v.size]
+        np.multiply(v, 2.0, out=cos)
+        cos -= np.floor(cos, out=sin)  # frac(2v), exactly
+        cos *= 2.0 * math.pi
+        ang, cos32 = scratch.view(np.float32).reshape(2, v.size)
+        ang[...] = cos
+        np.cos(ang, out=cos32)
+        np.sin(ang, out=ang)
+        cos[...] = cos32
+        sin[...] = ang
+        return cos, sin
 
     def _fold(self, ox: np.ndarray, oy: np.ndarray, px: np.ndarray, py: np.ndarray) -> None:
         """Write the residues of the points at offsets (ox, oy) from the centre into px, py.

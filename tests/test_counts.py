@@ -53,6 +53,7 @@ from extorus import (
     multiplicity_pi,
     polya_aeppli_pmf,
     repp_counts,
+    run_experiment,
     strip_area_Q,
     threshold_radius,
     threshold_u_n,
@@ -313,6 +314,22 @@ def test_estimators_take_the_records_or_clusters_they_read(name, call):
     other = CLUSTERS if name == "records" else RECORDS
     for value in (None, other, [RECORDS]):
         with pytest.raises(ValueError, match=f"^{name} must be a {kind}, got {re.escape(repr(value))}$"):
+            call(value)
+
+
+# id: the entry point as a function of its cfg; each raised an unnamed AttributeError on None
+# ('trials', 'q' and 'run_gap')
+EXPERIMENTS = {
+    "run_experiment": lambda cfg: run_experiment(cfg, workers=1),
+    "ei_measure_ratio": lambda cfg: ei_measure_ratio(cfg, 1000, 1),
+    "estimate_run": lambda cfg: estimate_run(cfg, RECORDS, 0, 1),
+}
+
+
+@pytest.mark.parametrize("call", EXPERIMENTS.values(), ids=EXPERIMENTS.keys())
+def test_experiment_entry_points_take_an_experiment_config(call):
+    for value in (None, BALL, {"n": 1000}):
+        with pytest.raises(ValueError, match=f"^cfg must be an ExperimentConfig, got {re.escape(repr(value))}$"):
             call(value)
 
 

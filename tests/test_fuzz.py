@@ -39,6 +39,7 @@ from extorus import (
     MeasureEstimate,
     MetricKind,
     RegionKind,
+    Records,
     RegionSpec,
     ToralAutomorphism,
     TorusPoint,
@@ -47,6 +48,7 @@ from extorus import (
     chi_square_vs_pmf,
     compute_period,
     decluster_all,
+    ei_measure_ratio,
     empirical_extremal_index,
     empirical_multiplicity,
     estimate_block_maxima_cdf,
@@ -141,6 +143,8 @@ FORMS = {
     "estimate_block_maxima_cdf": (
         estimate_block_maxima_cdf, dict(cfg=ExperimentConfig(n=1000, trials=2), records=RECORDS), tuple
     ),
+    "run_experiment": (run_experiment, dict(cfg=ExperimentConfig(n=1000, trials=2), workers=1), Records),
+    "ei_measure_ratio": (ei_measure_ratio, dict(cfg=ExperimentConfig(n=1000), samples=1000, seed=1), float),
     "decluster_all": (decluster_all, dict(records=RECORDS, run_gap=2, v_n=100.0), Clusters),
     "repp_counts": (repp_counts, dict(records=RECORDS, horizon_steps=6), np.ndarray),
     "empirical_extremal_index": (empirical_extremal_index, dict(clusters=CLUSTERS), float),
@@ -206,10 +210,11 @@ def run():
 
 
 @SETTINGS
-@given(name_args=one_wrong(dict(ratio_samples=0, ratio_seed=1, gap_theta=0.5)))
-def test_estimate_run_checks_its_scalars(name_args, run):
-    name, args = name_args
-    est = holds(lambda: estimate_run(*run, **args), name, dict)
+@given(data=st.data())
+def test_estimate_run_checks_its_scalars(data, run):
+    cfg, records = run
+    name, args = data.draw(one_wrong(dict(cfg=cfg, ratio_samples=0, ratio_seed=1, gap_theta=0.5)))
+    est = holds(lambda: estimate_run(records=records, **args), name, dict)
     if est is not None:
         assert type(est["ks_theta"]) is float
 

@@ -253,6 +253,9 @@ class TestSampler:
     )
     # chunk 29 of seed 5, where a zero-width key band would miscount Q_1 (see above)
     @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 1, (2, 1, 1, 1), ORIGIN, 1, S, 1 << 18, 5, 29)
+    # regions that mix quadratic-form rows and float-walk rows (TestQuadraticForm.test_rows_that_take_the_form)
+    @example(MetricKind.EUCLIDEAN, RegionKind.A_Q, 0, (2, 1, 1, 1), PERIOD_TWO, 2, S, 1 << 16, 3, 1)
+    @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 3, (2, 1, 1, 1), PERIOD_TWO, 1, S, 1 << 16, 3, 2)
     def test_decided_slices_are_exact_membership(self, metric, kind, kappa, matrix, centre, q, radius, count, seed, key):
         region = RegionSpec(Ball(ToralAutomorphism(*matrix), centre, radius, metric), kind, q=q, kappa=kappa)
         drawn = 0
@@ -312,7 +315,7 @@ class TestFloatWalk:
         rough = [key.copy() for key in _rough_keys(ball, rows, *offsets, np.empty((4, u.size)))]
         assert len(rough) == len(exact) == kappa
         # the drift is 0 at the origin, which every power fixes, and not elsewhere
-        assert [(cx, cy) == (0.0, 0.0) for _, cx, cy in rows] == [centre is ORIGIN] * kappa
+        assert [(row.cx, row.cy) == (0.0, 0.0) for row in rows] == [centre is ORIGIN] * kappa
         for t, (key, rough_key) in enumerate(zip(exact, rough), 1):
             eps = math.sqrt(torus.power_norm_sq(T, stride * t)) * ball.rough_error
             if metric is MetricKind.EUCLIDEAN:
@@ -325,6 +328,130 @@ class TestFloatWalk:
             (lo,), (hi,) = ball.key_band(np.array([eps]))
             assert (key[rough_key < lo] < ball.key_radius).all()
             assert (key[rough_key >= hi] >= ball.key_radius).all()
+
+
+def form_band(ball, t):
+    """regions._form_band at row t of a stride-1 walk from the ball's centre: None where the row may
+    not take the quadratic form."""
+    row = _float_rows(RegionSpec(ball, RegionKind.U_KAPPA, q=1, kappa=t))[t - 1]
+    return regions._form_band(ball, row, math.sqrt(torus.power_norm_sq(ball.T, t)))
+
+
+def form_limit(T, t):
+    """The largest radius below 1/4 at which row t of a stride-1 walk from the origin may take the
+    quadratic form, or None if it may at 1/4 too: by bisection on _form_band."""
+    def takes(radius):
+        return form_band(Ball(T, ORIGIN, radius, MetricKind.EUCLIDEAN), t) is not None
+
+    inside, outside = 1e-9, 0.2499
+    if takes(outside):
+        return None
+    while math.nextafter(inside, 1.0) < outside:
+        middle = 0.5 * (inside + outside)
+        middle = middle if inside < middle < outside else math.nextafter(inside, 1.0)
+        inside, outside = (middle, outside) if takes(middle) else (inside, middle)
+    return inside
+
+
+class TestQuadraticForm:
+    """The oracle's quadratic-form keys against the exact keys of Ball.points, row by row."""
+
+    @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)])
+    @pytest.mark.parametrize("radius", [1e-7, 1e-4, 0.01, "limit"])
+    def test_keys_within_the_band(self, matrix, radius):
+        T = ToralAutomorphism(*matrix)
+        if radius == "limit":  # the guard's limit for the first row whose limit is below 1/4
+            radius = next(limit for t in itertools.count(1) if (limit := form_limit(T, t)) is not None)
+        ball = Ball(T, ORIGIN, radius, MetricKind.EUCLIDEAN)
+        # every row the guard allows, whatever its norm; the first row it refuses ends the walk
+        bands = []
+        while (band := form_band(ball, len(bands) + 1)) is not None:
+            bands.append(band)
+        if not bands:  # 1000,999,1,1 at 0.01: the images of row 1 could fold back into the ball
+            assert (math.sqrt(torus.power_norm_sq(T, 1)) + 1.0) * radius >= 1.0
+            return
+        region = RegionSpec(ball, RegionKind.U_KAPPA, q=1, kappa=len(bands))
+        rows = _float_rows(region)
+        rng = np.random.default_rng(32)
+        u = [RIM[0], 1.0 - 1e-4 * rng.random(1 << 13), rng.random(1 << 13)]
+        v = [RIM[1], rng.random(1 << 14)]
+        # uniforms on each row's ellipse |A^t o| = r, u = 1 / (P + Q cos 4 pi v + beta sin 4 pi v),
+        # where it lies in the disc, and a relative 1e-12 to either side
+        turn = np.arange(1 << 12) / (1 << 12)
+        worst = []  # each row's worst-case trig uniforms, as a slice of the sample
+        for row in rows:
+            alpha, beta, gamma = row.gram
+            edge = 1.0 / ((alpha + gamma) / 2 + (alpha - gamma) / 2 * np.cos(4 * np.pi * turn)
+                          + beta * np.sin(4 * np.pi * turn))
+            for shift in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+                inside = edge * shift < 1.0
+                u.append(edge[inside] * shift)
+                v.append(turn[inside])
+            # the trig's worst case at the rim: where the form moves fastest with the doubled angle
+            # phi, phi - atan2(-Q, beta) = pi (mod 2 pi), in [pi, 2 pi), where float32(phi) rounds by
+            # up to 2^-23 (2^-22 from 4 on), every 1/64 of a float32 step over 8 steps
+            phi = math.atan2(-(alpha - gamma) / 2, beta) % math.pi + math.pi
+            steps = phi + np.arange(-256, 257) * 2.0**-27 * (2.0 if phi >= 4.0 else 1.0)
+            worst.append(slice(sum(map(len, u)), sum(map(len, u)) + steps.size))
+            u.append(np.full(steps.size, 1.0 - 2.0**-53))
+            v.append(steps / (4.0 * math.pi))
+        u, v = np.concatenate(u), np.concatenate(v)
+        exact = list(_exact_keys(region, *ball.points(u, v)))[1:]
+        cos, sin = ball.rough_doubled(v, np.empty((3, u.size)))
+        forms = [coefficients for _, _, coefficients in bands]
+        rough = [key.copy() for key in regions._form_keys(forms, u, cos, sin, np.empty((2, u.size)))]
+        assert len(rough) == len(exact) == len(bands)
+        r2 = ball.key_radius
+        for t, (key, form, (lo, hi, coefficients), row, rim) in enumerate(zip(exact, rough, bands, rows, worst), 1):
+            # the band's parts: eps' for the distance, E for the form's trig and roundings
+            alpha, beta, gamma = row.gram
+            P, Q = (alpha + gamma) / 2, (alpha - gamma) / 2
+            assert coefficients == (r2 * P, r2 * Q, r2 * beta)
+            trig = r2 * ((abs(Q) + abs(beta)) * 2.0**-21 + (P + abs(Q) + abs(beta)) * 2.0**-48)
+            eps = math.sqrt(torus.power_norm_sq(T, t)) * ball.rounding_error
+            (edge_lo,), (edge_hi,) = ball.key_band(np.array([eps]))
+            assert (lo, hi) == (edge_lo - trig, edge_hi + trig)
+            # the exact distance lies within eps' of those that the form key and E allow ...
+            assert (np.sqrt(key) <= np.sqrt(form + trig) + eps).all()
+            near = form + trig < 0.2  # below that, no other representative of the image is nearer
+            assert (np.sqrt(key[near]) >= np.sqrt(np.maximum(form[near] - trig, 0.0)) - eps).all()
+            # ... so a form key outside the band decides the exact one
+            assert (key[form < lo] < r2).all()
+            assert (key[form >= hi] >= r2).all()
+            # and the band decides: non-members at every row, members too where it leaves room below
+            assert (form >= hi).any()
+            assert lo <= 0.0 or (form < lo).any()
+            # the trig's term is tight within a factor 8: the worst-case uniforms reach an eighth of it
+            # wherever their images are near (float32(phi) rounds by 2^-23 or 2^-22 of the 2^-21 it
+            # allows, and the form moves by sqrt(Q^2 + beta^2) >= (|Q| + |beta|) / sqrt 2 per radian)
+            if near[rim].all():
+                assert np.abs(form - key)[rim].max() >= r2 * (abs(Q) + abs(beta)) * 2.0**-21 / 8
+
+    def test_rows_that_take_the_form(self):
+        def plan(ball, kind, q=1, kappa=0):
+            _, _, forms, walks = regions._row_plan(RegionSpec(ball, kind, q=q, kappa=kappa))
+            return [t for t, _ in forms], [t for t, _ in walks]
+
+        # every row of criteria 2 and 3
+        for kind, kappa in CRITERION_2_REGIONS:
+            forms, walks = plan(BALL, kind, kappa=kappa)
+            assert forms and not walks
+        cfg = ExperimentConfig(matrix=(2, 1, 1, 1), zeta=(Fraction(0), Fraction(0)), n=100_000, tau=1.0)
+        assert plan(cfg.ball, RegionKind.A_Q) == ([1], [])
+        # at the cat map's point (1/5, 2/5), of period 2, the even rows: the drift of the odd ones is not 0
+        assert plan(Ball(CAT, PERIOD_TWO, S, MetricKind.EUCLIDEAN), RegionKind.A_Q, q=2) == ([2], [1])
+        assert plan(Ball(CAT, PERIOD_TWO, S, MetricKind.EUCLIDEAN), RegionKind.Q_KAPPA, kappa=3) == ([2, 4], [1, 3])
+        # no adapted row, no row whose images could fold back into the ball, no row past _FORM_NORM
+        assert plan(Ball(CAT, ORIGIN, S, MetricKind.ADAPTED), RegionKind.U_KAPPA, kappa=3) == ([], [1, 2, 3])
+        assert plan(Ball(CAT, ORIGIN, 0.1, MetricKind.EUCLIDEAN), RegionKind.U_KAPPA, kappa=3) == ([1, 2], [3])
+        assert form_band(Ball(CAT, ORIGIN, 1e-4, MetricKind.EUCLIDEAN), 5) is not None  # ||A^5||_F = 123
+        assert plan(Ball(CAT, ORIGIN, 1e-4, MetricKind.EUCLIDEAN), RegionKind.U_KAPPA, kappa=5) == ([1, 2, 3, 4], [5])
+        # a form row's band is _form_band's, a walk row's the float walk's
+        ball = Ball(CAT, PERIOD_TWO, S, MetricKind.EUCLIDEAN)
+        lo, hi, _, _ = regions._row_plan(RegionSpec(ball, RegionKind.A_Q, q=2))
+        eps = math.sqrt(torus.power_norm_sq(CAT, 1)) * ball.rough_error
+        assert (lo[1], hi[1]) == tuple(edge[0] for edge in ball.key_band(np.array([eps])))
+        assert (lo[2], hi[2]) == form_band(ball, 2)[:2]
 
 
 def near_lines(width, seed):
@@ -359,26 +486,38 @@ class TestMembers:
         px, py = near_lines(width, seed)
         keys = np.concatenate([BALL.key(b.x, b.y) for b in orbit_blocks(px, py, CAT, rows - 1, stride)])
         assert keys.shape == (rows, width)
+        # the rows in time order, and shuffled: the two masks do not depend on the order
+        order = data.draw(st.permutations(range(rows)))
         with mock.patch.object(regions, "_walk", lambda region: (stride, inside, outside)):
             # the exact walk's rows of keys are the matrix's rows
             np.testing.assert_array_equal(np.array(list(_exact_keys(ball_region(), px, py))).reshape(keys.shape), keys)
-            member, unsure = _members(ball_region(), iter(keys), lo, hi)
+            member, unsure = _members(ball_region(), enumerate(keys), lo, hi)
+            shuffled = _members(ball_region(), ((t, keys[t]) for t in order), lo, hi)
+        for got, want in zip(shuffled, (member, unsure)):
+            np.testing.assert_array_equal(got, want)
         lo, hi = lo[:, None], hi[:, None]
-        np.testing.assert_array_equal(unsure, ((lo <= keys) & (keys < hi)).any(axis=0))
-        expected = (keys[:inside] < lo[:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
-        np.testing.assert_array_equal(member, expected)
+        # strict: every row decided in the region's favour; loose: no row decisively against it
+        strict = (keys[:inside] < lo[:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
+        loose = (keys[:inside] < hi[:inside]).all(axis=0) & (keys[inside:] >= lo[inside:]).all(axis=0)
+        np.testing.assert_array_equal(member, strict)
+        np.testing.assert_array_equal(unsure, loose & ~strict)
         assert not (member & unsure).any()
+        # an unsure point has a key in some band; a point decisively out of some row is not unsure
+        in_band = ((lo <= keys) & (keys < hi)).any(axis=0)
+        assert not (unsure & ~in_band).any()
+        assert not (unsure & ~loose).any()
         if not (below.any() or above.any()):
             assert not unsure.any()
-        # placed decides row 0 in place of its keys: members there, the rest unsure
+        # placed decides row 0 in place of its keys: members there, the rest loose
         placed = np.array(data.draw(st.lists(st.booleans(), min_size=width, max_size=width)), bool)
         given_placed = placed.copy()
         with mock.patch.object(regions, "_walk", lambda region: (stride, inside, outside)):
-            member, unsure = _members(ball_region(), iter(keys[1:]), lo[:, 0], hi[:, 0], placed)
+            member, unsure = _members(ball_region(), ((t, keys[t]) for t in range(1, rows)), lo[:, 0], hi[:, 0], placed)
         np.testing.assert_array_equal(placed, given_placed)
-        np.testing.assert_array_equal(unsure, ~placed | ((lo <= keys) & (keys < hi))[1:].any(axis=0))
-        later = (keys[1:inside] < lo[1:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
-        np.testing.assert_array_equal(member, placed & later)
+        later_strict = (keys[1:inside] < lo[1:inside]).all(axis=0) & (keys[inside:] >= hi[inside:]).all(axis=0)
+        later_loose = (keys[1:inside] < hi[1:inside]).all(axis=0) & (keys[inside:] >= lo[inside:]).all(axis=0)
+        np.testing.assert_array_equal(member, placed & later_strict)
+        np.testing.assert_array_equal(unsure, later_loose & ~(placed & later_strict))
 
 
 def probe_points(ball, q, rng):

@@ -465,14 +465,26 @@ class TestRoughPoints:
     """The facts the oracle's key band and its time-0 rule rest on."""
 
     def test_float32_trig_within_2_to_the_minus_21(self):
-        # float32 cos and sin of float32(2 pi v) against float64 cos and sin of 2 pi v
+        # float32 cos and sin of float32(2 pi v) against float64 cos and sin of 2 pi v; and the
+        # doubled angle of the quadratic form, Ball.rough_doubled's float32 cos and sin of
+        # float32(2 pi frac(2v)), against float64 cos and sin of 2 pi frac(2v), which is in [0, 2 pi)
+        ball = Ball(ToralAutomorphism(2, 1, 1, 1), TorusPoint(0.0, 0.0), 0.01, MetricKind.EUCLIDEAN)
         rng = np.random.default_rng(21)
-        worst = 0.0
-        for v in [EDGE_UNIFORMS, *(rng.random(1 << 18) for _ in range(16))]:  # 2^22 in all
+        worst = worst_doubled = 0.0
+        # 2^22 in all; the doubled angle's edges are the halves of the edge uniforms
+        for v in [np.concatenate([EDGE_UNIFORMS, EDGE_UNIFORMS / 2]), *(rng.random(1 << 18) for _ in range(16))]:
             ang = 2.0 * math.pi * v
             for f in (np.cos, np.sin):
                 worst = max(worst, float(np.abs(f(ang.astype(np.float32)) - f(ang)).max()))
+            doubled = 2.0 * math.pi * (2.0 * v - np.floor(2.0 * v))
+            assert doubled.min() >= 0.0 and doubled.max() < 2.0 * math.pi
+            work = np.full((3, v.size + 5), np.nan)  # a wider workspace, holding nan
+            rough = ball.rough_doubled(v, work)
+            assert all(np.shares_memory(row, work) and row.dtype == np.float64 for row in rough)
+            for got, f in zip(rough, (np.cos, np.sin)):
+                worst_doubled = max(worst_doubled, float(np.abs(got - f(doubled)).max()))
         assert worst <= 2.0**-21
+        assert worst_doubled <= 2.0**-21
 
     @pytest.mark.parametrize("matrix", [(2, 1, 1, 1), (3, 1, 2, 1), (1000, 999, 1, 1)])
     def test_adapted_rough_offsets_are_points_own_bit_for_bit(self, matrix):
