@@ -92,7 +92,9 @@ def run_environment() -> dict:
 class RunManifest:
     """A run's record. workers is the most processes a pool of the run may start:
     simulate's one pool, or the count that validate's pool is given, which its
-    calls share (a call with fewer jobs than that starts a smaller pool of its own)."""
+    calls share (a call with fewer jobs than that starts a smaller pool of its own).
+    startup_cpu_s is the CPU time the process had spent when cli.main began, its
+    interpreter start-up and imports; None for a run not started by the CLI."""
 
     config: dict
     version: str
@@ -100,6 +102,7 @@ class RunManifest:
     workers: int
     criteria: list[CriterionResult] = field(default_factory=list)
     environment: dict = field(default_factory=run_environment)
+    startup_cpu_s: float | None = None
 
     @property
     def all_passed(self) -> bool:

@@ -281,6 +281,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         version=__version__,
         wall_time_s=wall,
         workers=experiment_workers(cfg, args.workers),
+        startup_cpu_s=args.startup_cpu_s,
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     print(f"wrote {len(records)} trials, {records.time.size} exceedances to {out}")
@@ -450,6 +451,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     manifest = run_acceptance(quick=args.quick, workers=args.workers)
+    manifest.startup_cpu_s = args.startup_cpu_s
     out = Path(args.out)
     out.write_text(manifest.to_json() + "\n", encoding="utf-8")
     print(f"manifest written to {out}")
@@ -525,8 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    startup_cpu_s = time.process_time()  # the manifests' record of start-up: interpreter and imports
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.startup_cpu_s = startup_cpu_s
     try:
         return args.func(args)
     except (ExtorusError, ValueError) as exc:

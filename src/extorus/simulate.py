@@ -49,6 +49,15 @@ block of 2^17 or 2^18 residues, which leaves the cache, are no faster
 per residue. The oracle and the separation scan walk their own, smaller
 blocks.
 
+Why seeds in arrays: trial k starts from the first three raw outputs of
+keyed_rng(seed, k), PCG64 seeded by SeedSequence((seed mod 2^64, k)).
+A Generator per trial cost 11-12 ms a 1024-trial chunk, and imported
+numpy.random into a run that draws nothing else from it. _keyed_raw
+computes the same outputs for the whole chunk: SeedSequence's hash as
+a pass per step over uint32 arrays, then PCG64's seeding and outputs in
+Python ints, about 2.5 ms. NumPy keeps both algorithms' streams fixed
+by policy (NEP 19), and the tests pin the two bit for bit.
+
 On the records, kept as columns (Records), sit the estimators, each an
 array pass: block-maxima CDF at the threshold, runs declustering at the
 run gap, cluster-count extremal index, cluster-size histogram, Kac-time
@@ -81,7 +90,6 @@ from .torus import (
     check_type,
     compute_period,
     is_finite_real,
-    keyed_rng,
     map_jobs,
     orbit_blocks,
     pool_size,
@@ -108,6 +116,15 @@ _STRIP_FACTOR = 3.0
 _BACK_SHARE = 2.0**-6
 _PERIOD_DEN_LIMIT = 1_000_000
 _PERIOD_SEARCH_LIMIT = 1_000_000
+
+# The constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx) and
+# PCG64 (O'Neill's pcg64.h), whose streams NumPy keeps fixed (NEP 19); see
+# _keyed_raw. NumPy scalars keep the uint32 arithmetic in uint32 on NumPy 1
+# and 2 alike.
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_LOW32, _SHIFT32, _SHIFT16 = np.uint64(_MASK32), np.uint64(32), np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def check_field(key: str, value):
@@ -270,19 +287,87 @@ class Clusters(_ByTrial):
         return ClusterSummary(self.size[rows], self.time[rows])
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(h_j, h_j+1) for each of `calls` calls of a SeedSequence hash, h_j = init mult^j mod 2^32.
+
+    Call j xors its word with h_j and multiplies it by h_j+1.
+    """
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    chain = [np.uint32(h) for h in chain]
+    return list(zip(chain, chain[1:]))
+
+
+# mix_entropy hashes the 4 entropy words into the pool, then each pool word
+# into the 3 others: 16 calls. generate_state(4, uint64) hashes 8 words out.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(words: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    """One call of SeedSequence's hash on uint32 words."""
+    words = words ^ xor
+    words *= mult
+    words ^= words >> _SHIFT16
+    return words
+
+
+def _keyed_raw(seed: int, keys) -> list[tuple[int, int, int]]:
+    """keyed_rng(seed, k).bit_generator.random_raw(3) for each key k in [0, 2^64), bit for bit.
+
+    SeedSequence((seed mod 2^64, k)) hashes its entropy, the 32-bit words
+    of the seed (one if it is below 2^32, else two) and then the low and
+    high words of k, into a pool of 4 words; a missing word hashes as 0.
+    The pool's mixing and generate_state(4, uint64) run on uint32 arrays,
+    a pass per step for all keys. PCG64's seeding from those four words
+    (two steps of its 128-bit LCG) and its first three XSL-RR outputs are
+    Python-int arithmetic, per key.
+    """
+    seed = check_count("seed", seed) & _MASK64
+    keys = np.array(keys, dtype=np.uint64)
+    seed_words = [seed & _MASK32, seed >> 32] if seed >> 32 else [seed]
+    pool = [np.full(keys.size, word, dtype=np.uint32) for word in seed_words]
+    pool += [(keys & _LOW32).astype(np.uint32), (keys >> _SHIFT32).astype(np.uint32)]
+    pool += [np.zeros(keys.size, dtype=np.uint32)] * (4 - len(pool))
+
+    calls = iter(_HASH_A)
+    mixer = [_hash(word, *next(calls)) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * mixer[dst] - _MIX_R * _hash(mixer[src], *next(calls))
+                mixed ^= mixed >> _SHIFT16
+                mixer[dst] = mixed
+    state = [_hash(mixer[i % 4], *h).astype(np.uint64) for i, h in enumerate(_HASH_B)]
+    # generate_state's uint64 words, each two of its words low half first: PCG64's
+    # seed (high, low) and increment (high, low)
+    seeding = np.stack([state[i] | state[i + 1] << _SHIFT32 for i in range(0, 8, 2)], axis=1).tolist()
+
+    raws = []
+    for s_hi, s_lo, i_hi, i_lo in seeding:
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        lcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        raw = []
+        for _ in range(3):
+            lcg = (lcg * _PCG_MULT + inc) & _MASK128
+            word, rot = ((lcg >> 64) ^ lcg) & _MASK64, lcg >> 122
+            raw.append((word >> rot | word << (64 - rot)) & _MASK64)
+        raws.append(tuple(raw))
+    return raws
+
+
 def _initial_states(cfg: ExperimentConfig, trial_ids) -> list[tuple[int, int]]:
     """Trial k's start: the low 61 bits of raw outputs 0 and 2 of keyed_rng(seed, k).
 
     Each coordinate is the residue of 16 random bytes read little-endian,
     as Generator.bytes(16) hands them out: two raw outputs, low half
     first, of which the residue keeps the first output's low 61 bits.
+    The raw outputs of a whole chunk come from _keyed_raw, in arrays, so
+    the engine never imports numpy.random.
     """
     mask = MODULUS - 1
-    states = []
-    for tid in trial_ids:
-        raw = keyed_rng(cfg.seed, int(tid)).bit_generator.random_raw(3).tolist()
-        states.append((raw[0] & mask, raw[2] & mask))
-    return states
+    return [(raw0 & mask, raw2 & mask) for raw0, _, raw2 in _keyed_raw(cfg.seed, trial_ids)]
 
 
 def _strip(cfg: ExperimentConfig) -> tuple[tuple[int, int], tuple[int, int], float]:

@@ -68,16 +68,19 @@ import math
 import numbers
 import os
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DeterminantNotOne, NotHyperbolic
+
+if TYPE_CHECKING:  # process_pool imports it when it starts a pool
+    from concurrent.futures import ProcessPoolExecutor
 
 MODULUS = 1 << 61  # the denominator of every exact point; residues and the mask fit in int64
 _MASK = MODULUS - 1
@@ -673,7 +676,14 @@ class Ball:
 
 
 def keyed_rng(seed: int, key: int) -> np.random.Generator:
-    """Random stream keyed by (seed, key), independent of every other key; it checks the seed by check_count."""
+    """Random stream keyed by (seed, key), independent of every other key; it checks the seed by check_count.
+
+    The stream is PCG64 seeded by SeedSequence((seed mod 2^64, key)), both
+    fixed by NumPy's stream policy (NEP 19). numpy.random is imported on
+    the first call, not with this module. The trial engine reproduces the
+    first three raw outputs of these streams in arrays
+    (simulate._keyed_raw); the oracle draws its samples from them.
+    """
     return np.random.default_rng(np.random.SeedSequence((check_count("seed", seed) & _MASK64, key)))
 
 
@@ -704,13 +714,19 @@ def process_pool(processes: int) -> Iterator[ProcessPoolExecutor | None]:
     that pool, so the calls of a run can share one. Else it is a new pool,
     held open for the blocks inside this one and joined when this block
     ends, by an exception too.
+
+    concurrent.futures, and multiprocessing with it, is imported only here,
+    when a pool of 2 or more processes starts, and the executor class is
+    looked up on that module then: a run that needs no pool loads neither.
     """
     if processes <= 1:
         yield None
     elif processes in _open_pools:
         yield _open_pools[processes]
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        import concurrent.futures
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             _open_pools[processes] = pool
             try:
                 yield pool

@@ -14,17 +14,17 @@ asserted separately.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import pytest
 
-from extorus import acceptance, torus
+from extorus import acceptance
 from extorus.acceptance import RunManifest, run_acceptance
 from extorus.torus import resolve_workers
 
@@ -32,7 +32,7 @@ from extorus.torus import resolve_workers
 POOL_SIZES: list[int] = []  # the size of each process pool the suite's run starts
 
 
-class CountedPool(ProcessPoolExecutor):
+class CountedPool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, max_workers):
         POOL_SIZES.append(max_workers)
         super().__init__(max_workers)
@@ -40,7 +40,7 @@ class CountedPool(ProcessPoolExecutor):
 
 @pytest.fixture(scope="module")
 def manifest() -> RunManifest:
-    with mock.patch.object(torus, "ProcessPoolExecutor", CountedPool):
+    with mock.patch.object(concurrent.futures, "ProcessPoolExecutor", CountedPool):
         return run_acceptance(quick=False, workers=None)
 
 

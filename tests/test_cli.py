@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -13,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -156,7 +158,7 @@ class TestSimulate:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
         out_dir = tmp_path / "run"
         args = ["--n", "1000", "--trials", str(trials), "--workers", workers, "--out", str(out_dir)]
@@ -165,6 +167,8 @@ class TestSimulate:
         assert manifest["workers"] == used and sizes == ([used] if used > 1 else [])
         environment = {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": 4}
         assert manifest["environment"] == environment
+        # the CPU time spent before cli.main began: here, the test process's so far
+        assert 0.0 < manifest["startup_cpu_s"] <= time.process_time()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         args = ["simulate", "--n", "1500", "--trials", "20", "--seed", "9"]
@@ -735,6 +739,55 @@ def test_simulate_and_estimate_run_without_scipy(tmp_path, capsys, monkeypatch):
     assert "size chi-square" in estimated[1] and "gap KS" in estimated[1]
 
 
+# Runs in a fresh interpreter and prints, as JSON, which of the modules a process pool or a
+# numpy.random stream needs are loaded at each stage: after `import numpy` alone, after
+# `import extorus.cli`, after each command of ARGVS, and after a pool of 2 is opened.
+STARTUP_PROBE = """
+import json, sys
+import numpy
+NAMES = ("concurrent.futures.process", "multiprocessing", "numpy.random")
+def loaded():
+    return {name: name in sys.modules for name in NAMES}
+stages = {"numpy": loaded()}
+from extorus.cli import main
+stages["import"] = loaded()
+codes = []
+for argv in ARGVS:
+    codes.append(main(argv))
+    stages[argv[0]] = loaded()
+from extorus.torus import process_pool
+with process_pool(2):
+    pass
+stages["pool"] = loaded()
+print(json.dumps({"codes": codes, "stages": stages}))
+"""
+
+
+def test_a_command_loads_only_what_it_runs(tmp_path):
+    # one chunk of trials and one oracle chunk start no pool, so neither command
+    # imports concurrent.futures' process pool or multiprocessing; the trial engine seeds in
+    # arrays, so simulate needs no numpy.random where `import numpy` leaves it out (NumPy 2)
+    simulate = ["simulate", "--zeta", "0/1,0/1", "--n", "20000", "--trials", "300", "--seed", "3"]
+    simulate += ["--workers", "2", "--out", "run"]
+    estimate = ["estimate", "--in", "run", "--mc-samples", "200000"]
+    code = f"ARGVS = {[simulate, estimate]!r}" + STARTUP_PROBE
+    src = str(Path(extorus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    sub = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert sub.returncode == 0, sub.stderr
+    report = json.loads(sub.stdout.splitlines()[-1])
+    stages = report["stages"]
+    assert report["codes"] == [0, 0]
+    for stage in ("numpy", "import", "simulate", "estimate"):
+        assert not stages[stage]["concurrent.futures.process"] and not stages[stage]["multiprocessing"], stage
+    assert stages["simulate"]["numpy.random"] == stages["numpy"]["numpy.random"]
+    assert stages["estimate"]["numpy.random"]  # the oracle draws from keyed_rng's streams
+    # the probe sees a pool's modules once one is opened
+    assert stages["pool"]["concurrent.futures.process"] and stages["pool"]["multiprocessing"]
+    startup = json.loads((tmp_path / "run" / "manifest.json").read_text())["startup_cpu_s"]
+    assert isinstance(startup, float) and startup > 0.0
+
+
 RT_CONFIG = ExperimentConfig(zeta=(Fraction(0), Fraction(0)), n=1000, trials=1, seed=1)
 # (exceedance times, values above u_n) and a block maximum, any finite floats
 RT_TRIAL = st.tuples(
@@ -1019,6 +1072,7 @@ class TestValidate:
         assert manifest["workers"] == resolve_workers(None)
         environment = {"python": platform.python_version(), "numpy": np.__version__, "cpu_count": os.cpu_count()}
         assert manifest["environment"] == environment
+        assert 0.0 < manifest["startup_cpu_s"] <= time.process_time()
         # the file holds a RunManifest, and it round-trips losslessly
         criteria = [CriterionResult(**c) for c in manifest["criteria"]]
         rebuilt = RunManifest(**{**manifest, "criteria": criteria})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
 import os
@@ -651,7 +652,7 @@ class TestMonteCarloMeasure:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         samples = 2 * (1 << 18) + 1000  # three chunks
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         many = monte_carlo_measure(ball_region(), samples, 5, workers=100_000)
@@ -667,7 +668,7 @@ class TestMonteCarloMeasure:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         wrong = f"an int, got {workers!r}" if type(workers) is not int else f">= 1, got {workers}"
         with pytest.raises(ValueError, match=f"worker count must be {wrong}"):
             monte_carlo_measure(ball_region(), 1 << 19, 5, workers=workers)

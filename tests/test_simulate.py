@@ -50,7 +50,7 @@ from extorus.simulate import (
     chi_square_vs_pmf,
     pooled_gaps,
 )
-from extorus.torus import MODULUS, OBSERVABLE_CAP, Ball, rational_point
+from extorus.torus import MODULUS, OBSERVABLE_CAP, Ball, keyed_rng, rational_point
 
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -193,13 +193,26 @@ class TestKacRescale:
 
 
 class TestInitialStates:
-    @pytest.mark.parametrize("seed", [0, 1, 42, -3, 2**63, 2**70 + 5])
+    # one seed word and two; 2^64 masks to seed 0's stream, 2^70 + 5 to 5's
+    SEEDS = [0, 1, 42, -3, 2**32, 2**63, 2**64 - 1, 2**64, 2**70 + 5]
+    # trials of every chunk a 4096-trial run has, and ids with one word and two, up to the last trial id
+    IDS = [*range(0, 4096, 3), 2**31, 2**32 - 1, 2**32, 2**62 + 1, 2**63 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_raw_outputs_are_the_byte_residues(self, seed):
-        # trials of every chunk a 4096-trial run has, and ids far past them
-        ids = [*range(0, 4096, 3), 2**31, 2**62 + 1]
-        states = _initial_states(small_cfg(seed=seed), ids)
-        assert states == ref.initial_states_from_bytes(seed, ids)
+        states = _initial_states(small_cfg(seed=seed), self.IDS)
+        assert states == ref.initial_states_from_bytes(seed, self.IDS)
         assert all(type(c) is int and 0 <= c < MODULUS for state in states for c in state)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_array_seeding_is_numpys_stream(self, seed):
+        # SeedSequence and PCG64 computed for all ids at once: each id's first three raw outputs
+        expected = [tuple(keyed_rng(seed, k).bit_generator.random_raw(3).tolist()) for k in self.IDS]
+        assert simulate._keyed_raw(seed, self.IDS) == expected
+
+    def test_no_ids_no_states(self):
+        assert _initial_states(small_cfg(), []) == []
+        assert _initial_states(small_cfg(), range(0)) == []
 
 
 class TestRunTrial:

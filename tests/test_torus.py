@@ -7,6 +7,7 @@ _reference.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
@@ -702,14 +703,14 @@ class TestMapJobs:
         raise AssertionError("a pool was started")
 
     def test_one_worker_or_one_job_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
         monkeypatch.setattr(torus.os, "cpu_count", lambda: 8)
         assert torus.map_jobs(abs, [-1, 2, -3], 1) == [1, 2, 3]
         assert torus.map_jobs(abs, [-4], 8) == [4]
         assert torus.map_jobs(abs, [], 8) == []
 
     def test_one_core_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
         monkeypatch.setattr(torus.os, "cpu_count", lambda: 1)
         assert torus.map_jobs(abs, [-1, 2, -3], 4) == [1, 2, 3]
 
@@ -729,7 +730,7 @@ class TestMapJobs:
             def map(self, fn, jobs):
                 return reversed([fn(job) for job in reversed(list(jobs))])
 
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", ReversingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversingPool)
         monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
         assert torus.map_jobs(abs, [-1, 2, -3], 100) == [1, 2, 3]
         assert torus.map_jobs(abs, list(range(-9, 0)), None) == list(range(9, 0, -1))
@@ -751,7 +752,7 @@ class TestMapJobs:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(torus.os, "cpu_count", lambda: 4)
         with torus.process_pool(1) as none:
             assert none is None and torus.map_jobs(abs, [-1, 2, -3], 3) == [1, 2, 3]
@@ -776,7 +777,7 @@ class TestMapJobs:
     # a bool, a float or a string is not a count: True would run as one worker
     @pytest.mark.parametrize("workers", [0, -5, True, 2.5, "2"])
     def test_worker_counts_below_one_rejected(self, monkeypatch, workers):
-        monkeypatch.setattr(torus, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
         wrong = f"an int, got {workers!r}" if type(workers) is not int else f">= 1, got {workers}"
         with pytest.raises(ValueError, match=f"worker count must be {wrong}"):
             torus.map_jobs(abs, [1, 2], workers)
