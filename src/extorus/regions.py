@@ -38,10 +38,17 @@ both a slice of _SLICE points at a time, v from a copy of the
 stream advanced `count` draws on, so no caller holds an array larger
 than a slice, whatever the sample size.
 
-_decided_slices decides a sample a slice at a time on rough keys with
-bands as wide as their error bounds, then the few samples the bands
-leave unsure (about 1 in 1e5 at criterion 2) on their exact Ball.points
-by membership_mask, so every sample is decided as on its exact point.
+_decided_slices decides a sample first by the (u, v) cell of its
+uniforms: _cell_table holds, per cell of 1/512 by 1/512, whether every
+row provably favours every point of the cell, or one row provably
+rules them all out, from the exact range of each quadratic-form row on
+the cell (_sinusoid_range); at criterion 2 that decides 98-99 % of the
+samples, for one index and one np.take each. The samples of the other
+cells are held back, and once they fill a slice, and at the end, are
+decided together on rough keys with bands as wide as their error
+bounds, then the few the bands leave unsure (about 1 in 1e5 of the
+sample at criterion 2) on their exact Ball.points by membership_mask,
+once a batch; so every sample is decided as on its exact point.
 The rough key of a row (_row_plan) is the quadratic form where it may
 be: a Euclidean row whose stride fixes the centre keys each sample by
 o^T G o, G the exact Gram matrix of the row's matrix power, from u and
@@ -88,11 +95,15 @@ MIN_SAMPLES = 1000  # the fewest samples the oracle and the separation scan take
 MAX_SAMPLES = 1 << 53
 # The largest ||A^(st)||_F of a row that takes the quadratic form (_row_plan): every row of
 # criteria 2 and 3 (the deepest, the cat map's A^4, has norm 47). The form's band is about
-# ||A^(st)||_F / 8 times the float walk's, and the samples it leaves unsure soon send slice
-# after slice to the exact path, whose fixed cost is about 70 us a slice: on 1000,999,1,1's
-# first row (norm 1413) at radius 1e-7 the form left 5.5e-4 of the samples unsure, the walk
-# 1.5e-5, and a chunk took 28-30 ns a sample against the walk's 23.
+# ||A^(st)||_F / 8 times the float walk's: on 1000,999,1,1's first row (norm 1413) at radius
+# 1e-7 the form left 5.5e-4 of the samples unsure, the walk 1.5e-5, and a chunk took 28-30 ns
+# a sample against the walk's 23, when the exact path (about 70 us a call) ran once a slice.
 _FORM_NORM = 64.0
+# Bins of each uniform in a region's cell table (_cell_table): cells of 1/512 by 1/512. The keys
+# repeat with period 1/2 in v, so the table holds the 256 x 512 cells of v in [0, 1/2), int8: 128 KB.
+_CELLS = 512
+_OUT, _IN, _UNSURE = 0, 1, 2  # the state of a cell
+_TABLES: dict = {}  # _cell_table's one region and its table
 
 
 def check_samples(name: str, value, minimum: int | None = MIN_SAMPLES) -> int:
@@ -283,10 +294,16 @@ def _local_range_guard(region: RegionSpec) -> None:
 
 
 def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(u, v, member) of each _uniform_slices slice of a sample of `count`
-    points, member deciding each sample on its rough keys where an error
-    bound proves the answer and on its exact point elsewhere. The arrays
-    hold until the next slice is drawn.
+    """(u, v, member) batches that hold each sample of `count` points once,
+    member deciding each batch's samples as membership_mask does on their
+    exact points, Ball.points(u, v). A sample is decided by the cell of its
+    uniforms where _cell_table decides the cell. The samples of the other
+    cells are held back, and once they fill a slice, and at the end, they
+    are decided on their rough keys where an error bound proves the answer
+    and on their exact points elsewhere, so membership_mask takes the few
+    such points once a batch. Each slice yields its decided samples,
+    reordered; a region without a table yields its slices whole. The
+    arrays hold until the next batch is yielded.
 
     Why member is membership_mask's on Ball.points(u, v), bit for bit: with
     o the offset that Ball.points folds to the grid point p, o' the rough
@@ -360,25 +377,109 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     Ball.placed proves from u and v that a sample's exact key there is below
     lo[0], and leaves the few others (about 6 in 1e6 for a Euclidean ball)
     unsure.
+
+    Why a cell of the table decides its samples: a sample is in the closed
+    cell [i, i + 1] / N x [j, j + 1] / N of its uniforms (N = _CELLS), with
+    i = floor(N u) and j = floor(N v), exact as N is a power of 2. At row
+    0, Ball.placed holds every u below a cut u*, so it places every sample
+    of a u-bin where it places the largest double below the bin's upper
+    edge; no cell is ruled out there. A form row compares the exact real
+    K = r^2 u g(v), g = P + Q cos 4 pi v + beta sin 4 pi v, with its band.
+    g has period 1/2, and Ball.placed (Euclidean) ignores v, so the v-bins
+    j and j + N/2 make one cell of the table.
+    * Which band terms carry over. eps'_t does: D = |A^k o|^2 below
+      (r - eps'_t)^2 puts the exact key below key_radius, and D at least
+      (r + eps'_t)^2 puts it out (above). So does the rounding term
+      r^2 (P + |Q| + |beta|) 2^-48, for |D - K|: o's radius r sqrt(u) rounds
+      by a relative 2^-52 and its float64 cos and sin by 2^-53 (2^-50.4 and
+      2^-51.5 of that factor), and its angle fl(fl(2 pi) v) is within
+      2 pi 2^-52 of 2 pi v, which moves g by (|Q| + |beta|) 2^-48.35: under
+      2^-47.9 in all. The float32 trig term does not: the table takes no
+      float32 trig. So the cell band is _form_band's [cell_lo, cell_hi).
+    * The sinusoid's range (_sinusoid_range). On a v-bin g = P + R cos(4 pi v
+      - phi), R = hypot(Q, beta), lies between its values at the bin's
+      edges and, where the bin holds one, its extrema P +- R (two maxima and
+      two minima on [0, 1)); so r^2 u g on the cell lies in [u0 low, u1 high]
+      for low and high that bound r^2 g on the v-bin.
+    * The slack. low and high are widened by (p + |q| + |b|) 2^-44, p, q and
+      b the doubles r^2 (P, Q, beta). Besides the 2^-52 of |D - K| that the
+      rounding term leaves, it holds the table's own roundings, each a part
+      of r^2 (P + |Q| + |beta|): the coefficients, 2^-53; the edge angles
+      j fl(4 pi / N), within 4 pi 2^-52 (2^-48.35 of g); float64 np.cos and
+      np.sin at the edges and the sums, 2^-51; the extrema, 2^-52, each put
+      in the bin floor(N v_e) with v_e within 2^-52 of its place, so a
+      misplaced one is within R 2^-97 of its neighbour edge's value; the
+      cuts' quotients and the products with the bins' edges, 2^-52 each.
+      That is under 2^-47.7 in all, so the slack holds it 10 times over.
+      low stays positive: g >= 1 / (P + R) >= 1 / (2P), and below _FORM_NORM
+      that is at least 2^-12, far above the slack.
+    A row t < inside favours the cell where u1 < cell_lo / high and rules it
+    out where u0 >= cell_hi / low; a row after favours it where u0 >=
+    cell_hi / low and rules it out where u1 < cell_lo / high. A walk row
+    favours and rules out no cell, so adapted, drifting, wrapping and
+    past-_FORM_NORM rows decide their samples by the keys as before.
     """
     ball = region.ball
     lo, hi, forms, walks = _row_plan(region)
-    # the uniforms, then the form's doubled trig and keys, or the rough offsets and the float walk's rows
-    work = np.empty((8, min(count, _SLICE)))
-    for u, v in _uniform_slices(count, seed, key, work[:2]):
+    table = _cell_table(region)
+    width = min(count, _SLICE)
+    # rows 0-1 the uniforms and 2-7 the form's doubled trig and keys, or the rough offsets and the
+    # float walk's rows. With a table, rows 0-1 hold the samples held back and rows 2-3 the uniforms,
+    # rows 4-5 the cells' index and states, and the held-back samples' keys take rows 2-7 once their
+    # slice is yielded: a region of form rows alone touches rows 0-5 either way.
+    work = np.empty((8, width))
+    late, held = work[:2], 0
+
+    def decided(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         keys = _slice_keys(ball, forms, walks, u, v, work[2:, : u.size])
         member, unsure = _members(region, keys, lo, hi, ball.placed(u, v, lo[0]))
         if unsure.any():
             member[unsure] = membership_mask(region, *ball.points(u[unsure], v[unsure]))
-        yield u, v, member
+        return member
+
+    for u, v in _uniform_slices(count, seed, key, work[:2] if table is None else work[2:4]):
+        if table is None:
+            yield u, v, decided(u, v)
+            continue
+        size = u.size
+        index, scratch = work[4, :size].view(np.int64), work[5, :size]
+        np.copyto(index, np.multiply(v, _CELLS, out=scratch), casting="unsafe")  # floor(N v): v >= 0
+        index &= _CELLS // 2 - 1  # v and v + 1/2 share a cell
+        index *= _CELLS
+        # floor(N u) cast in place: copyto casts a 1-D array element by element, each read before it is written
+        np.copyto(scratch.view(np.int64), np.multiply(u, _CELLS, out=scratch), casting="unsafe")
+        index += scratch.view(np.int64)
+        states = work[5].view(np.int8).reshape(8, -1)[:3, :size]
+        cell, member, flag = states[0], states[1].view(bool), states[2].view(bool)
+        table.take(index, out=cell, mode="wrap")  # in range: the mode only spares take a buffered copy
+        np.equal(cell, _IN, out=member)
+        unsure = np.equal(cell, _UNSURE, out=flag).nonzero()[0]
+        uv = work[2:4, :size]  # (u, v)
+        fits = min(unsure.size, width - held)
+        late[:, held : held + fits] = uv[:, unsure[:fits]]
+        held += fits
+        rest = uv[:, unsure[fits:]]  # those past a full batch
+        # the decided samples past the first `size` ones take the held-back ones' places
+        size -= unsure.size
+        holes = unsure[: unsure.searchsorted(size)]
+        movers = size + (cell[size:] != _UNSURE).nonzero()[0]
+        uv[:, holes] = uv[:, movers]
+        member[holes] = member[movers]
+        yield u[:size], v[:size], member[:size]
+        if held == width:
+            yield late[0], late[1], decided(late[0], late[1])
+            held = rest.shape[1]
+            late[:, :held] = rest
+    if held:
+        yield late[0, :held], late[1, :held], decided(late[0, :held], late[1, :held])
 
 
 def _row_plan(region: RegionSpec) -> tuple[np.ndarray, np.ndarray, list, list]:
     """(lo, hi, forms, walks): the key band [lo[t], hi[t]) of each row t of the
     region's walk, and its rows t >= 1 split between the quadratic form,
-    forms = [(t, (p, q, b))] (_form_band), and the float walk,
-    walks = [(t, _Row)]: a row takes the form where _form_band allows it
-    and ||A^(st)||_F <= _FORM_NORM.
+    forms = [(t, (p, q, b), (cell_lo, cell_hi))] (_form_band; the last pair is
+    the cell table's band), and the float walk, walks = [(t, _Row)]: a row
+    takes the form where _form_band allows it and ||A^(st)||_F <= _FORM_NORM.
     """
     ball = region.ball
     rows = _float_rows(region)
@@ -391,16 +492,19 @@ def _row_plan(region: RegionSpec) -> tuple[np.ndarray, np.ndarray, list, list]:
         if form is None:
             walks.append((t, row))
         else:
-            lo[t], hi[t], coefficients = form
-            forms.append((t, coefficients))
+            cell_lo, cell_hi, trig, coefficients = form
+            lo[t], hi[t] = cell_lo - trig, cell_hi + trig
+            forms.append((t, coefficients, (cell_lo, cell_hi)))
     return lo, hi, forms, walks
 
 
-def _form_band(ball: Ball, row: _Row, norm: float) -> tuple[float, float, tuple[float, float, float]] | None:
-    """(lo, hi, (p, q, b)) of the quadratic form at a row of norm ||A^(st)||_F:
-    its key band and r^2 (P, Q, beta), or None where the row may not take it
+def _form_band(ball: Ball, row: _Row, norm: float) -> tuple[float, float, float, tuple[float, float, float]] | None:
+    """(lo, hi, trig, (p, q, b)) of the quadratic form at a row of norm ||A^(st)||_F:
+    key_band(eps'_t) widened by the form's rounding term, which is the cell
+    table's band, the float32 trig term by which the slice's keys widen it
+    further, and r^2 (P, Q, beta); or None where the row may not take the form
     (an adapted ball, a drift, or images that could fold back into the ball).
-    _decided_slices proves the band.
+    _decided_slices proves both bands.
     """
     r, r2 = ball.radius, ball.key_radius
     eps = norm * ball.rounding_error
@@ -412,9 +516,77 @@ def _form_band(ball: Ball, row: _Row, norm: float) -> tuple[float, float, tuple[
         return None
     alpha, beta, gamma = row.gram
     p, q = (alpha + gamma) / 2, (alpha - gamma) / 2
-    trig = r2 * ((abs(q) + abs(beta)) * 2.0**-21 + (p + abs(q) + abs(beta)) * 2.0**-48)
+    rounding = r2 * (p + abs(q) + abs(beta)) * 2.0**-48
     (lo,), (hi,) = ball.key_band(np.array([eps]))
-    return lo - trig, hi + trig, (r2 * p, r2 * q, r2 * beta)
+    return lo - rounding, hi + rounding, r2 * (abs(q) + abs(beta)) * 2.0**-21, (r2 * p, r2 * q, r2 * beta)
+
+
+def _sinusoid_range(p: float, q: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): bounds of p + q cos 4 pi v + b sin 4 pi v on each v-bin [j, j + 1] / _CELLS
+    of [0, 1/2), its period, from its values at the bin's edges and its extrema
+    p +- hypot(q, b) in the bins that hold one, widened by the slack
+    (p + |q| + |b|) 2^-44 (_decided_slices proves the bounds).
+    """
+    angle = np.arange(_CELLS // 2 + 1) * (4.0 * math.pi / _CELLS)
+    edges = p + q * np.cos(angle) + b * np.sin(angle)
+    low, high = np.minimum(edges[:-1], edges[1:]), np.maximum(edges[:-1], edges[1:])
+    # the maximum at v = peak and the minimum a quarter on, mod 1/2
+    amplitude, peak = math.hypot(q, b), math.atan2(b, q) / (4.0 * math.pi)
+    high[int(peak % 0.5 * _CELLS) % (_CELLS // 2)] = p + amplitude
+    low[int((peak + 0.25) % 0.5 * _CELLS) % (_CELLS // 2)] = p - amplitude
+    slack = (p + abs(q) + abs(b)) * 2.0**-44
+    return low - slack, high + slack
+
+
+def _cell_table(region: RegionSpec) -> np.ndarray | None:
+    """The region's cell states (_cell_states), kept for the last region only:
+    a worker takes a region's chunks in a row, and the last table is freed
+    before the next is built.
+    """
+    if region not in _TABLES:
+        _TABLES.clear()
+        _TABLES[region] = _cell_states(region)
+    return _TABLES[region]
+
+
+def _cell_states(region: RegionSpec) -> np.ndarray | None:
+    """The cell table: an int8 array with the state of the cell of v-bin j (mod
+    _CELLS / 2, the keys' period in v) and u-bin i at j * _CELLS + i, _IN where
+    every row of the walk provably favours every sample of the cell, _OUT
+    where one row provably rules them all out, and _UNSURE elsewhere; None
+    where no cell is decided, as for an adapted ball. _decided_slices proves it.
+    """
+    ball = region.ball
+    if ball.metric is not MetricKind.EUCLIDEAN:
+        return None
+    lo, _, forms, walks = _row_plan(region)
+    inside = _walk(region)[1]
+    # u-cuts of each v-bin: its cells are _IN where u0 >= favour_lo and u1 < favour_hi,
+    # _OUT where u1 < out_lo or u0 >= out_hi (u0 and u1 the edges of the cell's u-bin);
+    # a walk row favours no cell
+    favour_lo, out_lo, out_hi = np.zeros(_CELLS // 2), np.zeros(_CELLS // 2), np.full(_CELLS // 2, 2.0)
+    favour_hi = np.full(_CELLS // 2, 0.0 if walks else 2.0)
+    for t, coefficients, (cell_lo, cell_hi) in forms:
+        low, high = _sinusoid_range(*coefficients)
+        below, above = cell_lo / high, cell_hi / low  # the row's key is below cell_lo where u < below, at least cell_hi where u >= above
+        if t < inside:
+            np.minimum(favour_hi, below, out=favour_hi)
+            np.minimum(out_hi, above, out=out_hi)
+        else:
+            np.maximum(favour_lo, above, out=favour_lo)
+            np.maximum(out_lo, below, out=out_lo)
+    upper = np.arange(1, _CELLS + 1) / _CELLS
+    # the u-bins that row 0 favours (a Euclidean Ball.placed ignores v)
+    placed = np.count_nonzero(ball.placed(np.nextafter(upper, 0.0), upper, lo[0]))
+    # as u-bins i: u1 < out_lo where i < ceil(N out_lo) - 1, u0 >= favour_lo where i >= ceil(N favour_lo),
+    # u1 < favour_hi where i < ceil(N favour_hi) - 1, u0 >= out_hi where i >= ceil(N out_hi)
+    ends = np.ceil(np.array([out_lo, favour_lo, favour_hi, out_hi]) * _CELLS) - [[1], [0], [1], [0]]
+    table = np.full((_CELLS // 2, _CELLS), _UNSURE, np.int8)
+    for row, (out_to, in_from, in_to, out_from) in zip(table, np.clip(ends, 0, _CELLS).astype(int).T.tolist()):
+        row[:out_to] = _OUT
+        row[in_from : min(in_to, placed)] = _IN
+        row[out_from:] = _OUT
+    return None if table.min() == _UNSURE else table.ravel()  # _UNSURE is the largest state
 
 
 def _slice_keys(
@@ -427,7 +599,7 @@ def _slice_keys(
     key holds until the next is yielded.
     """
     if forms:
-        ts, coefficients = zip(*forms)
+        ts, coefficients, _ = zip(*forms)
         cos, sin = ball.rough_doubled(v, work[:3])
         yield from zip(ts, _form_keys(coefficients, u, cos, sin, work[2:4]))
     if walks:

@@ -8,10 +8,12 @@ import math
 import os
 import re
 import tracemalloc
+import zlib
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +133,12 @@ COORDINATES = st.one_of(
 )
 
 
+def edge_radius(T, kind, kappa, q=1):
+    """The largest radius, below 1/4, that the local range guard accepts for the kind at stride q."""
+    stride, inside, outside = regions._walk(RegionSpec(BALL, kind, q=q, kappa=kappa))
+    return min(math.nextafter(0.5 / T.lam_abs ** ((inside + outside - 1) * stride), 0.0), 0.2499)
+
+
 CRITERION_2_REGIONS = [(RegionKind.A_Q, 0)] + [(RegionKind.Q_KAPPA, k) for k in range(4)] + [
     (RegionKind.U_KAPPA, k) for k in range(1, 4)
 ]
@@ -162,6 +170,8 @@ CHUNK_CASES = [
            for kind, kappa in CRITERION_2_REGIONS[:2] + [(RegionKind.U_KAPPA, 1)]]
         + [((1000, 999, 1, 1), ORIGIN, "edge", RegionKind.Q_KAPPA, kappa) for kappa in range(2)]
         + [((1000, 999, 1, 1), ORIGIN, "edge", RegionKind.BALL, 0)]
+        # the widest band: the float walk's rows of norm 1413 at the smallest radius
+        + [((1000, 999, 1, 1), ORIGIN, 1e-7, kind, kappa) for kind, kappa in [(RegionKind.BALL, 0), (RegionKind.A_Q, 0)]]
     )
 ]
 
@@ -226,8 +236,7 @@ class TestSampler:
     def test_sliced_chunk_counts_whole_chunk(self, metric, kind, kappa, matrix, centre, radius, size):
         T = ToralAutomorphism(*matrix)
         if radius == "edge":  # the largest radius the local range guard accepts
-            stride, inside, outside = regions._walk(RegionSpec(BALL, kind, q=1, kappa=kappa))
-            radius = min(math.nextafter(0.5 / T.lam_abs ** ((inside + outside - 1) * stride), 0.0), 0.2499)
+            radius = edge_radius(T, kind, kappa)
         region = RegionSpec(Ball(T, centre, radius, metric), kind, q=1, kappa=kappa)
         _local_range_guard(region)
         # chunk 29 of seed 5 holds a point that is in the cat map's ball of radius 0.01 at
@@ -273,6 +282,19 @@ class TestSampler:
         for i, (kind, kappa) in enumerate(CRITERION_2_REGIONS):
             _measure_chunk((RegionSpec(BALL, kind, q=1, kappa=kappa), acceptance._SEED + i, 0, 1 << 18))
         assert 0 < sum(exact) < 1e-4 * 8 * (1 << 18)
+
+    def test_cell_table_decides_criterion_2(self, monkeypatch):
+        # criterion 2's eight regions: the cell table decides at least 97 % of the samples, and
+        # the rest reach membership_mask at most once a chunk, in one batch
+        keyed, exact = [], []
+        slice_keys, mask = regions._slice_keys, regions.membership_mask
+        monkeypatch.setattr(regions, "_slice_keys", lambda ball, f, w, u, *rest: keyed.append(u.size) or slice_keys(ball, f, w, u, *rest))
+        monkeypatch.setattr(regions, "membership_mask", lambda *args: exact.append(1) or mask(*args))
+        for i, (kind, kappa) in enumerate(CRITERION_2_REGIONS):
+            calls = len(exact)
+            _measure_chunk((RegionSpec(BALL, kind, q=1, kappa=kappa), acceptance._SEED + i, 0, 1 << 18))
+            assert len(exact) - calls <= 1
+        assert sum(keyed) <= 0.03 * 8 * (1 << 18)
 
     def test_exact_fallback_share_of_the_dense_ratio(self, monkeypatch):
         # the measure ratio of the dense adapted run at the fixed point: 200k samples of A_1, whose
@@ -399,23 +421,28 @@ class TestQuadraticForm:
         u, v = np.concatenate(u), np.concatenate(v)
         exact = list(_exact_keys(region, *ball.points(u, v)))[1:]
         cos, sin = ball.rough_doubled(v, np.empty((3, u.size)))
-        forms = [coefficients for _, _, coefficients in bands]
+        forms = [coefficients for *_, coefficients in bands]
         rough = [key.copy() for key in regions._form_keys(forms, u, cos, sin, np.empty((2, u.size)))]
         assert len(rough) == len(exact) == len(bands)
         r2 = ball.key_radius
-        for t, (key, form, (lo, hi, coefficients), row, rim) in enumerate(zip(exact, rough, bands, rows, worst), 1):
-            # the band's parts: eps' for the distance, E for the form's trig and roundings
+        for t, (key, form, (cell_lo, cell_hi, trig, coefficients), row, rim) in enumerate(
+            zip(exact, rough, bands, rows, worst), 1
+        ):
+            # the band's parts: eps' for the distance, E for the form's roundings (the cell table's
+            # band stops there) and for its float32 trig
             alpha, beta, gamma = row.gram
             P, Q = (alpha + gamma) / 2, (alpha - gamma) / 2
             assert coefficients == (r2 * P, r2 * Q, r2 * beta)
-            trig = r2 * ((abs(Q) + abs(beta)) * 2.0**-21 + (P + abs(Q) + abs(beta)) * 2.0**-48)
+            rounding = r2 * (P + abs(Q) + abs(beta)) * 2.0**-48
+            assert trig == r2 * (abs(Q) + abs(beta)) * 2.0**-21
             eps = math.sqrt(torus.power_norm_sq(T, t)) * ball.rounding_error
             (edge_lo,), (edge_hi,) = ball.key_band(np.array([eps]))
-            assert (lo, hi) == (edge_lo - trig, edge_hi + trig)
+            assert (cell_lo, cell_hi) == (edge_lo - rounding, edge_hi + rounding)
+            lo, hi, error = cell_lo - trig, cell_hi + trig, trig + rounding
             # the exact distance lies within eps' of those that the form key and E allow ...
-            assert (np.sqrt(key) <= np.sqrt(form + trig) + eps).all()
-            near = form + trig < 0.2  # below that, no other representative of the image is nearer
-            assert (np.sqrt(key[near]) >= np.sqrt(np.maximum(form[near] - trig, 0.0)) - eps).all()
+            assert (np.sqrt(key) <= np.sqrt(form + error) + eps).all()
+            near = form + error < 0.2  # below that, no other representative of the image is nearer
+            assert (np.sqrt(key[near]) >= np.sqrt(np.maximum(form[near] - error, 0.0)) - eps).all()
             # ... so a form key outside the band decides the exact one
             assert (key[form < lo] < r2).all()
             assert (key[form >= hi] >= r2).all()
@@ -431,7 +458,7 @@ class TestQuadraticForm:
     def test_rows_that_take_the_form(self):
         def plan(ball, kind, q=1, kappa=0):
             _, _, forms, walks = regions._row_plan(RegionSpec(ball, kind, q=q, kappa=kappa))
-            return [t for t, _ in forms], [t for t, _ in walks]
+            return [t for t, *_ in forms], [t for t, _ in walks]
 
         # every row of criteria 2 and 3
         for kind, kappa in CRITERION_2_REGIONS:
@@ -449,10 +476,158 @@ class TestQuadraticForm:
         assert plan(Ball(CAT, ORIGIN, 1e-4, MetricKind.EUCLIDEAN), RegionKind.U_KAPPA, kappa=5) == ([1, 2, 3, 4], [5])
         # a form row's band is _form_band's, a walk row's the float walk's
         ball = Ball(CAT, PERIOD_TWO, S, MetricKind.EUCLIDEAN)
-        lo, hi, _, _ = regions._row_plan(RegionSpec(ball, RegionKind.A_Q, q=2))
+        lo, hi, forms, _ = regions._row_plan(RegionSpec(ball, RegionKind.A_Q, q=2))
         eps = math.sqrt(torus.power_norm_sq(CAT, 1)) * ball.rough_error
         assert (lo[1], hi[1]) == tuple(edge[0] for edge in ball.key_band(np.array([eps])))
-        assert (lo[2], hi[2]) == form_band(ball, 2)[:2]
+        # and the cell table's band is the form's without its float32 trig term
+        cell_lo, cell_hi, trig, _ = form_band(ball, 2)
+        assert (lo[2], hi[2]) == (cell_lo - trig, cell_hi + trig)
+        assert forms[0][2] == (cell_lo, cell_hi)
+
+
+def guarded(region):
+    """True where the local range guard accepts the region."""
+    try:
+        _local_range_guard(region)
+    except OutOfLocalRange:
+        return False
+    return True
+
+
+MATRICES = [(2, 1, 1, 1), (3, 1, 2, 1), (-3, 1, -1, 0), (1000, 999, 1, 1)]
+# (matrix, centre, radius, kind, kappa, q) of a Euclidean region: the ball, A_q, Q_0..3 and U_1..3 of
+# each matrix at each radius the guard accepts, then the cat map's mixed rows at its point of period 2
+CELL_CASES = [
+    pytest.param(matrix, ORIGIN, radius, kind, kappa, 1, id=f"{','.join(map(str, matrix))}-{radius}-{kind.value}{kappa}")
+    for matrix in MATRICES
+    for radius in (1e-7, 1e-4, S, "edge")
+    for kind, kappa in [(RegionKind.BALL, 0)] + CRITERION_2_REGIONS
+    if radius == "edge" or guarded(RegionSpec(Ball(ToralAutomorphism(*matrix), ORIGIN, radius, MetricKind.EUCLIDEAN),
+                                              kind, q=1, kappa=kappa))
+] + [
+    pytest.param((2, 1, 1, 1), PERIOD_TWO, S, kind, kappa, q, id=f"period-2-{kind.value}{kappa}-q{q}")
+    for kind, kappa, q in [(RegionKind.A_Q, 0, 2), (RegionKind.Q_KAPPA, 3, 1), (RegionKind.U_KAPPA, 3, 1)]
+]
+
+
+def cell_points(table, rows, placed_cut, rng):
+    """(u, v, cell): uniforms in decided cells of the table, each with its cell's flat index, in
+    both halves of v, whose v-bins j and j + 256 share a cell. Every decided cell next to a cell of
+    another state (along u or v) gives its corners, the upper edges by nextafter inward, with the
+    extrema v of each form row in its v-bin and u* with its neighbours where its bin is the cell's;
+    4096 seeded decided cells give 4 seeded points each."""
+    n = regions._CELLS
+    states = table.reshape(n // 2, n)
+    decided = states != regions._UNSURE
+    edge = np.zeros_like(decided)
+    for axis in (0, 1):
+        step = np.diff(states, axis=axis) != 0
+        edge |= np.pad(step, [(0, 1) if a == axis else (0, 0) for a in (0, 1)])
+        edge |= np.pad(step, [(1, 0) if a == axis else (0, 0) for a in (0, 1)])
+    # each form row's extrema: p + q cos 4 pi v + b sin 4 pi v peaks at atan2(b, q) / (4 pi) mod 1/2
+    extrema = [(math.atan2(b, q) / (4 * math.pi) + shift) % 1.0 for p, q, b in rows for shift in (0, 0.25, 0.5, 0.75)]
+    u, v, cell = [], [], []
+    for j, i in zip(*np.nonzero(decided & edge)):
+        us = [i / n, math.nextafter((i + 1) / n, 0.0)]
+        if i == int(placed_cut * n):
+            us += [math.nextafter(placed_cut, 0.0), placed_cut, math.nextafter(placed_cut, 1.0)]
+        for bin_ in (j, j + n // 2):
+            vs = [bin_ / n, math.nextafter((bin_ + 1) / n, 0.0)] + [x for x in extrema if int(x * n) == bin_]
+            for a, b in itertools.product(us, vs):
+                if int(a * n) == i:
+                    u.append(a), v.append(b), cell.append(j * n + i)
+    chosen = rng.choice(np.flatnonzero(decided), min(4096, int(decided.sum())), replace=False).repeat(4)
+    u.extend((chosen % n + rng.random(chosen.size)) / n)
+    v.extend((chosen // n + rng.integers(0, 2, chosen.size) * (n // 2) + rng.random(chosen.size)) / n)
+    return np.array(u), np.array(v), np.concatenate([cell, chosen]).astype(np.intp)
+
+
+def sinusoid(p, q, b, v):
+    """p + q cos 4 pi v + b sin 4 pi v in 40-digit mpmath, at the double v."""
+    with mp.workdps(40):
+        angle = 4 * mp.pi * mp.mpf(v)
+        return p + q * mp.cos(angle) + b * mp.sin(angle)
+
+
+class TestCellTable:
+    """The oracle's cell table: each decided cell against membership_mask on Ball.points."""
+
+    @pytest.mark.parametrize("matrix, centre, radius, kind, kappa, q", CELL_CASES)
+    def test_decided_cells_are_exact(self, matrix, centre, radius, kind, kappa, q):
+        T = ToralAutomorphism(*matrix)
+        if radius == "edge":
+            radius = edge_radius(T, kind, kappa, q)
+        region = RegionSpec(Ball(T, centre, radius, MetricKind.EUCLIDEAN), kind, q=q, kappa=kappa)
+        _local_range_guard(region)
+        lo, _, forms, walks = regions._row_plan(region)
+        table = regions._cell_table(region)
+        if table is None:  # no row decides a cell: every row past time 0 takes the walk
+            assert walks and not forms and kind is not RegionKind.BALL
+            return
+        ball = region.ball
+        # u*: Ball.placed places every u below it, by bisection
+        inside, outside = 0.0, 1.0
+        while math.nextafter(inside, 1.0) < outside:
+            middle = max(0.5 * (inside + outside), math.nextafter(inside, 1.0))
+            inside, outside = (middle, outside) if ball.placed(np.array([middle]), np.zeros(1), lo[0])[0] else (inside, middle)
+        u, v, cell = cell_points(table, [coefficients for _, coefficients, _ in forms], outside,
+                                 np.random.default_rng(zlib.crc32(repr((matrix, radius, kind, kappa, q)).encode())))
+        n = regions._CELLS
+        assert ((u * n).astype(int) == cell % n).all()
+        assert ((v * n).astype(int) % (n // 2) == cell // n).all()
+        member = membership_mask(region, *ball.points(u, v))
+        np.testing.assert_array_equal(member, table[cell] == regions._IN)
+        # the table decides: IN cells unless a row takes the walk, OUT cells unless the region is the ball
+        assert bool((table == regions._IN).any()) is not bool(walks)
+        assert bool((table == regions._OUT).any()) is (kind is not RegionKind.BALL)
+
+    @pytest.mark.parametrize("matrix", MATRICES[:3])
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_sinusoid_bounds_hold_every_value(self, matrix, t):
+        # a row's range on each v-bin holds the exact sinusoid at the bin's edges, at its extrema
+        # and inside, with the slack to spare, in both halves of its period 1/2
+        ball = Ball(ToralAutomorphism(*matrix), ORIGIN, 1e-4, MetricKind.EUCLIDEAN)
+        row = _float_rows(RegionSpec(ball, RegionKind.U_KAPPA, q=1, kappa=t))[t - 1]
+        alpha, beta, gamma = row.gram
+        r2 = mp.mpf(ball.radius) ** 2
+        exact = (r2 * mp.mpf(alpha + gamma) / 2, r2 * mp.mpf(alpha - gamma) / 2, r2 * beta)
+        p, q, b = (float(c) for c in exact)
+        low, high = regions._sinusoid_range(p, q, b)
+        n = regions._CELLS
+        with mp.workdps(40):
+            peak = mp.atan2(exact[2], exact[1]) / (4 * mp.pi)
+            extrema = [float((peak + shift) % 1) for shift in (0, 0.25, 0.5, 0.75)]
+        rng = np.random.default_rng(t)
+        for j in range(n):
+            vs = [j / n, math.nextafter((j + 1) / n, 0.0), (j + 1) / n, *((j + rng.random(2)) / n)]
+            vs += [x for x in extrema if int(x * n) == j]
+            values = [sinusoid(*exact, x) for x in vs]
+            assert low[j % (n // 2)] <= min(values) and max(values) <= high[j % (n // 2)], j
+        # the slack is small beside the cells: the bounds stay within 2^-40 of the edge values
+        edges = np.array([float(sinusoid(*exact, j / n)) for j in range(n // 2 + 1)])
+        scale = p + abs(q) + abs(b)
+        assert (np.minimum(edges[:-1], edges[1:]) - low >= 0).all()
+        assert (np.minimum(edges[:-1], edges[1:]) - low).max() <= scale * max(1 - math.cos(2 * math.pi / n), 2.0**-40)
+
+    def test_cache_is_keyed_by_the_region(self):
+        # regions that differ only in radius, kappa or metric never share a table: each takes its own
+        # build, though the radius barely moves a cut (the keys and the band scale by r^2 alike)
+        base = RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=1)
+        others = [RegionSpec(Ball(CAT, ORIGIN, 0.02, MetricKind.EUCLIDEAN), RegionKind.Q_KAPPA, q=1, kappa=1),
+                  RegionSpec(BALL, RegionKind.Q_KAPPA, q=1, kappa=2),
+                  RegionSpec(Ball(CAT, ORIGIN, S, MetricKind.ADAPTED), RegionKind.Q_KAPPA, q=1, kappa=1)]
+        for other in others:
+            table = regions._cell_table(base)
+            # an equal region is the same key
+            assert regions._cell_table(RegionSpec(Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN), RegionKind.Q_KAPPA,
+                                                  q=1, kappa=1)) is table
+            cached = regions._cell_table(other)
+            assert cached is not table
+            regions._TABLES.clear()
+            fresh = regions._cell_table(other)
+            assert (cached is None and fresh is None) or np.array_equal(cached, fresh)
+        assert fresh is None  # the adapted ball has no table
+        assert not np.array_equal(regions._cell_table(base), regions._cell_table(others[1]))
 
 
 def near_lines(width, seed):
