@@ -25,44 +25,36 @@ table also sets the local range guard: a walk reads images up to
 
 The measure oracle samples uniformly from the ball rather than the whole
 torus, a variance reduction of about 1/(pi r^2), and multiplies the hit
-fraction by the ball area. Sampling is split into fixed-size chunks
-whose random streams are keyed by (seed, chunk index); the merged
-estimate is a pure function of the seed, independent of how chunks are
-assigned to workers. The chunks run through torus.map_jobs, whose pool
-is the one a caller holds open with torus.process_pool when it has as
-many processes (validate holds one for its whole run, so criterion 2's
-eight calls share it), else one started and joined for the call. A
-sample is one keyed stream: u is its first
-`count` doubles and v the `count` after them. _uniform_slices draws
-both a slice of _SLICE points at a time, v from a copy of the
-stream advanced `count` draws on, so no caller holds an array larger
-than a slice, whatever the sample size.
+fraction by the ball area. Its chunks' streams are keyed by (seed, chunk
+index), so the estimate is a pure function of the seed whatever the
+workers; the chunks run through torus.map_jobs, on the pool a caller
+holds open with torus.process_pool (validate holds one for its whole
+run), else on one started for the call. A sample is one keyed stream of
+raw PCG64 outputs: u is read from its first `count` outputs and v from
+the next `count`, u = (raw >> 11) 2^-53, the double Generator.random
+makes of an output (_doubles). _uniform_slices draws them _SLICE at a
+time, v from a copy of the stream advanced `count` outputs on, so no
+array outgrows a slice.
 
 _decided_slices decides a sample first by the (u, v) cell of its
-uniforms: _cell_table holds, per cell of 1/512 by 1/512, whether every
-row provably favours every point of the cell, or one row provably
-rules them all out, from the exact range of each quadratic-form row on
-the cell (_sinusoid_range); at criterion 2 that decides 98-99 % of the
-samples, for one index and one np.take each. The samples of the other
-cells are held back, and once they fill a slice, and at the end, are
-decided together on rough keys with bands as wide as their error
-bounds, then the few the bands leave unsure (about 1 in 1e5 of the
-sample at criterion 2) on their exact Ball.points by membership_mask,
-once a batch; so every sample is decided as on its exact point.
-The rough key of a row (_row_plan) is the quadratic form where it may
-be: a Euclidean row whose stride fixes the centre keys each sample by
-o^T G o, G the exact Gram matrix of the row's matrix power, from u and
-the float32 cos and sin of the doubled angle 4 pi v (Ball.rough_doubled,
-_form_keys), with no offsets and no fold. Every other row keys the
-float walk of the slice's Ball.rough_offsets (float32 trig, no
-residues, _rough_keys). Time 0 takes no key:
-Ball.placed places a sample's point there in the ball from its uniforms
-alone (u < u*, for the Euclidean metric, with 1 - u* about 6e-6), and
-the samples it does not place are unsure. The oracle counts the
-members. The separation scan maps the members alone to exact points
-and pulls them back with one walk, counting each point's rows out of
-the ball since its last row in it. escape_region builds an
-experiment's escape region, for the scan and the ratio estimator.
+uniforms, read from the top bits of its raw outputs: _cell_table holds,
+per cell of 1/512 by 1/512, whether every row provably favours every
+point of the cell or one row provably rules them all out (98-99 % of
+the samples at criterion 2). The samples of the other cells are held
+back, and once they fill a slice, and at the end, are turned into
+doubles and decided on rough keys with bands as wide as their error
+bounds, and the few the bands leave unsure (about 1 in 1e5 at criterion
+2) on their exact Ball.points by membership_mask; so every sample is
+decided as on its exact point. A region with no table turns every
+sample into doubles. The rough key of a row (_row_plan) is the quadratic
+form o^T G o of a Euclidean row whose stride fixes the centre, G the
+exact Gram matrix of the row's matrix power, from u and the float32
+trig of 4 pi v (_form_keys), and elsewhere the float walk of
+Ball.rough_offsets (_rough_keys). Time 0 takes no key: Ball.placed
+places a sample there from its uniforms alone. The oracle counts the
+members; the separation scan turns the members alone into doubles and
+pulls their exact points back with one walk, counting each point's rows
+out of the ball since its last row in it.
 """
 
 from __future__ import annotations
@@ -84,24 +76,22 @@ if TYPE_CHECKING:  # simulate imports this module
     from .simulate import ExperimentConfig
 
 _CHUNK = 1 << 18
-# Points per slice of a sample, the width of the oracle's workspace, and
-# orbit_blocks' budget for the exact walks of a slice: one row of a slice
-# per block. At 3 * 2^12 criterion 2's chunks take as long as at 2^14
-# (2^12, 2^13 and 2^16 were about 30, 15 and 10 % slower), and the seven
-# rows the float walk touches stay under six rows of 2^14.
+# Points per slice of a sample, the width of the oracle's workspace, and orbit_blocks' budget
+# for a slice's exact walks, one row per block. Criterion 2 ran as fast as at 2^14 (2^12, 2^13
+# and 2^16 were 30, 15 and 10 % slower), and the float walk's rows stay under six rows of 2^14.
 _SLICE = 3 << 12
 MIN_SAMPLES = 1000  # the fewest samples the oracle and the separation scan take
 # the most: 2^53 is the largest count whose hit fraction a double holds exactly
 MAX_SAMPLES = 1 << 53
-# The largest ||A^(st)||_F of a row that takes the quadratic form (_row_plan): every row of
-# criteria 2 and 3 (the deepest, the cat map's A^4, has norm 47). The form's band is about
-# ||A^(st)||_F / 8 times the float walk's: on 1000,999,1,1's first row (norm 1413) at radius
-# 1e-7 the form left 5.5e-4 of the samples unsure, the walk 1.5e-5, and a chunk took 28-30 ns
-# a sample against the walk's 23, when the exact path (about 70 us a call) ran once a slice.
+# The largest ||A^(st)||_F of a row that takes the quadratic form (_row_plan), past every row of
+# criteria 2 and 3 (the cat map's A^4: 47). The form's band is about ||A^(st)||_F / 8 times the
+# walk's: at 1000,999,1,1's norm 1413, r = 1e-7, it left 5.5e-4 of the samples unsure, the walk 1.5e-5.
 _FORM_NORM = 64.0
 # Bins of each uniform in a region's cell table (_cell_table): cells of 1/512 by 1/512. The keys
 # repeat with period 1/2 in v, so the table holds the 256 x 512 cells of v in [0, 1/2), int8: 128 KB.
 _CELLS = 512
+# The bits of a bin: floor(_CELLS u) is the top 9 bits of u's raw output (_cell_index)
+_BIN_BITS = _CELLS.bit_length() - 1
 _OUT, _IN, _UNSURE = 0, 1, 2  # the state of a cell
 _TABLES: dict = {}  # _cell_table's one region and its table
 
@@ -259,23 +249,41 @@ def _form_keys(
         yield key
 
 
-def _uniform_slices(
-    count: int, seed: int, key: int, out: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The uniforms (u, v) of a sample of `count` points, _SLICE at a time.
-
-    The sample is keyed_rng(seed, key)'s first 2*count doubles: u is the
-    first count and v the next count, the bits of one whole draw. Each
-    double is one output of the bit generator, so a second copy of the
-    stream advanced by count draws v alongside u. Every slice is drawn
-    into the two rows of out, a (2, min(count, _SLICE)) array,
-    so a slice's arrays hold until the next slice is drawn.
+def _uniform_slices(count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The raw outputs (ru, rv) of a sample of `count` points, _SLICE at a time:
+    keyed_rng(seed, key)'s first count raw PCG64 outputs and its next count,
+    drawn alongside by a copy of the stream advanced by count. Their doubles
+    (_doubles) are keyed_rng(seed, key).random(2 * count), bit for bit. Each
+    slice is two new arrays: a caller drops them before it asks for the next,
+    so that no two slices are held at once.
     """
-    u_rng, v_rng = keyed_rng(seed, key), keyed_rng(seed, key)
-    v_rng.bit_generator.advance(count)
+    u_gen, v_gen = keyed_rng(seed, key).bit_generator, keyed_rng(seed, key).bit_generator
+    v_gen.advance(count)
     for lo in range(0, count, _SLICE):
         size = min(_SLICE, count - lo)
-        yield u_rng.random(out=out[0, :size]), v_rng.random(out=out[1, :size])
+        yield u_gen.random_raw(size), v_gen.random_raw(size)
+
+
+def _doubles(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The doubles (raw >> 11) 2^-53 of the raw PCG64 outputs raw, in out (a
+    float64 array of raw's size, which may be raw's own memory): bit for bit
+    Generator.random's, as the 53-bit integer and the power of 2 are exact.
+    """
+    bits = out.view(np.uint64)
+    np.right_shift(raw, 11, out=bits)
+    # in place across types: each chunk is read before it is written
+    return np.multiply(bits, 2.0**-53, out=out)
+
+
+def _cell_index(ru: np.ndarray, rv: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(floor(N v) mod N/2) N + floor(N u), N = _CELLS: the cell table's index of
+    each sample from its raw outputs, in out and scratch (uint64 arrays of
+    their size), as intp. _decided_slices proves it.
+    """
+    np.right_shift(rv, 64 - 2 * _BIN_BITS, out=out)
+    out &= (_CELLS // 2 - 1) << _BIN_BITS
+    out |= np.right_shift(ru, 64 - _BIN_BITS, out=scratch)
+    return out.view(np.intp)
 
 
 class MeasureEstimate(NamedTuple):
@@ -294,16 +302,16 @@ def _local_range_guard(region: RegionSpec) -> None:
 
 
 def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(u, v, member) batches that hold each sample of `count` points once,
-    member deciding each batch's samples as membership_mask does on their
-    exact points, Ball.points(u, v). A sample is decided by the cell of its
-    uniforms where _cell_table decides the cell. The samples of the other
-    cells are held back, and once they fill a slice, and at the end, they
-    are decided on their rough keys where an error bound proves the answer
-    and on their exact points elsewhere, so membership_mask takes the few
-    such points once a batch. Each slice yields its decided samples,
-    reordered; a region without a table yields its slices whole. The
-    arrays hold until the next batch is yielded.
+    """(ru, rv, member) batches of raw outputs (_uniform_slices) holding each
+    sample of `count` points once, member deciding each batch's samples as
+    membership_mask does on Ball.points(u, v), u and v their doubles
+    (_doubles). A sample is decided by its cell (_cell_index) where
+    _cell_table decides the cell; the others are held back, and once they
+    fill a slice, and at the end, turned into doubles and decided on their
+    rough keys where an error bound proves the answer and on their exact
+    points elsewhere. Each slice yields its decided samples, reordered; a
+    region without a table yields its slices whole. The arrays are the
+    caller's, to read or overwrite, until it asks for the next batch.
 
     Why member is membership_mask's on Ball.points(u, v), bit for bit: with
     o the offset that Ball.points folds to the grid point p, o' the rough
@@ -380,7 +388,10 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
 
     Why a cell of the table decides its samples: a sample is in the closed
     cell [i, i + 1] / N x [j, j + 1] / N of its uniforms (N = _CELLS), with
-    i = floor(N u) and j = floor(N v), exact as N is a power of 2. At row
+    i = floor(N u) and j = floor(N v), read from the raw outputs by
+    _cell_index: u = m 2^-53 with m = ru >> 11 < 2^53, so N u = m 2^-44
+    exactly (N = 2^9) and i = m >> 44 = ru >> 55; so j = rv >> 55, and
+    (rv >> 46) & (N/2 - 1) N is (j mod N/2) N, clear of i's 9 bits. At row
     0, Ball.placed holds every u below a cut u*, so it places every sample
     of a u-bin where it places the largest double below the bin's upper
     edge; no cell is ruled out there. A form row compares the exact real
@@ -423,53 +434,51 @@ def _decided_slices(region: RegionSpec, count: int, seed: int, key: int) -> Iter
     lo, hi, forms, walks = _row_plan(region)
     table = _cell_table(region)
     width = min(count, _SLICE)
-    # rows 0-1 the uniforms and 2-7 the form's doubled trig and keys, or the rough offsets and the
-    # float walk's rows. With a table, rows 0-1 hold the samples held back and rows 2-3 the uniforms,
-    # rows 4-5 the cells' index and states, and the held-back samples' keys take rows 2-7 once their
-    # slice is yielded: a region of form rows alone touches rows 0-5 either way.
-    work = np.empty((8, width))
-    late, held = work[:2], 0
+    # rows 0-1 a slice's uniforms or, with a table, the raw outputs held back, whose uniforms take
+    # rows 2-3 (a slice's cell index and states till it is yielded); then their keys' work, 4 rows
+    # for the form and 6 for the walk
+    work = np.empty(((2 if table is None else 4) + (6 if walks else 4), width))
+    uniforms, keys_work = (work[:2], work[2:]) if table is None else (work[2:4], work[4:])
 
-    def decided(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        keys = _slice_keys(ball, forms, walks, u, v, work[2:, : u.size])
+    def decided(ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
+        u, v = (_doubles(raw, row[: raw.size]) for raw, row in zip((ru, rv), uniforms))
+        keys = _slice_keys(ball, forms, walks, u, v, keys_work[:, : u.size])
         member, unsure = _members(region, keys, lo, hi, ball.placed(u, v, lo[0]))
         if unsure.any():
             member[unsure] = membership_mask(region, *ball.points(u[unsure], v[unsure]))
         return member
 
-    for u, v in _uniform_slices(count, seed, key, work[:2] if table is None else work[2:4]):
-        if table is None:
-            yield u, v, decided(u, v)
-            continue
-        size = u.size
-        index, scratch = work[4, :size].view(np.int64), work[5, :size]
-        np.copyto(index, np.multiply(v, _CELLS, out=scratch), casting="unsafe")  # floor(N v): v >= 0
-        index &= _CELLS // 2 - 1  # v and v + 1/2 share a cell
-        index *= _CELLS
-        # floor(N u) cast in place: copyto casts a 1-D array element by element, each read before it is written
-        np.copyto(scratch.view(np.int64), np.multiply(u, _CELLS, out=scratch), casting="unsafe")
-        index += scratch.view(np.int64)
-        states = work[5].view(np.int8).reshape(8, -1)[:3, :size]
+    if table is None:
+        for ru, rv in _uniform_slices(count, seed, key):
+            yield ru, rv, decided(ru, rv)
+            del ru, rv  # before the next slice is drawn (_uniform_slices)
+        return
+    late, held = work[:2].view(np.uint64), 0
+    for ru, rv in _uniform_slices(count, seed, key):
+        size = ru.size
+        index = _cell_index(ru, rv, work[2, :size].view(np.uint64), work[3, :size].view(np.uint64))
+        states = work[3].view(np.int8).reshape(8, -1)[:3, :size]
         cell, member, flag = states[0], states[1].view(bool), states[2].view(bool)
         table.take(index, out=cell, mode="wrap")  # in range: the mode only spares take a buffered copy
         np.equal(cell, _IN, out=member)
         unsure = np.equal(cell, _UNSURE, out=flag).nonzero()[0]
-        uv = work[2:4, :size]  # (u, v)
         fits = min(unsure.size, width - held)
-        late[:, held : held + fits] = uv[:, unsure[:fits]]
+        for row, raw in zip(late, (ru, rv)):
+            raw.take(unsure[:fits], out=row[held : held + fits], mode="wrap")
         held += fits
-        rest = uv[:, unsure[fits:]]  # those past a full batch
+        rest = [raw[unsure[fits:]] for raw in (ru, rv)]  # those past a full batch
         # the decided samples past the first `size` ones take the held-back ones' places
         size -= unsure.size
         holes = unsure[: unsure.searchsorted(size)]
         movers = size + (cell[size:] != _UNSURE).nonzero()[0]
-        uv[:, holes] = uv[:, movers]
-        member[holes] = member[movers]
-        yield u[:size], v[:size], member[:size]
+        for array in (ru, rv, member):
+            array[holes] = array[movers]
+        yield ru[:size], rv[:size], member[:size]
         if held == width:
             yield late[0], late[1], decided(late[0], late[1])
-            held = rest.shape[1]
+            held = rest[0].size
             late[:, :held] = rest
+        del ru, rv  # before the next slice is drawn
     if held:
         yield late[0, :held], late[1, :held], decided(late[0, :held], late[1, :held])
 
@@ -593,8 +602,8 @@ def _slice_keys(
     ball: Ball, forms: list, walks: list, u: np.ndarray, v: np.ndarray, work: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """(t, key) of each row t >= 1 of a slice's walk, _row_plan's forms first and
-    then its walks, in the rows of work, a (6, len(u)) float64 array: the
-    form takes its doubled trig in rows 0-2 and its keys in rows 2-3, and
+    then its walks, in the rows of work, a float64 array of len(u) columns:
+    the form takes its doubled trig in rows 0-2 and its keys in rows 2-3, and
     the walk its rough offsets in rows 0-3 and its keys in rows 2-5. Each
     key holds until the next is yielded.
     """
@@ -611,7 +620,11 @@ def _slice_keys(
 def _measure_chunk(args: tuple) -> int:
     """The hits of one chunk: the members of its sample that _decided_slices finds."""
     region, seed, index, size = args
-    return sum(int(np.count_nonzero(member)) for _, _, member in _decided_slices(region, size, seed, index))
+    hits = 0
+    for batch in _decided_slices(region, size, seed, index):
+        hits += int(np.count_nonzero(batch[2]))
+        del batch  # before the next slice is drawn (_uniform_slices)
+    return hits
 
 
 def monte_carlo_measure(
@@ -660,9 +673,13 @@ def separation_check(cfg: ExperimentConfig, samples: int, seed: int) -> bool:
     if window == 0:
         return True
     ball, outside = region.ball, _walk(region)[2]
-    for u, v, member in _decided_slices(region, samples, seed, 0):
-        # the members at times 0, -1, .., -window; run: each one's rows out of the ball since its last in
-        px, py = ball.points(u[member], v[member])
+    for ru, rv, member in _decided_slices(region, samples, seed, 0):
+        # the members at times 0, -1, .., -window, their doubles in their raw outputs' place;
+        # run: each one's rows out of the ball since its last in
+        members = int(np.count_nonzero(member))
+        u, v = (_doubles(raw[member], raw[:members].view(np.float64)) for raw in (ru, rv))
+        px, py = ball.points(u, v)
+        del ru, rv, member, u, v  # before the next slice is drawn (_uniform_slices)
         run = np.zeros(px.size, np.int64)
         for block in orbit_blocks(px, py, ball.T, window, -1, elements=_SLICE):
             for key in ball.key(block.x, block.y):

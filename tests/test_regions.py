@@ -40,7 +40,9 @@ from extorus import (
 from extorus import acceptance, regions, simulate, torus
 from extorus.regions import (
     _SLICE,
+    _cell_index,
     _decided_slices,
+    _doubles,
     _exact_keys,
     _float_rows,
     _local_range_guard,
@@ -58,10 +60,14 @@ S = 0.01
 BALL = Ball(CAT, ORIGIN, S, MetricKind.EUCLIDEAN)
 
 
+def uniforms(*raws):
+    """The doubles of each array of raw outputs (_doubles)."""
+    return [_doubles(raw, np.empty(raw.size)) for raw in raws]
+
+
 def sliced_sample(ball, count, seed, key):
-    """Ball.points of each _uniform_slices slice, concatenated."""
-    work = np.empty((2, min(count, _SLICE)))
-    slices = [ball.points(u, v) for u, v in _uniform_slices(count, seed, key, work)]
+    """Ball.points of the doubles of each _uniform_slices slice, concatenated."""
+    slices = [ball.points(*uniforms(ru, rv)) for ru, rv in _uniform_slices(count, seed, key)]
     assert all(len(px) <= _SLICE for px, _ in slices)
     return tuple(np.concatenate(part) for part in zip(*slices))
 
@@ -268,11 +274,16 @@ class TestSampler:
     @example(MetricKind.EUCLIDEAN, RegionKind.Q_KAPPA, 3, (2, 1, 1, 1), PERIOD_TWO, 1, S, 1 << 16, 3, 2)
     def test_decided_slices_are_exact_membership(self, metric, kind, kappa, matrix, centre, q, radius, count, seed, key):
         region = RegionSpec(Ball(ToralAutomorphism(*matrix), centre, radius, metric), kind, q=q, kappa=kappa)
-        drawn = 0
-        for u, v, member in _decided_slices(region, count, seed, key):
-            np.testing.assert_array_equal(member, membership_mask(region, *region.ball.points(u, v)))
-            drawn += u.size
-        assert drawn == count
+        drawn = []
+        for ru, rv, member in _decided_slices(region, count, seed, key):
+            np.testing.assert_array_equal(member, membership_mask(region, *region.ball.points(*uniforms(ru, rv))))
+            drawn.append((ru.copy(), rv.copy()))
+        # the batches hold the draw's (u, v) pairs of raw outputs, each once, in some order
+        ru, rv = (np.concatenate(part) for part in zip(*drawn))
+        draw = [np.concatenate([slice_[i] for slice_ in _uniform_slices(count, seed, key)]) for i in (0, 1)]
+        order, expected = np.lexsort((rv, ru)), np.lexsort(draw[::-1])
+        np.testing.assert_array_equal(ru[order], draw[0][expected])
+        np.testing.assert_array_equal(rv[order], draw[1][expected])
 
     def test_exact_fallback_share_at_criterion_2(self, monkeypatch):
         # criterion 2's eight regions: under 1e-4 of the samples take the exact points
@@ -296,6 +307,16 @@ class TestSampler:
             assert len(exact) - calls <= 1
         assert sum(keyed) <= 0.03 * 8 * (1 << 18)
 
+    def test_doubles_only_for_the_held_back_at_criterion_2(self, monkeypatch):
+        # criterion 2's eight regions: the cell table reads the raw outputs, so at most 3 % of the
+        # draw (u and v of each sample) is turned into doubles
+        converted = []
+        doubles = regions._doubles
+        monkeypatch.setattr(regions, "_doubles", lambda raw, out: converted.append(raw.size) or doubles(raw, out))
+        for i, (kind, kappa) in enumerate(CRITERION_2_REGIONS):
+            _measure_chunk((RegionSpec(BALL, kind, q=1, kappa=kappa), acceptance._SEED + i, 0, 1 << 18))
+        assert 0 < sum(converted) <= 0.03 * 2 * 8 * (1 << 18)
+
     def test_exact_fallback_share_of_the_dense_ratio(self, monkeypatch):
         # the measure ratio of the dense adapted run at the fixed point: 200k samples of A_1, whose
         # band is the float walk's rounding alone; under 1e-4 of them take the exact points
@@ -305,6 +326,39 @@ class TestSampler:
         monkeypatch.setattr(Ball, "points", lambda ball, u, v: exact.append(u.size) or points(ball, u, v))
         monte_carlo_measure(regions.escape_region(cfg), 200_000, cfg.seed + 1)
         assert sum(exact) < 1e-4 * 200_000
+
+
+class TestRawOutputs:
+    """The oracle reads its samples from raw PCG64 outputs: their doubles and their cells."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("count", [1, _SLICE, _SLICE + 1, 1 << 18])
+    def test_doubles_are_generator_random(self, seed, count):
+        # u is the stream's first count doubles and v the next count, past the advance
+        expected = keyed_rng(seed, 9).random(2 * count)
+        slices = [uniforms(ru, rv) for ru, rv in _uniform_slices(count, seed, 9)]
+        u, v = (np.concatenate(part) for part in zip(*slices))
+        np.testing.assert_array_equal(u, expected[:count])
+        np.testing.assert_array_equal(v, expected[count:])
+
+    def test_doubles_at_the_raw_edges(self):
+        raw = np.array([0, 2**11 - 1, 2**11, 2**64 - 1], np.uint64)
+        assert uniforms(raw)[0].tolist() == [0.0, 0.0, 2.0**-53, 1.0 - 2.0**-53]
+        # in place: out may be raw's own memory
+        own = raw.copy()
+        assert _doubles(own, own.view(np.float64)).tolist() == [0.0, 0.0, 2.0**-53, 1.0 - 2.0**-53]
+
+    def test_cell_index_at_every_bin_edge(self):
+        # raws i 2^55 and i 2^55 - 1 (the first and last of bin i and i - 1), every bin, both halves of v
+        n = regions._CELLS
+        edges = [e for i in range(n + 1) for e in (i << 55, (i << 55) - 1) if 0 <= e < 1 << 64]
+        ru, rv = (a.ravel() for a in np.meshgrid(np.array(edges, np.uint64), np.array(edges, np.uint64)))
+        index = _cell_index(ru, rv, np.empty(ru.size, np.uint64), np.empty(ru.size, np.uint64))
+        u, v = uniforms(ru, rv)
+        expected = [math.floor(n * a) + n * (math.floor(n * b) % (n // 2)) for a, b in zip(u.tolist(), v.tolist())]
+        assert index.dtype == np.intp
+        assert index.tolist() == expected
+        assert {math.floor(n * b) // (n // 2) for b in v.tolist()} == {0, 1}
 
 
 # uniforms at the ends of [0, 1), around the quarters and at the middle, in every (u, v) pair
@@ -1054,7 +1108,7 @@ class TestSeparation:
         def walk(px, py, T, steps, stride, elements):
             yield SimpleNamespace(x=rows[:, :1], y=rows[:, 1:])
 
-        member = (np.array([0.5]), np.array([0.5]), np.array([True]))
+        member = (np.array([1 << 63], np.uint64), np.array([1 << 63], np.uint64), np.array([True]))  # u = v = 0.5
         monkeypatch.setattr(regions, "_decided_slices", lambda *args: iter([member]))
         monkeypatch.setattr(regions, "orbit_blocks", walk)
         assert separation_check(cfg, 1000, 7) is separated
